@@ -23,7 +23,7 @@ from repro.analytics.workload import (
     GroupByWorkload,
     SortWorkload,
     _payloads,
-    _split,
+    split_relation,
 )
 
 
@@ -75,7 +75,7 @@ def make_skewed_groupby_workload(
     relation = Relation.from_arrays(keys, _payloads(rng, n), "skewed_groupby_input")
     avg_group = n / max(1, len(np.unique(keys)))
     return GroupByWorkload(
-        partitions=_split(relation, num_partitions),
+        partitions=split_relation(relation, num_partitions),
         key_space_bits=key_space_bits,
         avg_group_size=avg_group,
     )
@@ -104,7 +104,7 @@ def make_skewed_sort_workload(
     keys = rng.permutation(np.concatenate([hot, cold])).astype(np.uint64)
     relation = Relation.from_arrays(keys, _payloads(rng, n), "skewed_sort_input")
     return SortWorkload(
-        partitions=_split(relation, num_partitions), key_space_bits=key_space_bits
+        partitions=split_relation(relation, num_partitions), key_space_bits=key_space_bits
     )
 
 

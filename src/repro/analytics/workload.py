@@ -68,9 +68,6 @@ def split_relation(relation: Relation, num_partitions: int) -> List[Relation]:
     ]
 
 
-#: Backwards-compatible private alias (pre-pipeline callers).
-_split = split_relation
-
 
 @dataclass(frozen=True)
 class ScanWorkload:
@@ -208,7 +205,7 @@ def make_scan_workload(
     relation = Relation.from_arrays(keys, _payloads(rng, n), "scan_input")
     search_key = int(keys[rng.integers(0, n)])
     return ScanWorkload(
-        partitions=_split(relation, num_partitions),
+        partitions=split_relation(relation, num_partitions),
         search_key=search_key,
         key_space_bits=key_space_bits,
     )
@@ -225,7 +222,7 @@ def make_sort_workload(
         _uniform_keys(rng, n, key_space_bits), _payloads(rng, n), "sort_input"
     )
     return SortWorkload(
-        partitions=_split(relation, num_partitions), key_space_bits=key_space_bits
+        partitions=split_relation(relation, num_partitions), key_space_bits=key_space_bits
     )
 
 
@@ -245,7 +242,7 @@ def make_groupby_workload(
     keys = rng.choice(group_keys, size=n).astype(np.uint64)
     relation = Relation.from_arrays(keys, _payloads(rng, n), "groupby_input")
     return GroupByWorkload(
-        partitions=_split(relation, num_partitions),
+        partitions=split_relation(relation, num_partitions),
         key_space_bits=key_space_bits,
         avg_group_size=avg_group_size,
     )
@@ -271,7 +268,7 @@ def make_join_workload(
     r_rel = Relation.from_arrays(r_keys, _payloads(rng, n_r), "R")
     s_rel = Relation.from_arrays(s_keys, _payloads(rng, n_s), "S")
     return JoinWorkload(
-        r_partitions=_split(r_rel, num_partitions),
-        s_partitions=_split(s_rel, num_partitions),
+        r_partitions=split_relation(r_rel, num_partitions),
+        s_partitions=split_relation(s_rel, num_partitions),
         key_space_bits=key_space_bits,
     )

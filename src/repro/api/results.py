@@ -3,19 +3,18 @@
 A :class:`ResultSet` holds flat per-phase/per-energy-component records
 (one dict per evaluated phase) and offers the small set of dataframe-ish
 verbs experiment scripts actually need -- filtering, pivoting, column
-selection, JSON/CSV export -- without a pandas dependency.  It replaces
-the bespoke ``ResultMatrix``-plus-``format_table`` glue the per-figure
-scripts used to carry: figures now pull rows out of one ResultSet and
-render them with the same fixed-width table style.
+selection, JSON/CSV export -- without a pandas dependency.  Figures pull
+rows out of one ResultSet and render them with :func:`format_table`,
+the one fixed-width table style every report uses.
 
 Records are plain dicts of JSON-serializable scalars, so a ResultSet
 round-trips losslessly through ``to_json``/``from_json`` (the sweep-smoke
 golden test relies on that) and pickles cleanly across the ``--jobs``
 process pool.
 
-This module deliberately imports nothing from the rest of the package:
-``repro.experiments.common`` keeps a deprecation shim pointing at
-:func:`format_table` here without creating an import cycle.
+This module deliberately imports nothing from the rest of the package,
+so low layers (``repro.pipeline.report``) can share :func:`format_table`
+without an import cycle.
 """
 
 from __future__ import annotations

@@ -24,16 +24,33 @@ be preset names or :class:`SystemSpec` dicts, which is what
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from operator import methodcaller
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.api.results import ResultSet
 from repro.api.scenario import Scenario
 from repro.api.spec import SystemSpec
 from repro.experiments import common
-from repro.telemetry import trace as _trace
 from repro.telemetry import span as _span
+
+
+def _pool_span(scenario: Scenario) -> Tuple[str, str, Dict[str, Any]]:
+    return "pool_worker", "service", {
+        "system": scenario.system_label, "operator": scenario.operator,
+    }
+
+
+def evaluate_scenarios(
+    scenarios: Sequence[Scenario], jobs: int = 1
+) -> List[List[Dict[str, Any]]]:
+    """Each scenario's tidy records, in input order.
+
+    ``jobs > 1`` fans the scenarios over a process pool
+    (:func:`repro.experiments.common.fan_out`; each worker holds its own
+    cache and reports its store traffic and spans back to this process).
+    """
+    return common.fan_out(methodcaller("records"), scenarios, jobs, span=_pool_span)
 
 
 def _spec_from_entry(entry: Union[str, SystemSpec, Mapping[str, Any]]):
@@ -107,31 +124,8 @@ class Sweep:
         with _span(
             "sweep", category="api", points=len(scenarios), jobs=jobs
         ):
-            if jobs == 1 or len(scenarios) <= 1:
-                records: List[Dict[str, Any]] = []
-                for scenario in scenarios:
-                    records.extend(scenario.records())
-                return ResultSet(records)
-            tracer = _trace.active_tracer()
-            payloads = [
-                (s, common.cache_enabled(), common.store_path(),
-                 tracer is not None)
-                for s in scenarios
-            ]
-            store = common.active_store()
-            records = []
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for chunk, store_delta, spans in pool.map(
-                    _sweep_worker, payloads
-                ):
-                    records.extend(chunk)
-                    if store is not None and store_delta:
-                        store.merge_stats(store_delta)
-                    if tracer is not None and spans:
-                        tracer.adopt(
-                            spans, parent_id=tracer.current_span_id()
-                        )
-            return ResultSet(records)
+            chunks = evaluate_scenarios(scenarios, jobs)
+            return ResultSet(r for chunk in chunks for r in chunk)
 
     # -- serialization ------------------------------------------------------
 
@@ -168,50 +162,3 @@ class Sweep:
         if not isinstance(data, Mapping):
             raise ValueError("expected a JSON object describing the sweep grid")
         return cls.from_dict(data)
-
-
-def _sweep_worker(
-    payload,
-) -> Tuple[
-    List[Dict[str, Any]], Optional[Dict[str, int]], Optional[List[Dict[str, Any]]]
-]:
-    """Process-pool entry point: (scenario, use_cache, store[, trace]) ->
-    (records, store-counter delta, worker spans).
-
-    Workers inherit the parent's persistent-store selection explicitly
-    (an env-var default would survive ``fork`` anyway, but a ``--store``
-    flag set only in the parent would not), so store writes land in one
-    shared directory regardless of worker count.  Each task reports the
-    store traffic it caused as a counter delta; the parent folds those
-    into its own handle, keeping ``--jobs N`` runs' reported store stats
-    truthful even though the I/O happened in workers.
-
-    When the parent is tracing (``trace`` element true), the worker runs
-    its own :class:`~repro.telemetry.trace.Tracer` and ships the
-    finished spans back as plain dicts; the parent re-parents them under
-    its sweep span via ``Tracer.adopt``.
-    """
-    scenario, use_cache, store = payload[:3]
-    trace_on = bool(payload[3]) if len(payload) > 3 else False
-    common.set_cache_enabled(use_cache)
-    if store != common.store_path():
-        common.configure_store(store)
-    handle = common.active_store()
-    before = handle.counters() if handle is not None else None
-    spans = None
-    if trace_on:
-        with _trace.tracing() as tracer:
-            with tracer.span(
-                "pool_worker",
-                category="service",
-                system=scenario.system_label,
-                operator=scenario.operator,
-            ):
-                records = scenario.records()
-            spans = tracer.to_dicts()
-    else:
-        records = scenario.records()
-    if handle is None:
-        return records, None, spans
-    after = handle.counters()
-    return records, {k: after[k] - before[k] for k in before}, spans

@@ -45,18 +45,26 @@ processes -- repeated CLI invocations, CI runs, the serving daemon's
 clients -- replay warm scenarios with zero simulation executions.
 :func:`cache_stats` reports every tier's hits/misses/evictions.
 
-:class:`ResultMatrix` is retained as a deprecated shim over the
-scenario API; :func:`format_table` forwards to its new home in
-:mod:`repro.api.results`.  New code should use
-:class:`repro.api.Scenario` / :class:`repro.api.Sweep` directly.
+Two decisions every evaluation entry point shares live here, once:
+
+- :func:`tiered` is the memory tier -> store probe -> build-and-put
+  lookup behind both :func:`run_cached_result` and the suite runner's
+  :func:`repro.suites.runner.run_suite_point`.
+- :func:`fan_out` is the only process pool: ``Sweep.run``,
+  ``SuiteRun.run``, the batch scheduler and ``run_all --jobs`` hand it a
+  picklable ``fn`` and their items.  Workers run :func:`run_in_worker`,
+  which installs the parent's cache/store/trace selection and reports
+  each task's store-counter delta and spans; :func:`fold_reply` merges
+  them into the parent.  The fleet worker subprocesses reuse both halves
+  over their JSON-lines protocol.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import warnings
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from concurrent import futures
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analytics.workload import (
     make_groupby_workload,
@@ -160,9 +168,10 @@ def register_cache_tier(tier: CacheTier) -> CacheTier:
         _EXTRA_TIERS.append(tier)
     return tier
 
-#: (store root, result key) pairs already confirmed on disk, so the
-#: memory-hit write-through below costs one digest + stat per key per
-#: process instead of per hit.
+#: (store root, tier key) pairs already confirmed on disk, so the
+#: memory-hit write-through in :func:`tiered` costs one digest + stat
+#: per key per process instead of per hit.  Tier keys differ in their
+#: first element ("result", "suite-result"), so one set serves all tiers.
 _PERSISTED: set = set()
 
 
@@ -378,20 +387,166 @@ def result_store_payload(
     }
 
 
-def _store_lookup(store, payload: Dict[str, Any]) -> Tuple[str, Any]:
-    """(digest, restored result or ``_MISS``) for one store probe."""
-    from repro.service.codec import result_from_document
-    from repro.service.store import digest_payload
+def tiered(
+    tier: CacheTier,
+    key: Tuple,
+    payload: Callable[[], Dict[str, Any]],
+    build: Callable[[], Any],
+    encode: Callable[[Any], Dict[str, Any]],
+    decode: Callable[[Dict[str, Any]], Any],
+) -> Any:
+    """One memoized value: memory tier -> store probe -> build-and-put.
 
-    digest = digest_payload(payload)
-    document = store.get(digest)
-    if document is None:
-        return digest, _MISS
-    try:
-        return digest, result_from_document(document)
-    except (KeyError, TypeError, ValueError):
-        # Schema drift or a hand-edited entry: treat as a miss.
-        return digest, _MISS
+    ``key`` addresses ``tier`` (skipped while the memory caches are
+    disabled); ``payload()`` names the value in the persistent store and
+    is only computed when a store is active.  ``encode``/``decode`` map
+    values to and from store documents; a document that fails to decode
+    (schema drift, a hand-edited entry) counts as a miss and is
+    overwritten by the rebuilt value.
+
+    A memory hit still writes through to the store -- covering values
+    computed before the store was configured and healing evicted
+    entries -- once per (store root, key) per process (:data:`_PERSISTED`).
+    """
+    store = active_store()
+    if _CACHE_ENABLED:
+        cached = tier.get(key)
+        if cached is not _MISS:
+            if store is not None:
+                marker = (str(store.root), key)
+                if marker not in _PERSISTED:
+                    from repro.service.store import digest_payload
+
+                    digest = digest_payload(payload())
+                    if not store.contains(digest):
+                        store.put(digest, encode(cached))
+                    _PERSISTED.add(marker)
+            return cached
+
+    if store is None:
+        value = build()
+    else:
+        from repro.service.store import digest_payload
+
+        digest = digest_payload(payload())
+        document = store.get(digest)
+        value = _MISS
+        if document is not None:
+            try:
+                value = decode(document)
+            except (KeyError, TypeError, ValueError):
+                pass  # schema drift or a hand-edited entry: a miss
+        if value is _MISS:
+            value = build()
+            store.put(digest, encode(value))
+        _PERSISTED.add((str(store.root), key))
+
+    if _CACHE_ENABLED:
+        tier.put(key, value)
+    return value
+
+
+# ---------------------------------------------------------------------------
+# The process boundary: one worker-side call, one parent-side pool.
+# ---------------------------------------------------------------------------
+
+#: ``span(item) -> (name, category, attributes)``: the span a traced
+#: worker opens around ``fn(item)``.
+SpanFn = Callable[[Any], Tuple[str, str, Dict[str, Any]]]
+
+
+def worker_selection() -> Tuple[bool, Optional[str], bool]:
+    """(cache flag, store path, trace flag) a worker must reproduce.
+
+    Workers inherit the parent's store selection explicitly: an env-var
+    default would survive ``fork`` anyway, but a ``--store`` flag set only
+    in the parent would not.
+    """
+    return cache_enabled(), store_path(), _trace.active_tracer() is not None
+
+
+def run_in_worker(
+    fn: Callable[[Any], Any],
+    item: Any,
+    selection: Tuple[bool, Optional[str], bool],
+    span: SpanFn,
+) -> Tuple[Any, Optional[Dict[str, int]], Optional[List[Dict[str, Any]]]]:
+    """Worker side of a fan-out: ``fn(item)`` under the parent's selection.
+
+    Returns ``(value, store-counter delta, spans)``: the delta is the
+    store traffic this task caused (``None`` without a store), and when
+    the selection's trace flag is set, ``fn`` runs under a fresh
+    worker-local tracer inside ``span(item)`` and the finished spans ship
+    back as plain dicts (otherwise ``None``).
+    """
+    use_cache, store, trace_on = selection
+    set_cache_enabled(use_cache)
+    if store != store_path():
+        configure_store(store)
+    handle = active_store()
+    before = handle.counters() if handle is not None else None
+    spans = None
+    if trace_on:
+        with _trace.tracing() as tracer:
+            name, category, attrs = span(item)
+            with tracer.span(name, category=category, **attrs):
+                value = fn(item)
+            spans = tracer.to_dicts()
+    else:
+        value = fn(item)
+    delta = None
+    if handle is not None:
+        after = handle.counters()
+        delta = {k: after[k] - before[k] for k in before}
+    return value, delta, spans
+
+
+def fold_reply(
+    store: Any,
+    tracer: Any,
+    delta: Optional[Dict[str, int]] = None,
+    spans: Optional[List[Dict[str, Any]]] = None,
+) -> None:
+    """Parent side of one worker reply: merge its store-counter delta
+    into ``store`` and re-parent its spans under ``tracer``'s open span,
+    so ``jobs=N`` runs report the store traffic and trace their workers
+    did."""
+    if store is not None and delta:
+        store.merge_stats(delta)
+    if tracer is not None and spans:
+        tracer.adopt(spans, parent_id=tracer.current_span_id())
+
+
+def fan_out(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    jobs: int,
+    *,
+    span: SpanFn,
+) -> List[Any]:
+    """``[fn(item) for item in items]``, across ``jobs`` processes.
+
+    With ``jobs == 1`` (or at most one item) this is a plain in-process
+    loop.  Otherwise ``fn`` and ``span`` must be picklable -- module
+    functions, ``operator.methodcaller``, ``functools.partial`` -- and
+    each item runs through :func:`run_in_worker` in a pool; replies fold
+    into the parent in input order, so values, store stats and span ids
+    do not depend on scheduling.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    store = active_store()
+    tracer = _trace.active_tracer()
+    call = functools.partial(
+        run_in_worker, fn, selection=worker_selection(), span=span
+    )
+    values = []
+    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        for value, delta, spans in pool.map(call, items):
+            values.append(value)
+            fold_reply(store, tracer, delta, spans)
+    return values
 
 
 def _build_workload(operator: str, seed: int, num_partitions: int):
@@ -466,7 +621,6 @@ def run_cached_result(
     scale: float,
     seed: int = 17,
     num_partitions: int = NUM_PARTITIONS,
-    workload: Any = None,
 ) -> SystemResult:
     """Functionally run + cost one (system, operator) pair, memoized.
 
@@ -476,18 +630,13 @@ def run_cached_result(
     consumers (the figure modules only read them), so sharing one
     :class:`~repro.perf.result.SystemResult` across figures is safe.
 
-    ``workload`` lets a caller that already holds the (seed,
-    num_partitions) workload -- e.g. a :class:`ResultMatrix` running
-    with the shared caches disabled -- supply it instead of having
-    :func:`make_workload` rebuild it per system.
-
     When a persistent store is active (``REPRO_STORE`` / ``--store``,
-    see :func:`configure_store`), it acts as the second cache tier:
-    memory miss -> store probe -> simulate on a store miss and write the
-    evaluated result back, so a *fresh process* replays warm sweeps with
-    zero simulation executions.  Store-restored results carry
-    ``output=None`` (the functional payload is not persisted; see
-    :mod:`repro.service.codec`).
+    see :func:`configure_store`), it acts as the second cache tier
+    (:func:`tiered`): memory miss -> store probe -> simulate on a store
+    miss and write the evaluated result back, so a *fresh process*
+    replays warm sweeps with zero simulation executions.  Store-restored
+    results carry ``output=None`` (the functional payload is not
+    persisted; see :mod:`repro.service.codec`).
     """
     tracer = _trace.active_tracer()
     if tracer is not None:
@@ -498,21 +647,12 @@ def run_cached_result(
             system=_system_token(system),
             scale=float(scale),
         ):
-            return _run_cached_result(
-                system, operator, scale, seed, num_partitions, workload
-            )
-    return _run_cached_result(
-        system, operator, scale, seed, num_partitions, workload
-    )
+            return _run_cached_result(system, operator, scale, seed, num_partitions)
+    return _run_cached_result(system, operator, scale, seed, num_partitions)
 
 
 def _run_cached_result(
-    system: Any,
-    operator: str,
-    scale: float,
-    seed: int,
-    num_partitions: int,
-    workload: Any,
+    system: Any, operator: str, scale: float, seed: int, num_partitions: int
 ) -> SystemResult:
     key = (
         "result",
@@ -523,136 +663,28 @@ def _run_cached_result(
         seed,
         num_partitions,
     )
-
-    def build() -> SystemResult:
-        machine = machine_for(system)
-        return machine.run_operator(
-            operator,
-            workload if workload is not None
-            else make_workload(operator, seed, num_partitions),
+    return tiered(
+        _RESULTS,
+        key,
+        lambda: result_store_payload(system, operator, scale, seed, num_partitions),
+        lambda: machine_for(system).run_operator(
+            operator, make_workload(operator, seed, num_partitions),
             scale_factor=scale,
-        )
-
-    store = active_store()
-
-    if _CACHE_ENABLED:
-        cached = _RESULTS.get(key)
-        if cached is not _MISS:
-            marker = (str(store.root), key) if store is not None else None
-            if marker is not None and marker not in _PERSISTED:
-                # Write-through: a memory-tier hit still lands on disk
-                # (covers results computed before the store was
-                # configured, and heals evicted entries) without
-                # re-simulating anything.  Confirmed keys are memoized
-                # so repeated hits stay free of hashing and stat calls.
-                from repro.service.codec import result_to_document
-                from repro.service.store import digest_payload
-
-                digest = digest_payload(
-                    result_store_payload(
-                        system, operator, scale, seed, num_partitions
-                    )
-                )
-                if not store.contains(digest):
-                    store.put(digest, result_to_document(cached))
-                _PERSISTED.add(marker)
-            return cached
-
-    if store is not None:
-        digest, restored = _store_lookup(
-            store,
-            result_store_payload(system, operator, scale, seed, num_partitions),
-        )
-        if restored is _MISS:
-            from repro.service.codec import result_to_document
-
-            restored = build()
-            store.put(digest, result_to_document(restored))
-        _PERSISTED.add((str(store.root), key))
-        result = restored
-    else:
-        result = build()
-
-    if _CACHE_ENABLED:
-        _RESULTS.put(key, result)
-    return result
+        ),
+        _result_to_document,
+        _result_from_document,
+    )
 
 
-class ResultMatrix:
-    """Deprecated: runs and caches (system, operator) -> SystemResult.
+# The codec is looked up per call (not bound at import) so tooling that
+# swaps ``repro.service.codec`` functions for wrappers sees every call.
+def _result_to_document(result: SystemResult) -> Dict[str, Any]:
+    from repro.service import codec
 
-    The pre-scenario-API front door, retained as a thin shim so old
-    call sites keep working.  New code should use
-    :class:`repro.api.Scenario` (one point) or :class:`repro.api.Sweep`
-    (a grid); both share the same content-keyed caches, so mixing old
-    and new callers costs nothing.
-    """
-
-    def __init__(
-        self,
-        systems: Iterable[str] = ALL_SYSTEMS,
-        operators: Iterable[str] = OPERATORS,
-        scale: float = MODEL_SCALE,
-        seed: int = 17,
-        num_partitions: int = NUM_PARTITIONS,
-    ) -> None:
-        warnings.warn(
-            "ResultMatrix is deprecated; use repro.api.Scenario / "
-            "repro.api.Sweep instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._systems = tuple(systems)
-        self._operators = tuple(operators)
-        self._scale = scale
-        self._seed = seed
-        self._num_partitions = num_partitions
-        self._cache: Dict[tuple, SystemResult] = {}
-        self._workloads: Dict[str, Any] = {}
-
-    @property
-    def systems(self) -> tuple:
-        return self._systems
-
-    @property
-    def operators(self) -> tuple:
-        return self._operators
-
-    def workload(self, operator: str):
-        if operator not in self._workloads:
-            self._workloads[operator] = make_workload(
-                operator, self._seed, self._num_partitions
-            )
-        return self._workloads[operator]
-
-    def result(self, system: str, operator: str) -> SystemResult:
-        key = (system, operator)
-        if key not in self._cache:
-            self._cache[key] = run_cached_result(
-                system,
-                operator,
-                self._scale,
-                self._seed,
-                self._num_partitions,
-                workload=self.workload(operator),
-            )
-        return self._cache[key]
-
-    def all_results(self) -> Dict[tuple, SystemResult]:
-        for system in self._systems:
-            for operator in self._operators:
-                self.result(system, operator)
-        return dict(self._cache)
+    return codec.result_to_document(result)
 
 
-def format_table(headers: List[str], rows: List[List[Any]]) -> str:
-    """Fixed-width ASCII table for experiment output.
+def _result_from_document(document: Dict[str, Any]) -> SystemResult:
+    from repro.service import codec
 
-    Back-compat forwarder: the implementation now lives with the
-    scenario API's result container (:mod:`repro.api.results`).  The
-    import is deferred so ``repro.api`` (which imports this module) can
-    finish initializing first.
-    """
-    from repro.api.results import format_table as _format_table
-
-    return _format_table(headers, rows)
+    return codec.result_from_document(document)

@@ -27,9 +27,9 @@ grids).  See ``docs/USAGE.md`` for the full flag reference.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.experiments import (
     ablations,
@@ -180,37 +180,17 @@ def render_section(key: str, scale: float) -> str:
     )
 
 
-def _render_worker(payload):
-    """Process-pool entry point: (key, scale, use_cache, store[, trace])
-    -> (text, worker spans or None)."""
-    key, scale, use_cache, store = payload[:4]
-    trace_on = bool(payload[4]) if len(payload) > 4 else False
-    common.set_cache_enabled(use_cache)
-    if store != common.store_path():
-        common.configure_store(store)
-    if trace_on:
-        with _trace.tracing() as tracer:
-            with tracer.span("section", category="experiments", section=key):
-                text = render_section(key, scale)
-            return text, tracer.to_dicts()
-    return render_section(key, scale), None
+def _section_span(key: str) -> tuple:
+    return "section", "experiments", {"section": key}
 
 
 def run_paper_report(scale: float, jobs: int = 1) -> None:
     """The paper-artifact report (default mode)."""
     keys = [key for key, _, _, _ in SECTIONS]
-    tracer = _trace.active_tracer()
     if jobs > 1:
-        payloads = [
-            (key, scale, common.cache_enabled(), common.store_path(),
-             tracer is not None)
-            for key in keys
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for text, spans in pool.map(_render_worker, payloads):
-                print(text)
-                if tracer is not None and spans:
-                    tracer.adopt(spans, parent_id=tracer.current_span_id())
+        render = functools.partial(render_section, scale=scale)
+        for text in common.fan_out(render, keys, jobs, span=_section_span):
+            print(text)
     else:
         # Print as each section completes: the report streams, and a
         # mid-report failure still leaves the finished sections visible.

@@ -3,14 +3,14 @@
 Formatting lives here (not on :class:`~repro.pipeline.perf.PipelinePerf`)
 so the perf aggregates stay plain data and experiments/examples share one
 table style with the rest of the repo
-(:func:`repro.experiments.common.format_table`).
+(:func:`repro.api.results.format_table`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.common import format_table
+from repro.api.results import format_table
 from repro.pipeline.perf import PipelinePerf, pipeline_speedup
 
 

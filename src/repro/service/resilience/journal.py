@@ -182,8 +182,12 @@ class IntentJournal:
                 counts["rolled_forward"] += 1
             elif tmp.is_file() and validate(tmp):
                 # Crash landed between the temp write and the rename:
-                # finish the job.
-                os.replace(tmp, final)
+                # finish the job.  The intent may instead belong to a
+                # live writer in another process (a store opened while
+                # it puts); if that writer renames first, the temp file
+                # is gone and its put has landed.
+                with contextlib.suppress(FileNotFoundError):
+                    os.replace(tmp, final)
                 if self._fsync:
                     fsync_dir(final.parent)
                 counts["rolled_forward"] += 1

@@ -41,6 +41,7 @@ import queue as queue_mod
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.experiments import common
 from repro.service.resilience.retry import CircuitBreaker, RetryPolicy
 from repro.telemetry import span as _span
 from repro.telemetry import trace as _trace
@@ -417,13 +418,11 @@ class WorkerFleet:
             for index in sorted(batch.local):
                 batch.records[index] = scenarios[index].records()
             batch_sp.set(degraded=len(batch.local))
-            if tracer is not None:
-                # Re-parent the worker-subprocess spans (shipped back on
-                # the JSON-lines side channel) under this batch span, in
-                # task order so ids stay deterministic.
-                parent = tracer.current_span_id()
-                for index in sorted(batch.spans):
-                    tracer.adopt(batch.spans[index], parent_id=parent)
+            # Re-parent the worker-subprocess spans (shipped back on the
+            # JSON-lines side channel) under this batch span, in task
+            # order so ids stay deterministic.
+            for index in sorted(batch.spans):
+                common.fold_reply(None, tracer, spans=batch.spans[index])
         delta: Dict[str, int] = {}
         for partial in batch.deltas:
             for key, value in partial.items():
@@ -444,7 +443,6 @@ class WorkerFleet:
         """
         if getattr(scenario, "is_query", False):
             return f"query-{index}"
-        from repro.experiments import common
         from repro.service.store import digest_payload
 
         return digest_payload(

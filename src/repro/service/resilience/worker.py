@@ -45,7 +45,7 @@ import os
 import signal
 import sys
 import time
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 
 def parse_chaos(spec: Optional[str]) -> Dict[str, Any]:
@@ -79,38 +79,34 @@ def _self_destruct() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _scenario_records(wire: Dict[str, Any]) -> List[Dict[str, Any]]:
+    from repro.api.scenario import Scenario
+
+    return Scenario.from_dict(wire).records()
+
+
+def _fleet_span(_wire: Dict[str, Any]) -> Tuple[str, str, Dict[str, Any]]:
+    return "fleet_worker", "service", {"pid": os.getpid()}
+
+
 def _evaluate(task: Dict[str, Any]) -> Dict[str, Any]:
     """Run one scenario with the task's store/cache selection installed.
 
-    A task carrying ``"trace": true`` additionally runs under a fresh
-    worker-local tracer and ships the finished spans back in the
-    response (the supervisor re-parents them under the batch span) --
-    the JSON-lines side channel the telemetry layer documents.
+    The shared worker-side call
+    (:func:`repro.experiments.common.run_in_worker`) does the work; a
+    task carrying ``"trace": true`` additionally ships the worker's
+    spans back in the response (the supervisor re-parents them under the
+    batch span) -- the JSON-lines side channel the telemetry layer
+    documents.
     """
-    from repro.api.scenario import Scenario
     from repro.experiments import common
-    from repro.telemetry import trace as _trace
 
-    common.set_cache_enabled(bool(task.get("cache", True)))
-    store_dir = task.get("store")
-    if store_dir != common.store_path():
-        common.configure_store(store_dir)
-    handle = common.active_store()
-    before = handle.counters() if handle is not None else None
-    spans = None
-    if task.get("trace"):
-        with _trace.tracing() as tracer:
-            with tracer.span(
-                "fleet_worker", category="service", pid=os.getpid()
-            ):
-                records = Scenario.from_dict(task["scenario"]).records()
-            spans = tracer.to_dicts()
-    else:
-        records = Scenario.from_dict(task["scenario"]).records()
-    delta = None
-    if handle is not None:
-        after = handle.counters()
-        delta = {k: after[k] - before[k] for k in before}
+    selection = (
+        bool(task.get("cache", True)), task.get("store"), bool(task.get("trace"))
+    )
+    records, delta, spans = common.run_in_worker(
+        _scenario_records, task["scenario"], selection, span=_fleet_span
+    )
     response = {"records": records, "store_delta": delta}
     if spans is not None:
         response["spans"] = spans

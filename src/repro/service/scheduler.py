@@ -13,9 +13,9 @@ order:
    inside ``run_cached_result`` restores the evaluated result with zero
    simulation executions.
 3. **Fan out misses.**  Remaining points run either through the
-   existing process-pool runtime (``jobs=N``, the same worker
-   ``Sweep.run`` uses) or -- with ``workers=N`` -- through a
-   **supervised worker fleet**
+   shared process-pool runtime (``jobs=N``, the same
+   :func:`~repro.experiments.common.fan_out` ``Sweep.run`` uses) or --
+   with ``workers=N`` -- through a **supervised worker fleet**
    (:class:`~repro.service.resilience.supervisor.WorkerFleet`):
    persistent worker subprocesses that are heartbeat-monitored,
    restarted with backoff when they crash, and whose in-flight tasks
@@ -33,16 +33,14 @@ The scheduler is the daemon's engine, but stands alone: feeding it
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.api.results import ResultSet
 from repro.api.scenario import Scenario
-from repro.api.sweep import Sweep, _sweep_worker
+from repro.api.sweep import Sweep, evaluate_scenarios
 from repro.experiments import common
 from repro.telemetry import registry as _registry
 from repro.telemetry import span as _span
-from repro.telemetry import trace as _trace
 
 
 class BatchScheduler:
@@ -162,7 +160,6 @@ class BatchScheduler:
         for scenario in scenarios:
             unique.setdefault(scenario)
 
-        tracer = _trace.active_tracer()
         with _span(
             "batch",
             category="service",
@@ -186,30 +183,10 @@ class BatchScheduler:
                     store=common.store_path(),
                     cache=common.cache_enabled(),
                 )
-                for scenario, chunk in zip(misses, chunks):
-                    records[scenario] = chunk
-                if store is not None and store_delta:
-                    store.merge_stats(store_delta)
-            elif len(misses) > 1 and self.jobs > 1:
-                payloads = [
-                    (s, common.cache_enabled(), common.store_path(),
-                     tracer is not None)
-                    for s in misses
-                ]
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    for scenario, (chunk, store_delta, spans) in zip(
-                        misses, pool.map(_sweep_worker, payloads)
-                    ):
-                        records[scenario] = chunk
-                        if store is not None and store_delta:
-                            store.merge_stats(store_delta)
-                        if tracer is not None and spans:
-                            tracer.adopt(
-                                spans, parent_id=tracer.current_span_id()
-                            )
+                common.fold_reply(store, None, store_delta)
             else:
-                for scenario in misses:
-                    records[scenario] = scenario.records()
+                chunks = evaluate_scenarios(misses, self.jobs)
+            records.update(zip(misses, chunks))
 
         self._stats["batches"] += 1
         self._stats["submitted"] += len(scenarios)

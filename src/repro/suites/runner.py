@@ -1,14 +1,13 @@
 """The suite driver: every suite x every system preset, cached end-to-end.
 
 :func:`run_suite_point` evaluates one :class:`SuitePoint` (suite x
-system x scale x seed x partitions) through the same three-tier path
-operator scenarios use (:func:`repro.experiments.common
-.run_cached_result`): an in-process memory tier (a
-:class:`~repro.experiments.common.CacheTier` enrolled via
-``register_cache_tier`` so ``clear_caches``/``cache_stats`` cover it), a
-probe of the persistent content-addressed store (``REPRO_STORE`` /
-``--store``; documents use the ``suite-run/v1`` schema of
-:mod:`repro.service.codec`), and only then a real
+system x scale x seed x partitions) through the same three-tier lookup
+operator scenarios use (:func:`repro.experiments.common.tiered`): an
+in-process memory tier (a :class:`~repro.experiments.common.CacheTier`
+enrolled via ``register_cache_tier`` so ``clear_caches``/``cache_stats``
+cover it), a probe of the persistent content-addressed store
+(``REPRO_STORE`` / ``--store``; documents use the ``suite-run/v1``
+schema of :mod:`repro.service.codec`), and only then a real
 :meth:`~repro.systems.machine.Machine.run_pipeline` execution whose
 result is written back.  Fresh processes replay warm suite grids with
 zero pipeline executions, and a memory hit write-throughs to a late-
@@ -29,9 +28,9 @@ across a process pool exactly like :class:`repro.api.Sweep`.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from operator import methodcaller
+from typing import Any, Dict, List, Tuple
 
 from repro.api.results import ResultSet
 from repro.api.scenario import records_from_result
@@ -46,26 +45,7 @@ from repro.telemetry import trace as _trace
 #: figures' 2000x while staying far beyond every cache level.
 DEFAULT_SCALE = 100.0
 
-
-class _SuiteTier(common.CacheTier):
-    """The suite memory tier + its write-through bookkeeping.
-
-    ``persisted`` mirrors ``common._PERSISTED``: (store root, key) pairs
-    confirmed on disk, so repeated memory hits skip re-hashing.  It must
-    drop with the tier -- ``clear_caches`` calls :meth:`clear` through
-    the registered-tier hook.
-    """
-
-    def __init__(self) -> None:
-        super().__init__("suite-result")
-        self.persisted: set = set()
-
-    def clear(self) -> None:
-        super().clear()
-        self.persisted.clear()
-
-
-_SUITE_RESULTS = common.register_cache_tier(_SuiteTier())
+_SUITE_RESULTS = common.register_cache_tier(common.CacheTier("suite-result"))
 
 
 @dataclass(frozen=True)
@@ -175,39 +155,6 @@ def _execute(point: SuitePoint) -> SuiteOutcome:
     )
 
 
-def _store_roundtrip(store, point: SuitePoint) -> SuiteOutcome:
-    """Probe the persistent tier; execute + write back on a miss."""
-    from repro.service.codec import suite_run_from_document, suite_run_to_document
-    from repro.service.store import digest_payload
-
-    digest = digest_payload(suite_store_payload(point))
-    document = store.get(digest)
-    if document is not None:
-        try:
-            restored = suite_run_from_document(document)
-            return SuiteOutcome(
-                suite=restored["suite"],
-                family=restored["family"],
-                system=restored["system"],
-                stages=restored["stages"],
-                output_digest=restored["output_digest"],
-            )
-        except (KeyError, TypeError, ValueError):
-            pass  # schema drift or hand-edited entry: treat as a miss
-    outcome = _execute(point)
-    store.put(
-        digest,
-        suite_run_to_document(
-            outcome.suite,
-            outcome.family,
-            outcome.system,
-            outcome.stages,
-            outcome.output_digest,
-        ),
-    )
-    return outcome
-
-
 def run_suite_point(point: SuitePoint) -> SuiteOutcome:
     """Evaluate one point through memory tier -> store -> pipeline."""
     tracer = _trace.active_tracer()
@@ -232,43 +179,39 @@ def _run_suite_point(point: SuitePoint) -> SuiteOutcome:
         int(point.seed),
         int(point.num_partitions),
     )
-    store = common.active_store()
+    return common.tiered(
+        _SUITE_RESULTS,
+        key,
+        lambda: suite_store_payload(point),
+        lambda: _execute(point),
+        _outcome_to_document,
+        _outcome_from_document,
+    )
 
-    if common.cache_enabled():
-        cached = _SUITE_RESULTS.get(key)
-        if cached is not common._MISS:
-            marker = (str(store.root), key) if store is not None else None
-            if marker is not None and marker not in _SUITE_RESULTS.persisted:
-                # Write-through: persist memory-tier hits computed before
-                # the store was configured (same healing the operator
-                # cache does).
-                from repro.service.codec import suite_run_to_document
-                from repro.service.store import digest_payload
 
-                digest = digest_payload(suite_store_payload(point))
-                if not store.contains(digest):
-                    store.put(
-                        digest,
-                        suite_run_to_document(
-                            cached.suite,
-                            cached.family,
-                            cached.system,
-                            cached.stages,
-                            cached.output_digest,
-                        ),
-                    )
-                _SUITE_RESULTS.persisted.add(marker)
-            return cached
+def _outcome_to_document(outcome: SuiteOutcome) -> Dict[str, Any]:
+    from repro.service.codec import suite_run_to_document
 
-    if store is not None:
-        outcome = _store_roundtrip(store, point)
-        _SUITE_RESULTS.persisted.add((str(store.root), key))
-    else:
-        outcome = _execute(point)
+    return suite_run_to_document(
+        outcome.suite,
+        outcome.family,
+        outcome.system,
+        outcome.stages,
+        outcome.output_digest,
+    )
 
-    if common.cache_enabled():
-        _SUITE_RESULTS.put(key, outcome)
-    return outcome
+
+def _outcome_from_document(document: Dict[str, Any]) -> SuiteOutcome:
+    from repro.service.codec import suite_run_from_document
+
+    restored = suite_run_from_document(document)
+    return SuiteOutcome(
+        suite=restored["suite"],
+        family=restored["family"],
+        system=restored["system"],
+        stages=restored["stages"],
+        output_digest=restored["output_digest"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,65 +274,14 @@ class SuiteRun:
         with _span(
             "suite_run", category="suites", points=len(points), jobs=jobs
         ):
-            if jobs == 1 or len(points) <= 1:
-                records: List[Dict[str, Any]] = []
-                for point in points:
-                    records.extend(point.records())
-                return ResultSet(records)
-            tracer = _trace.active_tracer()
-            payloads = [
-                (p, common.cache_enabled(), common.store_path(),
-                 tracer is not None)
-                for p in points
-            ]
-            store = common.active_store()
-            records = []
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for chunk, store_delta, spans in pool.map(
-                    _point_worker, payloads
-                ):
-                    records.extend(chunk)
-                    if store is not None and store_delta:
-                        store.merge_stats(store_delta)
-                    if tracer is not None and spans:
-                        tracer.adopt(
-                            spans, parent_id=tracer.current_span_id()
-                        )
-            return ResultSet(records)
+            chunks = common.fan_out(
+                methodcaller("records"), points, jobs, span=_pool_span
+            )
+            return ResultSet(r for chunk in chunks for r in chunk)
 
 
-def _point_worker(
-    payload,
-) -> Tuple[
-    List[Dict[str, Any]], Optional[Dict[str, int]], Optional[List[Dict[str, Any]]]
-]:
-    """Process-pool entry point, mirroring ``api.sweep._sweep_worker``:
-    (point, use_cache, store path[, trace]) -> (records, store-counter
-    delta, worker spans)."""
-    point, use_cache, store = payload[:3]
-    trace_on = bool(payload[3]) if len(payload) > 3 else False
-    common.set_cache_enabled(use_cache)
-    if store != common.store_path():
-        common.configure_store(store)
-    handle = common.active_store()
-    before = handle.counters() if handle is not None else None
-    spans = None
-    if trace_on:
-        with _trace.tracing() as tracer:
-            with tracer.span(
-                "pool_worker",
-                category="suites",
-                suite=point.suite,
-                system=point.system,
-            ):
-                records = point.records()
-            spans = tracer.to_dicts()
-    else:
-        records = point.records()
-    if handle is None:
-        return records, None, spans
-    after = handle.counters()
-    return records, {k: after[k] - before[k] for k in before}, spans
+def _pool_span(point: SuitePoint) -> Tuple[str, str, Dict[str, Any]]:
+    return "pool_worker", "suites", {"suite": point.suite, "system": point.system}
 
 
 def functional_digests(

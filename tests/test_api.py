@@ -2,6 +2,8 @@
 Scenario/Sweep execution, ResultSet verbs, the sweep-smoke golden file,
 and the CLI entry points."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -23,13 +25,40 @@ from repro.config.system import (
     get_preset,
     preset_names,
 )
+from repro.experiments import common, run_all
 from repro.experiments.common import ALL_SYSTEMS
+from repro.service import BatchScheduler
+from repro.suites import SuiteRun
 from repro.systems import build_system, run_all_systems
 
 DATA = Path(__file__).parent / "data"
 
 #: Small, fast scenario parameters shared across the module.
 FAST = dict(model_scale=50.0, num_partitions=8)
+
+
+def _smoke_sweep() -> Sweep:
+    return Sweep.from_json((DATA / "sweep_smoke.json").read_text())
+
+
+def _paper_report(jobs: int) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run_all.run_paper_report(run_all.FAST_SCALE, jobs=jobs)
+    return out.getvalue()
+
+
+#: Every entry point that fans evaluations out over ``jobs`` processes,
+#: as ``jobs -> exported text``.
+PARITY_RUNS = {
+    "sweep": lambda jobs: _smoke_sweep().run(jobs=jobs).to_json(),
+    "suite_run": lambda jobs: SuiteRun(
+        suites=("dict-products", "skew-hotspot"), systems=("cpu", "mondrian")
+    ).run(jobs=jobs).to_json(),
+    "scheduler": lambda jobs: BatchScheduler(jobs=jobs)
+    .submit_sweep(_smoke_sweep()).to_json(),
+    "paper_report": _paper_report,
+}
 
 
 class TestSystemSpecRoundTrips:
@@ -270,9 +299,34 @@ class TestSweep:
         golden = (DATA / "sweep_smoke_golden.json").read_text()
         assert sweep.run().to_json() + "\n" == golden
 
-    def test_parallel_run_identical(self):
-        sweep = Sweep.from_json((DATA / "sweep_smoke.json").read_text())
-        assert sweep.run(jobs=2).to_json() == sweep.run().to_json()
+    @pytest.mark.parametrize("entry_point", sorted(PARITY_RUNS))
+    def test_parallel_run_identical(self, entry_point, tmp_path):
+        """Every fan-out entry point exports the same bytes at jobs=1 and
+        jobs=2, and the workers' store traffic reaches the parent."""
+        outputs, stats, objects = {}, {}, {}
+        for jobs in (1, 2):
+            common.clear_caches()
+            previous = common.store_selection()
+            store = common.configure_store(tmp_path / f"jobs{jobs}")
+            try:
+                outputs[jobs] = PARITY_RUNS[entry_point](jobs)
+                stats[jobs] = store.stats()
+            finally:
+                common.restore_store_selection(previous)
+            objects[jobs] = sorted(
+                p.name for p in (tmp_path / f"jobs{jobs}" / "objects").rglob("*")
+                if p.is_file()
+            )
+        assert outputs[2] == outputs[1]
+        assert objects[2] == objects[1]
+        for counters in stats.values():
+            assert counters["entries"] == len(objects[1]) > 0
+            assert counters["puts"] == counters["misses"] >= counters["entries"]
+        if entry_point != "paper_report":
+            # Paper-report sections overlap, so each worker's private
+            # memory tier turns some sequential memory hits into store
+            # hits, and concurrent workers may write one digest twice.
+            assert stats[2] == stats[1]
 
 
 class TestResultSet:

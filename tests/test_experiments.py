@@ -15,7 +15,8 @@ from repro.experiments import (
     table2_phases,
     table5_partition,
 )
-from repro.experiments.common import ResultMatrix, format_table, make_workload
+from repro.api import format_table
+from repro.experiments.common import make_workload
 
 #: Reduced scale so the whole experiment suite runs quickly in CI.
 SCALE = 500.0
@@ -32,30 +33,6 @@ class TestCommon:
             assert make_workload(op, num_partitions=8) is not None
         with pytest.raises(ValueError):
             make_workload("cross-product")
-
-    def test_result_matrix_caches(self):
-        matrix = ResultMatrix(systems=("cpu",), operators=("scan",), scale=10.0)
-        a = matrix.result("cpu", "scan")
-        b = matrix.result("cpu", "scan")
-        assert a is b
-
-    def test_result_matrix_deprecation_warns_once_per_construction(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ResultMatrix(systems=("cpu",), operators=("scan",), scale=10.0)
-        ours = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(ours) == 1  # exactly once per construction
-        assert "repro.api.Scenario" in str(ours[0].message)
-        # stacklevel=2: the warning points at *this* file, not common.py.
-        assert ours[0].filename == __file__
-
-    def test_result_matrix_usable_after_warning(self):
-        with pytest.warns(DeprecationWarning):
-            matrix = ResultMatrix(systems=("cpu",), operators=("scan",), scale=10.0)
-        results = matrix.all_results()
-        assert set(results) == {("cpu", "scan")}
 
     def test_format_table(self):
         out = format_table(["a", "bb"], [["1", "2"], ["333", "4"]])

@@ -258,6 +258,23 @@ class TestJournal:
         assert json.loads(bad_final.read_text()) == {"good": 1}
         assert journal.pending() == []
 
+    def test_recover_tolerates_a_live_writer_finishing_first(self, tmp_path):
+        """Opening a store while another process puts: that writer may
+        rename its temp file between recovery's check and its own
+        rename; recovery must count the put as landed, not crash."""
+        journal = IntentJournal(tmp_path)
+        final, tmp = self._plant(tmp_path, "ff" + "0" * 62, tmp_text='{"ok": 1}')
+
+        def validate(path):
+            if path == tmp:
+                os.replace(tmp, final)  # the live writer wins the race
+            return True
+
+        counts = journal.recover(validate=validate)
+        assert counts["rolled_forward"] == 1
+        assert json.loads(final.read_text()) == {"ok": 1}
+        assert journal.pending() == []
+
     def test_pending_without_a_journal_dir(self, tmp_path):
         assert IntentJournal(tmp_path / "nowhere").pending() == []
 
@@ -391,14 +408,24 @@ class TestWorkerLoop:
 
     def test_evaluate_returns_records_and_store_delta(self, tmp_path):
         scenario = Scenario("cpu", "scan", **FAST)
+        records, delta, spans = common.run_in_worker(
+            worker_mod._scenario_records, scenario.to_dict(),
+            (True, str(tmp_path / "a"), False), span=worker_mod._fleet_span,
+        )
+        assert records == scenario.records()
+        assert delta["puts"] == 1
+        assert spans is None  # tracing was not requested
+        # Cold again, the evaluate verb ships exactly that reply.
+        common.clear_caches()
         responses = run_worker([json.dumps({
             "verb": "evaluate", "id": "t0",
             "scenario": scenario.to_dict(),
-            "store": str(tmp_path), "cache": True,
+            "store": str(tmp_path / "b"), "cache": True,
         })])
         assert responses[0]["ok"]
-        assert responses[0]["records"] == scenario.records()
-        assert responses[0]["store_delta"]["puts"] == 1
+        assert responses[0]["records"] == records
+        assert responses[0]["store_delta"] == delta
+        assert "spans" not in responses[0]
 
     def test_evaluate_failure_is_a_task_error(self):
         responses = run_worker([json.dumps({

@@ -39,7 +39,8 @@ from repro.suites import (
 )
 from repro.suites import __main__ as suites_cli
 from repro.suites import families as fam
-from repro.suites.runner import _point_worker, relation_digest, suite_store_payload
+from repro.suites import runner
+from repro.suites.runner import relation_digest, suite_store_payload
 from repro.suites.scoring import (
     DEFAULT_WEIGHTS,
     render_report,
@@ -327,8 +328,9 @@ class TestRunner:
 
     def test_point_worker_in_process(self, scoped_store):
         point = SuitePoint("windowed-clicks", "cpu")
-        records, delta, spans = _point_worker(
-            (point, common.cache_enabled(), common.store_path())
+        records, delta, spans = common.run_in_worker(
+            SuitePoint.records, point, common.worker_selection(),
+            runner._pool_span,
         )
         assert records == point.records()
         assert delta is not None and delta["puts"] == 1
