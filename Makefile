@@ -58,11 +58,12 @@ test:
 
 ## Fault-injection suite: property harness (output byte-identity under
 ## randomized schedules), cross-process determinism audit, barrier edge
-## cases and the fault_sweep golden.
+## cases, the fault_sweep golden and the production-against-reference
+## matrix (shuffle and operators under fault schedules).
 test-faults:
 	$(PY) -m pytest -x -q tests/test_faults_properties.py \
 	  tests/test_faults_determinism.py tests/test_faults_edgecases.py \
-	  tests/test_fault_sweep.py
+	  tests/test_fault_sweep.py tests/test_reference_equivalence.py
 
 ## Coverage gate: run the fault suite under a stdlib line tracer and
 ## fail if any src/repro/faults/ file is below FAULTS_MIN_COVERAGE%.

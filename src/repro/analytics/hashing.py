@@ -9,6 +9,10 @@ Three functions matching the paper's descriptions (section 6):
 - **High-order-bit bucketing** for Sort partitioning, producing range
   partitions whose keys are strictly ordered across partitions.
 - **Multiplicative hashing** for the probe phase's hash-table build.
+
+It also holds the two constants of the linear-probing tables' layout
+(:data:`EMPTY_KEY`, :func:`next_pow2`), so the scalar and segmented
+tables share them without importing each other.
 """
 
 from __future__ import annotations
@@ -18,6 +22,15 @@ import numpy as np
 #: Knuth's multiplicative constant (golden-ratio) for 64-bit keys.
 _MULT_CONST = np.uint64(0x9E3779B97F4A7C15)
 _KEY_BITS = 64
+
+#: Hash-table sentinel for an empty slot.  Workload keys are drawn from a
+#: bounded key space (default 48 bits), so the all-ones key cannot occur.
+EMPTY_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def next_pow2(n: int) -> int:
+    """Smallest power of two >= ``n`` (1 for ``n <= 1``)."""
+    return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
 def bucket_of_low_bits(keys: np.ndarray, num_bits: int) -> np.ndarray:

@@ -11,15 +11,13 @@ argsorts, segmented aggregation is a handful of ``bincount`` /
 ``reduceat`` / row-sum calls, and the batched shuffle materialization
 builds every destination partition with one gather/scatter pass.
 
-Every kernel is byte-identical to the per-partition reference
-implementation it replaces (the operators keep those paths behind
-``segmented=False``); ``tests/test_columnar.py`` pins the equivalence.
+These kernels are the only production execution path.  Every one is
+byte-identical to the per-partition reference it replaced, kept in
+:mod:`repro.operators.reference`; ``tests/test_reference_equivalence.py``
+pins the operators and the shuffle against those references, and
+``tests/test_columnar.py`` pins each kernel on its own.
 """
 
-# NOTE: repro.columnar.hashtable (SegmentedLinearProbingTable) is not
-# re-exported here: it imports the scalar table from repro.operators,
-# and the shuffle engine imports repro.columnar.soa -- pulling the
-# operators package into this __init__ would close an import cycle.
 from repro.columnar.kernels import (
     segment_ids,
     segmented_bitonic_runs,

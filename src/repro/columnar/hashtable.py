@@ -21,18 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _scalar_table_module():
-    """The scalar table this class mirrors, imported lazily.
-
-    ``repro.operators`` (via ``join``) imports this module, so a
-    top-level import here would close an import cycle for any process
-    whose first import is ``repro.columnar.hashtable``.  By
-    construction time the operators package is always importable.
-    """
-    from repro.operators import hashtable
-
-    return hashtable
+from repro.analytics.hashing import EMPTY_KEY, next_pow2
 
 
 class SegmentedLinearProbingTable:
@@ -48,13 +37,11 @@ class SegmentedLinearProbingTable:
     def __init__(self, expected_items: np.ndarray, load_factor: float = 0.5) -> None:
         if not 0 < load_factor <= 1:
             raise ValueError("load factor must be in (0, 1]")
-        scalar = _scalar_table_module()
-        self._empty_key = scalar.EMPTY_KEY
         expected = np.asarray(expected_items, dtype=np.int64)
         if np.any(expected < 0):
             raise ValueError("expected_items must be non-negative")
         caps = [
-            scalar._next_pow2(max(2, int(np.ceil(max(1, int(e)) / load_factor))))
+            next_pow2(max(2, int(np.ceil(max(1, int(e)) / load_factor))))
             for e in expected
         ]
         self._capacities = np.asarray(caps, dtype=np.int64)
@@ -66,7 +53,7 @@ class SegmentedLinearProbingTable:
         self._bases = np.zeros(len(caps), dtype=np.int64)
         np.cumsum(self._capacities[:-1], out=self._bases[1:])
         total = int(self._capacities.sum())
-        self._keys = np.full(total, self._empty_key, dtype=np.uint64)
+        self._keys = np.full(total, EMPTY_KEY, dtype=np.uint64)
         self._payloads = np.zeros(total, dtype=np.uint64)
         self._items = np.zeros(len(caps), dtype=np.int64)
         self.insert_probe_steps = np.zeros(len(caps), dtype=np.int64)
@@ -104,7 +91,7 @@ class SegmentedLinearProbingTable:
         seg_of = np.asarray(seg_of, dtype=np.int64)
         if keys.shape != payloads.shape or keys.shape != seg_of.shape:
             raise ValueError("keys, payloads and seg_of must align")
-        if np.any(keys == self._empty_key):
+        if np.any(keys == EMPTY_KEY):
             raise ValueError("key collides with the empty sentinel")
         new_items = np.bincount(seg_of, minlength=self.num_segments)
         if np.any(self._items + new_items > self._capacities):
@@ -118,7 +105,7 @@ class SegmentedLinearProbingTable:
             pos = self._bases[seg] + (
                 (home[pending] + offsets[pending]) & self._masks[seg]
             ).astype(np.int64)
-            empty = self._keys[pos] == self._empty_key
+            empty = self._keys[pos] == EMPTY_KEY
             placed_mask = np.zeros(len(pending), dtype=bool)
             if np.any(empty):
                 cand_pos = pos[empty]
@@ -162,7 +149,7 @@ class SegmentedLinearProbingTable:
             ).astype(np.int64)
             slot_keys = self._keys[pos]
             hit = slot_keys == keys[active]
-            miss = slot_keys == self._empty_key
+            miss = slot_keys == EMPTY_KEY
             self.lookup_probe_steps += np.bincount(seg, minlength=self.num_segments)
             if np.any(hit):
                 result[active[hit]] = self._payloads[pos[hit]]

@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace", metavar="FILE",
-        help="record telemetry spans (pipeline stages, shuffle rounds, "
+        help="record telemetry spans (pipeline stages, shuffles, "
              "scheduler batches, worker tasks) and write them to FILE "
              "as Chrome trace_event JSON -- load it in chrome://tracing "
              "or https://ui.perfetto.dev (stdout is unaffected)",

@@ -200,33 +200,18 @@ class DeliverySession:
         if not self.disrupted(dest):
             barrier.deliver_batch(dest, int(sizes.sum()))
             return
-        self._replay_streams(barrier, dest, deliver=True)
+        self._replay_streams(barrier, dest)
 
-    def record_dest_events(self, barrier: ShuffleBarrier, dest: int) -> None:
-        """Fault accounting only, for callers that deliver per object.
-
-        The scalar reference path already delivers tuple-by-tuple (it
-        *is* the slow path); this records the identical retry/duplicate
-        events without double-delivering, so stats and barrier state
-        match the batched paths byte-for-byte.
-        """
-        if self.disrupted(dest):
-            self._replay_streams(barrier, dest, deliver=False)
-
-    def _replay_streams(
-        self, barrier: ShuffleBarrier, dest: int, deliver: bool
-    ) -> None:
+    def _replay_streams(self, barrier: ShuffleBarrier, dest: int) -> None:
         spec = self._plan.spec
         sizes = self._sizes[:, dest]
         self.stats.degraded_destinations += 1
         before = self.stats.retries
         with _span("fault_replay", category="faults", dest=int(dest)) as sp:
-            self._replay_streams_inner(barrier, dest, deliver, spec, sizes)
+            self._replay_streams_inner(barrier, dest, spec, sizes)
             sp.set(retries=self.stats.retries - before)
 
-    def _replay_streams_inner(
-        self, barrier, dest, deliver, spec, sizes
-    ) -> None:
+    def _replay_streams_inner(self, barrier, dest, spec, sizes) -> None:
         for src in np.flatnonzero(sizes):
             size_b = int(sizes[src])
             drops = int(min(self._plan.drop_rounds[src, dest], spec.max_retries))
@@ -240,8 +225,7 @@ class DeliverySession:
                 self.stats.backoff_stall_b += (
                     spec.backoff_base * (2.0 ** attempt) * size_b
                 )
-            if deliver:
-                barrier.deliver(dest, size_b)
+            barrier.deliver(dest, size_b)
             for _ in range(int(self._plan.duplicates[src, dest])):
                 self.stats.duplicates_discarded += 1
                 self.stats.duplicate_b += size_b

@@ -31,6 +31,11 @@ Exported names, by role:
   ``destination_map`` with ``SCHEME_LOW_BITS`` / ``SCHEME_HIGH_BITS``
   (bucket routing), and the sort kernels ``quicksort`` / ``mergesort``
   / ``merge_pass`` / ``bitonic_sort_runs``.
+
+Two test-facing modules sit beside them and are not imported here:
+:mod:`repro.operators.oracle` (partition-free answers) and
+:mod:`repro.operators.reference` (the slow per-partition references the
+production paths are pinned against).
 """
 
 from repro.operators.base import (

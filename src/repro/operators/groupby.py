@@ -20,7 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.analytics.tuples import TUPLE_B, Relation
+from repro.analytics.tuples import TUPLE_B
 from repro.analytics.workload import GroupByWorkload
 from repro.columnar import (
     SegmentedColumns,
@@ -32,9 +32,12 @@ from repro.columnar import (
 from repro.faults.protocol import combine_stats
 from repro.operators import costs
 from repro.operators.base import PHASE_PROBE, OperatorRun, OperatorVariant, PhaseCost
-from repro.operators.hashtable import LinearProbingHashTable
-from repro.operators.partition import SCHEME_LOW_BITS, run_partitioning
-from repro.operators.sort_algos import merge_passes_needed, mergesort
+from repro.operators.partition import (
+    SCHEME_LOW_BITS,
+    PartitionOutcome,
+    run_partitioning,
+)
+from repro.operators.sort_algos import merge_passes_needed
 
 #: Aggregate record: key + count + sum + min + max + sumsq + avg = 56 B,
 #: padded to the 64 B slot of the cost model.
@@ -55,30 +58,6 @@ class GroupByOutput:
 
     def aggregate(self, key: int, name: str) -> float:
         return self.groups[key][name]
-
-
-def _aggregate_sorted(keys: np.ndarray, payloads: np.ndarray) -> Dict[int, Dict[str, float]]:
-    """Fold the six aggregates over key-sorted data (one sequential pass)."""
-    groups: Dict[int, Dict[str, float]] = {}
-    if len(keys) == 0:
-        return groups
-    boundaries = np.flatnonzero(np.diff(keys)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(keys)]])
-    values = payloads.astype(np.float64)
-    for start, end in zip(starts, ends):
-        chunk = values[start:end]
-        count = float(end - start)
-        total = float(chunk.sum())
-        groups[int(keys[start])] = {
-            "count": count,
-            "sum": total,
-            "min": float(chunk.min()),
-            "max": float(chunk.max()),
-            "avg": total / count,
-            "sumsq": float((chunk * chunk).sum()),
-        }
-    return groups
 
 
 def hash_groupby_costs(
@@ -152,61 +131,15 @@ def sort_groupby_costs(
     return [sort_phase, agg_phase]
 
 
-def _hash_groupby_partition(part: Relation) -> Dict[int, Dict[str, float]]:
-    """Functional hash-based grouping of one partition.
-
-    Uses the linear-probing table to assign group slots (exercising the
-    same substrate the cost model charges), then vectorized aggregation.
-    """
-    if len(part) == 0:
-        return {}
-    unique_keys = np.unique(part.keys)
-    table = LinearProbingHashTable(len(unique_keys), costs.HASH_TABLE_LOAD_FACTOR)
-    table.insert_batch(unique_keys, np.arange(len(unique_keys), dtype=np.uint64))
-    group_ids, found = table.lookup_batch(part.keys)
-    if not np.all(found):
-        raise AssertionError("hash table lost a group key")
-    gid = group_ids.astype(np.int64)
-    values = part.payloads.astype(np.float64)
-    num = len(unique_keys)
-    counts = np.bincount(gid, minlength=num)
-    sums = np.bincount(gid, weights=values, minlength=num)
-    sumsqs = np.bincount(gid, weights=values * values, minlength=num)
-    mins = np.full(num, np.inf)
-    maxs = np.full(num, -np.inf)
-    np.minimum.at(mins, gid, values)
-    np.maximum.at(maxs, gid, values)
-    return {
-        int(key): {
-            "count": float(counts[i]),
-            "sum": float(sums[i]),
-            "min": float(mins[i]),
-            "max": float(maxs[i]),
-            "avg": float(sums[i] / counts[i]),
-            "sumsq": float(sumsqs[i]),
-        }
-        for i, key in enumerate(unique_keys)
-    }
-
-
-def _sort_groupby_partition(part: Relation, simd: bool) -> Dict[int, Dict[str, float]]:
-    """Functional sort-based grouping of one partition."""
-    if len(part) == 0:
-        return {}
-    sorted_data, _ = mergesort(part.data, bitonic_initial=simd)
-    return _aggregate_sorted(sorted_data["key"], sorted_data["payload"])
-
-
 def _groups_dict(
     group_keys: np.ndarray,
     aggregates,
 ) -> Dict[int, Dict[str, float]]:
     """Assemble the per-group output dict, detecting misrouted keys.
 
-    Insertion order matches the per-partition reference (partition by
-    partition, keys ascending within each); a key surfacing in two
-    partitions means the shuffle misrouted tuples, exactly the
-    per-partition overlap check.
+    Insertion order is partition by partition, keys ascending within
+    each; low-bit partitioning sends equal keys to one partition, so a
+    key surfacing in two partitions means the shuffle misrouted tuples.
     """
     counts, sums, mins, maxs, avgs, sumsqs = aggregates
     uniq, dup_counts = np.unique(group_keys, return_counts=True)
@@ -256,10 +189,10 @@ def _sort_groupby_segmented(
 def _hash_groupby_segmented(columns: SegmentedColumns) -> Dict[int, Dict[str, float]]:
     """All partitions' hash-based grouping as whole-relation kernels.
 
-    The reference assigns each partition's tuples group ids via the
-    linear-probing table over its unique keys (ids are indices into the
-    sorted unique-key array) and folds the aggregates with ``bincount``
-    / ``minimum.at`` in partition arrival order.  The segmented twin
+    The per-partition reference assigns each partition's tuples group
+    ids via the linear-probing table over its unique keys (ids are
+    indices into the sorted unique-key array) and folds the aggregates
+    with ``bincount`` / ``minimum.at`` in partition arrival order.  This
     computes the same group ids for *all* partitions with one composite
     sort and folds with the same ufuncs over the flat arrays --
     ``bincount`` accumulation is strictly sequential in input order and
@@ -293,13 +226,11 @@ def run_groupby(
     workload: GroupByWorkload,
     variant: OperatorVariant,
     model_scale: float = 1.0,
-    segmented: bool = True,
 ) -> OperatorRun:
     """Execute Group by functionally under the given variant and cost it.
 
-    ``segmented=False`` keeps the per-partition reference probe; the
-    default folds every partition's groups with the whole-relation
-    kernels of :mod:`repro.columnar`.
+    Every partition's groups fold with the whole-relation kernels of
+    :mod:`repro.columnar`.
     """
     partitioned = run_partitioning(
         workload.partitions,
@@ -307,30 +238,23 @@ def run_groupby(
         SCHEME_LOW_BITS,
         workload.key_space_bits,
         model_scale=model_scale,
-        segmented=segmented,
     )
-    if segmented and partitioned.shuffle.columns is not None:
-        columns = partitioned.shuffle.columns
-        if variant.probe_algorithm == "hash":
-            groups = _hash_groupby_segmented(columns)
-        else:
-            groups = _sort_groupby_segmented(columns, variant.simd)
+    columns = partitioned.shuffle.columns
+    if variant.probe_algorithm == "hash":
+        groups = _hash_groupby_segmented(columns)
     else:
-        groups = {}
-        for part in partitioned.partitions:
-            if variant.probe_algorithm == "hash":
-                part_groups = _hash_groupby_partition(part)
-            else:
-                part_groups = _sort_groupby_partition(part, variant.simd)
-            overlap = groups.keys() & part_groups.keys()
-            if overlap:
-                # Low-bit partitioning sends equal keys to one partition,
-                # so a key seen twice means the shuffle misrouted tuples.
-                raise AssertionError(
-                    f"group keys split across partitions: {overlap}"
-                )
-            groups.update(part_groups)
+        groups = _sort_groupby_segmented(columns, variant.simd)
+    return groupby_operator_run(workload, variant, model_scale, partitioned, groups)
 
+
+def groupby_operator_run(
+    workload: GroupByWorkload,
+    variant: OperatorVariant,
+    model_scale: float,
+    partitioned: PartitionOutcome,
+    groups: Dict[int, Dict[str, float]],
+) -> OperatorRun:
+    """Cost records plus functional output of one executed Group by."""
     n = workload.total_tuples
     num_groups = len(groups)
     model_n = int(round(n * model_scale))

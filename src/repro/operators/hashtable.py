@@ -14,15 +14,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.analytics.hashing import hash_table_slot
+from repro.analytics.hashing import EMPTY_KEY, hash_table_slot, next_pow2
 
-#: Sentinel for an empty slot.  Workload keys are drawn from a bounded
-#: key space (default 48 bits), so the all-ones key cannot occur.
-EMPTY_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _next_pow2(n: int) -> int:
-    return 1 if n <= 1 else 1 << (n - 1).bit_length()
+__all__ = ["EMPTY_KEY", "LinearProbingHashTable"]
 
 
 class LinearProbingHashTable:
@@ -39,7 +33,7 @@ class LinearProbingHashTable:
             raise ValueError("expected_items must be non-negative")
         if not 0 < load_factor <= 1:
             raise ValueError("load factor must be in (0, 1]")
-        capacity = _next_pow2(max(2, int(np.ceil(max(1, expected_items) / load_factor))))
+        capacity = next_pow2(max(2, int(np.ceil(max(1, expected_items) / load_factor))))
         self._capacity = capacity
         self._mask = np.uint64(capacity - 1)
         self._keys = np.full(capacity, EMPTY_KEY, dtype=np.uint64)

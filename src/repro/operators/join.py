@@ -16,11 +16,11 @@ Table 2).  Probe, per partition:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.analytics.tuples import TUPLE_B, Relation
+from repro.analytics.tuples import TUPLE_B
 from repro.analytics.workload import JoinWorkload
 from repro.columnar import (
     SegmentedColumns,
@@ -32,9 +32,12 @@ from repro.columnar.hashtable import SegmentedLinearProbingTable
 from repro.faults.protocol import combine_stats
 from repro.operators import costs
 from repro.operators.base import PHASE_PROBE, OperatorRun, OperatorVariant, PhaseCost
-from repro.operators.hashtable import LinearProbingHashTable
-from repro.operators.partition import SCHEME_LOW_BITS, run_partitioning
-from repro.operators.sort_algos import merge_passes_needed, mergesort
+from repro.operators.partition import (
+    SCHEME_LOW_BITS,
+    PartitionOutcome,
+    run_partitioning,
+)
+from repro.operators.sort_algos import merge_passes_needed
 
 #: Output tuple: key + R payload + S payload, padded to 32 B.
 JOIN_OUT_B = 32
@@ -152,42 +155,11 @@ def _bitonic_stages(run: int) -> int:
     return k * (k + 1) // 2
 
 
-def _hash_join_partition(r: Relation, s: Relation) -> tuple:
-    """Functional hash join of one partition; returns (matches, checksum,
-    probe_steps_per_lookup)."""
-    if len(r) == 0:
-        return 0, 0, 1.0
-    table = LinearProbingHashTable(len(r), costs.HASH_TABLE_LOAD_FACTOR)
-    table.insert_batch(r.keys, r.payloads)
-    payloads, found = table.lookup_batch(s.keys)
-    matches = int(np.count_nonzero(found))
-    checksum = _payload_checksum(payloads[found], s.payloads[found])
-    steps = table.lookup_probe_steps / max(1, len(s))
-    return matches, checksum, steps
-
-
 def _payload_checksum(r_payloads: np.ndarray, s_payloads: np.ndarray) -> int:
     """Order-insensitive exact digest: sum of payload pairs mod 2**64."""
     with np.errstate(over="ignore"):
         total = (r_payloads + s_payloads).sum(dtype=np.uint64)
     return int(total)
-
-
-def _merge_join_partition(r: Relation, s: Relation, simd: bool) -> tuple:
-    """Functional sort-merge join of one partition."""
-    if len(r) == 0 or len(s) == 0:
-        return 0, 0
-    r_sorted, _ = mergesort(r.data, bitonic_initial=simd)
-    s_sorted, _ = mergesort(s.data, bitonic_initial=simd)
-    r_keys = r_sorted["key"]
-    idx = np.searchsorted(r_keys, s_sorted["key"])
-    idx = np.minimum(idx, len(r_keys) - 1)
-    found = r_keys[idx] == s_sorted["key"]
-    matches = int(np.count_nonzero(found))
-    checksum = _payload_checksum(
-        r_sorted["payload"][idx[found]], s_sorted["payload"][found]
-    )
-    return matches, checksum
 
 
 def _hash_join_segmented(
@@ -268,63 +240,68 @@ def run_join(
     workload: JoinWorkload,
     variant: OperatorVariant,
     model_scale: float = 1.0,
-    segmented: bool = True,
 ) -> OperatorRun:
     """Execute Join functionally under the given variant and cost it.
 
     ``model_scale`` sizes the cost model's relations relative to the
     functionally executed ones (see :func:`run_partitioning`); sort pass
-    counts and hash-table regions are computed at model size.
-
-    ``segmented=False`` keeps the per-partition reference probe; the
-    default joins all partitions with the whole-relation kernels of
+    counts and hash-table regions are computed at model size.  All
+    partitions join at once with the whole-relation kernels of
     :mod:`repro.columnar`.
     """
-    r_part = run_partitioning(
-        workload.r_partitions,
-        variant,
-        SCHEME_LOW_BITS,
-        workload.key_space_bits,
-        label_prefix="R-",
-        model_scale=model_scale,
-        segmented=segmented,
-    )
-    s_part = run_partitioning(
-        workload.s_partitions,
-        variant,
-        SCHEME_LOW_BITS,
-        workload.key_space_bits,
-        label_prefix="S-",
-        model_scale=model_scale,
-        segmented=segmented,
-    )
-
+    r_part, s_part = partition_join_inputs(workload, variant, model_scale)
     probe_steps = []
-    if (
-        segmented
-        and r_part.shuffle.columns is not None
-        and s_part.shuffle.columns is not None
-    ):
-        r_cols, s_cols = r_part.shuffle.columns, s_part.shuffle.columns
-        if variant.probe_algorithm == "hash":
-            matches, checksum, probe_steps = _hash_join_segmented(r_cols, s_cols)
-        else:
-            matches, checksum = _merge_join_segmented(
-                r_cols, s_cols, variant.simd, workload.key_space_bits
-            )
-        checksum %= 1 << 64
+    r_cols, s_cols = r_part.shuffle.columns, s_part.shuffle.columns
+    if variant.probe_algorithm == "hash":
+        matches, checksum, probe_steps = _hash_join_segmented(r_cols, s_cols)
     else:
-        matches = 0
-        checksum = 0
-        for r, s in zip(r_part.partitions, s_part.partitions):
-            if variant.probe_algorithm == "hash":
-                m, c, steps = _hash_join_partition(r, s)
-                probe_steps.append(steps)
-            else:
-                m, c = _merge_join_partition(r, s, variant.simd)
-            matches += m
-            checksum = (checksum + c) % (1 << 64)
+        matches, checksum = _merge_join_segmented(
+            r_cols, s_cols, variant.simd, workload.key_space_bits
+        )
+    return join_operator_run(
+        workload,
+        variant,
+        model_scale,
+        (r_part, s_part),
+        JoinOutput(matches=matches, checksum=checksum),
+        probe_steps,
+    )
 
+
+def partition_join_inputs(
+    workload: JoinWorkload, variant: OperatorVariant, model_scale: float
+) -> Tuple[PartitionOutcome, PartitionOutcome]:
+    """Shuffle R and S so matching tuples co-locate."""
+    return tuple(
+        run_partitioning(
+            partitions,
+            variant,
+            SCHEME_LOW_BITS,
+            workload.key_space_bits,
+            label_prefix=prefix,
+            model_scale=model_scale,
+        )
+        for partitions, prefix in (
+            (workload.r_partitions, "R-"),
+            (workload.s_partitions, "S-"),
+        )
+    )
+
+
+def join_operator_run(
+    workload: JoinWorkload,
+    variant: OperatorVariant,
+    model_scale: float,
+    parts: Tuple[PartitionOutcome, PartitionOutcome],
+    output: JoinOutput,
+    probe_steps: List[float],
+) -> OperatorRun:
+    """Cost records plus functional output of one executed Join.
+
+    ``probe_steps`` holds each partition's hash-probe steps per lookup
+    (empty for the sort variant).
+    """
+    r_part, s_part = parts
     model_n_r = int(round(workload.n_r * model_scale))
     model_n_s = int(round(workload.n_s * model_scale))
     if variant.probe_algorithm == "hash":
@@ -344,6 +321,6 @@ def run_join(
         operator="join",
         variant=variant.label,
         phases=r_part.phases + s_part.phases + probe_phases,
-        output=JoinOutput(matches=matches, checksum=checksum),
+        output=output,
         metadata=metadata,
     )

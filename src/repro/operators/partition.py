@@ -205,7 +205,6 @@ def run_partitioning(
     key_space_bits: int,
     label_prefix: str = "",
     model_scale: float = 1.0,
-    segmented: bool = True,
 ) -> PartitionOutcome:
     """Execute the full partitioning phase functionally and cost it.
 
@@ -214,10 +213,6 @@ def run_partitioning(
     tests run fast), while the PhaseCost records describe a dataset
     ``model_scale`` times larger -- the partitioning phase is strictly
     per-tuple linear, so the extrapolation is exact.
-
-    ``segmented`` selects the whole-relation shuffle materialization
-    (:mod:`repro.columnar`); ``False`` keeps the per-destination
-    reference path.  Both are byte-identical.
     """
     if model_scale <= 0:
         raise ValueError("model_scale must be positive")
@@ -226,10 +221,8 @@ def run_partitioning(
     ]
     engine = ShuffleEngine(
         num_destinations=variant.num_partitions,
-        object_b=TUPLE_B,
         permutable=variant.permutable,
         interleave=get_interleave(variant.interleave),
-        segmented=segmented,
         faults=variant.faults,
         # Salted by the pass label so e.g. a join's R- and S-shuffles
         # draw independent-but-reproducible schedules from one seed.

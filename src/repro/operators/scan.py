@@ -9,11 +9,10 @@ sort-based variants (figure 6 shows NMP-rand == NMP-seq on Scan).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from repro.analytics.tuples import TUPLE_B, Relation
+from repro.analytics.tuples import TUPLE_B
 from repro.analytics.workload import ScanWorkload
 from repro.operators import costs
 from repro.operators.base import PHASE_PROBE, OperatorRun, OperatorVariant, PhaseCost
@@ -54,36 +53,26 @@ def run_scan(
     workload: ScanWorkload,
     variant: OperatorVariant,
     model_scale: float = 1.0,
-    segmented: bool = True,
 ) -> OperatorRun:
     """Functionally execute Scan and produce its cost records.
 
-    ``segmented=False`` keeps the per-partition loop; the default scans
-    the workload's zero-copy flat view in one pass.  The reference
-    accumulates each partition's *wrapped* (mod 2**64) payload sum into
-    an unbounded Python int, so the segmented path folds per-segment
-    ``reduceat`` sums the same way rather than summing globally.
+    Scans the workload's zero-copy flat view in one pass.  The payload
+    sum is each partition's *wrapped* (mod 2**64) sum accumulated into
+    an unbounded Python int, so per-segment ``reduceat`` sums are folded
+    rather than summing globally.
     """
     if model_scale <= 0:
         raise ValueError("model_scale must be positive")
     key = np.uint64(workload.search_key)
-    if segmented:
-        columns = workload.flat
-        hit = columns.keys == key
-        matches = int(np.count_nonzero(hit))
-        masked = np.where(hit, columns.payloads, np.uint64(0))
-        starts = columns.segments[:-1][columns.segment_lengths() > 0]
-        seg_sums = (
-            np.add.reduceat(masked, starts) if len(starts) else np.empty(0, np.uint64)
-        )
-        payload_sum = sum(seg_sums.tolist())
-    else:
-        matches = 0
-        payload_sum = 0
-        for part in workload.partitions:
-            hit = part.keys == key
-            matches += int(np.count_nonzero(hit))
-            payload_sum += int(part.payloads[hit].sum(dtype=np.uint64))
+    columns = workload.flat
+    hit = columns.keys == key
+    matches = int(np.count_nonzero(hit))
+    masked = np.where(hit, columns.payloads, np.uint64(0))
+    starts = columns.segments[:-1][columns.segment_lengths() > 0]
+    seg_sums = (
+        np.add.reduceat(masked, starts) if len(starts) else np.empty(0, np.uint64)
+    )
+    payload_sum = sum(seg_sums.tolist())
     n = workload.total_tuples
     model_n = int(round(n * model_scale))
     return OperatorRun(

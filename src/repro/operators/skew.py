@@ -245,11 +245,10 @@ def run_partitioning_skew_aware(
     capacity_factor: float = 1.5,
     seed: int = 0,
     model_scale: float = 1.0,
-    segmented: bool = True,
 ) -> Tuple[PartitionOutcome, RebalancePlan]:
     """Partition with overflow detection and the two-round retry.
 
-    ``capacity_factor`` models the CPU's overprovisioned destination
+    ``capacity_factor`` models the CPU's over-sized destination
     buffers: each vault can absorb ``capacity_factor x fair-share``
     tuples.  Returns the outcome plus the rebalance plan (``plan`` is
     trivial when round one fit).
@@ -295,10 +294,8 @@ def run_partitioning_skew_aware(
 
     engine = ShuffleEngine(
         num_destinations=num_vaults,
-        object_b=TUPLE_B,
         permutable=variant.permutable,
         interleave=get_interleave(variant.interleave),
-        segmented=segmented,
         faults=variant.faults,
         fault_salt=stream_salt("skew"),
     )

@@ -52,8 +52,8 @@ def merge_pass(data: np.ndarray, run_len: int) -> np.ndarray:
     searchsorted rank trick), and the pads -- which only ever occupy the
     tail of the final pair -- sort to that row's end, so slicing the
     flattened result back to ``len(data)`` drops precisely them.
-    :func:`merge_pass_scalar` keeps the per-pair reference loop that the
-    equivalence suite pins this path against.
+    :func:`repro.operators.reference.merge_pass_scalar` keeps the
+    per-pair reference loop that the equivalence suite pins this against.
     """
     if run_len < 1:
         raise ValueError("run length must be >= 1")
@@ -70,35 +70,6 @@ def merge_pass(data: np.ndarray, run_len: int) -> np.ndarray:
     order = np.argsort(padded["key"].reshape(blocks, pair), axis=1, kind="stable")
     flat = (order + (np.arange(blocks, dtype=np.int64) * pair)[:, None]).reshape(-1)
     return padded[flat][:n]
-
-
-def merge_pass_scalar(data: np.ndarray, run_len: int) -> np.ndarray:
-    """Reference merge pass: one pair of runs at a time.
-
-    Each pair is merged with the rank trick: element ranks in the merged
-    output are ``index_in_own_run + rank_in_other_run`` (searchsorted
-    with sides chosen for stability).
-    """
-    if run_len < 1:
-        raise ValueError("run length must be >= 1")
-    n = len(data)
-    out = np.empty_like(data)
-    pos = 0
-    while pos < n:
-        a = data[pos : pos + run_len]
-        b = data[pos + run_len : pos + 2 * run_len]
-        if len(b) == 0:
-            out[pos : pos + len(a)] = a
-        else:
-            a_keys, b_keys = a["key"], b["key"]
-            a_rank = np.arange(len(a)) + np.searchsorted(b_keys, a_keys, side="left")
-            b_rank = np.arange(len(b)) + np.searchsorted(a_keys, b_keys, side="right")
-            merged = np.empty(len(a) + len(b), dtype=data.dtype)
-            merged[a_rank] = a
-            merged[b_rank] = b
-            out[pos : pos + len(merged)] = merged
-        pos += 2 * run_len
-    return out
 
 
 def bitonic_sort_runs(data: np.ndarray, run: int = 16) -> Tuple[np.ndarray, int]:

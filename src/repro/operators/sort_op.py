@@ -13,16 +13,18 @@ from __future__ import annotations
 import math
 from typing import List
 
-import numpy as np
-
 from repro.analytics.tuples import TUPLE_B, Relation
 from repro.analytics.workload import SortWorkload
 from repro.columnar import SegmentedColumns, segmented_mergesort, segmented_stable_argsort
 from repro.faults.protocol import combine_stats
 from repro.operators import costs
 from repro.operators.base import PHASE_PROBE, OperatorRun, OperatorVariant, PhaseCost
-from repro.operators.partition import SCHEME_HIGH_BITS, run_partitioning
-from repro.operators.sort_algos import merge_passes_needed, mergesort, quicksort
+from repro.operators.partition import (
+    SCHEME_HIGH_BITS,
+    PartitionOutcome,
+    run_partitioning,
+)
+from repro.operators.sort_algos import merge_passes_needed
 
 
 def quicksort_probe_cost(n: int, num_partitions: int) -> PhaseCost:
@@ -79,11 +81,11 @@ def _local_sort_segmented(
 
     Byte-identical to sorting each partition with
     :func:`~repro.operators.sort_algos.quicksort` /
-    :func:`~repro.operators.sort_algos.mergesort` and concatenating:
-    the local sorts keep rows inside their segment, so the segmented
-    stable sort produces exactly the concatenation of the per-partition
-    results.  The output tuple array is allocated once and written
-    field-wise.
+    :func:`~repro.operators.sort_algos.mergesort` and concatenating
+    (:func:`repro.operators.reference.reference_sort`): the local sorts
+    keep rows inside their segment, so the segmented stable sort
+    produces exactly the concatenation of the per-partition results.
+    The output tuple array is allocated once and written field-wise.
     """
     if variant.local_sort == "quicksort":
         order = segmented_stable_argsort(columns.keys, columns.segments)
@@ -98,8 +100,8 @@ def _local_sort_segmented(
     sorted_columns = SegmentedColumns(
         keys=keys, payloads=payloads, segments=columns.segments
     )
-    # The reference path names the single-partition result after that
-    # partition (no concat happens) and "sorted" otherwise.
+    # A single partition keeps its own name (nothing is concatenated);
+    # several are named "sorted".
     name = "sorted" if columns.num_segments > 1 else names[0]
     return Relation(sorted_columns.to_struct(), name)
 
@@ -108,13 +110,13 @@ def run_sort(
     workload: SortWorkload,
     variant: OperatorVariant,
     model_scale: float = 1.0,
-    segmented: bool = True,
 ) -> OperatorRun:
     """Execute Sort functionally under the given variant and cost it.
 
-    ``segmented=False`` keeps the per-partition reference path (scalar
-    shuffle materialization + one local sort per partition); the default
-    runs the whole-relation kernels of :mod:`repro.columnar`.
+    Range partitioning makes the concatenation of the locally sorted
+    partitions globally sorted -- each partition holds one contiguous
+    key range -- so the local sorts run as one whole-relation kernel of
+    :mod:`repro.columnar`.
     """
     partitioned = run_partitioning(
         workload.partitions,
@@ -122,35 +124,23 @@ def run_sort(
         SCHEME_HIGH_BITS,
         workload.key_space_bits,
         model_scale=model_scale,
-        segmented=segmented,
     )
-    if segmented and partitioned.shuffle.columns is not None:
-        output = _local_sort_segmented(
-            partitioned.shuffle.columns,
-            variant,
-            [part.name for part in partitioned.partitions],
-        )
-    else:
-        sorted_parts: List[Relation] = []
-        for part in partitioned.partitions:
-            if len(part) == 0:
-                sorted_parts.append(part)
-                continue
-            if variant.local_sort == "quicksort":
-                data, _ = quicksort(part.data)
-            else:
-                data, _ = mergesort(part.data, bitonic_initial=variant.simd)
-            sorted_parts.append(Relation(data, part.name))
+    output = _local_sort_segmented(
+        partitioned.shuffle.columns,
+        variant,
+        [part.name for part in partitioned.partitions],
+    )
+    return sort_operator_run(workload, variant, model_scale, partitioned, output)
 
-        # Range partitioning makes concatenation globally sorted -- but
-        # only when radix buckets do not alias distinct key ranges onto
-        # one partition (radix_bits must not exceed log2(num_partitions)
-        # for the high-bit scheme).  The workload keys are uniform, so
-        # each partition holds one contiguous key range.
-        output = sorted_parts[0]
-        for part in sorted_parts[1:]:
-            output = output.concat(part, "sorted")
 
+def sort_operator_run(
+    workload: SortWorkload,
+    variant: OperatorVariant,
+    model_scale: float,
+    partitioned: PartitionOutcome,
+    output: Relation,
+) -> OperatorRun:
+    """Cost records plus functional output of one executed Sort."""
     n = workload.total_tuples
     model_n = int(round(n * model_scale))
     if variant.local_sort == "quicksort":

@@ -16,6 +16,10 @@ guarantee -- but different orders and radically different DRAM write
 patterns.  The engine also emits per-destination arrival traces
 (vault-relative addresses) so the event-accurate DRAM model can replay
 the traffic, and drives the :class:`ShuffleBarrier` handshake.
+
+All destinations are materialized in one whole-relation pass over SoA
+columns; :func:`repro.operators.reference.reference_shuffle` keeps the
+seed's per-tuple loop, which the equivalence matrix pins this against.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analytics.histogram import build_histogram, source_write_offsets
 from repro.analytics.tuples import TUPLE_B, TUPLE_DTYPE, Relation
 from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -59,6 +62,54 @@ def _grouping_sort(code: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(code, kind="stable")
 
 
+def shuffle_begin(
+    hist: np.ndarray, faults: Optional[FaultSpec], fault_salt: int
+) -> Tuple[ShuffleBarrier, Optional[DeliverySession]]:
+    """Exchange the (source, destination) tuple counts and seal the barrier.
+
+    Returns the sealed barrier plus a delivery session replaying the
+    fault schedule, or ``None`` when no schedule is active.  A faulted
+    shuffle gets a barrier that tolerates duplicates and timeouts.
+    """
+    num_src, num_dest = hist.shape
+    sizes_b = hist * TUPLE_B
+    session = None
+    if faults is not None and faults.active:
+        plan = FaultPlan.build(faults, num_src, num_dest, salt=fault_salt)
+        session = DeliverySession(plan, sizes_b)
+    num_vaults = max(num_dest, num_src)
+    if session is not None:
+        barrier: ShuffleBarrier = FaultTolerantShuffleBarrier(num_vaults)
+    else:
+        barrier = ShuffleBarrier(num_vaults)
+    barrier.announce_all(sizes_b)
+    barrier.seal()
+    return barrier, session
+
+
+def shuffle_end(
+    barrier: ShuffleBarrier,
+    session: Optional[DeliverySession],
+    dest_totals: np.ndarray,
+) -> Optional[ResilienceStats]:
+    """Retire every destination's inbound traffic and close the barrier.
+
+    Healthy destinations retire with one batched barrier update;
+    destinations the fault schedule disrupted degrade to per-stream
+    deliveries with bounded retries.  Returns the session's stats.
+    """
+    for dest, total in enumerate(dest_totals.tolist()):
+        if session is not None:
+            session.deliver_dest(barrier, dest)
+        else:
+            barrier.deliver_batch(dest, total * TUPLE_B)
+    if session is not None:
+        session.finalize(barrier)
+    if not barrier.all_complete():
+        raise RuntimeError("shuffle barrier incomplete after all deliveries")
+    return session.stats if session is not None else None
+
+
 @dataclass
 class ShuffleResult:
     """Everything the shuffle produced."""
@@ -72,10 +123,9 @@ class ShuffleResult:
     barrier: ShuffleBarrier
     permutable: bool
     #: Zero-copy SoA view over all destinations (one flat buffer with
-    #: one segment per destination); populated by the segmented engine
-    #: so the probe phase can run whole-relation kernels without
-    #: re-flattening.  ``None`` on the reference paths.
-    columns: Optional[SegmentedColumns] = None
+    #: one segment per destination), so the probe phase can run
+    #: whole-relation kernels without re-flattening.
+    columns: SegmentedColumns
     #: Retry/backoff accounting of the fault-injection protocol
     #: (:mod:`repro.faults`); ``None`` when no faults were active.
     resilience: Optional[ResilienceStats] = None
@@ -91,443 +141,164 @@ class ShuffleEngine:
     def __init__(
         self,
         num_destinations: int,
-        object_b: int = TUPLE_B,
         permutable: bool = False,
         interleave: Callable[[Sequence[int]], ArrivalOrder] = round_robin_interleave,
-        vectorized: bool = True,
-        segmented: bool = True,
         faults: Optional[FaultSpec] = None,
         fault_salt: int = 0,
     ) -> None:
         if num_destinations < 1:
             raise ValueError("need at least one destination")
-        if object_b <= 0:
-            raise ValueError("object size must be positive")
         self._num_dest = num_destinations
-        self._object_b = object_b
         self._permutable = permutable
         self._interleave = interleave
-        # ``vectorized=False`` selects the per-tuple reference loop; the
-        # equivalence suite pins the two paths byte-identical.
-        self._vectorized = vectorized
-        # ``segmented=False`` selects the per-destination vectorized
-        # path (PR 2); the default materializes *all* destinations in
-        # one whole-relation gather/scatter pass over SoA columns.
-        self._segmented = segmented
         # Optional deterministic fault schedule (repro.faults): replayed
         # through the barrier's retry/backoff protocol.  The functional
         # output stays byte-identical under any schedule.
         self._faults = faults
         self._fault_salt = fault_salt
 
-    @property
-    def permutable(self) -> bool:
-        return self._permutable
-
-    def _fault_session(
-        self, sizes_b: np.ndarray, num_src: int
-    ) -> Optional[DeliverySession]:
-        """A delivery session for this run's fault schedule, if active."""
-        if self._faults is None or not self._faults.active:
-            return None
-        plan = FaultPlan.build(
-            self._faults, num_src, self._num_dest, salt=self._fault_salt
-        )
-        return DeliverySession(plan, sizes_b)
-
-    def _make_barrier(self, num_vaults: int, faulted: bool) -> ShuffleBarrier:
-        if faulted:
-            return FaultTolerantShuffleBarrier(num_vaults)
-        return ShuffleBarrier(num_vaults)
-
     def run(
-        self,
-        sources: List[Relation],
-        dest_of: List[np.ndarray],
-        overprovision: float = 1.0,
+        self, sources: List[Relation], dest_of: List[np.ndarray]
     ) -> ShuffleResult:
         """Shuffle ``sources[s]`` tuples to partitions ``dest_of[s]``.
 
-        ``overprovision`` scales the permutable destination-buffer size
-        relative to the exact inbound total (the CPU only has a
-        "best-effort overprovisioned estimation" before the histograms
-        are exchanged; 1.0 models the exact post-histogram size).
+        The sources become flat SoA columns, a composite ``(dest, src)``
+        sort groups all streams at once, the arrival order of *all*
+        destinations is computed in one shot, and the destination
+        buffers are written as two field scatters into one preallocated
+        tuple array.
         """
         if len(sources) != len(dest_of):
             raise ValueError("sources and destination maps must align")
-        if overprovision < 1.0:
-            raise ValueError("overprovision must be >= 1.0")
-        if self._vectorized and self._segmented:
-            with _span(
-                "shuffle",
-                category="shuffle",
-                sources=len(sources),
-                destinations=self._num_dest,
-                segmented=True,
-            ) as sp:
-                result = self._run_segmented(sources, dest_of, overprovision)
-                sp.set(faulted=result.resilience is not None)
-                return result
         num_src = len(sources)
-
-        # Histogram-build step: per source, tuples per destination.
-        histograms = []
-        for rel, dests in zip(sources, dest_of):
-            if len(rel) != len(dests):
-                raise ValueError("destination map length must match relation")
-            histograms.append(build_histogram(dests, self._num_dest))
-
-        # shuffle_begin: exchange totals, seal the barrier.
-        sizes_b = (
-            np.stack(histograms) * TUPLE_B
-            if histograms
-            else np.zeros((0, self._num_dest), dtype=np.int64)
-        )
-        session = self._fault_session(sizes_b, num_src)
-        barrier = self._make_barrier(
-            self._num_dest if self._num_dest >= num_src else num_src,
-            faulted=session is not None,
-        )
-        for src, hist in enumerate(histograms):
-            for dest in range(self._num_dest):
-                barrier.announce(src, dest, int(hist[dest]) * TUPLE_B)
-        barrier.seal()
-
-        # Build per-(source, dest) tuple streams, preserving source order.
-        streams: List[List[np.ndarray]] = []
-        for rel, dests in zip(sources, dest_of):
-            order = np.argsort(dests, kind="stable")
-            sorted_data = rel.data[order]
-            sorted_dests = np.asarray(dests)[order]
-            boundaries = np.searchsorted(sorted_dests, np.arange(self._num_dest + 1))
-            streams.append(
-                [
-                    sorted_data[boundaries[d] : boundaries[d + 1]]
-                    for d in range(self._num_dest)
-                ]
-            )
-
-        per_src_offsets = source_write_offsets(histograms)
-        destinations: List[Relation] = []
-        traces: List[np.ndarray] = []
-        inbound: List[np.ndarray] = []
+        num_dest = self._num_dest
         with _span(
             "shuffle",
             category="shuffle",
             sources=num_src,
-            destinations=self._num_dest,
-            segmented=False,
-            faulted=session is not None,
-        ):
-            for dest in range(self._num_dest):
-                with _span(
-                    "shuffle_round", category="shuffle", dest=dest
-                ) as round_sp:
-                    rel, trace, hist = self._materialize_destination(
-                        dest,
-                        [streams[s][dest] for s in range(num_src)],
-                        [int(per_src_offsets[s][dest]) for s in range(num_src)],
-                        barrier,
-                        overprovision,
-                        session,
-                    )
-                    round_sp.set(tuples=len(rel))
-                destinations.append(rel)
-                traces.append(trace)
-                inbound.append(hist)
-
-            if session is not None:
-                session.finalize(barrier)
-        if not barrier.all_complete():
-            raise RuntimeError("shuffle barrier incomplete after all deliveries")
-        return ShuffleResult(
-            destinations=destinations,
-            write_traces=traces,
-            inbound_histograms=inbound,
-            barrier=barrier,
-            permutable=self._permutable,
-            resilience=session.stats if session is not None else None,
-        )
-
-    def _run_segmented(
-        self,
-        sources: List[Relation],
-        dest_of: List[np.ndarray],
-        overprovision: float,
-    ) -> ShuffleResult:
-        """Whole-relation materialization: every destination in one pass.
-
-        The per-destination path pays fixed numpy dispatch (and one
-        structured-dtype concatenation) per destination; here the
-        sources become flat SoA columns, a composite ``(dest, src)``
-        lexsort groups all streams at once, the arrival order of *all*
-        destinations is computed in one shot, and the destination
-        buffers are written as two field scatters into one preallocated
-        tuple array.  Byte-identical to the per-destination paths
-        (destinations, traces, histograms and barrier state alike).
-        """
-        num_src = len(sources)
-        num_dest = self._num_dest
-        lens = np.array([len(rel) for rel in sources], dtype=np.int64)
-        for rel, dests in zip(sources, dest_of):
-            if len(rel) != len(dests):
-                raise ValueError("destination map length must match relation")
-        total = int(lens.sum())
-        cols = SegmentedColumns.from_relations(sources)
-        if num_src and total:
-            dest_all = np.concatenate(
-                [np.asarray(d, dtype=np.int64) for d in dest_of]
-            )
-            if int(dest_all.min()) < 0 or int(dest_all.max()) >= num_dest:
-                raise ValueError("bucket ids out of range")
-        else:
-            dest_all = np.empty(0, dtype=np.int64)
-        src_ids = np.repeat(np.arange(num_src, dtype=np.int64), lens)
-
-        # Histogram build: per-(source, destination) tuple counts.
-        hist = np.bincount(
-            src_ids * num_dest + dest_all, minlength=num_src * num_dest
-        ).reshape(num_src, num_dest)
-
-        # shuffle_begin: exchange totals, seal the barrier.
-        session = self._fault_session(hist * TUPLE_B, num_src)
-        barrier = self._make_barrier(
-            num_dest if num_dest >= num_src else num_src,
-            faulted=session is not None,
-        )
-        barrier.announce_all(hist * TUPLE_B)
-        barrier.seal()
-
-        # Group all (dest, src) streams at once, preserving source order:
-        # a stable sort of the composite (dest, src) code equals
-        # np.lexsort((src_ids, dest_all)) and takes the radix path for
-        # realistic partition counts.
-        perm = _grouping_sort(dest_all * num_src + src_ids, num_dest * num_src)
-        sorted_dest = dest_all[perm]
-        sorted_src = src_ids[perm]
-        stream_lens = hist.T.reshape(-1)  # [dest-major][src] order
-        stream_starts_flat = np.zeros(len(stream_lens), dtype=np.int64)
-        np.cumsum(stream_lens[:-1], out=stream_starts_flat[1:])
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            stream_starts_flat, stream_lens
-        )
-        dest_totals = hist.sum(axis=0)
-        dest_base = np.zeros(num_dest, dtype=np.int64)
-        np.cumsum(dest_totals[:-1], out=dest_base[1:])
-        # Per-(source, dest) write offsets (source_write_offsets, batched).
-        offmat = np.zeros((num_src, num_dest), dtype=np.int64)
-        if num_src > 1:
-            np.cumsum(hist[:-1], axis=0, out=offmat[1:])
-
-        # Arrival order of every destination.  Round-robin drains rounds
-        # in source order, i.e. a stable sort by (idx, src) -- computed
-        # for all destinations as one (dest, idx, src) lexsort, spelled
-        # as two stable grouping sorts (composite (idx, src) code, then
-        # dest) so both take the radix path.  Any other interleave model
-        # runs per destination on its inbound lengths, exactly as the
-        # per-destination path calls it.
-        if self._interleave is round_robin_interleave:
-            max_stream = int(stream_lens.max()) if len(stream_lens) else 0
-            by_idx_src = _grouping_sort(
-                within * num_src + sorted_src, max_stream * num_src + num_src
-            )
-            arrival_perm = by_idx_src[
-                _grouping_sort(sorted_dest[by_idx_src], num_dest)
-            ]
-        else:
-            pieces = []
-            for dest in range(num_dest):
-                src_arr, idx_arr = self._interleave(hist[:, dest])
-                starts_d = stream_starts(hist[:, dest])
-                pieces.append(dest_base[dest] + starts_d[src_arr] + idx_arr)
-            arrival_perm = (
-                np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-            )
-        arr_src = sorted_src[arrival_perm]
-        arr_dest = sorted_dest[arrival_perm]
-        arr_within = within[arrival_perm]
-        take = perm[arrival_perm]
-        arr_offsets = offmat[arr_src, arr_dest] if total else np.empty(0, np.int64)
-
-        # Materialize all destinations: one preallocated tuple buffer,
-        # written field-wise (no structured-dtype promotion).
-        out = np.empty(total, dtype=TUPLE_DTYPE)
-        out_keys = out["key"]
-        out_payloads = out["payload"]
-        bounds = np.append(dest_base, total)
-        traces: List[np.ndarray] = []
-        if self._permutable:
-            # Arrival order *is* the layout: one gather per column.
-            out_keys[:] = cols.keys[take]
-            out_payloads[:] = cols.payloads[take]
-            marked_all = arr_offsets * self._object_b
-            for dest in range(num_dest):
-                n_d = int(dest_totals[dest])
-                capacity = max(1, int(np.ceil(n_d * overprovision)))
-                engine = PermutableWriteEngine(
-                    PermutableRegionConfig(
-                        base=0,
-                        size_b=capacity * self._object_b,
-                        object_b=self._object_b,
-                    )
+            destinations=num_dest,
+        ) as sp:
+            lens = np.array([len(rel) for rel in sources], dtype=np.int64)
+            for rel, dests in zip(sources, dest_of):
+                if len(rel) != len(dests):
+                    raise ValueError("destination map length must match relation")
+            total = int(lens.sum())
+            cols = SegmentedColumns.from_relations(sources)
+            if num_src and total:
+                dest_all = np.concatenate(
+                    [np.asarray(d, dtype=np.int64) for d in dest_of]
                 )
-                traces.append(
-                    engine.write_batch(
-                        count=n_d,
-                        marked_addrs=marked_all[bounds[dest] : bounds[dest + 1]],
-                    )
-                )
-        else:
-            slots = dest_base[arr_dest] + arr_offsets + arr_within
-            out_keys[slots] = cols.keys[take]
-            out_payloads[slots] = cols.payloads[take]
-            trace_all = (arr_offsets + arr_within) * self._object_b
-            traces = [
-                trace_all[bounds[d] : bounds[d + 1]] for d in range(num_dest)
-            ]
-        for dest in range(num_dest):
-            if session is not None:
-                # Disrupted destinations degrade to the slow per-stream
-                # delivery path; healthy ones keep the batched retire.
-                session.deliver_dest(barrier, dest)
+                if int(dest_all.min()) < 0 or int(dest_all.max()) >= num_dest:
+                    raise ValueError("bucket ids out of range")
             else:
-                barrier.deliver_batch(dest, int(dest_totals[dest]) * TUPLE_B)
+                dest_all = np.empty(0, dtype=np.int64)
+            src_ids = np.repeat(np.arange(num_src, dtype=np.int64), lens)
 
-        destinations = [
-            Relation(out[bounds[d] : bounds[d + 1]], f"shuffle_dest/{d}")
-            for d in range(num_dest)
-        ]
-        inbound = [np.ascontiguousarray(hist[:, d]) for d in range(num_dest)]
-        if session is not None:
-            session.finalize(barrier)
-        if not barrier.all_complete():
-            raise RuntimeError("shuffle barrier incomplete after all deliveries")
-        return ShuffleResult(
-            destinations=destinations,
-            write_traces=traces,
-            inbound_histograms=inbound,
-            barrier=barrier,
-            permutable=self._permutable,
-            columns=SegmentedColumns(
-                keys=out_keys, payloads=out_payloads, segments=bounds
-            ),
-            resilience=session.stats if session is not None else None,
-        )
+            # Histogram build: per-(source, destination) tuple counts.
+            hist = np.bincount(
+                src_ids * num_dest + dest_all, minlength=num_src * num_dest
+            ).reshape(num_src, num_dest)
+            barrier, session = shuffle_begin(hist, self._faults, self._fault_salt)
+            sp.set(faulted=session is not None)
 
-    def _materialize_destination(
-        self,
-        dest: int,
-        inbound_streams: List[np.ndarray],
-        src_offsets: List[int],
-        barrier: ShuffleBarrier,
-        overprovision: float,
-        session: Optional[DeliverySession] = None,
-    ) -> Tuple[Relation, np.ndarray, np.ndarray]:
-        if self._vectorized:
-            return self._materialize_vectorized(
-                dest, inbound_streams, src_offsets, barrier, overprovision, session
+            # Group all (dest, src) streams at once, preserving source
+            # order: a stable sort of the composite (dest, src) code
+            # equals np.lexsort((src_ids, dest_all)) and takes the radix
+            # path for realistic partition counts.
+            perm = _grouping_sort(dest_all * num_src + src_ids, num_dest * num_src)
+            sorted_dest = dest_all[perm]
+            sorted_src = src_ids[perm]
+            stream_lens = hist.T.reshape(-1)  # [dest-major][src] order
+            stream_starts_flat = np.zeros(len(stream_lens), dtype=np.int64)
+            np.cumsum(stream_lens[:-1], out=stream_starts_flat[1:])
+            within = np.arange(total, dtype=np.int64) - np.repeat(
+                stream_starts_flat, stream_lens
             )
-        return self._materialize_scalar(
-            dest, inbound_streams, src_offsets, barrier, overprovision, session
-        )
+            dest_totals = hist.sum(axis=0)
+            dest_base = np.zeros(num_dest, dtype=np.int64)
+            np.cumsum(dest_totals[:-1], out=dest_base[1:])
+            # Per-(source, dest) write offsets (source_write_offsets, batched).
+            offmat = np.zeros((num_src, num_dest), dtype=np.int64)
+            if num_src > 1:
+                np.cumsum(hist[:-1], axis=0, out=offmat[1:])
 
-    def _materialize_vectorized(
-        self,
-        dest: int,
-        inbound_streams: List[np.ndarray],
-        src_offsets: List[int],
-        barrier: ShuffleBarrier,
-        overprovision: float,
-        session: Optional[DeliverySession] = None,
-    ) -> Tuple[Relation, np.ndarray, np.ndarray]:
-        """Array-native materialization: the whole arrival loop becomes a
-        handful of fancy-indexing operations.
-
-        ``flat`` maps arrival order to positions in the concatenation of
-        the inbound streams; the permutable path writes arrivals at the
-        sequential tail (one :meth:`PermutableWriteEngine.write_batch`),
-        the addressed path scatters them to their exact histogram slots.
-        """
-        hist = np.array([len(s) for s in inbound_streams], dtype=np.int64)
-        total = int(hist.sum())
-        src_arr, idx_arr = self._interleave(hist)
-        starts = stream_starts(hist)
-        concat = (
-            np.concatenate(inbound_streams)
-            if inbound_streams
-            else np.empty(0, dtype=TUPLE_DTYPE)
-        )
-        offsets = np.asarray(src_offsets, dtype=np.int64)
-        flat = starts[src_arr] + idx_arr
-
-        if self._permutable:
-            capacity = max(1, int(np.ceil(total * overprovision)))
-            engine = PermutableWriteEngine(
-                PermutableRegionConfig(
-                    base=0, size_b=capacity * self._object_b, object_b=self._object_b
+            # Arrival order of every destination.  Round-robin drains
+            # rounds in source order, i.e. a stable sort by (idx, src) --
+            # computed for all destinations as one (dest, idx, src)
+            # lexsort, spelled as two stable grouping sorts (composite
+            # (idx, src) code, then dest) so both take the radix path.
+            # Any other interleave model runs per destination on its
+            # inbound lengths.
+            if self._interleave is round_robin_interleave:
+                max_stream = int(stream_lens.max()) if len(stream_lens) else 0
+                by_idx_src = _grouping_sort(
+                    within * num_src + sorted_src, max_stream * num_src + num_src
                 )
-            )
-            trace = engine.write_batch(
-                count=total,
-                marked_addrs=offsets[src_arr] * self._object_b,
-            )
-            buffer = concat[flat]
-        else:
-            slots = offsets[src_arr] + idx_arr
-            trace = slots * self._object_b
-            buffer = np.empty(total, dtype=TUPLE_DTYPE)
-            buffer[slots] = concat[flat]
-        if session is not None:
-            session.deliver_dest(barrier, dest)
-        else:
-            barrier.deliver_batch(dest, total * TUPLE_B)
-        return Relation(buffer, f"shuffle_dest/{dest}"), trace, hist
-
-    def _materialize_scalar(
-        self,
-        dest: int,
-        inbound_streams: List[np.ndarray],
-        src_offsets: List[int],
-        barrier: ShuffleBarrier,
-        overprovision: float,
-        session: Optional[DeliverySession] = None,
-    ) -> Tuple[Relation, np.ndarray, np.ndarray]:
-        """Per-tuple reference loop (the seed implementation), kept so the
-        equivalence suite can pin the vectorized path against it."""
-        if session is not None:
-            # The scalar loop already *is* the per-delivery slow path;
-            # the session only records the identical retry/duplicate
-            # events so stats and barrier state match the batched paths.
-            session.record_dest_events(barrier, dest)
-        lengths = [len(s) for s in inbound_streams]
-        total = sum(lengths)
-        arrival = list(zip(*self._interleave(lengths)))
-        hist = np.array(lengths, dtype=np.int64)
-
-        if self._permutable:
-            capacity = max(1, int(np.ceil(total * overprovision)))
-            engine = PermutableWriteEngine(
-                PermutableRegionConfig(
-                    base=0, size_b=capacity * self._object_b, object_b=self._object_b
+                arrival_perm = by_idx_src[
+                    _grouping_sort(sorted_dest[by_idx_src], num_dest)
+                ]
+            else:
+                pieces = []
+                for dest in range(num_dest):
+                    src_arr, idx_arr = self._interleave(hist[:, dest])
+                    starts_d = stream_starts(hist[:, dest])
+                    pieces.append(dest_base[dest] + starts_d[src_arr] + idx_arr)
+                arrival_perm = (
+                    np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
                 )
+            arr_src = sorted_src[arrival_perm]
+            arr_dest = sorted_dest[arrival_perm]
+            arr_within = within[arrival_perm]
+            take = perm[arrival_perm]
+            arr_offsets = offmat[arr_src, arr_dest] if total else np.empty(0, np.int64)
+
+            # Materialize all destinations: one preallocated tuple buffer,
+            # written field-wise (no structured-dtype promotion).
+            out = np.empty(total, dtype=TUPLE_DTYPE)
+            out_keys = out["key"]
+            out_payloads = out["payload"]
+            bounds = np.append(dest_base, total)
+            traces: List[np.ndarray] = []
+            if self._permutable:
+                # Arrival order *is* the layout: one gather per column.
+                out_keys[:] = cols.keys[take]
+                out_payloads[:] = cols.payloads[take]
+                marked_all = arr_offsets * TUPLE_B
+                for dest in range(num_dest):
+                    n_d = int(dest_totals[dest])
+                    engine = PermutableWriteEngine(
+                        PermutableRegionConfig(
+                            base=0, size_b=max(1, n_d) * TUPLE_B, object_b=TUPLE_B
+                        )
+                    )
+                    traces.append(
+                        engine.write_batch(
+                            count=n_d,
+                            marked_addrs=marked_all[bounds[dest] : bounds[dest + 1]],
+                        )
+                    )
+            else:
+                slots = dest_base[arr_dest] + arr_offsets + arr_within
+                out_keys[slots] = cols.keys[take]
+                out_payloads[slots] = cols.payloads[take]
+                trace_all = (arr_offsets + arr_within) * TUPLE_B
+                traces = [
+                    trace_all[bounds[d] : bounds[d + 1]] for d in range(num_dest)
+                ]
+            resilience = shuffle_end(barrier, session, dest_totals)
+            return ShuffleResult(
+                destinations=[
+                    Relation(out[bounds[d] : bounds[d + 1]], f"shuffle_dest/{d}")
+                    for d in range(num_dest)
+                ],
+                write_traces=traces,
+                inbound_histograms=[
+                    np.ascontiguousarray(hist[:, d]) for d in range(num_dest)
+                ],
+                barrier=barrier,
+                permutable=self._permutable,
+                columns=SegmentedColumns(
+                    keys=out_keys, payloads=out_payloads, segments=bounds
+                ),
+                resilience=resilience,
             )
-            trace = np.empty(total, dtype=np.int64)
-            buffer = np.empty(total, dtype=TUPLE_DTYPE)
-            for i, (src, idx) in enumerate(arrival):
-                addr = engine.write(None, marked_addr=src_offsets[src] * self._object_b)
-                trace[i] = addr
-                buffer[i] = inbound_streams[src][idx]
-                barrier.deliver(dest, TUPLE_B)
-            relation = Relation(buffer, f"shuffle_dest/{dest}")
-        else:
-            trace = np.empty(total, dtype=np.int64)
-            buffer = np.empty(total, dtype=TUPLE_DTYPE)
-            cursors = list(src_offsets)
-            for i, (src, idx) in enumerate(arrival):
-                slot = cursors[src]
-                cursors[src] += 1
-                trace[i] = slot * self._object_b
-                buffer[slot] = inbound_streams[src][idx]
-                barrier.deliver(dest, TUPLE_B)
-            relation = Relation(buffer, f"shuffle_dest/{dest}")
-        return relation, trace, hist

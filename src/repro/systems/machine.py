@@ -76,16 +76,8 @@ class Machine:
         operator: str,
         workload: Any,
         scale_factor: float = 1.0,
-        segmented: bool = True,
     ) -> SystemResult:
-        """Functionally execute ``operator`` and evaluate it on this machine.
-
-        ``segmented=False`` routes the functional execution through the
-        per-partition reference paths instead of the whole-relation
-        columnar kernels; results are byte-identical either way (the
-        equivalence suite pins it), so the flag exists for tests and
-        debugging only.
-        """
+        """Functionally execute ``operator`` and evaluate it on this machine."""
         try:
             runner = OPERATOR_RUNNERS[operator]
         except KeyError:
@@ -106,7 +98,6 @@ class Machine:
             workload,
             self.variant(num_partitions),
             model_scale=scale_factor,
-            segmented=segmented,
         )
         return self.evaluate_run(run)
 

@@ -1,24 +1,19 @@
-"""Equivalence suite for the segmented columnar kernel layer.
+"""Kernel-level suite for the segmented columnar layer.
 
-Every rebased operator must be **byte-identical** to its per-partition
-reference (``segmented=False``), which PR 2's suite already pins against
-the original scalar loops -- so equality here transitively pins the
-columnar kernels to the seed behaviour.  Coverage spans the four
-presets, uniform and skewed workloads, and the empty/singleton-segment
-edge cases the segments invariants allow.
+Each whole-relation kernel must be **byte-identical** to running its
+per-partition counterpart segment by segment, including the
+empty/singleton-segment edge cases the segments invariants allow.  The
+operators built on these kernels are pinned against their references in
+``tests/test_reference_equivalence.py``.
 """
-
-from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.analytics.tuples import TUPLE_DTYPE, Relation
 from repro.analytics.workload import (
-    make_groupby_workload,
     make_join_workload,
     make_scan_workload,
-    make_sort_workload,
     split_relation,
 )
 from repro.columnar import (
@@ -29,16 +24,9 @@ from repro.columnar import (
     sorted_group_aggregates,
 )
 from repro.columnar.hashtable import SegmentedLinearProbingTable
-from repro.operators.groupby import _aggregate_sorted, run_groupby
 from repro.operators.hashtable import LinearProbingHashTable
-from repro.operators.join import run_join
-from repro.operators.scan import run_scan
+from repro.operators.reference import _aggregate_sorted
 from repro.operators.sort_algos import mergesort
-from repro.operators.sort_op import run_sort
-from repro.shuffle.engine import ShuffleEngine
-from repro.shuffle.interleave import random_interleave
-from repro.systems import build_system
-from tests.test_vectorized_equivalence import assert_shuffles_identical, make_sources
 
 
 def random_columns(rng, num_segments, max_len, key_space=1 << 40):
@@ -350,116 +338,6 @@ class TestSegmentedSearchsorted:
             )
 
 
-class TestSegmentedShuffle:
-    @pytest.mark.parametrize("permutable", [False, True])
-    @pytest.mark.parametrize("skew", [False, True])
-    @pytest.mark.parametrize("n_per_src", [0, 8, 2000])
-    def test_matches_per_destination_path(self, permutable, skew, n_per_src):
-        rng = np.random.default_rng(n_per_src + 17 * skew)
-        sources, dest_maps = make_sources(
-            rng, num_src=5, num_dest=8, n_per_src=n_per_src, skew=skew
-        )
-        seg = ShuffleEngine(8, permutable=permutable).run(sources, dest_maps)
-        ref = ShuffleEngine(8, permutable=permutable, segmented=False).run(
-            sources, dest_maps
-        )
-        assert seg.columns is not None and ref.columns is None
-        assert_shuffles_identical(seg, ref)
-        # The SoA view mirrors the destinations without copying.
-        flat = np.concatenate([d.data for d in seg.destinations])
-        assert np.array_equal(seg.columns.keys, flat["key"])
-        if seg.total_tuples:
-            full = max(range(8), key=lambda d: len(seg.destinations[d]))
-            assert np.shares_memory(seg.columns.keys, seg.destinations[full].data)
-
-    @pytest.mark.parametrize("permutable", [False, True])
-    def test_random_interleave_model(self, permutable):
-        rng = np.random.default_rng(11)
-        sources, dest_maps = make_sources(rng, 4, 6, 300, skew=True)
-        interleave = partial(random_interleave, seed=23)
-        seg = ShuffleEngine(6, permutable=permutable, interleave=interleave).run(
-            sources, dest_maps
-        )
-        ref = ShuffleEngine(
-            6, permutable=permutable, interleave=interleave, segmented=False
-        ).run(sources, dest_maps)
-        assert_shuffles_identical(seg, ref)
-
-
-def _tiny_workloads(operator):
-    """Workloads whose shuffles leave many destinations empty (64
-    partitions, < 200 tuples) plus skewed group structure."""
-    if operator == "scan":
-        return [make_scan_workload(150, 64, seed=3), make_scan_workload(1, 1, seed=4)]
-    if operator == "sort":
-        return [make_sort_workload(150, 64, seed=3), make_sort_workload(2, 2, seed=4)]
-    if operator == "groupby":
-        return [
-            make_groupby_workload(150, 64, seed=3),
-            # avg group of 75: groups far beyond numpy's pairwise block,
-            # many partitions empty.
-            make_groupby_workload(150, 64, avg_group_size=75.0, seed=5),
-        ]
-    return [make_join_workload(40, 150, 64, seed=3)]
-
-
-def _assert_results_identical(operator, seg, ref):
-    assert [p.phase for p in seg.phase_perfs] == [p.phase for p in ref.phase_perfs]
-    assert [p.time_s for p in seg.phase_perfs] == [p.time_s for p in ref.phase_perfs]
-    assert seg.energy.total_j == ref.energy.total_j
-    if operator == "sort":
-        assert np.array_equal(seg.output.data, ref.output.data)
-        assert seg.output.name == ref.output.name
-    elif operator == "groupby":
-        # Same keys, same insertion order, byte-identical floats.
-        assert list(seg.output.groups) == list(ref.output.groups)
-        assert seg.output.groups == ref.output.groups
-    else:
-        assert seg.output == ref.output
-    assert seg.metadata == ref.metadata
-
-
-class TestOperatorEquivalence:
-    """segmented=True == segmented=False through the full machine stack."""
-
-    PRESETS = ("cpu", "nmp-rand", "nmp-seq", "mondrian")
-    OPERATORS = ("scan", "sort", "groupby", "join")
-
-    @pytest.mark.parametrize("preset", PRESETS)
-    @pytest.mark.parametrize("operator", OPERATORS)
-    def test_default_workloads(self, preset, operator):
-        from repro.experiments import common
-
-        machine = build_system(preset)
-        workload = common.make_workload(operator)
-        seg = machine.run_operator(operator, workload, 500.0, segmented=True)
-        ref = machine.run_operator(operator, workload, 500.0, segmented=False)
-        _assert_results_identical(operator, seg, ref)
-
-    @pytest.mark.parametrize("preset", ("cpu", "mondrian"))
-    @pytest.mark.parametrize("operator", OPERATORS)
-    def test_sparse_and_skewed_workloads(self, preset, operator):
-        machine = build_system(preset)
-        for workload in _tiny_workloads(operator):
-            seg = machine.run_operator(operator, workload, segmented=True)
-            ref = machine.run_operator(operator, workload, segmented=False)
-            _assert_results_identical(operator, seg, ref)
-
-    @pytest.mark.parametrize("operator", OPERATORS)
-    def test_runner_defaults_to_segmented(self, operator):
-        runner = {
-            "scan": run_scan,
-            "sort": run_sort,
-            "groupby": run_groupby,
-            "join": run_join,
-        }[operator]
-        workload = _tiny_workloads(operator)[0]
-        variant = build_system("mondrian").variant(workload.num_partitions)
-        default = runner(workload, variant)
-        explicit = runner(workload, variant, segmented=True)
-        assert default.phases == explicit.phases
-
-
 class TestImportOrders:
     @pytest.mark.parametrize(
         "module",
@@ -474,8 +352,8 @@ class TestImportOrders:
     )
     def test_fresh_interpreter_can_import_first(self, module):
         """No import order closes a cycle (columnar <-> analytics <->
-        operators <-> shuffle); regression test for the lazy imports in
-        workload.py and columnar/hashtable.py."""
+        operators <-> shuffle); regression test for the lazy import in
+        workload.py."""
         import subprocess
         import sys
         from pathlib import Path

@@ -20,10 +20,7 @@ from repro.faults.protocol import (
     combine_stats,
 )
 from repro.shuffle.engine import ShuffleEngine
-from tests.test_vectorized_equivalence import (
-    assert_shuffles_identical,
-    make_sources,
-)
+from tests.shuffle_helpers import assert_shuffles_identical, make_sources
 
 HOSTILE = FaultSpec(seed=2, straggler_prob=1.0, drop_prob=1.0,
                     duplicate_prob=1.0, timeout_prob=1.0)
@@ -76,12 +73,9 @@ class TestDegenerateShapes:
             np.empty(0, dtype=np.int64),
             np.full(50, 3, dtype=np.int64),
         ]
-        for segmented in (True, False):
-            faulted, clean = run_pair(
-                sources, maps, 5, HOSTILE, permutable=True, segmented=segmented
-            )
-            assert_shuffles_identical(faulted, clean)
-            assert faulted.barrier.all_complete()
+        faulted, clean = run_pair(sources, maps, 5, HOSTILE, permutable=True)
+        assert_shuffles_identical(faulted, clean)
+        assert faulted.barrier.all_complete()
 
     def test_all_dropped_then_retried_accounting(self):
         """drop_prob=1.0: every non-empty stream retries exactly

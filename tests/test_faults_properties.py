@@ -3,16 +3,16 @@
 The tentpole invariant of ``repro.faults``: for *any* seeded fault
 schedule, the shuffle's materialized destinations (and therefore every
 operator's output) are byte-identical to the fault-free run -- faults
-only change what the protocol paid.  Pinned three ways:
+only change what the protocol paid.  Pinned two ways:
 
 - randomized fault schedules x shapes x write disciplines at the
   shuffle-engine level (hypothesis plus a 200+ schedule bulk sweep;
   every assertion message carries the seeds to reproduce a failure);
-- the three shuffle materialization paths (segmented / vectorized /
-  scalar) stay byte-identical *to each other* under the same schedule,
-  resilience stats included;
 - machine-level operator runs across presets, and the service codec
   round-trip of the resilience metadata.
+
+``tests/test_reference_equivalence.py`` pins the shuffle and the
+operators under fault schedules against their slow references.
 """
 
 from dataclasses import replace
@@ -32,8 +32,9 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.service.codec import result_from_document, result_to_document
 from repro.shuffle.engine import ShuffleEngine
 from repro.systems.machine import Machine
-from tests.test_vectorized_equivalence import (
+from tests.shuffle_helpers import (
     assert_shuffles_identical,
+    fault_specs,
     make_sources,
 )
 
@@ -56,45 +57,14 @@ def run_pair(rng_seed, fault_spec, num_src=4, num_dest=6, n_per_src=200,
     return faulted, clean
 
 
-specs = st.builds(
-    FaultSpec,
-    seed=st.integers(0, 2**31 - 1),
-    straggler_prob=st.floats(0.0, 1.0),
-    straggler_slowdown=st.floats(1.0, 16.0),
-    drop_prob=st.floats(0.0, 1.0),
-    duplicate_prob=st.floats(0.0, 1.0),
-    timeout_prob=st.floats(0.0, 1.0),
-    max_retries=st.integers(1, 6),
-    backoff_base=st.floats(0.0, 4.0),
-)
-
-
 class TestShuffleInvariance:
     @settings(max_examples=60, deadline=None)
-    @given(spec=specs, rng_seed=st.integers(0, 2**20),
+    @given(spec=fault_specs, rng_seed=st.integers(0, 2**20),
            permutable=st.booleans())
     def test_output_identical_under_any_schedule(self, spec, rng_seed,
                                                  permutable):
         faulted, clean = run_pair(rng_seed, spec, permutable=permutable)
         assert_shuffles_identical(faulted, clean)
-
-    @settings(max_examples=40, deadline=None)
-    @given(spec=specs, rng_seed=st.integers(0, 2**20))
-    def test_all_paths_agree_under_faults(self, spec, rng_seed):
-        """Segmented, per-destination and scalar paths stay identical."""
-        rng = np.random.default_rng(rng_seed)
-        sources, dest_maps = make_sources(rng, 4, 6, 150, skew=True)
-        runs = [
-            engine(6, faults=spec, permutable=True, **kw).run(sources, dest_maps)
-            for kw in (
-                {},  # segmented (default)
-                {"segmented": False},  # per-destination vectorized
-                {"segmented": False, "vectorized": False},  # scalar
-            )
-        ]
-        assert_shuffles_identical(runs[0], runs[1])
-        assert_shuffles_identical(runs[0], runs[2])
-        assert runs[0].resilience == runs[1].resilience == runs[2].resilience
 
     def test_bulk_schedule_sweep(self):
         """200+ generated schedules, seeds printed on any failure."""
@@ -159,18 +129,6 @@ class TestMachineInvariance:
         clean_t = sum(p.time_ns for p in clean.phase_perfs)
         faulty_t = sum(p.time_ns for p in faulty.phase_perfs)
         assert faulty_t >= clean_t
-
-    def test_segmented_matches_scalar_under_faults(self):
-        spec = FaultSpec(seed=3, drop_prob=0.5, duplicate_prob=0.3,
-                         straggler_prob=0.3)
-        cfg = replace(get_preset("mondrian"), faults=spec)
-        machine = Machine(cfg)
-        for op, make in OPERATORS:
-            workload = make()
-            seg = machine.run_operator(op, workload, segmented=True)
-            ref = machine.run_operator(op, workload, segmented=False)
-            assert seg.output == ref.output, op
-            assert seg.metadata["resilience"] == ref.metadata["resilience"], op
 
     def test_resilience_survives_codec_round_trip(self):
         spec = FaultSpec(seed=11, drop_prob=0.4, straggler_prob=0.5,

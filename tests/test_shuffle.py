@@ -119,10 +119,6 @@ class TestShuffleEngine:
     def test_bad_construction_rejected(self):
         with pytest.raises(ValueError):
             ShuffleEngine(0)
-        with pytest.raises(ValueError):
-            ShuffleEngine(2, object_b=0)
-        with pytest.raises(ValueError):
-            ShuffleEngine(2).run([relation([1])], [np.array([0])], overprovision=0.5)
 
     @given(
         st.lists(

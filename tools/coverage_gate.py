@@ -45,6 +45,7 @@ GATES = {
             "tests/test_faults_determinism.py",
             "tests/test_faults_edgecases.py",
             "tests/test_fault_sweep.py",
+            "tests/test_reference_equivalence.py",
         ),
     },
     "service": {
