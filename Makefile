@@ -4,18 +4,8 @@
 PY ?= python
 export PYTHONPATH := src
 
-#: Current perf-trajectory point; bump per perf PR (BENCH_PR11.json, ...).
-BENCH_JSON ?= BENCH_PR10.json
-
-#: Full per-file bench sweeps min-merged by `make bench` (see
-#: tools/bench_runner.py; more sweeps = more jitter robustness).
-BENCH_REPEAT ?= 2
-
 #: Experiment profiled by `make profile` (fig6, fig7, ..., table5, skew).
 EXPERIMENT ?= fig6
-
-#: Max tolerated per-benchmark regression (percent) in bench-compare.
-MAX_REGRESSION ?= 10
 
 #: Minimum line coverage (percent) `make coverage` demands of the
 #: fault-injection package.
@@ -40,10 +30,10 @@ FLEET_MIN_COVERAGE ?= 90
 #: Deterministic wire-fault schedule seeds replayed by `make chaos-test`.
 CHAOS_SEEDS ?= --seed 7 --seed 17
 
-.PHONY: test test-faults coverage coverage-service coverage-suites coverage-telemetry coverage-fleet chaos-test docs-check load-test load-test-smoke report report-html report-smoke pipelines sweep-smoke service-smoke suites-smoke bench bench-compare profile
+.PHONY: test test-faults coverage coverage-service coverage-suites coverage-telemetry coverage-fleet chaos-test docs-check load-test load-test-smoke report report-html report-smoke pipelines sweep-smoke service-smoke suites-smoke profile
 
-## Tier-1 verification: full unit/integration/experiment + benchmark
-## suite, then the fault-injection suite, the sweep-smoke, service-smoke,
+## Tier-1 verification: full unit/integration/experiment suite, then
+## the fault-injection suite, the sweep-smoke, service-smoke,
 ## suites-smoke, report-smoke and load-test-smoke checks, and the chaos
 ## harness.
 test:
@@ -95,13 +85,13 @@ coverage-fleet:
 
 ## Fleet load test: replay thousands of concurrent requests through a
 ## real sharded/replicated fleet -- steady, then with a member daemon
-## SIGKILLed mid-run -- asserting zero failed requests, and merging
-## p50/p95/p99 latency + throughput into $(BENCH_JSON).
+## SIGKILLed mid-run -- asserting zero failed requests and printing
+## p50/p95/p99 latency + throughput per phase.
 load-test:
-	$(PY) tools/load_test.py --json $(BENCH_JSON)
+	$(PY) tools/load_test.py
 
 ## Small CI form of the load test (120 requests, same SIGKILL phase and
-## zero-failure assertion; no trajectory write).
+## zero-failure assertion).
 load-test-smoke:
 	$(PY) tools/load_test.py --smoke
 
@@ -154,8 +144,8 @@ docs-check:
 report:
 	$(PY) -m repro.experiments.run_all
 
-## Self-contained HTML report (figures, bottlenecks, suites, bench
-## trajectory) written to report.html.
+## Self-contained HTML report (figures and pipeline bottlenecks)
+## written to report.html.
 report-html:
 	$(PY) -m repro.report --out report.html
 
@@ -169,20 +159,7 @@ report-smoke:
 pipelines:
 	$(PY) -m repro.experiments.run_all --pipelines
 
-## Perf trajectory: run every benchmarks/test_bench_*.py file in its
-## own pytest process (fresh interpreter per file, so heavy files can't
-## heat-bias whatever sorts after them) and min-merge BENCH_REPEAT
-## sweeps into $(BENCH_JSON).
-bench:
-	$(PY) tools/bench_runner.py $(BENCH_JSON) --repeat $(BENCH_REPEAT)
-
-## Diff the two newest committed BENCH_*.json trajectory points
-## (or: make bench-compare ARGS="NEW.json OLD.json"), failing if any
-## shared benchmark regressed more than MAX_REGRESSION percent.
-bench-compare:
-	$(PY) benchmarks/compare.py $(or $(ARGS),--latest) --max-regression $(MAX_REGRESSION)
-
 ## Profile one experiment under cProfile and print the top-25
 ## cumulative-time report: make profile EXPERIMENT=fig7
 profile:
-	$(PY) benchmarks/profile_experiment.py $(EXPERIMENT)
+	$(PY) tools/profile_experiment.py $(EXPERIMENT)

@@ -2,9 +2,9 @@
 
 Each module exposes a ``run(...)`` function returning plain data
 structures (dicts/lists) that print the same rows/series the paper
-reports, plus a ``main()`` for command-line use.  The benchmark harness
-under ``benchmarks/`` wraps these drivers and asserts the paper's
-qualitative shape (orderings, crossovers, rough factors).
+reports, plus a ``main()`` for command-line use.  The experiment tests
+(``tests/test_experiments.py``) run these drivers and assert the
+paper's qualitative shape (orderings, crossovers, rough factors).
 
 ==================  ==========================================
 Module              Paper artifact

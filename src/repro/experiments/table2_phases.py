@@ -3,7 +3,7 @@
 Reproduced *empirically*: each operator is executed in its Mondrian and
 CPU variants and the phase records it emitted are classified into
 Table 2's columns (histogram build, data distribution, hash-table
-build, operation).  The assertions the benchmarks make: Scan has no
+build, operation).  The assertions the tests make: Scan has no
 partitioning phases; Join/Group by/Sort all have histogram + distribute;
 the hash variants add a probe-side hash step while sort variants do not.
 """

@@ -5,18 +5,17 @@ Three layers, all stdlib-only:
 - :mod:`repro.report.palette` -- the validated color tokens and the
   report's stylesheet (light + dark mode from one set of roles);
 - :mod:`repro.report.charts` -- pure inline-SVG chart builders (grouped
-  bars, stacked fractions, heatmap, gated trajectory bars) plus the
-  table view every chart ships with;
+  bars, stacked fractions, heatmap) plus the table view every chart
+  ships with;
 - :mod:`repro.report.sections` -- marshals real experiment outputs
-  (figures 6-9, pipeline bottlenecks, sweep records, suite scores, the
-  BENCH_PR* trajectory) into those charts.
+  (figures 6-9, pipeline bottlenecks, sweep records, suite scores) into
+  those charts.
 
 The CLI front end lives in :mod:`repro.report.__main__`; see
 ``docs/USAGE.md`` for the flag reference.
 """
 
 from repro.report.sections import (
-    render_bench,
     render_figures,
     render_pipelines,
     render_suites,
@@ -24,7 +23,6 @@ from repro.report.sections import (
 )
 
 __all__ = [
-    "render_bench",
     "render_figures",
     "render_pipelines",
     "render_suites",

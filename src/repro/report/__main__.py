@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.report --out report.html              # figures + bench
+    python -m repro.report --out report.html              # figures + pipelines
     python -m repro.report --out - --sections figures     # HTML to stdout
     python -m repro.report --out report.html --fast \\
         --sweep records.json --suites suite_records.json  # everything
@@ -19,11 +19,10 @@ pipelines   per-stage bottleneck breakdowns for the canonical queries
 sweep       heatmap of a sweep ResultSet (needs --sweep RECORDS.json)
 suites      ranked cross-suite tier tables (--suites RECORDS.json, or
             evaluates the full suite grid live when omitted)
-bench       BENCH_PR*.json perf trajectory with the regression gate
 ==========  ===========================================================
 
-By default the report contains ``figures``, ``pipelines`` and ``bench``
-plus any section whose input file was supplied; ``--sections`` picks an
+By default the report contains ``figures`` and ``pipelines`` plus any
+section whose input file was supplied; ``--sections`` picks an
 explicit subset.  Record files are the JSON exports of
 ``python -m repro.api --json`` and ``python -m repro.suites run --json``.
 """
@@ -43,7 +42,7 @@ from repro.report.palette import stylesheet
 from repro.version import __version__
 
 #: Renderable sections, in report order.
-SECTIONS = ("figures", "pipelines", "sweep", "suites", "bench")
+SECTIONS = ("figures", "pipelines", "sweep", "suites")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sections", metavar="LIST",
         help=f"comma-separated subset of {','.join(SECTIONS)} (default: "
-             "figures,pipelines,bench plus any section whose input file "
+             "figures,pipelines plus any section whose input file "
              "was supplied)",
     )
     parser.add_argument(
@@ -90,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
              "to score for the 'suites' section instead of evaluating "
              "the full grid live",
     )
-    parser.add_argument(
-        "--bench-dir", metavar="DIR", default=".",
-        help="directory holding the BENCH_PR*.json trajectory points "
-             "(default: current directory)",
-    )
     return parser
 
 
@@ -107,7 +101,7 @@ def _chosen_sections(args) -> list:
                 f"unknown sections {unknown}; choose from {', '.join(SECTIONS)}"
             )
         return [name for name in SECTIONS if name in chosen]
-    chosen = ["figures", "pipelines", "bench"]
+    chosen = ["figures", "pipelines"]
     if args.sweep:
         chosen.append("sweep")
     if args.suites:
@@ -138,15 +132,13 @@ def _render_section(name: str, args) -> str:
         if not args.sweep:
             raise SystemExit("the 'sweep' section needs --sweep RECORDS.json")
         return S.render_sweep(_load_records(args.sweep, "--sweep"))
-    if name == "suites":
-        if args.suites:
-            records = _load_records(args.suites, "--suites")
-        else:
-            from repro.suites import SuiteRun
+    if args.suites:
+        records = _load_records(args.suites, "--suites")
+    else:
+        from repro.suites import SuiteRun
 
-            records = SuiteRun().run().to_records()
-        return S.render_suites(records)
-    return S.render_bench(Path(args.bench_dir))
+        records = SuiteRun().run().to_records()
+    return S.render_suites(records)
 
 
 def render_report(args) -> str:

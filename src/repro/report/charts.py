@@ -36,11 +36,11 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}".rstrip("0").rstrip(".")
 
 
-def _nice_ticks(vmax: float, count: int = 4) -> List[float]:
-    """~``count`` round tick values covering [0, vmax]."""
+def _nice_ticks(vmax: float) -> List[float]:
+    """~4 round tick values covering [0, vmax]."""
     if vmax <= 0:
         return [0.0, 1.0]
-    raw = vmax / count
+    raw = vmax / 4
     magnitude = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
         step = mult * magnitude
@@ -226,69 +226,6 @@ def heatmap(
                 f'<text x="{x + cell_w / 2:.1f}" y="{y + cell_h / 2 + 4:.1f}" '
                 f'text-anchor="middle" fill="{ink}">{escape(fmt(v))}</text>'
             )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def bars_with_threshold(
-    labels: Sequence[str],
-    values: Sequence[float],
-    threshold: float,
-    threshold_label: str,
-    unit: str = "",
-) -> str:
-    """Vertical bars against a dashed threshold line (the perf gate).
-
-    Few enough marks that each bar carries its value; a bar that falls
-    below the threshold would sit under the dashed gate line.
-    """
-    left, bottom, top = 50, 34, 16
-    bar_w, pitch, plot_h = 34, 96, 150
-    width = left + len(labels) * pitch + 8
-    height = top + plot_h + bottom
-    vmax = max(list(values) + [threshold]) * 1.15
-    ticks = _nice_ticks(vmax, 3)
-    scale = plot_h / ticks[-1]
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img">'
-    ]
-    for tick in ticks:
-        y = top + plot_h - tick * scale
-        stroke = "var(--baseline)" if tick == 0 else "var(--grid)"
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{width - 4}" y2="{y:.1f}" '
-            f'stroke="{stroke}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text class="tick" x="{left - 6}" y="{y + 3.5:.1f}" '
-            f'text-anchor="end">{_fmt(tick)}{escape(unit)}</text>'
-        )
-    for i, (label, v) in enumerate(zip(labels, values)):
-        x = left + i * pitch + (pitch - bar_w) / 2
-        h = v * scale
-        y = top + plot_h - h
-        parts.append(
-            f'<path d="{_bar_path(x, y, bar_w, h)}" fill="var(--series-1)"/>'
-        )
-        parts.append(
-            f'<text class="label" x="{x + bar_w / 2:.1f}" y="{y - 4:.1f}" '
-            f'text-anchor="middle">{_fmt(v)}{escape(unit)}</text>'
-        )
-        parts.append(
-            f'<text class="tick" x="{x + bar_w / 2:.1f}" '
-            f'y="{top + plot_h + 15}" text-anchor="middle">'
-            f"{escape(label)}</text>"
-        )
-    ty = top + plot_h - threshold * scale
-    parts.append(
-        f'<line x1="{left}" y1="{ty:.1f}" x2="{width - 4}" y2="{ty:.1f}" '
-        f'stroke="var(--series-8)" stroke-width="1.5" stroke-dasharray="5 4"/>'
-    )
-    parts.append(
-        f'<text class="label" x="{width - 4}" y="{ty - 5:.1f}" '
-        f'text-anchor="end">{escape(threshold_label)}</text>'
-    )
     parts.append("</svg>")
     return "".join(parts)
 

@@ -47,9 +47,6 @@ SEQUENTIAL = (
 #: Index into :data:`SEQUENTIAL` from which white ink beats dark ink.
 SEQUENTIAL_DARK_TEXT_FROM = 6
 
-#: Status hues (fixed, never themed, never reused as series colors).
-STATUS = {"good": "#0ca30c", "critical": "#d03b3b"}
-
 _LIGHT = {
     "surface": "#fcfcfb",
     "page": "#f9f9f7",
@@ -142,6 +139,4 @@ th, td {{
 th {{ color: var(--ink-2); font-weight: 600; }}
 td.num {{ font-variant-numeric: tabular-nums; }}
 td.win {{ font-weight: 600; }}
-.pass {{ color: {STATUS['good']}; font-weight: 600; }}
-.fail {{ color: {STATUS['critical']}; font-weight: 600; }}
 """

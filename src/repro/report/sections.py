@@ -14,14 +14,9 @@ fixed categorical slot order -- never by color alone.
 
 from __future__ import annotations
 
-import json
-import re
-from html import escape
-from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from repro.report.charts import (
-    bars_with_threshold,
     chart_block,
     grouped_bars,
     heatmap,
@@ -291,99 +286,3 @@ def render_suites(records: List[dict]) -> str:
     parts.append("</section>")
     return "".join(parts)
 
-
-def _bench_means(path: Path) -> Dict[str, float]:
-    """benchmark name -> representative seconds (min round, mean fallback).
-
-    Mirrors ``benchmarks/compare.py``'s ``load_means`` -- kept local so
-    the installed package never imports from the repo checkout.
-    """
-    payload = json.loads(path.read_text())
-    return {
-        b["name"]: b["stats"].get("min", b["stats"].get("mean"))
-        for b in payload.get("benchmarks", [])
-    }
-
-
-def render_bench(bench_dir: Path, gate_pct: float = 10.0) -> str:
-    """The BENCH_PR* trajectory with the regression gate visualized."""
-
-    def pr_number(path: Path) -> int:
-        match = re.search(r"(\d+)", path.stem)
-        return int(match.group(1)) if match else -1
-
-    files = sorted(Path(bench_dir).glob("BENCH_*.json"), key=pr_number)
-    if len(files) < 2:
-        return (
-            '<section id="bench"><h2>Performance trajectory</h2>'
-            f'<p class="sub">Fewer than two BENCH_*.json trajectory '
-            f"points in {escape(str(bench_dir))}; nothing to compare "
-            "yet.</p></section>"
-        )
-    labels, geomeans, details = [], [], []
-    gate_ok = True
-    for old_path, new_path in zip(files, files[1:]):
-        old, new = _bench_means(old_path), _bench_means(new_path)
-        shared = [
-            name for name in sorted(set(old) & set(new))
-            if old[name] > 0 and new[name] > 0
-        ]
-        if not shared:
-            continue
-        geomean = 1.0
-        worst = 0.0
-        regressed = 0
-        for name in shared:
-            ratio = old[name] / new[name]
-            geomean *= ratio
-            pct = (new[name] / old[name] - 1.0) * 100.0
-            worst = max(worst, pct)
-            if pct > gate_pct:
-                regressed += 1
-        geomean **= 1.0 / len(shared)
-        labels.append(f"{old_path.stem.replace('BENCH_', '')} → "
-                      f"{new_path.stem.replace('BENCH_', '')}")
-        geomeans.append(geomean)
-        details.append((len(shared), worst, regressed))
-        gate_ok = gate_ok and regressed == 0
-    threshold = 1.0 / (1.0 + gate_pct / 100.0)
-    svg = bars_with_threshold(
-        labels, geomeans, threshold,
-        f"per-benchmark gate (−{gate_pct:.0f}%)", unit="x",
-    )
-    table = html_table(
-        ["Transition", "Shared benches", "Geomean speedup",
-         "Worst regression", "Gate"],
-        [
-            [
-                label,
-                str(shared),
-                f"{geomean:.2f}x",
-                f"+{worst:.1f}%",
-                "pass" if regressed == 0 else f"FAIL ({regressed})",
-            ]
-            for label, geomean, (shared, worst, regressed)
-            in zip(labels, geomeans, details)
-        ],
-    )
-    verdict = (
-        '<p class="sub">Gate: no shared benchmark may regress more than '
-        f"{gate_pct:.0f}% between consecutive trajectory points "
-        f"(<code>make bench-compare</code>) &mdash; currently "
-        f'<span class="{"pass" if gate_ok else "fail"}">'
-        f'{"passing" if gate_ok else "FAILING"}</span>.</p>'
-    )
-    return (
-        '<section id="bench"><h2>Performance trajectory</h2>'
-        + chart_block(
-            "Geomean speedup per trajectory step",
-            "Each bar is the geomean speedup of the newer benchmark "
-            "snapshot over its predecessor across their shared "
-            "benchmarks; above 1x is faster. The dashed line marks the "
-            "per-benchmark regression gate.",
-            [],
-            svg + table,
-        )
-        + verdict
-        + "</section>"
-    )

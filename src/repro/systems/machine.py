@@ -182,8 +182,8 @@ def build_system(preset: str, fresh: bool = False) -> Machine:
 
 
 def clear_machine_cache() -> None:
-    """Drop the per-preset machine singletons (benchmarks use this so
-    each timed run includes machine construction, as the seed did)."""
+    """Drop the per-preset machine singletons (``common.clear_caches``
+    uses this so each cold timed run includes machine construction)."""
     _preset_machine.cache_clear()
 
 

@@ -24,8 +24,8 @@ Three small modules, stdlib only:
 The instrumentation threaded through ``pipeline``, ``shuffle``,
 ``faults``, ``service`` and ``suites`` sits at stage / round / task
 granularity (never per tuple) and costs one guarded call when no tracer
-is installed -- the bench suite holds that disabled path to a <2%
-overhead budget on the fig6 experiment.
+is installed -- ``tests/test_telemetry.py`` holds that disabled path to
+a <2% overhead budget on the fig6 experiment.
 """
 
 from repro.telemetry.codec import (

@@ -56,8 +56,8 @@ def test_doc_block_executes(source, block):
 def test_usage_flags_match_cli_parsers():
     """Every --flag named in the docs must exist on a real parser
     (run_all's, the scenario-API CLI's, the service CLI's, the suite
-    CLI's -- subcommand flags included -- or the benchmark tools'), and
-    the flags the docs promise must actually be documented."""
+    CLI's -- subcommand flags included -- perfbench's or the developer
+    tools'), and the flags the docs promise must actually be documented."""
     import argparse
     import sys
 
@@ -70,9 +70,9 @@ def test_usage_flags_match_cli_parsers():
     sys.path.insert(0, str(ROOT))
     sys.path.insert(0, str(ROOT / "tools"))
     try:
-        from benchmarks.compare import build_parser as compare_parser
-        from benchmarks.profile_experiment import build_parser as profile_parser
         from load_test import build_parser as load_test_parser
+        from perfbench.run import build_parser as perfbench_parser
+        from profile_experiment import build_parser as profile_parser
     finally:
         sys.path.pop(0)
         sys.path.pop(0)
@@ -92,7 +92,7 @@ def test_usage_flags_match_cli_parsers():
             report_parser(),
             service_parser(),
             suites_parser(),
-            compare_parser(),
+            perfbench_parser(),
             profile_parser(),
             load_test_parser(),
         )

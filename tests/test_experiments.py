@@ -11,6 +11,7 @@ from repro.experiments import (
     fig9_efficiency,
     sec31_activation,
     sec32_mlp,
+    skew_partitioning,
     table1_operators,
     table2_phases,
     table5_partition,
@@ -48,6 +49,8 @@ class TestTable1:
         assert set(out["map"]) == {"scan", "groupby", "join", "sort"}
         assert "GroupByKey" in out["map"]["groupby"]
         assert "ok" in out["table"]
+        # The four basic operators cover all listed Spark transformations.
+        assert sum(len(ops) for ops in out["map"].values()) == 14
 
 
 class TestTable2:
@@ -60,7 +63,8 @@ class TestTable2:
             assert s[op]["histogram"], op
             assert s[op]["distribute"], op
         assert "hash-build" in s["join"]["probe"]
-        assert "mergesort" in s["sort"]["probe"]
+        assert "hash-aggregate" in s["groupby"]["probe"]
+        assert s["sort"]["probe"] == ["mergesort"]  # local sort only
 
 
 class TestTable5:
@@ -68,6 +72,10 @@ class TestTable5:
         out = table5_partition.run(scale=SCALE)
         s = out["speedups"]
         assert 1 < s["nmp-rand"] < s["nmp-perm"] < s["mondrian-noperm"] < s["mondrian"]
+        # Permutability steps (paper: 98/58 = 1.7 on NMP, 273/142 = 1.9
+        # on Mondrian).
+        assert 1.2 < s["nmp-perm"] / s["nmp-rand"] < 2.5
+        assert 1.3 < s["mondrian"] / s["mondrian-noperm"] < 3.0
 
     def test_within_order_of_magnitude_of_paper(self):
         out = table5_partition.run(scale=SCALE)
@@ -84,6 +92,9 @@ class TestFig6:
     def test_scan_identical_for_both_nmp(self, out):
         s = out["speedups"]["scan"]
         assert s["nmp-rand"] == pytest.approx(s["nmp-seq"])
+        # Magnitudes near the paper's (2.4x NMP, ~6x Mondrian).
+        assert 1.5 < s["nmp-rand"] < 6.0
+        assert 3.0 < s["mondrian"] < 15.0
 
     def test_all_nmp_beat_cpu(self, out):
         for op, series in out["speedups"].items():
@@ -111,14 +122,15 @@ class TestFig7:
         for op, series in out["speedups"].items():
             assert series["nmp"] <= series["nmp-perm"] * 1.01, op
             assert series["mondrian"] > series["nmp"], op
+            assert series["nmp"] > 1.0, op
 
     def test_mondrian_peak_band(self, out):
         # Paper: up to 49x.  Accept the same order of magnitude.
-        assert 5 < out["mondrian_peak"] < 200
+        assert 5 < out["mondrian_peak"] < 49 * 4
 
     def test_mondrian_vs_best_nmp_band(self, out):
         # Paper: up to 5x.
-        assert 1.2 < out["mondrian_vs_best_nmp_peak"] < 10
+        assert 5 / 4 < out["mondrian_vs_best_nmp_peak"] < 10
 
 
 class TestFig8:
@@ -147,6 +159,7 @@ class TestFig8:
         static_nmp = nmp["dram_static"] + nmp["serdes_noc"]
         # Relative to its dynamic share, Mondrian is less static-dominated.
         assert static_mon / mon["dram_dyn"] < static_nmp / nmp["dram_dyn"]
+        assert mon["dram_dyn"] > nmp["dram_dyn"]
 
     def test_total_energy_ordering(self, out):
         t = out["totals_j"]
@@ -170,6 +183,13 @@ class TestFig9:
     def test_peak_band_vs_paper(self, out):
         # Paper: up to 28x.
         assert 8 < out["mondrian_peak"] < 100
+
+    def test_gains_smaller_than_fig7_performance(self, out):
+        # Paper: "the gains are smaller than the performance
+        # improvements, reflecting Mondrian's high utilization of
+        # system resources".
+        perf = fig7_overall.run(scale=SCALE)
+        assert out["mondrian_peak"] <= perf["mondrian_peak"] * 1.5
 
 
 class TestSec31:
@@ -210,18 +230,46 @@ class TestSec32:
 
 class TestAblations:
     def test_simd_width_monotone(self):
-        sweep = ablations.simd_width_sweep(widths=(128, 1024), scale=SCALE)
-        assert sweep[1024] <= sweep[128]
+        sweep = ablations.simd_width_sweep(widths=(128, 256, 512, 1024), scale=SCALE)
+        runtimes = [sweep[w] for w in sorted(sweep)]
+        # Wider SIMD never hurts, and 1024b beats 128b outright.
+        assert all(a >= b * 0.999 for a, b in zip(runtimes, runtimes[1:]))
+        assert sweep[1024] < sweep[128]
 
     def test_row_buffer_saving_grows(self):
         sweep = ablations.row_buffer_sweep()
-        savings = [sweep[rb]["saving"] for rb in sorted(sweep)]
-        assert savings[0] < savings[-1]
-        assert all(s > 1 for s in savings)
+        savings = {rb: sweep[rb]["saving"] for rb in sweep}
+        # Permutability always saves, and saves more on larger rows.
+        assert all(s > 2 for s in savings.values())
+        assert savings[256] < savings[2048] < savings[4096]
 
     def test_window_sweep_monotone_and_low(self):
         sweep = ablations.scheduler_window_sweep()
         hit_rates = [sweep[w] for w in sorted(sweep)]
         assert all(a <= b + 1e-9 for a, b in zip(hit_rates, hit_rates[1:]))
-        # Practical windows cannot recover the shuffle's locality.
+        # Practical windows (<= 64) cannot recover the locality that
+        # permutability provides by construction (hit rate ~15/16).
         assert sweep[16] < 0.5
+        assert sweep[64] < 0.94
+
+
+class TestSkewPartitioning:
+    @pytest.fixture(scope="class")
+    def out(self):
+        return skew_partitioning.run()
+
+    def test_uniform_data_is_not_retried(self, out):
+        uniform = out["points"][0.0]
+        assert not uniform["retried"]
+        assert uniform["final_imbalance"] < out["capacity_factor"] + 0.1
+
+    def test_heavy_skew_overflows_and_retries(self, out):
+        points = out["points"]
+        heavy = points[max(points)]
+        assert heavy["naive_imbalance"] > out["capacity_factor"]
+        assert heavy["retried"]
+
+    def test_retry_restores_capacity_at_every_skew(self, out):
+        cap = out["capacity_factor"]
+        for alpha, p in out["points"].items():
+            assert p["final_imbalance"] <= cap + 0.1, alpha

@@ -1,8 +1,8 @@
 """Report-generator tests: sections, charts, CLI, determinism.
 
 The report is a pure function of its inputs (experiment outputs at a
-given scale/seed, records files, the BENCH_* trajectory), so two
-invocations must produce byte-identical HTML.  Charts are checked
+given scale/seed, records files), so two invocations must produce
+byte-identical HTML.  Charts are checked
 structurally -- well-formed SVG, the right number of marks, legends for
 multi-series charts, a table view beside every chart.
 """
@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.report import (
-    render_bench,
     render_figures,
     render_pipelines,
     render_suites,
@@ -94,26 +93,6 @@ class TestSections:
         assert "Per-suite tiers" in html and "Family winners" in html
         assert "A *" in html  # each suite's winner is tier A, starred
 
-    def test_bench_section_gate(self, tmp_path):
-        def bench_file(name, means):
-            payload = {"benchmarks": [
-                {"name": bench, "stats": {"min": value}}
-                for bench, value in means.items()
-            ]}
-            (tmp_path / name).write_text(json.dumps(payload))
-
-        bench_file("BENCH_PR1.json", {"a": 1.0, "b": 2.0})
-        bench_file("BENCH_PR2.json", {"a": 0.5, "b": 2.5})  # b regressed 25%
-        html = render_bench(tmp_path, gate_pct=10.0)
-        assert "FAIL (1)" in html and "FAILING" in html
-        bench_file("BENCH_PR2.json", {"a": 0.5, "b": 2.0})
-        html = render_bench(tmp_path, gate_pct=10.0)
-        assert "FAIL" not in html and "passing" in html
-
-    def test_bench_section_needs_two_points(self, tmp_path):
-        html = render_bench(tmp_path)
-        assert "nothing to compare yet" in html
-
 
 class TestCli:
     def test_parser_flags(self):
@@ -122,7 +101,7 @@ class TestCli:
             for opt in action.option_strings
         }
         assert {"--out", "--sections", "--scale", "--fast", "--seed",
-                "--sweep", "--suites", "--bench-dir"} <= flags
+                "--sweep", "--suites"} <= flags
 
     def test_unknown_section_rejected(self, tmp_path):
         from repro.report.__main__ import main
@@ -138,10 +117,9 @@ class TestCli:
 
     def test_report_is_deterministic_and_self_contained(self, tmp_path):
         args = build_parser().parse_args([
-            "--out", "-", "--sections", "sweep,suites,bench",
+            "--out", "-", "--sections", "sweep,suites",
             "--sweep", str(ROOT / "tests/data/sweep_smoke_golden.json"),
             "--suites", str(ROOT / "tests/data/suites_smoke_golden.json"),
-            "--bench-dir", str(ROOT),
         ])
         first, second = render_report(args), render_report(args)
         assert first == second  # byte-identical on re-render
@@ -157,11 +135,11 @@ class TestCli:
         from repro.report.__main__ import main
 
         out = tmp_path / "report.html"
-        main(["--out", str(out), "--sections", "bench",
-              "--bench-dir", str(ROOT)])
+        main(["--out", str(out), "--sections", "sweep",
+              "--sweep", str(ROOT / "tests/data/sweep_smoke_golden.json")])
         assert out.is_file()
-        assert '<section id="bench"' in out.read_text()
+        assert '<section id="sweep"' in out.read_text()
         assert "wrote report to" in capsys.readouterr().err
 
     def test_sections_constant_is_complete(self):
-        assert SECTIONS == ("figures", "pipelines", "sweep", "suites", "bench")
+        assert SECTIONS == ("figures", "pipelines", "sweep", "suites")

@@ -162,15 +162,22 @@ class TestResultStore:
         # The daemon answers `stats` on one thread while a batch writes
         # on another, sharing one handle: must not race.
         import threading
+        import time
 
         store = ResultStore(tmp_path, max_bytes=4096)
         errors = []
         done = threading.Event()
+        polls = 0
 
         def poll_stats():
+            nonlocal polls
             try:
                 while not done.is_set():
                     store.stats()
+                    polls += 1
+                    # Yield so the unfair store lock cannot starve the
+                    # writer; the race stays overlapped, not serialized.
+                    time.sleep(0)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -179,10 +186,13 @@ class TestResultStore:
         try:
             for i in range(300):
                 store.put(digest_payload({"k": i}), {"v": "y" * 64})
+            overlapped = polls  # stats() calls completed during the puts
         finally:
             done.set()
             poller.join(30)
         assert errors == []
+        assert not poller.is_alive()
+        assert overlapped >= 50
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -558,10 +568,14 @@ class TestFreshProcessAcceptance:
         simulations and exports byte-identical JSON."""
         store = tmp_path / "store"
         cold_stats = self._run_cli(store, tmp_path / "cold.json")
+        objects = sorted(store.glob("objects/*/*.json"))
         warm_stats = self._run_cli(store, tmp_path / "warm.json")
         assert cold_stats["misses"] == "4" and cold_stats["puts"] == "4"
         assert warm_stats["hits"] == "4"
         assert warm_stats["misses"] == "0" and warm_stats["puts"] == "0"
+        # On disk too: the cold run wrote exactly 4 objects, the warm none.
+        assert len(objects) == 4
+        assert sorted(store.glob("objects/*/*.json")) == objects
         cold = (tmp_path / "cold.json").read_bytes()
         warm = (tmp_path / "warm.json").read_bytes()
         assert cold == warm

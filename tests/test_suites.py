@@ -273,6 +273,13 @@ class TestRunner:
         # The records rebuilt from restored results match exactly.
         assert SuitePoint.records(point) == point.records()
 
+    def test_warm_store_replay_matches_cold_grid(self, scoped_store):
+        grid = SuiteRun(suites=("dict-products",), systems=SMOKE_SYSTEMS)
+        cold = grid.run()
+        common.clear_caches()  # memory tiers cold: only the store is warm
+        assert grid.run().to_json() == cold.to_json()
+        assert scoped_store.stats()["hits"] == grid.size
+
     def test_memory_hit_write_through(self, tmp_path):
         point = SuitePoint("skew-mild", "cpu")
         run_suite_point(point)  # computed with no store configured
@@ -373,6 +380,14 @@ class TestGoldens:
         report = score_records(results)
         golden = (DATA / "suites_score_golden.json").read_text()
         assert report_json(report) + "\n" == golden
+        assert set(report["suites"]) == set(SUITES)
+        assert report["ranking"][0]["system"] == "mondrian"
+        for suite in SUITES:  # near-memory wins end-to-end on every suite
+            totals = {
+                system: results.total("time_s", suite=suite, system=system)
+                for system in ("cpu", "mondrian")
+            }
+            assert totals["mondrian"] < totals["cpu"], suite
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,22 @@ Covers the contracts the observability layer promises:
 - metrics-registry snapshot determinism across fresh interpreters
   (distinct hash seeds) through the canonical ``telemetry/v1`` codec;
 - golden exports stay byte-identical with tracing ON -- the trace goes
-  to its own file and stderr, never stdout.
+  to its own file and stderr, never stdout;
+- disabled tracing is (nearly) free: the no-op guard stays under 2% of
+  the figure-6 pipeline's runtime.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.api import Scenario, Sweep
+from repro.experiments import common, fig6_probe
 from repro.service.resilience import WorkerFleet
 from repro.telemetry import (
     MetricsRegistry,
@@ -41,6 +45,16 @@ from repro.telemetry.trace import NOOP_SPAN
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST = dict(model_scale=50.0, num_partitions=8)
+
+#: Model scale of the overhead-budget pipeline (the experiment tests').
+BUDGET_SCALE = 500.0
+
+#: Cold fig6 runs the budget takes the minimum of.
+ROUNDS = 3
+
+#: Max tolerated slowdown of the disabled-telemetry pipeline vs itself
+#: (paired cold rounds), from the instrumentation budget.
+DISABLED_OVERHEAD_BUDGET = 0.02
 
 
 @pytest.fixture
@@ -260,3 +274,56 @@ class TestGoldensWithTracingOn:
         # Operator workloads produce sweep/task/shuffle spans; plan and
         # stage spans belong to the pipeline-query workloads.
         assert {"sweep", "task", "shuffle"} <= names
+
+
+@pytest.fixture
+def cold_caches():
+    """The budget times cold pipelines and must not leak warm caches."""
+    common.clear_caches()
+    yield
+    common.clear_caches()
+
+
+def test_disabled_overhead_budget(cold_caches):
+    """The no-op guard's total cost must stay under 2% of fig6's runtime.
+
+    Three measurements: (1) the cold figure-6 runtime with telemetry
+    disabled; (2) how many instrumentation sites that pipeline actually
+    crosses (count spans from one traced run); (3) the per-crossing
+    cost of the disabled guard, micro-benchmarked directly.  The
+    enforced budget is ``crossings x guard_cost < 2% x runtime`` -- if
+    anyone moves real work outside the ``tracer is None`` check, the
+    guard cost explodes and this fails long before users feel it.
+    """
+
+    def cold_runtime_ns() -> int:
+        common.clear_caches()
+        start = time.perf_counter_ns()
+        fig6_probe.run(scale=BUDGET_SCALE)
+        return time.perf_counter_ns() - start
+
+    cold_runtime_ns()  # warm imports/allocator before timing
+    runtime_ns = min(cold_runtime_ns() for _ in range(ROUNDS))
+
+    tracer = install_tracer()
+    try:
+        common.clear_caches()
+        fig6_probe.run(scale=BUDGET_SCALE)
+        crossings = len(tracer.spans)
+    finally:
+        uninstall_tracer()
+    assert crossings > 0
+
+    calls = 200_000
+    start = time.perf_counter_ns()
+    for _ in range(calls):
+        with span("budget", category="bench"):
+            pass
+    guard_ns = (time.perf_counter_ns() - start) / calls
+
+    overhead = crossings * guard_ns / runtime_ns
+    assert overhead < DISABLED_OVERHEAD_BUDGET, (
+        f"{crossings} disabled span sites x {guard_ns:.0f} ns "
+        f"= {overhead:.2%} of the {runtime_ns / 1e6:.0f} ms fig6 run "
+        f"(budget {DISABLED_OVERHEAD_BUDGET:.0%})"
+    )

@@ -13,17 +13,12 @@ through the pipelined :class:`~repro.service.fleet.AsyncServiceClient`
   failover plus the client's idempotent-verb retry matrix must absorb
   the murder: **any failed request fails the harness** (exit 1).
 
-Each phase reports p50/p95/p99 latency and throughput.  With ``--json
-BENCH_PR10.json`` the phases are merged into the repo's
-pytest-benchmark trajectory file as ``load_test_steady`` /
-``load_test_kill_shard`` entries (stats carry the percentile fields;
-``benchmarks/compare.py`` diffs them across trajectory points).
+Each phase prints its p50/p95/p99 latency and throughput.
 
 Usage::
 
-    python tools/load_test.py                      # full run, temp store
-    python tools/load_test.py --json BENCH_PR10.json   # make load-test
-    python tools/load_test.py --smoke              # make load-test-smoke
+    python tools/load_test.py              # make load-test (temp store)
+    python tools/load_test.py --smoke      # make load-test-smoke
 
 Requests cycle over the committed sweep-smoke grid, pre-warmed with one
 sweep so the measured requests are store-served -- the harness times
@@ -36,7 +31,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import statistics
 import sys
 import tempfile
 import time
@@ -82,9 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-request deadline in seconds (default 60)")
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="fleet store root (default: a fresh temp dir)")
-    parser.add_argument("--json", metavar="OUT", dest="json_out", default=None,
-                        help="merge phase results into this pytest-benchmark "
-                             "JSON trajectory file (e.g. BENCH_PR10.json)")
     parser.add_argument("--smoke", action="store_true",
                         help="small fast run for CI (120 requests, "
                              "concurrency 16), same zero-failure assertion")
@@ -150,73 +141,11 @@ async def run_phase(
         "wall_s": wall,
         "throughput_rps": (len(latencies) / wall) if wall > 0 else 0.0,
         "latency_s": {
-            "min": ordered[0] if ordered else 0.0,
-            "mean": statistics.fmean(ordered) if ordered else 0.0,
             "p50": percentile(ordered, 0.50),
             "p95": percentile(ordered, 0.95),
             "p99": percentile(ordered, 0.99),
-            "max": ordered[-1] if ordered else 0.0,
-        },
-        "samples": ordered,
-        "client": dict(client.resilience),
-    }
-
-
-def bench_entry(phase: dict) -> dict:
-    """One phase as a pytest-benchmark ``benchmarks[]`` entry.
-
-    The percentile fields ride inside ``stats`` (compare.py carries
-    them through its comparison document and regression gate);
-    throughput and failure accounting go to ``extra_info``.
-    """
-    samples = phase["samples"]
-    ordered = sorted(samples) if samples else [0.0]
-    mean = statistics.fmean(ordered)
-    return {
-        "name": f"load_test_{phase['phase']}",
-        "fullname": f"tools/load_test.py::{phase['phase']}",
-        "group": "load-test",
-        "param": None,
-        "params": None,
-        "extra_info": {
-            "throughput_rps": phase["throughput_rps"],
-            "requests": phase["requests"],
-            "failures": phase["failures"],
-            "killed_pid": phase["killed_pid"],
-            "client": phase["client"],
-        },
-        "options": {},
-        "stats": {
-            "min": ordered[0],
-            "max": ordered[-1],
-            "mean": mean,
-            "median": percentile(ordered, 0.50),
-            "p50": percentile(ordered, 0.50),
-            "p95": percentile(ordered, 0.95),
-            "p99": percentile(ordered, 0.99),
-            "q1": percentile(ordered, 0.25),
-            "q3": percentile(ordered, 0.75),
-            "stddev": statistics.pstdev(ordered) if len(ordered) > 1 else 0.0,
-            "rounds": len(ordered),
-            "iterations": 1,
-            "ops": (1.0 / mean) if mean > 0 else 0.0,
-            "total": sum(ordered),
         },
     }
-
-
-def merge_into_trajectory(path: Path, phases) -> None:
-    """Upsert the load-test entries into a pytest-benchmark JSON file."""
-    if path.is_file():
-        payload = json.loads(path.read_text())
-    else:
-        payload = {"version": "repro-load-test", "benchmarks": []}
-    payload.setdefault("benchmarks", [])
-    fresh = {bench_entry(p)["name"]: bench_entry(p) for p in phases}
-    payload["benchmarks"] = [
-        b for b in payload["benchmarks"] if b.get("name") not in fresh
-    ] + sorted(fresh.values(), key=lambda b: b["name"])
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def summarize(phase: dict) -> str:
@@ -279,10 +208,6 @@ def main(argv=None) -> int:
         print(summarize(phases[-1]), flush=True)
     finally:
         fleet.stop()
-
-    if args.json_out:
-        merge_into_trajectory(Path(args.json_out), phases)
-        print(f"load-test: merged {len(phases)} phases into {args.json_out}")
 
     failed = sum(p["failures"] for p in phases)
     if failed:

@@ -2,9 +2,9 @@
 
 Usage::
 
-    python benchmarks/profile_experiment.py fig6            # default scale
-    python benchmarks/profile_experiment.py fig7 --scale 500
-    python benchmarks/profile_experiment.py fig6 --sort tottime --top 40
+    python tools/profile_experiment.py fig6            # default scale
+    python tools/profile_experiment.py fig7 --scale 500
+    python tools/profile_experiment.py fig6 --sort tottime --top 40
 
 Runs the named experiment's ``run()`` end-to-end (workload generation,
 functional operator execution, performance/energy modeling) from cold
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=500.0,
         help="model scale for the scaled figures (default: 500, the "
-        "benchmark suite's scale; ignored for unscaled sections)",
+        "experiment tests' scale; ignored for unscaled sections)",
     )
     parser.add_argument(
         "--sort",

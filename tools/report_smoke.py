@@ -2,10 +2,9 @@
 
 Renders every section -- figures and pipelines live at the fast model
 scale, the sweep and suite sections from the committed golden record
-files, the bench trajectory from the repo's BENCH_*.json -- then
-asserts the structural contract:
+files -- then asserts the structural contract:
 
-- all five sections are present with their charts (inline SVG only);
+- all four sections are present with their charts (inline SVG only);
 - every SVG parses as well-formed XML;
 - the document is self-contained (no scripts, external styles, images
   or network fetches) and ships both color themes;
@@ -35,7 +34,6 @@ def main() -> int:
         "--fast",
         "--sweep", str(ROOT / "tests" / "data" / "sweep_smoke_golden.json"),
         "--suites", str(ROOT / "tests" / "data" / "suites_smoke_golden.json"),
-        "--bench-dir", str(ROOT),
     ])
     html = render_report(args)
 
