@@ -30,15 +30,16 @@ FLEET_MIN_COVERAGE ?= 90
 #: Deterministic wire-fault schedule seeds replayed by `make chaos-test`.
 CHAOS_SEEDS ?= --seed 7 --seed 17
 
-.PHONY: test test-faults coverage coverage-service coverage-suites coverage-telemetry coverage-fleet chaos-test docs-check load-test load-test-smoke report report-html report-smoke pipelines sweep-smoke service-smoke suites-smoke profile
+.PHONY: test test-faults perfbench-smoke coverage coverage-service coverage-suites coverage-telemetry coverage-fleet chaos-test docs-check load-test load-test-smoke report report-html report-smoke pipelines sweep-smoke service-smoke suites-smoke profile
 
 ## Tier-1 verification: full unit/integration/experiment suite, then
-## the fault-injection suite, the sweep-smoke, service-smoke,
+## the fault-injection suite, the benchmark, sweep-smoke, service-smoke,
 ## suites-smoke, report-smoke and load-test-smoke checks, and the chaos
 ## harness.
 test:
 	$(PY) -m pytest -x -q
 	$(MAKE) test-faults
+	$(MAKE) perfbench-smoke
 	$(MAKE) sweep-smoke
 	$(MAKE) service-smoke
 	$(MAKE) suites-smoke
@@ -101,6 +102,12 @@ load-test-smoke:
 ## golden file and no corrupt entry is ever served.
 chaos-test:
 	$(PY) tools/chaos.py $(CHAOS_SEEDS)
+
+## Benchmark smoke test: every perfbench workload runs briefly in both
+## modes, verifies its golden digests and reports every named metric
+## (with --trace 1, through the per-layer wrappers).
+perfbench-smoke:
+	$(PY) -m pytest -q perfbench/test_smoke.py
 
 ## Scenario-API smoke test: run the committed 2x2 sweep grid (CPU +
 ## a 32-core star-topology Mondrian the paper never measured) and diff

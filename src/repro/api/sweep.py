@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from operator import methodcaller
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.api.results import ResultSet
@@ -35,9 +34,41 @@ from repro.experiments import common
 from repro.telemetry import span as _span
 
 
-def _pool_span(scenario: Scenario) -> Tuple[str, str, Dict[str, Any]]:
+def _run_group_key(index: int, scenario: Scenario) -> Tuple:
+    """Scenarios sharing this key share one functional run.
+
+    Each query scenario is its own group, and so is every scenario while
+    the memory caches are off: nothing would be shared, so grouping
+    would only serialize work.
+    """
+    if scenario.is_query or not common.cache_enabled():
+        return ("point", index)
+    return common.operator_run_key(
+        scenario.machine(), scenario.operator, scenario.model_scale,
+        scenario.seed, scenario.num_partitions,
+    )
+
+
+def group_by_run(scenarios: Sequence[Scenario]) -> List[List[int]]:
+    """Indices of ``scenarios`` grouped by shared functional run.
+
+    Groups appear in order of their first member and list their members
+    in input order, so every index occurs exactly once.
+    """
+    groups: Dict[Tuple, List[int]] = {}
+    for index, scenario in enumerate(scenarios):
+        groups.setdefault(_run_group_key(index, scenario), []).append(index)
+    return list(groups.values())
+
+
+def _group_records(group: Sequence[Scenario]) -> List[List[Dict[str, Any]]]:
+    return [scenario.records() for scenario in group]
+
+
+def _group_span(group: Sequence[Scenario]) -> Tuple[str, str, Dict[str, Any]]:
     return "pool_worker", "service", {
-        "system": scenario.system_label, "operator": scenario.operator,
+        "systems": [scenario.system_label for scenario in group],
+        "operator": group[0].operator,
     }
 
 
@@ -49,8 +80,26 @@ def evaluate_scenarios(
     ``jobs > 1`` fans the scenarios over a process pool
     (:func:`repro.experiments.common.fan_out`; each worker holds its own
     cache and reports its store traffic and spans back to this process).
+    Scenarios that share a functional run travel as one task
+    (:func:`group_by_run`), so the worker's ``operator-run`` memo
+    executes that run once rather than once in every worker it lands in.
     """
-    return common.fan_out(methodcaller("records"), scenarios, jobs, span=_pool_span)
+    if jobs <= 1:
+        # In input order: spans and store writes keep grid order, and
+        # the in-process memo shares runs without any grouping.
+        return [scenario.records() for scenario in scenarios]
+    groups = group_by_run(scenarios)
+    chunks = common.fan_out(
+        _group_records,
+        [[scenarios[i] for i in group] for group in groups],
+        jobs,
+        span=_group_span,
+    )
+    records: List[List[Dict[str, Any]]] = [[] for _ in scenarios]
+    for group, chunk in zip(groups, chunks):
+        for index, scenario_records in zip(group, chunk):
+            records[index] = scenario_records
+    return records
 
 
 def _spec_from_entry(entry: Union[str, SystemSpec, Mapping[str, Any]]):

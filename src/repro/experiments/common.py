@@ -31,6 +31,20 @@ per process instead of once per figure.  ``run_all --no-cache`` (or
 and ``run_all --jobs N`` runs experiment sections in a process pool
 (each worker holds its own cache).
 
+Between the two sits a third, memory-only tier, ``operator-run``.
+Running an operator is two calls: ``Machine.execute`` (the functional
+run) and ``Machine.evaluate_run`` (costing it on one machine).  A run
+depends only on the workload, the machine's
+:class:`~repro.operators.base.OperatorVariant` and the model scale, so
+:func:`operator_run_key` keys it by operator, functional size, seed,
+partition count, variant and scale -- not by system.  Systems that
+differ only in how a run is costed (core count, SIMD width, topology)
+execute it once and cost it each on their own; interleave and fault
+overlays are part of the variant, so they never share.  Sharing is
+sound because variants and fault specs are frozen, and ``evaluate_run``
+builds a fresh result with its own metadata copy.  Runs are never
+persisted: the store holds evaluated results only.
+
 The caches are addressed either by preset name *or* by any
 :class:`~repro.api.spec.SystemSpec`-like object exposing ``cache_key``
 and ``to_config()`` -- which is how the scenario API (:mod:`repro.api`)
@@ -153,6 +167,7 @@ class CacheTier:
 
 
 _WORKLOADS = CacheTier("workload")
+_RUNS = CacheTier("operator-run")  # memory only: runs are never persisted
 _RESULTS = CacheTier("result")
 _CACHE_ENABLED = True
 
@@ -203,6 +218,7 @@ def clear_caches() -> None:
     from repro.systems.machine import clear_machine_cache
 
     _WORKLOADS.clear()
+    _RUNS.clear()
     _RESULTS.clear()
     for tier in _EXTRA_TIERS:
         tier.clear()
@@ -231,13 +247,15 @@ def degraded_count() -> int:
 def cache_stats() -> Dict[str, Any]:
     """Per-tier hit/miss/eviction counters, plus legacy aggregates.
 
-    The top-level ``hits``/``misses`` keys sum the in-memory tiers
-    (the pre-service shape); ``tiers`` breaks them down per tier and
-    adds the persistent store when one is active.  ``degraded`` counts
-    service calls this process answered locally after daemon failure.
+    The top-level ``hits``/``misses`` keys sum the workload and result
+    tiers (the pre-service shape); ``tiers`` breaks every memory tier
+    down (``operator-run`` included) and adds the persistent store when
+    one is active.  ``degraded`` counts service calls this process
+    answered locally after daemon failure.
     """
     tiers: Dict[str, Any] = {
         _WORKLOADS.name: _WORKLOADS.stats(),
+        _RUNS.name: _RUNS.stats(),
         _RESULTS.name: _RESULTS.stats(),
     }
     for tier in _EXTRA_TIERS:
@@ -651,6 +669,28 @@ def run_cached_result(
     return _run_cached_result(system, operator, scale, seed, num_partitions)
 
 
+def operator_run_key(
+    machine: Any, operator: str, scale: float, seed: int, num_partitions: int
+) -> Tuple:
+    """The content key of the functional run behind one operator point.
+
+    A runner sees only the workload, the machine's
+    :class:`~repro.operators.base.OperatorVariant` and the scale, so
+    machines that differ only in how a run is costed (core count, SIMD
+    width, topology) share one key.  The ``operator-run`` memory tier
+    and the sweep's process-pool grouping both use it.
+    """
+    return (
+        "operator-run",
+        operator,
+        FUNCTIONAL_N[operator],
+        seed,
+        num_partitions,
+        machine.variant(num_partitions),
+        float(scale),
+    )
+
+
 def _run_cached_result(
     system: Any, operator: str, scale: float, seed: int, num_partitions: int
 ) -> SystemResult:
@@ -667,13 +707,34 @@ def _run_cached_result(
         _RESULTS,
         key,
         lambda: result_store_payload(system, operator, scale, seed, num_partitions),
-        lambda: machine_for(system).run_operator(
-            operator, make_workload(operator, seed, num_partitions),
-            scale_factor=scale,
-        ),
+        lambda: _build_result(system, operator, scale, seed, num_partitions),
         _result_to_document,
         _result_from_document,
     )
+
+
+def _build_result(
+    system: Any, operator: str, scale: float, seed: int, num_partitions: int
+) -> SystemResult:
+    """Execute (or reuse) the functional run, then cost it on ``system``.
+
+    ``machine_for``, the operator runners and ``evaluate_run`` are all
+    looked up per call, so tooling that wraps them sees every call.
+    """
+    machine = machine_for(system)
+    workload = make_workload(operator, seed, num_partitions)
+
+    def execute():
+        return machine.execute(operator, workload, scale_factor=scale)
+
+    if _CACHE_ENABLED:
+        run = _RUNS.get_or_build(
+            operator_run_key(machine, operator, scale, seed, num_partitions),
+            execute,
+        )
+    else:
+        run = execute()
+    return machine.evaluate_run(run)
 
 
 # The codec is looked up per call (not bound at import) so tooling that

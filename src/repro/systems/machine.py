@@ -10,11 +10,16 @@ operator variant it runs (paper section 6):
 - Mondrian partitions with permutable stores and probes sort-based with
   the wide SIMD unit.
 
-``scale_factor`` linearly extrapolates the measured phase costs to
-paper-sized datasets (all cost quantities are per-tuple linear within a
-fixed pass structure, so scaling the workload scales the costs; the
-log-factor from sorting is captured at functional size and noted in
-EXPERIMENTS.md).
+``scale_factor`` extrapolates the measured phase costs to paper-sized
+datasets: per-tuple-linear quantities scale exactly, and sorting's log
+factor is captured by computing merge pass counts at model size.
+
+Running an operator is two steps: :meth:`Machine.execute` runs the
+operator functionally under the machine's variant (a function of the
+variant, the workload and the scale only), and
+:meth:`Machine.evaluate_run` costs that run on this machine's cores,
+memory and topology.  Machines of one kind share runs through the
+``operator-run`` memo in :mod:`repro.experiments.common`.
 """
 
 from __future__ import annotations
@@ -71,13 +76,17 @@ class Machine:
             faults=cfg.faults,
         )
 
-    def run_operator(
+    def execute(
         self,
         operator: str,
         workload: Any,
         scale_factor: float = 1.0,
-    ) -> SystemResult:
-        """Functionally execute ``operator`` and evaluate it on this machine."""
+    ) -> OperatorRun:
+        """Functionally execute ``operator`` under this machine's variant.
+
+        The run depends only on the workload, ``self.variant(...)`` and
+        the scale, so machines that share a variant can share it.
+        """
         try:
             runner = OPERATOR_RUNNERS[operator]
         except KeyError:
@@ -94,12 +103,20 @@ class Machine:
                 "num_partitions property; every workload dataclass must "
                 "declare how many memory partitions it was generated across"
             ) from None
-        run: OperatorRun = runner(
+        return runner(
             workload,
             self.variant(num_partitions),
             model_scale=scale_factor,
         )
-        return self.evaluate_run(run)
+
+    def run_operator(
+        self,
+        operator: str,
+        workload: Any,
+        scale_factor: float = 1.0,
+    ) -> SystemResult:
+        """Functionally execute ``operator`` and evaluate it on this machine."""
+        return self.evaluate_run(self.execute(operator, workload, scale_factor))
 
     def run_pipeline(self, plan: Any, scale_factor: float = 1.0) -> Any:
         """Execute a :class:`~repro.pipeline.plan.QueryPlan` end-to-end.

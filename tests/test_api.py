@@ -18,6 +18,7 @@ from repro.api import (
     run_plan,
 )
 from repro.api.__main__ import main as api_main
+from repro.api.sweep import group_by_run
 from repro.config.system import (
     EVALUATED_PRESETS,
     HEADLINE_PRESETS,
@@ -327,6 +328,105 @@ class TestSweep:
             # memory tier turns some sequential memory hits into store
             # hits, and concurrent workers may write one digest twice.
             assert stats[2] == stats[1]
+
+
+#: Mondrian plus derived specs: three that only re-cost Mondrian's run
+#: (cores, SIMD width, topology) and two that change the variant
+#: (interleave, faults).
+MEMO_SYSTEMS = (
+    "mondrian",
+    SystemSpec("mondrian").with_cores(16),
+    SystemSpec("mondrian").with_simd(256),
+    SystemSpec("mondrian").with_topology("star"),
+    SystemSpec("mondrian").with_interleave("random"),
+    SystemSpec("mondrian").with_faults(seed=7, drop_prob=0.1, straggler_prob=0.1),
+)
+
+
+def _memo_sweep() -> Sweep:
+    return Sweep(systems=MEMO_SYSTEMS, workloads=common.OPERATORS,
+                 scales=(50.0,), num_partitions=(8,))
+
+
+class TestOperatorRunMemo:
+    def test_shared_runs_export_the_uncached_bytes(self):
+        sweep = _memo_sweep()
+        common.clear_caches()
+        cached = sweep.run().to_json()
+        runs = common.cache_stats()["tiers"]["operator-run"]
+        common.clear_caches()
+        previous = common.set_cache_enabled(False)
+        try:
+            uncached = sweep.run().to_json()
+        finally:
+            common.set_cache_enabled(previous)
+        assert cached == uncached
+        assert common.cache_stats()["tiers"]["operator-run"]["entries"] == 0
+        variants = {common.machine_for(s).variant(8) for s in MEMO_SYSTEMS}
+        assert len(variants) == 3
+        distinct = len(variants) * len(common.OPERATORS)
+        assert runs == {
+            "hits": sweep.size - distinct, "misses": distinct,
+            "evictions": 0, "entries": distinct,
+        }
+
+    def test_results_sharing_a_run_are_distinct_objects(self):
+        common.clear_caches()
+        a = common.run_cached_result("mondrian", "join", 50.0, num_partitions=8)
+        b = common.run_cached_result(
+            SystemSpec("mondrian").with_cores(16), "join", 50.0, num_partitions=8
+        )
+        assert common.cache_stats()["tiers"]["operator-run"]["hits"] == 1
+        assert a is not b
+        assert a.metadata is not b.metadata
+        assert a.metadata == b.metadata
+        assert a.runtime_s != b.runtime_s  # the same run, costed twice
+
+    def test_run_key_ignores_costing_axes(self):
+        keys = {
+            common.operator_run_key(common.machine_for(s), "sort", 50.0, 17, 8)
+            for s in MEMO_SYSTEMS
+        }
+        assert len(keys) == 3
+
+    def test_tier_is_reported_and_cleared(self):
+        common.clear_caches()
+        common.run_cached_result("mondrian", "scan", 50.0, num_partitions=8)
+        assert common.cache_stats()["tiers"]["operator-run"]["entries"] == 1
+        common.clear_caches()
+        assert common.cache_stats()["tiers"]["operator-run"] == {
+            "hits": 0, "misses": 0, "evictions": 0, "entries": 0,
+        }
+
+    def test_grouping_keeps_shared_runs_together_in_input_order(self):
+        scenarios = [
+            Scenario("cpu", "scan", **FAST),
+            Scenario("mondrian", "join", **FAST),
+            Scenario(SystemSpec("mondrian").with_simd(256), "join", **FAST),
+            Scenario("mondrian", "scan", **FAST),
+            Scenario("mondrian", "fk-join-aggregate", **FAST),
+            Scenario("mondrian", "fk-join-aggregate", **FAST),
+            Scenario("cpu", "scan", **FAST),
+        ]
+        assert group_by_run(scenarios) == [[0, 6], [1, 2], [3], [4], [5]]
+        previous = common.set_cache_enabled(False)
+        try:  # nothing is shared without the memo, so nothing is grouped
+            assert group_by_run(scenarios) == [[i] for i in range(7)]
+        finally:
+            common.set_cache_enabled(previous)
+
+    @pytest.mark.parametrize("use_cache", [True, False], ids=["cached", "no-cache"])
+    def test_grouped_parallel_sweep_matches_sequential(self, use_cache):
+        sweep = Sweep(systems=MEMO_SYSTEMS[:3], workloads=("scan", "join"),
+                      scales=(50.0,), num_partitions=(8,))
+        previous = common.set_cache_enabled(use_cache)
+        try:
+            common.clear_caches()
+            sequential = sweep.run(jobs=1).to_json()
+            common.clear_caches()
+            assert sweep.run(jobs=2).to_json() == sequential
+        finally:
+            common.set_cache_enabled(previous)
 
 
 class TestResultSet:
