@@ -23,8 +23,7 @@ import numpy as np
 
 from repro.analytics import Relation
 from repro.config.dram import DramTiming, HmcGeometry
-from repro.dram import VaultMemory
-from repro.dram.vault import VaultRequest
+from repro.dram.vault import VaultMemory, VaultRequest
 from repro.shuffle import ShuffleEngine
 
 NUM_SOURCES = 32

@@ -3,13 +3,12 @@
 The package implements, from scratch, every subsystem the paper's
 evaluation depends on:
 
-- an HMC-style stacked-DRAM model with per-bank row-buffer state and the
-  Table 3 timing parameters (:mod:`repro.dram`);
-- vault memory controllers with FR-FCFS scheduling, permutable-write
-  support, object buffers and stream buffers (:mod:`repro.memctrl`);
+- an HMC-style stacked-DRAM model with the Table 3 timing parameters
+  (:mod:`repro.dram`);
+- the vault controllers' permutable-write engine and shuffle barrier
+  (:mod:`repro.memctrl`);
 - on-chip mesh and inter-device SerDes interconnects
   (:mod:`repro.interconnect`);
-- cache hierarchies for the CPU baseline (:mod:`repro.cache`);
 - analytic core models for out-of-order and in-order-SIMD compute units
   (:mod:`repro.cores`);
 - the four basic data operators -- Scan, Sort, Group by, Join -- in both
@@ -43,15 +42,12 @@ from repro.version import __version__
 _SUBMODULES = (
     "analytics",
     "api",
-    "cache",
     "config",
     "cores",
     "dram",
     "energy",
-    "engine",
     "experiments",
     "interconnect",
-    "mem",
     "memctrl",
     "operators",
     "perf",

@@ -103,17 +103,6 @@ class SegmentedColumns:
             flat = np.empty(0, dtype=TUPLE_DTYPE)
         return cls(keys=flat["key"], payloads=flat["payload"], segments=segments)
 
-    @classmethod
-    def from_struct(cls, data: np.ndarray, segments: np.ndarray) -> "SegmentedColumns":
-        """Columns over one structured tuple array (field views)."""
-        if data.dtype != TUPLE_DTYPE:
-            raise TypeError(f"expected {TUPLE_DTYPE}, got {data.dtype}")
-        return cls(
-            keys=data["key"],
-            payloads=data["payload"],
-            segments=np.asarray(segments, dtype=np.int64),
-        )
-
     # -- shape -------------------------------------------------------------
 
     @property

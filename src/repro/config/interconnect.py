@@ -29,11 +29,6 @@ class InterconnectConfig:
             raise ValueError("SerDes bandwidth must be positive")
 
     @property
-    def noc_link_bw_bps(self) -> float:
-        """Peak bytes/second of one mesh link."""
-        return self.noc_link_b * self.noc_frequency_hz
-
-    @property
     def serdes_bw_bps_per_dir(self) -> float:
         """Peak bytes/second of one SerDes link direction."""
         return self.serdes_bw_gbps_per_dir * 1e9 / 8

@@ -10,7 +10,9 @@ Model highlights:
 - Streams are fed by the binding-prefetch stream buffers, which decouple
   memory from the pipeline: a streaming phase runs at
   ``min(compute rate, vault bandwidth)`` with no latency stalls
-  (validated by :meth:`repro.memctrl.stream_buffer.StreamBufferSet.steady_state_stall_free`).
+  (``tests/test_energy_perf.py::TestMemEnvironment::test_stream_buffers_hide_dram_latency``
+  checks every stream-buffer preset's rate against the vault peak and
+  the 384 B buffer's latency cover).
 - Random accesses are poison for this core: in-order, no ROB, MLP is
   essentially the stream-buffer count when accesses are independent and
   1 otherwise.  Mondrian's algorithms avoid them; the model charges the

@@ -10,8 +10,6 @@ that arithmetic and are exercised directly by the section 3.2 experiment.
 
 from __future__ import annotations
 
-from repro.config.cores import CoreConfig
-
 
 def outstanding_accesses(
     rob_entries: int, instructions_per_mem: float, mshrs: int
@@ -29,21 +27,3 @@ def mlp_limited_bandwidth_bps(
     if mlp <= 0 or latency_ns <= 0 or access_b <= 0:
         raise ValueError("all arguments must be positive")
     return mlp * access_b / (latency_ns * 1e-9)
-
-
-def core_random_bandwidth_bps(
-    core: CoreConfig,
-    latency_ns: float,
-    access_b: int,
-    instructions_per_mem: float = 6.0,
-    mem_parallelism: float = float("inf"),
-) -> float:
-    """Random-access bandwidth one core can generate.
-
-    The effective MLP is the lesser of what the hardware window sustains
-    and the independent accesses the algorithm exposes
-    (``mem_parallelism``).
-    """
-    hw_mlp = core.max_outstanding_mem(instructions_per_mem)
-    mlp = min(hw_mlp, mem_parallelism)
-    return mlp_limited_bandwidth_bps(mlp, latency_ns, access_b)

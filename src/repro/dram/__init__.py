@@ -1,23 +1,20 @@
 """HMC-style stacked-DRAM model.
 
-Two complementary models live here:
+:mod:`repro.dram.analytic` holds the closed-form estimators of row
+activations, latency and achievable bandwidth for the access-pattern
+classes the operators produce (sequential streams, uniform random
+accesses, and the interleaved write streams of the partitioning
+shuffle).  The performance/energy pipeline uses them so experiments can
+be scaled to paper-sized inputs.
 
-- :mod:`repro.dram.bank` / :mod:`repro.dram.vault`: an event-accurate
-  per-bank row-buffer state machine with the Table 3 timings and an
-  FR-FCFS vault scheduler.  Exact, but only practical for scaled-down
-  traces.
-- :mod:`repro.dram.analytic`: closed-form estimators of row activations,
-  latency and achievable bandwidth for the access-pattern classes the
-  operators produce (sequential streams, uniform random accesses, and
-  the interleaved write streams of the partitioning shuffle).
-
-The test suite cross-validates the analytic estimators against the event
-model on randomized traces; the performance/energy pipeline then uses the
-analytic model so experiments can be scaled to paper-sized inputs.
+:mod:`repro.dram.bank` / :mod:`repro.dram.vault` are a test-only
+reference: an event-accurate per-bank row-buffer state machine with the
+Table 3 timings and an FR-FCFS vault scheduler.  Exact, but only
+practical for scaled-down traces; the test suite cross-validates the
+analytic estimators against it.  Import them by module path -- this
+package does not load them.
 """
 
-from repro.dram.bank import Bank, BankStats
-from repro.dram.vault import VaultMemory, VaultStats
 from repro.dram.analytic import (
     AccessPattern,
     InterleavedWrites,
@@ -29,13 +26,9 @@ from repro.dram.analytic import (
 
 __all__ = [
     "AccessPattern",
-    "Bank",
-    "BankStats",
     "InterleavedWrites",
     "PatternEstimate",
     "RandomAccesses",
     "SequentialStream",
-    "VaultMemory",
-    "VaultStats",
     "estimate_pattern",
 ]

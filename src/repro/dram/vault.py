@@ -161,9 +161,3 @@ class VaultMemory:
         for bank in self._banks:
             total.merge(bank.stats)
         self.stats.bank = total
-
-    def reset_timing(self) -> None:
-        """Close all rows and rewind clocks, keeping statistics."""
-        for bank in self._banks:
-            bank.reset()
-        self._bus_free_ns = 0.0

@@ -97,8 +97,3 @@ class MeshNoc:
         """Bit x millimetre energy of moving a message (Table 4's NOC row)."""
         distance_mm = self.hops(src, dst) * self._config.noc_hop_distance_mm
         return message_b * 8 * distance_mm * self._energy.noc_j_per_bit_mm
-
-    def mean_transfer_energy_j(self, message_b: int) -> float:
-        """Energy of an average-distance message (uniform traffic)."""
-        distance_mm = self.mean_hops() * self._config.noc_hop_distance_mm
-        return message_b * 8 * distance_mm * self._energy.noc_j_per_bit_mm

@@ -5,26 +5,16 @@
   tail of the destination buffer instead of their addressed location
   (paper section 5.3), plus the shuffle_begin/shuffle_end handshake with
   its message-signaled-interrupt completion vector (section 5.4).
-- :mod:`repro.memctrl.object_buffer`: per-compute-unit object buffers that
-  guarantee a data object never straddles two memory messages (the
-  permutability granularity contract).
-- :mod:`repro.memctrl.stream_buffer`: the eight 384 B programmable stream
-  buffers that feed the Mondrian SIMD unit with binding prefetches.
 """
 
-from repro.memctrl.object_buffer import ObjectBuffer
 from repro.memctrl.permutable import (
     PermutableRegionConfig,
     PermutableWriteEngine,
     ShuffleBarrier,
 )
-from repro.memctrl.stream_buffer import StreamBufferSet, StreamDescriptor
 
 __all__ = [
-    "ObjectBuffer",
     "PermutableRegionConfig",
     "PermutableWriteEngine",
     "ShuffleBarrier",
-    "StreamBufferSet",
-    "StreamDescriptor",
 ]

@@ -33,13 +33,6 @@ class SortStats:
     bitonic_steps: int
     initial_run: int
 
-    @property
-    def total_passes(self) -> int:
-        """Dataset passes: one per merge pass plus one for the initial
-        run-formation pass (bitonic or single-element runs are formed
-        while streaming the data in)."""
-        return self.merge_passes + (1 if self.n else 0)
-
 
 def merge_pass(data: np.ndarray, run_len: int) -> np.ndarray:
     """One mergesort pass: merge adjacent sorted runs of ``run_len``.

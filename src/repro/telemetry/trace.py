@@ -190,9 +190,6 @@ class Tracer:
     def find(self, name: str) -> List[Span]:
         return [sp for sp in self.spans if sp.name == name]
 
-    def children_of(self, parent: Span) -> List[Span]:
-        return [sp for sp in self.spans if sp.parent_id == parent.span_id]
-
     def to_dicts(self) -> List[Dict[str, Any]]:
         return [sp.to_dict() for sp in self.spans]
 

@@ -3,8 +3,9 @@
 Every fenced ``python`` code block containing doctest prompts in
 ``README.md`` and ``docs/*.md`` is run as a self-contained doctest, the
 CLI flags documented in ``docs/USAGE.md`` are checked against the actual
-``run_all`` argparse parser, and every ``python -m repro...`` module the
-docs mention must be importable.  ``make docs-check`` runs this file
+``run_all`` argparse parser, every ``python -m repro...`` module the
+docs mention must be importable, and every ``src/repro/...`` path they
+name must exist.  ``make docs-check`` runs this file
 plus smoke runs of the documented commands, so the docs cannot rot.
 """
 
@@ -20,6 +21,7 @@ DOC_FILES = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _MODULE = re.compile(r"python -m (repro[\w.]*)")
+_SRC_PATH = re.compile(r"src/repro/[\w./]*[\w/]")
 
 
 def _doctest_blocks():
@@ -114,6 +116,14 @@ def test_documented_modules_are_importable():
             if module.endswith("<module>"):
                 continue
             assert importlib.util.find_spec(module) is not None, (path.name, module)
+
+
+def test_documented_source_paths_exist():
+    """Every `src/repro/...` path the docs link or name (README's layer
+    map included) is still in the tree."""
+    for path in DOC_FILES:
+        for src_path in set(_SRC_PATH.findall(path.read_text())):
+            assert (ROOT / src_path).exists(), (path.name, src_path)
 
 
 def test_usage_experiment_table_covers_all_modules():

@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config.dram import DramTiming, HmcGeometry
 from repro.dram import (
-    Bank,
     InterleavedWrites,
     RandomAccesses,
     SequentialStream,
-    VaultMemory,
     estimate_pattern,
 )
-from repro.dram.vault import VaultRequest
+from repro.dram.bank import Bank
+from repro.dram.vault import VaultMemory, VaultRequest
 
 GEO = HmcGeometry()
 TIMING = DramTiming()

