@@ -97,9 +97,10 @@ load-test-smoke:
 	$(PY) tools/load_test.py --smoke
 
 ## Chaos harness: replay the sweep-smoke grid through a real daemon
-## under worker SIGKILLs, torn store writes, seeded wire faults and
-## daemon loss, asserting every export stays byte-identical to the
-## golden file and no corrupt entry is ever served.
+## under a daemon SIGKILL and restart, torn store writes, seeded wire
+## faults, daemon loss and a fleet member SIGKILL, asserting every
+## export stays byte-identical to the golden file, no corrupt entry is
+## ever served and no serve process outlives its phase.
 chaos-test:
 	$(PY) tools/chaos.py $(CHAOS_SEEDS)
 

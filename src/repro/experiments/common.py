@@ -68,9 +68,8 @@ Two decisions every evaluation entry point shares live here, once:
   ``SuiteRun.run``, the batch scheduler and ``run_all --jobs`` hand it a
   picklable ``fn`` and their items.  Workers run :func:`run_in_worker`,
   which installs the parent's cache/store/trace selection and reports
-  each task's store-counter delta and spans; :func:`fold_reply` merges
-  them into the parent.  The fleet worker subprocesses reuse both halves
-  over their JSON-lines protocol.
+  each task's store-counter delta and spans; ``fan_out`` merges them
+  into the parent.
 """
 
 from __future__ import annotations
@@ -519,22 +518,6 @@ def run_in_worker(
     return value, delta, spans
 
 
-def fold_reply(
-    store: Any,
-    tracer: Any,
-    delta: Optional[Dict[str, int]] = None,
-    spans: Optional[List[Dict[str, Any]]] = None,
-) -> None:
-    """Parent side of one worker reply: merge its store-counter delta
-    into ``store`` and re-parent its spans under ``tracer``'s open span,
-    so ``jobs=N`` runs report the store traffic and trace their workers
-    did."""
-    if store is not None and delta:
-        store.merge_stats(delta)
-    if tracer is not None and spans:
-        tracer.adopt(spans, parent_id=tracer.current_span_id())
-
-
 def fan_out(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
@@ -547,9 +530,10 @@ def fan_out(
     With ``jobs == 1`` (or at most one item) this is a plain in-process
     loop.  Otherwise ``fn`` and ``span`` must be picklable -- module
     functions, ``operator.methodcaller``, ``functools.partial`` -- and
-    each item runs through :func:`run_in_worker` in a pool; replies fold
-    into the parent in input order, so values, store stats and span ids
-    do not depend on scheduling.
+    each item runs through :func:`run_in_worker` in a pool.  Each reply's
+    store-counter delta merges into the parent's store and its spans
+    re-parent under the parent's open span, in input order, so values,
+    store stats and span ids do not depend on scheduling.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
@@ -563,7 +547,10 @@ def fan_out(
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         for value, delta, spans in pool.map(call, items):
             values.append(value)
-            fold_reply(store, tracer, delta, spans)
+            if store is not None and delta:
+                store.merge_stats(delta)
+            if tracer is not None and spans:
+                tracer.adopt(spans, parent_id=tracer.current_span_id())
     return values
 
 

@@ -21,10 +21,9 @@ concurrent clients split one simulation bill:
   tidy :class:`~repro.api.results.ResultSet` records as in-process
   ``Sweep.run``.
 - :mod:`repro.service.resilience` -- the crash-safety layer: write-ahead
-  store journaling with startup recovery, a supervised worker fleet
-  with heartbeats / backoff restarts / circuit breaking, client retry
-  with degradation to local evaluation, and the seeded fault hooks the
-  chaos harness (``make chaos-test``) drives.
+  store journaling with startup recovery, the retry policy and circuit
+  breaker, and the one retry decision both clients share (with
+  degradation to local evaluation in the blocking client).
 
 Command line: ``python -m repro.service serve|submit|stats|ping|recover``
 (see ``docs/USAGE.md``).
@@ -47,8 +46,6 @@ from repro.service.resilience import (
     CircuitBreaker,
     IntentJournal,
     RetryPolicy,
-    WorkerFleet,
-    WorkerTaskError,
 )
 from repro.service.scheduler import BatchScheduler
 from repro.service.store import CODE_VERSION, ResultStore, digest_payload
@@ -67,8 +64,6 @@ __all__ = [
     "ServiceClient",
     "ServiceDegradedWarning",
     "ServiceError",
-    "WorkerFleet",
-    "WorkerTaskError",
     "digest_payload",
     "serve",
     "serve_background",

@@ -49,11 +49,11 @@ from repro.api.scenario import Scenario
 from repro.api.sweep import Sweep
 
 from repro.service.daemon import DEFAULT_PORT
-from repro.service.resilience.retry import RetryPolicy
-
-#: Verbs that are safe to resend: either read-only or content-addressed
-#: (a duplicate ``evaluate``/``sweep`` dedups against the store).
-IDEMPOTENT_VERBS = frozenset({"ping", "stats", "evaluate", "sweep"})
+from repro.service.resilience.retry import (  # noqa: F401 - re-exported
+    IDEMPOTENT_VERBS,
+    RetryBudget,
+    RetryPolicy,
+)
 
 
 class ServiceError(RuntimeError):
@@ -164,49 +164,27 @@ class ServiceClient:
     def call(self, verb: str, **payload: Any) -> Any:
         """One request/response round trip; returns the ``result``.
 
-        Idempotent verbs survive transport failure: a stale reused
-        connection gets one free reconnect-and-resend, and fresh
-        failures are retried up to ``retries`` times with backoff.
-        Non-idempotent verbs (``shutdown``) fail on the first transport
-        error.  Daemon-reported errors (:class:`ServiceError`) are
-        never retried -- the daemon already answered.
+        Transport failures are resent as
+        :class:`~repro.service.resilience.retry.RetryBudget` decides
+        (idempotent verbs only; a free resend on a stale reused
+        connection, then ``retries`` backed-off attempts).
+        Daemon-reported errors (:class:`ServiceError`) are never
+        retried -- the daemon already answered.
         """
-        request = {"verb": verb, **payload}
-        started = time.monotonic()
-        if self.deadline is not None and verb in IDEMPOTENT_VERBS:
-            request.setdefault("deadline_s", self.deadline)
-        idempotent = verb in IDEMPOTENT_VERBS
-        attempts = (1 + self.retries) if idempotent else 1
-        resend_spent = False
-        attempt = 0
+        budget = RetryBudget(
+            verb, payload, self.retries, self.retry_policy, self.deadline,
+            self.resilience, rng=self._rng,
+        )
         while True:
             reused = self._sock is not None
             try:
                 self.connect()
-                return self._exchange(request)
-            except ServiceError:
-                raise
-            except (OSError, ValueError) as exc:
-                if not idempotent:
+                return self._exchange(budget.request)
+            except (OSError, ValueError):
+                delay = budget.after_failure(reused)
+                if delay is None:
                     raise
-                if self.deadline is not None:
-                    remaining = self.deadline - (time.monotonic() - started)
-                    if remaining <= 0:
-                        raise
-                    request["deadline_s"] = remaining
-                if reused and not resend_spent:
-                    # The daemon may simply have restarted since the
-                    # last call on this connection; resending on a
-                    # fresh socket is free and does not touch the
-                    # retry budget.
-                    resend_spent = True
-                    self.resilience["reconnects"] += 1
-                    continue
-                attempt += 1
-                if attempt >= attempts:
-                    raise
-                self.resilience["retries"] += 1
-                self._sleep(self.retry_policy.delay(attempt - 1, rng=self._rng))
+                self._sleep(delay)
 
     # -- verbs ---------------------------------------------------------------
 

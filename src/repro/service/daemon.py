@@ -235,7 +235,7 @@ async def _serve_async(
         async with server:
             await stopped.wait()
     finally:
-        # Serving is over: stop the worker fleet and flush the store.
+        # Serving is over: flush the store.
         daemon.scheduler.close()
 
 
@@ -245,21 +245,16 @@ def serve(
     store: Optional[str] = None,
     jobs: int = 1,
     max_bytes: Optional[int] = None,
-    workers: int = 0,
     announce=print,
 ) -> None:
     """Run the daemon in the foreground until a ``shutdown`` request.
-
-    ``workers=N`` serves store misses through a supervised fleet of N
-    persistent worker subprocesses (heartbeats, backoff restarts, crash
-    requeue) instead of a per-batch process pool.
 
     ``announce(host, port)`` fires once the socket is bound -- the CLI
     prints the ``serving on host:port`` line scripts parse to find an
     ephemeral port.
     """
     daemon = EvaluationDaemon(
-        BatchScheduler(store=store, jobs=jobs, max_bytes=max_bytes, workers=workers)
+        BatchScheduler(store=store, jobs=jobs, max_bytes=max_bytes)
     )
 
     def _announce(h, p):
@@ -321,24 +316,19 @@ def serve_background(
     store: Optional[str] = None,
     jobs: int = 1,
     max_bytes: Optional[int] = None,
-    workers: int = 0,
-    scheduler: Optional[BatchScheduler] = None,
 ) -> ServerHandle:
     """Start the daemon on a daemon thread; returns once it accepts.
 
     ``port=0`` binds an ephemeral port; the handle carries the actual
     address.  Used by tests, doctests and embedders that want a warm
-    shared cache without a separate process.  ``scheduler`` injects a
-    pre-built scheduler (tests hand in fleets with tight timeouts).
+    shared cache without a separate process.
     """
     import queue
 
     ready: "queue.Queue" = queue.Queue()
-    if scheduler is None:
-        scheduler = BatchScheduler(
-            store=store, jobs=jobs, max_bytes=max_bytes, workers=workers
-        )
-    daemon = EvaluationDaemon(scheduler)
+    daemon = EvaluationDaemon(
+        BatchScheduler(store=store, jobs=jobs, max_bytes=max_bytes)
+    )
     thread = threading.Thread(
         target=lambda: asyncio.run(_serve_async(daemon, host, port, ready=ready)),
         name="repro-service",

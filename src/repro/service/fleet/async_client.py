@@ -12,12 +12,12 @@ one process.
   daemon answers one connection's requests strictly in order).  A
   thousand in-flight evaluates need ``max_connections`` sockets, not a
   thousand.
-- **The idempotent-verb retry matrix.**  ``ping``/``stats``/
-  ``evaluate``/``sweep`` survive transport failure: a *reused*
-  connection gets one free reconnect-and-resend (a daemon restart
-  between calls is invisible), then up to ``retries`` fresh attempts
-  with :class:`~repro.service.resilience.retry.RetryPolicy` backoff.
-  ``shutdown`` is never resent.  Daemon-reported errors raise
+- **The idempotent-verb retry matrix.**  The blocking client's rules,
+  from the same :class:`~repro.service.resilience.retry.RetryBudget`:
+  ``ping``/``stats``/``evaluate``/``sweep`` survive transport failure
+  (a *reused* connection gets one free reconnect-and-resend, then up
+  to ``retries`` backed-off attempts); ``shutdown`` is never resent.
+  Daemon-reported errors raise
   :class:`~repro.service.client.ServiceError` and are never retried.
 - **Per-request deadlines.**  ``deadline`` (constructor default or
   per-call override) is enforced locally with ``asyncio.wait_for`` and
@@ -36,16 +36,15 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import time
 from collections import deque
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.api.results import ResultSet
 from repro.api.scenario import Scenario
 from repro.api.sweep import Sweep
-from repro.service.client import IDEMPOTENT_VERBS, ServiceError
+from repro.service.client import ServiceError
 from repro.service.daemon import DEFAULT_PORT
-from repro.service.resilience.retry import RetryPolicy
+from repro.service.resilience.retry import RetryBudget, RetryPolicy
 
 _MAX_LINE = 16 * 1024 * 1024
 
@@ -208,36 +207,32 @@ class AsyncServiceClient:
     ) -> Any:
         """One request/response; idempotent verbs survive transport loss.
 
-        Mirrors the blocking client's matrix: daemon-reported errors
-        (:class:`ServiceError`) are terminal; a reused connection earns
-        one free reconnect-and-resend; fresh transport failures are
-        retried ``retries`` times with backoff; ``shutdown`` never
-        resends.  The remaining deadline rides as ``deadline_s``.
+        The blocking client's rules (one shared
+        :class:`~repro.service.resilience.retry.RetryBudget`):
+        daemon-reported errors (:class:`ServiceError`) are terminal;
+        idempotent verbs are resent after transport failures; the
+        remaining deadline rides as ``deadline_s`` and is also enforced
+        locally.
         """
-        request = {"verb": verb, **payload}
-        budget = deadline if deadline is not None else self.deadline
-        started = time.monotonic()
-        idempotent = verb in IDEMPOTENT_VERBS
-        if budget is not None and idempotent:
-            request.setdefault("deadline_s", budget)
-        attempts = (1 + self.retries) if idempotent else 1
-        resend_spent = False
-        attempt = 0
+        if deadline is None:
+            deadline = self.deadline
+        budget = RetryBudget(
+            verb, payload, self.retries, self.retry_policy, deadline,
+            self.resilience, rng=self._rng,
+        )
         while True:
             conn = None
             reused = False
             try:
                 conn = await self._connection()
                 reused = conn.used
-                remaining = None
-                if budget is not None:
-                    remaining = budget - (time.monotonic() - started)
-                    if remaining <= 0:
-                        raise asyncio.TimeoutError(
-                            f"deadline of {budget}s exhausted before send"
-                        )
+                remaining = budget.remaining()
+                if remaining is not None and remaining <= 0:
+                    raise asyncio.TimeoutError(
+                        f"deadline of {deadline}s exhausted before send"
+                    )
                 response = await asyncio.wait_for(
-                    conn.request(request), timeout=remaining
+                    conn.request(budget.request), timeout=remaining
                 )
             except asyncio.TimeoutError:
                 # The FIFO is now misaligned for everything behind this
@@ -246,25 +241,11 @@ class AsyncServiceClient:
                     with contextlib.suppress(Exception):
                         await conn.close()
                 raise
-            except (OSError, ValueError, ConnectionError) as exc:
-                if not idempotent:
+            except (OSError, ValueError):
+                delay = budget.after_failure(reused)
+                if delay is None:
                     raise
-                if budget is not None:
-                    remaining = budget - (time.monotonic() - started)
-                    if remaining <= 0:
-                        raise
-                    request["deadline_s"] = remaining
-                if reused and not resend_spent:
-                    resend_spent = True
-                    self.resilience["reconnects"] += 1
-                    continue
-                attempt += 1
-                if attempt >= attempts:
-                    raise
-                self.resilience["retries"] += 1
-                await asyncio.sleep(
-                    self.retry_policy.delay(attempt - 1, rng=self._rng)
-                )
+                await asyncio.sleep(delay)
                 continue
             if not response.get("ok"):
                 raise ServiceError(response.get("error", "unknown daemon error"))

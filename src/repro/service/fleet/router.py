@@ -484,10 +484,19 @@ class FleetRouter:
         await asyncio.sleep(self.backoff.delay(member.crashes))
         member.crashes += 1
         loop = asyncio.get_running_loop()
+        spawn = loop.run_in_executor(
+            None, spawn_member, str(self.store.root), member.host
+        )
         try:
-            host, port, proc = await loop.run_in_executor(
-                None, spawn_member, str(self.store.root), member.host
-            )
+            host, port, proc = await asyncio.shield(spawn)
+        except asyncio.CancelledError:
+            # The router is stopping mid-spawn.  The executor thread
+            # starts the process regardless, so wait it out and hand it
+            # to the member: stop_members must find it, or it outlives
+            # the fleet.
+            with contextlib.suppress(RuntimeError):
+                member.host, member.port, member.proc = await spawn
+            raise
         except RuntimeError:
             member.breaker.record_failure()
             return

@@ -5,7 +5,7 @@ single :class:`~repro.service.store.ResultStore` (``contains`` / ``get``
 / ``put`` / ``stats`` / ``counters`` / ``merge_stats`` / ``flush`` /
 ``verify``), so everything built on the PR 4 store -- the cache tier in
 ``run_cached_result``, the batch scheduler, the serving daemon, the
-worker fleet's store-counter deltas -- runs unchanged on top of it.
+process pool's store-counter deltas -- runs unchanged on top of it.
 Underneath, objects are spread over ``shards`` standard stores (each
 with the full PR 7 journal/quarantine machinery) by consistent hashing
 (:class:`~repro.service.fleet.ring.HashRing`) with ``replicas`` copies:

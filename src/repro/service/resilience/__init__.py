@@ -3,34 +3,29 @@
 Everything that makes the service survive real-world failure:
 
 - :mod:`repro.service.resilience.retry` -- :class:`RetryPolicy`
-  (bounded exponential backoff with injectable jitter) and
+  (bounded exponential backoff with injectable jitter),
   :class:`CircuitBreaker` (closed/open/half-open over consecutive
-  failures), shared by the resilient client and the worker fleet.
+  failures) and :class:`RetryBudget`, the one retry decision both
+  service clients share.  The fleet router reuses the policy and the
+  breaker for its member daemons.
 - :mod:`repro.service.resilience.journal` -- the store's write-ahead
   :class:`IntentJournal` plus the fsync helpers behind crash-safe
   atomic writes; interrupted puts are rolled forward or discarded by a
   startup recovery scan, never half-served.
-- :mod:`repro.service.resilience.supervisor` -- :class:`WorkerFleet`:
-  N supervised worker subprocesses behind one dispatch queue, with
-  heartbeat health checks, backoff-paced restarts, crash requeue with
-  store-deduped idempotent task ids, and in-process degradation when
-  the circuit opens.
-- :mod:`repro.service.resilience.worker` -- the worker subprocess main
-  loop, including the seeded ``REPRO_WORKER_CHAOS`` fault hooks the
-  chaos harness (``tools/chaos.py`` / ``make chaos-test``) arms.
 
-See docs/ARCHITECTURE.md, "Resilience & failure semantics".
+Crash isolation lives in the process model, not here: a daemon's
+``--jobs`` pool is rebuilt per batch, and member daemons behind the
+fleet router (:mod:`repro.service.fleet`) are health-checked, failed
+over and respawned.  See docs/ARCHITECTURE.md, "Resilience & failure
+semantics".
 """
 
 from repro.service.resilience.journal import IntentJournal, atomic_write_text
 from repro.service.resilience.retry import CircuitBreaker, RetryPolicy
-from repro.service.resilience.supervisor import WorkerFleet, WorkerTaskError
 
 __all__ = [
     "CircuitBreaker",
     "IntentJournal",
     "RetryPolicy",
-    "WorkerFleet",
-    "WorkerTaskError",
     "atomic_write_text",
 ]

@@ -1,6 +1,6 @@
-"""Retry/backoff policy and circuit breaker for the service layer.
+"""Retry/backoff policy, circuit breaker and the client retry decision.
 
-Both primitives are deliberately tiny and deterministic-by-injection:
+All three are deliberately tiny and deterministic-by-injection:
 
 - :class:`RetryPolicy` computes bounded exponential backoff delays.
   Jitter is drawn from a caller-supplied ``random.Random`` (or skipped
@@ -10,17 +10,27 @@ Both primitives are deliberately tiny and deterministic-by-injection:
   state machine over *consecutive* failures.  The clock is injectable
   (``time.monotonic`` by default) so the open->half-open transition is
   testable without sleeping.
+- :class:`RetryBudget` is the sans-IO retry decision for one client
+  request: which verbs may resend, how many attempts, the free resend
+  on a reused connection, the shrinking ``deadline_s`` and the backoff
+  between attempts.  The blocking
+  :class:`~repro.service.client.ServiceClient` and the pipelined
+  :class:`~repro.service.fleet.async_client.AsyncServiceClient` each
+  wrap it in their own transport and sleep.
 
-They are shared by the resilient :class:`~repro.service.client.ServiceClient`
-(transport retries) and the :class:`~repro.service.resilience.supervisor.WorkerFleet`
-(worker restart pacing and the stop-restarting-a-crashing-fleet guard).
+The fleet router reuses the policy (member respawn pacing) and the
+breaker (one per member daemon).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
+
+#: Verbs that are safe to resend: either read-only or content-addressed
+#: (a duplicate ``evaluate``/``sweep`` dedups against the store).
+IDEMPOTENT_VERBS = frozenset({"ping", "stats", "evaluate", "sweep"})
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,77 @@ class RetryPolicy:
         """One delay per allowed retry, in order."""
         for attempt in range(self.retries):
             yield self.delay(attempt, rng)
+
+
+class RetryBudget:
+    """The retry decision for one client request, free of any I/O.
+
+    Build one per call, send :attr:`request`, and after each transport
+    failure ask :meth:`after_failure` what to do next.  The rules:
+
+    - only :data:`IDEMPOTENT_VERBS` are ever resent, with ``1 + retries``
+      attempts; ``shutdown`` fails on its first transport error;
+    - a failure on a *reused* connection earns one free resend that
+      does not touch the retry budget (the daemon may simply have
+      restarted since the last call);
+    - with a ``deadline``, the request carries ``deadline_s`` and each
+      failure re-budgets it to the time left -- or gives up once none is;
+    - ``policy.delay(attempt - 1, rng)`` paces the paid retries.
+
+    Free resends and paid retries are counted into ``counters``
+    (``"reconnects"`` / ``"retries"``), the client's ``resilience`` dict.
+    """
+
+    def __init__(
+        self,
+        verb: str,
+        payload: Dict[str, Any],
+        retries: int,
+        policy: RetryPolicy,
+        deadline: Optional[float],
+        counters: Dict[str, int],
+        rng=None,
+        clock=time.monotonic,
+    ) -> None:
+        self.request: Dict[str, Any] = {"verb": verb, **payload}
+        self._idempotent = verb in IDEMPOTENT_VERBS
+        if deadline is not None and self._idempotent:
+            self.request.setdefault("deadline_s", deadline)
+        self._attempts = 1 + retries if self._idempotent else 1
+        self._attempt = 0
+        self._resend_spent = False
+        self._policy = policy
+        self._deadline = deadline
+        self._counters = counters
+        self._rng = rng
+        self._clock = clock
+        self._started = clock()
+
+    def remaining(self) -> Optional[float]:
+        """Seconds left of the deadline (``None`` without one)."""
+        if self._deadline is None:
+            return None
+        return self._deadline - (self._clock() - self._started)
+
+    def after_failure(self, reused: bool) -> Optional[float]:
+        """A transport failure happened: seconds to wait before resending
+        :attr:`request`, or ``None`` when the caller must re-raise."""
+        if not self._idempotent:
+            return None
+        remaining = self.remaining()
+        if remaining is not None:
+            if remaining <= 0:
+                return None
+            self.request["deadline_s"] = remaining
+        if reused and not self._resend_spent:
+            self._resend_spent = True
+            self._counters["reconnects"] += 1
+            return 0.0
+        self._attempt += 1
+        if self._attempt >= self._attempts:
+            return None
+        self._counters["retries"] += 1
+        return self._policy.delay(self._attempt - 1, rng=self._rng)
 
 
 class CircuitBreaker:

@@ -12,19 +12,11 @@ order:
    the persistent store are served in-process -- the store-tier lookup
    inside ``run_cached_result`` restores the evaluated result with zero
    simulation executions.
-3. **Fan out misses.**  Remaining points run either through the
-   shared process-pool runtime (``jobs=N``, the same
-   :func:`~repro.experiments.common.fan_out` ``Sweep.run`` uses) or --
-   with ``workers=N`` -- through a **supervised worker fleet**
-   (:class:`~repro.service.resilience.supervisor.WorkerFleet`):
-   persistent worker subprocesses that are heartbeat-monitored,
-   restarted with backoff when they crash, and whose in-flight tasks
-   are requeued (idempotent content-digest ids, so replays dedup
-   against the store).  When the fleet's circuit breaker opens, the
-   remaining tasks degrade to in-process evaluation -- a batch always
-   completes.  Either way workers inherit the store handle and write
-   their evaluated results back, so one batch warms the store for
-   every later client.
+3. **Fan out misses.**  Remaining points run through the shared
+   process-pool runtime (``jobs=N``, the same
+   :func:`~repro.experiments.common.fan_out` ``Sweep.run`` uses).
+   Workers inherit the store handle and write their evaluated results
+   back, so one batch warms the store for every later client.
 
 The scheduler is the daemon's engine, but stands alone: feeding it
 ``Sweep(...).scenarios()`` is the programmatic batch API.
@@ -51,20 +43,10 @@ class BatchScheduler:
         store: Optional[Any] = None,
         jobs: int = 1,
         max_bytes: Optional[int] = None,
-        workers: int = 0,
-        fleet: Optional[Any] = None,
     ) -> None:
         """``store`` is a directory path (or ``None`` to use the
         process-wide selection: ``--store`` flag / ``REPRO_STORE``);
         ``jobs`` caps the process-pool width used for store misses.
-
-        ``workers=N`` replaces the per-batch process pool with a
-        **supervised fleet** of N persistent worker subprocesses
-        (spawned eagerly, reused across batches, heartbeat-monitored,
-        restarted on crash); ``fleet`` injects a pre-built
-        :class:`~repro.service.resilience.supervisor.WorkerFleet`
-        instead (tests tighten its timeouts).  Call :meth:`close` to
-        stop the fleet.
 
         A scheduler-owned store is **scoped**: it is installed as the
         process store only for the duration of each submission, and the
@@ -74,8 +56,6 @@ class BatchScheduler:
         """
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         self._store = None
         if store is not None:
             import os
@@ -88,18 +68,12 @@ class BatchScheduler:
             else:
                 self._store = store  # an already-open store handle
         self.jobs = jobs
-        self._fleet = fleet
-        if fleet is None and workers > 0:
-            from repro.service.resilience.supervisor import WorkerFleet
-
-            self._fleet = WorkerFleet(workers)
         self._stats = {
             "batches": 0,
             "submitted": 0,
             "deduplicated": 0,
             "store_hits": 0,
             "executed": 0,
-            "degraded": 0,
         }
 
     @contextlib.contextmanager
@@ -176,31 +150,19 @@ class BatchScheduler:
             # executions.
             for scenario in hits:
                 records[scenario] = scenario.records()
-            degraded = 0
-            if self._fleet is not None and misses:
-                chunks, store_delta, degraded = self._fleet.evaluate(
-                    misses,
-                    store=common.store_path(),
-                    cache=common.cache_enabled(),
-                )
-                common.fold_reply(store, None, store_delta)
-            else:
-                chunks = evaluate_scenarios(misses, self.jobs)
-            records.update(zip(misses, chunks))
+            records.update(zip(misses, evaluate_scenarios(misses, self.jobs)))
 
         self._stats["batches"] += 1
         self._stats["submitted"] += len(scenarios)
         self._stats["deduplicated"] += len(scenarios) - len(unique)
         self._stats["store_hits"] += len(hits)
         self._stats["executed"] += len(misses)
-        self._stats["degraded"] += degraded
         reg = _registry()
         reg.counter("service.batches").inc()
         reg.counter("service.submitted").inc(len(scenarios))
         reg.counter("service.deduplicated").inc(len(scenarios) - len(unique))
         reg.counter("service.store_hits").inc(len(hits))
         reg.counter("service.executed").inc(len(misses))
-        reg.counter("service.degraded").inc(degraded)
         reg.histogram("service.batch_size").observe(len(scenarios))
         return ResultSet(r for s in scenarios for r in records[s])
 
@@ -213,26 +175,11 @@ class BatchScheduler:
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Lifetime batch counters (plus dedup/store-hit/executed split).
-
-        With a worker fleet attached, its supervision counters
-        (restarts, requeues, heartbeats, circuit state, live pids) ride
-        along under ``"fleet"``.
-        """
-        stats: Dict[str, Any] = dict(self._stats)
-        if self._fleet is not None:
-            stats["fleet"] = self._fleet.stats()
-        return stats
-
-    @property
-    def fleet(self) -> Optional[Any]:
-        """The supervised worker fleet, or ``None`` in pool/in-process mode."""
-        return self._fleet
+        """Lifetime batch counters (plus dedup/store-hit/executed split)."""
+        return dict(self._stats)
 
     def close(self) -> None:
-        """Stop the worker fleet (if any) and flush the owned store."""
-        if self._fleet is not None:
-            self._fleet.close()
+        """Flush the owned store."""
         if self._store is not None:
             self._store.flush()
 

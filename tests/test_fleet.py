@@ -481,6 +481,50 @@ class TestLiveFleet:
         assert pong["service"] == "repro.service.fleet"
 
 
+class TestStopDuringRespawn:
+    def test_no_respawned_member_outlives_the_fleet(self, tmp_path, monkeypatch):
+        """A stop that lands while the router is respawning a member must
+        still shut the new member down: the spawn is waited out and its
+        process handed to the member before the members are stopped."""
+        from repro.service.fleet import router as router_mod
+
+        fleet = start_fleet_background(str(tmp_path), shards=2, replicas=2)
+        real_spawn = router_mod.spawn_member
+        called, returned = threading.Event(), threading.Event()
+        spawned = []
+
+        def spawn_during_stop(*args, **kwargs):
+            # Hold the spawn until the router is stopping, so the stop
+            # always races an in-flight respawn.
+            called.set()
+            deadline = time.monotonic() + 30
+            while not fleet.router.stopping and time.monotonic() < deadline:
+                time.sleep(0.01)
+            try:
+                host, port, proc = real_spawn(*args, **kwargs)
+                spawned.append(proc)
+                return host, port, proc
+            finally:
+                returned.set()
+
+        monkeypatch.setattr(router_mod, "spawn_member", spawn_during_stop)
+        try:
+            assert fleet.kill_member(0) is not None
+            assert called.wait(timeout=30), "the router never respawned"
+            assert fleet.stop()
+            assert returned.wait(timeout=60)
+            assert spawned, "the respawn never started a process"
+            survivors = [p.pid for p in spawned if p.poll() is None]
+            assert survivors == [], f"member processes outlived the fleet: {survivors}"
+        finally:
+            fleet.stop()
+            for proc in spawned:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+                proc.stdout.close()
+
+
 # ---------------------------------------------------------------------------
 # Hedging and degradation (hand-built routers)
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ named test-only reference.
 A static walk of ``import`` / ``from ... import`` statements at any
 depth (function-level lazy imports count) starts from every way the
 package is entered: ``import repro`` and its lazily loaded
-``repro._SUBMODULES``, each ``python -m`` package (``__main__.py``),
-the report driver and the stdio worker the supervisor spawns.  A module
+``repro._SUBMODULES``, each ``python -m`` package (``__main__.py``)
+and the report driver.  A module
 the walk never reaches is dead code unless a test compares production
 numbers against it; those are listed in :data:`TEST_ONLY_REFERENCES`,
 and production must never import them.
@@ -28,10 +28,7 @@ TEST_ONLY_REFERENCES = {
 }
 
 #: Modules run directly rather than imported by the package.
-ENTRY_MODULES = (
-    "repro.experiments.run_all",
-    "repro.service.resilience.worker",
-)
+ENTRY_MODULES = ("repro.experiments.run_all",)
 
 
 def module_files():

@@ -1,18 +1,13 @@
 """Tests for the service resilience layer: retry policy and circuit
 breaker, the write-ahead intent journal and crash-safe store recovery,
-the worker loop's chaos hooks, the supervised worker fleet (restarts,
-requeue, degradation, heartbeats), the resilient client (retries,
-reconnect-resend, deadlines, local degradation) and the scheduler/daemon
-wiring on top."""
+daemon deadlines, and the resilient client (retries, reconnect-resend,
+deadlines, local degradation)."""
 
 import json
 import os
-import signal
 import socket
 import threading
 import time
-from io import StringIO
-from pathlib import Path
 
 import pytest
 
@@ -28,24 +23,19 @@ from repro.service import (
     RetryPolicy,
     ServiceClient,
     ServiceError,
-    WorkerFleet,
-    WorkerTaskError,
     serve_background,
 )
 from repro.service.client import IDEMPOTENT_VERBS, ServiceDegradedWarning
-from repro.service.resilience import worker as worker_mod
+from repro.service.resilience.retry import RetryBudget
 from repro.service.resilience.journal import (
     atomic_write_text,
     fsync_dir,
     fsync_path,
 )
-from repro.service.store import FSYNC_ENV, digest_payload
+from repro.service.store import FSYNC_ENV
 
 #: Small, fast scenario parameters shared across the module.
 FAST = dict(model_scale=50.0, num_partitions=8)
-
-#: A zero-wait backoff so fleet tests never sleep between respawns.
-NO_BACKOFF = RetryPolicy(retries=0, base_delay=0.0, max_delay=0.0, jitter=0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -53,23 +43,12 @@ def isolated_store_state(monkeypatch):
     """Every test starts without a persistent tier and with cold caches."""
     monkeypatch.delenv(common.STORE_ENV, raising=False)
     monkeypatch.delenv(common.STORE_MAX_BYTES_ENV, raising=False)
-    monkeypatch.delenv("REPRO_WORKER_CHAOS", raising=False)
     common.configure_store(None)
     common.clear_caches()
     yield
     common.configure_store(None)
     common.clear_caches()
     common.set_cache_enabled(True)
-
-
-def chaos_env(spec: str) -> dict:
-    """A worker environment with a chaos schedule armed."""
-    import repro
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
-    env["REPRO_WORKER_CHAOS"] = spec
-    return env
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +137,52 @@ class TestCircuitBreaker:
     def test_validation(self):
         with pytest.raises(ValueError, match="failure_threshold"):
             CircuitBreaker(failure_threshold=0)
+
+
+# ---------------------------------------------------------------------------
+# RetryBudget: the retry decision both clients share
+# ---------------------------------------------------------------------------
+
+
+class TestRetryBudget:
+    POLICY = RetryPolicy(base_delay=0.1, max_delay=1.0, jitter=0.0)
+
+    def budget(self, verb, retries=2, deadline=None, clock=None):
+        counters = {"retries": 0, "reconnects": 0}
+        budget = RetryBudget(verb, {"x": 1}, retries, self.POLICY, deadline,
+                             counters, clock=clock or FakeClock())
+        return budget, counters
+
+    def test_free_resend_then_backed_off_retries_then_give_up(self):
+        budget, counters = self.budget("ping", retries=2)
+        assert budget.request == {"verb": "ping", "x": 1}
+        assert budget.after_failure(reused=True) == 0.0  # free resend
+        assert budget.after_failure(reused=True) == 0.1  # only one is free
+        assert budget.after_failure(reused=False) == 0.2
+        assert budget.after_failure(reused=False) is None  # 1 + 2 attempts spent
+        assert counters == {"retries": 2, "reconnects": 1}
+
+    def test_non_idempotent_verbs_never_resend(self):
+        budget, counters = self.budget("shutdown", deadline=5.0)
+        assert "deadline_s" not in budget.request
+        assert budget.after_failure(reused=True) is None
+        assert counters == {"retries": 0, "reconnects": 0}
+
+    def test_deadline_is_rebudgeted_then_exhausted(self):
+        clock = FakeClock()
+        budget, _ = self.budget("sweep", retries=5, deadline=2.0, clock=clock)
+        assert budget.request["deadline_s"] == 2.0
+        clock.now = 0.5
+        assert budget.remaining() == 1.5
+        assert budget.after_failure(reused=False) == 0.1
+        assert budget.request["deadline_s"] == 1.5
+        clock.now = 2.0
+        assert budget.after_failure(reused=False) is None
+
+    def test_without_a_deadline_nothing_expires(self):
+        budget, _ = self.budget("evaluate")
+        assert budget.remaining() is None
+        assert "deadline_s" not in budget.request
 
 
 # ---------------------------------------------------------------------------
@@ -358,281 +383,8 @@ class TestStoreCrashSafety:
 
 
 # ---------------------------------------------------------------------------
-# The worker loop (in-process, injectable chaos)
+# Daemon deadlines
 # ---------------------------------------------------------------------------
-
-
-def run_worker(lines, chaos=None, kill=None):
-    """Drive the worker loop over scripted stdin; return response dicts."""
-    out = StringIO()
-    worker_mod.run(
-        StringIO("".join(line + "\n" for line in lines)),
-        out,
-        chaos=chaos if chaos is not None else {},
-        kill=kill if kill is not None else (lambda: None),
-    )
-    return [json.loads(line) for line in out.getvalue().splitlines()]
-
-
-class TestWorkerLoop:
-    def test_parse_chaos(self):
-        assert worker_mod.parse_chaos(None) == {}
-        assert worker_mod.parse_chaos("") == {}
-        plan = worker_mod.parse_chaos("kill_after=2, mode=post")
-        assert plan["kill_after"] == 2 and plan["mode"] == "post"
-        plan = worker_mod.parse_chaos("stall_after=1,stall=0.5")
-        assert plan["stall_after"] == 1 and plan["stall"] == 0.5
-        assert plan["mode"] == "pre"  # default
-        with pytest.raises(ValueError, match="mode"):
-            worker_mod.parse_chaos("mode=sideways")
-        with pytest.raises(ValueError, match="unknown chaos key"):
-            worker_mod.parse_chaos("explode=yes")
-
-    def test_ping_exit_and_unknown_verb(self):
-        responses = run_worker([
-            json.dumps({"verb": "ping", "id": "hb"}),
-            json.dumps({"verb": "frobnicate", "id": "x"}),
-            "",  # blank lines are skipped
-            json.dumps({"verb": "exit", "id": "bye"}),
-            json.dumps({"verb": "ping"}),  # never reached: exit returned
-        ])
-        assert responses[0]["pong"] and responses[0]["pid"] == os.getpid()
-        assert not responses[1]["ok"] and "unknown verb" in responses[1]["error"]
-        assert responses[2] == {"id": "bye", "ok": True, "bye": True}
-        assert len(responses) == 3
-
-    def test_malformed_line_is_answered_not_fatal(self):
-        responses = run_worker(["{not json", json.dumps({"verb": "ping"})])
-        assert not responses[0]["ok"]
-        assert responses[1]["pong"]  # the loop survived
-
-    def test_evaluate_returns_records_and_store_delta(self, tmp_path):
-        scenario = Scenario("cpu", "scan", **FAST)
-        records, delta, spans = common.run_in_worker(
-            worker_mod._scenario_records, scenario.to_dict(),
-            (True, str(tmp_path / "a"), False), span=worker_mod._fleet_span,
-        )
-        assert records == scenario.records()
-        assert delta["puts"] == 1
-        assert spans is None  # tracing was not requested
-        # Cold again, the evaluate verb ships exactly that reply.
-        common.clear_caches()
-        responses = run_worker([json.dumps({
-            "verb": "evaluate", "id": "t0",
-            "scenario": scenario.to_dict(),
-            "store": str(tmp_path / "b"), "cache": True,
-        })])
-        assert responses[0]["ok"]
-        assert responses[0]["records"] == records
-        assert responses[0]["store_delta"] == delta
-        assert "spans" not in responses[0]
-
-    def test_evaluate_failure_is_a_task_error(self):
-        responses = run_worker([json.dumps({
-            "verb": "evaluate", "id": "t0",
-            "scenario": {"system": "cpu", "operator": "nope"},
-            "store": None, "cache": True,
-        })])
-        assert not responses[0]["ok"]
-        assert "nope" in responses[0]["error"]
-
-    def test_chaos_kill_pre_dies_without_evaluating(self, tmp_path):
-        kills = []
-        responses = run_worker(
-            [json.dumps({
-                "verb": "evaluate", "id": "t0",
-                "scenario": Scenario("cpu", "scan", **FAST).to_dict(),
-                "store": str(tmp_path), "cache": True,
-            })],
-            chaos={"kill_after": 0, "mode": "pre", "stall": 5.0},
-            kill=lambda: kills.append(True),
-        )
-        assert kills == [True]
-        assert responses[0]["error"] == "chaos: killed"
-        assert list((tmp_path / "objects").glob("*/*.json")) == [] \
-            if (tmp_path / "objects").is_dir() else True
-
-    def test_chaos_kill_post_lands_the_store_write_first(self, tmp_path):
-        kills = []
-        responses = run_worker(
-            [json.dumps({
-                "verb": "evaluate", "id": "t0",
-                "scenario": Scenario("cpu", "scan", **FAST).to_dict(),
-                "store": str(tmp_path), "cache": True,
-            })],
-            chaos={"kill_after": 0, "mode": "post", "stall": 5.0},
-            kill=lambda: kills.append(True),
-        )
-        assert kills == [True]
-        assert responses[0]["error"] == "chaos: killed"
-        # The evaluated result reached the store before the "crash" --
-        # this is what lets a requeued replay dedup instead of recompute.
-        assert len(list((tmp_path / "objects").glob("*/*.json"))) == 1
-
-    def test_chaos_stall_still_answers(self, tmp_path):
-        responses = run_worker(
-            [json.dumps({
-                "verb": "evaluate", "id": "t0",
-                "scenario": Scenario("cpu", "scan", **FAST).to_dict(),
-                "store": str(tmp_path), "cache": True,
-            })],
-            chaos={"stall_after": 0, "stall": 0.0},
-        )
-        assert responses[0]["ok"]
-
-
-# ---------------------------------------------------------------------------
-# The supervised fleet (real subprocesses)
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerFleet:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="size"):
-            WorkerFleet(0)
-        with pytest.raises(ValueError, match="max_task_attempts"):
-            WorkerFleet(1, max_task_attempts=0)
-
-    def test_round_trip_preserves_order_and_merges_deltas(self, tmp_path):
-        scenarios = [
-            Scenario("cpu", "scan", **FAST),
-            Scenario("cpu", "join", **FAST),
-        ]
-        with WorkerFleet(2, task_timeout=120.0) as fleet:
-            assert len(fleet.pids()) == 2
-            records, delta, degraded = fleet.evaluate(
-                scenarios, store=str(tmp_path)
-            )
-            stats = fleet.stats()
-        assert degraded == 0
-        assert [r for r in records] == [s.records() for s in scenarios]
-        assert delta["puts"] == 2
-        assert stats["completed"] == 2 and stats["circuit"] == "closed"
-        assert stats["spawned"] == 2 and stats["restarts"] == 0
-
-    def test_crash_requeue_dedups_against_the_store(self, tmp_path):
-        scenarios = [
-            Scenario("cpu", "scan", **FAST),
-            Scenario("cpu", "join", **FAST),
-        ]
-        with WorkerFleet(
-            1, task_timeout=120.0, restart_backoff=NO_BACKOFF,
-            env=chaos_env("kill_after=1,mode=post"),
-        ) as fleet:
-            records, delta, degraded = fleet.evaluate(
-                scenarios, store=str(tmp_path)
-            )
-            stats = fleet.stats()
-        assert degraded == 0
-        assert [r for r in records] == [s.records() for s in scenarios]
-        assert stats["restarts"] >= 1
-        assert stats["requeues"] >= 1
-        # The replayed task was served by the store, not re-simulated:
-        # its first attempt's write landed before the SIGKILL.
-        store = ResultStore(tmp_path)
-        assert store.stats()["entries"] == 2
-
-    def test_attempts_exhausted_degrades_in_process(self, tmp_path):
-        scenario = Scenario("cpu", "scan", **FAST)
-        with WorkerFleet(
-            1, task_timeout=30.0, max_task_attempts=2,
-            restart_backoff=NO_BACKOFF,
-            breaker=CircuitBreaker(failure_threshold=100),
-            env=chaos_env("kill_after=0,mode=pre"),
-        ) as fleet:
-            records, _, degraded = fleet.evaluate([scenario])
-            stats = fleet.stats()
-        assert degraded == 1
-        assert records[0] == scenario.records()
-        assert stats["degraded_tasks"] == 1
-        assert stats["requeues"] == 1  # attempt 1 requeued, attempt 2 degraded
-
-    def test_open_circuit_degrades_without_touching_workers(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_after=9999.0)
-        scenario = Scenario("cpu", "scan", **FAST)
-        with WorkerFleet(1, breaker=breaker) as fleet:
-            breaker.record_failure()  # trip it
-            records, _, degraded = fleet.evaluate([scenario])
-            stats = fleet.stats()
-        assert degraded == 1
-        assert records[0] == scenario.records()
-        assert stats["completed"] == 0
-        assert stats["circuit"] == "open"
-
-    def test_bad_task_raises_instead_of_retrying(self):
-        scenario = Scenario("cpu", "scan", **FAST)
-        object.__setattr__(scenario, "operator", "nope")
-        with WorkerFleet(1, task_timeout=30.0) as fleet:
-            with pytest.raises(WorkerTaskError, match="nope"):
-                fleet.evaluate([scenario])
-            stats = fleet.stats()
-        # A deterministic task failure must not be requeued as a crash.
-        assert stats["requeues"] == 0 and stats["restarts"] == 0
-
-    def test_heartbeat_detects_a_killed_worker(self):
-        with WorkerFleet(
-            1, heartbeat_interval=0.05, heartbeat_timeout=5.0,
-            restart_backoff=NO_BACKOFF,
-        ) as fleet:
-            deadline = time.monotonic() + 5.0
-            while not fleet.stats()["heartbeats"] and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert fleet.stats()["heartbeats"] >= 1
-            os.kill(fleet.pids()[0], signal.SIGKILL)
-            deadline = time.monotonic() + 5.0
-            while (
-                not fleet.stats()["heartbeat_failures"]
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.02)
-            stats = fleet.stats()
-        assert stats["heartbeat_failures"] >= 1
-
-    def test_batch_timeout_raises(self):
-        with WorkerFleet(
-            1, task_timeout=30.0, env=chaos_env("stall_after=0,stall=1.0"),
-        ) as fleet:
-            with pytest.raises(TimeoutError, match="did not complete"):
-                fleet.evaluate([Scenario("cpu", "scan", **FAST)], timeout=0.05)
-
-    def test_closed_fleet_refuses_work(self):
-        fleet = WorkerFleet(1)
-        fleet.close()
-        fleet.close()  # idempotent
-        assert fleet.pids() == []
-        with pytest.raises(RuntimeError, match="closed"):
-            fleet.evaluate([Scenario("cpu", "scan", **FAST)])
-
-
-# ---------------------------------------------------------------------------
-# Scheduler + daemon wiring
-# ---------------------------------------------------------------------------
-
-
-class TestSchedulerFleet:
-    def test_workers_flag_builds_a_fleet(self, tmp_path):
-        scheduler = BatchScheduler(store=tmp_path, workers=1)
-        try:
-            assert scheduler.fleet is not None
-            results = scheduler.submit([
-                Scenario("cpu", "scan", **FAST),
-                Scenario("cpu", "scan", **FAST),  # dedup inside the batch
-            ])
-            stats = scheduler.stats()
-        finally:
-            scheduler.close()
-        assert len(results.to_records()) == 2 * len(
-            Scenario("cpu", "scan", **FAST).records()
-        )
-        assert stats["executed"] == 1 and stats["deduplicated"] == 1
-        assert stats["degraded"] == 0
-        assert stats["fleet"]["completed"] == 1
-        # The worker's store traffic was merged into the parent handle.
-        assert scheduler.store_stats()["puts"] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="workers"):
-            BatchScheduler(workers=-1)
 
 
 class TestDaemonDeadlines:

@@ -99,6 +99,18 @@ class TestResultStore:
         assert store.get("0" * 64) is None
         assert store.stats()["misses"] == 1
 
+    def test_counters_are_stats_without_occupancy(self, tmp_path):
+        store = ResultStore(tmp_path)
+        digest = digest_payload({"k": 1})
+        store.put(digest, {"v": 1})
+        store.get(digest)
+        store.get("0" * 64)
+        counters = store.counters()
+        stats = store.stats()
+        assert "entries" not in counters and "bytes" not in counters
+        assert counters == {name: stats[name] for name in counters}
+        assert (counters["puts"], counters["hits"], counters["misses"]) == (1, 1, 1)
+
     def test_contains_does_not_touch_stats(self, tmp_path):
         store = ResultStore(tmp_path)
         digest = digest_payload({"k": 1})

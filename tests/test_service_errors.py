@@ -144,8 +144,6 @@ class TestServiceCli:
     def test_serve_flag_validation(self):
         with pytest.raises(SystemExit, match="--jobs"):
             service_cli.main(["serve", "--jobs", "0"])
-        with pytest.raises(SystemExit, match="--workers"):
-            service_cli.main(["serve", "--workers", "-1"])
 
     def test_serve_fleet_flag_validation(self):
         with pytest.raises(SystemExit, match="--store"):
@@ -183,9 +181,9 @@ class TestServiceCli:
                             lambda **kw: seen.update(kw))
         service_cli.main([
             "serve", "--port", "0", "--store", str(tmp_path),
-            "--jobs", "2", "--workers", "3", "--max-bytes", "1000",
+            "--jobs", "2", "--max-bytes", "1000",
         ])
-        assert seen["workers"] == 3 and seen["jobs"] == 2
+        assert seen["jobs"] == 2 and seen["max_bytes"] == 1000
         assert seen["store"] == str(tmp_path)
 
     def test_ping_stats_submit_round_trip(self, tmp_path, capsys):

@@ -3,8 +3,8 @@
 Covers the contracts the observability layer promises:
 
 - span nesting and deterministic ids within one tracer;
-- re-parenting across *both* process boundaries (the sweep/suite
-  process pool and the supervised worker-fleet subprocesses);
+- re-parenting across the process boundary (the sweep/suite process
+  pool);
 - Chrome ``trace_event`` schema validity of every export;
 - metrics-registry snapshot determinism across fresh interpreters
   (distinct hash seeds) through the canonical ``telemetry/v1`` codec;
@@ -25,7 +25,6 @@ import pytest
 
 from repro.api import Scenario, Sweep
 from repro.experiments import common, fig6_probe
-from repro.service.resilience import WorkerFleet
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
@@ -44,7 +43,6 @@ from repro.telemetry import (
 from repro.telemetry.trace import NOOP_SPAN
 
 ROOT = Path(__file__).resolve().parents[1]
-FAST = dict(model_scale=50.0, num_partitions=8)
 
 #: Model scale of the overhead-budget pipeline (the experiment tests').
 BUDGET_SCALE = 500.0
@@ -144,18 +142,6 @@ class TestCrossProcess:
         # The worker's own task spans ride under its pool_worker root.
         worker_ids = {s.span_id for s in tracer.find("pool_worker")}
         assert all(s.parent_id in worker_ids for s in tracer.find("task"))
-
-    def test_fleet_worker_spans_cross_the_subprocess_boundary(self, tracer):
-        scenarios = [Scenario("cpu", "scan", **FAST),
-                     Scenario("cpu", "join", **FAST)]
-        with WorkerFleet(1, task_timeout=120.0) as fleet:
-            records, _, degraded = fleet.evaluate(scenarios)
-        assert degraded == 0 and len(records) == 2
-        batch = tracer.find("fleet_batch")[0]
-        workers = tracer.find("fleet_worker")
-        assert len(workers) == 2
-        assert all(w.parent_id == batch.span_id for w in workers)
-        assert all(w.attrs["pid"] != os.getpid() for w in workers)
 
     def test_export_after_adoption_is_valid(self, tracer, tmp_path):
         sweep = Sweep(systems=("cpu",), workloads=("scan", "join"),

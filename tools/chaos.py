@@ -6,14 +6,14 @@ and asserts the one oracle that matters: **every export stays
 byte-identical to ``tests/data/sweep_smoke_golden.json``, and no
 corrupt store entry is ever served.**
 
-Phases (all deterministic -- worker faults are scheduled by the
-``REPRO_WORKER_CHAOS`` env, wire faults by seeded schedules):
+Phases (wire faults follow seeded schedules; kills are triggered by
+observed progress, not by timers):
 
-1. **Worker crashes.**  A daemon with a supervised 2-worker fleet whose
-   workers SIGKILL themselves after each evaluation (post-store-write,
-   pre-reply), plus an external ``kill -9`` of a live worker before the
-   batch.  The submission must still export the golden bytes, and the
-   fleet must report restarts + requeues.
+1. **Daemon SIGKILL.**  A plain daemon is ``kill -9``-ed mid-sweep, the
+   moment its first result reaches the store.  A daemon restarted on
+   the same store must export the golden bytes on a resubmit and
+   simulate only the points the dead daemon had not committed:
+   committed points are replayed from the store, never recomputed.
 2. **Torn writes & corruption.**  With the daemon stopped: truncate one
    committed object, overwrite another with garbage, and plant
    write-ahead journal intents for a crash-completed temp (must roll
@@ -34,7 +34,11 @@ Phases (all deterministic -- worker faults are scheduled by the
    router) with one member daemon SIGKILLed mid-sweep: the export must
    stay byte-identical to the golden file with **zero failed
    requests** (router failover + replicated shards absorb the loss),
-   and a warm re-submit after the murder must stay golden too.
+   a warm re-submit after the murder must stay golden too, and the
+   router must respawn the dead member.
+
+After every phase that runs a daemon or a fleet, no ``repro.service
+serve`` process naming that phase's store may still be alive.
 
 Usage::
 
@@ -49,7 +53,6 @@ import json
 import os
 import random
 import re
-import signal
 import socket
 import subprocess
 import sys
@@ -101,12 +104,16 @@ def stop_daemon(proc, port: int) -> None:
     assert proc.wait(timeout=30) == 0, "daemon exited uncleanly"
 
 
+def submit_command(port: int, *extra: str) -> list:
+    return [
+        sys.executable, "-m", "repro.service", "submit",
+        "--port", str(port), "--sweep", str(SPEC), "--json", "-", *extra,
+    ]
+
+
 def submit(port: int, *extra: str, env=None, check=True) -> "subprocess.CompletedProcess":
     proc = subprocess.run(
-        [
-            sys.executable, "-m", "repro.service", "submit",
-            "--port", str(port), "--sweep", str(SPEC), "--json", "-", *extra,
-        ],
+        submit_command(port, *extra),
         env=env or ENV, cwd=ROOT, capture_output=True, timeout=300,
     )
     if check:
@@ -130,34 +137,80 @@ def assert_golden(payload: bytes, what: str) -> None:
     log(f"{what}: export is byte-identical to the golden file")
 
 
+def assert_no_surviving_serve(store: str, what: str) -> None:
+    """Fail if a ``repro.service serve`` process on ``store`` still runs.
+
+    Scans ``/proc/*/cmdline`` (skipped where there is no ``/proc``).
+    Daemons and fleet members are started with ``--store`` naming the
+    phase's store directory, so a match is a process the phase leaked.
+    """
+    proc_root = Path("/proc")
+    if not proc_root.is_dir():
+        log(f"{what}: no /proc, surviving-serve scan skipped")
+        return
+    target = os.path.realpath(store)
+    survivors = []
+    for entry in proc_root.glob("[0-9]*/cmdline"):
+        try:
+            argv = entry.read_bytes().decode(errors="replace").split("\0")
+        except OSError:
+            continue  # the process exited mid-scan
+        if "repro.service" not in argv or "serve" not in argv:
+            continue
+        if "--store" in argv and argv.index("--store") + 1 < len(argv):
+            if os.path.realpath(argv[argv.index("--store") + 1]) == target:
+                survivors.append(int(entry.parent.name))
+    assert not survivors, (
+        f"{what}: serve processes on {store} outlived it: pids {survivors}"
+    )
+    log(f"{what}: no serve process on its store survived")
+
+
 # ---------------------------------------------------------------------------
-# Phase 1: worker crashes mid-batch
+# Phase 1: daemon SIGKILL mid-sweep, restart on the same store
 # ---------------------------------------------------------------------------
 
 
-def phase_worker_crashes(store: str) -> None:
-    log("phase 1: supervised fleet under SIGKILL (kill_after=1, post-store)")
-    env = dict(ENV, REPRO_WORKER_CHAOS="kill_after=1,mode=post")
-    daemon, port = start_daemon(store, "--workers", "2", env=env)
+def phase_daemon_kill(store: str) -> None:
+    log("phase 1: SIGKILL the daemon at its first store write, restart")
+    daemon, port = start_daemon(store)
+    client = subprocess.Popen(
+        submit_command(port), env=ENV, cwd=ROOT,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
     try:
-        fleet = stats(port)["scheduler"]["fleet"]
-        assert fleet["alive"] == 2, fleet
-        # An *external* kill -9 on top of the scheduled self-kills: the
-        # supervisor must notice mid-dispatch and requeue.
-        victim = fleet["pids"][0]
-        os.kill(victim, signal.SIGKILL)
-        log(f"phase 1: killed worker pid {victim} externally")
+        deadline = time.monotonic() + 120
+        while not any(Path(store).glob("objects/*/*.json")):
+            assert time.monotonic() < deadline, "the daemon never stored a result"
+            assert daemon.poll() is None, "the daemon died on its own"
+            time.sleep(0.005)
+        daemon.kill()
+        daemon.wait(timeout=30)
+        log(f"phase 1: killed daemon pid {daemon.pid} mid-sweep")
+        # The orphaned submit fails once its retries run out; its exit
+        # status is expected to be non-zero and is not checked.
+        client.wait(timeout=120)
+    finally:
+        for proc in (daemon, client):
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+        daemon.stdout.close()
 
-        assert_golden(submit(port).stdout, "phase 1 (crashing workers)")
-
+    daemon, port = start_daemon(store)
+    try:
+        committed = stats(port)["store"]["entries"]
+        assert_golden(submit(port).stdout, "phase 1 (resubmit after the kill)")
         report = stats(port)
-        fleet = report["scheduler"]["fleet"]
-        assert fleet["restarts"] >= 1, f"no worker restarts recorded: {fleet}"
-        assert fleet["requeues"] >= 1, f"no crash requeues recorded: {fleet}"
         assert report["store"]["entries"] == GRID_SIZE, report["store"]
+        executed = report["scheduler"]["executed"]
+        assert executed == GRID_SIZE - committed, (
+            f"{committed} points were committed before the kill, yet the "
+            f"restarted daemon simulated {executed} of {GRID_SIZE}"
+        )
         log(
-            f"phase 1: fleet survived -- restarts={fleet['restarts']} "
-            f"requeues={fleet['requeues']} degraded={fleet['degraded_tasks']}"
+            f"phase 1: {committed} committed points replayed from the store, "
+            f"{executed} simulated"
         )
     finally:
         if daemon.poll() is None:
@@ -417,8 +470,14 @@ def phase_fleet(store: str) -> None:
         assert_golden(submit(fleet.port, "--retries", "4").stdout,
                       "phase 5 (warm re-submit after the murder)")
 
-        report = stats(fleet.port)
-        router = report["router"]
+        # The health loop must notice the dead member and respawn it.
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            router = stats(fleet.port)["router"]
+            if router["respawns"] >= 1:
+                break
+            time.sleep(0.2)
+        assert router["respawns"] >= 1, f"the dead member was never respawned: {router}"
         assert router["degraded"] == 0, router
         log(
             "phase 5: fleet survived -- "
@@ -440,16 +499,20 @@ def main(argv=None) -> int:
     seeds = args.seed if args.seed else [7, 17]
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as store:
-        phase_worker_crashes(store)
+        phase_daemon_kill(store)
+        assert_no_surviving_serve(store, "phase 1")
         phase_store_corruption(store)
         phase_wire_faults(store, seeds)
+        assert_no_surviving_serve(store, "phase 3")
     phase_degradation()
     with tempfile.TemporaryDirectory(prefix="repro-chaos-fleet-") as store:
         phase_fleet(store)
+        assert_no_surviving_serve(store, "phase 5")
     print(
-        "chaos-test OK: golden bytes survived worker SIGKILLs, torn "
+        "chaos-test OK: golden bytes survived a daemon SIGKILL, torn "
         "writes, wire faults, daemon loss and a fleet member murder; no "
-        "corrupt entry was served."
+        "corrupt entry was served, committed points were never "
+        "recomputed, and no serve process outlived its phase."
     )
     return 0
 

@@ -101,9 +101,8 @@ class LineTracer:
     The global trace function declines (returns ``None``) for frames
     outside the target set, so the interpreter runs everything else at
     full speed.  Installed via both ``sys.settrace`` and
-    ``threading.settrace``, so daemon/supervisor threads are counted;
-    worker *subprocesses* are not -- their in-process drivers in the
-    test suite are what earn worker-loop coverage.
+    ``threading.settrace``, so daemon/router threads are counted;
+    subprocesses (pool workers, member daemons) are not.
     """
 
     def __init__(self, targets: dict) -> None:
