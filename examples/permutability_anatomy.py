@@ -24,7 +24,7 @@ import numpy as np
 from repro.analytics import Relation
 from repro.config.dram import DramTiming, HmcGeometry
 from repro.dram.vault import VaultMemory, VaultRequest
-from repro.shuffle import ShuffleEngine
+from repro.shuffle import ShuffleEngine, round_robin_interleave, write_traces
 
 NUM_SOURCES = 32
 TUPLES_PER_SOURCE = 128
@@ -74,14 +74,20 @@ def main() -> None:
     assert not (permutable.destinations[0] == addressed.destinations[0])
     print("same tuples delivered (multiset equal), different arrangement  [ok]\n")
 
+    # Each vault's write trace follows from the shuffle's histogram alone.
+    traces = {
+        label: write_traces(result.histogram, result.permutable,
+                            round_robin_interleave)[0]
+        for label, result in (("addressed", addressed), ("permutable", permutable))
+    }
     print("arrival order at the vault (first 8 writes, vault-local addresses):")
-    for label, result in (("addressed", addressed), ("permutable", permutable)):
-        head = ", ".join(f"{a:5d}" for a in result.write_traces[0][:8])
+    for label, trace in traces.items():
+        head = ", ".join(f"{a:5d}" for a in trace[:8])
         print(f"  {label:10s} {head}, ...")
 
     print("\nreplaying both write traces on the event-accurate DRAM model:")
-    a = replay_on_dram(addressed.write_traces[0], "addressed")
-    p = replay_on_dram(permutable.write_traces[0], "permutable")
+    a = replay_on_dram(traces["addressed"], "addressed")
+    p = replay_on_dram(traces["permutable"], "permutable")
 
     ideal = total * OBJECT_B // 256
     print(

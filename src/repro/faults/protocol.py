@@ -14,10 +14,10 @@ Three pieces:
   destinations degraded off the batched fast path.
 - :class:`DeliverySession`: drives one shuffle's deliveries through a
   :class:`~repro.faults.plan.FaultPlan`.  Healthy destinations keep the
-  batched ``deliver_batch`` fast path; a destination with any dropped or
-  duplicated inbound stream gracefully degrades to the slow per-delivery
-  path, replaying each stream's bounded retries (exponential backoff,
-  doubling per attempt) until the delivery lands.
+  fast path of one ``deliver`` per destination; a destination with any
+  dropped or duplicated inbound stream gracefully degrades to the slow
+  per-delivery path, replaying each stream's bounded retries
+  (exponential backoff, doubling per attempt) until the delivery lands.
 
 The data plane is untouched: drops happen *before* bytes commit and
 duplicates are discarded *at* the controller, so the materialized
@@ -193,12 +193,13 @@ class DeliverySession:
     def deliver_dest(self, barrier: ShuffleBarrier, dest: int) -> None:
         """Retire one destination's inbound traffic through the barrier.
 
-        Healthy destinations keep the single ``deliver_batch``; disrupted
-        ones degrade to per-stream deliveries with bounded retries.
+        Healthy destinations retire with a single ``deliver`` of their
+        whole inbound total; disrupted ones degrade to per-stream
+        deliveries with bounded retries.
         """
         sizes = self._sizes[:, dest]
         if not self.disrupted(dest):
-            barrier.deliver_batch(dest, int(sizes.sum()))
+            barrier.deliver(dest, int(sizes.sum()))
             return
         self._replay_streams(barrier, dest)
 

@@ -24,8 +24,8 @@ bits are set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -128,69 +128,6 @@ class PermutableWriteEngine:
         self._objects.append(payload)
         return addr
 
-    def write_batch(
-        self,
-        payloads: Optional[Sequence[object]] = None,
-        count: Optional[int] = None,
-        marked_addrs: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Deliver a whole batch of permutable objects in one call.
-
-        Semantically identical to calling :meth:`write` once per object:
-        objects land at consecutive tail addresses (returned as an int64
-        array, in arrival order), ``marked_addrs`` are validated against
-        the region, and a batch that does not fit appends what fits, sets
-        the overflow flag and raises :class:`MemoryError` -- exactly the
-        state a scalar loop would leave behind.  The only divergence is
-        on the *invalid-address* error path: the batch validates all
-        marked addresses up front, so no partial writes precede that
-        :class:`ValueError`.
-
-        Pass either ``payloads`` (stored per object) or ``count`` (stores
-        ``count`` placeholder ``None`` payloads, for callers that keep
-        the data elsewhere and only need addresses and accounting).
-        """
-        if payloads is None:
-            if count is None:
-                raise ValueError("provide payloads or count")
-            n = int(count)
-            if n < 0:
-                raise ValueError("count must be non-negative")
-            stored: List[object] = [None] * n
-        else:
-            stored = list(payloads)
-            n = len(stored)
-            if count is not None and count != n:
-                raise ValueError("count disagrees with len(payloads)")
-        if marked_addrs is not None:
-            addrs = np.asarray(marked_addrs, dtype=np.int64)
-            if len(addrs) != n:
-                raise ValueError("marked_addrs must align with the batch")
-            if n and not (
-                self._config.contains(int(addrs.min()))
-                and self._config.contains(int(addrs.max()))
-            ):
-                bad = int(addrs[~((addrs >= self._config.base)
-                                  & (addrs < self._config.base + self._config.size_b))][0])
-                raise ValueError(
-                    f"permutable store to {bad:#x} misses the region "
-                    f"[{self._config.base:#x}, "
-                    f"{self._config.base + self._config.size_b:#x})"
-                )
-        start = len(self._objects)
-        fits = min(n, self._config.capacity_objects - start)
-        self._objects.extend(stored[:fits])
-        if fits < n:
-            self._overflowed = True
-            raise MemoryError(
-                "permutable destination buffer overflow; the CPU must retry "
-                "the histogram with two-round partitioning (paper section 5.4)"
-            )
-        return (
-            self._config.base
-            + (start + np.arange(n, dtype=np.int64)) * self._config.object_b
-        )
-
     def drain(self) -> List[object]:
         """Objects in the order the hardware materialized them."""
         return list(self._objects)
@@ -290,15 +227,6 @@ class ShuffleBarrier:
                 f"vault {dest} received {self._delivered[dest]} bytes, more "
                 f"than the announced {self._expected[dest]}"
             )
-
-    def deliver_batch(self, dest: int, size_b: int) -> None:
-        """Record one bulk arrival covering a whole batch of objects.
-
-        Equivalent to repeated :meth:`deliver` calls totalling ``size_b``
-        bytes; the vectorized shuffle engine uses it to retire an entire
-        destination's inbound traffic with a single barrier update.
-        """
-        self.deliver(dest, size_b)
 
     def vault_complete(self, dest: int) -> bool:
         """Would vault ``dest`` have sent its MSI by now?"""

@@ -19,7 +19,7 @@ imports this one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,14 +65,18 @@ def reference_shuffle(
     interleave: Callable[[Sequence[int]], ArrivalOrder] = round_robin_interleave,
     faults: Optional[FaultSpec] = None,
     fault_salt: int = 0,
-) -> ShuffleResult:
+) -> Tuple[ShuffleResult, List[np.ndarray]]:
     """The seed's shuffle: per-(source, destination) streams, then one
     Python iteration per arriving tuple.
 
     Takes the :class:`~repro.shuffle.engine.ShuffleEngine` constructor
-    arguments.  Destinations retire through the same barrier protocol
-    as production (one batched delivery each, or per-stream retries
-    when the fault schedule disrupted them).
+    arguments and returns the result plus each destination's write
+    trace, recorded as the tuples arrive (permutable writes go through
+    a :class:`PermutableWriteEngine` tail) -- the oracle for
+    :func:`~repro.shuffle.engine.write_traces`.  Destinations retire
+    through the same barrier protocol as production (one delivery
+    each, or per-stream retries when the fault schedule disrupted
+    them).
     """
     if len(sources) != len(dest_of):
         raise ValueError("sources and destination maps must align")
@@ -119,15 +123,15 @@ def reference_shuffle(
         destinations.append(Relation(buffer, f"shuffle_dest/{dest}"))
         traces.append(trace)
     resilience = shuffle_end(barrier, session, hist.sum(axis=0))
-    return ShuffleResult(
+    result = ShuffleResult(
         destinations=destinations,
-        write_traces=traces,
-        inbound_histograms=[hist[:, d].copy() for d in range(num_destinations)],
+        histogram=hist,
         barrier=barrier,
         permutable=permutable,
         columns=SegmentedColumns.from_relations(destinations),
         resilience=resilience,
     )
+    return result, traces
 
 
 # -- scan ------------------------------------------------------------------

@@ -1,21 +1,21 @@
 """Functional shuffle across memory partitions.
 
 Given per-source relations and each tuple's destination partition, the
-engine moves real tuples: it computes per-(source, destination) streams,
-interleaves them per the network model, and materializes each
-destination buffer either
+engine moves real tuples: it computes per-(source, destination) streams
+and materializes each destination buffer either
 
 - **addressed**: every tuple lands at the exact offset the histogram
   prefix sums assigned (source order preserved inside each source's
-  slice), or
+  slice), whatever order the network delivered it in, or
 - **permutable**: tuples land at the destination's sequential tail in
-  arrival order, via a :class:`repro.memctrl.permutable.PermutableWriteEngine`.
+  the arrival order the network interleave model produces.
 
 Both produce the same *multiset* per destination -- the permutability
 guarantee -- but different orders and radically different DRAM write
-patterns.  The engine also emits per-destination arrival traces
-(vault-relative addresses) so the event-accurate DRAM model can replay
-the traffic, and drives the :class:`ShuffleBarrier` handshake.
+patterns.  The engine drives the :class:`ShuffleBarrier` handshake and
+keeps the (source, destination) histogram; :func:`write_traces` derives
+each destination's arrival trace (vault-relative addresses) from those
+counts alone, so the event-accurate DRAM model can replay the traffic.
 
 All destinations are materialized in one whole-relation pass over SoA
 columns; :func:`repro.operators.reference.reference_shuffle` keeps the
@@ -37,11 +37,7 @@ from repro.faults.protocol import (
     FaultTolerantShuffleBarrier,
     ResilienceStats,
 )
-from repro.memctrl.permutable import (
-    PermutableRegionConfig,
-    PermutableWriteEngine,
-    ShuffleBarrier,
-)
+from repro.memctrl.permutable import ShuffleBarrier
 from repro.shuffle.interleave import (
     ArrivalOrder,
     round_robin_interleave,
@@ -94,7 +90,7 @@ def shuffle_end(
 ) -> Optional[ResilienceStats]:
     """Retire every destination's inbound traffic and close the barrier.
 
-    Healthy destinations retire with one batched barrier update;
+    Healthy destinations retire with one barrier update each;
     destinations the fault schedule disrupted degrade to per-stream
     deliveries with bounded retries.  Returns the session's stats.
     """
@@ -102,7 +98,7 @@ def shuffle_end(
         if session is not None:
             session.deliver_dest(barrier, dest)
         else:
-            barrier.deliver_batch(dest, total * TUPLE_B)
+            barrier.deliver(dest, total * TUPLE_B)
     if session is not None:
         session.finalize(barrier)
     if not barrier.all_complete():
@@ -110,16 +106,74 @@ def shuffle_end(
     return session.stats if session is not None else None
 
 
+def write_traces(
+    histogram: np.ndarray,
+    permutable: bool,
+    interleave: Callable[[Sequence[int]], ArrivalOrder],
+) -> List[np.ndarray]:
+    """Per destination: vault-relative byte address of each write, in
+    arrival order (replayable on the event DRAM model).
+
+    Needs only the ``(source, destination)`` tuple counts: a permutable
+    controller appends every arrival at its sequential tail, and an
+    addressed one writes element ``idx`` of source ``src``'s stream to
+    that source's histogram slice, visited in the interleave's order.
+    """
+    hist = np.asarray(histogram, dtype=np.int64)
+    traces = []
+    for dest in range(hist.shape[1]):
+        inbound = hist[:, dest]
+        if permutable:
+            traces.append(np.arange(int(inbound.sum()), dtype=np.int64) * TUPLE_B)
+        else:
+            src, idx = interleave(inbound)
+            traces.append((stream_starts(inbound)[src] + idx) * TUPLE_B)
+    return traces
+
+
+def _arrival_positions(
+    hist: np.ndarray,
+    sorted_src: np.ndarray,
+    sorted_dest: np.ndarray,
+    interleave: Callable[[Sequence[int]], ArrivalOrder],
+) -> np.ndarray:
+    """Every destination's arrival order, as positions into the
+    ``(dest, src)``-grouped tuple order, destinations back to back.
+
+    Round-robin drains rounds in source order, i.e. a stable sort by
+    ``(idx, src)`` -- computed for all destinations as one
+    ``(dest, idx, src)`` lexsort, spelled as two stable grouping sorts
+    (composite ``(idx, src)`` code, then dest) so both take the radix
+    path.  Any other interleave model runs per destination on its
+    inbound lengths.
+    """
+    num_src, num_dest = hist.shape
+    if interleave is round_robin_interleave:
+        stream_lens = hist.T.reshape(-1)  # [dest-major][src] order
+        within = np.arange(len(sorted_src), dtype=np.int64) - np.repeat(
+            stream_starts(stream_lens), stream_lens
+        )
+        max_stream = int(stream_lens.max()) if len(stream_lens) else 0
+        by_idx_src = _grouping_sort(
+            within * num_src + sorted_src, max_stream * num_src + num_src
+        )
+        return by_idx_src[_grouping_sort(sorted_dest[by_idx_src], num_dest)]
+    dest_base = stream_starts(hist.sum(axis=0))
+    pieces = []
+    for dest in range(num_dest):
+        src, idx = interleave(hist[:, dest])
+        pieces.append(dest_base[dest] + stream_starts(hist[:, dest])[src] + idx)
+    return np.concatenate(pieces)
+
+
 @dataclass
 class ShuffleResult:
     """Everything the shuffle produced."""
 
     destinations: List[Relation]
-    #: per destination: vault-relative byte address of each write, in
-    #: arrival order (replayable on the event DRAM model).
-    write_traces: List[np.ndarray]
-    #: per destination: number of tuples received from each source.
-    inbound_histograms: List[np.ndarray]
+    #: ``(source, destination)`` tuple counts; :func:`write_traces`
+    #: derives the per-destination DRAM write traces from them.
+    histogram: np.ndarray
     barrier: ShuffleBarrier
     permutable: bool
     #: Zero-copy SoA view over all destinations (one flat buffer with
@@ -162,11 +216,13 @@ class ShuffleEngine:
     ) -> ShuffleResult:
         """Shuffle ``sources[s]`` tuples to partitions ``dest_of[s]``.
 
-        The sources become flat SoA columns, a composite ``(dest, src)``
-        sort groups all streams at once, the arrival order of *all*
-        destinations is computed in one shot, and the destination
-        buffers are written as two field scatters into one preallocated
-        tuple array.
+        The sources become flat SoA columns and a composite
+        ``(dest, src)`` sort groups all streams at once.  That grouped
+        order *is* the addressed layout; a permutable shuffle instead
+        reorders it by the network's arrival order, computed for all
+        destinations in one shot.  Either way the destination buffers
+        are written as two field gathers into one preallocated tuple
+        array.
         """
         if len(sources) != len(dest_of):
             raise ValueError("sources and destination maps must align")
@@ -204,97 +260,33 @@ class ShuffleEngine:
             # Group all (dest, src) streams at once, preserving source
             # order: a stable sort of the composite (dest, src) code
             # equals np.lexsort((src_ids, dest_all)) and takes the radix
-            # path for realistic partition counts.
-            perm = _grouping_sort(dest_all * num_src + src_ids, num_dest * num_src)
-            sorted_dest = dest_all[perm]
-            sorted_src = src_ids[perm]
-            stream_lens = hist.T.reshape(-1)  # [dest-major][src] order
-            stream_starts_flat = np.zeros(len(stream_lens), dtype=np.int64)
-            np.cumsum(stream_lens[:-1], out=stream_starts_flat[1:])
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                stream_starts_flat, stream_lens
-            )
-            dest_totals = hist.sum(axis=0)
-            dest_base = np.zeros(num_dest, dtype=np.int64)
-            np.cumsum(dest_totals[:-1], out=dest_base[1:])
-            # Per-(source, dest) write offsets (source_write_offsets, batched).
-            offmat = np.zeros((num_src, num_dest), dtype=np.int64)
-            if num_src > 1:
-                np.cumsum(hist[:-1], axis=0, out=offmat[1:])
-
-            # Arrival order of every destination.  Round-robin drains
-            # rounds in source order, i.e. a stable sort by (idx, src) --
-            # computed for all destinations as one (dest, idx, src)
-            # lexsort, spelled as two stable grouping sorts (composite
-            # (idx, src) code, then dest) so both take the radix path.
-            # Any other interleave model runs per destination on its
-            # inbound lengths.
-            if self._interleave is round_robin_interleave:
-                max_stream = int(stream_lens.max()) if len(stream_lens) else 0
-                by_idx_src = _grouping_sort(
-                    within * num_src + sorted_src, max_stream * num_src + num_src
-                )
-                arrival_perm = by_idx_src[
-                    _grouping_sort(sorted_dest[by_idx_src], num_dest)
+            # path for realistic partition counts.  Each tuple's rank in
+            # this order is its addressed slot (destination base +
+            # source's histogram offset + index in its stream).
+            take = _grouping_sort(dest_all * num_src + src_ids, num_dest * num_src)
+            if self._permutable:
+                take = take[
+                    _arrival_positions(
+                        hist, src_ids[take], dest_all[take], self._interleave
+                    )
                 ]
-            else:
-                pieces = []
-                for dest in range(num_dest):
-                    src_arr, idx_arr = self._interleave(hist[:, dest])
-                    starts_d = stream_starts(hist[:, dest])
-                    pieces.append(dest_base[dest] + starts_d[src_arr] + idx_arr)
-                arrival_perm = (
-                    np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-                )
-            arr_src = sorted_src[arrival_perm]
-            arr_dest = sorted_dest[arrival_perm]
-            arr_within = within[arrival_perm]
-            take = perm[arrival_perm]
-            arr_offsets = offmat[arr_src, arr_dest] if total else np.empty(0, np.int64)
 
             # Materialize all destinations: one preallocated tuple buffer,
             # written field-wise (no structured-dtype promotion).
             out = np.empty(total, dtype=TUPLE_DTYPE)
             out_keys = out["key"]
             out_payloads = out["payload"]
-            bounds = np.append(dest_base, total)
-            traces: List[np.ndarray] = []
-            if self._permutable:
-                # Arrival order *is* the layout: one gather per column.
-                out_keys[:] = cols.keys[take]
-                out_payloads[:] = cols.payloads[take]
-                marked_all = arr_offsets * TUPLE_B
-                for dest in range(num_dest):
-                    n_d = int(dest_totals[dest])
-                    engine = PermutableWriteEngine(
-                        PermutableRegionConfig(
-                            base=0, size_b=max(1, n_d) * TUPLE_B, object_b=TUPLE_B
-                        )
-                    )
-                    traces.append(
-                        engine.write_batch(
-                            count=n_d,
-                            marked_addrs=marked_all[bounds[dest] : bounds[dest + 1]],
-                        )
-                    )
-            else:
-                slots = dest_base[arr_dest] + arr_offsets + arr_within
-                out_keys[slots] = cols.keys[take]
-                out_payloads[slots] = cols.payloads[take]
-                trace_all = (arr_offsets + arr_within) * TUPLE_B
-                traces = [
-                    trace_all[bounds[d] : bounds[d + 1]] for d in range(num_dest)
-                ]
+            out_keys[:] = cols.keys[take]
+            out_payloads[:] = cols.payloads[take]
+            dest_totals = hist.sum(axis=0)
+            bounds = np.append(stream_starts(dest_totals), total)
             resilience = shuffle_end(barrier, session, dest_totals)
             return ShuffleResult(
                 destinations=[
                     Relation(out[bounds[d] : bounds[d + 1]], f"shuffle_dest/{d}")
                     for d in range(num_dest)
                 ],
-                write_traces=traces,
-                inbound_histograms=[
-                    np.ascontiguousarray(hist[:, d]) for d in range(num_dest)
-                ],
+                histogram=hist,
                 barrier=barrier,
                 permutable=self._permutable,
                 columns=SegmentedColumns(

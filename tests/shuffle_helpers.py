@@ -1,12 +1,15 @@
 """Shared shuffle-test helpers: random shuffle inputs, a hypothesis
 strategy for fault schedules, and a byte-level comparison of two
-:class:`~repro.shuffle.engine.ShuffleResult` objects."""
+:class:`~repro.shuffle.engine.ShuffleResult` objects, write traces
+included."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from repro.analytics.tuples import Relation
 from repro.faults.plan import FaultSpec
+from repro.shuffle.engine import write_traces
+from repro.shuffle.interleave import round_robin_interleave
 
 #: Arbitrary fault schedules, from harmless to fully adversarial.
 fault_specs = st.builds(
@@ -43,15 +46,24 @@ def make_sources(rng, num_src, num_dest, n_per_src, skew):
     return sources, dest_maps
 
 
-def assert_shuffles_identical(vec, ref):
-    """Destinations, write traces, inbound histograms and barrier state
-    all byte-identical (resilience stats are compared by the caller)."""
-    assert len(vec.destinations) == len(ref.destinations)
+def assert_shuffles_identical(
+    vec, ref, interleave=round_robin_interleave, ref_traces=None
+):
+    """Destinations, histogram, write traces and barrier state all
+    byte-identical (resilience stats are compared by the caller).
+
+    ``vec``'s traces are derived by :func:`write_traces` from its
+    histogram; ``ref_traces`` (default: derived the same way from
+    ``ref``) are the traces to match, e.g. ``reference_shuffle``'s."""
+    if ref_traces is None:
+        ref_traces = write_traces(ref.histogram, ref.permutable, interleave)
+    traces = write_traces(vec.histogram, vec.permutable, interleave)
+    assert np.array_equal(vec.histogram, ref.histogram)
+    assert len(vec.destinations) == len(ref.destinations) == len(ref_traces)
     for d in range(len(vec.destinations)):
         assert np.array_equal(vec.destinations[d].data, ref.destinations[d].data)
-        assert np.array_equal(vec.write_traces[d], ref.write_traces[d])
-        assert vec.write_traces[d].dtype == ref.write_traces[d].dtype
-        assert np.array_equal(vec.inbound_histograms[d], ref.inbound_histograms[d])
+        assert np.array_equal(traces[d], ref_traces[d])
+        assert traces[d].dtype == ref_traces[d].dtype
     assert vec.barrier.completion_vector() == ref.barrier.completion_vector()
     for d in range(vec.barrier.num_vaults):
         assert vec.barrier.expected_bytes(d) == ref.barrier.expected_bytes(d)

@@ -4,20 +4,25 @@ Every fenced ``python`` code block containing doctest prompts in
 ``README.md`` and ``docs/*.md`` is run as a self-contained doctest, the
 CLI flags documented in ``docs/USAGE.md`` are checked against the actual
 ``run_all`` argparse parser, every ``python -m repro...`` module the
-docs mention must be importable, and every ``src/repro/...`` path they
-name must exist.  ``make docs-check`` runs this file
+docs mention must be importable, every ``src/repro/...`` path they
+name must exist, and every script in ``examples/`` must run to
+completion.  ``make docs-check`` runs this file
 plus smoke runs of the documented commands, so the docs cannot rot.
 """
 
 import doctest
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DOC_FILES = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _MODULE = re.compile(r"python -m (repro[\w.]*)")
@@ -139,3 +144,21 @@ def test_usage_experiment_table_covers_all_modules():
     }
     missing = {m for m in modules if f"`{m}`" not in usage}
     assert not missing, f"docs/USAGE.md missing experiment modules: {missing}"
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
+def test_example_runs(script):
+    """Each example script runs against the source tree and exits 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -128,7 +128,7 @@ class TestFaultTolerantBarrier:
         b.record_timeout(0)
         b.record_timeout(0)
         assert b.timeouts == 2
-        b.deliver_batch(0, 16)
+        b.deliver(0, 16)
         assert b.all_complete()
 
     def test_vault_bounds_checked(self):

@@ -1,6 +1,6 @@
-"""Cross-layer integration: the *actual* write traces produced by the
-operators' partitioning shuffle, replayed on the event-accurate DRAM
-bank model.
+"""Cross-layer integration: the *actual* write traces of the
+operators' partitioning shuffle (derived from its histogram by
+``write_traces``), replayed on the event-accurate DRAM bank model.
 
 This closes the loop between three layers built independently --
 operators -> shuffle engine -> DRAM banks -- and verifies the paper's
@@ -19,6 +19,7 @@ from repro.dram import InterleavedWrites, estimate_pattern
 from repro.dram.vault import VaultMemory, VaultRequest
 from repro.operators.base import OperatorVariant
 from repro.operators.partition import SCHEME_LOW_BITS, run_partitioning
+from repro.shuffle import get_interleave, write_traces
 
 GEO = HmcGeometry()
 TIMING = DramTiming()
@@ -34,7 +35,16 @@ def shuffle_traces(permutable, n=8000, seed=3):
         simd=False, num_partitions=P,
     )
     outcome = run_partitioning(w.partitions, v, SCHEME_LOW_BITS, w.key_space_bits)
-    return outcome.shuffle.write_traces
+    return traces_of(outcome, v)
+
+
+def traces_of(outcome, variant):
+    """Per-vault write traces of a partitioning outcome's shuffle."""
+    return write_traces(
+        outcome.shuffle.histogram,
+        variant.permutable,
+        get_interleave(variant.interleave),
+    )
 
 
 def replay(trace, inter_arrival_ns=2.0):
@@ -120,7 +130,7 @@ class TestJoinShuffleReplay:
             outcome = run_partitioning(
                 w.s_partitions, v, SCHEME_LOW_BITS, w.key_space_bits
             )
-            stats, _ = replay(max(outcome.shuffle.write_traces, key=len))
+            stats, _ = replay(max(traces_of(outcome, v), key=len))
             results[permutable] = stats.activations
         assert results[True] * 3 < results[False]
 
@@ -131,6 +141,6 @@ class TestJoinShuffleReplay:
             simd=False, num_partitions=P,
         )
         outcome = run_partitioning(w.s_partitions, v_perm, SCHEME_LOW_BITS, w.key_space_bits)
-        stats, _ = replay(max(outcome.shuffle.write_traces, key=len))
+        stats, _ = replay(max(traces_of(outcome, v_perm), key=len))
         # Sequential tail writes: 15 of 16 writes hit the open row.
         assert stats.row_hit_rate > 0.9

@@ -16,6 +16,7 @@ from repro.operators.partition import (
     histogram_cost,
     run_partitioning,
 )
+from repro.shuffle import get_interleave, write_traces
 
 P = 8
 
@@ -139,7 +140,11 @@ class TestRunPartitioning:
 
     def test_shuffle_traces_exported(self):
         w = make_sort_workload(500, P, seed=5)
-        outcome = run_partitioning(w.partitions, variant(True), SCHEME_LOW_BITS, 48)
-        assert len(outcome.shuffle.write_traces) == P
-        total = sum(len(t) for t in outcome.shuffle.write_traces)
+        v = variant(True)
+        outcome = run_partitioning(w.partitions, v, SCHEME_LOW_BITS, 48)
+        traces = write_traces(
+            outcome.shuffle.histogram, v.permutable, get_interleave(v.interleave)
+        )
+        assert len(traces) == P
+        total = sum(len(t) for t in traces)
         assert total == 500

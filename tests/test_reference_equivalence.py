@@ -4,16 +4,18 @@ Each production execution path has exactly one slow reference in
 :mod:`repro.operators.reference`; this matrix pins them byte-identical.
 
 - **Shuffle**: write discipline x interleave model x fault schedule x
-  input shape, comparing destinations, write traces, inbound
-  histograms, barrier state and the ``ResilienceStats``.
+  input shape, comparing destinations, the (source, destination)
+  histogram, barrier state, the ``ResilienceStats`` and the write
+  traces :func:`~repro.shuffle.engine.write_traces` derives from the
+  histogram against the ones the reference records per arriving tuple.
 - **Operators**: operator x preset x fault schedule x workload, each
   production run and its reference costed by the same
   ``Machine.evaluate_run`` and compared phase by phase.
 
 The file also carries the pieces the production shuffle and sort are
-built from (batched permutable writes, frozen barrier totals, the
-vectorized merge pass) and the check that the parallel experiment
-runtime (``run_all --jobs N``) reproduces the sequential report.
+built from (frozen barrier totals, the vectorized merge pass) and the
+check that the parallel experiment runtime (``run_all --jobs N``)
+reproduces the sequential report.
 """
 
 import os
@@ -38,11 +40,7 @@ from repro.analytics.workload import (
 from repro.config.system import get_preset
 from repro.experiments import common
 from repro.faults.plan import NULL_FAULTS, FaultSpec
-from repro.memctrl.permutable import (
-    PermutableRegionConfig,
-    PermutableWriteEngine,
-    ShuffleBarrier,
-)
+from repro.memctrl.permutable import ShuffleBarrier
 from repro.operators.reference import (
     REFERENCE_RUNNERS,
     merge_pass_scalar,
@@ -113,8 +111,8 @@ def test_shuffle_matches_reference(permutable, interleave, faults, shape):
         fault_salt=3,
     )
     prod = ShuffleEngine(num_dest, **config).run(sources, dest_maps)
-    ref = reference_shuffle(sources, dest_maps, num_dest, **config)
-    assert_shuffles_identical(prod, ref)
+    ref, ref_traces = reference_shuffle(sources, dest_maps, num_dest, **config)
+    assert_shuffles_identical(prod, ref, config["interleave"], ref_traces)
     assert prod.resilience == ref.resilience
     assert (prod.resilience is None) == (faults == "none")
     assert prod.barrier.all_complete()
@@ -134,8 +132,8 @@ def test_shuffle_matches_reference_under_any_schedule(spec, rng_seed, permutable
     sources, dest_maps = make_sources(rng, 4, 6, 150, skew=True)
     config = dict(permutable=permutable, faults=spec, fault_salt=1)
     prod = ShuffleEngine(6, **config).run(sources, dest_maps)
-    ref = reference_shuffle(sources, dest_maps, 6, **config)
-    assert_shuffles_identical(prod, ref)
+    ref, ref_traces = reference_shuffle(sources, dest_maps, 6, **config)
+    assert_shuffles_identical(prod, ref, ref_traces=ref_traces)
     assert prod.resilience == ref.resilience
 
 
@@ -209,47 +207,6 @@ def test_operator_matches_reference(operator, preset, faults, workload):
     assert ("resilience" in prod.metadata) == (shuffles and faults != "none")
 
 
-class TestWriteBatch:
-    def config(self, objects=8, object_b=16):
-        return PermutableRegionConfig(base=64, size_b=objects * object_b,
-                                      object_b=object_b)
-
-    def test_matches_scalar_writes(self):
-        batch = PermutableWriteEngine(self.config())
-        scalar = PermutableWriteEngine(self.config())
-        addrs = batch.write_batch(payloads=["a", "b", "c"])
-        expected = [scalar.write(p) for p in ("a", "b", "c")]
-        assert addrs.tolist() == expected
-        assert batch.drain() == scalar.drain()
-        assert batch.bytes_written == scalar.bytes_written
-
-    def test_count_only_batch(self):
-        engine = PermutableWriteEngine(self.config())
-        addrs = engine.write_batch(count=4, marked_addrs=np.full(4, 64))
-        assert addrs.tolist() == [64, 80, 96, 112]
-        assert engine.objects_written == 4
-
-    def test_batch_overflow_fills_then_raises(self):
-        engine = PermutableWriteEngine(self.config(objects=3))
-        with pytest.raises(MemoryError):
-            engine.write_batch(count=5)
-        # Same state a scalar loop leaves: buffer full, flag raised.
-        assert engine.objects_written == 3
-        assert engine.overflowed
-
-    def test_batch_rejects_out_of_region_marks(self):
-        engine = PermutableWriteEngine(self.config())
-        with pytest.raises(ValueError):
-            engine.write_batch(count=2, marked_addrs=np.array([64, 4096]))
-        with pytest.raises(ValueError):
-            engine.write_batch(payloads=["x"], count=2)
-
-    def test_empty_batch(self):
-        engine = PermutableWriteEngine(self.config())
-        assert engine.write_batch(count=0).tolist() == []
-        assert engine.objects_written == 0
-
-
 class TestBarrierFrozenTotals:
     def test_expected_bytes_before_and_after_seal(self):
         barrier = ShuffleBarrier(2)
@@ -261,23 +218,6 @@ class TestBarrierFrozenTotals:
         assert barrier.expected_bytes(1) == 64  # post-seal: frozen
         with pytest.raises(RuntimeError):
             barrier.announce(0, 0, 8)  # totals can never go stale
-
-    def test_deliver_batch_equals_repeated_deliver(self):
-        a, b = ShuffleBarrier(2), ShuffleBarrier(2)
-        for barrier in (a, b):
-            barrier.announce(0, 1, 64)
-            barrier.seal()
-        a.deliver_batch(1, 64)
-        for _ in range(4):
-            b.deliver(1, 16)
-        assert a.completion_vector() == b.completion_vector() == (True, True)
-
-    def test_deliver_batch_over_delivery_rejected(self):
-        barrier = ShuffleBarrier(1)
-        barrier.announce(0, 0, 16)
-        barrier.seal()
-        with pytest.raises(ValueError):
-            barrier.deliver_batch(0, 32)
 
 
 class TestMergePassEquivalence:

@@ -10,6 +10,7 @@ from repro.shuffle import (
     ShuffleEngine,
     random_interleave,
     round_robin_interleave,
+    write_traces,
 )
 
 
@@ -83,15 +84,15 @@ class TestShuffleEngine:
 
     def test_permutable_trace_is_sequential(self):
         result, _, _ = self._run(permutable=True)
-        for trace in result.write_traces:
+        for trace in write_traces(result.histogram, True, round_robin_interleave):
             assert list(trace) == [i * 16 for i in range(len(trace))]
 
     def test_addressed_trace_is_interleaved(self):
         result, _, _ = self._run(permutable=False)
         # Round-robin across two sources writing to disjoint halves: the
         # arrival-order addresses jump between the halves.
-        trace = list(result.write_traces[0])
-        assert trace != sorted(trace)
+        trace = list(write_traces(result.histogram, False, round_robin_interleave)[0])
+        assert trace == [0, 32, 16, 48]
 
     def test_barrier_completed(self):
         result, _, _ = self._run(permutable=True)
@@ -99,7 +100,7 @@ class TestShuffleEngine:
 
     def test_inbound_histograms(self):
         result, _, _ = self._run(permutable=False)
-        assert list(result.inbound_histograms[0]) == [2, 2]
+        assert result.histogram.tolist() == [[2, 2], [2, 2]]
         assert result.total_tuples == 8
 
     def test_permutable_insensitive_to_interleave_model(self):
