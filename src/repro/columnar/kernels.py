@@ -3,9 +3,10 @@
 Each kernel is the batched twin of a per-partition loop in the operator
 layer and is **byte-identical** to it:
 
-- :func:`segmented_stable_argsort` -- one composite ``(segment, key)``
-  lexsort equals a stable per-segment argsort (numpy's lexsort is
-  stable), which in turn equals the multi-pass stable mergesort of
+- :func:`segmented_stable_argsort` -- one stable sort of the composite
+  ``(segment, key)`` order (a packed ``uint64`` code within the bit
+  budget, else a lexsort) equals a stable per-segment argsort, which in
+  turn equals the multi-pass stable mergesort of
   ``repro.operators.sort_algos`` (a stable merge of stable runs is a
   stable sort).
 - :func:`segmented_bitonic_runs` -- every segment's 16-tuple bitonic
@@ -60,9 +61,20 @@ def segmented_stable_argsort(keys: np.ndarray, segments: np.ndarray) -> np.ndarr
     """Stable within-segment argsort by key, as one global permutation.
 
     Equivalent to running ``np.argsort(kind="stable")`` on every segment
-    independently (rows stay inside their segment), executed as a single
-    composite lexsort.
+    independently (rows stay inside their segment).  When the bit-budget
+    rule holds -- ``uint64`` keys below ``2**(64 - segment_bits)`` --
+    ``(segment, key)`` packs into one ``uint64`` code sorted by a single
+    stable argsort; otherwise it runs as one composite lexsort.  Both
+    orders are the same stable ``(segment, key)`` order.
     """
+    seg_bits = (len(segments) - 2).bit_length() if len(segments) > 2 else 0
+    if keys.dtype == np.uint64 and (
+        len(keys) == 0 or int(keys.max()) >> (64 - seg_bits) == 0
+    ):
+        if seg_bits:
+            sids = segment_ids(segments).astype(np.uint64)
+            keys = (sids << np.uint64(64 - seg_bits)) | keys
+        return np.argsort(keys, kind="stable")
     return np.lexsort((keys, segment_ids(segments)))
 
 

@@ -42,7 +42,9 @@ def _contiguous_base_slice(parts: Sequence[Relation]) -> Optional[np.ndarray]:
     if base is None or base.dtype != TUPLE_DTYPE or base.ndim != 1:
         return None
     itemsize = base.dtype.itemsize
-    base_ptr = base.__array_interface__["data"][0]
+    # ``ctypes.data`` reads the data pointer without rebuilding the
+    # structured dtype's descr, as ``__array_interface__`` does per call.
+    base_ptr = base.ctypes.data
     expected = None
     start0 = 0
     total = 0
@@ -52,7 +54,7 @@ def _contiguous_base_slice(parts: Sequence[Relation]) -> Optional[np.ndarray]:
             return None
         if len(data) and data.strides != (itemsize,):
             return None
-        offset = data.__array_interface__["data"][0] - base_ptr
+        offset = data.ctypes.data - base_ptr
         if offset % itemsize:
             return None
         start = offset // itemsize

@@ -15,9 +15,11 @@ Three pieces:
 - :class:`DeliverySession`: drives one shuffle's deliveries through a
   :class:`~repro.faults.plan.FaultPlan`.  Healthy destinations keep the
   fast path of one ``deliver`` per destination; a destination with any
-  dropped or duplicated inbound stream gracefully degrades to the slow
-  per-delivery path, replaying each stream's bounded retries
-  (exponential backoff, doubling per attempt) until the delivery lands.
+  dropped or duplicated inbound stream degrades to the replay path,
+  which prices each stream's bounded retries (exponential backoff,
+  doubling per attempt) and duplicates as arrays over the
+  ``(source, attempt)`` pairs.  The stream-by-stream scalar replay it
+  must equal lives in :mod:`repro.operators.reference`.
 
 The data plane is untouched: drops happen *before* bytes commit and
 duplicates are discarded *at* the controller, so the materialized
@@ -28,7 +30,7 @@ destination buffers -- and therefore every operator's functional output
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -127,20 +129,22 @@ class FaultTolerantShuffleBarrier(ShuffleBarrier):
         self._duplicate_b: list = [0] * num_vaults
         self._timeouts: list = [0] * num_vaults
 
-    def discard_duplicate(self, dest: int, size_b: int) -> None:
-        """A copy of an already-committed delivery arrived: drop it.
+    def discard_duplicates(self, dest: int, sizes_b: Sequence[int]) -> None:
+        """Copies of already-committed deliveries arrived: drop them.
 
-        The controller's sequence state recognizes the duplicate, so the
-        delivered byte count is untouched (the over-delivery guard of
-        the base barrier never fires) and only the waste is recorded.
+        ``sizes_b`` holds one size per copy.  The controller's sequence
+        state recognizes each duplicate, so the delivered byte count is
+        untouched (the over-delivery guard of the base barrier never
+        fires) and only the waste is recorded.
         """
         if not self._sealed:
             raise RuntimeError("barrier must be sealed before deliveries")
         self._check_vault(dest)
-        if size_b < 0:
+        sizes = np.asarray(sizes_b, dtype=np.int64)
+        if sizes.size and int(sizes.min()) < 0:
             raise ValueError("duplicate size must be non-negative")
-        self._duplicates[dest] += 1
-        self._duplicate_b[dest] += size_b
+        self._duplicates[dest] += int(sizes.size)
+        self._duplicate_b[dest] += int(sizes.sum())
 
     def record_timeout(self, dest: int) -> None:
         """One transient barrier-wait timeout at ``dest``; the waiter
@@ -161,14 +165,25 @@ class FaultTolerantShuffleBarrier(ShuffleBarrier):
         return sum(self._timeouts)
 
 
+def _fold(total: float, terms: np.ndarray) -> float:
+    """``total + terms[0] + terms[1] + ...``, added strictly left to right.
+
+    ``np.add.accumulate`` is a sequential fold, so the result is the
+    one a scalar ``+=`` loop produces; a pairwise or compensated sum
+    (``ndarray.sum``, builtin ``sum`` on Python >= 3.12) would not be.
+    """
+    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
+
+
 class DeliverySession:
     """Drives one shuffle's barrier deliveries through a fault plan.
 
     ``sizes_b`` is the (sources, destinations) byte matrix the histogram
-    exchange produced -- the same totals ``announce_all`` posted.  The
+    exchange produced -- the same matrix ``announce_all`` posted.  The
     session decides, per destination, whether the batched fast path is
-    safe (no inbound stream disrupted) or the slow per-delivery path
-    must replay each stream's retries.
+    safe (no inbound stream disrupted) or the replay path must price
+    each inbound stream's retries and duplicates; the replay runs on
+    arrays, one destination at a time.
     """
 
     def __init__(self, plan: FaultPlan, sizes_b: np.ndarray) -> None:
@@ -194,8 +209,8 @@ class DeliverySession:
         """Retire one destination's inbound traffic through the barrier.
 
         Healthy destinations retire with a single ``deliver`` of their
-        whole inbound total; disrupted ones degrade to per-stream
-        deliveries with bounded retries.
+        whole inbound total; disrupted ones replay their streams'
+        bounded retries and duplicates first.
         """
         sizes = self._sizes[:, dest]
         if not self.disrupted(dest):
@@ -213,25 +228,38 @@ class DeliverySession:
             sp.set(retries=self.stats.retries - before)
 
     def _replay_streams_inner(self, barrier, dest, spec, sizes) -> None:
-        for src in np.flatnonzero(sizes):
-            size_b = int(sizes[src])
-            drops = int(min(self._plan.drop_rounds[src, dest], spec.max_retries))
-            for attempt in range(drops):
-                # Attempt ``attempt`` was lost: the bytes burned the wire
-                # and the source waits an exponentially growing backoff
-                # before re-sending.
-                self.stats.retries += 1
-                self.stats.retried_b += size_b
-                self.stats.backoff_stalls += 1
-                self.stats.backoff_stall_b += (
-                    spec.backoff_base * (2.0 ** attempt) * size_b
-                )
-            barrier.deliver(dest, size_b)
-            for _ in range(int(self._plan.duplicates[src, dest])):
-                self.stats.duplicates_discarded += 1
-                self.stats.duplicate_b += size_b
-                if isinstance(barrier, FaultTolerantShuffleBarrier):
-                    barrier.discard_duplicate(dest, size_b)
+        """Every inbound stream's dropped attempts, delivery and
+        duplicates, as arrays over the ``(source, attempt)`` pairs.
+
+        Stream ``src`` loses its first ``drops`` attempts (each burns its
+        bytes on the wire and waits ``backoff_base * 2**attempt`` of its
+        transmission time), then lands, then any duplicate copies
+        arrive.  The float accumulators fold in ``(src, attempt)``
+        order, the order a stream-by-stream replay would add them in.
+        """
+        srcs = np.flatnonzero(sizes)
+        size_b = sizes[srcs]
+        drops = np.minimum(self._plan.drop_rounds[srcs, dest], spec.max_retries)
+        num_drops = int(drops.sum())
+        if num_drops:
+            dropped_b = np.repeat(size_b, drops).astype(np.float64)
+            attempt = np.arange(num_drops) - np.repeat(
+                np.cumsum(drops) - drops, drops
+            )
+            self.stats.retries += num_drops
+            self.stats.retried_b = _fold(self.stats.retried_b, dropped_b)
+            self.stats.backoff_stalls += num_drops
+            self.stats.backoff_stall_b = _fold(
+                self.stats.backoff_stall_b,
+                spec.backoff_base * 2.0 ** attempt * dropped_b,
+            )
+        barrier.deliver(dest, int(size_b.sum()))
+        copies = np.repeat(size_b, self._plan.duplicates[srcs, dest])
+        if copies.size:
+            self.stats.duplicates_discarded += int(copies.size)
+            self.stats.duplicate_b = _fold(self.stats.duplicate_b, copies)
+            if isinstance(barrier, FaultTolerantShuffleBarrier):
+                barrier.discard_duplicates(dest, copies)
 
     def finalize(self, barrier: ShuffleBarrier) -> ResilienceStats:
         """Post-delivery accounting: timeouts and straggler stall.

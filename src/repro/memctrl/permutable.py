@@ -25,7 +25,7 @@ bits are set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -136,22 +136,24 @@ class PermutableWriteEngine:
 class ShuffleBarrier:
     """The shuffle_begin / shuffle_end completion protocol (section 5.4).
 
-    Tracks, per destination vault, the bytes each source announced and the
-    bytes actually delivered; ``vault_complete`` mirrors the controller's
-    MSI broadcast, and ``all_complete`` is the condition on which every
-    compute unit's interrupt vector unblocks.
+    Announcements live in one ``(source, destination)`` byte matrix plus
+    a mask of the pairs already posted; deliveries are a per-vault byte
+    count.  ``vault_complete`` mirrors the controller's MSI broadcast,
+    and ``all_complete`` is the condition on which every compute unit's
+    interrupt vector unblocks.
     """
 
     def __init__(self, num_vaults: int) -> None:
         if num_vaults < 1:
             raise ValueError("need at least one vault")
         self._num_vaults = num_vaults
-        # announced[dest][src] = bytes src will send to dest
-        self._announced: List[Dict[int, int]] = [dict() for _ in range(num_vaults)]
+        # announced[src, dest] = bytes src will send to dest
+        self._announced = np.zeros((num_vaults, num_vaults), dtype=np.int64)
+        self._posted = np.zeros((num_vaults, num_vaults), dtype=bool)
         self._delivered: List[int] = [0] * num_vaults
         self._sealed = False
         # Per-vault totals, frozen at seal() so the deliver hot path is
-        # O(1) instead of re-summing the announcement dict per call.
+        # O(1) instead of re-summing a matrix column per call.
         self._expected: Optional[List[int]] = None
 
     @property
@@ -166,18 +168,17 @@ class ShuffleBarrier:
             raise ValueError("announced size must be non-negative")
         self._check_vault(src)
         self._check_vault(dest)
-        if src in self._announced[dest]:
+        if self._posted[src, dest]:
             raise ValueError(f"source {src} already announced to vault {dest}")
-        self._announced[dest][src] = size_b
+        self._announced[src, dest] = size_b
+        self._posted[src, dest] = True
 
     def announce_all(self, sizes_b: np.ndarray) -> None:
         """Bulk shuffle_begin: one call covering every (src, dest) pair.
 
         Equivalent to ``announce(src, dest, sizes_b[src, dest])`` for
-        every pair, leaving identical barrier state; the segmented
-        shuffle engine uses it so the announcement exchange is one
-        histogram-matrix pass instead of ``sources x destinations``
-        method calls.
+        every pair: one block assignment into the announcement matrix
+        instead of ``sources x destinations`` method calls.
         """
         if self._sealed:
             raise RuntimeError("cannot announce after the barrier is sealed")
@@ -189,15 +190,14 @@ class ShuffleBarrier:
             raise ValueError("announcement matrix exceeds the vault count")
         if num_src and num_dest and int(sizes.min()) < 0:
             raise ValueError("announced size must be non-negative")
-        for dest in range(num_dest):
-            announced = self._announced[dest]
-            col = sizes[:, dest].tolist()
-            for src in range(num_src):
-                if src in announced:
-                    raise ValueError(
-                        f"source {src} already announced to vault {dest}"
-                    )
-                announced[src] = col[src]
+        posted = self._posted[:num_src, :num_dest]
+        if posted.any():
+            # Name the first clash in (dest, src) order, as per-pair
+            # announcements walking each destination's sources would.
+            dest, src = np.argwhere(posted.T)[0].tolist()
+            raise ValueError(f"source {src} already announced to vault {dest}")
+        self._announced[:num_src, :num_dest] = sizes
+        posted[:] = True
 
     def seal(self) -> None:
         """shuffle_begin step 2: all announcements exchanged; totals fixed.
@@ -206,13 +206,13 @@ class ShuffleBarrier:
         after sealing, so the sums can never go stale.
         """
         self._sealed = True
-        self._expected = [sum(per_src.values()) for per_src in self._announced]
+        self._expected = self._announced.sum(axis=0).tolist()
 
     def expected_bytes(self, dest: int) -> int:
         self._check_vault(dest)
         if self._expected is not None:
             return self._expected[dest]
-        return sum(self._announced[dest].values())
+        return int(self._announced[:, dest].sum())
 
     def deliver(self, dest: int, size_b: int) -> None:
         """Record bytes arriving at a destination vault controller."""
@@ -231,11 +231,11 @@ class ShuffleBarrier:
     def vault_complete(self, dest: int) -> bool:
         """Would vault ``dest`` have sent its MSI by now?"""
         self._check_vault(dest)
-        return self._sealed and self._delivered[dest] == self.expected_bytes(dest)
+        return self._sealed and self._delivered[dest] == self._expected[dest]
 
     def all_complete(self) -> bool:
         """shuffle_end unblocks when every vault's MSI bit is set."""
-        return all(self.vault_complete(v) for v in range(self._num_vaults))
+        return self._sealed and self._delivered == self._expected
 
     def completion_vector(self) -> Tuple[bool, ...]:
         """The per-vault interrupt vector a compute unit observes."""

@@ -26,7 +26,8 @@ Exported names, by role:
   a machine runs an operator), and the phase categories
   ``PHASE_HISTOGRAM`` / ``PHASE_DISTRIBUTE`` / ``PHASE_PROBE``.
 - Outputs -- ``ScanOutput``, ``JoinOutput``, ``GroupByOutput``: each
-  operator's verifiable functional result.
+  operator's verifiable functional result (Group by's is columnar: a
+  key array plus one array per aggregate).
 - Building blocks -- ``LinearProbingHashTable`` (the probe substrate),
   ``destination_map`` with ``SCHEME_LOW_BITS`` / ``SCHEME_HIGH_BITS``
   (bucket routing), and the sort kernels ``quicksort`` / ``mergesort``

@@ -15,8 +15,8 @@ of four tuples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from dataclasses import dataclass, fields
+from typing import List, Tuple
 
 import numpy as np
 
@@ -46,18 +46,33 @@ GROUP_OUT_B = 64
 AGGREGATE_NAMES = ("count", "sum", "min", "max", "avg", "sumsq")
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupByOutput:
-    """Per-group aggregates, keyed by group key."""
+    """Per-group aggregates as parallel columns, one row per group.
 
-    groups: Dict[int, Dict[str, float]]
+    ``keys`` is ``uint64``; the six aggregates (``AGGREGATE_NAMES``) are
+    ``float64``.  Rows run partition by partition, keys ascending within
+    each partition.  Two outputs are equal when every column is
+    byte-identical.
+    """
+
+    keys: np.ndarray
+    count: np.ndarray
+    sum: np.ndarray
+    min: np.ndarray
+    max: np.ndarray
+    avg: np.ndarray
+    sumsq: np.ndarray
 
     @property
     def num_groups(self) -> int:
-        return len(self.groups)
+        return len(self.keys)
 
-    def aggregate(self, key: int, name: str) -> float:
-        return self.groups[key][name]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupByOutput):
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
 
 
 def hash_groupby_costs(
@@ -131,45 +146,24 @@ def sort_groupby_costs(
     return [sort_phase, agg_phase]
 
 
-def _groups_dict(
-    group_keys: np.ndarray,
-    aggregates,
-) -> Dict[int, Dict[str, float]]:
-    """Assemble the per-group output dict, detecting misrouted keys.
+def _group_columns(
+    group_keys: np.ndarray, aggregates: Tuple[np.ndarray, ...]
+) -> GroupByOutput:
+    """The columnar output, after checking for misrouted keys.
 
-    Insertion order is partition by partition, keys ascending within
-    each; low-bit partitioning sends equal keys to one partition, so a
-    key surfacing in two partitions means the shuffle misrouted tuples.
+    Rows run partition by partition, keys ascending within each;
+    low-bit partitioning sends equal keys to one partition, so a key
+    surfacing in two partitions means the shuffle misrouted tuples.
+    ``aggregates`` is ``(count, sum, min, max, avg, sumsq)``.
     """
-    counts, sums, mins, maxs, avgs, sumsqs = aggregates
     uniq, dup_counts = np.unique(group_keys, return_counts=True)
     if len(uniq) != len(group_keys):
         overlap = set(uniq[dup_counts > 1].tolist())
         raise AssertionError(f"group keys split across partitions: {overlap}")
-    return {
-        key: {
-            "count": count,
-            "sum": total,
-            "min": mn,
-            "max": mx,
-            "avg": avg,
-            "sumsq": sumsq,
-        }
-        for key, count, total, mn, mx, avg, sumsq in zip(
-            group_keys.tolist(),
-            counts.tolist(),
-            sums.tolist(),
-            mins.tolist(),
-            maxs.tolist(),
-            avgs.tolist(),
-            sumsqs.tolist(),
-        )
-    }
+    return GroupByOutput(group_keys, *aggregates)
 
 
-def _sort_groupby_segmented(
-    columns: SegmentedColumns, simd: bool
-) -> Dict[int, Dict[str, float]]:
+def _sort_groupby_segmented(columns: SegmentedColumns, simd: bool) -> GroupByOutput:
     """All partitions' sort-based grouping as whole-relation kernels.
 
     Byte-identical to mergesorting and sequentially folding each
@@ -183,10 +177,10 @@ def _sort_groupby_segmented(
     starts, lens, _ = segmented_sorted_groups(keys, columns.segments)
     values = payloads.astype(np.float64)
     aggregates = sorted_group_aggregates(values, starts, lens)
-    return _groups_dict(keys[starts], aggregates)
+    return _group_columns(keys[starts], aggregates)
 
 
-def _hash_groupby_segmented(columns: SegmentedColumns) -> Dict[int, Dict[str, float]]:
+def _hash_groupby_segmented(columns: SegmentedColumns) -> GroupByOutput:
     """All partitions' hash-based grouping as whole-relation kernels.
 
     The per-partition reference assigns each partition's tuples group
@@ -219,7 +213,7 @@ def _hash_groupby_segmented(columns: SegmentedColumns) -> Dict[int, Dict[str, fl
     np.maximum.at(maxs, gid, values)
     avgs = sums / counts  # every group has >= 1 member
     aggregates = (counts.astype(np.float64), sums, mins, maxs, avgs, sumsqs)
-    return _groups_dict(sorted_keys[starts], aggregates)
+    return _group_columns(sorted_keys[starts], aggregates)
 
 
 def run_groupby(
@@ -241,10 +235,10 @@ def run_groupby(
     )
     columns = partitioned.shuffle.columns
     if variant.probe_algorithm == "hash":
-        groups = _hash_groupby_segmented(columns)
+        output = _hash_groupby_segmented(columns)
     else:
-        groups = _sort_groupby_segmented(columns, variant.simd)
-    return groupby_operator_run(workload, variant, model_scale, partitioned, groups)
+        output = _sort_groupby_segmented(columns, variant.simd)
+    return groupby_operator_run(workload, variant, model_scale, partitioned, output)
 
 
 def groupby_operator_run(
@@ -252,11 +246,11 @@ def groupby_operator_run(
     variant: OperatorVariant,
     model_scale: float,
     partitioned: PartitionOutcome,
-    groups: Dict[int, Dict[str, float]],
+    output: GroupByOutput,
 ) -> OperatorRun:
     """Cost records plus functional output of one executed Group by."""
     n = workload.total_tuples
-    num_groups = len(groups)
+    num_groups = output.num_groups
     model_n = int(round(n * model_scale))
     model_groups = max(1, int(round(num_groups * model_scale)))
     if variant.probe_algorithm == "hash":
@@ -275,6 +269,6 @@ def groupby_operator_run(
         operator="groupby",
         variant=variant.label,
         phases=partitioned.phases + probe_phases,
-        output=GroupByOutput(groups=groups),
+        output=output,
         metadata=metadata,
     )

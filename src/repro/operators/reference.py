@@ -3,9 +3,9 @@
 The production operators and the shuffle engine run every partition at
 once with whole-relation kernels (:mod:`repro.columnar`).  This module
 keeps exactly one per-partition (or per-tuple) reference per operator,
-one for the shuffle and one for the merge pass, and
-``tests/test_reference_equivalence.py`` pins production byte-identical
-to them.
+one for the shuffle (its fault replay included) and one for the merge
+pass, and ``tests/test_reference_equivalence.py`` pins production
+byte-identical to them.
 
 Unlike :mod:`repro.operators.oracle`, which ignores partitioning
 altogether, the references run the same algorithms partition by
@@ -33,10 +33,15 @@ from repro.analytics.workload import (
 )
 from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import FaultSpec
+from repro.faults.protocol import DeliverySession, FaultTolerantShuffleBarrier
 from repro.memctrl.permutable import PermutableRegionConfig, PermutableWriteEngine
 from repro.operators import costs
 from repro.operators.base import OperatorRun, OperatorVariant
-from repro.operators.groupby import groupby_operator_run
+from repro.operators.groupby import (
+    AGGREGATE_NAMES,
+    GroupByOutput,
+    groupby_operator_run,
+)
 from repro.operators.hashtable import LinearProbingHashTable
 from repro.operators.join import (
     JoinOutput,
@@ -57,6 +62,36 @@ Groups = Dict[int, Dict[str, float]]
 # -- shuffle ---------------------------------------------------------------
 
 
+class ScalarDeliverySession(DeliverySession):
+    """The seed's fault replay: one stream, one attempt at a time.
+
+    The oracle for :meth:`DeliverySession._replay_streams_inner`'s
+    array replay: every ``+=`` here is the fold order the production
+    accumulators must reproduce bit for bit.
+    """
+
+    def _replay_streams_inner(self, barrier, dest, spec, sizes) -> None:
+        for src in np.flatnonzero(sizes):
+            size_b = int(sizes[src])
+            drops = int(min(self._plan.drop_rounds[src, dest], spec.max_retries))
+            for attempt in range(drops):
+                # Attempt ``attempt`` was lost: the bytes burned the wire
+                # and the source waits an exponentially growing backoff
+                # before re-sending.
+                self.stats.retries += 1
+                self.stats.retried_b += size_b
+                self.stats.backoff_stalls += 1
+                self.stats.backoff_stall_b += (
+                    spec.backoff_base * (2.0 ** attempt) * size_b
+                )
+            barrier.deliver(dest, size_b)
+            for _ in range(int(self._plan.duplicates[src, dest])):
+                self.stats.duplicates_discarded += 1
+                self.stats.duplicate_b += size_b
+                if isinstance(barrier, FaultTolerantShuffleBarrier):
+                    barrier.discard_duplicates(dest, [size_b])
+
+
 def reference_shuffle(
     sources: List[Relation],
     dest_of: List[np.ndarray],
@@ -75,8 +110,8 @@ def reference_shuffle(
     a :class:`PermutableWriteEngine` tail) -- the oracle for
     :func:`~repro.shuffle.engine.write_traces`.  Destinations retire
     through the same barrier protocol as production (one delivery
-    each, or per-stream retries when the fault schedule disrupted
-    them).
+    each, or a :class:`ScalarDeliverySession` replaying per-stream
+    retries when the fault schedule disrupted them).
     """
     if len(sources) != len(dest_of):
         raise ValueError("sources and destination maps must align")
@@ -94,6 +129,8 @@ def reference_shuffle(
         else np.zeros((0, num_destinations), dtype=np.int64)
     )
     barrier, session = shuffle_begin(hist, faults, fault_salt)
+    if session is not None:
+        session = ScalarDeliverySession(session.plan, hist * TUPLE_B)
     offsets = source_write_offsets(histograms) if histograms else []
 
     destinations: List[Relation] = []
@@ -283,7 +320,14 @@ def reference_groupby(
             # a key seen twice means the shuffle misrouted tuples.
             raise AssertionError(f"group keys split across partitions: {overlap}")
         groups.update(part_groups)
-    return groupby_operator_run(workload, variant, model_scale, partitioned, groups)
+    output = GroupByOutput(
+        np.fromiter(groups, dtype=np.uint64, count=len(groups)),
+        *(
+            np.array([aggs[name] for aggs in groups.values()], dtype=np.float64)
+            for name in AGGREGATE_NAMES
+        ),
+    )
+    return groupby_operator_run(workload, variant, model_scale, partitioned, output)
 
 
 # -- join ------------------------------------------------------------------

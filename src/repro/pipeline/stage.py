@@ -263,9 +263,9 @@ class GroupByStage(PipelineStage):
     """Group by key and carry one aggregate forward as the payload.
 
     Wraps :func:`repro.operators.groupby.run_groupby`; the output
-    relation is built from the operator's own functional group table
-    (key -> six aggregates), keyed in ascending key order with the chosen
-    aggregate as the payload.
+    relation is built from the operator's own columnar output (keys plus
+    six aggregate columns), in ascending key order with the chosen
+    aggregate column as the payload.
     """
 
     operator = "groupby"
@@ -289,10 +289,9 @@ class GroupByStage(PipelineStage):
             avg_group_size=len(rel) / max(1, num_groups),
         )
         run = run_groupby(workload, ctx.variant, model_scale=ctx.model_scale)
-        keys = np.sort(np.fromiter(run.output.groups, dtype=np.uint64, count=num_groups))
-        values = np.array(
-            [run.output.groups[int(k)][self.aggregate] for k in keys], dtype=np.float64
-        )
+        order = np.argsort(run.output.keys)
+        keys = run.output.keys[order]
+        values = getattr(run.output, self.aggregate)[order]
         if np.any(values < 0) or np.any(values >= 2**64):
             raise ValueError(
                 f"stage {self.name!r}: aggregate {self.aggregate!r} does not "

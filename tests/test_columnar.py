@@ -21,9 +21,11 @@ from repro.columnar import (
     segmented_mergesort,
     segmented_searchsorted,
     segmented_sorted_groups,
+    segmented_stable_argsort,
     sorted_group_aggregates,
 )
 from repro.columnar.hashtable import SegmentedLinearProbingTable
+from repro.columnar.kernels import _PAD_KEY
 from repro.operators.hashtable import LinearProbingHashTable
 from repro.operators.reference import _aggregate_sorted
 from repro.operators.sort_algos import mergesort
@@ -136,6 +138,45 @@ class TestSegmentedSort:
         ref, _ = mergesort(data, bitonic_initial=True)
         assert np.array_equal(out_keys, ref["key"])
         assert np.array_equal(out_payloads, ref["payload"])
+
+    @pytest.mark.parametrize(
+        "num_segments,top_key,packed",
+        [
+            (1, int(_PAD_KEY), True),  # one segment: no segment bits needed
+            (12, 0, True),
+            (12, (1 << 60) - 1, True),  # largest key 4 segment bits allow
+            (12, 1 << 60, False),
+            (12, int(_PAD_KEY), False),
+            (64, 0, True),
+            (64, int(_PAD_KEY), False),
+        ],
+    )
+    def test_stable_argsort_packed_and_fallback(
+        self, monkeypatch, num_segments, top_key, packed
+    ):
+        rng = np.random.default_rng(num_segments)
+        columns = random_columns(rng, num_segments, 80, key_space=64)
+        keys = columns.keys.copy()
+        keys[::7] = top_key  # ties with the top key exercise stability
+        lexsorts = []
+        real_lexsort = np.lexsort
+
+        def counting_lexsort(*args, **kwargs):
+            lexsorts.append(1)
+            return real_lexsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        order = segmented_stable_argsort(keys, columns.segments)
+        bounds = columns.segments
+        expected = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [
+                lo + np.argsort(keys[lo:hi], kind="stable")
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+        )
+        assert np.array_equal(order, expected)
+        assert lexsorts == ([] if packed else [1])
 
 
 class TestSortedGroupAggregates:

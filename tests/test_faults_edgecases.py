@@ -107,7 +107,7 @@ class TestFaultTolerantBarrier:
     def test_duplicate_does_not_corrupt_byte_count(self):
         b = self.barrier([[32, 16], [0, 48]])
         b.deliver(0, 32)
-        b.discard_duplicate(0, 32)  # the copy is recognized and dropped
+        b.discard_duplicates(0, [32])  # the copy is recognized and dropped
         assert b.vault_complete(0)  # not over-delivered
         assert b.duplicates_discarded == 1
         assert b.duplicate_bytes == 32
@@ -119,9 +119,9 @@ class TestFaultTolerantBarrier:
         b = FaultTolerantShuffleBarrier(2)
         b.announce(0, 0, 8)
         with pytest.raises(RuntimeError):
-            b.discard_duplicate(0, 8)
+            b.discard_duplicates(0, [8])
         with pytest.raises(ValueError):
-            self.barrier([[8]]).discard_duplicate(0, -1)
+            self.barrier([[8]]).discard_duplicates(0, [-1])
 
     def test_timeouts_recorded_not_raised(self):
         b = self.barrier([[16]])
@@ -134,7 +134,7 @@ class TestFaultTolerantBarrier:
     def test_vault_bounds_checked(self):
         b = self.barrier([[16, 16]])
         with pytest.raises(ValueError):
-            b.discard_duplicate(5, 8)
+            b.discard_duplicates(5, [8])
         with pytest.raises(ValueError):
             b.record_timeout(-1)
 

@@ -1,6 +1,8 @@
 """Functional-correctness and cost-record tests for the four operators,
 across all algorithmic variants, verified against the oracles."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from repro.analytics.workload import (
     make_scan_workload,
     make_sort_workload,
 )
+from repro.columnar import SegmentedColumns
 from repro.operators import (
     OperatorVariant,
     PHASE_DISTRIBUTE,
@@ -20,6 +23,11 @@ from repro.operators import (
     run_join,
     run_scan,
     run_sort,
+)
+from repro.operators.groupby import (
+    AGGREGATE_NAMES,
+    _hash_groupby_segmented,
+    _sort_groupby_segmented,
 )
 from repro.operators.oracle import (
     oracle_groupby,
@@ -156,18 +164,42 @@ class TestGroupBy:
         w = make_groupby_workload(3000, P, seed=11)
         r = run_groupby(w, variant)
         oracle = oracle_groupby(w)
-        assert set(r.output.groups) == set(oracle)
-        for key in oracle:
-            for agg in ("count", "sum", "min", "max", "avg", "sumsq"):
-                got = r.output.groups[key][agg]
+        keys = r.output.keys.tolist()
+        assert len(keys) == len(set(keys)) == r.output.num_groups
+        assert set(keys) == set(oracle)
+        for agg in AGGREGATE_NAMES:
+            column = getattr(r.output, agg)
+            for row, key in enumerate(keys):
                 want = oracle[key][agg]
-                assert got == pytest.approx(want, rel=1e-9), (key, agg)
+                assert column[row] == pytest.approx(want, rel=1e-9), (key, agg)
 
     def test_six_aggregates_present(self):
         w = make_groupby_workload(500, P, seed=12)
         r = run_groupby(w, VARIANTS["mondrian"])
-        sample = next(iter(r.output.groups.values()))
-        assert set(sample) == {"count", "sum", "min", "max", "avg", "sumsq"}
+        assert r.output.keys.dtype == np.uint64
+        for agg in ("count", "sum", "min", "max", "avg", "sumsq"):
+            column = getattr(r.output, agg)
+            assert column.dtype == np.float64
+            assert column.shape == r.output.keys.shape
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            _hash_groupby_segmented,
+            partial(_sort_groupby_segmented, simd=False),
+            partial(_sort_groupby_segmented, simd=True),
+        ],
+        ids=["hash", "sort", "sort-simd"],
+    )
+    def test_key_in_two_partitions_is_a_misroute(self, group):
+        # Key 7 sits in segments 0 and 2: the shuffle misrouted tuples.
+        columns = SegmentedColumns(
+            keys=np.array([7, 3, 5, 7, 9], dtype=np.uint64),
+            payloads=np.arange(5, dtype=np.uint64),
+            segments=np.array([0, 2, 3, 5], dtype=np.int64),
+        )
+        with pytest.raises(AssertionError, match=r"split across partitions: \{7\}"):
+            group(columns)
 
     def test_average_group_size_metadata(self):
         w = make_groupby_workload(4000, P, avg_group_size=4.0, seed=13)

@@ -39,10 +39,13 @@ from repro.analytics.workload import (
 )
 from repro.config.system import get_preset
 from repro.experiments import common
-from repro.faults.plan import NULL_FAULTS, FaultSpec
+from repro.faults.plan import NULL_FAULTS, FaultPlan, FaultSpec
+from repro.faults.protocol import DeliverySession, FaultTolerantShuffleBarrier
 from repro.memctrl.permutable import ShuffleBarrier
+from repro.operators.groupby import AGGREGATE_NAMES
 from repro.operators.reference import (
     REFERENCE_RUNNERS,
+    ScalarDeliverySession,
     merge_pass_scalar,
     reference_shuffle,
 )
@@ -181,9 +184,13 @@ def _assert_results_identical(operator, prod, ref):
         assert np.array_equal(prod.output.data, ref.output.data)
         assert prod.output.name == ref.output.name
     elif operator == "groupby":
-        # Same keys, same insertion order, byte-identical floats.
-        assert list(prod.output.groups) == list(ref.output.groups)
-        assert prod.output.groups == ref.output.groups
+        # Same keys in the same order, byte-identical aggregate columns.
+        assert prod.output.keys.dtype == ref.output.keys.dtype == np.uint64
+        assert prod.output.keys.tolist() == ref.output.keys.tolist()
+        for name in AGGREGATE_NAMES:
+            got, want = getattr(prod.output, name), getattr(ref.output, name)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), name
     else:
         assert prod.output == ref.output
     assert prod.metadata == ref.metadata
@@ -205,6 +212,86 @@ def test_operator_matches_reference(operator, preset, faults, workload):
     _assert_results_identical(operator, prod, ref)
     shuffles = operator != "scan"
     assert ("resilience" in prod.metadata) == (shuffles and faults != "none")
+
+
+def replay(session_cls, plan, sizes_b):
+    """Retire every destination of ``sizes_b`` through ``session_cls``;
+    returns its stats and the barrier's duplicate and completion state."""
+    barrier = FaultTolerantShuffleBarrier(max(sizes_b.shape))
+    barrier.announce_all(sizes_b)
+    barrier.seal()
+    session = session_cls(plan, sizes_b)
+    for dest in range(sizes_b.shape[1]):
+        session.deliver_dest(barrier, dest)
+    stats = session.finalize(barrier)
+    return stats, (
+        barrier.duplicates_discarded,
+        barrier.duplicate_bytes,
+        barrier.completion_vector(),
+    )
+
+
+class TestFaultReplayEdgeCases:
+    """The array replay against the stream-by-stream scalar oracle."""
+
+    @staticmethod
+    def plan(spec, drop_rounds, duplicates):
+        drop_rounds = np.asarray(drop_rounds, dtype=np.int64)
+        num_src, num_dest = drop_rounds.shape
+        return FaultPlan(
+            spec=spec,
+            num_sources=num_src,
+            num_destinations=num_dest,
+            salt=0,
+            straggler_factor=np.ones(num_src),
+            drop_rounds=drop_rounds,
+            duplicates=np.asarray(duplicates, dtype=np.int64),
+            timeout_rounds=np.zeros(num_dest, dtype=np.int64),
+        )
+
+    def assert_replays_match(self, plan, sizes_b):
+        sizes_b = np.asarray(sizes_b, dtype=np.int64)
+        prod, prod_barrier = replay(DeliverySession, plan, sizes_b)
+        ref, ref_barrier = replay(ScalarDeliverySession, plan, sizes_b)
+        assert prod == ref
+        assert prod_barrier == ref_barrier
+        return prod
+
+    def test_drops_capped_at_max_retries(self):
+        spec = FaultSpec(seed=1, drop_prob=0.5, max_retries=2, backoff_base=0.3)
+        plan = self.plan(spec, [[9, 1], [2, 0]], [[0, 0], [0, 0]])
+        stats = self.assert_replays_match(plan, [[96, 32], [48, 16]])
+        assert stats.retries == 2 + 1 + 2  # the 9 drops stop at max_retries
+        assert stats.backoff_stalls == stats.retries
+
+    def test_drops_and_duplicates_on_one_destination(self):
+        spec = FaultSpec(seed=1, drop_prob=0.5, duplicate_prob=0.5,
+                         backoff_base=0.7)
+        plan = self.plan(spec, [[3], [0], [1]], [[1], [1], [0]])
+        stats = self.assert_replays_match(plan, [[24], [40], [56]])
+        assert stats.degraded_destinations == 1
+        assert (stats.retries, stats.duplicates_discarded) == (4, 2)
+        assert stats.duplicate_b == 24 + 40
+
+    def test_zero_byte_stream_is_not_replayed(self):
+        # Source 1 sends nothing to destination 0: its scheduled drops
+        # and duplicate have nothing to act on.
+        spec = FaultSpec(seed=1, drop_prob=0.5, duplicate_prob=0.5)
+        plan = self.plan(spec, [[1, 0], [3, 3], [0, 2]], [[0, 1], [1, 0], [1, 0]])
+        stats = self.assert_replays_match(plan, [[8, 16], [0, 24], [32, 8]])
+        assert stats.retries == 1 + 3 + 2
+        assert stats.duplicates_discarded == 2
+
+    @pytest.mark.parametrize("max_retries", [1, 4])
+    def test_every_attempt_dropped(self, max_retries):
+        spec = FaultSpec(seed=5, drop_prob=1.0, duplicate_prob=0.3,
+                         max_retries=max_retries, backoff_base=0.1)
+        rng = np.random.default_rng(max_retries)
+        sizes_b = rng.integers(0, 50, (6, 5)) * 16
+        sizes_b[2] = 0  # one silent source
+        plan = FaultPlan.build(spec, 6, 5, salt=9)
+        stats = self.assert_replays_match(plan, sizes_b)
+        assert stats.retries == np.count_nonzero(sizes_b) * max_retries
 
 
 class TestBarrierFrozenTotals:
