@@ -27,10 +27,14 @@ TELEMETRY_MIN_COVERAGE ?= 90
 #: evaluation-fleet package (ring, sharded store, router, async client).
 FLEET_MIN_COVERAGE ?= 90
 
+#: Checkout of the parent commit and workload compared by `make perf-pairs`.
+PARENT ?=
+WORKLOAD ?= design-sweep
+
 #: Deterministic wire-fault schedule seeds replayed by `make chaos-test`.
 CHAOS_SEEDS ?= --seed 7 --seed 17
 
-.PHONY: test test-faults perfbench-smoke coverage coverage-service coverage-suites coverage-telemetry coverage-fleet chaos-test docs-check load-test load-test-smoke report report-html report-smoke pipelines sweep-smoke service-smoke suites-smoke profile
+.PHONY: test test-faults perfbench-smoke coverage coverage-service coverage-suites coverage-telemetry coverage-fleet chaos-test docs-check load-test load-test-smoke report report-html report-smoke pipelines sweep-smoke service-smoke suites-smoke profile perf-pairs
 
 ## Tier-1 verification: full unit/integration/experiment suite, then
 ## the fault-injection suite, the benchmark, sweep-smoke, service-smoke,
@@ -109,6 +113,14 @@ chaos-test:
 ## (with --trace 1, through the per-layer wrappers).
 perfbench-smoke:
 	$(PY) -m pytest -q perfbench/test_smoke.py
+
+## Ten alternating parent/change benchmark pairs for one workload: each
+## side's median and quartiles per end-to-end metric, the change's wins,
+## and the gain and bound verdicts; fails if any run failed an operation.
+## make perf-pairs PARENT=../parent [WORKLOAD=query-suites]
+perf-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make perf-pairs PARENT=<parent checkout>"; exit 2; }
+	$(PY) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD)
 
 ## Scenario-API smoke test: run the committed 2x2 sweep grid (CPU +
 ## a 32-core star-topology Mondrian the paper never measured) and diff

@@ -98,7 +98,10 @@ class Relation:
         )
 
     def sorted_by_key(self, name: Optional[str] = None) -> "Relation":
-        order = np.argsort(self.keys, kind="stable")
+        # Imported here: the columnar package imports this module.
+        from repro.columnar.kernels import stable_argsort
+
+        order = stable_argsort(self.keys)
         return self.take(order, name or self.name)
 
     def is_sorted(self) -> bool:

@@ -3,16 +3,22 @@
 Each kernel is the batched twin of a per-partition loop in the operator
 layer and is **byte-identical** to it:
 
+- :func:`stable_argsort` -- ``np.argsort(kind="stable")`` computed
+  from numpy's SIMD default sort: its order as is when no codes tie,
+  else one more sort of the distinct ``(dense rank << 32) | row``
+  composite, whose sorted order is unique.
 - :func:`segmented_stable_argsort` -- one stable sort of the composite
   ``(segment, key)`` order (a packed ``uint64`` code within the bit
   budget, else a lexsort) equals a stable per-segment argsort, which in
   turn equals the multi-pass stable mergesort of
   ``repro.operators.sort_algos`` (a stable merge of stable runs is a
   stable sort).
-- :func:`segmented_bitonic_runs` -- every segment's 16-tuple bitonic
-  blocks concatenated into one grid; the compare-exchange network is
-  data-independent, so one pass over the grid equals the per-segment
-  passes.
+- :func:`segmented_mergesort` with the 16-tuple bitonic run pass -- after
+  the stable merge the network's only observable effect is the order of
+  equal keys inside one block.  Blocks with no such tie skip it; the
+  others run the data-independent network once, as one grid of small
+  integer ranks read off the sorted order, with pads ranked above every
+  real key.
 - :func:`sorted_group_aggregates` -- groups bucketed by exact length and
   reduced as rows of one matrix; numpy reduces each row with the same
   pairwise routine a 1-D ``chunk.sum()`` uses, so the floats match the
@@ -29,13 +35,11 @@ code, which is only sound when ``segment_bits + key_space_bits <= 64``
 their own multi-column composite keys (the suite subsystem's
 ``(region, store, day)``-style keys, see
 :mod:`repro.suites.families`): the *total* packed width plus the
-segment bits must fit 64, and because the sort kernels reserve
-``2**64 - 1`` as the padding sentinel, packed keys themselves must stay
-below ``2**63``.  Exceeding the budget is never an error -- the kernels
-verify both conditions at runtime and degrade to the per-segment
-reference loop, byte-identically -- but the fallback loops over
-segments in Python, so callers should keep composite keys inside the
-budget when they control the layout.
+segment bits must fit 64.  Exceeding the budget is never an error --
+the kernels verify both conditions at runtime and degrade to the
+per-segment reference loop, byte-identically -- but the fallback loops
+over segments in Python, so callers should keep composite keys inside
+the budget when they control the layout.
 """
 
 from __future__ import annotations
@@ -43,10 +47,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-#: Padding key guaranteed to sort last (workload keys are < 2**63);
-#: mirrors ``repro.operators.sort_algos._PAD_KEY``.
-_PAD_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def segment_ids(segments: np.ndarray) -> np.ndarray:
@@ -57,6 +57,37 @@ def segment_ids(segments: np.ndarray) -> np.ndarray:
     )
 
 
+def stable_argsort(code: np.ndarray) -> np.ndarray:
+    """``np.argsort(code, kind="stable")``, from numpy's fast default sort.
+
+    The default sort kind dispatches to a SIMD sort where the host has
+    one, which is several times faster than the stable kind on 64-bit
+    codes but free to order equal codes any way.  Its order is returned
+    as is when no two codes are equal.  Otherwise a second sort of the
+    distinct composite ``(dense rank << 32) | row`` restores the stable
+    order: distinct values have one sorted order, whatever algorithm
+    produced it.  Codes of at most 16 bits take numpy's O(n) radix path
+    directly, as do inputs of ``2**31`` rows or more: the composite is
+    an ``int64``, so every dense rank must stay below ``2**31`` to keep
+    its sign bit clear.
+    """
+    n = len(code)
+    if code.dtype.itemsize <= 2 or n >= 1 << 31:
+        return np.argsort(code, kind="stable")
+    order = np.argsort(code)
+    sorted_code = code[order]
+    new_rank = sorted_code[1:] != sorted_code[:-1]
+    if new_rank.all():
+        return order
+    composite = np.zeros(n, dtype=np.int64)
+    np.cumsum(new_rank, out=composite[1:])
+    composite <<= 32
+    composite |= order
+    composite.sort()
+    composite &= 0xFFFFFFFF
+    return composite
+
+
 def segmented_stable_argsort(keys: np.ndarray, segments: np.ndarray) -> np.ndarray:
     """Stable within-segment argsort by key, as one global permutation.
 
@@ -64,8 +95,8 @@ def segmented_stable_argsort(keys: np.ndarray, segments: np.ndarray) -> np.ndarr
     independently (rows stay inside their segment).  When the bit-budget
     rule holds -- ``uint64`` keys below ``2**(64 - segment_bits)`` --
     ``(segment, key)`` packs into one ``uint64`` code sorted by a single
-    stable argsort; otherwise it runs as one composite lexsort.  Both
-    orders are the same stable ``(segment, key)`` order.
+    :func:`stable_argsort`; otherwise it runs as one composite lexsort.
+    Both orders are the same stable ``(segment, key)`` order.
     """
     seg_bits = (len(segments) - 2).bit_length() if len(segments) > 2 else 0
     if keys.dtype == np.uint64 and (
@@ -74,75 +105,120 @@ def segmented_stable_argsort(keys: np.ndarray, segments: np.ndarray) -> np.ndarr
         if seg_bits:
             sids = segment_ids(segments).astype(np.uint64)
             keys = (sids << np.uint64(64 - seg_bits)) | keys
-        return np.argsort(keys, kind="stable")
+        return stable_argsort(keys)
     return np.lexsort((keys, segment_ids(segments)))
 
 
-def segmented_bitonic_runs(
-    keys: np.ndarray,
-    payloads: np.ndarray,
-    segments: np.ndarray,
-    run: int = 16,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Bitonic-sort every segment's ``run``-tuple blocks in one pass.
+def _bitonic_network(ranks: np.ndarray, lanes: np.ndarray) -> None:
+    """The network of ``sort_algos.bitonic_sort_runs``, in place on
+    lane-major ``(run, blocks)`` grids of ranks and lane ids.
 
-    Byte-identical to calling
-    :func:`repro.operators.sort_algos.bitonic_sort_runs` per segment:
-    each segment is padded independently to a whole number of blocks
-    (pads only ever occupy its final block), all blocks form one
-    ``(total_blocks, run)`` grid, and the data-independent network runs
-    once.  Returns ``(keys, payloads, compare_exchange_steps)`` with the
-    pads stripped.
+    Step ``(k, j)`` compare-exchanges lane ``i`` with lane ``i ^ j``,
+    descending where bit ``k`` of ``i`` is set.  Ranks in those lanes
+    are held bitwise complemented for the stage, which turns every
+    comparator ascending, so each step is one pair of reshape views.
+    Equal ranks never swap, exactly like the reference's strict
+    comparison; the lane ids follow each swap through an XOR under an
+    all-zeros/all-ones mask.
     """
-    if run < 2 or run & (run - 1):
-        raise ValueError("run must be a power of two >= 2")
-    segments = np.asarray(segments, dtype=np.int64)
-    lens = np.diff(segments)
-    n = int(segments[-1])
-    if n == 0:
-        return keys.copy(), payloads.copy(), 0
-    pad_lens = -(-lens // run) * run  # ceil to whole blocks, per segment
-    pstarts = np.zeros(len(lens), dtype=np.int64)
-    np.cumsum(pad_lens[:-1], out=pstarts[1:])
-    total_p = int(pad_lens.sum())
-    grid_keys = np.full(total_p, _PAD_KEY, dtype=np.uint64)
-    grid_vals = np.zeros(total_p, dtype=np.uint64)
-    # Real rows land at the head of their segment's padded range.
-    dst = np.arange(n, dtype=np.int64) + np.repeat(pstarts - segments[:-1], lens)
-    grid_keys[dst] = keys
-    grid_vals[dst] = payloads
-    gk = grid_keys.reshape(-1, run)
-    gv = grid_vals.reshape(-1, run)
-
-    steps = 0
+    run, blocks = ranks.shape
+    lane_bits = np.arange(run)[:, None]
+    complemented = np.zeros_like(lane_bits, dtype=bool)
     k = 2
     while k <= run:
+        descending = (lane_bits & k) != 0
+        ranks ^= np.where(
+            descending != complemented, np.iinfo(ranks.dtype).max, 0
+        ).astype(ranks.dtype)
+        complemented = descending
         j = k // 2
         while j >= 1:
-            idx = np.arange(run)
-            partner = idx ^ j
-            upper = partner > idx
-            i_lo = idx[upper]
-            i_hi = partner[upper]
-            ascending = (idx[upper] & k) == 0
-            lo_keys, hi_keys = gk[:, i_lo], gk[:, i_hi]
-            wrong = np.where(ascending, lo_keys > hi_keys, lo_keys < hi_keys)
-            lo_k = np.where(wrong, hi_keys, lo_keys)
-            hi_k = np.where(wrong, lo_keys, hi_keys)
-            lo_v = np.where(wrong, gv[:, i_hi], gv[:, i_lo])
-            hi_v = np.where(wrong, gv[:, i_lo], gv[:, i_hi])
-            gk[:, i_lo], gk[:, i_hi] = lo_k, hi_k
-            gv[:, i_lo], gv[:, i_hi] = lo_v, hi_v
-            steps += 1
+            shape = (run // (2 * j), 2, j, blocks)
+            r, l = ranks.reshape(shape), lanes.reshape(shape)
+            a, b, la, lb = r[:, 0], r[:, 1], l[:, 0], l[:, 1]
+            mask = np.subtract(0, np.greater(a, b), dtype=lanes.dtype)
+            low = np.minimum(a, b)
+            np.maximum(a, b, out=b)
+            a[...] = low
+            diff = np.bitwise_xor(la, lb)
+            diff &= mask
+            la ^= diff
+            lb ^= diff
             j //= 2
         k *= 2
 
-    flat_keys = gk.reshape(-1)
-    flat_vals = gv.reshape(-1)
-    # Within every block the pads sorted to the tail, and only a
-    # segment's final block holds pads, so the real rows again occupy
-    # the head of each segment's padded range.
-    return flat_keys[dst], flat_vals[dst], steps
+
+def _bitonic_tie_order(
+    sorted_keys: np.ndarray, order: np.ndarray, segments: np.ndarray, run: int
+) -> np.ndarray:
+    """Rewrite the stable ``(segment, key)`` ``order`` as the stable sort
+    of the data after the per-segment bitonic run pass.
+
+    Each segment is padded on its own to whole ``run``-row blocks, as in
+    :func:`repro.operators.sort_algos.bitonic_sort_runs`.  The network
+    only permutes rows inside a block, and a stable sort afterwards
+    orders equal keys by block, so its sole observable effect is the
+    order of *equal keys inside one block*.  Blocks without such a tie
+    keep ``order``; the network runs only on the others, over small
+    integer ranks (each row's tie-group position in ``order``; pads rank
+    above every real key) and a lane permutation, and each tie group then
+    takes its members in post-network lane order.
+    """
+    if run < 2 or run & (run - 1):
+        raise ValueError("run must be a power of two >= 2")
+    n = len(order)
+    if n < 2:
+        return order
+    segments = np.asarray(segments, dtype=np.int64)
+    lens = np.diff(segments)
+    pad_lens = -(-lens // run) * run
+    # Rows never leave their segment, so sorted position p and row p
+    # share a segment; ``slot`` is each sorted row's padded position.
+    slot = order + np.repeat(np.cumsum(pad_lens) - pad_lens - segments[:-1], lens)
+    shift = run.bit_length() - 1
+    block = slot >> shift
+    tie = sorted_keys[1:] == sorted_keys[:-1]
+    tie &= block[1:] == block[:-1]
+    if not tie.any():
+        return order
+
+    # A tie group -- one block's rows of one key -- is contiguous in the
+    # sorted order; ``group`` is the sorted position of its first row.
+    # Inside a block it ranks rows exactly like their keys do.
+    group = np.empty(n, dtype=np.int64)
+    group[0] = 0
+    np.multiply(~tie, np.arange(1, n), out=group[1:])
+    np.maximum.accumulate(group, out=group)
+    tied = np.zeros(int(pad_lens.sum()) // run, dtype=bool)
+    tied[block[1:][tie]] = True
+    pos = np.flatnonzero(tied[block])  # sorted positions in tied blocks
+    num_tied = int(np.count_nonzero(tied))
+    # Each tied row's cell in a block-major (tied block, lane) grid.
+    to_cell = (np.cumsum(tied) - 1 - np.arange(len(tied))) << shift
+    sub_slot = slot[pos]
+    cell = sub_slot + to_cell[sub_slot >> shift]
+    sub_group = group[pos]
+    ranks = np.full((num_tied, run), n, dtype=np.min_scalar_type(n))  # pads: n
+    ranks.reshape(-1)[cell] = sub_group
+    ranks = np.ascontiguousarray(ranks.T)
+    lane_ids = np.arange(run, dtype=np.min_scalar_type(run - 1))[:, None]
+    lanes = np.repeat(lane_ids, num_tied, axis=1)
+    _bitonic_network(ranks, lanes)
+
+    # After the network a block's ranks ascend along its lanes; a row's
+    # offset in its tie group is its lane minus the group's first lane,
+    # recorded at the lane the row started from.
+    first = np.zeros_like(lanes)
+    np.multiply(ranks[1:] != ranks[:-1], lane_ids[1:], out=first[1:])
+    np.maximum.accumulate(first, axis=0, out=first)
+    started_at = lanes.astype(np.int64)
+    started_at += np.arange(0, num_tied * run, run)
+    offset = np.empty(num_tied * run, dtype=lanes.dtype)
+    offset[started_at] = lane_ids - first
+    sub_group += offset[cell]
+    result = order.copy()
+    result[sub_group] = order[pos]
+    return result
 
 
 def segmented_mergesort(
@@ -156,16 +232,17 @@ def segmented_mergesort(
 
     ``repro.operators.sort_algos.mergesort`` is a (bitonic-seeded) run
     formation followed by stable merge passes; a stable merge of stable
-    runs is exactly a stable sort of the run-formed data, so the
-    segmented equivalent is the bitonic pass plus one composite stable
-    lexsort.  Byte-identical per segment (the equivalence suite pins it).
+    runs is exactly a stable sort of the run-formed data.  The segmented
+    equivalent is one stable ``(segment, key)`` sort, with the order of
+    equal keys inside a bitonic block then fixed up by
+    :func:`_bitonic_tie_order`.  Byte-identical per segment (the
+    equivalence suite pins it).
     """
-    if bitonic_initial:
-        keys, payloads, _ = segmented_bitonic_runs(
-            keys, payloads, segments, bitonic_run
-        )
     order = segmented_stable_argsort(keys, segments)
-    return keys[order], payloads[order]
+    sorted_keys = keys[order]
+    if bitonic_initial:
+        order = _bitonic_tie_order(sorted_keys, order, segments, bitonic_run)
+    return sorted_keys, payloads[order]
 
 
 def segmented_sorted_groups(

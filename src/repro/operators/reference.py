@@ -147,7 +147,11 @@ def reference_shuffle(
             )
         )
         arrivals = interleave([len(stream) for stream in inbound])
-        for i, (src, idx) in enumerate(zip(*arrivals)):
+        # FIFO per source: the model names sources; count their elements.
+        next_idx = [0] * len(inbound)
+        for i, src in enumerate(arrivals.tolist()):
+            idx = next_idx[src]
+            next_idx[src] += 1
             if permutable:
                 marked = int(offsets[src][dest]) * TUPLE_B
                 trace[i] = tail.write(None, marked_addr=marked)

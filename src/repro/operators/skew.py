@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.analytics.histogram import build_histogram
 from repro.analytics.tuples import TUPLE_B, Relation
+from repro.columnar.kernels import stable_argsort
 from repro.faults.plan import stream_salt
 from repro.operators import costs
 from repro.operators.base import (
@@ -177,7 +178,7 @@ class _PlanApplier:
         # order (the per-bucket ``buckets == b`` masks scanned the whole
         # array once per distinct bucket -- quadratic with the CPU's
         # 2**16 radix buckets).
-        order = np.argsort(buckets, kind="stable")
+        order = stable_argsort(buckets)
         sorted_buckets = buckets[order]
         change = np.empty(n, dtype=bool)
         change[0] = True

@@ -20,7 +20,9 @@ import numpy as np
 
 from repro.analytics.tuples import TUPLE_DTYPE
 
-#: Padding key guaranteed to sort last (workload keys are < 2**63).
+#: Padding key.  Pads sort last even against real keys equal to it: the
+#: merge pass's stable sort keeps them at the tail, and the bitonic
+#: pass carries a pad flag.
 _PAD_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -65,13 +67,21 @@ def merge_pass(data: np.ndarray, run_len: int) -> np.ndarray:
     return padded[flat][:n]
 
 
+def _sorts_after(a_pad, a_key, b_pad, b_key) -> np.ndarray:
+    """Where ``(pad, key)`` of ``a`` orders strictly after that of ``b``."""
+    return (a_pad > b_pad) | ((a_pad == b_pad) & (a_key > b_key))
+
+
 def bitonic_sort_runs(data: np.ndarray, run: int = 16) -> Tuple[np.ndarray, int]:
     """Sort each ``run``-tuple block with a bitonic compare-exchange
     network (the SIMD kernel of paper section 5.2).
 
     Returns ``(data_with_sorted_runs, compare_exchange_steps)`` where the
     step count is per-element network stages, i.e. the number of
-    compare-exchange operations each SIMD lane performs.
+    compare-exchange operations each SIMD lane performs.  The final
+    block's pads carry a flag that orders them strictly after every real
+    key, so a real key equal to :data:`_PAD_KEY` is never stripped in
+    place of a pad.
     """
     if run < 2 or run & (run - 1):
         raise ValueError("run must be a power of two >= 2")
@@ -87,6 +97,7 @@ def bitonic_sort_runs(data: np.ndarray, run: int = 16) -> Tuple[np.ndarray, int]
     grid = padded.reshape(blocks, run)
     keys = grid["key"].copy()
     vals = grid["payload"].copy()
+    pads = (np.arange(blocks * run) >= n).reshape(blocks, run)
 
     steps = 0
     k = 2
@@ -100,14 +111,17 @@ def bitonic_sort_runs(data: np.ndarray, run: int = 16) -> Tuple[np.ndarray, int]
             i_hi = partner[upper]
             ascending = (idx[upper] & k) == 0
             lo_keys, hi_keys = keys[:, i_lo], keys[:, i_hi]
+            lo_pads, hi_pads = pads[:, i_lo], pads[:, i_hi]
             # swap where order violates the direction of this subsequence
-            wrong = np.where(ascending, lo_keys > hi_keys, lo_keys < hi_keys)
-            lo_k = np.where(wrong, hi_keys, lo_keys)
-            hi_k = np.where(wrong, lo_keys, hi_keys)
-            lo_v = np.where(wrong, vals[:, i_hi], vals[:, i_lo])
-            hi_v = np.where(wrong, vals[:, i_lo], vals[:, i_hi])
-            keys[:, i_lo], keys[:, i_hi] = lo_k, hi_k
-            vals[:, i_lo], vals[:, i_hi] = lo_v, hi_v
+            wrong = np.where(
+                ascending,
+                _sorts_after(lo_pads, lo_keys, hi_pads, hi_keys),
+                _sorts_after(hi_pads, hi_keys, lo_pads, lo_keys),
+            )
+            for col in (keys, vals, pads):
+                lo, hi = col[:, i_lo], col[:, i_hi]
+                col[:, i_lo] = np.where(wrong, hi, lo)
+                col[:, i_hi] = np.where(wrong, lo, hi)
             steps += 1
             j //= 2
         k *= 2

@@ -38,6 +38,7 @@ from repro.analytics.workload import (
     SortWorkload,
     split_relation,
 )
+from repro.columnar.kernels import stable_argsort
 from repro.operators.base import OperatorRun, OperatorVariant, PhaseCost
 from repro.operators.groupby import AGGREGATE_NAMES, run_groupby
 from repro.operators.join import run_join
@@ -416,7 +417,7 @@ def _fk_join_relation(r: Relation, s: Relation, name: str) -> Relation:
     """Materialize the FK join: (s.key, r.payload + s.payload) per match."""
     if len(r) == 0 or len(s) == 0:
         return Relation.empty(name)
-    order = np.argsort(r.keys, kind="stable")
+    order = stable_argsort(r.keys)
     r_keys = r.keys[order]
     r_payloads = r.payloads[order]
     idx = np.searchsorted(r_keys, s.keys)

@@ -6,11 +6,20 @@ arrive at each destination in an order no single source controls.  The
 shuffle engine models that interleaving functionally (real tuples move),
 drives the shuffle_begin/shuffle_end barrier protocol, and produces the
 destination relations plus the (source, destination) histogram.
-:func:`write_traces` derives from that histogram, on demand, the
-per-destination arrival traces the event-accurate DRAM model can replay.
+Interleave models name only the source of each arrival (per-source FIFO
+order is their contract); :func:`arrival_slots` maps every arrival of
+every destination to its addressed write slot in one pass, for the
+permutable shuffle's arrival order and for :func:`write_traces`, which
+derives from the histogram, on demand, the per-destination arrival
+traces the event-accurate DRAM model can replay.
 """
 
-from repro.shuffle.engine import ShuffleEngine, ShuffleResult, write_traces
+from repro.shuffle.engine import (
+    ShuffleEngine,
+    ShuffleResult,
+    arrival_slots,
+    write_traces,
+)
 from repro.shuffle.interleave import (
     NAMED_INTERLEAVES,
     get_interleave,
@@ -22,6 +31,7 @@ __all__ = [
     "NAMED_INTERLEAVES",
     "ShuffleEngine",
     "ShuffleResult",
+    "arrival_slots",
     "get_interleave",
     "random_interleave",
     "round_robin_interleave",

@@ -13,9 +13,11 @@ and materializes each destination buffer either
 Both produce the same *multiset* per destination -- the permutability
 guarantee -- but different orders and radically different DRAM write
 patterns.  The engine drives the :class:`ShuffleBarrier` handshake and
-keeps the (source, destination) histogram; :func:`write_traces` derives
-each destination's arrival trace (vault-relative addresses) from those
-counts alone, so the event-accurate DRAM model can replay the traffic.
+keeps the (source, destination) histogram.  :func:`arrival_slots` maps
+every arrival to its addressed slot from those counts and the interleave
+model; the permutable path reorders by it, and :func:`write_traces`
+derives each destination's arrival trace (vault-relative addresses)
+from it, so the event-accurate DRAM model can replay the traffic.
 
 All destinations are materialized in one whole-relation pass over SoA
 columns; :func:`repro.operators.reference.reference_shuffle` keeps the
@@ -30,6 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analytics.tuples import TUPLE_B, TUPLE_DTYPE, Relation
+from repro.columnar.kernels import stable_argsort
 from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.protocol import (
@@ -47,15 +50,15 @@ from repro.telemetry import span as _span
 
 
 def _grouping_sort(code: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort of non-negative integer grouping codes.
+    """Stable argsort of non-negative integer grouping codes below ``bound``.
 
     Codes bounded by 16 bits take numpy's radix path (O(n), ~5x faster
-    than the comparison sort `np.lexsort` would run); larger bounds fall
-    back to the stable comparison sort.
+    than the comparison sort `np.lexsort` would run); larger bounds go
+    through :func:`~repro.columnar.kernels.stable_argsort`.
     """
     if bound <= np.iinfo(np.int16).max:
         code = code.astype(np.int16)
-    return np.argsort(code, kind="stable")
+    return stable_argsort(code)
 
 
 def shuffle_begin(
@@ -106,6 +109,45 @@ def shuffle_end(
     return session.stats if session is not None else None
 
 
+def arrival_slots(
+    hist: np.ndarray, interleave: Callable[[Sequence[int]], ArrivalOrder]
+) -> np.ndarray:
+    """Every arrival's slot in the ``(dest, src)``-grouped tuple order.
+
+    Arrivals are listed destination by destination, each destination's
+    in the order the interleave model delivers them; the slot is the
+    arrival's destination base + its source's offset in the histogram +
+    its index in that source's stream (the addressed write position).
+    Under the FIFO contract of :mod:`repro.shuffle.interleave` the
+    arrivals of one ``(dest, src)`` stream fill its slots in order, so a
+    stable ``(dest, src)`` grouping sort of all arrivals lists them slot
+    by slot.  Round-robin needs no model call: it drains rounds in
+    source order, i.e. a stable sort by ``(idx, src)`` -- one
+    ``(dest, idx, src)`` lexsort over all destinations, spelled as two
+    stable grouping sorts (composite ``(idx, src)`` code, then dest) so
+    both take the radix path.
+    """
+    num_src, num_dest = hist.shape
+    dest_totals = hist.sum(axis=0)
+    dest_ids = np.repeat(np.arange(num_dest, dtype=np.int64), dest_totals)
+    if interleave is round_robin_interleave:
+        stream_lens = hist.T.reshape(-1)  # [dest-major][src] order
+        sorted_src = np.repeat(np.tile(np.arange(num_src), num_dest), stream_lens)
+        within = np.arange(len(sorted_src), dtype=np.int64) - np.repeat(
+            stream_starts(stream_lens), stream_lens
+        )
+        max_stream = int(stream_lens.max()) if len(stream_lens) else 0
+        by_idx_src = _grouping_sort(
+            within * num_src + sorted_src, max_stream * num_src + num_src
+        )
+        return by_idx_src[_grouping_sort(dest_ids[by_idx_src], num_dest)]
+    arrival_src = np.concatenate([interleave(hist[:, d]) for d in range(num_dest)])
+    by_stream = _grouping_sort(dest_ids * num_src + arrival_src, num_dest * num_src)
+    slots = np.empty(len(by_stream), dtype=np.int64)
+    slots[by_stream] = np.arange(len(by_stream), dtype=np.int64)
+    return slots
+
+
 def write_traces(
     histogram: np.ndarray,
     permutable: bool,
@@ -116,54 +158,16 @@ def write_traces(
 
     Needs only the ``(source, destination)`` tuple counts: a permutable
     controller appends every arrival at its sequential tail, and an
-    addressed one writes element ``idx`` of source ``src``'s stream to
-    that source's histogram slice, visited in the interleave's order.
+    addressed one writes each arrival to its :func:`arrival_slots` slot.
     """
     hist = np.asarray(histogram, dtype=np.int64)
-    traces = []
-    for dest in range(hist.shape[1]):
-        inbound = hist[:, dest]
-        if permutable:
-            traces.append(np.arange(int(inbound.sum()), dtype=np.int64) * TUPLE_B)
-        else:
-            src, idx = interleave(inbound)
-            traces.append((stream_starts(inbound)[src] + idx) * TUPLE_B)
-    return traces
-
-
-def _arrival_positions(
-    hist: np.ndarray,
-    sorted_src: np.ndarray,
-    sorted_dest: np.ndarray,
-    interleave: Callable[[Sequence[int]], ArrivalOrder],
-) -> np.ndarray:
-    """Every destination's arrival order, as positions into the
-    ``(dest, src)``-grouped tuple order, destinations back to back.
-
-    Round-robin drains rounds in source order, i.e. a stable sort by
-    ``(idx, src)`` -- computed for all destinations as one
-    ``(dest, idx, src)`` lexsort, spelled as two stable grouping sorts
-    (composite ``(idx, src)`` code, then dest) so both take the radix
-    path.  Any other interleave model runs per destination on its
-    inbound lengths.
-    """
-    num_src, num_dest = hist.shape
-    if interleave is round_robin_interleave:
-        stream_lens = hist.T.reshape(-1)  # [dest-major][src] order
-        within = np.arange(len(sorted_src), dtype=np.int64) - np.repeat(
-            stream_starts(stream_lens), stream_lens
-        )
-        max_stream = int(stream_lens.max()) if len(stream_lens) else 0
-        by_idx_src = _grouping_sort(
-            within * num_src + sorted_src, max_stream * num_src + num_src
-        )
-        return by_idx_src[_grouping_sort(sorted_dest[by_idx_src], num_dest)]
-    dest_base = stream_starts(hist.sum(axis=0))
-    pieces = []
-    for dest in range(num_dest):
-        src, idx = interleave(hist[:, dest])
-        pieces.append(dest_base[dest] + stream_starts(hist[:, dest])[src] + idx)
-    return np.concatenate(pieces)
+    dest_totals = hist.sum(axis=0)
+    if permutable:
+        return [np.arange(int(t), dtype=np.int64) * TUPLE_B for t in dest_totals]
+    dest_base = stream_starts(dest_totals)
+    addresses = arrival_slots(hist, interleave) - np.repeat(dest_base, dest_totals)
+    addresses *= TUPLE_B
+    return np.split(addresses, dest_base[1:])
 
 
 @dataclass
@@ -219,10 +223,10 @@ class ShuffleEngine:
         The sources become flat SoA columns and a composite
         ``(dest, src)`` sort groups all streams at once.  That grouped
         order *is* the addressed layout; a permutable shuffle instead
-        reorders it by the network's arrival order, computed for all
-        destinations in one shot.  Either way the destination buffers
-        are written as two field gathers into one preallocated tuple
-        array.
+        reorders it by the network's arrival order (:func:`arrival_slots`,
+        all destinations in one shot).  Either way the destination
+        buffers are written as two field gathers into one preallocated
+        tuple array.
         """
         if len(sources) != len(dest_of):
             raise ValueError("sources and destination maps must align")
@@ -265,11 +269,7 @@ class ShuffleEngine:
             # source's histogram offset + index in its stream).
             take = _grouping_sort(dest_all * num_src + src_ids, num_dest * num_src)
             if self._permutable:
-                take = take[
-                    _arrival_positions(
-                        hist, src_ids[take], dest_all[take], self._interleave
-                    )
-                ]
+                take = take[arrival_slots(hist, self._interleave)]
 
             # Materialize all destinations: one preallocated tuple buffer,
             # written field-wise (no structured-dtype promotion).

@@ -3,35 +3,34 @@
 The order in which a destination vault sees writes from concurrent
 sources is a property of the memory network.  Two models:
 
-- :func:`round_robin_interleave`: sources inject in lockstep and the
-  network preserves per-source FIFO order -- the idealized pattern of
-  paper figure 2 ("message arrival order: A0 B0 A1 B1 ...").
+- :func:`round_robin_interleave`: sources inject in lockstep -- the
+  idealized pattern of paper figure 2 ("message arrival order: A0 B0 A1
+  B1 ...").
 - :func:`random_interleave`: sources progress at jittered rates, a more
   adversarial arrival order.  Row-buffer locality at the destination is
   equally destroyed; permutability is insensitive to the model (a
   property the test suite checks).
 
-Both return the arrival order as a pair of parallel int64 index arrays
-``(sources, indices)`` -- arrival ``k`` is element ``indices[k]`` of
-stream ``sources[k]`` -- rather than a Python list of tuples, so the
-shuffle engine can materialize destination buffers with single
-fancy-indexing operations instead of a million-iteration loop.
+**The FIFO contract.**  Every model preserves per-source FIFO order:
+the network never reorders the messages of one flow, only the merge
+across flows.  A model therefore returns just the arrival *sources*, an
+int64 array -- arrival ``k`` comes from stream ``sources[k]`` -- and the
+element it carries is implied: the ``i``-th arrival from a source is
+element ``i`` of that source's stream.  The shuffle engine turns that
+into write slots for all destinations at once
+(:func:`repro.shuffle.engine.arrival_slots`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.config.system import INTERLEAVE_RANDOM, INTERLEAVE_ROUND_ROBIN
 
-#: Arrival order: parallel ``(sources, indices)`` int64 arrays.
-ArrivalOrder = Tuple[np.ndarray, np.ndarray]
-
-
-def _empty_order() -> ArrivalOrder:
-    return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+#: Arrival order: the source stream of each arrival, an int64 array.
+ArrivalOrder = np.ndarray
 
 
 def stream_starts(lengths: np.ndarray) -> np.ndarray:
@@ -45,7 +44,7 @@ def stream_starts(lengths: np.ndarray) -> np.ndarray:
 
 
 def round_robin_interleave(stream_lengths: Sequence[int]) -> ArrivalOrder:
-    """Arrival order of ``(sources, indices)`` arrays, round-robin.
+    """Arrival sources, round-robin.
 
     Sources with exhausted streams drop out of the rotation, matching a
     network where every source injects at the same rate until done.
@@ -56,41 +55,29 @@ def round_robin_interleave(stream_lengths: Sequence[int]) -> ArrivalOrder:
     lengths = np.asarray(stream_lengths, dtype=np.int64)
     total = int(lengths.sum()) if len(lengths) else 0
     if total == 0:
-        return _empty_order()
+        return np.empty(0, dtype=np.int64)
     sources = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
     indices = np.arange(total, dtype=np.int64) - np.repeat(
         stream_starts(lengths), lengths
     )
-    order = np.lexsort((sources, indices))
-    return sources[order], indices[order]
+    return sources[np.lexsort((sources, indices))]
 
 
 def random_interleave(
     stream_lengths: Sequence[int], seed: int = 0
 ) -> ArrivalOrder:
-    """Arrival order under randomized source progress.
+    """Arrival sources under randomized source progress.
 
-    Per-source FIFO order is preserved (networks do not reorder a single
-    flow here); the merge order across sources is uniformly random.
+    The merge order across sources is uniformly random: one seeded
+    permutation of every stream's tuples, each drawn tuple naming only
+    its source.
     """
     lengths = np.asarray(stream_lengths, dtype=np.int64)
     total = int(lengths.sum()) if len(lengths) else 0
     if total == 0:
-        return _empty_order()
-    rng = np.random.default_rng(seed)
-    sources = np.repeat(np.arange(len(stream_lengths)), stream_lengths)
-    rng.shuffle(sources)
-    sources = sources.astype(np.int64, copy=False)
-    # Per-source running index: group the arrivals by source (stable, so
-    # FIFO order within a source survives), number each group 0..len-1,
-    # and scatter those numbers back to arrival positions.
-    by_source = np.argsort(sources, kind="stable")
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        stream_starts(lengths), lengths
-    )
-    indices = np.empty(total, dtype=np.int64)
-    indices[by_source] = within
-    return sources, indices
+        return np.empty(0, dtype=np.int64)
+    sources = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    return sources[np.random.default_rng(seed).permutation(total)]
 
 
 #: Named interleave models, keyed by the one shared vocabulary

@@ -11,8 +11,8 @@ six synthetic presets never did:
 - :class:`CompositeKeyFamily` -- multi-column ``(region, store, day)``
   keys packed into one ``uint64`` under the columnar layer's bit-budget
   rule (:mod:`repro.columnar.kernels`): total packed width <= 62 bits,
-  keeping keys below the ``2**63`` sort-sentinel bound with segment
-  bits to spare.
+  keeping keys below ``2**63``, clear of the hash tables' all-ones
+  empty-slot sentinel, with segment bits to spare.
 - :class:`StringKeyFamily` -- string product names dictionary-encoded
   by :class:`DictEncoder` into dense int64 codes, so string-keyed
   analytics run on the existing integer kernels unchanged; sorted-vocab
@@ -39,8 +39,8 @@ import numpy as np
 
 from repro.analytics.tuples import Relation
 
-#: Packed composite keys must stay below 2**63 (the sort kernels
-#: reserve 2**64-1 as padding and treat keys as < 2**63); capping the
+#: Packed composite keys must stay below 2**63 (the hash tables
+#: reserve 2**64-1 as their empty slot); capping the
 #: packed width at 62 additionally leaves room for segment bits in the
 #: columnar composite codes (the bit-budget rule).
 MAX_PACKED_BITS = 62

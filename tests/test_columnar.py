@@ -23,12 +23,16 @@ from repro.columnar import (
     segmented_sorted_groups,
     segmented_stable_argsort,
     sorted_group_aggregates,
+    stable_argsort,
 )
+from repro.columnar import kernels
 from repro.columnar.hashtable import SegmentedLinearProbingTable
-from repro.columnar.kernels import _PAD_KEY
 from repro.operators.hashtable import LinearProbingHashTable
 from repro.operators.reference import _aggregate_sorted
 from repro.operators.sort_algos import mergesort
+
+#: The largest uint64 key, equal to the sort passes' padding key.
+_PAD_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def random_columns(rng, num_segments, max_len, key_space=1 << 40):
@@ -125,19 +129,83 @@ class TestSegmentedSort:
             assert np.array_equal(payloads[lo:hi], ref["payload"]), (i, simd)
 
     def test_pad_sentinel_keys_survive(self):
-        # Keys equal to the bitonic pad sentinel must sort like any max key.
-        top = np.uint64(0xFFFFFFFFFFFFFFFF)
-        keys = np.array([top, 3, top, 1, 2], dtype=np.uint64)
-        payloads = np.arange(5, dtype=np.uint64)
-        segments = np.array([0, 5], dtype=np.int64)
+        # Keys equal to the bitonic pad sentinel must sort like any max
+        # key: no real row may be stripped in place of a pad.
+        top = _PAD_KEY
+        for keys in (
+            [top, 3, top, 1, 2],
+            [top, 5, top, 0, top, 5, 1],
+        ):
+            keys = np.array(keys, dtype=np.uint64)
+            n = len(keys)
+            payloads = np.arange(10, 10 + n, dtype=np.uint64)
+            segments = np.array([0, n], dtype=np.int64)
+            out_keys, out_payloads = segmented_mergesort(
+                keys, payloads, segments, bitonic_initial=True
+            )
+            data = np.empty(n, dtype=TUPLE_DTYPE)
+            data["key"], data["payload"] = keys, payloads
+            ref, _ = mergesort(data, bitonic_initial=True)
+            assert np.array_equal(out_keys, ref["key"])
+            assert np.array_equal(out_payloads, ref["payload"])
+            assert np.array_equal(np.sort(out_keys), np.sort(keys))
+            assert np.array_equal(np.sort(out_payloads), payloads)
+
+    @pytest.mark.parametrize("run", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize(
+        "shape", ["tie-free", "all-equal", "short-segments", "empty-segments"]
+    )
+    def test_bitonic_matches_reference(self, shape, run):
+        rng = np.random.default_rng(run)
+        if shape == "short-segments":
+            # Every segment shorter than one block: only final blocks.
+            lens = rng.integers(1, run, 9)
+        elif shape == "empty-segments":
+            lens = rng.integers(0, 3 * run, 9)
+            lens[::2] = 0
+        else:
+            lens = rng.integers(0, 5 * run, 9)
+        segments = np.zeros(len(lens) + 1, dtype=np.int64)
+        np.cumsum(lens, out=segments[1:])
+        n = int(segments[-1])
+        if shape == "tie-free":
+            keys = rng.permutation(n).astype(np.uint64)
+        elif shape == "all-equal":
+            keys = np.full(n, 7, dtype=np.uint64)
+        else:
+            keys = rng.integers(0, 4, n, dtype=np.uint64)
+        payloads = np.arange(n, dtype=np.uint64)
         out_keys, out_payloads = segmented_mergesort(
-            keys, payloads, segments, bitonic_initial=True
+            keys, payloads, segments, bitonic_initial=True, bitonic_run=run
         )
-        data = np.empty(5, dtype=TUPLE_DTYPE)
-        data["key"], data["payload"] = keys, payloads
-        ref, _ = mergesort(data, bitonic_initial=True)
-        assert np.array_equal(out_keys, ref["key"])
-        assert np.array_equal(out_payloads, ref["payload"])
+        columns = SegmentedColumns(keys=keys, payloads=payloads, segments=segments)
+        for lo, hi in zip(segments[:-1], segments[1:]):
+            ref, _ = mergesort(
+                struct_of(columns, lo, hi), bitonic_initial=True, bitonic_run=run
+            )
+            assert np.array_equal(out_keys[lo:hi], ref["key"])
+            assert np.array_equal(out_payloads[lo:hi], ref["payload"])
+
+    def test_bitonic_network_runs_only_on_tied_blocks(self, monkeypatch):
+        widths = []
+        network = kernels._bitonic_network
+
+        def recording_network(ranks, lanes):
+            widths.append(ranks.shape)
+            network(ranks, lanes)
+
+        monkeypatch.setattr(kernels, "_bitonic_network", recording_network)
+        segments = np.array([0, 40, 40, 70], dtype=np.int64)
+        payloads = np.arange(70, dtype=np.uint64)
+        # Blocks of 16: [0,16) [16,32) [32,40) | [40,56) [56,70).
+        keys = np.arange(70, dtype=np.uint64)
+        segmented_mergesort(keys, payloads, segments, bitonic_initial=True)
+        assert widths == []
+        keys[20] = keys[31]  # tie inside block [16, 32)
+        keys[60] = keys[69]  # tie inside the final, padded block [56, 70)
+        keys[0] = keys[39]  # equal keys in different blocks: no tie
+        segmented_mergesort(keys, payloads, segments, bitonic_initial=True)
+        assert widths == [(16, 2)]
 
     @pytest.mark.parametrize(
         "num_segments,top_key,packed",
@@ -177,6 +245,33 @@ class TestSegmentedSort:
         )
         assert np.array_equal(order, expected)
         assert lexsorts == ([] if packed else [1])
+
+
+class TestStableArgsort:
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            np.empty(0, dtype=np.uint64),
+            np.array([5], dtype=np.uint64),
+            np.full(300, 9, dtype=np.uint64),
+            np.arange(300, dtype=np.uint64)[::-1].copy(),
+            np.array([_PAD_KEY, 0, _PAD_KEY, 1 << 63, 0, _PAD_KEY], dtype=np.uint64),
+            np.array([3, -2, 3, -32768, 32767, -2], dtype=np.int16),
+            np.array([-(1 << 62), 5, -1, 5, 1 << 62, -1], dtype=np.int64),
+        ],
+        ids=["empty", "one", "all-equal", "all-distinct", "top", "int16", "int64"],
+    )
+    def test_matches_numpy_stable(self, codes):
+        assert np.array_equal(stable_argsort(codes), np.argsort(codes, kind="stable"))
+
+    @pytest.mark.parametrize("key_space", [2, 50, 1 << 20, 1 << 64])
+    def test_random_codes(self, key_space):
+        rng = np.random.default_rng(key_space % 1000)
+        for n in (1, 17, 1000, 4097):
+            codes = rng.integers(0, key_space, n, dtype=np.uint64, endpoint=False)
+            assert np.array_equal(
+                stable_argsort(codes), np.argsort(codes, kind="stable")
+            )
 
 
 class TestSortedGroupAggregates:

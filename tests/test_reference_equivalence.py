@@ -73,9 +73,18 @@ MIXED = FaultSpec(seed=13, straggler_prob=0.4, drop_prob=0.35,
 
 FAULTS = {"none": NULL_FAULTS, "mixed": MIXED, "hostile": HOSTILE}
 
+def reverse_drain_interleave(stream_lengths):
+    """Each source's stream whole, last source first: a FIFO model that
+    is neither round-robin nor random, so it takes the generic arrival
+    path of :func:`repro.shuffle.engine.arrival_slots`."""
+    lengths = np.asarray(stream_lengths, dtype=np.int64)
+    return np.repeat(np.arange(len(lengths), dtype=np.int64)[::-1], lengths[::-1])
+
+
 INTERLEAVES = {
     "round-robin": round_robin_interleave,
     "random": partial(random_interleave, seed=11),
+    "reverse-drain": reverse_drain_interleave,
 }
 
 
