@@ -188,8 +188,9 @@ def merge_passes_needed(n: int, initial_run: int = 1, way: int = 2) -> int:
     elements starting from sorted runs of ``initial_run``.
 
     Each pass multiplies the run length by the merge fan-in: scalar
-    machines merge pairwise (way=2); the Mondrian unit's stream buffers
-    feed a 4-to-1 SIMD merge tree (way=4), which is how the wide unit
+    machines merge pairwise (way=2, ``costs.MERGE_WAY_SCALAR``); the
+    Mondrian unit's eight stream buffers feed an 8-to-1 SIMD merge tree
+    (way=8, ``costs.MERGE_WAY_SIMD``), which is how the wide unit
     "absorbs the log n complexity bump" (paper section 7.1).
     """
     if n <= 1:

@@ -290,7 +290,7 @@ class GroupByStage(PipelineStage):
             avg_group_size=len(rel) / max(1, num_groups),
         )
         run = run_groupby(workload, ctx.variant, model_scale=ctx.model_scale)
-        order = np.argsort(run.output.keys)
+        order = stable_argsort(run.output.keys)
         keys = run.output.keys[order]
         values = getattr(run.output, self.aggregate)[order]
         if np.any(values < 0) or np.any(values >= 2**64):

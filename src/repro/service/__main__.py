@@ -20,9 +20,11 @@ member daemons over a sharded, ``--replicas R``-way replicated store at
 ``--store``, behind one router on HOST:PORT that health-checks, hedges
 slow requests after ``--hedge-after`` seconds, fails over, and respawns
 dead members -- same wire protocol, so every client below works
-unchanged.  ``submit`` sends a sweep grid to a running daemon and
-exports the returned ``ResultSet`` exactly like ``python -m repro.api``
-does; ``stats`` and ``ping`` are one-line JSON reports.  ``recover``
+unchanged.  ``--jobs`` and ``--max-bytes`` configure the single daemon
+only; ``--fleet`` refuses them.  ``submit`` sends a sweep grid to a
+running daemon and exports the returned ``ResultSet`` exactly like
+``python -m repro.api`` does; ``stats`` and ``ping`` are one-line JSON
+reports.  ``recover``
 runs the store's journal recovery + full verification scan offline and
 prints the accounting (rolled forward / discarded / quarantined) --
 fleet store roots are detected automatically and scrubbed shard by
@@ -210,6 +212,13 @@ def _cmd_serve(args) -> None:
             raise SystemExit("serve --fleet requires --store DIR")
         if args.shards < 1 or args.replicas < 1:
             raise SystemExit("--shards and --replicas must be >= 1")
+        if args.jobs != 1 or args.max_bytes is not None:
+            # Members are spawned with neither flag: refuse rather than
+            # silently serve without them.
+            raise SystemExit(
+                "serve --fleet takes neither --jobs nor --max-bytes "
+                "(members run with --jobs 1 and without --max-bytes)"
+            )
         serve_fleet(
             host=args.host,
             port=args.port,

@@ -1,4 +1,4 @@
-"""The serving daemon: one warm store, many clients.
+"""The serving daemon, and the JSON-lines server it shares with the fleet.
 
 An asyncio TCP server speaking newline-delimited JSON: each request is
 one JSON object on one line, each response one JSON object on one line.
@@ -24,9 +24,12 @@ pool provides the actual compute concurrency.  All clients therefore
 share a single warm store and in-memory cache: the second client to ask
 for a sweep gets it back without a single simulation.
 
-:func:`serve` blocks (the ``python -m repro.service serve`` entry
-point); :func:`serve_background` runs the same server on a daemon
-thread and returns a handle -- the form tests and doctests use.
+:func:`serve_lines` is the one wire loop; the daemon and the fleet
+router (:class:`~repro.service.fleet.router.FleetRouter`) are its two
+servers.  :func:`serve` blocks (the ``python -m repro.service serve``
+entry point); :func:`serve_background` runs the same server on a daemon
+thread and returns a :class:`ServerHandle` -- the form tests and
+doctests use.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.experiments import common
 from repro.service.scheduler import BatchScheduler
@@ -58,10 +61,6 @@ _INLINE_VERBS = frozenset({"ping", "shutdown"})
 _UNLOCKED_VERBS = frozenset({"stats"})
 
 
-def _verb_of(request: Any) -> Any:
-    return request.get("verb") if isinstance(request, dict) else None
-
-
 class ServiceProtocolError(ValueError):
     """A request the daemon understood enough to reject."""
 
@@ -70,13 +69,38 @@ class DeadlineExceeded(ServiceProtocolError):
     """A request whose client-supplied deadline lapsed before execution."""
 
 
+class RelayedError(RuntimeError):
+    """An error another server already answered, relayed verbatim.
+
+    The fleet router raises it for a member's ``{"ok": false}`` reply:
+    the member understood the request and rejected it, so the router
+    neither fails over nor re-prefixes the message.
+    """
+
+
+def lookup_verb(server: Any, request: Any) -> Tuple[str, Callable[[Any], Any]]:
+    """A request's verb and the ``server._verb_<name>`` method answering it."""
+    if not isinstance(request, dict) or "verb" not in request:
+        raise ServiceProtocolError('requests are JSON objects with a "verb" key')
+    verb = request["verb"]
+    handler = (
+        getattr(server, f"_verb_{verb.replace('-', '_')}", None)
+        if isinstance(verb, str)
+        else None
+    )
+    if handler is None:
+        raise ServiceProtocolError(f"unknown verb {verb!r}")
+    return verb, handler
+
+
 class EvaluationDaemon:
-    """Request dispatch around one scheduler (transport-independent)."""
+    """Request dispatch around one scheduler, served by :func:`serve_lines`."""
 
     def __init__(self, scheduler: Optional[BatchScheduler] = None) -> None:
         self.scheduler = scheduler if scheduler is not None else BatchScheduler()
         self.requests: Dict[str, int] = {}
         self.stopping = False
+        self._lock: Optional[asyncio.Lock] = None  # built on the loop
 
     def dispatch(self, request: Any, received: Optional[float] = None) -> Any:
         """One decoded request object -> the response's ``result``.
@@ -88,18 +112,7 @@ class EvaluationDaemon:
         client never retries a :class:`DeadlineExceeded` answer: the
         budget is gone either way.
         """
-        if not isinstance(request, dict) or "verb" not in request:
-            raise ServiceProtocolError(
-                'requests are JSON objects with a "verb" key'
-            )
-        verb = request["verb"]
-        handler = (
-            getattr(self, f"_verb_{verb.replace('-', '_')}", None)
-            if isinstance(verb, str)
-            else None
-        )
-        if handler is None:
-            raise ServiceProtocolError(f"unknown verb {verb!r}")
+        verb, handler = lookup_verb(self, request)
         deadline = request.get("deadline_s")
         if deadline is not None:
             try:
@@ -116,6 +129,31 @@ class EvaluationDaemon:
                 )
         self.requests[verb] = self.requests.get(verb, 0) + 1
         return handler(request)
+
+    # -- serving hooks -------------------------------------------------------
+
+    async def started(self) -> None:
+        self._lock = asyncio.Lock()
+
+    async def answer(self, request: Any, received: float) -> Any:
+        verb = request.get("verb") if isinstance(request, dict) else None
+        if verb in _INLINE_VERBS:
+            # Answer immediately, even while a batch is simulating on
+            # the executor.
+            return self.dispatch(request, received)
+        loop = asyncio.get_running_loop()
+        if verb in _UNLOCKED_VERBS:
+            return await loop.run_in_executor(None, self.dispatch, request, received)
+        # One batch at a time: the scheduler owns the evaluation runtime,
+        # and interleaved submits would interleave its stats and store
+        # scoping.  (Deadlines are re-checked inside dispatch, so time
+        # queued on this lock counts against them.)
+        async with self._lock:
+            return await loop.run_in_executor(None, self.dispatch, request, received)
+
+    async def finished(self) -> None:
+        # Serving is over: flush the store.
+        self.scheduler.close()
 
     # -- verbs ---------------------------------------------------------------
 
@@ -155,15 +193,28 @@ class EvaluationDaemon:
         return {"stopping": True}
 
 
-async def _serve_async(
-    daemon: EvaluationDaemon,
+async def _reply(writer, response: Dict[str, Any]) -> None:
+    writer.write((json.dumps(response) + "\n").encode("utf-8"))
+    await writer.drain()
+
+
+async def serve_lines(
+    server: Any,
     host: str,
     port: int,
     ready: Optional["queue.Queue"] = None,
-    announce=None,
+    announce: Optional[Callable[[str, int], None]] = None,
 ) -> None:
+    """Serve ``server`` over JSON lines on ``host:port`` until it stops.
+
+    Each request line is decoded and answered by ``await
+    server.answer(request, received)``; any exception becomes an
+    ``{"ok": false}`` envelope (a :class:`RelayedError` verbatim, others
+    as ``"Type: message"``).  ``server.started()`` and
+    ``server.finished()`` bracket the serving window, and the first
+    response sent with ``server.stopping`` set ends it.
+    """
     loop = asyncio.get_running_loop()
-    lock = asyncio.Lock()
     stopped = asyncio.Event()
 
     async def handle(reader, writer):
@@ -178,13 +229,10 @@ async def _serve_async(
                     # as ValueError (LimitOverrunError included); the
                     # buffer is unrecoverable mid-line, so answer once
                     # and drop only this connection.
-                    writer.write(
-                        (json.dumps({
-                            "ok": False,
-                            "error": f"request line exceeds {_MAX_LINE} bytes",
-                        }) + "\n").encode("utf-8")
-                    )
-                    await writer.drain()
+                    await _reply(writer, {
+                        "ok": False,
+                        "error": f"request line exceeds {_MAX_LINE} bytes",
+                    })
                     break
                 if not line:
                     break
@@ -192,51 +240,54 @@ async def _serve_async(
                     continue
                 try:
                     received = time.monotonic()
-                    request = json.loads(line)
-                    verb = _verb_of(request)
-                    if verb in _INLINE_VERBS:
-                        # Answer immediately, even while a batch is
-                        # simulating on the executor.
-                        result = daemon.dispatch(request, received)
-                    elif verb in _UNLOCKED_VERBS:
-                        result = await loop.run_in_executor(
-                            None, daemon.dispatch, request, received
-                        )
-                    else:
-                        # One batch at a time: the scheduler owns the
-                        # evaluation runtime, and interleaved submits
-                        # would interleave its stats and store scoping.
-                        # (Deadlines are re-checked inside dispatch, so
-                        # time queued on this lock counts against them.)
-                        async with lock:
-                            result = await loop.run_in_executor(
-                                None, daemon.dispatch, request, received
-                            )
+                    result = await server.answer(json.loads(line), received)
                     response = {"ok": True, "result": result}
                 except Exception as exc:  # noqa: BLE001 - protocol boundary
-                    response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
-                if daemon.stopping:
+                    message = (
+                        str(exc) if isinstance(exc, RelayedError)
+                        else f"{type(exc).__name__}: {exc}"
+                    )
+                    response = {"ok": False, "error": message}
+                await _reply(writer, response)
+                if server.stopping:
                     stopped.set()
                     break
         finally:
             writer.close()
 
-    server = await asyncio.start_server(handle, host, port, limit=_MAX_LINE)
-    actual_port = server.sockets[0].getsockname()[1]
-    if announce is not None:
-        announce(host, actual_port)
-    if ready is not None:
-        # The loop + stop event ride along so ServerHandle.stop can
-        # escalate past an unresponsive wire protocol (see stop()).
-        ready.put((host, actual_port, loop, stopped))
+    await server.started()
     try:
-        async with server:
+        listener = await asyncio.start_server(handle, host, port, limit=_MAX_LINE)
+        actual_port = listener.sockets[0].getsockname()[1]
+        if announce is not None:
+            announce(host, actual_port)
+        if ready is not None:
+            # The loop + stop event ride along so ServerHandle.stop can
+            # escalate past an unresponsive wire protocol (see stop()).
+            ready.put((host, actual_port, loop, stopped))
+        async with listener:
             await stopped.wait()
     finally:
-        # Serving is over: flush the store.
-        daemon.scheduler.close()
+        await server.finished()
+
+
+def run_foreground(
+    server: Any, host: str, port: int, detail: str, announce=print
+) -> None:
+    """Serve ``server`` in the foreground until a ``shutdown`` request.
+
+    ``announce(host, port)`` fires once the socket is bound; the default
+    prints the ``serving on host:port (detail)`` line scripts parse to
+    find an ephemeral port.
+    """
+
+    def _announce(h, p):
+        if announce is print:
+            print(f"repro.service: serving on {h}:{p} ({detail})", flush=True)
+        elif announce is not None:
+            announce(h, p)
+
+    asyncio.run(serve_lines(server, host, port, announce=_announce))
 
 
 def serve(
@@ -247,28 +298,17 @@ def serve(
     max_bytes: Optional[int] = None,
     announce=print,
 ) -> None:
-    """Run the daemon in the foreground until a ``shutdown`` request.
-
-    ``announce(host, port)`` fires once the socket is bound -- the CLI
-    prints the ``serving on host:port`` line scripts parse to find an
-    ephemeral port.
-    """
+    """Run the daemon in the foreground until a ``shutdown`` request."""
     daemon = EvaluationDaemon(
         BatchScheduler(store=store, jobs=jobs, max_bytes=max_bytes)
     )
-
-    def _announce(h, p):
-        if announce is print:
-            print(f"repro.service: serving on {h}:{p} "
-                  f"(store={daemon.scheduler.store_path() or 'none'})", flush=True)
-        elif announce is not None:
-            announce(h, p)
-
-    asyncio.run(_serve_async(daemon, host, port, announce=_announce))
+    detail = f"store={daemon.scheduler.store_path() or 'none'}"
+    run_foreground(daemon, host, port, detail, announce)
 
 
 class ServerHandle:
-    """A background server: its bound address plus a ``stop()`` switch."""
+    """A background server: its bound address, the ``server`` object it
+    runs (a daemon or a fleet router), and a ``stop()`` switch."""
 
     def __init__(
         self,
@@ -276,9 +316,11 @@ class ServerHandle:
         port: int,
         thread: threading.Thread,
         force_stop=None,
+        server: Any = None,
     ) -> None:
         self.host = host
         self.port = port
+        self.server = server
         self._thread = thread
         self._force_stop = force_stop
 
@@ -286,14 +328,15 @@ class ServerHandle:
     def address(self) -> Tuple[str, int]:
         return (self.host, self.port)
 
-    def stop(self, timeout: float = 10.0) -> bool:
+    def stop(self, timeout: float = 30.0) -> bool:
         """Shut the server down; returns whether its thread terminated.
 
         Escalation ladder: (1) a polite ``shutdown`` over the wire --
         the normal path; (2) if the wire is unreachable or the thread
         outlives ``timeout``, force the serve loop's stop event directly
-        on its own event loop, then join again.  Calling ``stop`` on an
-        already-stopped server is a no-op that returns ``True``.
+        on its own event loop, then join again.  Either way the server's
+        ``finished()`` hook runs as the loop exits.  Calling ``stop`` on
+        an already-stopped server is a no-op that returns ``True``.
         """
         from repro.service.client import ServiceClient, ServiceError
 
@@ -310,6 +353,28 @@ class ServerHandle:
         return not self._thread.is_alive()
 
 
+def start_background(
+    server: Any, host: str, port: int, name: str = "repro-service"
+) -> ServerHandle:
+    """Run ``server`` on a daemon thread; returns once it accepts."""
+    import queue
+
+    ready: "queue.Queue" = queue.Queue()
+    thread = threading.Thread(
+        target=lambda: asyncio.run(serve_lines(server, host, port, ready=ready)),
+        name=name,
+        daemon=True,
+    )
+    thread.start()
+    bound_host, bound_port, loop, stopped = ready.get(timeout=60)
+
+    def force_stop():
+        with contextlib.suppress(RuntimeError):  # loop already closed
+            loop.call_soon_threadsafe(stopped.set)
+
+    return ServerHandle(bound_host, bound_port, thread, force_stop, server)
+
+
 def serve_background(
     host: str = "127.0.0.1",
     port: int = 0,
@@ -323,22 +388,7 @@ def serve_background(
     address.  Used by tests, doctests and embedders that want a warm
     shared cache without a separate process.
     """
-    import queue
-
-    ready: "queue.Queue" = queue.Queue()
     daemon = EvaluationDaemon(
         BatchScheduler(store=store, jobs=jobs, max_bytes=max_bytes)
     )
-    thread = threading.Thread(
-        target=lambda: asyncio.run(_serve_async(daemon, host, port, ready=ready)),
-        name="repro-service",
-        daemon=True,
-    )
-    thread.start()
-    bound_host, bound_port, loop, stopped = ready.get(timeout=30)
-
-    def force_stop():
-        with contextlib.suppress(RuntimeError):  # loop already closed
-            loop.call_soon_threadsafe(stopped.set)
-
-    return ServerHandle(bound_host, bound_port, thread, force_stop=force_stop)
+    return start_background(daemon, host, port)

@@ -18,8 +18,9 @@ service down:
   read (**read-repair**), and :func:`rebalance` re-replicates after a
   shard is lost or added.
 - :mod:`repro.service.fleet.router` -- :class:`FleetRouter`: the front
-  door.  A lightweight asyncio daemon speaking the same JSON-lines
-  protocol as a member daemon, which health-checks members (reusing
+  door.  The second server of the daemon's JSON-lines loop
+  (:func:`repro.service.daemon.serve_lines`), so it speaks the member
+  daemons' protocol by construction; it health-checks members (reusing
   :class:`~repro.service.resilience.retry.CircuitBreaker`), routes each
   request to the member owning its digest, **hedges** slow requests to
   a replica owner after a latency deadline, fails over on member loss,
@@ -36,7 +37,6 @@ See docs/ARCHITECTURE.md, "The evaluation fleet".
 from repro.service.fleet.async_client import AsyncServiceClient
 from repro.service.fleet.ring import HashRing
 from repro.service.fleet.router import (
-    FleetHandle,
     FleetRouter,
     serve_fleet,
     start_fleet_background,
@@ -50,7 +50,6 @@ from repro.service.fleet.sharded import (
 __all__ = [
     "AsyncServiceClient",
     "FLEET_MANIFEST",
-    "FleetHandle",
     "FleetRouter",
     "HashRing",
     "ShardedResultStore",

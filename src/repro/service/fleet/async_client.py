@@ -43,10 +43,8 @@ from repro.api.results import ResultSet
 from repro.api.scenario import Scenario
 from repro.api.sweep import Sweep
 from repro.service.client import ServiceError
-from repro.service.daemon import DEFAULT_PORT
+from repro.service.daemon import _MAX_LINE, DEFAULT_PORT
 from repro.service.resilience.retry import RetryBudget, RetryPolicy
-
-_MAX_LINE = 16 * 1024 * 1024
 
 
 class _PipelinedConnection:

@@ -30,6 +30,9 @@ store shard, all sharing the sharded store) do the evaluating:
   in grid order -- so a fleet-served sweep exports byte-identically to
   a single-daemon or in-process run.
 
+The router is the second server of the daemon's JSON-lines skeleton
+(:func:`repro.service.daemon.serve_lines`): the wire loop, line limit,
+error envelope and background handle are the daemon's own.
 ``serve_fleet`` is the ``python -m repro.service serve --fleet`` entry
 point; ``start_fleet_background`` is the test/doctest form.  Hedge,
 failover, respawn and degrade events are counted in the telemetry
@@ -46,21 +49,22 @@ import os
 import re
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.service.daemon import (
+    _MAX_LINE,
+    RelayedError,
+    ServerHandle,
+    ServiceProtocolError,
+    lookup_verb,
+    run_foreground,
+    start_background,
+)
 from repro.service.fleet.ring import HashRing, shard_name
 from repro.service.fleet.sharded import ShardedResultStore
 from repro.service.resilience.retry import CircuitBreaker, RetryPolicy
 from repro.version import __version__
-
-_MAX_LINE = 16 * 1024 * 1024
-
-#: Daemon-reported error prefix: the member answered, the *request* is
-#: bad -- failing over a deterministic error would just replay it.
-_DAEMON_ERROR = "daemon-error:"
 
 
 def _count(name: str, amount: int = 1) -> None:
@@ -186,8 +190,10 @@ class FleetRouter:
             "member_failures": 0,
         }
         self._rr = 0  # round-robin cursor for digestless requests
-        self._local_lock: Optional[asyncio.Lock] = None  # built on the loop
+        # Built on the serving loop by started().
+        self._local_lock: Optional[asyncio.Lock] = None
         self._inflight: Optional[asyncio.Semaphore] = None
+        self._health: Optional[asyncio.Future] = None
 
     # -- the member wire -----------------------------------------------------
 
@@ -227,9 +233,7 @@ class FleetRouter:
         if not response.get("ok"):
             # The member *answered*: a deterministic request error that
             # must surface to the client, not fail over.
-            raise RuntimeError(
-                f"{_DAEMON_ERROR} {response.get('error', 'unknown error')}"
-            )
+            raise RelayedError(response.get("error", "unknown error"))
         return response["result"]
 
     # -- placement -----------------------------------------------------------
@@ -376,21 +380,30 @@ class FleetRouter:
         finally:
             common.restore_store_selection(previous)
 
-    # -- verbs ---------------------------------------------------------------
+    # -- serving hooks (see repro.service.daemon.serve_lines) ---------------
 
-    async def dispatch(self, request: Any) -> Any:
-        if not isinstance(request, dict) or "verb" not in request:
-            raise ValueError('requests are JSON objects with a "verb" key')
-        verb = request["verb"]
-        handler = (
-            getattr(self, f"_verb_{verb.replace('-', '_')}", None)
-            if isinstance(verb, str)
-            else None
-        )
-        if handler is None:
-            raise ValueError(f"unknown verb {verb!r}")
+    async def dispatch(self, request: Any, received: Optional[float] = None) -> Any:
+        """One decoded request object -> the response's ``result``."""
+        verb, handler = lookup_verb(self, request)
         self.requests[verb] = self.requests.get(verb, 0) + 1
         return await handler(request)
+
+    answer = dispatch
+
+    async def started(self) -> None:
+        self._local_lock = asyncio.Lock()
+        self._inflight = asyncio.Semaphore(self.max_inflight)
+        self._health = asyncio.ensure_future(self._health_loop())
+
+    async def finished(self) -> None:
+        self._health.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await self._health
+        await asyncio.get_running_loop().run_in_executor(None, self.stop_members)
+        if self.store is not None:
+            self.store.flush()
+
+    # -- verbs ---------------------------------------------------------------
 
     async def _verb_ping(self, request: Any) -> Dict[str, Any]:
         return {
@@ -406,7 +419,7 @@ class FleetRouter:
     async def _verb_evaluate(self, request: Any) -> Any:
         scenario = request.get("scenario")
         if not isinstance(scenario, dict):
-            raise ValueError('evaluate needs a "scenario" object')
+            raise ServiceProtocolError('evaluate needs a "scenario" object')
         digest = self._scenario_digest(scenario)
         async with self._inflight:
             return await self._route(request, digest)
@@ -417,7 +430,7 @@ class FleetRouter:
 
         grid = request.get("sweep")
         if not isinstance(grid, dict):
-            raise ValueError('sweep needs a "sweep" grid object')
+            raise ServiceProtocolError('sweep needs a "sweep" grid object')
         with _span("fleet_sweep", category="service"):
             scenarios = [s.to_dict() for s in Sweep.from_dict(grid).scenarios()]
 
@@ -535,71 +548,22 @@ class FleetRouter:
                 with contextlib.suppress(OSError):
                     member.proc.stdout.close()
 
+    def member_pids(self) -> List[int]:
+        """Pids of the live member processes the router owns."""
+        return [
+            m.proc.pid
+            for m in self.members
+            if m.proc is not None and m.proc.poll() is None
+        ]
 
-async def _serve_router(
-    router: FleetRouter,
-    host: str,
-    port: int,
-    ready=None,
-    announce=None,
-) -> None:
-    loop = asyncio.get_running_loop()
-    stopped = asyncio.Event()
-    router._local_lock = asyncio.Lock()
-    router._inflight = asyncio.Semaphore(router.max_inflight)
-
-    async def handle(reader, writer):
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ConnectionError:
-                    break
-                except ValueError:
-                    writer.write((json.dumps({
-                        "ok": False,
-                        "error": f"request line exceeds {_MAX_LINE} bytes",
-                    }) + "\n").encode("utf-8"))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = json.loads(line)
-                    result = await router.dispatch(request)
-                    response = {"ok": True, "result": result}
-                except Exception as exc:  # noqa: BLE001 - protocol boundary
-                    message = f"{type(exc).__name__}: {exc}"
-                    if _DAEMON_ERROR in str(exc):
-                        message = str(exc).split(_DAEMON_ERROR, 1)[1].strip()
-                    response = {"ok": False, "error": message}
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
-                if router.stopping:
-                    stopped.set()
-                    break
-        finally:
-            writer.close()
-
-    server = await asyncio.start_server(handle, host, port, limit=_MAX_LINE)
-    actual_port = server.sockets[0].getsockname()[1]
-    if announce is not None:
-        announce(host, actual_port)
-    if ready is not None:
-        ready.put((host, actual_port, loop, stopped))
-    health = asyncio.ensure_future(router._health_loop())
-    try:
-        async with server:
-            await stopped.wait()
-    finally:
-        health.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await health
-        await loop.run_in_executor(None, router.stop_members)
-        if router.store is not None:
-            router.store.flush()
+    def kill_member(self, index: int) -> Optional[int]:
+        """SIGKILL one member daemon (chaos / load-test harness hook)."""
+        member = self.members[index]
+        if member.proc is None or member.proc.poll() is not None:
+            return None
+        pid = member.proc.pid
+        member.proc.kill()
+        return pid
 
 
 def build_fleet(
@@ -647,70 +611,11 @@ def serve_fleet(
         store, shards=shards, replicas=replicas, host=host,
         hedge_after=hedge_after,
     )
-
-    def _announce(h, p):
-        if announce is print:
-            print(
-                f"repro.service: serving on {h}:{p} "
-                f"(fleet store={router.store.root}, shards={shards}, "
-                f"replicas={router.ring.replicas})",
-                flush=True,
-            )
-        elif announce is not None:
-            announce(h, p)
-
-    try:
-        asyncio.run(_serve_router(router, host, port, announce=_announce))
-    finally:
-        router.stop_members()
-
-
-class FleetHandle:
-    """A background fleet: router address, member handles, a stop switch."""
-
-    def __init__(self, host: str, port: int, router: FleetRouter,
-                 thread: threading.Thread, force_stop=None) -> None:
-        self.host = host
-        self.port = port
-        self.router = router
-        self._thread = thread
-        self._force_stop = force_stop
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
-    def member_pids(self) -> List[int]:
-        return [
-            m.proc.pid
-            for m in self.router.members
-            if m.proc is not None and m.proc.poll() is None
-        ]
-
-    def kill_member(self, index: int) -> Optional[int]:
-        """SIGKILL one member daemon (chaos / load-test harness hook)."""
-        member = self.router.members[index]
-        if member.proc is None or member.proc.poll() is not None:
-            return None
-        pid = member.proc.pid
-        member.proc.kill()
-        return pid
-
-    def stop(self, timeout: float = 30.0) -> bool:
-        from repro.service.client import ServiceClient, ServiceError
-
-        if self._thread.is_alive():
-            try:
-                with ServiceClient(self.host, self.port, retries=0) as client:
-                    client.shutdown()
-            except (OSError, ServiceError):
-                pass
-        self._thread.join(timeout)
-        if self._thread.is_alive() and self._force_stop is not None:
-            self._force_stop()
-            self._thread.join(timeout)
-        self.router.stop_members()
-        return not self._thread.is_alive()
+    detail = (
+        f"fleet store={router.store.root}, shards={shards}, "
+        f"replicas={router.ring.replicas}"
+    )
+    run_foreground(router, host, port, detail, announce)
 
 
 def start_fleet_background(
@@ -721,33 +626,17 @@ def start_fleet_background(
     port: int = 0,
     hedge_after: Optional[float] = 0.25,
     router: Optional[FleetRouter] = None,
-) -> FleetHandle:
+) -> ServerHandle:
     """Start a fleet on a daemon thread; returns once the router accepts.
 
-    ``router`` injects a pre-built router (tests wire members by hand:
-    tarpits, dead ports, tight hedge deadlines); otherwise the fleet is
-    built over ``store`` exactly like :func:`serve_fleet`.
+    The handle's ``server`` is the :class:`FleetRouter`.  ``router``
+    injects a pre-built router (tests wire members by hand: tarpits,
+    dead ports, tight hedge deadlines); otherwise the fleet is built over
+    ``store`` exactly like :func:`serve_fleet`.
     """
-    import queue
-
     if router is None:
         router = build_fleet(
             store, shards=shards, replicas=replicas, host=host,
             hedge_after=hedge_after,
         )
-    ready: "queue.Queue" = queue.Queue()
-    thread = threading.Thread(
-        target=lambda: asyncio.run(
-            _serve_router(router, host, port, ready=ready)
-        ),
-        name="repro-fleet-router",
-        daemon=True,
-    )
-    thread.start()
-    bound_host, bound_port, loop, stopped = ready.get(timeout=60)
-
-    def force_stop():
-        with contextlib.suppress(RuntimeError):
-            loop.call_soon_threadsafe(stopped.set)
-
-    return FleetHandle(bound_host, bound_port, router, thread, force_stop)
+    return start_background(router, host, port, name="repro-fleet-router")

@@ -18,7 +18,6 @@ from repro.api import (
     run_plan,
 )
 from repro.api.__main__ import main as api_main
-from repro.api.sweep import group_by_run
 from repro.config.system import (
     EVALUATED_PRESETS,
     HEADLINE_PRESETS,
@@ -397,23 +396,6 @@ class TestOperatorRunMemo:
         assert common.cache_stats()["tiers"]["operator-run"] == {
             "hits": 0, "misses": 0, "evictions": 0, "entries": 0,
         }
-
-    def test_grouping_keeps_shared_runs_together_in_input_order(self):
-        scenarios = [
-            Scenario("cpu", "scan", **FAST),
-            Scenario("mondrian", "join", **FAST),
-            Scenario(SystemSpec("mondrian").with_simd(256), "join", **FAST),
-            Scenario("mondrian", "scan", **FAST),
-            Scenario("mondrian", "fk-join-aggregate", **FAST),
-            Scenario("mondrian", "fk-join-aggregate", **FAST),
-            Scenario("cpu", "scan", **FAST),
-        ]
-        assert group_by_run(scenarios) == [[0, 6], [1, 2], [3], [4], [5]]
-        previous = common.set_cache_enabled(False)
-        try:  # nothing is shared without the memo, so nothing is grouped
-            assert group_by_run(scenarios) == [[i] for i in range(7)]
-        finally:
-            common.set_cache_enabled(previous)
 
     @pytest.mark.parametrize("use_cache", [True, False], ids=["cached", "no-cache"])
     def test_grouped_parallel_sweep_matches_sequential(self, use_cache):

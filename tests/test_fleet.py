@@ -426,36 +426,36 @@ class TestLiveFleet:
         assert results.to_json() + "\n" == GOLDEN
 
     def test_member_sigkill_fails_over_and_respawns(self, live_fleet):
-        pid = live_fleet.kill_member(1)
+        pid = live_fleet.server.kill_member(1)
         assert pid is not None
         with ServiceClient(*live_fleet.address, retries=3) as client:
             results = client.sweep(GRID)
             assert results.to_json() + "\n" == GOLDEN
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
-                if live_fleet.router.counters["respawns"] >= 1:
+                if live_fleet.server.counters["respawns"] >= 1:
                     break
                 time.sleep(0.2)
             stats = client.stats()
         assert stats["router"]["respawns"] >= 1
-        assert live_fleet.router.members[1].alive
+        assert live_fleet.server.members[1].alive
         assert stats["router"]["degraded"] == 0
         assert stats["store"]["entries"] == 4
         assert "metrics" in stats
 
     def test_member_pids_lists_live_processes(self, live_fleet):
-        pids = live_fleet.member_pids()
+        pids = live_fleet.server.member_pids()
         assert len(pids) == 3
         assert all(isinstance(pid, int) for pid in pids)
 
     def test_daemon_reported_errors_surface_without_failover(self, live_fleet):
-        before = live_fleet.router.counters["failovers"]
+        before = live_fleet.server.counters["failovers"]
         with ServiceClient(*live_fleet.address) as client:
             with pytest.raises(ServiceError):
                 client.evaluate({"system": "no-such-system",
                                  "operator": "scan", "model_scale": 50.0,
                                  "seed": 17, "num_partitions": 8})
-        assert live_fleet.router.counters["failovers"] == before
+        assert live_fleet.server.counters["failovers"] == before
 
     def test_unknown_verbs_and_garbage_are_reported(self, live_fleet):
         with ServiceClient(*live_fleet.address) as client:
@@ -498,7 +498,7 @@ class TestStopDuringRespawn:
             # always races an in-flight respawn.
             called.set()
             deadline = time.monotonic() + 30
-            while not fleet.router.stopping and time.monotonic() < deadline:
+            while not fleet.server.stopping and time.monotonic() < deadline:
                 time.sleep(0.01)
             try:
                 host, port, proc = real_spawn(*args, **kwargs)
@@ -509,7 +509,7 @@ class TestStopDuringRespawn:
 
         monkeypatch.setattr(router_mod, "spawn_member", spawn_during_stop)
         try:
-            assert fleet.kill_member(0) is not None
+            assert fleet.server.kill_member(0) is not None
             assert called.wait(timeout=30), "the router never respawned"
             assert fleet.stop()
             assert returned.wait(timeout=60)
@@ -612,7 +612,7 @@ class TestFailover:
             assert len(results.to_records()) == 1
             assert router.counters["failovers"] >= 1
             # A member without a process cannot be SIGKILLed.
-            assert fleet.kill_member(primary_index) is None
+            assert fleet.server.kill_member(primary_index) is None
         finally:
             fleet.stop()
             bad.stop()

@@ -1,7 +1,8 @@
 """Tests for the service's failure-path surfaces: ``ServerHandle.stop``
-timeout/escalation, daemon responses to oversized / malformed / deadline
--carrying requests, and the ``python -m repro.service`` CLI driven
-in-process (serve wiring, submit degradation, offline recover)."""
+timeout/escalation, daemon and fleet-router responses to oversized /
+malformed / deadline-carrying requests, and the ``python -m
+repro.service`` CLI driven in-process (serve wiring, submit degradation,
+offline recover)."""
 
 import json
 import socket
@@ -81,6 +82,9 @@ class TestServerHandleStop:
 # ---------------------------------------------------------------------------
 
 
+SERVICES = ("repro.service", "repro.service.fleet")
+
+
 class TestDaemonProtocolErrors:
     @pytest.fixture()
     def server(self):
@@ -103,7 +107,7 @@ class TestDaemonProtocolErrors:
         )
         assert responses[0]["ok"] is False
         assert responses[1]["ok"] is True
-        assert responses[1]["result"]["service"] == "repro.service"
+        assert responses[1]["result"]["service"] in SERVICES
 
     def test_non_object_requests_are_rejected(self, server):
         for payload in (b"[1, 2, 3]\n", b'"ping"\n', b"{}\n"):
@@ -132,7 +136,24 @@ class TestDaemonProtocolErrors:
             assert reader.readline() == b""  # that connection is done
         # ... but the server is not.
         with ServiceClient(*server.address) as client:
-            assert client.ping()["service"] == "repro.service"
+            assert client.ping()["service"] in SERVICES
+
+
+class TestRouterProtocolErrors(TestDaemonProtocolErrors):
+    """The same cases against a fleet router: it shares the daemon's wire
+    loop, and a single dead member leaves only its own protocol handling
+    to answer."""
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        from repro.service.fleet import FleetRouter, start_fleet_background
+        from repro.service.fleet.router import Member
+
+        router = FleetRouter([Member(0, "127.0.0.1", dead_port())],
+                             respawn=False)
+        handle = start_fleet_background(str(tmp_path), router=router)
+        yield handle
+        handle.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +166,24 @@ class TestServiceCli:
         with pytest.raises(SystemExit, match="--jobs"):
             service_cli.main(["serve", "--jobs", "0"])
 
-    def test_serve_fleet_flag_validation(self):
+    def test_serve_fleet_flag_validation(self, monkeypatch):
+        from repro.service import fleet as fleet_mod
+
+        # A flag that slipped past validation must not start a fleet.
+        monkeypatch.setattr(fleet_mod, "serve_fleet", lambda **kw: None)
         with pytest.raises(SystemExit, match="--store"):
             service_cli.main(["serve", "--fleet"])
         with pytest.raises(SystemExit, match="--shards"):
             service_cli.main(["serve", "--fleet", "--store", "x",
                               "--shards", "0"])
+        # Members are spawned without --jobs / --max-bytes: rejected,
+        # not silently dropped.
+        with pytest.raises(SystemExit, match="--jobs"):
+            service_cli.main(["serve", "--fleet", "--store", "x",
+                              "--jobs", "2"])
+        with pytest.raises(SystemExit, match="--max-bytes"):
+            service_cli.main(["serve", "--fleet", "--store", "x",
+                              "--max-bytes", "1000"])
 
     def test_serve_fleet_forwards_its_flags(self, monkeypatch, tmp_path):
         from repro.service import fleet as fleet_mod

@@ -437,7 +437,7 @@ def phase_fleet(store: str) -> None:
 
     fleet = start_fleet_background(store, shards=3, replicas=2)
     try:
-        victim = fleet.router.members[0]
+        victim = fleet.server.members[0]
         victim_pid = victim.proc.pid
 
         # Murder a member the instant the router has routed the first
@@ -448,8 +448,8 @@ def phase_fleet(store: str) -> None:
 
         def assassin() -> None:
             while not done.is_set():
-                if fleet.router.counters["routed"] >= 1:
-                    fleet.kill_member(0)
+                if fleet.server.counters["routed"] >= 1:
+                    fleet.server.kill_member(0)
                     return
                 time.sleep(0.001)
 

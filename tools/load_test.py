@@ -202,7 +202,7 @@ def main(argv=None) -> int:
         phases.append(asyncio.run(run_phase(
             "kill_shard", fleet.address, scenarios, args.requests,
             args.concurrency, args.retries, args.deadline,
-            kill=lambda: fleet.kill_member(args.kill_member),
+            kill=lambda: fleet.server.kill_member(args.kill_member),
             kill_at=args.kill_at,
         )))
         print(summarize(phases[-1]), flush=True)
