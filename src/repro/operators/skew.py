@@ -119,7 +119,9 @@ def plan_rebalance(
     loads = np.zeros(num_vaults, dtype=np.int64)
     assignment: Dict[int, List[Tuple[int, int]]] = {}
     split_buckets: List[int] = []
-    order = np.argsort(sizes)[::-1]
+    # Largest first, ties by bucket id: a stable sort, so the plan is the
+    # same whatever sort kernel the host's numpy dispatches to.
+    order = stable_argsort(-sizes)
     for b in order:
         b = int(b)
         size = int(sizes[b])
