@@ -20,7 +20,9 @@ Exported names, by role:
   ``run_partitioning`` is the shared shuffle phase and
   ``run_partitioning_skew_aware`` its two-round variant for skewed keys
   (with ``plan_rebalance``, ``RebalancePlan`` and
-  ``PartitionOverflowError`` as its protocol pieces).
+  ``PartitionOverflowError`` as its protocol pieces; the plan is
+  columnar -- a vault per bucket, plus share arrays for the buckets
+  split across vaults -- and the same on every host).
 - Contracts -- ``PhaseCost`` (one phase's machine-independent work),
   ``OperatorRun`` (phases + functional output), ``OperatorVariant`` (how
   a machine runs an operator), and the phase categories

@@ -3,9 +3,10 @@
 The production operators and the shuffle engine run every partition at
 once with whole-relation kernels (:mod:`repro.columnar`).  This module
 keeps exactly one per-partition (or per-tuple) reference per operator,
-one for the shuffle (its fault replay included) and one for the merge
-pass, and ``tests/test_reference_equivalence.py`` pins production
-byte-identical to them.
+one for the shuffle (its fault replay included), one for the skew
+planner and its plan applier, and one for the merge pass, and
+``tests/test_reference_equivalence.py`` pins production byte-identical
+to them.
 
 Unlike :mod:`repro.operators.oracle`, which ignores partitioning
 altogether, the references run the same algorithms partition by
@@ -19,6 +20,7 @@ imports this one.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -401,6 +403,106 @@ REFERENCE_RUNNERS = {
     "groupby": reference_groupby,
     "join": reference_join,
 }
+
+
+# -- skew planning ---------------------------------------------------------
+
+
+@dataclass
+class ReferenceRebalancePlan:
+    """The dict-shaped round-two plan :func:`reference_plan_rebalance`
+    builds.
+
+    ``assignment`` maps every bucket id to its ``(vault, tuple_count)``
+    shares in plan order; an unsplit bucket has one ``(vault, size)``
+    entry.  The other fields mean what they do on
+    :class:`~repro.operators.skew.RebalancePlan`.
+    """
+
+    assignment: Dict[int, List[Tuple[int, int]]]
+    split_buckets: List[int]
+    imbalance_before: float
+    imbalance_after: float
+
+
+def reference_plan_rebalance(
+    bucket_histogram: np.ndarray, num_vaults: int, capacity_tuples: int
+) -> ReferenceRebalancePlan:
+    """Reference for :func:`~repro.operators.skew.plan_rebalance`: every
+    bucket in ``(-size, bucket)`` order, each into ``np.argmin`` of the
+    vault loads, the naive imbalance folded one bucket at a time."""
+    sizes = np.asarray(bucket_histogram, dtype=np.int64)
+    if sizes.sum() > num_vaults * capacity_tuples:
+        raise ValueError(
+            "dataset exceeds aggregate destination capacity; no "
+            "rebalancing can fix that"
+        )
+    naive = np.zeros(num_vaults, dtype=np.int64)
+    for b, size in enumerate(sizes):
+        naive[b % num_vaults] += size
+    mean = max(1.0, sizes.sum() / num_vaults)
+    imbalance_before = float(naive.max() / mean)
+
+    loads = np.zeros(num_vaults, dtype=np.int64)
+    assignment: Dict[int, List[Tuple[int, int]]] = {}
+    split_buckets: List[int] = []
+    for b in sorted(range(len(sizes)), key=lambda b: (-int(sizes[b]), b)):
+        size = int(sizes[b])
+        if size == 0:
+            assignment[b] = [(int(np.argmin(loads)), 0)]
+            continue
+        if size > capacity_tuples:
+            shares = []
+            remaining = size
+            while remaining > 0:
+                vault = int(np.argmin(loads))
+                room = capacity_tuples - int(loads[vault])
+                if room <= 0:
+                    raise ValueError("no vault has room for a hot-bucket share")
+                take = min(room, remaining)
+                shares.append((vault, take))
+                loads[vault] += take
+                remaining -= take
+            assignment[b] = shares
+            split_buckets.append(b)
+        else:
+            vault = int(np.argmin(loads))
+            if loads[vault] + size > capacity_tuples:
+                raise ValueError("LPT packing failed: insufficient headroom")
+            loads[vault] += size
+            assignment[b] = [(vault, size)]
+    return ReferenceRebalancePlan(
+        assignment=assignment,
+        split_buckets=split_buckets,
+        imbalance_before=imbalance_before,
+        imbalance_after=float(loads.max() / mean),
+    )
+
+
+class ReferencePlanApplier:
+    """Reference for :class:`~repro.operators.skew._PlanApplier`: one
+    bucket at a time, each tuple of a bucket taking the next position of
+    the bucket's share sequence (a per-bucket cursor across sources)."""
+
+    def __init__(self, plan: ReferenceRebalancePlan) -> None:
+        self._plan = plan
+        self._cursor: Dict[int, int] = {}
+
+    def apply(self, buckets: np.ndarray) -> np.ndarray:
+        dest = np.empty(len(buckets), dtype=np.int64)
+        for b in sorted(set(buckets.tolist())):
+            rows = np.flatnonzero(buckets == b)
+            shares = self._plan.assignment[b]
+            start = self._cursor.get(b, 0)
+            owner = [vault for vault, take in shares for _ in range(take)]
+            if start + len(rows) > len(owner):
+                raise ValueError(
+                    f"bucket {b}: {len(rows)} tuples exceed the planned "
+                    f"{len(owner)} shares"
+                )
+            dest[rows] = owner[start : start + len(rows)]
+            self._cursor[b] = start + len(rows)
+        return dest
 
 
 # -- merge pass ------------------------------------------------------------

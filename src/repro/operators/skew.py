@@ -26,11 +26,13 @@ distribution itself is unchanged.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
+from repro.analytics.hashing import bucket_of_low_bits
 from repro.analytics.histogram import build_histogram
 from repro.analytics.tuples import TUPLE_B, Relation
 from repro.columnar.kernels import stable_argsort
@@ -43,7 +45,6 @@ from repro.operators.base import (
 )
 from repro.operators.partition import (
     PartitionOutcome,
-    destination_map,
     histogram_cost,
     priced_distribute_cost,
 )
@@ -69,17 +70,47 @@ class PartitionOverflowError(RuntimeError):
         self.capacity_b = capacity_b
 
 
-@dataclass
+@dataclass(eq=False)
 class RebalancePlan:
-    """Round-two output: bucket -> vault assignment."""
+    """Round-two output: where every bucket's tuples go, as columns.
 
-    #: bucket id -> list of (vault, tuple_count) shares; a bucket mapped
-    #: to one vault has a single (vault, full_count) entry.  Counts are
-    #: exact so the shuffle never exceeds a vault's budget.
-    assignment: Dict[int, List[Tuple[int, int]]]
+    ``bucket_vault[b]`` is the one vault bucket ``b`` maps to, or ``-1``
+    when ``b`` is split.  A split bucket's tuples are spread over its
+    shares in plan order: the ``i``-th bucket of ``split_buckets`` owns
+    shares ``share_offsets[i]:share_offsets[i + 1]`` of ``share_vault``
+    (int64 vault ids) and ``share_take`` (int64 exact tuple counts, so
+    the shuffle never exceeds a vault's budget).  ``split_buckets``
+    lists split buckets in planning order: size descending, ties by
+    bucket id.  A plan for data that fit in round one has no buckets at
+    all (``rebalanced`` is false).
+    """
+
+    bucket_vault: np.ndarray
     split_buckets: List[int]
+    share_offsets: np.ndarray
+    share_vault: np.ndarray
+    share_take: np.ndarray
     imbalance_before: float
     imbalance_after: float
+
+    @property
+    def rebalanced(self) -> bool:
+        """Whether round two ran (the plan maps any bucket)."""
+        return len(self.bucket_vault) > 0
+
+    @classmethod
+    def single_round(cls, imbalance: float) -> "RebalancePlan":
+        """The trivial plan of data that fit in round one."""
+        empty = np.zeros(0, dtype=np.int64)
+        return cls(
+            bucket_vault=empty,
+            split_buckets=[],
+            share_offsets=np.zeros(1, dtype=np.int64),
+            share_vault=empty,
+            share_take=empty,
+            imbalance_before=imbalance,
+            imbalance_after=imbalance,
+        )
 
 
 def check_overflow(
@@ -100,59 +131,68 @@ def plan_rebalance(
 ) -> RebalancePlan:
     """Greedy LPT bin packing of buckets onto vaults.
 
-    Buckets descend by size into the least-loaded vault; a bucket that
-    alone exceeds ``capacity_tuples`` is split proportionally across the
-    least-loaded vaults.
+    Non-empty buckets go largest first, ties by bucket id (a stable
+    order, so every host plans alike), each into the least-loaded vault,
+    lowest vault id among equal loads.  A bucket that alone exceeds
+    ``capacity_tuples`` is split across the least-loaded vaults, each
+    share filling its vault's remaining room.  Every empty bucket maps
+    to the least-loaded vault once packing is done.  The work grows with
+    the non-empty buckets, not with the bucket table.
     """
     sizes = np.asarray(bucket_histogram, dtype=np.int64)
-    if sizes.sum() > num_vaults * capacity_tuples:
+    total = int(sizes.sum())
+    if total > num_vaults * capacity_tuples:
         raise ValueError(
             "dataset exceeds aggregate destination capacity; no "
             "rebalancing can fix that"
         )
-    naive = np.zeros(num_vaults, dtype=np.int64)
-    for b, size in enumerate(sizes):
-        naive[b % num_vaults] += size
-    mean = max(1.0, sizes.sum() / num_vaults)
+    # Round one's folding (bucket b -> vault b mod num_vaults), summed as
+    # rows of a zero-padded (buckets / vaults, vaults) table.
+    folded = np.zeros(-(-len(sizes) // num_vaults) * num_vaults, dtype=np.int64)
+    folded[: len(sizes)] = sizes
+    naive = folded.reshape(-1, num_vaults).sum(axis=0)
+    mean = max(1.0, total / num_vaults)
     imbalance_before = float(naive.max() / mean)
 
-    loads = np.zeros(num_vaults, dtype=np.int64)
-    assignment: Dict[int, List[Tuple[int, int]]] = {}
+    bucket_vault = np.full(len(sizes), -1, dtype=np.int64)
     split_buckets: List[int] = []
-    # Largest first, ties by bucket id: a stable sort, so the plan is the
-    # same whatever sort kernel the host's numpy dispatches to.
-    order = stable_argsort(-sizes)
-    for b in order:
-        b = int(b)
-        size = int(sizes[b])
-        if size == 0:
-            assignment[b] = [(int(np.argmin(loads)), 0)]
-            continue
+    share_offsets = [0]
+    share_vault: List[int] = []
+    share_take: List[int] = []
+    # (load, vault): heappop yields the least load, lowest vault id first.
+    heap = [(0, vault) for vault in range(num_vaults)]
+    nonempty = np.flatnonzero(sizes)
+    order = nonempty[stable_argsort(-sizes[nonempty])]
+    for b, size in zip(order.tolist(), sizes[order].tolist()):
         if size > capacity_tuples:
             # Split the hot bucket across enough vaults (exact counts).
-            shares = []
             remaining = size
             while remaining > 0:
-                vault = int(np.argmin(loads))
-                room = capacity_tuples - int(loads[vault])
+                load, vault = heapq.heappop(heap)
+                room = capacity_tuples - load
                 if room <= 0:
                     raise ValueError("no vault has room for a hot-bucket share")
                 take = min(room, remaining)
-                shares.append((vault, take))
-                loads[vault] += take
+                share_vault.append(vault)
+                share_take.append(take)
+                heapq.heappush(heap, (load + take, vault))
                 remaining -= take
-            assignment[b] = shares
             split_buckets.append(b)
+            share_offsets.append(len(share_take))
         else:
-            vault = int(np.argmin(loads))
-            if loads[vault] + size > capacity_tuples:
+            load, vault = heap[0]
+            if load + size > capacity_tuples:
                 raise ValueError("LPT packing failed: insufficient headroom")
-            loads[vault] += size
-            assignment[b] = [(vault, size)]
-    imbalance_after = float(loads.max() / mean)
+            heapq.heapreplace(heap, (load + size, vault))
+            bucket_vault[b] = vault
+    bucket_vault[sizes == 0] = heap[0][1]
+    imbalance_after = float(max(load for load, _ in heap) / mean)
     return RebalancePlan(
-        assignment=assignment,
+        bucket_vault=bucket_vault,
         split_buckets=split_buckets,
+        share_offsets=np.array(share_offsets, dtype=np.int64),
+        share_vault=np.array(share_vault, dtype=np.int64),
+        share_take=np.array(share_take, dtype=np.int64),
         imbalance_before=imbalance_before,
         imbalance_after=imbalance_after,
     )
@@ -161,56 +201,61 @@ def plan_rebalance(
 class _PlanApplier:
     """Maps tuples' buckets to vaults, consuming exact share budgets.
 
-    One applier covers all sources: a per-(bucket, share) cursor spreads
-    the bucket's tuples over its shares in plan order, so the global
-    totals match the plan exactly -- no vault receives more than its
-    budget regardless of how tuples split across sources.
+    One applier covers all sources.  A tuple of an unsplit bucket goes
+    to ``bucket_vault``; the tuples of a split bucket take consecutive
+    positions of the bucket's global order (a per-bucket cursor carries
+    the count across sources), and position ``p`` goes to the share
+    whose cumulative range holds ``p``.  So the global totals match the
+    plan exactly -- no vault receives more than its budget regardless of
+    how tuples split across sources.  Only split buckets are counted
+    against the plan: the buckets applied are the ones whose histogram
+    the plan was built from.
     """
 
     def __init__(self, plan: RebalancePlan) -> None:
-        self._plan = plan
-        self._cursor: Dict[int, int] = {}  # bucket -> tuples already routed
+        self._bucket_vault = plan.bucket_vault
+        self._split_buckets = np.array(plan.split_buckets, dtype=np.int64)
+        self._share_vault = plan.share_vault
+        # Split bucket id -> its index in ``split_buckets`` (-1: unsplit).
+        self._split_index = np.full(len(plan.bucket_vault), -1, dtype=np.int64)
+        self._split_index[self._split_buckets] = np.arange(len(self._split_buckets))
+        # Each split bucket's share positions, laid end to end: bucket i
+        # owns [first[i], first[i] + planned[i]), share j ends at end[j].
+        self._share_end = np.cumsum(plan.share_take)
+        bounds = np.concatenate(([0], self._share_end))[plan.share_offsets]
+        self._first = bounds[:-1]
+        self._planned = np.diff(bounds)
+        self._cursor = np.zeros(len(self._split_buckets), dtype=np.int64)
 
     def apply(self, buckets: np.ndarray) -> np.ndarray:
-        n = len(buckets)
-        dest = np.empty(n, dtype=np.int64)
-        if n == 0:
+        dest = self._bucket_vault[buckets]
+        if not len(self._split_buckets):
             return dest
-        # One stable sort groups each bucket's tuples in occurrence
-        # order (the per-bucket ``buckets == b`` masks scanned the whole
-        # array once per distinct bucket -- quadratic with the CPU's
-        # 2**16 radix buckets).
-        order = stable_argsort(buckets)
-        sorted_buckets = buckets[order]
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = sorted_buckets[1:] != sorted_buckets[:-1]
-        starts = np.flatnonzero(change)
-        counts = np.diff(np.append(starts, n))
-        for first, count, b in zip(
-            starts.tolist(), counts.tolist(), sorted_buckets[starts].tolist()
-        ):
-            shares = self._plan.assignment[b]
-            start = self._cursor.get(b, 0)
-            # Assign positions [start, start+count) of the bucket's global
-            # order to shares in plan order.
-            vault_seq = np.empty(count, dtype=np.int64)
-            pos = 0
-            offset = 0
-            for vault, take in shares:
-                lo = max(start, offset)
-                hi = min(start + count, offset + take)
-                if hi > lo:
-                    vault_seq[lo - start : hi - start] = vault
-                    pos += hi - lo
-                offset += take
-            if pos != count:
-                raise ValueError(
-                    f"bucket {b}: {count} tuples exceed the planned "
-                    f"{offset} shares"
-                )
-            dest[order[first : first + count]] = vault_seq
-            self._cursor[b] = start + count
+        split = self._split_index[buckets]
+        rows = np.flatnonzero(split >= 0)
+        if not len(rows):
+            return dest
+        which = split[rows]
+        counts = np.bincount(which, minlength=len(self._split_buckets))
+        over = np.flatnonzero(self._cursor + counts > self._planned)
+        if len(over):
+            i = over[np.argmin(self._split_buckets[over])]
+            raise ValueError(
+                f"bucket {self._split_buckets[i]}: {counts[i]} tuples exceed "
+                f"the planned {self._planned[i]} shares"
+            )
+        # One stable sort groups each split bucket's tuples in occurrence
+        # order; a tuple's rank in its group continues the bucket's cursor.
+        order = stable_argsort(which)
+        grouped = which[order]
+        group_start = np.cumsum(counts) - counts
+        position = (
+            np.arange(len(rows)) - group_start[grouped]
+            + self._cursor[grouped] + self._first[grouped]
+        )
+        share = np.searchsorted(self._share_end, position, side="right")
+        dest[rows[order]] = self._share_vault[share]
+        self._cursor += counts
         return dest
 
 
@@ -254,7 +299,7 @@ def run_partitioning_skew_aware(
     ``capacity_factor`` models the CPU's over-sized destination
     buffers: each vault can absorb ``capacity_factor x fair-share``
     tuples.  Returns the outcome plus the rebalance plan (``plan`` is
-    trivial when round one fit).
+    trivial -- ``plan.rebalanced`` is false -- when round one fit).
     """
     if capacity_factor < 1.0:
         raise ValueError("capacity factor must be >= 1.0")
@@ -262,10 +307,12 @@ def run_partitioning_skew_aware(
     num_vaults = variant.num_partitions
     capacity_tuples = max(1, int(np.ceil(n / num_vaults * capacity_factor)))
 
-    # Round one: normal low-bit bucketing + histogram exchange.
-    dest_maps = [
-        destination_map(rel, variant, "low", key_space_bits) for rel in sources
+    # Round one: normal low-bit bucketing + histogram exchange.  The
+    # buckets are hashed once; round two re-routes the same arrays.
+    bucket_maps = [
+        bucket_of_low_bits(rel.keys, variant.radix_bits) for rel in sources
     ]
+    dest_maps = [buckets % num_vaults for buckets in bucket_maps]
     inbound = np.zeros(num_vaults, dtype=np.int64)
     for dests in dest_maps:
         inbound += build_histogram(dests, num_vaults)
@@ -273,22 +320,15 @@ def run_partitioning_skew_aware(
     phases = [histogram_cost(int(n * model_scale), variant, label="histogram")]
     try:
         check_overflow(inbound, capacity_tuples)
-        plan = RebalancePlan(
-            assignment={}, split_buckets=[],
-            imbalance_before=float(inbound.max() / max(1.0, inbound.mean())),
-            imbalance_after=float(inbound.max() / max(1.0, inbound.mean())),
+        plan = RebalancePlan.single_round(
+            float(inbound.max() / max(1.0, inbound.mean()))
         )
         final_maps = dest_maps
     except PartitionOverflowError:
         # Round two: re-plan from the global bucket histogram.
         num_buckets = 1 << variant.radix_bits
         bucket_hist = np.zeros(num_buckets, dtype=np.int64)
-        bucket_maps = []
-        from repro.analytics.hashing import bucket_of_low_bits
-
-        for rel in sources:
-            buckets = bucket_of_low_bits(rel.keys, variant.radix_bits)
-            bucket_maps.append(buckets)
+        for buckets in bucket_maps:
             bucket_hist += build_histogram(buckets, num_buckets)
         plan = plan_rebalance(bucket_hist, num_vaults, capacity_tuples)
         applier = _PlanApplier(plan)

@@ -387,7 +387,7 @@ class PartitionStage(PipelineStage):
                 model_scale=ctx.model_scale,
             )
             metadata.update(
-                rebalanced=bool(plan.assignment),
+                rebalanced=plan.rebalanced,
                 split_buckets=len(plan.split_buckets),
                 imbalance_before=plan.imbalance_before,
                 imbalance_after=plan.imbalance_after,

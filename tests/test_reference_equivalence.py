@@ -11,6 +11,10 @@ Each production execution path has exactly one slow reference in
 - **Operators**: operator x preset x fault schedule x workload, each
   production run and its reference costed by the same
   ``Machine.evaluate_run`` and compared phase by phase.
+- **Skew planning**: histogram shape x capacity, comparing the columnar
+  rebalance plan field by field against the dict-building loop (or the
+  same ``ValueError``), and the plan applier's destinations over
+  sources split at random.
 
 The file also carries the pieces the production shuffle and sort are
 built from (frozen barrier totals, the vectorized merge pass) and the
@@ -43,12 +47,17 @@ from repro.faults.plan import NULL_FAULTS, FaultPlan, FaultSpec
 from repro.faults.protocol import DeliverySession, FaultTolerantShuffleBarrier
 from repro.memctrl.permutable import ShuffleBarrier
 from repro.operators.groupby import AGGREGATE_NAMES
+from repro.analytics.skew import make_skewed_groupby_workload
+from repro.analytics.hashing import bucket_of_low_bits
 from repro.operators.reference import (
     REFERENCE_RUNNERS,
+    ReferencePlanApplier,
     ScalarDeliverySession,
     merge_pass_scalar,
+    reference_plan_rebalance,
     reference_shuffle,
 )
+from repro.operators.skew import _PlanApplier, plan_rebalance
 from repro.operators.sort_algos import merge_pass, mergesort
 from repro.shuffle.engine import ShuffleEngine
 from repro.shuffle.interleave import random_interleave, round_robin_interleave
@@ -314,6 +323,143 @@ class TestBarrierFrozenTotals:
         assert barrier.expected_bytes(1) == 64  # post-seal: frozen
         with pytest.raises(RuntimeError):
             barrier.announce(0, 0, 8)  # totals can never go stale
+
+
+def skew_histogram(name):
+    """``(bucket_histogram, num_vaults, capacity_tuples)`` for one shape."""
+    if name == "all-zero":
+        return np.zeros(64, dtype=np.int64), 8, 1
+    if name == "all-tied":
+        return np.full(64, 5, dtype=np.int64), 8, 40
+    if name == "hot-across-every-vault":
+        # One bucket larger than seven vaults' room: its shares land on
+        # all eight vaults.
+        hist = np.zeros(64, dtype=np.int64)
+        hist[17] = 750
+        hist[40:48] = 6
+        return hist, 8, 100
+    if name == "capacity-met-exactly":
+        # Total equals num_vaults * capacity: every vault fills up.
+        hist = np.zeros(32, dtype=np.int64)
+        hist[[3, 9]] = [90, 30]
+        hist[10:30] = 1
+        return hist, 4, 35
+    if name == "cpu-radix-zipf":
+        # A 2**16-bucket CPU histogram of a zipf group-by, as query
+        # suites plan it.
+        w = make_skewed_groupby_workload(6000, 16, alpha=1.3, seed=4)
+        keys = np.concatenate([p.keys for p in w.partitions])
+        hist = np.bincount(bucket_of_low_bits(keys, 16), minlength=1 << 16)
+        return hist.astype(np.int64), 16, int(np.ceil(6000 / 16 * 1.5))
+    if name == "lpt-headroom-error":
+        return np.array([6, 6, 6], dtype=np.int64), 2, 10
+    assert name == "aggregate-capacity-error"
+    return np.full(4, 100, dtype=np.int64), 2, 10
+
+
+def plan_assignment(plan, hist):
+    """The columnar plan as the reference's ``bucket -> shares`` dict."""
+    assignment = {
+        b: [(int(vault), int(hist[b]))] for b, vault in enumerate(plan.bucket_vault)
+    }
+    for i, b in enumerate(plan.split_buckets):
+        lo, hi = plan.share_offsets[i], plan.share_offsets[i + 1]
+        assignment[b] = list(
+            zip(plan.share_vault[lo:hi].tolist(), plan.share_take[lo:hi].tolist())
+        )
+    return assignment
+
+
+def assert_plans_identical(hist, num_vaults, capacity):
+    """Both planners give the same plan, or the same ``ValueError``."""
+    try:
+        ref = reference_plan_rebalance(hist, num_vaults, capacity)
+    except ValueError as err:
+        with pytest.raises(ValueError) as prod_err:
+            plan_rebalance(hist, num_vaults, capacity)
+        assert str(prod_err.value) == str(err)
+        return None, None
+    prod = plan_rebalance(hist, num_vaults, capacity)
+    assert plan_assignment(prod, hist) == ref.assignment
+    assert prod.split_buckets == ref.split_buckets
+    assert prod.imbalance_before == ref.imbalance_before
+    assert prod.imbalance_after == ref.imbalance_after
+    for column in (prod.bucket_vault, prod.share_offsets, prod.share_vault,
+                   prod.share_take):
+        assert column.dtype == np.int64
+    return prod, ref
+
+
+def random_sources(rng, hist, pieces):
+    """Every bucket's tuples in random order, cut into ``pieces``."""
+    buckets = np.repeat(np.arange(len(hist)), hist)
+    rng.shuffle(buckets)
+    cuts = np.sort(rng.integers(0, len(buckets) + 1, pieces - 1))
+    return np.split(buckets, cuts)
+
+
+class TestSkewPlanEquivalence:
+    @pytest.mark.parametrize("shape", [
+        "all-zero", "all-tied", "hot-across-every-vault",
+        "capacity-met-exactly", "cpu-radix-zipf",
+        "lpt-headroom-error", "aggregate-capacity-error",
+    ])
+    def test_plan_matches_reference(self, shape):
+        hist, num_vaults, capacity = skew_histogram(shape)
+        prod, _ = assert_plans_identical(hist, num_vaults, capacity)
+        if shape == "hot-across-every-vault":
+            assert prod.split_buckets == [17]
+            assert sorted(prod.share_vault.tolist()) == list(range(8))
+        if shape == "capacity-met-exactly":
+            assert prod.imbalance_after == 1.0
+        if shape.endswith("-error"):
+            assert prod is None
+
+    @given(
+        st.lists(st.integers(0, 60), min_size=1, max_size=96),
+        st.integers(1, 9),
+        st.floats(1.0, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_plan_matches_reference_on_any_histogram(
+        self, sizes, num_vaults, slack, hot
+    ):
+        hist = np.array(sizes, dtype=np.int64)
+        hist[hot % len(hist)] += hot % 400  # sometimes a bucket to split
+        capacity = max(1, int(np.ceil(hist.sum() / num_vaults * slack)))
+        assert_plans_identical(hist, num_vaults, capacity)
+
+    @pytest.mark.parametrize("shape", [
+        "all-zero", "all-tied", "hot-across-every-vault",
+        "capacity-met-exactly", "cpu-radix-zipf",
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_applier_matches_reference_over_random_splits(self, shape, seed):
+        hist, num_vaults, capacity = skew_histogram(shape)
+        prod_plan, ref_plan = assert_plans_identical(hist, num_vaults, capacity)
+        prod, ref = _PlanApplier(prod_plan), ReferencePlanApplier(ref_plan)
+        rng = np.random.default_rng(seed)
+        routed = []
+        for source in random_sources(rng, hist, pieces=seed + 3):
+            dest = prod.apply(source)
+            expected = ref.apply(source)
+            assert dest.dtype == expected.dtype == np.int64
+            assert np.array_equal(dest, expected)
+            routed.append(dest)
+        loads = np.bincount(np.concatenate(routed), minlength=num_vaults)
+        assert loads.max(initial=0) <= capacity
+
+    def test_applier_rejects_tuples_beyond_the_shares(self):
+        hist, num_vaults, capacity = skew_histogram("hot-across-every-vault")
+        prod_plan, ref_plan = assert_plans_identical(hist, num_vaults, capacity)
+        prod, ref = _PlanApplier(prod_plan), ReferencePlanApplier(ref_plan)
+        source = np.full(700, 17, dtype=np.int64)
+        assert np.array_equal(prod.apply(source), ref.apply(source))
+        for applier in (prod, ref):
+            with pytest.raises(ValueError, match="bucket 17: 51 tuples exceed "
+                               "the planned 750 shares"):
+                applier.apply(np.full(51, 17, dtype=np.int64))
 
 
 class TestMergePassEquivalence:

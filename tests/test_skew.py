@@ -98,7 +98,8 @@ class TestRebalancePlan:
         hist = np.full(64, 10, dtype=np.int64)
         plan = plan_rebalance(hist, num_vaults=8, capacity_tuples=1000)
         assert plan.split_buckets == []
-        assert all(len(s) == 1 for s in plan.assignment.values())
+        assert len(plan.share_take) == 0
+        assert (plan.bucket_vault >= 0).all()
 
     def test_rejects_impossible_capacity(self):
         hist = np.full(4, 100, dtype=np.int64)
@@ -108,7 +109,9 @@ class TestRebalancePlan:
     def test_all_buckets_assigned(self):
         hist = np.arange(32, dtype=np.int64)
         plan = plan_rebalance(hist, num_vaults=4, capacity_tuples=1000)
-        assert set(plan.assignment) == set(range(32))
+        assert plan.rebalanced
+        assert len(plan.bucket_vault) == 32
+        assert ((plan.bucket_vault >= 0) & (plan.bucket_vault < 4)).all()
 
 
 class TestTwoRoundPartitioning:
@@ -120,6 +123,7 @@ class TestTwoRoundPartitioning:
         )
         names = [p.name for p in outcome.phases]
         assert "rebalance" not in names  # round one fit
+        assert not plan.rebalanced
 
     def test_skewed_data_triggers_second_round(self):
         w = make_skewed_groupby_workload(4000, P, alpha=1.5, num_distinct=60, seed=6)
@@ -128,6 +132,7 @@ class TestTwoRoundPartitioning:
         )
         names = [p.name for p in outcome.phases]
         assert "rebalance" in names
+        assert plan.rebalanced
         assert plan.imbalance_after < plan.imbalance_before
 
     def test_second_round_respects_capacity(self):
