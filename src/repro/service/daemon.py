@@ -356,17 +356,34 @@ class ServerHandle:
 def start_background(
     server: Any, host: str, port: int, name: str = "repro-service"
 ) -> ServerHandle:
-    """Run ``server`` on a daemon thread; returns once it accepts."""
+    """Run ``server`` on a daemon thread; returns once it accepts.
+
+    A failure before the socket is bound (say the port is taken) is
+    raised here, in the caller; a later one stays in the thread.
+    """
     import queue
 
     ready: "queue.Queue" = queue.Queue()
-    thread = threading.Thread(
-        target=lambda: asyncio.run(serve_lines(server, host, port, ready=ready)),
-        name=name,
-        daemon=True,
-    )
+    bound = threading.Event()
+
+    def serve() -> None:
+        try:
+            asyncio.run(serve_lines(
+                server, host, port, ready=ready,
+                announce=lambda *_: bound.set(),
+            ))
+        except Exception as exc:
+            if bound.is_set():
+                raise
+            ready.put(exc)  # the caller raises it
+
+    thread = threading.Thread(target=serve, name=name, daemon=True)
     thread.start()
-    bound_host, bound_port, loop, stopped = ready.get(timeout=60)
+    started = ready.get(timeout=60)
+    if isinstance(started, Exception):
+        thread.join(timeout=5)
+        raise started
+    bound_host, bound_port, loop, stopped = started
 
     def force_stop():
         with contextlib.suppress(RuntimeError):  # loop already closed

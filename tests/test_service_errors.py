@@ -1,11 +1,12 @@
 """Tests for the service's failure-path surfaces: ``ServerHandle.stop``
-timeout/escalation, daemon and fleet-router responses to oversized /
+timeout/escalation, a background start on a taken port, daemon and fleet-router responses to oversized /
 malformed / deadline-carrying requests, and the ``python -m
 repro.service`` CLI driven in-process (serve wiring, submit degradation,
 offline recover)."""
 
 import json
 import socket
+import time
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,37 @@ class TestServerHandleStop:
             assert handle._thread.is_alive()
         finally:
             assert handle.stop() is True
+
+
+class TestBindFailure:
+    """A taken port fails the background start at once, with the bind
+    error, instead of after the 60 s ready timeout."""
+
+    @pytest.fixture()
+    def taken_port(self):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            yield held.getsockname()[1]
+
+    def assert_fails_fast(self, start):
+        began = time.monotonic()
+        with pytest.raises(OSError):
+            start()
+        assert time.monotonic() - began < 5.0
+
+    def test_daemon(self, taken_port):
+        self.assert_fails_fast(lambda: serve_background(port=taken_port))
+
+    def test_fleet_router(self, taken_port, tmp_path):
+        from repro.service.fleet import FleetRouter, start_fleet_background
+        from repro.service.fleet.router import Member
+
+        router = FleetRouter([Member(0, "127.0.0.1", dead_port())],
+                             respawn=False)
+        self.assert_fails_fast(lambda: start_fleet_background(
+            str(tmp_path), port=taken_port, router=router,
+        ))
 
 
 # ---------------------------------------------------------------------------
