@@ -24,8 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 _BASELINE_SWEEP = """
 import json, sys
 from numpy._core._multiarray_umath import __cpu_features__
-off = sys.argv[1].split()
-assert not any(__cpu_features__[name] for name in off), off
+still_on = [name for name in sys.argv[1].split() if __cpu_features__[name]]
+if still_on:
+    sys.exit(f"dispatch targets still enabled: {still_on}")
 from repro.experiments import fault_sweep
 print(json.dumps(fault_sweep.run(), sort_keys=True))
 """
@@ -48,12 +49,11 @@ def test_independent_of_cpu_dispatch():
     (``X86_V3``, ``X86_V4``, ...); per-feature names such as ``AVX2`` are
     silently ignored, so the names come from ``__cpu_dispatch__``.
     """
-    from numpy._core._multiarray_umath import (
-        __cpu_dispatch__,
-        __cpu_features__,
-    )
-
-    enabled = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    enabled = [
+        name for name in umath.__cpu_dispatch__
+        if umath.__cpu_features__.get(name)
+    ]
     if not enabled:
         pytest.skip("numpy dispatches no SIMD target on this host")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(enabled))
