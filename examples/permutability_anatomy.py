@@ -22,6 +22,7 @@ Run:  python examples/permutability_anatomy.py
 import numpy as np
 
 from repro.analytics import Relation
+from repro.columnar import SegmentedColumns
 from repro.config.dram import DramTiming, HmcGeometry
 from repro.dram.vault import VaultMemory, VaultRequest
 from repro.shuffle import ShuffleEngine, round_robin_interleave, write_traces
@@ -32,13 +33,15 @@ OBJECT_B = 16
 
 
 def make_sources():
+    """The sources as flat columns (one segment each) plus every
+    tuple's destination."""
     rng = np.random.default_rng(3)
-    sources, dests = [], []
+    sources = []
     for s in range(NUM_SOURCES):
         keys = rng.integers(0, 1 << 40, TUPLES_PER_SOURCE, dtype=np.uint64)
         sources.append(Relation.from_arrays(keys, keys, f"src{s}"))
-        dests.append(np.zeros(TUPLES_PER_SOURCE, dtype=np.int64))  # all -> vault 0
-    return sources, dests
+    columns = SegmentedColumns.from_relations(sources)
+    return columns, np.zeros(columns.total, dtype=np.int64)  # all -> vault 0
 
 
 def replay_on_dram(trace, label):
@@ -59,15 +62,15 @@ def replay_on_dram(trace, label):
 
 
 def main() -> None:
-    sources, dests = make_sources()
+    columns, dests = make_sources()
     total = NUM_SOURCES * TUPLES_PER_SOURCE
     print(
         f"{NUM_SOURCES} sources shuffle {total} x {OBJECT_B} B tuples "
         f"into one destination vault\n"
     )
 
-    addressed = ShuffleEngine(1, permutable=False).run(sources, dests)
-    permutable = ShuffleEngine(1, permutable=True).run(sources, dests)
+    addressed = ShuffleEngine(1, permutable=False).run(columns, dests)
+    permutable = ShuffleEngine(1, permutable=True).run(columns, dests)
 
     # Correctness: both deliver the same multiset of tuples.
     assert permutable.destinations[0].multiset_equal(addressed.destinations[0])

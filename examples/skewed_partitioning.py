@@ -23,7 +23,6 @@ Run:  python examples/skewed_partitioning.py
 import numpy as np
 
 from repro.analytics import make_skewed_groupby_workload, partition_imbalance
-from repro.analytics.histogram import build_histogram
 from repro.operators import (
     OperatorVariant,
     PartitionOverflowError,
@@ -50,11 +49,9 @@ def main() -> None:
     print(f"{N} tuples, Zipf(alpha={ALPHA}) keys, {PARTITIONS} vaults, "
           f"buffers hold {capacity} tuples each\n")
 
-    # Naive round one: histogram the hash destinations.
-    inbound = np.zeros(PARTITIONS, dtype=np.int64)
-    for part in workload.partitions:
-        dests = destination_map(part, variant, "low", workload.key_space_bits)
-        inbound += build_histogram(dests, PARTITIONS)
+    # Naive round one: histogram the hash destinations of all tuples.
+    dests = destination_map(workload.flat, variant, "low", workload.key_space_bits)
+    inbound = np.bincount(dests, minlength=PARTITIONS)
     print(f"naive hash shuffle: max/mean imbalance "
           f"{partition_imbalance(inbound):.2f}x, hottest vault gets "
           f"{int(inbound.max())} tuples")
@@ -66,7 +63,7 @@ def main() -> None:
         print(f"  -> OVERFLOW: {err}\n")
 
     outcome, plan = run_partitioning_skew_aware(
-        workload.partitions, variant, workload.key_space_bits,
+        workload.flat, variant, workload.key_space_bits,
         capacity_factor=CAPACITY_FACTOR, seed=11,
     )
     sizes = [len(p) for p in outcome.partitions]

@@ -13,7 +13,7 @@ from repro.analytics.hashing import (
     hash_table_slot,
     multiplicative_hash,
 )
-from repro.analytics.histogram import build_histogram, prefix_sum
+from repro.analytics.histogram import build_histogram
 from repro.analytics.skew import (
     make_skewed_groupby_workload,
     make_skewed_sort_workload,
@@ -54,7 +54,6 @@ __all__ = [
     "make_sort_workload",
     "multiplicative_hash",
     "partition_imbalance",
-    "prefix_sum",
     "split_relation",
     "zipf_keys",
 ]

@@ -1,10 +1,12 @@
-"""Histogram build and prefix sums -- the first step of partitioning.
+"""Histogram build -- the first step of partitioning.
 
-Every operator with a partitioning phase starts by counting, per source
-partition, how many tuples hash to each destination (Table 2's
-"Histogram build"), then prefix-sums those counts into exact destination
-offsets for the data-distribution step.  The same machinery computes the
-per-destination totals that ``shuffle_begin`` announces.
+Every operator with a partitioning phase starts by counting how many
+tuples hash to each destination (Table 2's "Histogram build"), then
+prefix-sums those counts into exact destination offsets for the
+data-distribution step.  :func:`build_histogram` counts a whole
+relation's destinations in one call; :func:`source_write_offsets` gives
+the per-source write offsets the reference shuffle
+(:func:`repro.operators.reference.reference_shuffle`) walks.
 """
 
 from __future__ import annotations
@@ -22,31 +24,6 @@ def build_histogram(buckets: np.ndarray, num_buckets: int) -> np.ndarray:
     if len(buckets) and (buckets.min() < 0 or buckets.max() >= num_buckets):
         raise ValueError("bucket ids out of range")
     return np.bincount(buckets, minlength=num_buckets).astype(np.int64)
-
-
-def prefix_sum(histogram: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum: the first write offset of each bucket."""
-    histogram = np.asarray(histogram, dtype=np.int64)
-    offsets = np.zeros_like(histogram)
-    np.cumsum(histogram[:-1], out=offsets[1:])
-    return offsets
-
-
-def combine_histograms(per_source: List[np.ndarray]) -> np.ndarray:
-    """Total inbound tuples per destination across all sources.
-
-    This is the sum every NMP unit computes during shuffle_begin to learn
-    the size of its inbound data (paper section 5.4).
-    """
-    if not per_source:
-        raise ValueError("need at least one source histogram")
-    totals = np.zeros_like(np.asarray(per_source[0], dtype=np.int64))
-    for hist in per_source:
-        hist = np.asarray(hist, dtype=np.int64)
-        if hist.shape != totals.shape:
-            raise ValueError("histograms must have equal bucket counts")
-        totals += hist
-    return totals
 
 
 def source_write_offsets(per_source: List[np.ndarray]) -> List[np.ndarray]:

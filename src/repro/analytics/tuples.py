@@ -119,8 +119,21 @@ class Relation:
         """
         if len(self) != len(other):
             return False
-        mine = np.lexsort((self.payloads, self.keys))
-        theirs = np.lexsort((other.payloads, other.keys))
+        mine, theirs = _key_payload_order(self), _key_payload_order(other)
         return np.array_equal(self.keys[mine], other.keys[theirs]) and np.array_equal(
             self.payloads[mine], other.payloads[theirs]
         )
+
+
+def _key_payload_order(rel: Relation) -> np.ndarray:
+    """A permutation listing ``rel``'s tuples in (key, payload) order.
+
+    A sort by payload, then a stable sort by key: the gathered columns
+    equal those of ``np.lexsort((payloads, keys))``.  Tuples that tie on
+    both fields are identical, so the first sort need not be stable.
+    """
+    # Imported here: the columnar package imports this module.
+    from repro.columnar.kernels import stable_argsort
+
+    order = np.argsort(rel.payloads)
+    return order[stable_argsort(rel.keys[order])]

@@ -87,13 +87,11 @@ def run(
     )
 
     def naive(v: OperatorVariant) -> PartitionOutcome:
-        return run_partitioning(
-            workload.partitions, v, "low", workload.key_space_bits
-        )
+        return run_partitioning(workload.flat, v, "low", workload.key_space_bits)
 
     def skew_aware(v: OperatorVariant) -> PartitionOutcome:
         outcome, _ = run_partitioning_skew_aware(
-            workload.partitions, v, workload.key_space_bits,
+            workload.flat, v, workload.key_space_bits,
             capacity_factor=capacity_factor, seed=seed,
         )
         return outcome

@@ -38,14 +38,11 @@ def run(
         workload = make_skewed_groupby_workload(
             n, num_partitions, alpha=alpha, num_distinct=max(256, n // 4), seed=seed
         )
-        naive_sizes = np.zeros(num_partitions, dtype=np.int64)
-        for part in workload.partitions:
-            dests = destination_map(part, variant, "low", workload.key_space_bits)
-            naive_sizes += np.bincount(dests, minlength=num_partitions)
-        naive_imb = partition_imbalance(naive_sizes)
+        dests = destination_map(workload.flat, variant, "low", workload.key_space_bits)
+        naive_imb = partition_imbalance(np.bincount(dests, minlength=num_partitions))
 
         outcome, plan = run_partitioning_skew_aware(
-            workload.partitions, variant, workload.key_space_bits,
+            workload.flat, variant, workload.key_space_bits,
             capacity_factor=capacity_factor, seed=seed,
         )
         final_imb = partition_imbalance([len(p) for p in outcome.partitions])

@@ -19,10 +19,12 @@ Exported names, by role:
   / ``OPERATOR_NAMES`` is the dispatch table the systems layer uses;
   ``run_partitioning`` is the shared shuffle phase and
   ``run_partitioning_skew_aware`` its two-round variant for skewed keys
-  (with ``plan_rebalance``, ``RebalancePlan`` and
+  (with ``plan_rebalance``, ``apply_plan``, ``RebalancePlan`` and
   ``PartitionOverflowError`` as its protocol pieces; the plan is
   columnar -- a vault per bucket, plus share arrays for the buckets
-  split across vaults -- and the same on every host).
+  split across vaults -- and the same on every host).  Both take a
+  relation's flat ``SegmentedColumns``, one segment per source
+  partition, and hash, histogram and route it in one pass.
 - Contracts -- ``PhaseCost`` (one phase's machine-independent work),
   ``OperatorRun`` (phases + functional output), ``OperatorVariant`` (how
   a machine runs an operator), and the phase categories
@@ -62,6 +64,7 @@ from repro.operators.scan import ScanOutput, run_scan
 from repro.operators.skew import (
     PartitionOverflowError,
     RebalancePlan,
+    apply_plan,
     plan_rebalance,
     run_partitioning_skew_aware,
 )
@@ -93,6 +96,7 @@ __all__ = [
     "PhaseCost",
     "RebalancePlan",
     "ScanOutput",
+    "apply_plan",
     "plan_rebalance",
     "run_partitioning_skew_aware",
     "SCHEME_HIGH_BITS",

@@ -227,7 +227,7 @@ def run_groupby(
     :mod:`repro.columnar`.
     """
     partitioned = run_partitioning(
-        workload.partitions,
+        workload.flat,
         variant,
         SCHEME_LOW_BITS,
         workload.key_space_bits,

@@ -274,16 +274,16 @@ def partition_join_inputs(
     """Shuffle R and S so matching tuples co-locate."""
     return tuple(
         run_partitioning(
-            partitions,
+            columns,
             variant,
             SCHEME_LOW_BITS,
             workload.key_space_bits,
             label_prefix=prefix,
             model_scale=model_scale,
         )
-        for partitions, prefix in (
-            (workload.r_partitions, "R-"),
-            (workload.s_partitions, "S-"),
+        for columns, prefix in (
+            (workload.r_flat, "R-"),
+            (workload.s_flat, "S-"),
         )
     )
 

@@ -4,7 +4,11 @@ Two steps:
 
 1. **Histogram build** -- every source partition hashes its keys and
    counts tuples per destination; prefix sums give exact write offsets
-   and the per-destination totals that shuffle_begin announces.
+   and the per-destination totals that shuffle_begin announces.  The
+   functional model does this for all sources at once: one
+   :func:`destination_map` over the relation's flat
+   :class:`~repro.columnar.soa.SegmentedColumns`, whose segments are the
+   source partitions, and one histogram in the shuffle engine.
 2. **Data distribution** -- tuples are copied to their destination
    partitions.  Addressed mode computes each tuple's exact destination
    address (per-bucket cursor chains -- the dependency bottleneck);
@@ -19,12 +23,13 @@ Join and Group by bucket by **low-order** key bits; Sort buckets by
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.analytics.hashing import bucket_of_high_bits, bucket_of_low_bits
 from repro.analytics.tuples import TUPLE_B, Relation
+from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import stream_salt
 from repro.faults.protocol import ResilienceStats
 from repro.operators import costs
@@ -46,12 +51,17 @@ SCHEME_HIGH_BITS = "high"
 class PartitionOutcome:
     """Functional result + cost records of one partitioning phase."""
 
-    partitions: List[Relation]
     phases: List[PhaseCost]
     shuffle: ShuffleResult
     #: Retry/backoff accounting when a fault schedule was active
     #: (``None`` on fault-free runs, keeping their records unchanged).
     resilience: Optional[ResilienceStats] = None
+
+    @property
+    def partitions(self) -> List[Relation]:
+        """The destination partitions, built on first use
+        (:attr:`ShuffleResult.destinations`)."""
+        return self.shuffle.destinations
 
 
 def priced_distribute_cost(
@@ -86,19 +96,20 @@ def priced_distribute_cost(
 
 
 def destination_map(
-    relation: Relation,
+    tuples: Union[Relation, SegmentedColumns],
     variant: OperatorVariant,
     scheme: str,
     key_space_bits: int,
 ) -> np.ndarray:
-    """Destination partition of every tuple.
+    """Destination partition of every tuple (only ``tuples.keys`` is
+    read, so a whole partitioned relation takes one call).
 
     The radix hash produces ``2**radix_bits`` buckets (16 bits on the
     CPU, 6 on the NMP machines); buckets fold onto the
     ``num_partitions`` memory partitions.
     """
     if scheme == SCHEME_LOW_BITS:
-        buckets = bucket_of_low_bits(relation.keys, variant.radix_bits)
+        buckets = bucket_of_low_bits(tuples.keys, variant.radix_bits)
         return buckets % variant.num_partitions
     if scheme == SCHEME_HIGH_BITS:
         # Sort requires *order-preserving* range partitions: partition i
@@ -110,7 +121,7 @@ def destination_map(
         p = variant.num_partitions
         if key_space_bits + p.bit_length() > 63:
             raise ValueError("key space too wide for range partitioning math")
-        scaled = (relation.keys.astype(np.int64) * p) >> np.int64(key_space_bits)
+        scaled = (tuples.keys.astype(np.int64) * p) >> np.int64(key_space_bits)
         return np.minimum(scaled, p - 1)
     raise ValueError(f"unknown partitioning scheme {scheme!r}")
 
@@ -199,7 +210,7 @@ def distribute_cost(
 
 
 def run_partitioning(
-    sources: List[Relation],
+    columns: SegmentedColumns,
     variant: OperatorVariant,
     scheme: str,
     key_space_bits: int,
@@ -208,6 +219,8 @@ def run_partitioning(
 ) -> PartitionOutcome:
     """Execute the full partitioning phase functionally and cost it.
 
+    Each segment of ``columns`` is one source partition; the whole
+    relation is hashed and routed in one pass.
     ``model_scale`` sizes the *cost model's* dataset relative to the
     functionally executed one: the tuples really moved stay small (so
     tests run fast), while the PhaseCost records describe a dataset
@@ -216,9 +229,7 @@ def run_partitioning(
     """
     if model_scale <= 0:
         raise ValueError("model_scale must be positive")
-    dest_maps = [
-        destination_map(rel, variant, scheme, key_space_bits) for rel in sources
-    ]
+    dest = destination_map(columns, variant, scheme, key_space_bits)
     engine = ShuffleEngine(
         num_destinations=variant.num_partitions,
         permutable=variant.permutable,
@@ -228,9 +239,8 @@ def run_partitioning(
         # draw independent-but-reproducible schedules from one seed.
         fault_salt=stream_salt(label_prefix),
     )
-    shuffle = engine.run(sources, dest_maps)
-    n = sum(len(rel) for rel in sources)
-    n_model = int(round(n * model_scale))
+    shuffle = engine.run(columns, dest)
+    n_model = int(round(columns.total * model_scale))
     phases = [
         histogram_cost(n_model, variant, label=f"{label_prefix}histogram"),
         priced_distribute_cost(
@@ -242,7 +252,6 @@ def run_partitioning(
         ),
     ]
     return PartitionOutcome(
-        partitions=shuffle.destinations,
         phases=phases,
         shuffle=shuffle,
         resilience=shuffle.resilience,

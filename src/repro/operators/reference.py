@@ -33,7 +33,6 @@ from repro.analytics.workload import (
     ScanWorkload,
     SortWorkload,
 )
-from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import FaultSpec
 from repro.faults.protocol import DeliverySession, FaultTolerantShuffleBarrier
 from repro.memctrl.permutable import PermutableRegionConfig, PermutableWriteEngine
@@ -135,7 +134,7 @@ def reference_shuffle(
         session = ScalarDeliverySession(session.plan, hist * TUPLE_B)
     offsets = source_write_offsets(histograms) if histograms else []
 
-    destinations: List[Relation] = []
+    buffers: List[np.ndarray] = []
     traces: List[np.ndarray] = []
     for dest in range(num_destinations):
         inbound = [src_streams[dest] for src_streams in streams]
@@ -163,15 +162,14 @@ def reference_shuffle(
                 cursors[src] += 1
                 trace[i] = slot * TUPLE_B
                 buffer[slot] = inbound[src][idx]
-        destinations.append(Relation(buffer, f"shuffle_dest/{dest}"))
+        buffers.append(buffer)
         traces.append(trace)
     resilience = shuffle_end(barrier, session, hist.sum(axis=0))
     result = ShuffleResult(
-        destinations=destinations,
+        buffer=np.concatenate(buffers),
         histogram=hist,
         barrier=barrier,
         permutable=permutable,
-        columns=SegmentedColumns.from_relations(destinations),
         resilience=resilience,
     )
     return result, traces
@@ -209,7 +207,7 @@ def reference_sort(
 ) -> OperatorRun:
     """Sort each range partition locally, then concatenate them."""
     partitioned = run_partitioning(
-        workload.partitions,
+        workload.flat,
         variant,
         SCHEME_HIGH_BITS,
         workload.key_space_bits,
@@ -308,7 +306,7 @@ def reference_groupby(
 ) -> OperatorRun:
     """Group each partition on its own and merge the disjoint results."""
     partitioned = run_partitioning(
-        workload.partitions,
+        workload.flat,
         variant,
         SCHEME_LOW_BITS,
         workload.key_space_bits,
@@ -480,9 +478,10 @@ def reference_plan_rebalance(
 
 
 class ReferencePlanApplier:
-    """Reference for :class:`~repro.operators.skew._PlanApplier`: one
-    bucket at a time, each tuple of a bucket taking the next position of
-    the bucket's share sequence (a per-bucket cursor across sources)."""
+    """Reference for :func:`~repro.operators.skew.apply_plan`, applied
+    source by source: one bucket at a time, each tuple of a bucket
+    taking the next position of the bucket's share sequence (a
+    per-bucket cursor carried across sources)."""
 
     def __init__(self, plan: ReferenceRebalancePlan) -> None:
         self._plan = plan

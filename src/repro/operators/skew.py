@@ -20,6 +20,10 @@ Protocol:
    "second round of partitioning in order to balance the resulting
    partitions' sizes" the paper sketches.
 
+Both rounds run over the relation's flat columns: each key is hashed
+once, each round's histogram is one ``bincount``, and
+:func:`apply_plan` routes every tuple in one stateless call.
+
 The cost model charges the second histogram/prefix pass; the data
 distribution itself is unchanged.
 """
@@ -34,8 +38,9 @@ import numpy as np
 
 from repro.analytics.hashing import bucket_of_low_bits
 from repro.analytics.histogram import build_histogram
-from repro.analytics.tuples import TUPLE_B, Relation
+from repro.analytics.tuples import TUPLE_B
 from repro.columnar.kernels import stable_argsort
+from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import stream_salt
 from repro.operators import costs
 from repro.operators.base import (
@@ -198,65 +203,50 @@ def plan_rebalance(
     )
 
 
-class _PlanApplier:
-    """Maps tuples' buckets to vaults, consuming exact share budgets.
+def apply_plan(plan: RebalancePlan, buckets: np.ndarray) -> np.ndarray:
+    """Every tuple's vault under ``plan``, consuming exact share budgets.
 
-    One applier covers all sources.  A tuple of an unsplit bucket goes
-    to ``bucket_vault``; the tuples of a split bucket take consecutive
-    positions of the bucket's global order (a per-bucket cursor carries
-    the count across sources), and position ``p`` goes to the share
-    whose cumulative range holds ``p``.  So the global totals match the
-    plan exactly -- no vault receives more than its budget regardless of
-    how tuples split across sources.  Only split buckets are counted
-    against the plan: the buckets applied are the ones whose histogram
-    the plan was built from.
+    A tuple of an unsplit bucket goes to ``bucket_vault``.  The tuples
+    of a split bucket take consecutive positions of the bucket's share
+    sequence in row order, and position ``p`` goes to the share whose
+    cumulative range holds ``p``.  So the totals match the plan exactly:
+    no vault receives more than its budget.  ``buckets`` is the whole
+    relation's bucket array -- the sources concatenated, whose stable
+    rank within a bucket equals each source's rank plus a cursor carried
+    across sources -- and must hold no more tuples of a split bucket
+    than the histogram the plan was built from.
     """
-
-    def __init__(self, plan: RebalancePlan) -> None:
-        self._bucket_vault = plan.bucket_vault
-        self._split_buckets = np.array(plan.split_buckets, dtype=np.int64)
-        self._share_vault = plan.share_vault
-        # Split bucket id -> its index in ``split_buckets`` (-1: unsplit).
-        self._split_index = np.full(len(plan.bucket_vault), -1, dtype=np.int64)
-        self._split_index[self._split_buckets] = np.arange(len(self._split_buckets))
-        # Each split bucket's share positions, laid end to end: bucket i
-        # owns [first[i], first[i] + planned[i]), share j ends at end[j].
-        self._share_end = np.cumsum(plan.share_take)
-        bounds = np.concatenate(([0], self._share_end))[plan.share_offsets]
-        self._first = bounds[:-1]
-        self._planned = np.diff(bounds)
-        self._cursor = np.zeros(len(self._split_buckets), dtype=np.int64)
-
-    def apply(self, buckets: np.ndarray) -> np.ndarray:
-        dest = self._bucket_vault[buckets]
-        if not len(self._split_buckets):
-            return dest
-        split = self._split_index[buckets]
-        rows = np.flatnonzero(split >= 0)
-        if not len(rows):
-            return dest
-        which = split[rows]
-        counts = np.bincount(which, minlength=len(self._split_buckets))
-        over = np.flatnonzero(self._cursor + counts > self._planned)
-        if len(over):
-            i = over[np.argmin(self._split_buckets[over])]
-            raise ValueError(
-                f"bucket {self._split_buckets[i]}: {counts[i]} tuples exceed "
-                f"the planned {self._planned[i]} shares"
-            )
-        # One stable sort groups each split bucket's tuples in occurrence
-        # order; a tuple's rank in its group continues the bucket's cursor.
-        order = stable_argsort(which)
-        grouped = which[order]
-        group_start = np.cumsum(counts) - counts
-        position = (
-            np.arange(len(rows)) - group_start[grouped]
-            + self._cursor[grouped] + self._first[grouped]
-        )
-        share = np.searchsorted(self._share_end, position, side="right")
-        dest[rows[order]] = self._share_vault[share]
-        self._cursor += counts
+    dest = plan.bucket_vault[buckets]
+    if not plan.split_buckets:
         return dest
+    split_buckets = np.array(plan.split_buckets, dtype=np.int64)
+    # Split bucket id -> its index in ``split_buckets`` (-1: unsplit).
+    split_index = np.full(len(plan.bucket_vault), -1, dtype=np.int64)
+    split_index[split_buckets] = np.arange(len(split_buckets))
+    split = split_index[buckets]
+    rows = np.flatnonzero(split >= 0)
+    which = split[rows]
+    counts = np.bincount(which, minlength=len(split_buckets))
+    # Each split bucket's share positions, laid end to end: bucket i
+    # owns [first[i], first[i] + planned[i]), share j ends at end[j].
+    share_end = np.cumsum(plan.share_take)
+    bounds = np.concatenate(([0], share_end))[plan.share_offsets]
+    first, planned = bounds[:-1], np.diff(bounds)
+    over = np.flatnonzero(counts > planned)
+    if len(over):
+        i = over[np.argmin(split_buckets[over])]
+        raise ValueError(
+            f"bucket {split_buckets[i]}: {counts[i]} tuples exceed "
+            f"the planned {planned[i]} shares"
+        )
+    # One stable sort groups each split bucket's tuples in row order.
+    order = stable_argsort(which)
+    grouped = which[order]
+    group_start = np.cumsum(counts) - counts
+    position = np.arange(len(rows)) - group_start[grouped] + first[grouped]
+    share = np.searchsorted(share_end, position, side="right")
+    dest[rows[order]] = plan.share_vault[share]
+    return dest
 
 
 def second_round_cost(n: int, variant: OperatorVariant) -> PhaseCost:
@@ -287,7 +277,7 @@ def second_round_cost(n: int, variant: OperatorVariant) -> PhaseCost:
 
 
 def run_partitioning_skew_aware(
-    sources: List[Relation],
+    columns: SegmentedColumns,
     variant: OperatorVariant,
     key_space_bits: int,
     capacity_factor: float = 1.5,
@@ -296,6 +286,7 @@ def run_partitioning_skew_aware(
 ) -> Tuple[PartitionOutcome, RebalancePlan]:
     """Partition with overflow detection and the two-round retry.
 
+    Each segment of ``columns`` is one source partition.
     ``capacity_factor`` models the CPU's over-sized destination
     buffers: each vault can absorb ``capacity_factor x fair-share``
     tuples.  Returns the outcome plus the rebalance plan (``plan`` is
@@ -303,19 +294,15 @@ def run_partitioning_skew_aware(
     """
     if capacity_factor < 1.0:
         raise ValueError("capacity factor must be >= 1.0")
-    n = sum(len(rel) for rel in sources)
+    n = columns.total
     num_vaults = variant.num_partitions
     capacity_tuples = max(1, int(np.ceil(n / num_vaults * capacity_factor)))
 
     # Round one: normal low-bit bucketing + histogram exchange.  The
-    # buckets are hashed once; round two re-routes the same arrays.
-    bucket_maps = [
-        bucket_of_low_bits(rel.keys, variant.radix_bits) for rel in sources
-    ]
-    dest_maps = [buckets % num_vaults for buckets in bucket_maps]
-    inbound = np.zeros(num_vaults, dtype=np.int64)
-    for dests in dest_maps:
-        inbound += build_histogram(dests, num_vaults)
+    # buckets are hashed once; round two re-routes the same array.
+    buckets = bucket_of_low_bits(columns.keys, variant.radix_bits)
+    dest = buckets % num_vaults
+    inbound = build_histogram(dest, num_vaults)
 
     phases = [histogram_cost(int(n * model_scale), variant, label="histogram")]
     try:
@@ -323,16 +310,11 @@ def run_partitioning_skew_aware(
         plan = RebalancePlan.single_round(
             float(inbound.max() / max(1.0, inbound.mean()))
         )
-        final_maps = dest_maps
     except PartitionOverflowError:
         # Round two: re-plan from the global bucket histogram.
-        num_buckets = 1 << variant.radix_bits
-        bucket_hist = np.zeros(num_buckets, dtype=np.int64)
-        for buckets in bucket_maps:
-            bucket_hist += build_histogram(buckets, num_buckets)
+        bucket_hist = build_histogram(buckets, 1 << variant.radix_bits)
         plan = plan_rebalance(bucket_hist, num_vaults, capacity_tuples)
-        applier = _PlanApplier(plan)
-        final_maps = [applier.apply(buckets) for buckets in bucket_maps]
+        dest = apply_plan(plan, buckets)
         phases.append(second_round_cost(int(n * model_scale), variant))
 
     engine = ShuffleEngine(
@@ -342,7 +324,7 @@ def run_partitioning_skew_aware(
         faults=variant.faults,
         fault_salt=stream_salt("skew"),
     )
-    shuffle = engine.run(sources, final_maps)
+    shuffle = engine.run(columns, dest)
     phases.append(
         priced_distribute_cost(
             int(n * model_scale),
@@ -353,7 +335,6 @@ def run_partitioning_skew_aware(
         )
     )
     outcome = PartitionOutcome(
-        partitions=shuffle.destinations,
         phases=phases,
         shuffle=shuffle,
         resilience=shuffle.resilience,

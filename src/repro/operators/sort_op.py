@@ -11,7 +11,6 @@ Mondrian.
 from __future__ import annotations
 
 import math
-from typing import List
 
 from repro.analytics.tuples import TUPLE_B, Relation
 from repro.analytics.workload import SortWorkload
@@ -25,6 +24,7 @@ from repro.operators.partition import (
     run_partitioning,
 )
 from repro.operators.sort_algos import merge_passes_needed
+from repro.shuffle.engine import destination_name
 
 
 def quicksort_probe_cost(n: int, num_partitions: int) -> PhaseCost:
@@ -75,7 +75,7 @@ def mergesort_probe_cost(
 
 
 def _local_sort_segmented(
-    columns: SegmentedColumns, variant: OperatorVariant, names: List[str]
+    columns: SegmentedColumns, variant: OperatorVariant, name: str
 ) -> Relation:
     """Sort every partition locally as one whole-relation kernel.
 
@@ -85,7 +85,8 @@ def _local_sort_segmented(
     (:func:`repro.operators.reference.reference_sort`): the local sorts
     keep rows inside their segment, so the segmented stable sort
     produces exactly the concatenation of the per-partition results.
-    The output tuple array is allocated once and written field-wise.
+    The output tuple array is allocated once, written field-wise and
+    named ``name``.
     """
     if variant.local_sort == "quicksort":
         order = segmented_stable_argsort(columns.keys, columns.segments)
@@ -100,9 +101,6 @@ def _local_sort_segmented(
     sorted_columns = SegmentedColumns(
         keys=keys, payloads=payloads, segments=columns.segments
     )
-    # A single partition keeps its own name (nothing is concatenated);
-    # several are named "sorted".
-    name = "sorted" if columns.num_segments > 1 else names[0]
     return Relation(sorted_columns.to_struct(), name)
 
 
@@ -119,17 +117,17 @@ def run_sort(
     :mod:`repro.columnar`.
     """
     partitioned = run_partitioning(
-        workload.partitions,
+        workload.flat,
         variant,
         SCHEME_HIGH_BITS,
         workload.key_space_bits,
         model_scale=model_scale,
     )
-    output = _local_sort_segmented(
-        partitioned.shuffle.columns,
-        variant,
-        [part.name for part in partitioned.partitions],
-    )
+    columns = partitioned.shuffle.columns
+    # A single partition keeps its own name (nothing is concatenated);
+    # several are named "sorted".
+    name = "sorted" if columns.num_segments > 1 else destination_name(0)
+    output = _local_sort_segmented(columns, variant, name)
     return sort_operator_run(workload, variant, model_scale, partitioned, output)
 
 

@@ -39,6 +39,7 @@ from repro.analytics.workload import (
     split_relation,
 )
 from repro.columnar.kernels import stable_argsort
+from repro.columnar.soa import SegmentedColumns
 from repro.operators.base import OperatorRun, OperatorVariant, PhaseCost
 from repro.operators.groupby import AGGREGATE_NAMES, run_groupby
 from repro.operators.join import run_join
@@ -376,7 +377,9 @@ class PartitionStage(PipelineStage):
 
     def plan(self, tables: Dict[str, Relation], ctx: PlanContext) -> StagePlan:
         rel = self._table(tables, self.inputs[0])
-        sources = split_relation(rel, ctx.variant.num_partitions)
+        sources = SegmentedColumns.from_relations(
+            split_relation(rel, ctx.variant.num_partitions)
+        )
         metadata: Dict[str, Any] = {"tuples": len(rel), "scheme": self.scheme}
         if self.skew_aware:
             outcome, plan = run_partitioning_skew_aware(
@@ -400,12 +403,9 @@ class PartitionStage(PipelineStage):
                 ctx.key_space_bits,
                 model_scale=ctx.model_scale,
             )
-        # One concatenation of all partitions (the pairwise concat loop
-        # re-promoted the structured dtype and recopied the prefix per
-        # partition -- quadratic in partition count).
-        out = Relation(
-            np.concatenate([part.data for part in outcome.partitions]), self.output
-        )
+        # The destinations tile the shuffle's one output buffer in order,
+        # so that buffer is the repartitioned table as is.
+        out = Relation(outcome.shuffle.buffer, self.output)
         if not out.multiset_equal(rel):
             raise AssertionError(
                 f"stage {self.name!r}: repartitioning lost or invented tuples"

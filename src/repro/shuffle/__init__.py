@@ -4,8 +4,9 @@ Multiple source partitions concurrently push tuples toward destination
 partitions; the memory network interleaves their messages, so writes
 arrive at each destination in an order no single source controls.  The
 shuffle engine models that interleaving functionally (real tuples move),
-drives the shuffle_begin/shuffle_end barrier protocol, and produces the
-destination relations plus the (source, destination) histogram.
+drives the shuffle_begin/shuffle_end barrier protocol, and produces one
+buffer of every destination's tuples (sliced into destination relations
+on demand) plus the (source, destination) histogram.
 Interleave models name only the source of each arrival (per-source FIFO
 order is their contract); :func:`arrival_slots` maps every arrival of
 every destination to its addressed write slot in one pass, for the

@@ -1,8 +1,9 @@
 """Functional shuffle across memory partitions.
 
-Given per-source relations and each tuple's destination partition, the
-engine moves real tuples: it computes per-(source, destination) streams
-and materializes each destination buffer either
+Given a relation's flat columns (one segment per source partition) and
+each tuple's destination partition, the engine moves real tuples: it
+computes per-(source, destination) streams and materializes each
+destination buffer either
 
 - **addressed**: every tuple lands at the exact offset the histogram
   prefix sums assigned (source order preserved inside each source's
@@ -19,14 +20,19 @@ model; the permutable path reorders by it, and :func:`write_traces`
 derives each destination's arrival trace (vault-relative addresses)
 from it, so the event-accurate DRAM model can replay the traffic.
 
-All destinations are materialized in one whole-relation pass over SoA
-columns; :func:`repro.operators.reference.reference_shuffle` keeps the
-seed's per-tuple loop, which the equivalence matrix pins this against.
+The whole relation is routed in one pass: one histogram ``bincount``
+over the per-row ``(source, destination)`` codes, one grouping sort and
+one gather into a single output buffer.  Per-destination relations are
+sliced from that buffer only when a caller asks for them.
+:func:`repro.operators.reference.reference_shuffle` keeps the seed's
+per-source, per-tuple loop, which the equivalence matrix pins this
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -170,27 +176,51 @@ def write_traces(
     return np.split(addresses, dest_base[1:])
 
 
+def destination_name(dest: int) -> str:
+    """Name of destination partition ``dest``'s relation."""
+    return f"shuffle_dest/{dest}"
+
+
 @dataclass
 class ShuffleResult:
     """Everything the shuffle produced."""
 
-    destinations: List[Relation]
+    #: Every destination's tuples in one buffer, destination by
+    #: destination; the histogram's column sums delimit them.
+    buffer: np.ndarray
     #: ``(source, destination)`` tuple counts; :func:`write_traces`
     #: derives the per-destination DRAM write traces from them.
     histogram: np.ndarray
     barrier: ShuffleBarrier
     permutable: bool
-    #: Zero-copy SoA view over all destinations (one flat buffer with
-    #: one segment per destination), so the probe phase can run
-    #: whole-relation kernels without re-flattening.
-    columns: SegmentedColumns
     #: Retry/backoff accounting of the fault-injection protocol
     #: (:mod:`repro.faults`); ``None`` when no faults were active.
     resilience: Optional[ResilienceStats] = None
 
+    @cached_property
+    def columns(self) -> SegmentedColumns:
+        """Zero-copy SoA view over the buffer (one segment per
+        destination), so the probe phase can run whole-relation kernels
+        without re-flattening."""
+        dest_totals = self.histogram.sum(axis=0)
+        bounds = np.append(stream_starts(dest_totals), len(self.buffer))
+        return SegmentedColumns(
+            keys=self.buffer["key"], payloads=self.buffer["payload"], segments=bounds
+        )
+
+    @cached_property
+    def destinations(self) -> List[Relation]:
+        """One relation per destination, each a slice of the buffer
+        (built on first use: the operators read :attr:`columns`)."""
+        bounds = self.columns.segments.tolist()
+        return [
+            Relation(self.buffer[bounds[d] : bounds[d + 1]], destination_name(d))
+            for d in range(len(bounds) - 1)
+        ]
+
     @property
     def total_tuples(self) -> int:
-        return sum(len(d) for d in self.destinations)
+        return len(self.buffer)
 
 
 class ShuffleEngine:
@@ -215,22 +245,18 @@ class ShuffleEngine:
         self._faults = faults
         self._fault_salt = fault_salt
 
-    def run(
-        self, sources: List[Relation], dest_of: List[np.ndarray]
-    ) -> ShuffleResult:
-        """Shuffle ``sources[s]`` tuples to partitions ``dest_of[s]``.
+    def run(self, columns: SegmentedColumns, dest: np.ndarray) -> ShuffleResult:
+        """Shuffle every row of ``columns`` to partition ``dest[row]``.
 
-        The sources become flat SoA columns and a composite
-        ``(dest, src)`` sort groups all streams at once.  That grouped
-        order *is* the addressed layout; a permutable shuffle instead
-        reorders it by the network's arrival order (:func:`arrival_slots`,
-        all destinations in one shot).  Either way the destination
-        buffers are written as two field gathers into one preallocated
-        tuple array.
+        Each segment of ``columns`` is one source partition.  A
+        composite ``(dest, src)`` sort groups all streams at once.  That
+        grouped order *is* the addressed layout; a permutable shuffle
+        instead reorders it by the network's arrival order
+        (:func:`arrival_slots`, all destinations in one shot).  Either
+        way the destination buffers are written as two field gathers
+        into one preallocated tuple array.
         """
-        if len(sources) != len(dest_of):
-            raise ValueError("sources and destination maps must align")
-        num_src = len(sources)
+        num_src = columns.num_segments
         num_dest = self._num_dest
         with _span(
             "shuffle",
@@ -238,59 +264,41 @@ class ShuffleEngine:
             sources=num_src,
             destinations=num_dest,
         ) as sp:
-            lens = np.array([len(rel) for rel in sources], dtype=np.int64)
-            for rel, dests in zip(sources, dest_of):
-                if len(rel) != len(dests):
-                    raise ValueError("destination map length must match relation")
-            total = int(lens.sum())
-            cols = SegmentedColumns.from_relations(sources)
-            if num_src and total:
-                dest_all = np.concatenate(
-                    [np.asarray(d, dtype=np.int64) for d in dest_of]
-                )
-                if int(dest_all.min()) < 0 or int(dest_all.max()) >= num_dest:
-                    raise ValueError("bucket ids out of range")
-            else:
-                dest_all = np.empty(0, dtype=np.int64)
-            src_ids = np.repeat(np.arange(num_src, dtype=np.int64), lens)
+            total = columns.total
+            if len(dest) != total:
+                raise ValueError("destination map length must match relation")
+            dest = np.asarray(dest, dtype=np.int64)
+            if total and (int(dest.min()) < 0 or int(dest.max()) >= num_dest):
+                raise ValueError("bucket ids out of range")
+            src_ids = columns.segment_ids()
 
             # Histogram build: per-(source, destination) tuple counts.
             hist = np.bincount(
-                src_ids * num_dest + dest_all, minlength=num_src * num_dest
+                src_ids * num_dest + dest, minlength=num_src * num_dest
             ).reshape(num_src, num_dest)
             barrier, session = shuffle_begin(hist, self._faults, self._fault_salt)
             sp.set(faulted=session is not None)
 
             # Group all (dest, src) streams at once, preserving source
             # order: a stable sort of the composite (dest, src) code
-            # equals np.lexsort((src_ids, dest_all)) and takes the radix
+            # equals np.lexsort((src_ids, dest)) and takes the radix
             # path for realistic partition counts.  Each tuple's rank in
             # this order is its addressed slot (destination base +
             # source's histogram offset + index in its stream).
-            take = _grouping_sort(dest_all * num_src + src_ids, num_dest * num_src)
+            take = _grouping_sort(dest * num_src + src_ids, num_dest * num_src)
             if self._permutable:
                 take = take[arrival_slots(hist, self._interleave)]
 
             # Materialize all destinations: one preallocated tuple buffer,
             # written field-wise (no structured-dtype promotion).
             out = np.empty(total, dtype=TUPLE_DTYPE)
-            out_keys = out["key"]
-            out_payloads = out["payload"]
-            out_keys[:] = cols.keys[take]
-            out_payloads[:] = cols.payloads[take]
-            dest_totals = hist.sum(axis=0)
-            bounds = np.append(stream_starts(dest_totals), total)
-            resilience = shuffle_end(barrier, session, dest_totals)
+            out["key"] = columns.keys[take]
+            out["payload"] = columns.payloads[take]
+            resilience = shuffle_end(barrier, session, hist.sum(axis=0))
             return ShuffleResult(
-                destinations=[
-                    Relation(out[bounds[d] : bounds[d + 1]], f"shuffle_dest/{d}")
-                    for d in range(num_dest)
-                ],
+                buffer=out,
                 histogram=hist,
                 barrier=barrier,
                 permutable=self._permutable,
-                columns=SegmentedColumns(
-                    keys=out_keys, payloads=out_payloads, segments=bounds
-                ),
                 resilience=resilience,
             )

@@ -1,12 +1,13 @@
-"""Shared shuffle-test helpers: random shuffle inputs, a hypothesis
-strategy for fault schedules, and a byte-level comparison of two
-:class:`~repro.shuffle.engine.ShuffleResult` objects, write traces
-included."""
+"""Shared shuffle-test helpers: random shuffle inputs, their flat
+columnar form, a hypothesis strategy for fault schedules, and a
+byte-level comparison of two :class:`~repro.shuffle.engine.ShuffleResult`
+objects, write traces included."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from repro.analytics.tuples import Relation
+from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import FaultSpec
 from repro.shuffle.engine import write_traces
 from repro.shuffle.interleave import round_robin_interleave
@@ -44,6 +45,13 @@ def make_sources(rng, num_src, num_dest, n_per_src, skew):
         else:
             dest_maps.append(rng.integers(0, num_dest, n).astype(np.int64))
     return sources, dest_maps
+
+
+def flatten(sources, dest_maps):
+    """Per-source relations and destination maps as the engine's input:
+    one segment per source, one destination per row."""
+    dest = np.concatenate([np.empty(0, dtype=np.int64), *dest_maps])
+    return SegmentedColumns.from_relations(sources), dest
 
 
 def assert_shuffles_identical(

@@ -18,9 +18,23 @@ from repro.analytics import (
     make_scan_workload,
     make_sort_workload,
     multiplicative_hash,
-    prefix_sum,
 )
-from repro.analytics.histogram import combine_histograms, source_write_offsets
+from repro.analytics.histogram import source_write_offsets
+
+
+def lexsort_multiset_equal(a, b):
+    """The two-lexsort formulation ``Relation.multiset_equal`` replaced."""
+    if len(a) != len(b):
+        return False
+    mine = np.lexsort((a.payloads, a.keys))
+    theirs = np.lexsort((b.payloads, b.keys))
+    return np.array_equal(a.keys[mine], b.keys[theirs]) and np.array_equal(
+        a.payloads[mine], b.payloads[theirs]
+    )
+
+
+def pairs(*tuples):
+    return Relation.from_pairs(tuples)
 
 
 class TestRelation:
@@ -69,6 +83,42 @@ class TestRelation:
         assert a.multiset_equal(b)
         assert not a.multiset_equal(c)
         assert not a == b  # order-sensitive equality differs
+
+    @pytest.mark.parametrize("a, b, equal", [
+        # Duplicate tuples: counts must match, not just the set.
+        (pairs((1, 5), (1, 5), (2, 6)), pairs((2, 6), (1, 5), (1, 5)), True),
+        (pairs((1, 5), (1, 5), (2, 6)), pairs((1, 5), (2, 6), (2, 6)), False),
+        # Equal keys with different payloads, in any order.
+        (pairs((4, 9), (4, 1), (4, 5)), pairs((4, 5), (4, 9), (4, 1)), True),
+        (pairs((4, 9), (4, 1), (4, 5)), pairs((4, 5), (4, 9), (4, 9)), False),
+        # One payload moved to another key.
+        (pairs((1, 10), (2, 20), (3, 30)), pairs((1, 20), (2, 10), (3, 30)), False),
+        # Unequal lengths and empty relations.
+        (pairs((1, 1), (2, 2)), pairs((1, 1)), False),
+        (Relation.empty(), Relation.empty(), True),
+        (Relation.empty(), pairs((0, 0)), False),
+    ])
+    def test_multiset_equality_matches_lexsort(self, a, b, equal):
+        assert a.multiset_equal(b) is equal
+        assert b.multiset_equal(a) is equal
+        assert lexsort_multiset_equal(a, b) is equal
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=24),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_multiset_equality_matches_lexsort_on_any_relation(
+        self, tuples, seed, swap
+    ):
+        a = Relation.from_pairs(tuples)
+        rng = np.random.default_rng(seed)
+        b = a.take(rng.permutation(len(a)))
+        if swap:  # payloads dealt to other keys: equal only by chance
+            b = Relation.from_arrays(b.keys, b.payloads[rng.permutation(len(b))])
+        assert a.multiset_equal(b) == lexsort_multiset_equal(a, b)
+        assert a.multiset_equal(b) or swap
 
     def test_dtype_enforced(self):
         with pytest.raises(TypeError):
@@ -129,18 +179,9 @@ class TestHistogram:
         hist = build_histogram(np.array([0, 1, 1, 3]), 4)
         assert list(hist) == [1, 2, 0, 1]
 
-    def test_prefix_sum_exclusive(self):
-        assert list(prefix_sum(np.array([1, 2, 0, 1]))) == [0, 1, 3, 3]
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             build_histogram(np.array([5]), 4)
-
-    def test_combine(self):
-        total = combine_histograms([np.array([1, 0]), np.array([2, 3])])
-        assert list(total) == [3, 3]
-        with pytest.raises(ValueError):
-            combine_histograms([])
 
     def test_source_write_offsets(self):
         offsets = source_write_offsets([np.array([2, 1]), np.array([1, 1])])

@@ -20,17 +20,16 @@ from repro.faults.protocol import (
     combine_stats,
 )
 from repro.shuffle.engine import ShuffleEngine
-from tests.shuffle_helpers import assert_shuffles_identical, make_sources
+from tests.shuffle_helpers import assert_shuffles_identical, flatten, make_sources
 
 HOSTILE = FaultSpec(seed=2, straggler_prob=1.0, drop_prob=1.0,
                     duplicate_prob=1.0, timeout_prob=1.0)
 
 
 def run_pair(sources, dest_maps, num_dest, spec, **kwargs):
-    faulted = ShuffleEngine(num_dest, faults=spec, **kwargs).run(
-        sources, dest_maps
-    )
-    clean = ShuffleEngine(num_dest, **kwargs).run(sources, dest_maps)
+    columns, dest = flatten(sources, dest_maps)
+    faulted = ShuffleEngine(num_dest, faults=spec, **kwargs).run(columns, dest)
+    clean = ShuffleEngine(num_dest, **kwargs).run(columns, dest)
     return faulted, clean
 
 

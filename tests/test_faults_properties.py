@@ -35,6 +35,7 @@ from repro.systems.machine import Machine
 from tests.shuffle_helpers import (
     assert_shuffles_identical,
     fault_specs,
+    flatten,
     make_sources,
 )
 
@@ -47,13 +48,15 @@ def run_pair(rng_seed, fault_spec, num_src=4, num_dest=6, n_per_src=200,
              skew=True, permutable=True, **engine_kwargs):
     """One shuffle under ``fault_spec`` and its fault-free twin."""
     rng = np.random.default_rng(rng_seed)
-    sources, dest_maps = make_sources(rng, num_src, num_dest, n_per_src, skew)
+    columns, dest = flatten(
+        *make_sources(rng, num_src, num_dest, n_per_src, skew)
+    )
     faulted = engine(
         num_dest, faults=fault_spec, permutable=permutable, **engine_kwargs
-    ).run(sources, dest_maps)
+    ).run(columns, dest)
     clean = engine(
         num_dest, permutable=permutable, **engine_kwargs
-    ).run(sources, dest_maps)
+    ).run(columns, dest)
     return faulted, clean
 
 

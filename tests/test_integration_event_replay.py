@@ -34,7 +34,7 @@ def shuffle_traces(permutable, n=8000, seed=3):
         radix_bits=6, probe_algorithm="sort", permutable=permutable,
         simd=False, num_partitions=P,
     )
-    outcome = run_partitioning(w.partitions, v, SCHEME_LOW_BITS, w.key_space_bits)
+    outcome = run_partitioning(w.flat, v, SCHEME_LOW_BITS, w.key_space_bits)
     return traces_of(outcome, v)
 
 
@@ -128,7 +128,7 @@ class TestJoinShuffleReplay:
                 simd=False, num_partitions=P,
             )
             outcome = run_partitioning(
-                w.s_partitions, v, SCHEME_LOW_BITS, w.key_space_bits
+                w.s_flat, v, SCHEME_LOW_BITS, w.key_space_bits
             )
             stats, _ = replay(max(traces_of(outcome, v), key=len))
             results[permutable] = stats.activations
@@ -140,7 +140,7 @@ class TestJoinShuffleReplay:
             radix_bits=6, probe_algorithm="hash", permutable=True,
             simd=False, num_partitions=P,
         )
-        outcome = run_partitioning(w.s_partitions, v_perm, SCHEME_LOW_BITS, w.key_space_bits)
+        outcome = run_partitioning(w.s_flat, v_perm, SCHEME_LOW_BITS, w.key_space_bits)
         stats, _ = replay(max(traces_of(outcome, v_perm), key=len))
         # Sequential tail writes: 15 of 16 writes hit the open row.
         assert stats.row_hit_rate > 0.9

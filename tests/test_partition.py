@@ -112,36 +112,36 @@ class TestPhaseCosts:
 class TestRunPartitioning:
     def test_functional_and_costed(self):
         w = make_sort_workload(2000, P, seed=1)
-        outcome = run_partitioning(w.partitions, variant(), SCHEME_HIGH_BITS, 48)
+        outcome = run_partitioning(w.flat, variant(), SCHEME_HIGH_BITS, 48)
         assert len(outcome.partitions) == P
         assert sum(len(p) for p in outcome.partitions) == 2000
         assert [p.category for p in outcome.phases] == ["histogram", "distribute"]
 
     def test_model_scale_scales_costs_only(self):
         w = make_sort_workload(1000, P, seed=2)
-        base = run_partitioning(w.partitions, variant(), SCHEME_LOW_BITS, 48)
+        base = run_partitioning(w.flat, variant(), SCHEME_LOW_BITS, 48)
         scaled = run_partitioning(
-            w.partitions, variant(), SCHEME_LOW_BITS, 48, model_scale=50.0
+            w.flat, variant(), SCHEME_LOW_BITS, 48, model_scale=50.0
         )
         assert sum(len(p) for p in scaled.partitions) == 1000  # data unchanged
         assert scaled.phases[1].shuffle_b == pytest.approx(base.phases[1].shuffle_b * 50)
 
     def test_permutable_and_addressed_same_multisets(self):
         w = make_sort_workload(1500, P, seed=3)
-        addr = run_partitioning(w.partitions, variant(False), SCHEME_LOW_BITS, 48)
-        perm = run_partitioning(w.partitions, variant(True), SCHEME_LOW_BITS, 48)
+        addr = run_partitioning(w.flat, variant(False), SCHEME_LOW_BITS, 48)
+        perm = run_partitioning(w.flat, variant(True), SCHEME_LOW_BITS, 48)
         for a, p in zip(addr.partitions, perm.partitions):
             assert a.multiset_equal(p)
 
     def test_rejects_bad_scale(self):
         w = make_sort_workload(100, P, seed=4)
         with pytest.raises(ValueError):
-            run_partitioning(w.partitions, variant(), SCHEME_LOW_BITS, 48, model_scale=0)
+            run_partitioning(w.flat, variant(), SCHEME_LOW_BITS, 48, model_scale=0)
 
     def test_shuffle_traces_exported(self):
         w = make_sort_workload(500, P, seed=5)
         v = variant(True)
-        outcome = run_partitioning(w.partitions, v, SCHEME_LOW_BITS, 48)
+        outcome = run_partitioning(w.flat, v, SCHEME_LOW_BITS, 48)
         traces = write_traces(
             outcome.shuffle.histogram, v.permutable, get_interleave(v.interleave)
         )

@@ -8,13 +8,16 @@ Each production execution path has exactly one slow reference in
   histogram, barrier state, the ``ResilienceStats`` and the write
   traces :func:`~repro.shuffle.engine.write_traces` derives from the
   histogram against the ones the reference records per arriving tuple.
+  The engine routes one relation's flat columns in one pass; the
+  reference walks the same relation cut into per-source pieces at
+  random, empty pieces included.
 - **Operators**: operator x preset x fault schedule x workload, each
   production run and its reference costed by the same
   ``Machine.evaluate_run`` and compared phase by phase.
 - **Skew planning**: histogram shape x capacity, comparing the columnar
   rebalance plan field by field against the dict-building loop (or the
-  same ``ValueError``), and the plan applier's destinations over
-  sources split at random.
+  same ``ValueError``), and the one-call plan applier over a whole
+  relation against the reference applied to random per-source pieces.
 
 The file also carries the pieces the production shuffle and sort are
 built from (frozen barrier totals, the vectorized merge pass) and the
@@ -41,6 +44,7 @@ from repro.analytics.workload import (
     make_scan_workload,
     make_sort_workload,
 )
+from repro.columnar.soa import SegmentedColumns
 from repro.config.system import get_preset
 from repro.experiments import common
 from repro.faults.plan import NULL_FAULTS, FaultPlan, FaultSpec
@@ -57,7 +61,7 @@ from repro.operators.reference import (
     reference_plan_rebalance,
     reference_shuffle,
 )
-from repro.operators.skew import _PlanApplier, plan_rebalance
+from repro.operators.skew import apply_plan, plan_rebalance
 from repro.operators.sort_algos import merge_pass, mergesort
 from repro.shuffle.engine import ShuffleEngine
 from repro.shuffle.interleave import random_interleave, round_robin_interleave
@@ -65,6 +69,7 @@ from repro.systems.machine import Machine
 from tests.shuffle_helpers import (
     assert_shuffles_identical,
     fault_specs,
+    flatten,
     make_sources,
 )
 
@@ -131,7 +136,7 @@ def test_shuffle_matches_reference(permutable, interleave, faults, shape):
         faults=FAULTS[faults],
         fault_salt=3,
     )
-    prod = ShuffleEngine(num_dest, **config).run(sources, dest_maps)
+    prod = ShuffleEngine(num_dest, **config).run(*flatten(sources, dest_maps))
     ref, ref_traces = reference_shuffle(sources, dest_maps, num_dest, **config)
     assert_shuffles_identical(prod, ref, config["interleave"], ref_traces)
     assert prod.resilience == ref.resilience
@@ -152,10 +157,88 @@ def test_shuffle_matches_reference_under_any_schedule(spec, rng_seed, permutable
     rng = np.random.default_rng(rng_seed)
     sources, dest_maps = make_sources(rng, 4, 6, 150, skew=True)
     config = dict(permutable=permutable, faults=spec, fault_salt=1)
-    prod = ShuffleEngine(6, **config).run(sources, dest_maps)
+    prod = ShuffleEngine(6, **config).run(*flatten(sources, dest_maps))
     ref, ref_traces = reference_shuffle(sources, dest_maps, 6, **config)
     assert_shuffles_identical(prod, ref, ref_traces=ref_traces)
     assert prod.resilience == ref.resilience
+
+
+def random_split(rng, n, pieces):
+    """Cut ``[0, n)`` at ``pieces - 1`` random points (repeats allowed,
+    so some pieces are empty); returns the ``pieces + 1`` bounds."""
+    cuts = np.sort(rng.integers(0, n + 1, pieces - 1))
+    return np.concatenate(([0], cuts, [n])).astype(np.int64)
+
+
+class TestOnePassShuffle:
+    """One relation routed whole against the reference walking it as
+    per-source pieces: the engine's segments are the reference's
+    sources, so the two must agree byte for byte."""
+
+    @pytest.mark.parametrize("faults", ["none", "mixed"])
+    @pytest.mark.parametrize("interleave", ["round-robin", "random"])
+    @pytest.mark.parametrize("permutable", [False, True])
+    @pytest.mark.parametrize("n, pieces, seed", [
+        (0, 5, 0),  # an all-empty relation
+        (1, 4, 1),
+        (600, 9, 2),
+        (2500, 64, 3),  # most cuts far apart, a few repeated
+    ])
+    def test_matches_reference_over_random_splits(
+        self, permutable, interleave, faults, n, pieces, seed
+    ):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 1 << 40, n, dtype=np.uint64)
+        table = Relation.from_arrays(keys, keys * np.uint64(3), "table")
+        bounds = random_split(rng, n, pieces)
+        num_dest = 7
+        dest = rng.integers(0, num_dest, n).astype(np.int64)
+        sources = [
+            table.slice(int(lo), int(hi), f"table/p{i}")
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
+        columns = SegmentedColumns.from_relations(sources)
+        assert np.array_equal(columns.segments, bounds)
+        config = dict(
+            permutable=permutable,
+            interleave=INTERLEAVES[interleave],
+            faults=FAULTS[faults],
+            fault_salt=5,
+        )
+        prod = ShuffleEngine(num_dest, **config).run(columns, dest)
+        ref, ref_traces = reference_shuffle(
+            sources,
+            [dest[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
+            num_dest,
+            **config,
+        )
+        assert_shuffles_identical(prod, ref, config["interleave"], ref_traces)
+        assert prod.resilience == ref.resilience
+        assert (prod.resilience is None) == (faults == "none")
+        assert prod.histogram.shape == (pieces, num_dest)
+        assert np.array_equal(prod.buffer, ref.buffer)
+        assert [d.name for d in prod.destinations] == [
+            d.name for d in ref.destinations
+        ]
+
+    def test_length_mismatch_rejected(self):
+        columns = SegmentedColumns.from_relations(
+            [Relation.from_arrays(np.arange(3, dtype=np.uint64),
+                                  np.arange(3, dtype=np.uint64))]
+        )
+        for dest in (np.zeros(2, dtype=np.int64), np.zeros(4, dtype=np.int64)):
+            with pytest.raises(ValueError, match="destination map length "
+                               "must match relation"):
+                ShuffleEngine(2).run(columns, dest)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_destination_rejected(self, bad):
+        columns = SegmentedColumns.from_relations(
+            [Relation.from_arrays(np.arange(3, dtype=np.uint64),
+                                  np.arange(3, dtype=np.uint64))]
+        )
+        with pytest.raises(ValueError, match="bucket ids out of range"):
+            ShuffleEngine(2).run(columns, np.array([0, bad, 1], dtype=np.int64))
 
 
 #: Functional workload per (shape, operator).  "sparse" leaves most of
@@ -438,28 +521,32 @@ class TestSkewPlanEquivalence:
     def test_applier_matches_reference_over_random_splits(self, shape, seed):
         hist, num_vaults, capacity = skew_histogram(shape)
         prod_plan, ref_plan = assert_plans_identical(hist, num_vaults, capacity)
-        prod, ref = _PlanApplier(prod_plan), ReferencePlanApplier(ref_plan)
+        ref = ReferencePlanApplier(ref_plan)
         rng = np.random.default_rng(seed)
-        routed = []
-        for source in random_sources(rng, hist, pieces=seed + 3):
-            dest = prod.apply(source)
-            expected = ref.apply(source)
-            assert dest.dtype == expected.dtype == np.int64
-            assert np.array_equal(dest, expected)
-            routed.append(dest)
-        loads = np.bincount(np.concatenate(routed), minlength=num_vaults)
+        sources = random_sources(rng, hist, pieces=seed + 3)
+        expected = [ref.apply(source) for source in sources]
+        dest = apply_plan(prod_plan, np.concatenate(sources))
+        for routed in expected:
+            assert routed.dtype == np.int64
+        assert dest.dtype == np.int64
+        assert np.array_equal(dest, np.concatenate(expected))
+        loads = np.bincount(dest, minlength=num_vaults)
         assert loads.max(initial=0) <= capacity
 
     def test_applier_rejects_tuples_beyond_the_shares(self):
         hist, num_vaults, capacity = skew_histogram("hot-across-every-vault")
         prod_plan, ref_plan = assert_plans_identical(hist, num_vaults, capacity)
-        prod, ref = _PlanApplier(prod_plan), ReferencePlanApplier(ref_plan)
+        ref = ReferencePlanApplier(ref_plan)
         source = np.full(700, 17, dtype=np.int64)
-        assert np.array_equal(prod.apply(source), ref.apply(source))
-        for applier in (prod, ref):
-            with pytest.raises(ValueError, match="bucket 17: 51 tuples exceed "
-                               "the planned 750 shares"):
-                applier.apply(np.full(51, 17, dtype=np.int64))
+        assert np.array_equal(apply_plan(prod_plan, source), ref.apply(source))
+        with pytest.raises(ValueError, match="bucket 17: 51 tuples exceed "
+                           "the planned 750 shares"):
+            ref.apply(np.full(51, 17, dtype=np.int64))
+        # The stateless applier sees the whole relation at once, so its
+        # count is the bucket's total.
+        with pytest.raises(ValueError, match="bucket 17: 751 tuples exceed "
+                           "the planned 750 shares"):
+            apply_plan(prod_plan, np.full(751, 17, dtype=np.int64))
 
 
 class TestMergePassEquivalence:

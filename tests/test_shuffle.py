@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analytics.tuples import Relation
+from repro.columnar.soa import SegmentedColumns
 from repro.shuffle import (
     ShuffleEngine,
     random_interleave,
     round_robin_interleave,
     write_traces,
 )
+from tests.shuffle_helpers import flatten
 
 
 def relation(keys, name="r"):
@@ -74,7 +76,7 @@ class TestShuffleEngine:
         sources = [relation([0, 1, 2, 3]), relation([4, 5, 6, 7])]
         dests = [np.array([0, 1, 0, 1]), np.array([1, 0, 1, 0])]
         engine = ShuffleEngine(2, permutable=permutable, interleave=interleave)
-        return engine.run(sources, dests), sources, dests
+        return engine.run(*flatten(sources, dests)), sources, dests
 
     def test_addressed_places_by_offset(self):
         result, sources, dests = self._run(permutable=False)
@@ -118,10 +120,11 @@ class TestShuffleEngine:
 
     def test_mismatched_inputs_rejected(self):
         engine = ShuffleEngine(2)
+        columns = SegmentedColumns.from_relations([relation([1, 2])])
         with pytest.raises(ValueError):
-            engine.run([relation([1])], [])
+            engine.run(columns, np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            engine.run([relation([1, 2])], [np.array([0])])
+            engine.run(columns, np.array([0]))
 
     def test_bad_construction_rejected(self):
         with pytest.raises(ValueError):
@@ -145,7 +148,7 @@ class TestShuffleEngine:
             for keys in source_keys
         ]
         engine = ShuffleEngine(num_dest, permutable=permutable)
-        result = engine.run(sources, dests)
+        result = engine.run(*flatten(sources, dests))
         all_in = sorted(k for keys in source_keys for k in keys)
         all_out = sorted(
             int(k) for d in result.destinations for k in d.keys
@@ -159,7 +162,7 @@ class TestShuffleEngine:
         keys = rng.integers(0, 1 << 20, n, dtype=np.uint64)
         dest = rng.integers(0, num_dest, n).astype(np.int64)
         engine = ShuffleEngine(num_dest, permutable=permutable)
-        result = engine.run([Relation.from_arrays(keys, keys)], [dest])
+        result = engine.run(*flatten([Relation.from_arrays(keys, keys)], [dest]))
         for d in range(num_dest):
             expected = sorted(int(k) for k, dd in zip(keys, dest) if dd == d)
             got = sorted(int(k) for k in result.destinations[d].keys)

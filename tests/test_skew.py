@@ -119,7 +119,7 @@ class TestTwoRoundPartitioning:
         from repro.analytics.workload import make_groupby_workload
         w = make_groupby_workload(4000, P, seed=5)
         outcome, plan = run_partitioning_skew_aware(
-            w.partitions, VARIANT, w.key_space_bits
+            w.flat, VARIANT, w.key_space_bits
         )
         names = [p.name for p in outcome.phases]
         assert "rebalance" not in names  # round one fit
@@ -128,7 +128,7 @@ class TestTwoRoundPartitioning:
     def test_skewed_data_triggers_second_round(self):
         w = make_skewed_groupby_workload(4000, P, alpha=1.5, num_distinct=60, seed=6)
         outcome, plan = run_partitioning_skew_aware(
-            w.partitions, VARIANT, w.key_space_bits, capacity_factor=1.5
+            w.flat, VARIANT, w.key_space_bits, capacity_factor=1.5
         )
         names = [p.name for p in outcome.phases]
         assert "rebalance" in names
@@ -139,7 +139,7 @@ class TestTwoRoundPartitioning:
         w = make_skewed_groupby_workload(4000, P, alpha=1.5, num_distinct=60, seed=7)
         capacity_factor = 1.5
         outcome, _ = run_partitioning_skew_aware(
-            w.partitions, VARIANT, w.key_space_bits, capacity_factor=capacity_factor
+            w.flat, VARIANT, w.key_space_bits, capacity_factor=capacity_factor
         )
         n = w.total_tuples
         cap = int(np.ceil(n / P * capacity_factor))
@@ -149,7 +149,7 @@ class TestTwoRoundPartitioning:
     def test_no_tuples_lost(self):
         w = make_skewed_groupby_workload(3000, P, alpha=1.4, num_distinct=50, seed=8)
         outcome, _ = run_partitioning_skew_aware(
-            w.partitions, VARIANT, w.key_space_bits
+            w.flat, VARIANT, w.key_space_bits
         )
         total = sum(len(p) for p in outcome.partitions)
         assert total == w.total_tuples
@@ -160,7 +160,7 @@ class TestTwoRoundPartitioning:
     def test_rebalance_cost_charged(self):
         w = make_skewed_groupby_workload(4000, P, alpha=1.5, num_distinct=60, seed=9)
         outcome, _ = run_partitioning_skew_aware(
-            w.partitions, VARIANT, w.key_space_bits, model_scale=100.0
+            w.flat, VARIANT, w.key_space_bits, model_scale=100.0
         )
         rebalance = [p for p in outcome.phases if p.name == "rebalance"]
         assert rebalance and rebalance[0].instructions > 0
@@ -170,7 +170,7 @@ class TestTwoRoundPartitioning:
         w = make_groupby_workload(100, P, seed=10)
         with pytest.raises(ValueError):
             run_partitioning_skew_aware(
-                w.partitions, VARIANT, w.key_space_bits, capacity_factor=0.5
+                w.flat, VARIANT, w.key_space_bits, capacity_factor=0.5
             )
 
     @given(st.floats(1.1, 1.9), st.integers(0, 5))
@@ -180,7 +180,7 @@ class TestTwoRoundPartitioning:
             2000, P, alpha=alpha, num_distinct=80, seed=seed
         )
         outcome, _ = run_partitioning_skew_aware(
-            w.partitions, VARIANT, w.key_space_bits, capacity_factor=1.5
+            w.flat, VARIANT, w.key_space_bits, capacity_factor=1.5
         )
         sizes = [len(p) for p in outcome.partitions]
         # Bounded by the (ceiling-rounded) per-vault capacity.
