@@ -64,7 +64,7 @@ def main() -> None:
 
     outcome, plan = run_partitioning_skew_aware(
         workload.flat, variant, workload.key_space_bits,
-        capacity_factor=CAPACITY_FACTOR, seed=11,
+        capacity_factor=CAPACITY_FACTOR,
     )
     sizes = [len(p) for p in outcome.partitions]
     print("after the two-round retry:")

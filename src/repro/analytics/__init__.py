@@ -30,7 +30,6 @@ from repro.analytics.workload import (
     make_join_workload,
     make_scan_workload,
     make_sort_workload,
-    split_relation,
 )
 
 __all__ = [
@@ -54,6 +53,5 @@ __all__ = [
     "make_sort_workload",
     "multiplicative_hash",
     "partition_imbalance",
-    "split_relation",
     "zipf_keys",
 ]

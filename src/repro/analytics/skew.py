@@ -23,7 +23,7 @@ from repro.analytics.workload import (
     GroupByWorkload,
     SortWorkload,
     _payloads,
-    split_relation,
+    _placed,
 )
 
 
@@ -73,11 +73,8 @@ def make_skewed_groupby_workload(
         num_distinct = max(1, n // 4)
     keys = zipf_keys(rng, n, num_distinct, alpha, key_space_bits)
     relation = Relation.from_arrays(keys, _payloads(rng, n), "skewed_groupby_input")
-    avg_group = n / max(1, len(np.unique(keys)))
     return GroupByWorkload(
-        partitions=split_relation(relation, num_partitions),
-        key_space_bits=key_space_bits,
-        avg_group_size=avg_group,
+        flat=_placed(relation, num_partitions), key_space_bits=key_space_bits
     )
 
 
@@ -104,7 +101,7 @@ def make_skewed_sort_workload(
     keys = rng.permutation(np.concatenate([hot, cold])).astype(np.uint64)
     relation = Relation.from_arrays(keys, _payloads(rng, n), "skewed_sort_input")
     return SortWorkload(
-        partitions=split_relation(relation, num_partitions), key_space_bits=key_space_bits
+        flat=_placed(relation, num_partitions), key_space_bits=key_space_bits
     )
 
 

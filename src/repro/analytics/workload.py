@@ -5,7 +5,9 @@
   finds exactly one match in R.
 - Group by: average group size of four tuples.
 - Input data "initially randomly distributed across multiple memory
-  partitions": generators return per-partition slices.
+  partitions": each input relation is held as one
+  :class:`~repro.columnar.soa.SegmentedColumns` view, one segment per
+  partition.
 
 Keys are drawn from a bounded key space (``key_space_bits``) so that
 high-order-bit range partitioning (Sort) has a known universe.
@@ -14,19 +16,19 @@ high-order-bit range partitioning (Sort) has a known universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analytics.tuples import Relation
 
-if TYPE_CHECKING:  # pragma: no cover -- see _flat_columns
+if TYPE_CHECKING:  # pragma: no cover -- see _placed
     from repro.columnar.soa import SegmentedColumns
 
 
-def _flat_columns(partitions: List[Relation]) -> "SegmentedColumns":
-    """Flatten partitions into a zero-copy SoA view.
+def _placed(relation: Relation, num_partitions: int) -> "SegmentedColumns":
+    """``relation`` in its initial placement
+    (:meth:`~repro.columnar.soa.SegmentedColumns.split`).
 
     Imported lazily: ``repro.columnar.soa`` imports this package's
     ``tuples`` module, so a top-level import here would close an import
@@ -34,7 +36,8 @@ def _flat_columns(partitions: List[Relation]) -> "SegmentedColumns":
     """
     from repro.columnar.soa import SegmentedColumns
 
-    return SegmentedColumns.from_relations(partitions)
+    return SegmentedColumns.split(relation, num_partitions)
+
 
 #: Keys fit in 48 bits by default, leaving high bits predictably zero-free.
 DEFAULT_KEY_SPACE_BITS = 48
@@ -50,145 +53,70 @@ def _payloads(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 1 << 63, size=n, dtype=np.uint64)
 
 
-def split_relation(relation: Relation, num_partitions: int) -> List[Relation]:
-    """Split a relation into near-equal contiguous partition slices.
+@dataclass(frozen=True)
+class _OneRelation:
+    """A workload over one partitioned relation, ``flat`` (one segment
+    per memory partition)."""
 
-    This is the paper's initial data placement: input relations start
-    "randomly distributed across multiple memory partitions", one slice
-    per vault.  Workload constructors and the pipeline subsystem both use
-    it to turn a whole relation into the per-partition lists operators
-    consume.
-    """
-    if num_partitions < 1:
-        raise ValueError("need at least one partition")
-    bounds = np.linspace(0, len(relation), num_partitions + 1).astype(int)
-    return [
-        relation.slice(bounds[i], bounds[i + 1], f"{relation.name}/p{i}")
-        for i in range(num_partitions)
-    ]
+    flat: "SegmentedColumns"
 
+    @property
+    def num_partitions(self) -> int:
+        """Memory partitions this workload was generated across."""
+        return self.flat.num_segments
+
+    @property
+    def total_tuples(self) -> int:
+        return self.flat.total
 
 
 @dataclass(frozen=True)
-class ScanWorkload:
+class ScanWorkload(_OneRelation):
     """Scan for one key over a partitioned relation."""
 
-    partitions: List[Relation]
     search_key: int
     key_space_bits: int
 
-    @property
-    def num_partitions(self) -> int:
-        """Memory partitions this workload was generated across."""
-        return len(self.partitions)
-
-    @cached_property
-    def total_tuples(self) -> int:
-        """Total tuples, summed once and cached (partition lists are
-        frozen with the dataclass, so the sum can never go stale)."""
-        return sum(len(p) for p in self.partitions)
-
-    @cached_property
-    def flat(self) -> "SegmentedColumns":
-        """Zero-copy SoA view over all partitions (one segment each).
-
-        Workload partitions come from :func:`split_relation`, i.e. they
-        are consecutive slices of one backing array, so flattening them
-        copies nothing; segmented operators consume this view instead of
-        looping the partition list.
-        """
-        return _flat_columns(self.partitions)
-
 
 @dataclass(frozen=True)
-class SortWorkload:
+class SortWorkload(_OneRelation):
     """Sort a partitioned relation by key."""
 
-    partitions: List[Relation]
     key_space_bits: int
-
-    @property
-    def num_partitions(self) -> int:
-        """Memory partitions this workload was generated across."""
-        return len(self.partitions)
-
-    @cached_property
-    def total_tuples(self) -> int:
-        """Total tuples, summed once and cached (partition lists are
-        frozen with the dataclass, so the sum can never go stale)."""
-        return sum(len(p) for p in self.partitions)
-
-    @cached_property
-    def flat(self) -> "SegmentedColumns":
-        """Zero-copy SoA view over all partitions (one segment each)."""
-        return _flat_columns(self.partitions)
 
 
 @dataclass(frozen=True)
-class GroupByWorkload:
-    """Group a relation by key and aggregate payloads.
+class GroupByWorkload(_OneRelation):
+    """Group a relation by key and aggregate payloads."""
 
-    ``avg_group_size`` tuples share each key on average (the paper's
-    modeled query has groups of four).
-    """
-
-    partitions: List[Relation]
     key_space_bits: int
-    avg_group_size: float
-
-    @property
-    def num_partitions(self) -> int:
-        """Memory partitions this workload was generated across."""
-        return len(self.partitions)
-
-    @cached_property
-    def total_tuples(self) -> int:
-        """Total tuples, summed once and cached (partition lists are
-        frozen with the dataclass, so the sum can never go stale)."""
-        return sum(len(p) for p in self.partitions)
-
-    @cached_property
-    def flat(self) -> "SegmentedColumns":
-        """Zero-copy SoA view over all partitions (one segment each)."""
-        return _flat_columns(self.partitions)
 
 
 @dataclass(frozen=True)
 class JoinWorkload:
     """R join S under a foreign-key constraint."""
 
-    r_partitions: List[Relation]
-    s_partitions: List[Relation]
+    r_flat: "SegmentedColumns"
+    s_flat: "SegmentedColumns"
     key_space_bits: int
 
     @property
     def num_partitions(self) -> int:
         """Memory partitions this workload was generated across (both
         relations are split the same way)."""
-        return len(self.r_partitions)
+        return self.r_flat.num_segments
 
-    @cached_property
-    def total_tuples(self) -> int:
-        """Cached: see the note on :attr:`ScanWorkload.total_tuples`."""
-        return self.n_r + self.n_s
-
-    @cached_property
-    def r_flat(self) -> "SegmentedColumns":
-        """Zero-copy SoA view over R's partitions (one segment each)."""
-        return _flat_columns(self.r_partitions)
-
-    @cached_property
-    def s_flat(self) -> "SegmentedColumns":
-        """Zero-copy SoA view over S's partitions (one segment each)."""
-        return _flat_columns(self.s_partitions)
-
-    @cached_property
+    @property
     def n_r(self) -> int:
-        return sum(len(p) for p in self.r_partitions)
+        return self.r_flat.total
 
-    @cached_property
+    @property
     def n_s(self) -> int:
-        return sum(len(p) for p in self.s_partitions)
+        return self.s_flat.total
+
+    @property
+    def total_tuples(self) -> int:
+        return self.n_r + self.n_s
 
 
 def make_scan_workload(
@@ -205,7 +133,7 @@ def make_scan_workload(
     relation = Relation.from_arrays(keys, _payloads(rng, n), "scan_input")
     search_key = int(keys[rng.integers(0, n)])
     return ScanWorkload(
-        partitions=split_relation(relation, num_partitions),
+        flat=_placed(relation, num_partitions),
         search_key=search_key,
         key_space_bits=key_space_bits,
     )
@@ -222,7 +150,7 @@ def make_sort_workload(
         _uniform_keys(rng, n, key_space_bits), _payloads(rng, n), "sort_input"
     )
     return SortWorkload(
-        partitions=split_relation(relation, num_partitions), key_space_bits=key_space_bits
+        flat=_placed(relation, num_partitions), key_space_bits=key_space_bits
     )
 
 
@@ -242,9 +170,8 @@ def make_groupby_workload(
     keys = rng.choice(group_keys, size=n).astype(np.uint64)
     relation = Relation.from_arrays(keys, _payloads(rng, n), "groupby_input")
     return GroupByWorkload(
-        partitions=split_relation(relation, num_partitions),
+        flat=_placed(relation, num_partitions),
         key_space_bits=key_space_bits,
-        avg_group_size=avg_group_size,
     )
 
 
@@ -268,7 +195,7 @@ def make_join_workload(
     r_rel = Relation.from_arrays(r_keys, _payloads(rng, n_r), "R")
     s_rel = Relation.from_arrays(s_keys, _payloads(rng, n_s), "S")
     return JoinWorkload(
-        r_partitions=split_relation(r_rel, num_partitions),
-        s_partitions=split_relation(s_rel, num_partitions),
+        r_flat=_placed(r_rel, num_partitions),
+        s_flat=_placed(s_rel, num_partitions),
         key_space_bits=key_space_bits,
     )

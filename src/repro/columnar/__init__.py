@@ -1,9 +1,9 @@
 """Segmented columnar kernel layer: whole-relation SoA operations.
 
-A partitioned relation -- the list of per-partition :class:`Relation`
-slices every operator consumes -- is re-expressed as flat
-structure-of-arrays columns (``keys``, ``payloads``) plus a ``segments``
-offset array (:class:`SegmentedColumns`).  The kernels here then perform
+A partitioned relation -- every workload input, and every shuffle's
+output -- is held as flat structure-of-arrays columns (``keys``,
+``payloads``) plus a ``segments`` offset array, one segment per memory
+partition (:class:`SegmentedColumns`).  The kernels here perform
 the per-partition work of the hot operators as single whole-relation
 numpy operations: a segmented stable sort is one composite
 ``(segment, key)`` sort instead of hundreds of partition-sized

@@ -1,12 +1,14 @@
 """Structure-of-arrays view of a partitioned relation.
 
-The per-partition ``List[Relation]`` representation the operators pass
-around is ideal for provenance but terrible for numpy: every kernel
-dispatch pays fixed overhead per partition, and structured-dtype
-operations (`np.concatenate`, fancy indexing) re-promote the tuple
-dtype on every call.  :class:`SegmentedColumns` flattens the list into
-two plain ``uint64`` columns plus one ``segments`` offset array, so a
-whole-relation kernel replaces hundreds of partition-sized calls.
+A partitioned relation is held as :class:`SegmentedColumns`: two plain
+``uint64`` columns plus one ``segments`` offset array, segment ``i``
+being memory partition ``i``.  A whole-relation kernel then replaces
+hundreds of partition-sized calls; a per-partition ``List[Relation]``
+would pay fixed numpy dispatch overhead per partition and re-promote the
+structured tuple dtype on every concatenation or fancy index.  Workload
+inputs are built with :meth:`SegmentedColumns.split` (zero-copy views of
+the source relation); :meth:`SegmentedColumns.from_relations`
+concatenates independent relations once.
 
 Invariants:
 
@@ -22,49 +24,11 @@ Invariants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.analytics.tuples import TUPLE_DTYPE, Relation
-
-
-def _contiguous_base_slice(parts: Sequence[Relation]) -> Optional[np.ndarray]:
-    """The common base slice covering ``parts``, when they are
-    consecutive views of one structured array (the ``split_relation``
-    layout) -- else ``None``.
-
-    This is what makes :meth:`SegmentedColumns.from_relations` zero-copy
-    for workload partitions and shuffle destinations: both are produced
-    by slicing a single backing array.
-    """
-    base = parts[0].data.base
-    if base is None or base.dtype != TUPLE_DTYPE or base.ndim != 1:
-        return None
-    itemsize = base.dtype.itemsize
-    # ``ctypes.data`` reads the data pointer without rebuilding the
-    # structured dtype's descr, as ``__array_interface__`` does per call.
-    base_ptr = base.ctypes.data
-    expected = None
-    start0 = 0
-    total = 0
-    for part in parts:
-        data = part.data
-        if data.base is not base or data.dtype != TUPLE_DTYPE or data.ndim != 1:
-            return None
-        if len(data) and data.strides != (itemsize,):
-            return None
-        offset = data.ctypes.data - base_ptr
-        if offset % itemsize:
-            return None
-        start = offset // itemsize
-        if expected is None:
-            start0 = start
-        elif start != expected:
-            return None
-        expected = start + len(data)
-        total += len(data)
-    return base[start0 : start0 + total]
 
 
 @dataclass(frozen=True)
@@ -87,20 +51,27 @@ class SegmentedColumns:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_relations(cls, parts: Sequence[Relation]) -> "SegmentedColumns":
-        """Flatten per-partition relations into segmented columns.
+    def split(cls, relation: Relation, num_partitions: int) -> "SegmentedColumns":
+        """The paper's initial placement of an input relation.
 
-        Zero-copy when the partitions are consecutive slices of one
-        backing structured array (workload partitions from
-        ``split_relation``, destinations from the segmented shuffle);
-        otherwise the tuples are concatenated once.
+        Input relations start "randomly distributed across multiple
+        memory partitions": ``relation`` is cut into ``num_partitions``
+        near-equal contiguous segments, one per vault.  Zero-copy: the
+        columns are field views of ``relation.data``.
         """
+        if num_partitions < 1:
+            raise ValueError("need at least one partition")
+        bounds = np.linspace(0, len(relation), num_partitions + 1).astype(np.int64)
+        data = relation.data
+        return cls(keys=data["key"], payloads=data["payload"], segments=bounds)
+
+    @classmethod
+    def from_relations(cls, parts: Sequence[Relation]) -> "SegmentedColumns":
+        """Concatenate independent relations, one segment each."""
         segments = np.zeros(len(parts) + 1, dtype=np.int64)
         if parts:
             np.cumsum([len(p) for p in parts], out=segments[1:])
-            flat = _contiguous_base_slice(parts)
-            if flat is None:
-                flat = np.concatenate([p.data for p in parts])
+            flat = np.concatenate([p.data for p in parts])
         else:
             flat = np.empty(0, dtype=TUPLE_DTYPE)
         return cls(keys=flat["key"], payloads=flat["payload"], segments=segments)

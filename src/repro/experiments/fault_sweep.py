@@ -92,7 +92,7 @@ def run(
     def skew_aware(v: OperatorVariant) -> PartitionOutcome:
         outcome, _ = run_partitioning_skew_aware(
             workload.flat, v, workload.key_space_bits,
-            capacity_factor=capacity_factor, seed=seed,
+            capacity_factor=capacity_factor,
         )
         return outcome
 

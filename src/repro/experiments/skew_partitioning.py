@@ -43,7 +43,7 @@ def run(
 
         outcome, plan = run_partitioning_skew_aware(
             workload.flat, variant, workload.key_space_bits,
-            capacity_factor=capacity_factor, seed=seed,
+            capacity_factor=capacity_factor,
         )
         final_imb = partition_imbalance([len(p) for p in outcome.partitions])
         retried = any(p.name == "rebalance" for p in outcome.phases)

@@ -21,22 +21,16 @@ from repro.analytics.workload import (
 )
 
 
-def _concat(parts: List[Relation]) -> Relation:
-    # One concatenation: the pairwise loop recopied the growing prefix
-    # (quadratic) and re-promoted the structured dtype per partition.
-    return Relation(np.concatenate([p.data for p in parts]), parts[0].name)
-
-
 def oracle_scan(workload: ScanWorkload) -> Tuple[int, int]:
     """(match count, payload sum) for the searched key."""
-    rel = _concat(workload.partitions)
-    hit = rel.keys == np.uint64(workload.search_key)
-    return int(np.count_nonzero(hit)), int(rel.payloads[hit].sum(dtype=np.uint64))
+    flat = workload.flat
+    hit = flat.keys == np.uint64(workload.search_key)
+    return int(np.count_nonzero(hit)), int(flat.payloads[hit].sum(dtype=np.uint64))
 
 
 def oracle_sort(workload: SortWorkload) -> Relation:
     """Globally key-sorted relation."""
-    return _concat(workload.partitions).sorted_by_key("oracle_sorted")
+    return Relation(workload.flat.to_struct(), "oracle_sorted").sorted_by_key()
 
 
 def oracle_join(workload: JoinWorkload) -> Tuple[int, int]:
@@ -45,8 +39,8 @@ def oracle_join(workload: JoinWorkload) -> Tuple[int, int]:
     Checksum is the sum over matches of (R payload + S payload), the same
     order-insensitive digest the operators produce.
     """
-    r = _concat(workload.r_partitions)
-    s = _concat(workload.s_partitions)
+    r = workload.r_flat
+    s = workload.s_flat
     lookup = {int(k): int(p) for k, p in zip(r.keys, r.payloads)}
     matches = 0
     checksum = 0
@@ -60,9 +54,9 @@ def oracle_join(workload: JoinWorkload) -> Tuple[int, int]:
 
 def oracle_groupby(workload: GroupByWorkload) -> Dict[int, Dict[str, float]]:
     """Per-key aggregates: count, sum, min, max, avg, sumsq."""
-    rel = _concat(workload.partitions)
+    flat = workload.flat
     groups: Dict[int, List[float]] = {}
-    for k, p in zip(rel.keys, rel.payloads):
+    for k, p in zip(flat.keys, flat.payloads):
         groups.setdefault(int(k), []).append(float(p))
     result = {}
     for key, values in groups.items():

@@ -185,10 +185,11 @@ def reference_scan(
     key = np.uint64(workload.search_key)
     matches = 0
     payload_sum = 0
-    for part in workload.partitions:
-        hit = part.keys == key
+    flat = workload.flat
+    for lo, hi in zip(flat.segments[:-1], flat.segments[1:]):
+        hit = flat.keys[lo:hi] == key
         matches += int(np.count_nonzero(hit))
-        payload_sum += int(part.payloads[hit].sum(dtype=np.uint64))
+        payload_sum += int(flat.payloads[lo:hi][hit].sum(dtype=np.uint64))
     n = workload.total_tuples
     return OperatorRun(
         operator="scan",

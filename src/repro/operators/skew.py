@@ -281,7 +281,6 @@ def run_partitioning_skew_aware(
     variant: OperatorVariant,
     key_space_bits: int,
     capacity_factor: float = 1.5,
-    seed: int = 0,
     model_scale: float = 1.0,
 ) -> Tuple[PartitionOutcome, RebalancePlan]:
     """Partition with overflow detection and the two-round retry.

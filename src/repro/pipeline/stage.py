@@ -36,7 +36,6 @@ from repro.analytics.workload import (
     JoinWorkload,
     ScanWorkload,
     SortWorkload,
-    split_relation,
 )
 from repro.columnar.kernels import stable_argsort
 from repro.columnar.soa import SegmentedColumns
@@ -167,7 +166,7 @@ class ScanStage(PipelineStage):
     def plan(self, tables: Dict[str, Relation], ctx: PlanContext) -> StagePlan:
         rel = self._table(tables, self.inputs[0])
         workload = ScanWorkload(
-            partitions=split_relation(rel, ctx.variant.num_partitions),
+            flat=SegmentedColumns.split(rel, ctx.variant.num_partitions),
             search_key=self.key,
             key_space_bits=ctx.key_space_bits,
         )
@@ -238,8 +237,8 @@ class JoinStage(PipelineStage):
         r = self._table(tables, self.inputs[0])
         s = self._table(tables, self.inputs[1])
         workload = JoinWorkload(
-            r_partitions=split_relation(r, ctx.variant.num_partitions),
-            s_partitions=split_relation(s, ctx.variant.num_partitions),
+            r_flat=SegmentedColumns.split(r, ctx.variant.num_partitions),
+            s_flat=SegmentedColumns.split(s, ctx.variant.num_partitions),
             key_space_bits=ctx.key_space_bits,
         )
         run = run_join(workload, ctx.variant, model_scale=ctx.model_scale)
@@ -284,11 +283,9 @@ class GroupByStage(PipelineStage):
 
     def plan(self, tables: Dict[str, Relation], ctx: PlanContext) -> StagePlan:
         rel = self._table(tables, self.inputs[0])
-        num_groups = len(np.unique(rel.keys))
         workload = GroupByWorkload(
-            partitions=split_relation(rel, ctx.variant.num_partitions),
+            flat=SegmentedColumns.split(rel, ctx.variant.num_partitions),
             key_space_bits=ctx.key_space_bits,
-            avg_group_size=len(rel) / max(1, num_groups),
         )
         run = run_groupby(workload, ctx.variant, model_scale=ctx.model_scale)
         order = stable_argsort(run.output.keys)
@@ -301,7 +298,11 @@ class GroupByStage(PipelineStage):
             )
         out = Relation.from_arrays(keys, values.astype(np.uint64), self.output)
         return self._plan(
-            out, run.phases, ctx, aggregate=self.aggregate, groups=num_groups
+            out,
+            run.phases,
+            ctx,
+            aggregate=self.aggregate,
+            groups=run.output.num_groups,
         )
 
 
@@ -321,7 +322,7 @@ class SortStage(PipelineStage):
     def plan(self, tables: Dict[str, Relation], ctx: PlanContext) -> StagePlan:
         rel = self._table(tables, self.inputs[0])
         workload = SortWorkload(
-            partitions=split_relation(rel, ctx.variant.num_partitions),
+            flat=SegmentedColumns.split(rel, ctx.variant.num_partitions),
             key_space_bits=ctx.key_space_bits,
         )
         run = run_sort(workload, ctx.variant, model_scale=ctx.model_scale)
@@ -377,9 +378,7 @@ class PartitionStage(PipelineStage):
 
     def plan(self, tables: Dict[str, Relation], ctx: PlanContext) -> StagePlan:
         rel = self._table(tables, self.inputs[0])
-        sources = SegmentedColumns.from_relations(
-            split_relation(rel, ctx.variant.num_partitions)
-        )
+        sources = SegmentedColumns.split(rel, ctx.variant.num_partitions)
         metadata: Dict[str, Any] = {"tuples": len(rel), "scheme": self.scheme}
         if self.skew_aware:
             outcome, plan = run_partitioning_skew_aware(

@@ -192,38 +192,33 @@ class TestHistogram:
 class TestWorkloads:
     def test_scan_has_findable_key(self):
         w = make_scan_workload(1000, num_partitions=4, seed=1)
-        found = sum(
-            int(np.count_nonzero(p.keys == np.uint64(w.search_key)))
-            for p in w.partitions
-        )
+        found = int(np.count_nonzero(w.flat.keys == np.uint64(w.search_key)))
         assert found >= 1
         assert w.total_tuples == 1000
 
     def test_partitions_cover_all_tuples(self):
         w = make_sort_workload(1003, num_partitions=7, seed=2)
-        assert sum(len(p) for p in w.partitions) == 1003
+        assert int(w.flat.segment_lengths().sum()) == 1003
+        assert len(w.flat.keys) == len(w.flat.payloads) == 1003
 
     def test_join_foreign_key_property(self):
         w = make_join_workload(500, 2000, num_partitions=4, seed=3)
-        r_keys = set()
-        for p in w.r_partitions:
-            r_keys.update(int(k) for k in p.keys)
+        r_keys = set(w.r_flat.keys.tolist())
         assert len(r_keys) == 500  # R keys unique
-        for p in w.s_partitions:
-            assert all(int(k) in r_keys for k in p.keys)
+        assert all(int(k) in r_keys for k in w.s_flat.keys)
 
     def test_groupby_average_group_size(self):
         w = make_groupby_workload(8000, num_partitions=4, avg_group_size=4.0, seed=4)
-        keys = np.concatenate([p.keys for p in w.partitions])
+        keys = w.flat.keys
         avg = len(keys) / len(np.unique(keys))
         assert 3.0 < avg < 5.5
 
     def test_deterministic_by_seed(self):
         a = make_sort_workload(100, 2, seed=9)
         b = make_sort_workload(100, 2, seed=9)
-        assert a.partitions[0] == b.partitions[0]
+        assert a.flat.to_relations()[0] == b.flat.to_relations()[0]
         c = make_sort_workload(100, 2, seed=10)
-        assert not a.partitions[0] == c.partitions[0]
+        assert not a.flat.to_relations()[0] == c.flat.to_relations()[0]
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -235,6 +230,4 @@ class TestWorkloads:
 
     def test_keys_bounded_by_key_space(self):
         w = make_sort_workload(1000, 4, seed=5, key_space_bits=20)
-        for p in w.partitions:
-            if len(p):
-                assert int(p.keys.max()) < (1 << 20)
+        assert int(w.flat.keys.max()) < (1 << 20)

@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analytics.tuples import TUPLE_DTYPE, Relation
-from repro.analytics.workload import (
-    make_join_workload,
-    make_scan_workload,
-    split_relation,
-)
+from repro.analytics.workload import make_join_workload, make_scan_workload
 from repro.columnar import (
     SegmentedColumns,
     segmented_mergesort,
@@ -58,20 +54,40 @@ def struct_of(columns, lo, hi):
 
 
 class TestSegmentedColumns:
-    def test_split_relation_flattens_zero_copy(self):
+    @staticmethod
+    def _relation(n):
         rng = np.random.default_rng(0)
-        rel = Relation.from_arrays(
-            rng.integers(0, 1 << 40, 999, dtype=np.uint64),
-            rng.integers(0, 1 << 40, 999, dtype=np.uint64),
+        return Relation.from_arrays(
+            rng.integers(0, 1 << 40, n, dtype=np.uint64),
+            rng.integers(0, 1 << 40, n, dtype=np.uint64),
         )
-        parts = split_relation(rel, 7)
-        columns = SegmentedColumns.from_relations(parts)
-        assert np.shares_memory(columns.keys, rel.data)
+
+    @pytest.mark.parametrize("n, parts", [(999, 1), (999, 7), (5, 9)])
+    def test_split_bounds(self, n, parts):
+        rel = self._relation(n)
+        columns = SegmentedColumns.split(rel, parts)
+        bounds = np.linspace(0, n, parts + 1).astype(int)
+        assert columns.segments.tolist() == bounds.tolist()
+        assert columns.num_segments == parts
         assert np.array_equal(columns.keys, rel.keys)
         assert np.array_equal(columns.payloads, rel.payloads)
-        assert columns.segments.tolist() == [0] + list(
-            np.cumsum([len(p) for p in parts])
-        )
+        if parts > n:
+            assert 0 in columns.segment_lengths()
+
+    def test_split_is_zero_copy(self):
+        rel = self._relation(999)
+        columns = SegmentedColumns.split(rel, 7)
+        assert np.shares_memory(columns.keys, rel.data)
+        assert np.shares_memory(columns.payloads, rel.data)
+
+    def test_split_empty_relation(self):
+        columns = SegmentedColumns.split(Relation.empty(), 4)
+        assert columns.total == 0
+        assert columns.segments.tolist() == [0, 0, 0, 0, 0]
+
+    def test_split_rejects_zero_partitions(self):
+        with pytest.raises(ValueError, match="at least one partition"):
+            SegmentedColumns.split(self._relation(10), 0)
 
     def test_independent_relations_concatenate(self):
         rng = np.random.default_rng(1)
@@ -504,13 +520,25 @@ class TestImportOrders:
         assert proc.returncode == 0, proc.stderr
 
 
+def assert_views_one_relation(flat):
+    """Both columns are field views of one tuple array: the relation the
+    workload maker generated, not a copy of it."""
+    source = flat.keys.base
+    assert source.dtype == TUPLE_DTYPE and len(source) == flat.total
+    assert np.shares_memory(flat.payloads, source)
+
+
 class TestWorkloadFlatViews:
     def test_zero_copy_and_consistent(self):
         workload = make_scan_workload(777, 13, seed=9)
         flat = workload.flat
-        assert flat.num_segments == workload.num_partitions
-        assert flat.total == workload.total_tuples
-        assert np.shares_memory(flat.keys, workload.partitions[0].data)
+        assert flat.num_segments == workload.num_partitions == 13
+        assert flat.total == workload.total_tuples == 777
+        assert_views_one_relation(flat)
         join = make_join_workload(50, 120, 8, seed=9)
-        assert join.r_flat.total == join.n_r
-        assert join.s_flat.total == join.n_s
+        assert join.r_flat.total == join.n_r == 50
+        assert join.s_flat.total == join.n_s == 120
+        assert join.total_tuples == 170
+        for side in (join.r_flat, join.s_flat):
+            assert side.num_segments == join.num_partitions == 8
+            assert_views_one_relation(side)

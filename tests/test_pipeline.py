@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.analytics.tuples import Relation
-from repro.analytics.workload import JoinWorkload, split_relation
+from repro.analytics.workload import JoinWorkload
+from repro.columnar import SegmentedColumns
 from repro.operators.join import run_join
 from repro.pipeline import (
     FilterStage,
@@ -80,6 +81,9 @@ class TestFunctionalFidelity:
         assert np.array_equal(run.output.keys, expected.keys)
         assert np.array_equal(run.output.payloads, expected.payloads)
         assert run.output.is_sorted()
+        grouped = run.stage("groupby:spend_per_user")
+        enriched = run.stage("join:enriched").relation
+        assert grouped.metadata["groups"] == len(np.unique(enriched.keys))
 
     def test_same_output_on_every_machine(self, fk_plan, machines):
         outputs = [
@@ -92,8 +96,8 @@ class TestFunctionalFidelity:
         variant = machines["cpu"].variant(PARTITIONS)
         run = fk_plan.execute(variant, model_scale=SCALE)
         workload = JoinWorkload(
-            r_partitions=split_relation(fk_plan.tables["users"], PARTITIONS),
-            s_partitions=split_relation(fk_plan.tables["events"], PARTITIONS),
+            r_flat=SegmentedColumns.split(fk_plan.tables["users"], PARTITIONS),
+            s_flat=SegmentedColumns.split(fk_plan.tables["events"], PARTITIONS),
             key_space_bits=fk_plan.key_space_bits,
         )
         standalone = run_join(workload, variant, model_scale=SCALE)

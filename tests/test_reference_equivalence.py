@@ -431,7 +431,7 @@ def skew_histogram(name):
         # A 2**16-bucket CPU histogram of a zipf group-by, as query
         # suites plan it.
         w = make_skewed_groupby_workload(6000, 16, alpha=1.3, seed=4)
-        keys = np.concatenate([p.keys for p in w.partitions])
+        keys = w.flat.keys
         hist = np.bincount(bucket_of_low_bits(keys, 16), minlength=1 << 16)
         return hist.astype(np.int64), 16, int(np.ceil(6000 / 16 * 1.5))
     if name == "lpt-headroom-error":

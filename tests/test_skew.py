@@ -43,11 +43,11 @@ class TestSkewedWorkloads:
     def test_skewed_groupby_workload(self):
         w = make_skewed_groupby_workload(5000, P, alpha=1.2, seed=3)
         assert w.total_tuples == 5000
-        assert len(w.partitions) == P
+        assert w.num_partitions == P
 
     def test_skewed_sort_workload_clusters_values(self):
         w = make_skewed_sort_workload(5000, P, seed=4)
-        keys = np.concatenate([p.keys for p in w.partitions])
+        keys = w.flat.keys
         # Bin the key space into 64 equal ranges: the hot band should
         # capture most of the mass in one bin.
         bins = (keys >> np.uint64(w.key_space_bits - 6)).astype(np.int64)
@@ -153,7 +153,7 @@ class TestTwoRoundPartitioning:
         )
         total = sum(len(p) for p in outcome.partitions)
         assert total == w.total_tuples
-        all_in = np.sort(np.concatenate([p.keys for p in w.partitions]))
+        all_in = np.sort(w.flat.keys)
         all_out = np.sort(np.concatenate([p.keys for p in outcome.partitions]))
         assert np.array_equal(all_in, all_out)
 

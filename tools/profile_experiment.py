@@ -5,12 +5,16 @@ Usage::
     python tools/profile_experiment.py fig6            # default scale
     python tools/profile_experiment.py fig7 --scale 500
     python tools/profile_experiment.py fig6 --sort tottime --top 40
+    python tools/profile_experiment.py suites --sort tottime
 
 Runs the named experiment's ``run()`` end-to-end (workload generation,
 functional operator execution, performance/energy modeling) from cold
 caches and prints the top functions by cumulative time -- the same view
-that motivated the segmented columnar kernel layer.  ``make profile
-EXPERIMENT=fig6`` is the developer entry point.
+that motivated the segmented columnar kernel layer.  ``suites`` profiles
+one cold query-suites run instead: every suite on every system preset,
+``jobs=1``, plus the JSON export, at seed 202 -- one rep of perfbench's
+``query-suites`` workload.  ``make profile EXPERIMENT=fig6`` is the
+developer entry point.
 
 No third-party dependencies: runs anywhere the repo's Python does.
 """
@@ -19,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import functools
 import importlib
 import pstats
 import time
+from typing import Callable
 
 #: Experiment name -> module path; every module exposes ``run(scale=...)``.
 EXPERIMENTS = {
@@ -42,22 +48,41 @@ UNSCALED = {
     "ablations": "repro.experiments.ablations",
 }
 
+#: Seed of the profiled ``suites`` run (one of perfbench's query-suites
+#: seeds).
+SUITES_SEED = 202
+
+
+def suites_rep() -> Callable[[], object]:
+    """One cold query-suites rep (every suite x preset, export
+    included), set up here so its imports stay out of the profile."""
+    from repro.suites.runner import SuiteRun
+
+    run = SuiteRun(seed=SUITES_SEED)
+    return lambda: run.run(jobs=1).to_json()
+
+
+#: Runs profiled without an experiment module: name -> set-up returning
+#: the callable to profile.
+RUNS = {"suites": suites_rep}
+
 
 def profile_experiment(name: str, scale: float, sort: str, top: int) -> pstats.Stats:
     """Run one experiment under cProfile and print its hot-spot report."""
     from repro.experiments import common
 
     scaled = name in EXPERIMENTS
-    module = importlib.import_module((EXPERIMENTS | UNSCALED)[name])
+    if name in RUNS:
+        target = RUNS[name]()
+    else:
+        module = importlib.import_module((EXPERIMENTS | UNSCALED)[name])
+        target = functools.partial(module.run, scale=scale) if scaled else module.run
     common.clear_caches()  # profile the cold pipeline, not a cache lookup
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    if scaled:
-        module.run(scale=scale)
-    else:
-        module.run()
+    target()
     profiler.disable()
     elapsed = time.perf_counter() - start
 
@@ -72,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS | UNSCALED),
+        choices=sorted(EXPERIMENTS | UNSCALED | RUNS),
         help="experiment section to profile",
     )
     parser.add_argument(
