@@ -2,16 +2,16 @@
 
 ``plan`` turns a frozen :class:`FaultSpec` into a reproducible
 :class:`FaultPlan` (stragglers, drops, duplicates, timeouts) for one
-shuffle; ``protocol`` replays that schedule through the barrier with
-bounded retries and exponential backoff, collecting the
-:class:`ResilienceStats` the cost model prices.  Functional output is
+shuffle; ``protocol`` replays that schedule through the one
+:class:`~repro.memctrl.permutable.ShuffleBarrier` with bounded retries
+and exponential backoff, collecting :class:`ResilienceStats` -- the one
+ledger of what the schedule cost, which the cost model prices.  Functional output is
 byte-identical under any schedule -- see docs/ARCHITECTURE.md.
 """
 
 from repro.faults.plan import NULL_FAULTS, FaultPlan, FaultSpec, stream_salt
 from repro.faults.protocol import (
     DeliverySession,
-    FaultTolerantShuffleBarrier,
     ResilienceStats,
     combine_stats,
 )
@@ -22,7 +22,6 @@ __all__ = [
     "FaultSpec",
     "stream_salt",
     "DeliverySession",
-    "FaultTolerantShuffleBarrier",
     "ResilienceStats",
     "combine_stats",
 ]

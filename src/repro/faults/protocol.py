@@ -1,25 +1,24 @@
 """The retry/backoff protocol that absorbs a fault schedule.
 
-Three pieces:
+Two pieces:
 
-- :class:`FaultTolerantShuffleBarrier`: a :class:`ShuffleBarrier` whose
-  vault controllers additionally keep per-destination sequence state, so
-  a duplicated delivery is *detected and discarded* (exactly-once byte
-  accounting -- the over-delivery guard never fires) and a transient
-  barrier-wait timeout is recorded instead of wedging the protocol.
-- :class:`ResilienceStats`: the aggregate the time/energy models price
-  -- re-sent bytes, backoff stalls (expressed as byte-times at shuffle
-  egress bandwidth, so the existing interconnect cost model prices them
-  directly), straggler critical-path stall, timeout rounds, and how many
-  destinations degraded off the batched fast path.
+- :class:`ResilienceStats`: the one ledger of what the protocol paid
+  -- re-sent bytes, duplicates discarded at the controllers, backoff
+  stalls (expressed as byte-times at shuffle egress bandwidth, so the
+  existing interconnect cost model prices them directly), straggler
+  critical-path stall, timeout rounds, and how many destinations
+  degraded off the batched fast path.
 - :class:`DeliverySession`: drives one shuffle's deliveries through a
-  :class:`~repro.faults.plan.FaultPlan`.  Healthy destinations keep the
-  fast path of one ``deliver`` per destination; a destination with any
-  dropped or duplicated inbound stream degrades to the replay path,
-  which prices each stream's bounded retries (exponential backoff,
-  doubling per attempt) and duplicates as arrays over the
-  ``(source, attempt)`` pairs.  The stream-by-stream scalar replay it
-  must equal lives in :mod:`repro.operators.reference`.
+  :class:`~repro.faults.plan.FaultPlan`.  Healthy destinations retire
+  together in one bulk delivery of their inbound totals; a destination
+  with any dropped or duplicated inbound stream degrades to the replay
+  path, which prices each stream's bounded retries (exponential
+  backoff, doubling per attempt) and duplicates as arrays over the
+  ``(source, attempt)`` pairs.  A duplicate is recognized by the
+  controller and never reaches the barrier's byte count; a transient
+  barrier-wait timeout is priced as a re-poll, never raised.  The
+  stream-by-stream scalar replay it must equal lives in
+  :mod:`repro.operators.reference`.
 
 The data plane is untouched: drops happen *before* bytes commit and
 duplicates are discarded *at* the controller, so the materialized
@@ -30,7 +29,7 @@ destination buffers -- and therefore every operator's functional output
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -113,58 +112,6 @@ def combine_stats(*stats: Optional[ResilienceStats]) -> Optional[ResilienceStats
     return merged
 
 
-class FaultTolerantShuffleBarrier(ShuffleBarrier):
-    """A shuffle barrier whose controllers tolerate duplicates/timeouts.
-
-    The base protocol is unchanged (``announce``/``announce_all``,
-    ``seal``, ``deliver``, completion); on top, each vault controller
-    tracks the deliveries it has already committed so a retransmitted
-    copy is recognized and dropped before it corrupts the byte count,
-    and transient barrier-wait timeouts are counted instead of raised.
-    """
-
-    def __init__(self, num_vaults: int) -> None:
-        super().__init__(num_vaults)
-        self._duplicates: list = [0] * num_vaults
-        self._duplicate_b: list = [0] * num_vaults
-        self._timeouts: list = [0] * num_vaults
-
-    def discard_duplicates(self, dest: int, sizes_b: Sequence[int]) -> None:
-        """Copies of already-committed deliveries arrived: drop them.
-
-        ``sizes_b`` holds one size per copy.  The controller's sequence
-        state recognizes each duplicate, so the delivered byte count is
-        untouched (the over-delivery guard of the base barrier never
-        fires) and only the waste is recorded.
-        """
-        if not self._sealed:
-            raise RuntimeError("barrier must be sealed before deliveries")
-        self._check_vault(dest)
-        sizes = np.asarray(sizes_b, dtype=np.int64)
-        if sizes.size and int(sizes.min()) < 0:
-            raise ValueError("duplicate size must be non-negative")
-        self._duplicates[dest] += int(sizes.size)
-        self._duplicate_b[dest] += int(sizes.sum())
-
-    def record_timeout(self, dest: int) -> None:
-        """One transient barrier-wait timeout at ``dest``; the waiter
-        backs off and re-polls instead of failing the shuffle."""
-        self._check_vault(dest)
-        self._timeouts[dest] += 1
-
-    @property
-    def duplicates_discarded(self) -> int:
-        return sum(self._duplicates)
-
-    @property
-    def duplicate_bytes(self) -> int:
-        return sum(self._duplicate_b)
-
-    @property
-    def timeouts(self) -> int:
-        return sum(self._timeouts)
-
-
 def _fold(total: float, terms: np.ndarray) -> float:
     """``total + terms[0] + terms[1] + ...``, added strictly left to right.
 
@@ -180,7 +127,7 @@ class DeliverySession:
 
     ``sizes_b`` is the (sources, destinations) byte matrix the histogram
     exchange produced -- the same matrix ``announce_all`` posted.  The
-    session decides, per destination, whether the batched fast path is
+    session decides, per destination, whether the bulk fast path is
     safe (no inbound stream disrupted) or the replay path must price
     each inbound stream's retries and duplicates; the replay runs on
     arrays, one destination at a time.
@@ -201,22 +148,17 @@ class DeliverySession:
     def plan(self) -> FaultPlan:
         return self._plan
 
-    def disrupted(self, dest: int) -> bool:
-        """True when ``dest`` must take the slow per-delivery path."""
-        return bool(self._disrupted[dest])
+    def deliver(self, barrier: ShuffleBarrier) -> None:
+        """Retire every destination's inbound traffic through the barrier.
 
-    def deliver_dest(self, barrier: ShuffleBarrier, dest: int) -> None:
-        """Retire one destination's inbound traffic through the barrier.
-
-        Healthy destinations retire with a single ``deliver`` of their
-        whole inbound total; disrupted ones replay their streams'
-        bounded retries and duplicates first.
+        Healthy destinations retire together in one bulk delivery of
+        their inbound totals; each disrupted one then replays its
+        streams' bounded retries and duplicates, in ascending
+        destination order (the order the stats accumulators fold in).
         """
-        sizes = self._sizes[:, dest]
-        if not self.disrupted(dest):
-            barrier.deliver(dest, int(sizes.sum()))
-            return
-        self._replay_streams(barrier, dest)
+        barrier.deliver_all(np.where(self._disrupted, 0, self._sizes.sum(axis=0)))
+        for dest in np.flatnonzero(self._disrupted).tolist():
+            self._replay_streams(barrier, dest)
 
     def _replay_streams(self, barrier: ShuffleBarrier, dest: int) -> None:
         spec = self._plan.spec
@@ -258,10 +200,8 @@ class DeliverySession:
         if copies.size:
             self.stats.duplicates_discarded += int(copies.size)
             self.stats.duplicate_b = _fold(self.stats.duplicate_b, copies)
-            if isinstance(barrier, FaultTolerantShuffleBarrier):
-                barrier.discard_duplicates(dest, copies)
 
-    def finalize(self, barrier: ShuffleBarrier) -> ResilienceStats:
+    def finalize(self) -> ResilienceStats:
         """Post-delivery accounting: timeouts and straggler stall.
 
         A destination with inbound traffic whose barrier wait times out
@@ -273,11 +213,11 @@ class DeliverySession:
         spec = self._plan.spec
         dest_totals = self._sizes.sum(axis=0)
         with _span("fault_finalize", category="faults"):
-            self._finalize_inner(barrier, spec, dest_totals)
+            self._finalize_inner(spec, dest_totals)
         self._publish_metrics()
         return self.stats
 
-    def _finalize_inner(self, barrier, spec, dest_totals) -> None:
+    def _finalize_inner(self, spec, dest_totals) -> None:
         for dest in np.flatnonzero(self._plan.timeout_rounds):
             if dest_totals[dest] <= 0:
                 continue
@@ -288,8 +228,6 @@ class DeliverySession:
                 self.stats.backoff_stall_b += (
                     spec.backoff_base * (2.0 ** attempt) * float(dest_totals[dest])
                 )
-                if isinstance(barrier, FaultTolerantShuffleBarrier):
-                    barrier.record_timeout(int(dest))
         egress = self._sizes.sum(axis=1).astype(np.float64)
         extra = (self._plan.straggler_factor - 1.0) * egress
         straggling = (self._plan.straggler_factor > 1.0) & (egress > 0)

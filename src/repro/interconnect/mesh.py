@@ -10,16 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from repro.config.energy import EnergyConfig
 from repro.config.interconnect import InterconnectConfig
-
-
-@dataclass(frozen=True)
-class MeshCoord:
-    x: int
-    y: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,11 +57,6 @@ class MeshNoc:
     @property
     def num_tiles(self) -> int:
         return self._side * self._side
-
-    def coord(self, tile: int) -> MeshCoord:
-        if not 0 <= tile < self.num_tiles:
-            raise ValueError(f"tile {tile} out of range")
-        return MeshCoord(x=tile % self._side, y=tile // self._side)
 
     def hops(self, src: int, dst: int) -> int:
         """Manhattan distance under dimension-ordered routing."""

@@ -136,10 +136,13 @@ class PermutableWriteEngine:
 class ShuffleBarrier:
     """The shuffle_begin / shuffle_end completion protocol (section 5.4).
 
-    Announcements live in one ``(source, destination)`` byte matrix plus
-    a mask of the pairs already posted; deliveries are a per-vault byte
-    count.  ``vault_complete`` mirrors the controller's MSI broadcast,
-    and ``all_complete`` is the condition on which every compute unit's
+    ``announce_all`` posts the whole ``(source, destination)`` byte
+    matrix at once; its column sums are each vault's expected total.
+    Deliveries are a per-vault byte count, retired for every vault in
+    one :meth:`deliver_all` or one destination at a time with
+    :meth:`deliver` (a fault replay's per-stream path).
+    ``vault_complete`` mirrors the controller's MSI broadcast, and
+    ``all_complete`` is the condition on which every compute unit's
     interrupt vector unblocks.
     """
 
@@ -147,41 +150,22 @@ class ShuffleBarrier:
         if num_vaults < 1:
             raise ValueError("need at least one vault")
         self._num_vaults = num_vaults
-        # announced[src, dest] = bytes src will send to dest
-        self._announced = np.zeros((num_vaults, num_vaults), dtype=np.int64)
-        self._posted = np.zeros((num_vaults, num_vaults), dtype=bool)
-        self._delivered: List[int] = [0] * num_vaults
+        self._expected = np.zeros(num_vaults, dtype=np.int64)
+        self._delivered = np.zeros(num_vaults, dtype=np.int64)
+        self._announced = False
         self._sealed = False
-        # Per-vault totals, frozen at seal() so the deliver hot path is
-        # O(1) instead of re-summing a matrix column per call.
-        self._expected: Optional[List[int]] = None
 
     @property
     def num_vaults(self) -> int:
         return self._num_vaults
 
-    def announce(self, src: int, dest: int, size_b: int) -> None:
-        """shuffle_begin step 1: a source posts its per-destination total."""
-        if self._sealed:
-            raise RuntimeError("cannot announce after the barrier is sealed")
-        if size_b < 0:
-            raise ValueError("announced size must be non-negative")
-        self._check_vault(src)
-        self._check_vault(dest)
-        if self._posted[src, dest]:
-            raise ValueError(f"source {src} already announced to vault {dest}")
-        self._announced[src, dest] = size_b
-        self._posted[src, dest] = True
-
     def announce_all(self, sizes_b: np.ndarray) -> None:
-        """Bulk shuffle_begin: one call covering every (src, dest) pair.
-
-        Equivalent to ``announce(src, dest, sizes_b[src, dest])`` for
-        every pair: one block assignment into the announcement matrix
-        instead of ``sources x destinations`` method calls.
-        """
+        """shuffle_begin step 1: every source posts its per-destination
+        totals, as one ``(sources, destinations)`` byte matrix."""
         if self._sealed:
             raise RuntimeError("cannot announce after the barrier is sealed")
+        if self._announced:
+            raise ValueError("the sources already announced their totals")
         sizes = np.asarray(sizes_b)
         if sizes.ndim != 2:
             raise ValueError("sizes_b must be a (sources, destinations) matrix")
@@ -190,39 +174,45 @@ class ShuffleBarrier:
             raise ValueError("announcement matrix exceeds the vault count")
         if num_src and num_dest and int(sizes.min()) < 0:
             raise ValueError("announced size must be non-negative")
-        posted = self._posted[:num_src, :num_dest]
-        if posted.any():
-            # Name the first clash in (dest, src) order, as per-pair
-            # announcements walking each destination's sources would.
-            dest, src = np.argwhere(posted.T)[0].tolist()
-            raise ValueError(f"source {src} already announced to vault {dest}")
-        self._announced[:num_src, :num_dest] = sizes
-        posted[:] = True
+        self._expected[:num_dest] = sizes.sum(axis=0)
+        self._announced = True
 
     def seal(self) -> None:
-        """shuffle_begin step 2: all announcements exchanged; totals fixed.
-
-        Freezes the per-vault expected totals: announcements are rejected
-        after sealing, so the sums can never go stale.
-        """
+        """shuffle_begin step 2: all announcements exchanged; totals fixed."""
         self._sealed = True
-        self._expected = self._announced.sum(axis=0).tolist()
 
     def expected_bytes(self, dest: int) -> int:
         self._check_vault(dest)
-        if self._expected is not None:
-            return self._expected[dest]
-        return int(self._announced[:, dest].sum())
+        return int(self._expected[dest])
 
     def deliver(self, dest: int, size_b: int) -> None:
-        """Record bytes arriving at a destination vault controller."""
+        """Record bytes arriving at one destination vault controller."""
+        self._check_vault(dest)
+        self._record(dest, np.array([size_b], dtype=np.int64))
+
+    def deliver_all(self, sizes_b: np.ndarray) -> None:
+        """Record bytes arriving at every vault at once: ``sizes_b[v]``
+        more bytes at vault ``v`` (a vector shorter than the vault count
+        delivers nothing to the vaults past its end)."""
+        sizes = np.asarray(sizes_b, dtype=np.int64)
+        if sizes.ndim != 1 or len(sizes) > self._num_vaults:
+            raise ValueError(
+                f"delivery vector of shape {sizes.shape} does not fit "
+                f"{self._num_vaults} vaults"
+            )
+        self._record(0, sizes)
+
+    def _record(self, first: int, sizes: np.ndarray) -> None:
+        """Add ``sizes`` to the delivered counts of the vaults from ``first``."""
         if not self._sealed:
             raise RuntimeError("barrier must be sealed before deliveries")
-        self._check_vault(dest)
-        if size_b < 0:
+        if len(sizes) and int(sizes.min()) < 0:
             raise ValueError("delivered size must be non-negative")
-        self._delivered[dest] += size_b
-        if self._delivered[dest] > self._expected[dest]:
+        vaults = slice(first, first + len(sizes))
+        self._delivered[vaults] += sizes
+        over = np.flatnonzero(self._delivered[vaults] > self._expected[vaults])
+        if len(over):
+            dest = first + int(over[0])
             raise ValueError(
                 f"vault {dest} received {self._delivered[dest]} bytes, more "
                 f"than the announced {self._expected[dest]}"
@@ -231,15 +221,15 @@ class ShuffleBarrier:
     def vault_complete(self, dest: int) -> bool:
         """Would vault ``dest`` have sent its MSI by now?"""
         self._check_vault(dest)
-        return self._sealed and self._delivered[dest] == self._expected[dest]
+        return self._sealed and bool(self._delivered[dest] == self._expected[dest])
 
     def all_complete(self) -> bool:
         """shuffle_end unblocks when every vault's MSI bit is set."""
-        return self._sealed and self._delivered == self._expected
+        return self._sealed and bool(np.array_equal(self._delivered, self._expected))
 
     def completion_vector(self) -> Tuple[bool, ...]:
         """The per-vault interrupt vector a compute unit observes."""
-        return tuple(self.vault_complete(v) for v in range(self._num_vaults))
+        return tuple((self._sealed & (self._delivered == self._expected)).tolist())
 
     def _check_vault(self, vault: int) -> None:
         if not 0 <= vault < self._num_vaults:

@@ -34,7 +34,7 @@ from repro.analytics.workload import (
     SortWorkload,
 )
 from repro.faults.plan import FaultSpec
-from repro.faults.protocol import DeliverySession, FaultTolerantShuffleBarrier
+from repro.faults.protocol import DeliverySession
 from repro.memctrl.permutable import PermutableRegionConfig, PermutableWriteEngine
 from repro.operators import costs
 from repro.operators.base import OperatorRun, OperatorVariant
@@ -89,8 +89,6 @@ class ScalarDeliverySession(DeliverySession):
             for _ in range(int(self._plan.duplicates[src, dest])):
                 self.stats.duplicates_discarded += 1
                 self.stats.duplicate_b += size_b
-                if isinstance(barrier, FaultTolerantShuffleBarrier):
-                    barrier.discard_duplicates(dest, [size_b])
 
 
 def reference_shuffle(
@@ -110,9 +108,10 @@ def reference_shuffle(
     trace, recorded as the tuples arrive (permutable writes go through
     a :class:`PermutableWriteEngine` tail) -- the oracle for
     :func:`~repro.shuffle.engine.write_traces`.  Destinations retire
-    through the same barrier protocol as production (one delivery
-    each, or a :class:`ScalarDeliverySession` replaying per-stream
-    retries when the fault schedule disrupted them).
+    through the same barrier protocol as production (one bulk delivery
+    of every destination's total, or a :class:`ScalarDeliverySession`
+    replaying each disrupted destination's streams one delivery at a
+    time).
     """
     if len(sources) != len(dest_of):
         raise ValueError("sources and destination maps must align")

@@ -27,14 +27,19 @@ forward over it.
 
 Intent files are one JSON object each, written atomically with fsync,
 named ``<digest>.<pid>.json`` so concurrent writers of the same digest
-never share a record.  All paths inside the record are store-root
-relative: a store directory can be archived and moved without breaking
-recovery.
+never share a record.  A writer ``flock``s its record before the record
+becomes visible and holds the lock until it retires the record, so
+recovery -- which skips every record it cannot lock -- only ever settles
+the intents of writers that are gone (the kernel drops a dead process's
+locks), never a live put in another process.  All paths inside the
+record are store-root relative: a store directory can be archived and
+moved without breaking recovery.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import os
 import tempfile
@@ -126,24 +131,64 @@ class IntentJournal:
 
         The caller performs the actual temp-write + rename inside the
         ``with`` block; the intent is removed only on success, so any
-        crash inside the block leaves a record for :meth:`recover`.
+        crash inside the block leaves a record for :meth:`recover`.  The
+        record is locked from before it becomes visible until it is
+        retired (or the block raises), which tells recovery in another
+        process that this put is still live.
         """
         self._dir.mkdir(parents=True, exist_ok=True)
         record = self._dir / f"{digest}.{os.getpid()}.json"
-        atomic_write_text(
-            record,
-            json.dumps(
-                {
-                    "digest": digest,
-                    "final": self._relative(final),
-                    "tmp": self._relative(tmp),
-                }
-            ),
-            fsync=self._fsync,
+        text = json.dumps(
+            {
+                "digest": digest,
+                "final": self._relative(final),
+                "tmp": self._relative(tmp),
+            }
         )
-        yield
-        with contextlib.suppress(OSError):
-            record.unlink()
+        fd, staged = tempfile.mkstemp(
+            dir=str(self._dir), prefix=f".{record.name}.", suffix=".tmp"
+        )
+        with os.fdopen(fd, "w") as fh:
+            try:
+                # Locked before the rename makes it visible: recovery in
+                # another process can never claim a live writer's intent.
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                fh.write(text)
+                fh.flush()
+                if self._fsync:
+                    os.fsync(fh.fileno())
+                os.replace(staged, record)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(staged)
+                raise
+            if self._fsync:
+                fsync_dir(self._dir)
+            yield
+            with contextlib.suppress(OSError):
+                record.unlink()
+
+    @staticmethod
+    def _claim(record: Path):
+        """Open and lock ``record`` unless a live writer still holds it.
+
+        Returns the locked handle, or ``None`` when the record is gone
+        or its put is still in flight (that writer retires it itself).
+        """
+        try:
+            fh = open(record)
+        except OSError:
+            return None
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # The writer may have retired the record between the open
+            # and the lock: only the record still at this path counts.
+            if os.stat(record).st_ino == os.fstat(fh.fileno()).st_ino:
+                return fh
+        except OSError:
+            pass
+        fh.close()
+        return None
 
     def recover(
         self,
@@ -159,42 +204,49 @@ class IntentJournal:
         """
         counts = {"rolled_forward": 0, "discarded": 0, "quarantined": 0}
         for record in self.pending():
-            try:
-                meta = json.loads(record.read_text())
-                final = self._root / meta["final"]
-                tmp = self._root / meta["tmp"]
-            except (OSError, ValueError, KeyError, TypeError):
-                # The intent record itself is torn: there is nothing it
-                # can name reliably, so the put is discarded.
-                with contextlib.suppress(OSError):
-                    record.unlink()
-                counts["discarded"] += 1
+            handle = self._claim(record)
+            if handle is None:
                 continue
+            with handle:
+                self._settle(record, handle, validate, quarantine, counts)
+        return counts
 
-            if final.is_file() and not validate(final):
-                # The final object is present but torn (a corruption
-                # injected *after* the rename, or a non-atomic overwrite
-                # by something else): never serve it.
-                if quarantine is not None:
-                    quarantine(final)
-                counts["quarantined"] += 1
-            if final.is_file() and validate(final):
-                counts["rolled_forward"] += 1
-            elif tmp.is_file() and validate(tmp):
-                # Crash landed between the temp write and the rename:
-                # finish the job.  The intent may instead belong to a
-                # live writer in another process (a store opened while
-                # it puts); if that writer renames first, the temp file
-                # is gone and its put has landed.
-                with contextlib.suppress(FileNotFoundError):
-                    os.replace(tmp, final)
-                if self._fsync:
-                    fsync_dir(final.parent)
-                counts["rolled_forward"] += 1
-            else:
-                with contextlib.suppress(OSError):
-                    tmp.unlink()
-                counts["discarded"] += 1
+    def _settle(self, record, handle, validate, quarantine, counts) -> None:
+        """Roll one dead writer's intent forward or discard it."""
+        try:
+            meta = json.loads(handle.read())
+            final = self._root / meta["final"]
+            tmp = self._root / meta["tmp"]
+        except (OSError, ValueError, KeyError, TypeError):
+            # The intent record itself is torn: there is nothing it
+            # can name reliably, so the put is discarded.
             with contextlib.suppress(OSError):
                 record.unlink()
-        return counts
+            counts["discarded"] += 1
+            return
+
+        if final.is_file() and not validate(final):
+            # The final object is present but torn (a corruption
+            # injected *after* the rename, or a non-atomic overwrite
+            # by something else): never serve it.
+            if quarantine is not None:
+                quarantine(final)
+            counts["quarantined"] += 1
+        if final.is_file() and validate(final):
+            counts["rolled_forward"] += 1
+        elif tmp.is_file() and validate(tmp):
+            # Crash landed between the temp write and the rename:
+            # finish the job.  Should the temp file vanish first (a
+            # filesystem that ignores flock lets a live writer race
+            # us), that writer's put has landed.
+            with contextlib.suppress(FileNotFoundError):
+                os.replace(tmp, final)
+            if self._fsync:
+                fsync_dir(final.parent)
+            counts["rolled_forward"] += 1
+        else:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            counts["discarded"] += 1
+        with contextlib.suppress(OSError):
+            record.unlink()

@@ -41,11 +41,7 @@ from repro.analytics.tuples import TUPLE_B, TUPLE_DTYPE, Relation
 from repro.columnar.kernels import stable_argsort
 from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.faults.protocol import (
-    DeliverySession,
-    FaultTolerantShuffleBarrier,
-    ResilienceStats,
-)
+from repro.faults.protocol import DeliverySession, ResilienceStats
 from repro.memctrl.permutable import ShuffleBarrier
 from repro.shuffle.interleave import (
     ArrivalOrder,
@@ -73,8 +69,7 @@ def shuffle_begin(
     """Exchange the (source, destination) tuple counts and seal the barrier.
 
     Returns the sealed barrier plus a delivery session replaying the
-    fault schedule, or ``None`` when no schedule is active.  A faulted
-    shuffle gets a barrier that tolerates duplicates and timeouts.
+    fault schedule, or ``None`` when no schedule is active.
     """
     num_src, num_dest = hist.shape
     sizes_b = hist * TUPLE_B
@@ -82,11 +77,7 @@ def shuffle_begin(
     if faults is not None and faults.active:
         plan = FaultPlan.build(faults, num_src, num_dest, salt=fault_salt)
         session = DeliverySession(plan, sizes_b)
-    num_vaults = max(num_dest, num_src)
-    if session is not None:
-        barrier: ShuffleBarrier = FaultTolerantShuffleBarrier(num_vaults)
-    else:
-        barrier = ShuffleBarrier(num_vaults)
+    barrier = ShuffleBarrier(max(num_dest, num_src))
     barrier.announce_all(sizes_b)
     barrier.seal()
     return barrier, session
@@ -99,17 +90,16 @@ def shuffle_end(
 ) -> Optional[ResilienceStats]:
     """Retire every destination's inbound traffic and close the barrier.
 
-    Healthy destinations retire with one barrier update each;
-    destinations the fault schedule disrupted degrade to per-stream
-    deliveries with bounded retries.  Returns the session's stats.
+    A fault-free shuffle retires all destinations in one bulk delivery;
+    under a fault schedule the session does, replaying the disrupted
+    destinations' streams with bounded retries.  Returns the session's
+    stats.
     """
-    for dest, total in enumerate(dest_totals.tolist()):
-        if session is not None:
-            session.deliver_dest(barrier, dest)
-        else:
-            barrier.deliver(dest, total * TUPLE_B)
-    if session is not None:
-        session.finalize(barrier)
+    if session is None:
+        barrier.deliver_all(dest_totals * TUPLE_B)
+    else:
+        session.deliver(barrier)
+        session.finalize()
     if not barrier.all_complete():
         raise RuntimeError("shuffle barrier incomplete after all deliveries")
     return session.stats if session is not None else None

@@ -12,6 +12,12 @@ Suites are versioned through ``cache_params()``: the full generator
 parameterization plus a per-suite plan tag feed the content-addressed
 cache/store key, so editing a suite's plan or sizes can never replay a
 stale stored run.
+
+A family's tables depend only on the family and the seed, so every
+preset of one suite run shares one materialization: ``build_plan``
+memoizes them in the memory-only ``suite-tables`` cache tier (dropped by
+``clear_caches``, bypassed while the memory caches are disabled) and
+marks the shared arrays read-only.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
+from repro.analytics.tuples import Relation
+from repro.experiments import common
 from repro.pipeline.plan import QueryPlan
 from repro.pipeline.stage import (
     FilterStage,
@@ -35,6 +43,29 @@ from repro.suites.families import (
     WindowedFamily,
     leading_column_range,
 )
+
+
+_TABLES = common.register_cache_tier(common.CacheTier("suite-tables"))
+
+
+def _read_only(tables: Dict[str, Relation]) -> Dict[str, Relation]:
+    """Freeze shared tables: a stage writing into its input raises
+    instead of changing another preset's answer."""
+    for relation in tables.values():
+        relation.data.flags.writeable = False
+    return tables
+
+
+def _family_tables(family: Any, seed: int) -> Dict[str, Relation]:
+    """``family.tables(seed)`` with read-only arrays, built once per
+    (family, seed) while the memory caches are enabled."""
+
+    def build() -> Dict[str, Relation]:
+        return _read_only(family.tables(seed))
+
+    if not common.cache_enabled():
+        return build()
+    return dict(_TABLES.get_or_build(("suite-tables", family, int(seed)), build))
 
 
 @dataclass(frozen=True)
@@ -55,7 +86,7 @@ class Suite:
         """Deterministically materialize tables and assemble the plan."""
         return QueryPlan(
             name=self.name,
-            tables=self.family.tables(seed),
+            tables=_family_tables(self.family, seed),
             stages=self.build_stages(self.family),
             num_partitions=num_partitions,
             key_space_bits=self.family.key_space_bits,

@@ -183,18 +183,15 @@ def _preset_machine(preset: str) -> Machine:
     return Machine(get_preset(preset))
 
 
-def build_system(preset: str, fresh: bool = False) -> Machine:
+def build_system(preset: str) -> Machine:
     """Machine for a named preset (see ``preset_names()``).
 
     Machines are stateless across ``run_operator``/``run_pipeline``
     calls (the evaluator and energy model are pure functions of the
-    phase; accumulators are created per call), so by default the same
-    per-preset instance is returned every time -- topology and core-model
-    construction leave the hot path.  Pass ``fresh=True`` to force a new
-    instance (e.g. to mutate its config in tests).
+    phase; accumulators are created per call), so the same per-preset
+    instance is returned every time -- topology and core-model
+    construction leave the hot path.
     """
-    if fresh:
-        return Machine(get_preset(preset))
     return _preset_machine(preset)
 
 

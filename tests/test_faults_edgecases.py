@@ -1,4 +1,4 @@
-"""Edge cases of the fault-tolerant barrier and delivery protocol.
+"""Edge cases of the shuffle barrier's fault delivery protocol.
 
 The corners the property sweep is unlikely to weight: zero-row
 relations, single-machine topologies, empty segments inside otherwise
@@ -11,14 +11,10 @@ guarantee, exercised end to end through ``announce_all``.
 import numpy as np
 import pytest
 
-from repro.analytics.tuples import Relation
+from repro.analytics.tuples import TUPLE_B, Relation
 from repro.faults.plan import NULL_FAULTS, FaultPlan, FaultSpec
-from repro.faults.protocol import (
-    DeliverySession,
-    FaultTolerantShuffleBarrier,
-    ResilienceStats,
-    combine_stats,
-)
+from repro.faults.protocol import DeliverySession, ResilienceStats, combine_stats
+from repro.memctrl.permutable import ShuffleBarrier
 from repro.shuffle.engine import ShuffleEngine
 from tests.shuffle_helpers import assert_shuffles_identical, flatten, make_sources
 
@@ -94,48 +90,49 @@ class TestDegenerateShapes:
         )
 
 
-class TestFaultTolerantBarrier:
-    def barrier(self, sizes):
-        """A sealed barrier announced via ``announce_all``."""
-        sizes = np.asarray(sizes, dtype=np.int64)
-        b = FaultTolerantShuffleBarrier(sizes.shape[1])
-        b.announce_all(sizes)
-        b.seal()
-        return b
+class TestDeliveryCalls:
+    """How many barrier updates one shuffle makes: one bulk delivery,
+    plus one scalar delivery per destination a fault disrupted."""
 
-    def test_duplicate_does_not_corrupt_byte_count(self):
-        b = self.barrier([[32, 16], [0, 48]])
-        b.deliver(0, 32)
-        b.discard_duplicates(0, [32])  # the copy is recognized and dropped
-        assert b.vault_complete(0)  # not over-delivered
-        assert b.duplicates_discarded == 1
-        assert b.duplicate_bytes == 32
-        # A genuine over-delivery still trips the guard.
-        with pytest.raises(ValueError):
-            b.deliver(0, 1)
+    @staticmethod
+    def spy(monkeypatch):
+        calls = {"deliver": [], "deliver_all": 0}
+        deliver, deliver_all = ShuffleBarrier.deliver, ShuffleBarrier.deliver_all
 
-    def test_duplicate_requires_sealed_barrier(self):
-        b = FaultTolerantShuffleBarrier(2)
-        b.announce(0, 0, 8)
-        with pytest.raises(RuntimeError):
-            b.discard_duplicates(0, [8])
-        with pytest.raises(ValueError):
-            self.barrier([[8]]).discard_duplicates(0, [-1])
+        def spy_deliver(self, dest, size_b):
+            calls["deliver"].append(dest)
+            deliver(self, dest, size_b)
 
-    def test_timeouts_recorded_not_raised(self):
-        b = self.barrier([[16]])
-        b.record_timeout(0)
-        b.record_timeout(0)
-        assert b.timeouts == 2
-        b.deliver(0, 16)
-        assert b.all_complete()
+        def spy_deliver_all(self, sizes_b):
+            calls["deliver_all"] += 1
+            deliver_all(self, sizes_b)
 
-    def test_vault_bounds_checked(self):
-        b = self.barrier([[16, 16]])
-        with pytest.raises(ValueError):
-            b.discard_duplicates(5, [8])
-        with pytest.raises(ValueError):
-            b.record_timeout(-1)
+        monkeypatch.setattr(ShuffleBarrier, "deliver", spy_deliver)
+        monkeypatch.setattr(ShuffleBarrier, "deliver_all", spy_deliver_all)
+        return calls
+
+    def test_fault_free_shuffle_delivers_in_bulk_once(self, monkeypatch):
+        sources, maps = make_sources(np.random.default_rng(3), 4, 8, 200, skew=False)
+        columns, dest = flatten(sources, maps)
+        calls = self.spy(monkeypatch)
+        result = ShuffleEngine(8).run(columns, dest)
+        assert calls == {"deliver": [], "deliver_all": 1}
+        assert result.barrier.all_complete()
+
+    def test_scalar_deliveries_only_for_disrupted_destinations(self, monkeypatch):
+        spec = FaultSpec(seed=3, drop_prob=0.3)
+        sources, maps = make_sources(np.random.default_rng(5), 4, 8, 200, skew=False)
+        columns, dest = flatten(sources, maps)
+        calls = self.spy(monkeypatch)
+        result = ShuffleEngine(8, faults=spec).run(columns, dest)
+        plan = FaultPlan.build(spec, 4, 8)
+        disrupted = np.flatnonzero(
+            plan.disrupted_destinations(result.histogram * TUPLE_B)
+        ).tolist()
+        assert 0 < len(disrupted) < 8  # some destinations healthy, some not
+        assert calls == {"deliver": disrupted, "deliver_all": 1}
+        assert result.resilience.degraded_destinations == len(disrupted)
+        assert result.barrier.all_complete()
 
 
 class TestDeliverySession:

@@ -1,6 +1,7 @@
 """Tests for the vault-controller extensions: permutable writes and the
 shuffle barrier."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,14 +89,29 @@ class TestPermutableWriteEngine:
         assert sorted(engine.drain()) == sorted(payloads)
 
 
+def deliver_scalar(barrier, dest, size_b):
+    barrier.deliver(dest, size_b)
+
+
+def deliver_bulk(barrier, dest, size_b):
+    """The same delivery through ``deliver_all``: a vector of ``dest + 1``
+    sizes, zero except at ``dest`` (too long when ``dest`` is out of range)."""
+    sizes = np.zeros(dest + 1, dtype=np.int64)
+    sizes[dest] = size_b
+    barrier.deliver_all(sizes)
+
+
 class TestShuffleBarrier:
+    @staticmethod
+    def announced(num_vaults, sizes, seal=True):
+        barrier = ShuffleBarrier(num_vaults)
+        barrier.announce_all(np.asarray(sizes, dtype=np.int64))
+        if seal:
+            barrier.seal()
+        return barrier
+
     def test_protocol_happy_path(self):
-        barrier = ShuffleBarrier(num_vaults=2)
-        barrier.announce(0, 1, 64)
-        barrier.announce(1, 1, 32)
-        barrier.announce(0, 0, 0)
-        barrier.announce(1, 0, 0)
-        barrier.seal()
+        barrier = self.announced(2, [[0, 64], [0, 32]])
         assert barrier.expected_bytes(1) == 96
         assert not barrier.vault_complete(1)
         barrier.deliver(1, 64)
@@ -104,45 +120,52 @@ class TestShuffleBarrier:
         assert barrier.all_complete()
         assert barrier.completion_vector() == (True, True)
 
-    def test_deliver_before_seal_rejected(self):
-        barrier = ShuffleBarrier(2)
-        barrier.announce(0, 1, 16)
+    def test_bulk_delivery_retires_every_vault(self):
+        barrier = self.announced(3, [[8, 0, 16], [8, 0, 0]])
+        barrier.deliver_all([16, 0])  # vault 2 gets nothing yet
+        assert barrier.completion_vector() == (True, True, False)
+        barrier.deliver_all([0, 0, 16])
+        assert barrier.all_complete()
+
+    @pytest.mark.parametrize("deliver", [deliver_scalar, deliver_bulk])
+    def test_delivery_checks(self, deliver):
+        unsealed = self.announced(2, [[0, 16], [0, 0]], seal=False)
         with pytest.raises(RuntimeError):
-            barrier.deliver(1, 16)
+            deliver(unsealed, 1, 16)  # before seal
+        barrier = self.announced(2, [[0, 16], [0, 0]])
+        with pytest.raises(ValueError):
+            deliver(barrier, 1, -1)  # negative size
+        with pytest.raises(ValueError):
+            deliver(barrier, 5, 16)  # vault out of range
+        deliver(barrier, 1, 16)
+        with pytest.raises(ValueError, match="vault 1 received 17 bytes"):
+            deliver(barrier, 1, 1)  # over-delivery
+
+    def test_bulk_over_delivery_names_first_vault(self):
+        barrier = self.announced(3, [[8, 8, 8]])
+        with pytest.raises(ValueError, match="vault 1 received 9 bytes"):
+            barrier.deliver_all([8, 9, 9])
 
     def test_announce_after_seal_rejected(self):
         barrier = ShuffleBarrier(2)
         barrier.seal()
         with pytest.raises(RuntimeError):
-            barrier.announce(0, 1, 16)
-
-    def test_over_delivery_rejected(self):
-        barrier = ShuffleBarrier(2)
-        barrier.announce(0, 1, 16)
-        barrier.seal()
-        barrier.deliver(1, 16)
-        with pytest.raises(ValueError):
-            barrier.deliver(1, 1)
+            barrier.announce_all(np.array([[0, 16], [0, 0]]))
 
     def test_double_announce_rejected(self):
-        barrier = ShuffleBarrier(2)
-        barrier.announce(0, 1, 16)
+        barrier = self.announced(2, [[0, 16], [0, 0]], seal=False)
         with pytest.raises(ValueError):
-            barrier.announce(0, 1, 32)
+            barrier.announce_all(np.array([[0, 32], [0, 0]]))
 
     def test_vault_range_checked(self):
         barrier = ShuffleBarrier(2)
         with pytest.raises(ValueError):
-            barrier.announce(0, 5, 16)
+            barrier.announce_all(np.zeros((1, 6), dtype=np.int64))
         with pytest.raises(ValueError):
             barrier.vault_complete(9)
 
     def test_incomplete_until_all_vaults(self):
-        barrier = ShuffleBarrier(3)
-        for src in range(3):
-            for dst in range(3):
-                barrier.announce(src, dst, 8)
-        barrier.seal()
+        barrier = self.announced(3, np.full((3, 3), 8))
         for dst in range(3):
             assert not barrier.all_complete()
             barrier.deliver(dst, 24)

@@ -48,7 +48,7 @@ from repro.columnar.soa import SegmentedColumns
 from repro.config.system import get_preset
 from repro.experiments import common
 from repro.faults.plan import NULL_FAULTS, FaultPlan, FaultSpec
-from repro.faults.protocol import DeliverySession, FaultTolerantShuffleBarrier
+from repro.faults.protocol import DeliverySession
 from repro.memctrl.permutable import ShuffleBarrier
 from repro.operators.groupby import AGGREGATE_NAMES
 from repro.analytics.skew import make_skewed_groupby_workload
@@ -317,19 +317,14 @@ def test_operator_matches_reference(operator, preset, faults, workload):
 
 def replay(session_cls, plan, sizes_b):
     """Retire every destination of ``sizes_b`` through ``session_cls``;
-    returns its stats and the barrier's duplicate and completion state."""
-    barrier = FaultTolerantShuffleBarrier(max(sizes_b.shape))
+    returns its stats and the barrier's completion vector."""
+    barrier = ShuffleBarrier(max(sizes_b.shape))
     barrier.announce_all(sizes_b)
     barrier.seal()
     session = session_cls(plan, sizes_b)
-    for dest in range(sizes_b.shape[1]):
-        session.deliver_dest(barrier, dest)
-    stats = session.finalize(barrier)
-    return stats, (
-        barrier.duplicates_discarded,
-        barrier.duplicate_bytes,
-        barrier.completion_vector(),
-    )
+    session.deliver(barrier)
+    stats = session.finalize()
+    return stats, barrier.completion_vector()
 
 
 class TestFaultReplayEdgeCases:
@@ -398,14 +393,13 @@ class TestFaultReplayEdgeCases:
 class TestBarrierFrozenTotals:
     def test_expected_bytes_before_and_after_seal(self):
         barrier = ShuffleBarrier(2)
-        barrier.announce(0, 1, 48)
-        assert barrier.expected_bytes(1) == 48  # pre-seal: live sum
-        barrier.announce(1, 1, 16)
-        assert barrier.expected_bytes(1) == 64
+        assert barrier.expected_bytes(1) == 0  # nothing announced yet
+        barrier.announce_all(np.array([[0, 48], [0, 16]]))
+        assert barrier.expected_bytes(1) == 64  # pre-seal: announced sum
         barrier.seal()
         assert barrier.expected_bytes(1) == 64  # post-seal: frozen
         with pytest.raises(RuntimeError):
-            barrier.announce(0, 0, 8)  # totals can never go stale
+            barrier.announce_all(np.array([[8, 0], [0, 0]]))  # never stale
 
 
 def skew_histogram(name):

@@ -241,6 +241,40 @@ class TestResultStore:
             document = store.get(digest)
             assert document is not None and document["pad"] == "z" * 256
 
+    def test_store_open_leaves_a_live_put_alone(self, tmp_path):
+        """A store opened while another process is mid-put: recovery must
+        not settle that writer's intent, so the writer's own rename of its
+        temp file still succeeds."""
+        script = (
+            "import os, sys\n"
+            "from repro.service.store import ResultStore, digest_payload\n"
+            "digest = digest_payload({'k': 1})\n"
+            "replace = os.replace\n"
+            "def held(src, dst):\n"
+            "    if os.path.basename(dst) == digest + '.json':\n"
+            "        print('held', flush=True)\n"  # temp written, not renamed
+            "        sys.stdin.readline()\n"
+            "    replace(src, dst)\n"
+            "os.replace = held\n"
+            "ResultStore(sys.argv[1]).put(digest, {'k': 1})\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert child.stdout.readline() == "held\n"
+            opened = ResultStore(tmp_path)  # runs the recovery scan
+            assert opened.stats()["recovered_forward"] == 0
+            child.stdin.write("go\n")
+            child.stdin.close()
+            assert child.wait(timeout=60) == 0
+        finally:
+            child.kill()
+            child.wait()
+        assert ResultStore(tmp_path).get(digest_payload({"k": 1})) == {"k": 1}
+
 
 # ---------------------------------------------------------------------------
 # The codec

@@ -26,6 +26,7 @@ from repro.suites import (
     SUITES,
     SkewFamily,
     StringKeyFamily,
+    Suite,
     SuitePoint,
     SuiteRun,
     WindowedFamily,
@@ -235,6 +236,60 @@ class TestRegistry:
     def test_unknown_suite(self):
         with pytest.raises(KeyError, match="unknown suite"):
             get_suite("nope")
+
+
+class TestSuiteTables:
+    """One materialization of a suite's tables per seed, shared read-only."""
+
+    @staticmethod
+    def built_plans(monkeypatch):
+        plans = []
+        build_plan = Suite.build_plan
+
+        def spy(self, *args, **kwargs):
+            plans.append(build_plan(self, *args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(Suite, "build_plan", spy)
+        return plans
+
+    def test_presets_of_one_run_share_the_tables(self, monkeypatch):
+        plans = self.built_plans(monkeypatch)
+        SuiteRun(suites=("skew-mild",), systems=SMOKE_SYSTEMS).run(jobs=1)
+        assert len(plans) == len(SMOKE_SYSTEMS) >= 2
+        first, *others = plans
+        for plan in others:
+            assert plan.tables.keys() == first.tables.keys()
+            for name, relation in plan.tables.items():
+                assert relation.data is first.tables[name].data
+
+    def test_clear_caches_empties_the_tier(self):
+        get_suite("windowed-clicks").build_plan(seed=3)
+        tier = common.cache_stats()["tiers"]["suite-tables"]
+        assert tier["entries"] == 1
+        common.clear_caches()
+        assert common.cache_stats()["tiers"]["suite-tables"]["entries"] == 0
+
+    def test_cached_tables_are_read_only(self):
+        plan = get_suite("dict-products").build_plan(seed=3)
+        relation = next(iter(plan.tables.values()))
+        with pytest.raises(ValueError, match="read-only"):
+            relation.data["payload"][0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            relation.keys[:] = 0
+
+    def test_disabled_memory_caches_build_fresh_tables(self):
+        previous = common.set_cache_enabled(False)
+        try:
+            suite = get_suite("skew-hotspot")
+            first = suite.build_plan(seed=3).tables
+            second = suite.build_plan(seed=3).tables
+        finally:
+            common.set_cache_enabled(previous)
+        assert common.cache_stats()["tiers"]["suite-tables"]["entries"] == 0
+        for name, relation in first.items():
+            assert relation.data is not second[name].data
+            assert relation == second[name]
 
 
 # ---------------------------------------------------------------------------
