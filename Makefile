@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-#: Experiment profiled by `make profile` (fig6, fig7, ..., table5, skew, suites).
+#: Experiment profiled by `make profile` (fig6, fig7, ..., table5, skew, suites, sweep).
 EXPERIMENT ?= fig6
 
 #: Minimum line coverage (percent) `make coverage` demands of the

@@ -12,11 +12,13 @@ Two pieces:
   :class:`~repro.faults.plan.FaultPlan`.  Healthy destinations retire
   together in one bulk delivery of their inbound totals; a destination
   with any dropped or duplicated inbound stream degrades to the replay
-  path, which prices each stream's bounded retries (exponential
-  backoff, doubling per attempt) and duplicates as arrays over the
-  ``(source, attempt)`` pairs.  A duplicate is recognized by the
-  controller and never reaches the barrier's byte count; a transient
-  barrier-wait timeout is priced as a re-poll, never raised.  The
+  path.  One replay pass prices every disrupted stream's bounded
+  retries (exponential backoff, doubling per attempt) and duplicates
+  as arrays over the ``(destination, source, attempt)`` triples, and a
+  second bulk delivery retires the disrupted destinations.  A
+  duplicate is recognized by the controller and never reaches the
+  barrier's byte count; a transient barrier-wait timeout is priced as
+  a re-poll, never raised.  The destination-by-destination,
   stream-by-stream scalar replay it must equal lives in
   :mod:`repro.operators.reference`.
 
@@ -122,6 +124,14 @@ def _fold(total: float, terms: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
 
 
+def _attempts(rounds: np.ndarray) -> np.ndarray:
+    """Attempt number of every round: ``0 .. rounds[i] - 1`` for each
+    ``i``, back to back."""
+    return np.arange(int(rounds.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(rounds) - rounds, rounds
+    )
+
+
 class DeliverySession:
     """Drives one shuffle's barrier deliveries through a fault plan.
 
@@ -129,8 +139,8 @@ class DeliverySession:
     exchange produced -- the same matrix ``announce_all`` posted.  The
     session decides, per destination, whether the bulk fast path is
     safe (no inbound stream disrupted) or the replay path must price
-    each inbound stream's retries and duplicates; the replay runs on
-    arrays, one destination at a time.
+    each inbound stream's retries and duplicates; the replay prices
+    every disrupted destination in one pass of array work.
     """
 
     def __init__(self, plan: FaultPlan, sizes_b: np.ndarray) -> None:
@@ -152,51 +162,52 @@ class DeliverySession:
         """Retire every destination's inbound traffic through the barrier.
 
         Healthy destinations retire together in one bulk delivery of
-        their inbound totals; each disrupted one then replays its
-        streams' bounded retries and duplicates, in ascending
-        destination order (the order the stats accumulators fold in).
+        their inbound totals; then every disrupted one replays its
+        streams' bounded retries and duplicates, and retires in a second
+        bulk delivery.
         """
-        barrier.deliver_all(np.where(self._disrupted, 0, self._sizes.sum(axis=0)))
-        for dest in np.flatnonzero(self._disrupted).tolist():
-            self._replay_streams(barrier, dest)
+        dest_totals = self._sizes.sum(axis=0)
+        barrier.deliver_all(np.where(self._disrupted, 0, dest_totals))
+        dests = np.flatnonzero(self._disrupted)
+        if not len(dests):
+            return
+        with _span(
+            "fault_replay", category="faults", destinations=len(dests)
+        ) as sp:
+            self._replay(dests)
+            sp.set(retries=self.stats.retries)
+        barrier.deliver_all(np.where(self._disrupted, dest_totals, 0))
 
-    def _replay_streams(self, barrier: ShuffleBarrier, dest: int) -> None:
+    def _replay(self, dests: np.ndarray) -> None:
+        """Every disrupted stream's dropped attempts and duplicates, as
+        arrays over the ``(dest, src, attempt)`` triples.
+
+        Stream ``(src, dest)`` loses its first ``drops`` attempts (each
+        burns its bytes on the wire and waits ``backoff_base *
+        2**attempt`` of its transmission time), then lands, then any
+        duplicate copies arrive.  Each float accumulator folds once, in
+        ``(dest, src, attempt)`` order: the order a destination-by-
+        destination, stream-by-stream replay would add them in.
+        """
         spec = self._plan.spec
-        sizes = self._sizes[:, dest]
-        self.stats.degraded_destinations += 1
-        before = self.stats.retries
-        with _span("fault_replay", category="faults", dest=int(dest)) as sp:
-            self._replay_streams_inner(barrier, dest, spec, sizes)
-            sp.set(retries=self.stats.retries - before)
-
-    def _replay_streams_inner(self, barrier, dest, spec, sizes) -> None:
-        """Every inbound stream's dropped attempts, delivery and
-        duplicates, as arrays over the ``(source, attempt)`` pairs.
-
-        Stream ``src`` loses its first ``drops`` attempts (each burns its
-        bytes on the wire and waits ``backoff_base * 2**attempt`` of its
-        transmission time), then lands, then any duplicate copies
-        arrive.  The float accumulators fold in ``(src, attempt)``
-        order, the order a stream-by-stream replay would add them in.
-        """
-        srcs = np.flatnonzero(sizes)
-        size_b = sizes[srcs]
-        drops = np.minimum(self._plan.drop_rounds[srcs, dest], spec.max_retries)
+        sizes = self._sizes[:, dests].T  # (dest, src) order
+        live = sizes > 0  # empty streams have nothing to disrupt
+        size_b = sizes[live]
+        drops = np.minimum(
+            self._plan.drop_rounds[:, dests].T[live], spec.max_retries
+        )
+        self.stats.degraded_destinations += len(dests)
         num_drops = int(drops.sum())
         if num_drops:
             dropped_b = np.repeat(size_b, drops).astype(np.float64)
-            attempt = np.arange(num_drops) - np.repeat(
-                np.cumsum(drops) - drops, drops
-            )
             self.stats.retries += num_drops
             self.stats.retried_b = _fold(self.stats.retried_b, dropped_b)
             self.stats.backoff_stalls += num_drops
             self.stats.backoff_stall_b = _fold(
                 self.stats.backoff_stall_b,
-                spec.backoff_base * 2.0 ** attempt * dropped_b,
+                spec.backoff_base * 2.0 ** _attempts(drops) * dropped_b,
             )
-        barrier.deliver(dest, int(size_b.sum()))
-        copies = np.repeat(size_b, self._plan.duplicates[srcs, dest])
+        copies = np.repeat(size_b, self._plan.duplicates[:, dests].T[live])
         if copies.size:
             self.stats.duplicates_discarded += int(copies.size)
             self.stats.duplicate_b = _fold(self.stats.duplicate_b, copies)
@@ -210,30 +221,33 @@ class DeliverySession:
         source's extra egress time (the barrier waits for the last
         delivery, so only the maximum matters).
         """
-        spec = self._plan.spec
-        dest_totals = self._sizes.sum(axis=0)
         with _span("fault_finalize", category="faults"):
-            self._finalize_inner(spec, dest_totals)
+            self._price_timeouts(self._sizes.sum(axis=0))
+            egress = self._sizes.sum(axis=1).astype(np.float64)
+            extra = (self._plan.straggler_factor - 1.0) * egress
+            straggling = (self._plan.straggler_factor > 1.0) & (egress > 0)
+            self.stats.stragglers += int(np.count_nonzero(straggling))
+            if extra.size:
+                self.stats.straggler_stall_b += float(extra.max())
         self._publish_metrics()
         return self.stats
 
-    def _finalize_inner(self, spec, dest_totals) -> None:
-        for dest in np.flatnonzero(self._plan.timeout_rounds):
-            if dest_totals[dest] <= 0:
-                continue
-            rounds = int(self._plan.timeout_rounds[dest])
-            for attempt in range(rounds):
-                self.stats.timeout_rounds += 1
-                self.stats.backoff_stalls += 1
-                self.stats.backoff_stall_b += (
-                    spec.backoff_base * (2.0 ** attempt) * float(dest_totals[dest])
-                )
-        egress = self._sizes.sum(axis=1).astype(np.float64)
-        extra = (self._plan.straggler_factor - 1.0) * egress
-        straggling = (self._plan.straggler_factor > 1.0) & (egress > 0)
-        self.stats.stragglers += int(np.count_nonzero(straggling))
-        if extra.size:
-            self.stats.straggler_stall_b += float(extra.max())
+    def _price_timeouts(self, dest_totals: np.ndarray) -> None:
+        """Every timed-out destination's re-polls, folded in ``(dest,
+        attempt)`` order; destinations with no inbound traffic never
+        wait."""
+        rounds = np.where(dest_totals > 0, self._plan.timeout_rounds, 0)
+        polls = int(rounds.sum())
+        if not polls:
+            return
+        self.stats.timeout_rounds += polls
+        self.stats.backoff_stalls += polls
+        self.stats.backoff_stall_b = _fold(
+            self.stats.backoff_stall_b,
+            self._plan.spec.backoff_base
+            * 2.0 ** _attempts(rounds)
+            * np.repeat(dest_totals, rounds).astype(np.float64),
+        )
 
     def _publish_metrics(self) -> None:
         """Mirror this session's totals into the telemetry registry."""

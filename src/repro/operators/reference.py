@@ -21,7 +21,7 @@ imports this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,31 +64,48 @@ Groups = Dict[int, Dict[str, float]]
 
 
 class ScalarDeliverySession(DeliverySession):
-    """The seed's fault replay: one stream, one attempt at a time.
+    """The seed's fault replay: one destination, one stream, one attempt
+    at a time.
 
-    The oracle for :meth:`DeliverySession._replay_streams_inner`'s
-    array replay: every ``+=`` here is the fold order the production
+    The oracle for :class:`DeliverySession`'s one-pass array replay and
+    timeout pricing: every ``+=`` here is the fold order the production
     accumulators must reproduce bit for bit.
     """
 
-    def _replay_streams_inner(self, barrier, dest, spec, sizes) -> None:
-        for src in np.flatnonzero(sizes):
-            size_b = int(sizes[src])
-            drops = int(min(self._plan.drop_rounds[src, dest], spec.max_retries))
-            for attempt in range(drops):
-                # Attempt ``attempt`` was lost: the bytes burned the wire
-                # and the source waits an exponentially growing backoff
-                # before re-sending.
-                self.stats.retries += 1
-                self.stats.retried_b += size_b
+    def deliver(self, barrier) -> None:
+        spec = self._plan.spec
+        barrier.deliver_all(np.where(self._disrupted, 0, self._sizes.sum(axis=0)))
+        for dest in np.flatnonzero(self._disrupted):
+            self.stats.degraded_destinations += 1
+            for src in np.flatnonzero(self._sizes[:, dest]):
+                size_b = int(self._sizes[src, dest])
+                drops = int(min(self._plan.drop_rounds[src, dest], spec.max_retries))
+                for attempt in range(drops):
+                    # Attempt ``attempt`` was lost: the bytes burned the
+                    # wire and the source waits an exponentially growing
+                    # backoff before re-sending.
+                    self.stats.retries += 1
+                    self.stats.retried_b += size_b
+                    self.stats.backoff_stalls += 1
+                    self.stats.backoff_stall_b += (
+                        spec.backoff_base * (2.0 ** attempt) * size_b
+                    )
+                barrier.deliver(int(dest), size_b)
+                for _ in range(int(self._plan.duplicates[src, dest])):
+                    self.stats.duplicates_discarded += 1
+                    self.stats.duplicate_b += size_b
+
+    def _price_timeouts(self, dest_totals) -> None:
+        spec = self._plan.spec
+        for dest in np.flatnonzero(self._plan.timeout_rounds):
+            if dest_totals[dest] <= 0:
+                continue
+            for attempt in range(int(self._plan.timeout_rounds[dest])):
+                self.stats.timeout_rounds += 1
                 self.stats.backoff_stalls += 1
                 self.stats.backoff_stall_b += (
-                    spec.backoff_base * (2.0 ** attempt) * size_b
+                    spec.backoff_base * (2.0 ** attempt) * float(dest_totals[dest])
                 )
-            barrier.deliver(dest, size_b)
-            for _ in range(int(self._plan.duplicates[src, dest])):
-                self.stats.duplicates_discarded += 1
-                self.stats.duplicate_b += size_b
 
 
 def reference_shuffle(
@@ -96,7 +113,7 @@ def reference_shuffle(
     dest_of: List[np.ndarray],
     num_destinations: int,
     permutable: bool = False,
-    interleave: Callable[[Sequence[int]], ArrivalOrder] = round_robin_interleave,
+    interleave: Callable[[np.ndarray], ArrivalOrder] = round_robin_interleave,
     faults: Optional[FaultSpec] = None,
     fault_salt: int = 0,
 ) -> Tuple[ShuffleResult, List[np.ndarray]]:
@@ -107,7 +124,9 @@ def reference_shuffle(
     arguments and returns the result plus each destination's write
     trace, recorded as the tuples arrive (permutable writes go through
     a :class:`PermutableWriteEngine` tail) -- the oracle for
-    :func:`~repro.shuffle.engine.write_traces`.  Destinations retire
+    :func:`~repro.shuffle.engine.write_traces`.  The interleave model
+    is asked one destination at a time, through a one-column
+    histogram.  Destinations retire
     through the same barrier protocol as production (one bulk delivery
     of every destination's total, or a :class:`ScalarDeliverySession`
     replaying each disrupted destination's streams one delivery at a
@@ -146,7 +165,10 @@ def reference_shuffle(
                 base=0, size_b=max(1, total) * TUPLE_B, object_b=TUPLE_B
             )
         )
-        arrivals = interleave([len(stream) for stream in inbound])
+        # The model answers for a histogram: hand it this destination's
+        # column alone.
+        lengths = np.array([len(stream) for stream in inbound], dtype=np.int64)
+        arrivals = interleave(lengths.reshape(-1, 1))
         # FIFO per source: the model names sources; count their elements.
         next_idx = [0] * len(inbound)
         for i, src in enumerate(arrivals.tolist()):

@@ -8,7 +8,8 @@ drives the shuffle_begin/shuffle_end barrier protocol, and produces one
 buffer of every destination's tuples (sliced into destination relations
 on demand) plus the (source, destination) histogram.
 Interleave models name only the source of each arrival (per-source FIFO
-order is their contract); :func:`arrival_slots` maps every arrival of
+order is their contract) and answer for the whole histogram in one
+call; :func:`arrival_slots` maps every arrival of
 every destination to its addressed write slot in one pass, for the
 permutable shuffle's arrival order and for :func:`write_traces`, which
 derives from the histogram, on demand, the per-destination arrival

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,12 +54,13 @@ from repro.telemetry import span as _span
 def _grouping_sort(code: np.ndarray, bound: int) -> np.ndarray:
     """Stable argsort of non-negative integer grouping codes below ``bound``.
 
-    Codes bounded by 16 bits take numpy's radix path (O(n), ~5x faster
-    than the comparison sort `np.lexsort` would run); larger bounds go
-    through :func:`~repro.columnar.kernels.stable_argsort`.
+    Codes bounded by 16 bits (``bound <= 2**16``) are cast to ``uint16``
+    and take numpy's radix path (O(n), ~5x faster than the comparison
+    sort `np.lexsort` would run); larger bounds go through
+    :func:`~repro.columnar.kernels.stable_argsort`.
     """
-    if bound <= np.iinfo(np.int16).max:
-        code = code.astype(np.int16)
+    if bound <= 1 << 16:
+        code = code.astype(np.uint16)
     return stable_argsort(code)
 
 
@@ -106,7 +107,7 @@ def shuffle_end(
 
 
 def arrival_slots(
-    hist: np.ndarray, interleave: Callable[[Sequence[int]], ArrivalOrder]
+    hist: np.ndarray, interleave: Callable[[np.ndarray], ArrivalOrder]
 ) -> np.ndarray:
     """Every arrival's slot in the ``(dest, src)``-grouped tuple order.
 
@@ -114,30 +115,30 @@ def arrival_slots(
     in the order the interleave model delivers them; the slot is the
     arrival's destination base + its source's offset in the histogram +
     its index in that source's stream (the addressed write position).
-    Under the FIFO contract of :mod:`repro.shuffle.interleave` the
-    arrivals of one ``(dest, src)`` stream fill its slots in order, so a
-    stable ``(dest, src)`` grouping sort of all arrivals lists them slot
-    by slot.  Round-robin needs no model call: it drains rounds in
-    source order, i.e. a stable sort by ``(idx, src)`` -- one
-    ``(dest, idx, src)`` lexsort over all destinations, spelled as two
-    stable grouping sorts (composite ``(idx, src)`` code, then dest) so
-    both take the radix path.
+    The model answers for the whole histogram in one call.  Under the
+    FIFO contract of :mod:`repro.shuffle.interleave` the arrivals of one
+    ``(dest, src)`` stream fill its slots in order, so a stable
+    ``(dest, src)`` grouping sort of all arrivals lists them slot by
+    slot.  Round-robin needs no model call: it drains rounds in source
+    order, so the grouped order's own ``(dest, idx, src)`` sort -- one
+    composite grouping sort -- lists every slot in arrival order.
     """
     num_src, num_dest = hist.shape
-    dest_totals = hist.sum(axis=0)
-    dest_ids = np.repeat(np.arange(num_dest, dtype=np.int64), dest_totals)
     if interleave is round_robin_interleave:
+        # Stream (dest, src)'s element idx sits at grouped position
+        # start + idx and sorts by the code (dest * max_stream + idx) *
+        # num_src + src: one per-stream offset plus position * num_src.
         stream_lens = hist.T.reshape(-1)  # [dest-major][src] order
-        sorted_src = np.repeat(np.tile(np.arange(num_src), num_dest), stream_lens)
-        within = np.arange(len(sorted_src), dtype=np.int64) - np.repeat(
-            stream_starts(stream_lens), stream_lens
-        )
         max_stream = int(stream_lens.max()) if len(stream_lens) else 0
-        by_idx_src = _grouping_sort(
-            within * num_src + sorted_src, max_stream * num_src + num_src
-        )
-        return by_idx_src[_grouping_sort(dest_ids[by_idx_src], num_dest)]
-    arrival_src = np.concatenate([interleave(hist[:, d]) for d in range(num_dest)])
+        stream_code = (
+            np.arange(num_dest, dtype=np.int64)[:, None] * (max_stream * num_src)
+            + np.arange(num_src, dtype=np.int64)
+        ).reshape(-1) - stream_starts(stream_lens) * num_src
+        code = np.repeat(stream_code, stream_lens)
+        code += np.arange(len(code), dtype=np.int64) * num_src
+        return _grouping_sort(code, num_dest * max_stream * num_src)
+    dest_ids = np.repeat(np.arange(num_dest, dtype=np.int64), hist.sum(axis=0))
+    arrival_src = interleave(hist)
     by_stream = _grouping_sort(dest_ids * num_src + arrival_src, num_dest * num_src)
     slots = np.empty(len(by_stream), dtype=np.int64)
     slots[by_stream] = np.arange(len(by_stream), dtype=np.int64)
@@ -147,7 +148,7 @@ def arrival_slots(
 def write_traces(
     histogram: np.ndarray,
     permutable: bool,
-    interleave: Callable[[Sequence[int]], ArrivalOrder],
+    interleave: Callable[[np.ndarray], ArrivalOrder],
 ) -> List[np.ndarray]:
     """Per destination: vault-relative byte address of each write, in
     arrival order (replayable on the event DRAM model).
@@ -220,7 +221,7 @@ class ShuffleEngine:
         self,
         num_destinations: int,
         permutable: bool = False,
-        interleave: Callable[[Sequence[int]], ArrivalOrder] = round_robin_interleave,
+        interleave: Callable[[np.ndarray], ArrivalOrder] = round_robin_interleave,
         faults: Optional[FaultSpec] = None,
         fault_salt: int = 0,
     ) -> None:

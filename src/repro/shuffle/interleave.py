@@ -16,14 +16,19 @@ the network never reorders the messages of one flow, only the merge
 across flows.  A model therefore returns just the arrival *sources*, an
 int64 array -- arrival ``k`` comes from stream ``sources[k]`` -- and the
 element it carries is implied: the ``i``-th arrival from a source is
-element ``i`` of that source's stream.  The shuffle engine turns that
-into write slots for all destinations at once
-(:func:`repro.shuffle.engine.arrival_slots`).
+element ``i`` of that source's stream.
+
+**One call per shuffle.**  A model takes the whole ``(source,
+destination)`` tuple-count histogram and answers for every destination
+at once: the arrivals are listed destination by destination, each
+destination's in its network order.  A destination's arrivals depend
+on its own column only, so a one-destination histogram per call gives
+the same arrivals -- the per-destination form the reference shuffle
+uses.  The shuffle engine turns the arrivals into write slots for all
+destinations at once (:func:`repro.shuffle.engine.arrival_slots`).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -43,41 +48,58 @@ def stream_starts(lengths: np.ndarray) -> np.ndarray:
     return starts
 
 
-def round_robin_interleave(stream_lengths: Sequence[int]) -> ArrivalOrder:
+def _grouped_sources(hist: np.ndarray) -> np.ndarray:
+    """Source of every tuple in ``(dest, src)``-grouped order: each
+    destination's inbound streams back to back, in source order."""
+    num_src, num_dest = hist.shape
+    return np.repeat(
+        np.tile(np.arange(num_src, dtype=np.int64), num_dest), hist.T.reshape(-1)
+    )
+
+
+def round_robin_interleave(hist: np.ndarray) -> ArrivalOrder:
     """Arrival sources, round-robin.
 
     Sources with exhausted streams drop out of the rotation, matching a
     network where every source injects at the same rate until done.
     Equivalently: element ``(src, idx)`` arrives in round ``idx``, and
-    rounds drain in source order -- so the arrival order is a stable
-    sort of all elements by ``(idx, src)``.
+    rounds drain in source order -- so every destination's arrival order
+    is a stable sort of its elements by ``(idx, src)``.
     """
-    lengths = np.asarray(stream_lengths, dtype=np.int64)
-    total = int(lengths.sum()) if len(lengths) else 0
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    sources = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    indices = np.arange(total, dtype=np.int64) - np.repeat(
-        stream_starts(lengths), lengths
+    sources = _grouped_sources(hist)
+    stream_lens = hist.T.reshape(-1)
+    indices = np.arange(len(sources), dtype=np.int64) - np.repeat(
+        stream_starts(stream_lens), stream_lens
     )
-    return sources[np.lexsort((sources, indices))]
+    dests = np.repeat(np.arange(hist.shape[1], dtype=np.int64), hist.sum(axis=0))
+    return sources[np.lexsort((sources, indices, dests))]
 
 
-def random_interleave(
-    stream_lengths: Sequence[int], seed: int = 0
-) -> ArrivalOrder:
+def random_interleave(hist: np.ndarray, seed: int = 0) -> ArrivalOrder:
     """Arrival sources under randomized source progress.
 
-    The merge order across sources is uniformly random: one seeded
-    permutation of every stream's tuples, each drawn tuple naming only
-    its source.
+    Each destination's merge order across sources is uniformly random:
+    destination ``d`` draws the seeded permutation
+    ``default_rng(seed).permutation(n_d)`` of its ``n_d`` inbound
+    tuples, each drawn tuple naming only its source.  One generator
+    serves every destination: rewinding it to the seed's initial state
+    before each draw replays the same random stream a fresh
+    ``default_rng(seed)`` would, and shuffling each destination's slice
+    of one ``arange`` in place permutes it exactly as ``permutation``
+    permutes its own ``arange``.
     """
-    lengths = np.asarray(stream_lengths, dtype=np.int64)
-    total = int(lengths.sum()) if len(lengths) else 0
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    sources = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    return sources[np.random.default_rng(seed).permutation(total)]
+    dest_totals = hist.sum(axis=0).tolist()
+    picks = np.arange(sum(dest_totals), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    bits = rng.bit_generator
+    initial = bits.state
+    start = 0
+    for total in dest_totals:
+        if total > 1:
+            bits.state = initial
+            rng.shuffle(picks[start : start + total])
+        start += total
+    return _grouped_sources(hist)[picks]
 
 
 #: Named interleave models, keyed by the one shared vocabulary

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -307,6 +308,11 @@ class StringKeyFamily:
     n_orders: int = 8_000
 
     def encoder(self) -> DictEncoder:
+        """The product dictionary, built once per (frozen) family."""
+        return self._encoder
+
+    @cached_property
+    def _encoder(self) -> DictEncoder:
         return DictEncoder(product_vocabulary(self.name_variants))
 
     @property

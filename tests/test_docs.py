@@ -112,10 +112,11 @@ def test_usage_flags_match_cli_parsers():
     usage = (ROOT / "docs" / "USAGE.md").read_text()
     assert "--pipelines" in usage and "--fast" in usage and "--sweep" in usage
     # Every profiled section the docs name is a real choice of the
-    # profiler's positional argument, the query-suites run among them.
+    # profiler's positional argument, the query-suites and design-sweep
+    # runs among them.
     (experiment,) = [a for a in profile_parser()._actions if a.dest == "experiment"]
     profiled = set(re.findall(r"(?:EXPERIMENT=|profile_experiment\.py )(\w+)", usage))
-    assert "suites" in profiled and profiled <= set(experiment.choices)
+    assert {"suites", "sweep"} <= profiled <= set(experiment.choices)
 
 
 def test_documented_modules_are_importable():

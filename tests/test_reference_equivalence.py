@@ -87,12 +87,15 @@ MIXED = FaultSpec(seed=13, straggler_prob=0.4, drop_prob=0.35,
 
 FAULTS = {"none": NULL_FAULTS, "mixed": MIXED, "hostile": HOSTILE}
 
-def reverse_drain_interleave(stream_lengths):
-    """Each source's stream whole, last source first: a FIFO model that
-    is neither round-robin nor random, so it takes the generic arrival
-    path of :func:`repro.shuffle.engine.arrival_slots`."""
-    lengths = np.asarray(stream_lengths, dtype=np.int64)
-    return np.repeat(np.arange(len(lengths), dtype=np.int64)[::-1], lengths[::-1])
+def reverse_drain_interleave(histogram):
+    """Each source's stream whole, last source first, at every
+    destination: a FIFO model that is neither round-robin nor random,
+    so it takes the generic arrival path of
+    :func:`repro.shuffle.engine.arrival_slots`."""
+    reversed_hist = np.asarray(histogram, dtype=np.int64)[::-1]
+    num_src, num_dest = reversed_hist.shape
+    sources = np.arange(num_src, dtype=np.int64)[::-1]
+    return np.repeat(np.tile(sources, num_dest), reversed_hist.T.reshape(-1))
 
 
 INTERLEAVES = {
@@ -331,9 +334,11 @@ class TestFaultReplayEdgeCases:
     """The array replay against the stream-by-stream scalar oracle."""
 
     @staticmethod
-    def plan(spec, drop_rounds, duplicates):
+    def plan(spec, drop_rounds, duplicates, timeout_rounds=None):
         drop_rounds = np.asarray(drop_rounds, dtype=np.int64)
         num_src, num_dest = drop_rounds.shape
+        if timeout_rounds is None:
+            timeout_rounds = np.zeros(num_dest, dtype=np.int64)
         return FaultPlan(
             spec=spec,
             num_sources=num_src,
@@ -342,7 +347,7 @@ class TestFaultReplayEdgeCases:
             straggler_factor=np.ones(num_src),
             drop_rounds=drop_rounds,
             duplicates=np.asarray(duplicates, dtype=np.int64),
-            timeout_rounds=np.zeros(num_dest, dtype=np.int64),
+            timeout_rounds=np.asarray(timeout_rounds, dtype=np.int64),
         )
 
     def assert_replays_match(self, plan, sizes_b):
@@ -377,6 +382,28 @@ class TestFaultReplayEdgeCases:
         stats = self.assert_replays_match(plan, [[8, 16], [0, 24], [32, 8]])
         assert stats.retries == 1 + 3 + 2
         assert stats.duplicates_discarded == 2
+
+    def test_timeouts_and_drops_on_several_destinations(self):
+        # Destinations 0, 2 and 3 are disrupted, 1 and 4 healthy;
+        # destinations 0, 1 and 3 time out, 4 would but receives
+        # nothing.  These sizes and backoff make the float totals differ
+        # under a source-major, a reversed or a timeout-reversed fold.
+        spec = FaultSpec(seed=1, drop_prob=0.5, duplicate_prob=0.5,
+                         timeout_prob=0.5, max_retries=3, backoff_base=0.29)
+        plan = self.plan(
+            spec,
+            [[2, 0, 1, 0, 0], [0, 0, 3, 1, 0], [3, 0, 0, 2, 0]],
+            [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 1, 0]],
+            timeout_rounds=[2, 1, 0, 3, 1],
+        )
+        sizes_b = [[2528, 2800, 256, 0, 0], [1072, 0, 480, 2752, 0],
+                   [2864, 2544, 0, 736, 0]]
+        stats = self.assert_replays_match(plan, sizes_b)
+        assert stats.degraded_destinations == 3
+        assert stats.retries == 2 + 3 + 1 + 3 + 1 + 2
+        assert stats.duplicates_discarded == 1 + 1 + 1
+        assert stats.timeout_rounds == 2 + 1 + 3
+        assert stats.backoff_stalls == stats.retries + stats.timeout_rounds
 
     @pytest.mark.parametrize("max_retries", [1, 4])
     def test_every_attempt_dropped(self, max_retries):

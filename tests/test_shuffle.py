@@ -9,6 +9,7 @@ from repro.analytics.tuples import Relation
 from repro.columnar.soa import SegmentedColumns
 from repro.shuffle import (
     ShuffleEngine,
+    arrival_slots,
     random_interleave,
     round_robin_interleave,
     write_traces,
@@ -24,6 +25,11 @@ def relation(keys, name="r"):
     )
 
 
+def column(stream_lengths):
+    """One destination's stream lengths as a one-column histogram."""
+    return np.array(stream_lengths, dtype=np.int64).reshape(-1, 1)
+
+
 def arrival_pairs(sources):
     """Arrival sources -> list of (src, idx) tuples: under the FIFO
     contract, a source's ``i``-th arrival is element ``i`` of its stream."""
@@ -37,37 +43,85 @@ def arrival_pairs(sources):
 
 class TestInterleave:
     def test_round_robin_order(self):
-        assert arrival_pairs(round_robin_interleave([2, 2])) == [
+        assert arrival_pairs(round_robin_interleave(column([2, 2]))) == [
             (0, 0), (1, 0), (0, 1), (1, 1)
         ]
 
     def test_round_robin_uneven(self):
-        assert arrival_pairs(round_robin_interleave([3, 1])) == [
+        assert arrival_pairs(round_robin_interleave(column([3, 1]))) == [
             (0, 0), (1, 0), (0, 1), (0, 2)
         ]
 
     def test_round_robin_total(self):
-        sources = round_robin_interleave([5, 0, 3, 7])
+        sources = round_robin_interleave(column([5, 0, 3, 7]))
         assert len(sources) == 15 and sources.dtype == np.int64
         assert np.bincount(sources).tolist() == [5, 0, 3, 7]
 
     def test_round_robin_empty(self):
-        sources = round_robin_interleave([])
+        sources = round_robin_interleave(column([]))
         assert len(sources) == 0 and sources.dtype == np.int64
 
     def test_random_preserves_per_source_fifo(self):
         # The model names sources only, so FIFO order within a source
         # holds by contract; every stream must arrive whole.
-        sources = random_interleave([10, 0, 7], seed=3)
+        sources = random_interleave(column([10, 0, 7]), seed=3)
         assert sources.dtype == np.int64
         assert np.bincount(sources, minlength=3).tolist() == [10, 0, 7]
 
     def test_random_deterministic_by_seed(self):
-        assert arrival_pairs(random_interleave([5, 5], seed=1)) == arrival_pairs(
-            random_interleave([5, 5], seed=1)
-        )
-        assert arrival_pairs(random_interleave([5, 5], seed=1)) != arrival_pairs(
-            random_interleave([5, 5], seed=2)
+        def pairs(seed):
+            return arrival_pairs(random_interleave(column([5, 5]), seed=seed))
+
+        assert pairs(1) == pairs(1)
+        assert pairs(1) != pairs(2)
+
+
+#: (source, destination) histograms with the degenerate shapes: zero
+#: sources, one destination, destinations that receive nothing.
+histograms = st.tuples(st.integers(0, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(
+        st.integers(0, 9), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+    ).map(lambda counts: np.array(counts, dtype=np.int64).reshape(shape))
+)
+
+
+class TestWholeShuffleModels:
+    """A model answers for the whole histogram in one call, exactly as
+    destination-by-destination calls would."""
+
+    @given(hist=histograms, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_random_is_a_seeded_permutation_per_destination(self, hist, seed):
+        expected = [
+            np.repeat(np.arange(hist.shape[0]), hist[:, d])[
+                np.random.default_rng(seed).permutation(int(hist[:, d].sum()))
+            ]
+            for d in range(hist.shape[1])
+        ]
+        got = random_interleave(hist, seed=seed)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.concatenate(expected).tolist()
+
+    @given(hist=histograms)
+    @settings(max_examples=80, deadline=None)
+    def test_round_robin_is_per_destination(self, hist):
+        expected = [
+            round_robin_interleave(hist[:, [d]]) for d in range(hist.shape[1])
+        ]
+        got = round_robin_interleave(hist)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.concatenate(expected).tolist()
+
+    @given(hist=histograms)
+    @settings(max_examples=80, deadline=None)
+    def test_round_robin_slots_follow_the_model(self, hist):
+        # The composite-sort fast path equals the generic path fed the
+        # same model's arrivals.
+        def via_model(h):
+            return round_robin_interleave(h)
+
+        assert arrival_slots(hist, round_robin_interleave).tolist() == (
+            arrival_slots(hist, via_model).tolist()
         )
 
 

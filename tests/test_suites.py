@@ -210,6 +210,16 @@ class TestFamilies:
         names = enc.decode(tables["products"].keys)
         assert names == sorted(names)
 
+    def test_string_family_builds_its_encoder_once(self):
+        family = StringKeyFamily()
+        params = family.cache_params()
+        assert family.encoder() is family.encoder()
+        # The cached encoder is no field: equality, hash and the cache
+        # key still see the parameters alone.
+        assert family == StringKeyFamily()
+        assert hash(family) == hash(StringKeyFamily())
+        assert family.cache_params() == params == StringKeyFamily().cache_params()
+
 
 # ---------------------------------------------------------------------------
 # Registry.

@@ -6,6 +6,7 @@ Usage::
     python tools/profile_experiment.py fig7 --scale 500
     python tools/profile_experiment.py fig6 --sort tottime --top 40
     python tools/profile_experiment.py suites --sort tottime
+    python tools/profile_experiment.py sweep --sort tottime
 
 Runs the named experiment's ``run()`` end-to-end (workload generation,
 functional operator execution, performance/energy modeling) from cold
@@ -13,8 +14,10 @@ caches and prints the top functions by cumulative time -- the same view
 that motivated the segmented columnar kernel layer.  ``suites`` profiles
 one cold query-suites run instead: every suite on every system preset,
 ``jobs=1``, plus the JSON export, at seed 202 -- one rep of perfbench's
-``query-suites`` workload.  ``make profile EXPERIMENT=fig6`` is the
-developer entry point.
+``query-suites`` workload.  ``sweep`` profiles one cold rep of
+perfbench's ``design-sweep`` workload: its systems, operators and
+partition counts, at its first seed, read from ``perfbench/workloads.py``.
+``make profile EXPERIMENT=fig6`` is the developer entry point.
 
 No third-party dependencies: runs anywhere the repo's Python does.
 """
@@ -26,7 +29,9 @@ import cProfile
 import functools
 import importlib
 import pstats
+import sys
 import time
+from pathlib import Path
 from typing import Callable
 
 #: Experiment name -> module path; every module exposes ``run(scale=...)``.
@@ -62,9 +67,26 @@ def suites_rep() -> Callable[[], object]:
     return lambda: run.run(jobs=1).to_json()
 
 
+def sweep_rep() -> Callable[[], object]:
+    """One cold design-sweep rep (every system x operator x partition
+    count at the workload's first seed, export included), with the grid
+    read from perfbench's workload definition."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    from repro.api import Sweep
+
+    sweep = Sweep(
+        systems=workloads.sweep_systems(),
+        workloads=workloads.OPERATORS,
+        seeds=workloads.SWEEP_SEEDS[:1],
+        num_partitions=workloads.SWEEP_PARTITIONS,
+    )
+    return lambda: sweep.run(jobs=1).to_json()
+
+
 #: Runs profiled without an experiment module: name -> set-up returning
 #: the callable to profile.
-RUNS = {"suites": suites_rep}
+RUNS = {"suites": suites_rep, "sweep": sweep_rep}
 
 
 def profile_experiment(name: str, scale: float, sort: str, top: int) -> pstats.Stats:
