@@ -5,8 +5,7 @@ evaluation depends on:
 
 - an HMC-style stacked-DRAM model with the Table 3 timing parameters
   (:mod:`repro.dram`);
-- the vault controllers' permutable-write engine and shuffle barrier
-  (:mod:`repro.memctrl`);
+- the vault controllers' shuffle barrier (:mod:`repro.memctrl`);
 - on-chip mesh and inter-device SerDes interconnects
   (:mod:`repro.interconnect`);
 - analytic core models for out-of-order and in-order-SIMD compute units

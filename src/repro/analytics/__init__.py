@@ -7,16 +7,10 @@ relationship between join relations (every S tuple matches exactly one R
 tuple).
 """
 
-from repro.analytics.hashing import (
-    bucket_of_high_bits,
-    bucket_of_low_bits,
-    hash_table_slot,
-    multiplicative_hash,
-)
+from repro.analytics.hashing import bucket_of_low_bits
 from repro.analytics.histogram import build_histogram
 from repro.analytics.skew import (
     make_skewed_groupby_workload,
-    make_skewed_sort_workload,
     partition_imbalance,
     zipf_keys,
 )
@@ -41,17 +35,13 @@ __all__ = [
     "ScanWorkload",
     "SortWorkload",
     "TUPLE_B",
-    "bucket_of_high_bits",
     "bucket_of_low_bits",
     "build_histogram",
-    "hash_table_slot",
     "make_groupby_workload",
     "make_join_workload",
     "make_scan_workload",
     "make_skewed_groupby_workload",
-    "make_skewed_sort_workload",
     "make_sort_workload",
-    "multiplicative_hash",
     "partition_imbalance",
     "zipf_keys",
 ]

@@ -21,7 +21,6 @@ from repro.analytics.tuples import Relation
 from repro.analytics.workload import (
     DEFAULT_KEY_SPACE_BITS,
     GroupByWorkload,
-    SortWorkload,
     _payloads,
     _placed,
 )
@@ -74,33 +73,6 @@ def make_skewed_groupby_workload(
     keys = zipf_keys(rng, n, num_distinct, alpha, key_space_bits)
     relation = Relation.from_arrays(keys, _payloads(rng, n), "skewed_groupby_input")
     return GroupByWorkload(
-        flat=_placed(relation, num_partitions), key_space_bits=key_space_bits
-    )
-
-
-def make_skewed_sort_workload(
-    n: int,
-    num_partitions: int = 64,
-    alpha: float = 1.2,
-    seed: int = 0,
-    key_space_bits: int = DEFAULT_KEY_SPACE_BITS,
-) -> SortWorkload:
-    """Sort workload whose key *values* cluster (hot key ranges).
-
-    Unlike the group-by skew, here the clustering is in value space:
-    keys concentrate in a narrow band, which breaks *range* (high-bit)
-    partitioning instead of hash partitioning.
-    """
-    rng = np.random.default_rng(seed)
-    # Concentrate most keys in 1/64th of the space, spread the rest.
-    n_hot = int(n * 0.8)
-    band = 1 << max(1, key_space_bits - 6)
-    base = rng.integers(0, (1 << key_space_bits) - band, dtype=np.uint64)
-    hot = base + rng.integers(0, band, n_hot, dtype=np.uint64)
-    cold = rng.integers(0, 1 << key_space_bits, n - n_hot, dtype=np.uint64)
-    keys = rng.permutation(np.concatenate([hot, cold])).astype(np.uint64)
-    relation = Relation.from_arrays(keys, _payloads(rng, n), "skewed_sort_input")
-    return SortWorkload(
         flat=_placed(relation, num_partitions), key_space_bits=key_space_bits
     )
 

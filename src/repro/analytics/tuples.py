@@ -92,11 +92,6 @@ class Relation:
     def slice(self, start: int, stop: int, name: Optional[str] = None) -> "Relation":
         return Relation(self._data[start:stop], name or self.name)
 
-    def concat(self, other: "Relation", name: Optional[str] = None) -> "Relation":
-        return Relation(
-            np.concatenate([self._data, other._data]), name or self.name
-        )
-
     def sorted_by_key(self, name: Optional[str] = None) -> "Relation":
         # Imported here: the columnar package imports this module.
         from repro.columnar.kernels import stable_argsort

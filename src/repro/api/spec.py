@@ -157,9 +157,6 @@ class SystemSpec:
     def with_timing(self, **overrides) -> "SystemSpec":
         return replace(self, timing=dict(self.timing, **overrides))
 
-    def with_interconnect(self, **overrides) -> "SystemSpec":
-        return replace(self, interconnect=dict(self.interconnect, **overrides))
-
     def with_faults(self, **overrides) -> "SystemSpec":
         """Override the deterministic shuffle fault schedule
         (:class:`~repro.faults.plan.FaultSpec` fields, e.g.

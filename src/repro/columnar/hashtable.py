@@ -1,12 +1,14 @@
 """Segmented open-addressing hash table: many per-partition tables as
 one slot array.
 
-The hash-join probe phase builds one :class:`~repro.operators.hashtable.
-LinearProbingHashTable` per partition and probes it with that
-partition's S tuples; the per-partition *probe-step counts* feed the
-performance model (every probe step is one random memory access), so a
-batched replacement must reproduce them exactly -- not just the lookup
-results.
+The hash probe phase builds one linear-probing table per partition and
+probes it with that partition's S tuples; the per-partition *probe-step
+counts* feed the performance model (every probe step is one random
+memory access), so the batched table must reproduce a per-partition
+table's counts exactly -- not just the lookup results.  The
+one-partition table it is pinned against,
+:class:`~repro.operators.hashtable.LinearProbingHashTable`, is a test
+oracle that production never imports.
 
 :class:`SegmentedLinearProbingTable` lays the per-segment tables out in
 one flat slot array (each segment gets its own power-of-two capacity
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analytics.hashing import EMPTY_KEY, next_pow2
+from repro.analytics.hashing import EMPTY_KEY, HASH_MULTIPLIER, next_pow2
 
 
 class SegmentedLinearProbingTable:
@@ -69,9 +71,9 @@ class SegmentedLinearProbingTable:
 
     def _home_slots(self, keys: np.ndarray, seg_of: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            mixed = keys * np.uint64(0x9E3779B97F4A7C15)
-        # Byte-identical to hash_table_slot per segment -- same constant,
-        # same shift; spelled out here because the shift varies per item.
+            mixed = keys * HASH_MULTIPLIER
+        # Byte-identical to the oracle's hash_table_slot per segment --
+        # same multiplier, same shift; here the shift varies per item.
         return mixed >> self._shifts[seg_of]
 
     def insert_batch(

@@ -24,7 +24,7 @@ Invariants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,11 +104,3 @@ class SegmentedColumns:
         out["key"] = self.keys
         out["payload"] = self.payloads
         return out
-
-    def to_relations(self, name: str = "segment") -> List[Relation]:
-        """Per-segment relations, as slices of one shared buffer."""
-        struct = self.to_struct()
-        return [
-            Relation(struct[self.segments[i] : self.segments[i + 1]], f"{name}/{i}")
-            for i in range(self.num_segments)
-        ]

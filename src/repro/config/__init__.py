@@ -12,16 +12,15 @@ from repro.config.cores import (
     cortex_a57_cpu,
     krait400_nmp,
 )
-from repro.config.dram import DramTiming, HmcGeometry, default_hmc_geometry, default_timing
+from repro.config.dram import DramTiming, HmcGeometry, default_hmc_geometry
 from repro.config.energy import EnergyConfig, default_energy_config
-from repro.config.interconnect import InterconnectConfig, default_interconnect_config
+from repro.config.interconnect import InterconnectConfig
 from repro.config.system import (
     EVALUATED_PRESETS,
     HEADLINE_PRESETS,
     SYSTEM_PRESETS,
     SystemConfig,
     get_preset,
-    preset_names,
 )
 
 __all__ = [
@@ -38,9 +37,6 @@ __all__ = [
     "cortex_a57_cpu",
     "default_energy_config",
     "default_hmc_geometry",
-    "default_interconnect_config",
-    "default_timing",
     "get_preset",
     "krait400_nmp",
-    "preset_names",
 ]

@@ -90,34 +90,13 @@ class HmcGeometry:
         return self.num_stacks * self.vaults_per_stack
 
     @property
-    def total_capacity_b(self) -> int:
-        return self.total_vaults * self.vault_capacity_b
-
-    @property
     def banks_per_vault(self) -> int:
         """One bank per DRAM layer slice of the vault."""
         return self.layers
 
     @property
-    def rows_per_vault(self) -> int:
-        return self.vault_capacity_b // self.row_size_b
-
-    @property
-    def rows_per_bank(self) -> int:
-        return self.rows_per_vault // self.banks_per_vault
-
-    @property
-    def stack_capacity_b(self) -> int:
-        return self.vaults_per_stack * self.vault_capacity_b
-
-    @property
     def vault_peak_bw_bps(self) -> float:
         return self.vault_peak_bw_gbps * 1e9
-
-
-def default_timing() -> DramTiming:
-    """Timing parameters exactly as listed in Table 3."""
-    return DramTiming()
 
 
 def default_hmc_geometry() -> HmcGeometry:

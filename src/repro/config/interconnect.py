@@ -42,7 +42,3 @@ class InterconnectConfig:
             raise ValueError("message size must be non-negative")
         flits = (message_b + self.noc_link_b - 1) // self.noc_link_b
         return flits / self.noc_frequency_hz * 1e9
-
-
-def default_interconnect_config() -> InterconnectConfig:
-    return InterconnectConfig()

@@ -179,11 +179,6 @@ SYSTEM_PRESETS = {
 }
 
 
-def preset_names() -> list:
-    """Names of all available system presets, in evaluation order."""
-    return list(SYSTEM_PRESETS)
-
-
 def get_preset(name: str) -> SystemConfig:
     """Look up a system preset by name.
 

@@ -21,7 +21,7 @@ Two model families cover the three machines:
 
 from repro.cores.base import CoreEstimate, CoreModel
 from repro.cores.inorder_simd import InOrderSimdCoreModel
-from repro.cores.mlp import mlp_limited_bandwidth_bps, outstanding_accesses
+from repro.cores.mlp import mlp_limited_bandwidth_bps
 from repro.cores.ooo import OutOfOrderCoreModel
 from repro.cores.profile import MemEnvironment, WorkProfile
 
@@ -33,7 +33,6 @@ __all__ = [
     "OutOfOrderCoreModel",
     "WorkProfile",
     "mlp_limited_bandwidth_bps",
-    "outstanding_accesses",
 ]
 
 

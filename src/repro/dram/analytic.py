@@ -94,14 +94,6 @@ class PatternEstimate:
     avg_latency_ns: float
     sustainable_bw_bps: float
 
-    @property
-    def row_misses(self) -> int:
-        return self.activations
-
-    @property
-    def row_hits(self) -> int:
-        return self.accesses - self.activations
-
     def scaled(self, factor: float) -> "PatternEstimate":
         """Linearly scale event counts (for dataset-size extrapolation)."""
         if factor < 0:

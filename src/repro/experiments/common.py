@@ -238,19 +238,13 @@ def note_degraded() -> int:
     return _DEGRADED
 
 
-def degraded_count() -> int:
-    """How many service calls this process served locally after failure."""
-    return _DEGRADED
-
-
 def cache_stats() -> Dict[str, Any]:
-    """Per-tier hit/miss/eviction counters, plus legacy aggregates.
+    """Per-tier hit/miss/eviction counters.
 
-    The top-level ``hits``/``misses`` keys sum the workload and result
-    tiers (the pre-service shape); ``tiers`` breaks every memory tier
-    down (``operator-run`` included) and adds the persistent store when
-    one is active.  ``degraded`` counts service calls this process
-    answered locally after daemon failure.
+    ``tiers`` breaks every memory tier down (``operator-run`` included)
+    and adds the persistent store when one is active.  ``degraded``
+    counts service calls this process answered locally after daemon
+    failure.
     """
     tiers: Dict[str, Any] = {
         _WORKLOADS.name: _WORKLOADS.stats(),
@@ -262,12 +256,7 @@ def cache_stats() -> Dict[str, Any]:
     store = active_store()
     if store is not None:
         tiers["store"] = store.stats()
-    return {
-        "hits": _WORKLOADS.stats()["hits"] + _RESULTS.stats()["hits"],
-        "misses": _WORKLOADS.stats()["misses"] + _RESULTS.stats()["misses"],
-        "degraded": _DEGRADED,
-        "tiers": tiers,
-    }
+    return {"degraded": _DEGRADED, "tiers": tiers}
 
 
 # ---------------------------------------------------------------------------

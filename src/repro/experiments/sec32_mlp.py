@@ -14,7 +14,7 @@ from typing import Dict
 
 from repro.config.cores import cortex_a35_mondrian, cortex_a57_cpu, krait400_nmp
 from repro.config.dram import default_hmc_geometry
-from repro.cores.mlp import mlp_limited_bandwidth_bps, outstanding_accesses
+from repro.cores.mlp import mlp_limited_bandwidth_bps
 from repro.api import format_table
 
 #: The paper's assumptions for this back-of-envelope analysis.

@@ -2,8 +2,9 @@
 
 Table 3: 2D mesh, 16 B links, 3 cycles/hop.  Sixteen vaults form a 4x4
 mesh; messages are routed dimension-ordered (X then Y).  The model
-provides hop counts, per-message latency, serialization delay and the
-bit-distance product the energy model charges (0.04 pJ/bit/mm).
+provides hop counts, per-message latency and serialization delay; the
+NoC's Table 4 energy (0.04 pJ/bit/mm) is charged by
+:mod:`repro.energy.model`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 
-from repro.config.energy import EnergyConfig
 from repro.config.interconnect import InterconnectConfig
 
 
@@ -39,7 +39,6 @@ class MeshNoc:
         self,
         num_tiles: int,
         config: InterconnectConfig,
-        energy: EnergyConfig = None,
     ) -> None:
         if num_tiles < 1:
             raise ValueError("mesh needs at least one tile")
@@ -48,7 +47,6 @@ class MeshNoc:
             raise ValueError(f"{num_tiles} tiles do not form a square mesh")
         self._side = side
         self._config = config
-        self._energy = energy if energy is not None else EnergyConfig()
 
     @property
     def side(self) -> int:
@@ -80,8 +78,3 @@ class MeshNoc:
         """Head latency plus serialization for one message."""
         hop_ns = self._config.noc_hop_latency_ns()
         return self.hops(src, dst) * hop_ns + self._config.noc_serialization_ns(message_b)
-
-    def transfer_energy_j(self, src: int, dst: int, message_b: int) -> float:
-        """Bit x millimetre energy of moving a message (Table 4's NOC row)."""
-        distance_mm = self.hops(src, dst) * self._config.noc_hop_distance_mm
-        return message_b * 8 * distance_mm * self._energy.noc_j_per_bit_mm

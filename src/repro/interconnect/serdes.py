@@ -1,17 +1,18 @@
 """Inter-stack SerDes link model.
 
-Table 3: SerDes links at 10 GHz, 160 Gb/s per direction.  Table 4: 1
-pJ/bit idle, 3 pJ/bit busy.  SerDes energy is dominated by the *idle*
-term whenever utilization is low -- the links burn 1 pJ for every bit
-slot whether or not data flows, which is why the paper's figure 8 shows a
-large SerDes+NOC share for the underutilizing baselines.
+Table 3: SerDes links at 10 GHz, 160 Gb/s per direction.  The link's
+Table 4 energy (1 pJ/bit idle, 3 pJ/bit busy) is charged by
+:mod:`repro.energy.model`, from the run's energy events and the
+topology's link count.  The *idle* term dominates whenever utilization
+is low -- the links burn 1 pJ for every bit slot whether or not data
+flows -- which is why the paper's figure 8 shows a large SerDes+NOC
+share for the underutilizing baselines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config.energy import EnergyConfig
 from repro.config.interconnect import InterconnectConfig
 
 
@@ -20,7 +21,6 @@ class SerdesLink:
     """One bidirectional SerDes link between two devices."""
 
     config: InterconnectConfig
-    energy: EnergyConfig
 
     @property
     def bw_bps_per_dir(self) -> float:
@@ -31,22 +31,3 @@ class SerdesLink:
         if size_b < 0:
             raise ValueError("size must be non-negative")
         return size_b / self.bw_bps_per_dir * 1e9
-
-    def busy_energy_j(self, bytes_transferred: int) -> float:
-        """Marginal energy of the bits actually moved."""
-        if bytes_transferred < 0:
-            raise ValueError("bytes must be non-negative")
-        return bytes_transferred * 8 * self.energy.serdes_busy_j_per_bit
-
-    def idle_energy_j(self, duration_s: float, directions: int = 2) -> float:
-        """Idle-slot energy over a wall-clock interval.
-
-        Every bit slot of every direction costs the idle energy; busy
-        slots additionally pay the busy-minus-idle difference, which
-        :meth:`busy_energy_j` approximates by the full busy cost for
-        simplicity (< 2% error at the utilizations seen here).
-        """
-        if duration_s < 0:
-            raise ValueError("duration must be non-negative")
-        bit_slots = self.bw_bps_per_dir * 8 * duration_s * directions
-        return bit_slots * self.energy.serdes_idle_j_per_bit

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config.dram import HmcGeometry
-from repro.config.energy import EnergyConfig
 from repro.config.interconnect import InterconnectConfig
 from repro.config.system import TOPOLOGY_FULL, TOPOLOGY_STAR
 from repro.interconnect.mesh import MeshNoc
@@ -46,13 +45,11 @@ class Topology:
         self,
         geometry: HmcGeometry,
         interconnect: InterconnectConfig,
-        energy: EnergyConfig,
     ) -> None:
         self._geo = geometry
         self._cfg = interconnect
-        self._energy = energy
         self._mesh = MeshNoc(geometry.vaults_per_stack, interconnect)
-        self._link = SerdesLink(interconnect, energy)
+        self._link = SerdesLink(interconnect)
 
     @property
     def geometry(self) -> HmcGeometry:
@@ -90,18 +87,6 @@ class Topology:
         latency += self._cfg.noc_serialization_ns(message_b)
         latency += route.serdes_crossings * self._link.transfer_ns(message_b)
         return latency
-
-    def message_energy_j(self, route: Route, message_b: int) -> float:
-        """Marginal (busy) network energy of one message."""
-        bits = message_b * 8
-        noc_j = (
-            bits
-            * route.mesh_hops
-            * self._cfg.noc_hop_distance_mm
-            * self._energy.noc_j_per_bit_mm
-        )
-        serdes_j = route.serdes_crossings * self._link.busy_energy_j(message_b)
-        return noc_j + serdes_j
 
 
 class StarTopology(Topology):
@@ -184,11 +169,10 @@ def build_topology(
     kind: str,
     geometry: HmcGeometry,
     interconnect: InterconnectConfig,
-    energy: EnergyConfig,
 ) -> Topology:
     """Construct the topology named by a system preset."""
     if kind == TOPOLOGY_STAR:
-        return StarTopology(geometry, interconnect, energy)
+        return StarTopology(geometry, interconnect)
     if kind == TOPOLOGY_FULL:
-        return FullyConnectedTopology(geometry, interconnect, energy)
+        return FullyConnectedTopology(geometry, interconnect)
     raise ValueError(f"unknown topology kind: {kind!r}")

@@ -1,20 +1,13 @@
 """Vault-controller extensions of the Mondrian Data Engine.
 
-- :mod:`repro.memctrl.permutable`: the permutable-write engine -- marked
-  stores arriving at a destination vault are written to the sequential
-  tail of the destination buffer instead of their addressed location
-  (paper section 5.3), plus the shuffle_begin/shuffle_end handshake with
-  its message-signaled-interrupt completion vector (section 5.4).
+- :mod:`repro.memctrl.permutable`: the shuffle_begin/shuffle_end
+  handshake with its message-signaled-interrupt completion vector
+  (paper section 5.4).  The permutable writes themselves (section 5.3)
+  are priced by :class:`~repro.shuffle.engine.ShuffleEngine`; the
+  per-object write engine that spells them out is a test oracle in
+  :mod:`repro.operators.reference`.
 """
 
-from repro.memctrl.permutable import (
-    PermutableRegionConfig,
-    PermutableWriteEngine,
-    ShuffleBarrier,
-)
+from repro.memctrl.permutable import ShuffleBarrier
 
-__all__ = [
-    "PermutableRegionConfig",
-    "PermutableWriteEngine",
-    "ShuffleBarrier",
-]
+__all__ = ["ShuffleBarrier"]

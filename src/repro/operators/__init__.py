@@ -32,15 +32,17 @@ Exported names, by role:
 - Outputs -- ``ScanOutput``, ``JoinOutput``, ``GroupByOutput``: each
   operator's verifiable functional result (Group by's is columnar: a
   key array plus one array per aggregate).
-- Building blocks -- ``LinearProbingHashTable`` (the probe substrate),
-  ``destination_map`` with ``SCHEME_LOW_BITS`` / ``SCHEME_HIGH_BITS``
-  (bucket routing), and the sort kernels ``quicksort`` / ``mergesort``
-  / ``merge_pass`` / ``bitonic_sort_runs``.
+- Building blocks -- ``destination_map`` with ``SCHEME_LOW_BITS`` /
+  ``SCHEME_HIGH_BITS`` (bucket routing).
 
-Two test-facing modules sit beside them and are not imported here:
-:mod:`repro.operators.oracle` (partition-free answers) and
+Four test-facing modules sit beside them and are not imported here:
+:mod:`repro.operators.oracle` (partition-free answers),
 :mod:`repro.operators.reference` (the slow per-partition references the
-production paths are pinned against).
+production paths are pinned against), and the one-partition kernels
+those references run -- :mod:`repro.operators.hashtable` (the
+linear-probing table) and :mod:`repro.operators.sort_algos` (mergesort,
+quicksort and the bitonic pass).  Production runs every partition at
+once through :mod:`repro.columnar`.
 """
 
 from repro.operators.base import (
@@ -52,7 +54,6 @@ from repro.operators.base import (
     PHASE_PROBE,
 )
 from repro.operators.groupby import GroupByOutput, run_groupby
-from repro.operators.hashtable import LinearProbingHashTable
 from repro.operators.join import JoinOutput, run_join
 from repro.operators.partition import (
     SCHEME_HIGH_BITS,
@@ -68,7 +69,6 @@ from repro.operators.skew import (
     plan_rebalance,
     run_partitioning_skew_aware,
 )
-from repro.operators.sort_algos import bitonic_sort_runs, merge_pass, mergesort, quicksort
 from repro.operators.sort_op import run_sort
 
 #: Dispatch table used by the systems layer.
@@ -84,7 +84,6 @@ OPERATOR_NAMES = tuple(OPERATOR_RUNNERS)
 __all__ = [
     "GroupByOutput",
     "JoinOutput",
-    "LinearProbingHashTable",
     "OPERATOR_NAMES",
     "OPERATOR_RUNNERS",
     "OperatorRun",
@@ -101,11 +100,7 @@ __all__ = [
     "run_partitioning_skew_aware",
     "SCHEME_HIGH_BITS",
     "SCHEME_LOW_BITS",
-    "bitonic_sort_runs",
     "destination_map",
-    "merge_pass",
-    "mergesort",
-    "quicksort",
     "run_groupby",
     "run_join",
     "run_partitioning",

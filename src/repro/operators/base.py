@@ -10,7 +10,7 @@ models, constructs the DRAM access patterns and applies network limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.analytics.tuples import TUPLE_B
 from repro.config.system import INTERLEAVE_MODELS, INTERLEAVE_ROUND_ROBIN
@@ -121,10 +121,6 @@ class OperatorRun:
     metadata: Dict[str, Any] = field(default_factory=dict)
 
     @property
-    def partitioning_phases(self) -> List[PhaseCost]:
-        return [p for p in self.phases if p.is_partitioning]
-
-    @property
     def probe_phases(self) -> List[PhaseCost]:
         return [p for p in self.phases if not p.is_partitioning]
 
@@ -133,10 +129,6 @@ class OperatorRun:
             if p.name == name:
                 return p
         raise KeyError(f"no phase named {name!r} in {self.operator}/{self.variant}")
-
-    @property
-    def total_instructions(self) -> float:
-        return sum(p.instructions for p in self.phases)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ loop iteration; they were set from the loop structure of the reference
 radix-join code the paper builds on [Balkesen et al.] and sanity-checked
 against the per-phase IPC/bandwidth figures the paper reports
 (section 7.1).  Tests pin them so accidental drift is caught.
+:func:`merge_passes_needed` counts the dataset passes a mergesort's
+per-pass costs are charged for.
 """
 
 # -- shared --------------------------------------------------------------
@@ -114,3 +116,30 @@ HASH_TABLE_LOAD_FACTOR = 0.5
 HASH_SLOT_B = 16
 #: Bytes of one group-by aggregation slot (key + 6 running aggregates).
 GROUP_SLOT_B = 64
+
+
+# -- pass counting ---------------------------------------------------------
+
+
+def merge_passes_needed(n: int, initial_run: int = 1, way: int = 2) -> int:
+    """Number of dataset passes a ``way``-way mergesort performs on ``n``
+    elements starting from sorted runs of ``initial_run``.
+
+    Each pass multiplies the run length by the merge fan-in: scalar
+    machines merge pairwise (way=2, :data:`MERGE_WAY_SCALAR`); the
+    Mondrian unit's eight stream buffers feed an 8-to-1 SIMD merge tree
+    (way=8, :data:`MERGE_WAY_SIMD`), which is how the wide unit
+    "absorbs the log n complexity bump" (paper section 7.1).
+    """
+    if n <= 1:
+        return 0
+    if initial_run < 1:
+        raise ValueError("initial run must be >= 1")
+    if way < 2:
+        raise ValueError("merge fan-in must be >= 2")
+    passes = 0
+    run = initial_run
+    while run < n:
+        run *= way
+        passes += 1
+    return passes

@@ -37,7 +37,6 @@ from repro.operators.partition import (
     PartitionOutcome,
     run_partitioning,
 )
-from repro.operators.sort_algos import merge_passes_needed
 
 #: Aggregate record: key + count + sum + min + max + sumsq + avg = 56 B,
 #: padded to the 64 B slot of the cost model.
@@ -113,7 +112,7 @@ def sort_groupby_costs(
     initial_run = costs.BITONIC_RUN_TUPLES if variant.simd else 1
     way = costs.MERGE_WAY_SIMD if variant.simd else costs.MERGE_WAY_SCALAR
     per_part = max(1, n // num_partitions)
-    passes = merge_passes_needed(per_part, initial_run, way)
+    passes = costs.merge_passes_needed(per_part, initial_run, way)
     sort_inst = n * costs.MERGE_STEP * passes
     if variant.simd:
         k = costs.BITONIC_RUN_TUPLES.bit_length() - 1

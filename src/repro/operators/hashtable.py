@@ -1,22 +1,48 @@
-"""Vectorized open-addressing (linear-probing) hash table.
+"""One partition's open-addressing (linear-probing) hash table and its
+slot hash: a test oracle.
 
-The probe phase of the CPU / NMP-rand operators builds and probes hash
-tables; this is a real implementation -- collisions resolved by linear
-probing -- written with batched numpy rounds so paper-scale partitions
-stay tractable in Python.  Probe-distance statistics are exposed because
-they feed the random-access counts of the performance model (every probe
-step is one random memory access).
+Production hash probes build every partition's table at once with
+:class:`~repro.columnar.hashtable.SegmentedLinearProbingTable`.  This
+table holds one partition, resolving collisions by linear probing in
+batched numpy rounds, and places keys with :func:`hash_table_slot`
+(Knuth multiplicative hashing, :func:`multiplicative_hash`);
+:mod:`repro.operators.reference` probes it partition by partition, and
+the tests pin the segmented table's payloads, found flags and
+probe-step counts to it.  No production module imports this one.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.analytics.hashing import EMPTY_KEY, hash_table_slot, next_pow2
+from repro.analytics.hashing import EMPTY_KEY, HASH_MULTIPLIER, next_pow2
 
-__all__ = ["EMPTY_KEY", "LinearProbingHashTable"]
+__all__ = ["LinearProbingHashTable", "hash_table_slot", "multiplicative_hash"]
+
+_KEY_BITS = 64
+
+
+def multiplicative_hash(keys: np.ndarray, num_bits: int) -> np.ndarray:
+    """Knuth multiplicative hash to ``num_bits``-bit slot indices."""
+    if not 1 <= num_bits < _KEY_BITS:
+        raise ValueError("num_bits must be in [1, 63]")
+    keys = np.asarray(keys, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        mixed = keys * HASH_MULTIPLIER
+    shift = np.uint64(_KEY_BITS - num_bits)
+    return (mixed >> shift).astype(np.int64)
+
+
+def hash_table_slot(keys: np.ndarray, table_size: int) -> np.ndarray:
+    """Slot index in a power-of-two hash table."""
+    if table_size <= 0 or table_size & (table_size - 1):
+        raise ValueError("table_size must be a positive power of two")
+    num_bits = table_size.bit_length() - 1
+    if num_bits == 0:
+        return np.zeros(len(np.atleast_1d(keys)), dtype=np.int64)
+    return multiplicative_hash(keys, num_bits)
 
 
 class LinearProbingHashTable:
@@ -137,7 +163,3 @@ class LinearProbingHashTable:
             offsets[active[unresolved]] += np.uint64(1)
             active = active[unresolved]
         return result, found
-
-    def contains_batch(self, keys: np.ndarray) -> np.ndarray:
-        _, found = self.lookup_batch(keys)
-        return found

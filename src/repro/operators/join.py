@@ -37,7 +37,6 @@ from repro.operators.partition import (
     PartitionOutcome,
     run_partitioning,
 )
-from repro.operators.sort_algos import merge_passes_needed
 
 #: Output tuple: key + R payload + S payload, padded to 32 B.
 JOIN_OUT_B = 32
@@ -112,7 +111,7 @@ def sort_probe_costs(
         ("sort-R", n_r, per_part_r),
         ("sort-S", n_s, per_part_s),
     ):
-        passes = merge_passes_needed(per_part, initial_run, way)
+        passes = costs.merge_passes_needed(per_part, initial_run, way)
         bitonic_inst = (
             n * costs.BITONIC_STEP * _bitonic_stages(costs.BITONIC_RUN_TUPLES)
             if variant.simd

@@ -27,7 +27,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.analytics.hashing import bucket_of_high_bits, bucket_of_low_bits
+from repro.analytics.hashing import bucket_of_low_bits
 from repro.analytics.tuples import TUPLE_B, Relation
 from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import stream_salt

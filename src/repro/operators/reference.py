@@ -6,7 +6,11 @@ keeps exactly one per-partition (or per-tuple) reference per operator,
 one for the shuffle (its fault replay included), one for the skew
 planner and its plan applier, and one for the merge pass, and
 ``tests/test_reference_equivalence.py`` pins production byte-identical
-to them.
+to them.  The shuffle reference walks each source's exact write
+offsets (:func:`source_write_offsets`) and writes permutable traffic
+through :class:`PermutableWriteEngine`, the per-object form of the
+vault controller's sequential-tail writes (paper section 5.3) that
+:class:`~repro.shuffle.engine.ShuffleEngine` prices in bulk.
 
 Unlike :mod:`repro.operators.oracle`, which ignores partitioning
 altogether, the references run the same algorithms partition by
@@ -25,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analytics.histogram import build_histogram, source_write_offsets
+from repro.analytics.histogram import build_histogram
 from repro.analytics.tuples import TUPLE_B, TUPLE_DTYPE, Relation
 from repro.analytics.workload import (
     GroupByWorkload,
@@ -35,7 +39,6 @@ from repro.analytics.workload import (
 )
 from repro.faults.plan import FaultSpec
 from repro.faults.protocol import DeliverySession
-from repro.memctrl.permutable import PermutableRegionConfig, PermutableWriteEngine
 from repro.operators import costs
 from repro.operators.base import OperatorRun, OperatorVariant
 from repro.operators.groupby import (
@@ -106,6 +109,131 @@ class ScalarDeliverySession(DeliverySession):
                 self.stats.backoff_stall_b += (
                     spec.backoff_base * (2.0 ** attempt) * float(dest_totals[dest])
                 )
+
+
+def source_write_offsets(per_source: List[np.ndarray]) -> List[np.ndarray]:
+    """Exact write offset of each (source, destination) pair.
+
+    Source ``s`` writes its tuples for destination ``d`` at
+    ``sum over earlier sources of their d-counts`` plus the destination's
+    base -- the addressed (non-permutable) partitioning needs these exact
+    addresses, which is precisely the dependency-heavy bookkeeping the
+    permutable path eliminates.
+    """
+    if not per_source:
+        raise ValueError("need at least one source histogram")
+    num_buckets = len(per_source[0])
+    running = np.zeros(num_buckets, dtype=np.int64)
+    offsets = []
+    for hist in per_source:
+        hist = np.asarray(hist, dtype=np.int64)
+        if len(hist) != num_buckets:
+            raise ValueError("histograms must have equal bucket counts")
+        offsets.append(running.copy())
+        running += hist
+    return offsets
+
+
+@dataclass(frozen=True)
+class PermutableRegionConfig:
+    """Destination-buffer configuration written by the CPU at setup.
+
+    ``object_b`` is the permutability granularity: the controller only
+    permutes whole objects, never bytes within one (section 5.3), so the
+    object size must not exceed the 256 B object-buffer/HMC message limit.
+    """
+
+    base: int
+    size_b: int
+    object_b: int
+    max_object_b: int = 256
+
+    def __post_init__(self) -> None:
+        if self.size_b <= 0 or self.object_b <= 0:
+            raise ValueError("region and object sizes must be positive")
+        if self.object_b > self.max_object_b:
+            raise ValueError(
+                f"objects of {self.object_b} B exceed the {self.max_object_b} B "
+                "message limit; objects that large already exploit row locality "
+                "without permutation (paper section 5.3)"
+            )
+        if self.size_b % self.object_b:
+            raise ValueError("region size must hold a whole number of objects")
+
+    @property
+    def capacity_objects(self) -> int:
+        return self.size_b // self.object_b
+
+    def contains(self, addr: int) -> bool:
+        return self.base <= addr < self.base + self.size_b
+
+
+class PermutableWriteEngine:
+    """Sequential-tail write redirection for one vault controller.
+
+    The engine is functional: it stores the delivered objects (opaque
+    payloads) in arrival order so a caller can read back exactly what
+    the hardware would have materialized, and counts the writes.
+    """
+
+    def __init__(self, config: PermutableRegionConfig) -> None:
+        self._config = config
+        self._objects: List[object] = []
+        self._overflowed = False
+
+    @property
+    def config(self) -> PermutableRegionConfig:
+        return self._config
+
+    @property
+    def objects_written(self) -> int:
+        return len(self._objects)
+
+    @property
+    def bytes_written(self) -> int:
+        return len(self._objects) * self._config.object_b
+
+    @property
+    def next_tail_addr(self) -> int:
+        """Physical address the next arriving object will be written to."""
+        return self._config.base + self.bytes_written
+
+    @property
+    def overflowed(self) -> bool:
+        """True if a write arrived after the buffer filled.
+
+        The paper handles this by raising an exception to the CPU, which
+        re-runs the histogram with two-round partitioning; we surface the
+        flag so callers can model that retry.
+        """
+        return self._overflowed
+
+    def write(self, payload: object, marked_addr: Optional[int] = None) -> int:
+        """Deliver one permutable object; returns the address it landed at.
+
+        ``marked_addr`` is the address the request carried; it is ignored
+        for placement (that is the whole point) but validated to be inside
+        the configured region when provided, since the controller only
+        treats stores *into the permutable region* as permutable.
+        """
+        if marked_addr is not None and not self._config.contains(marked_addr):
+            raise ValueError(
+                f"permutable store to {marked_addr:#x} misses the region "
+                f"[{self._config.base:#x}, {self._config.base + self._config.size_b:#x})"
+            )
+        if len(self._objects) >= self._config.capacity_objects:
+            self._overflowed = True
+            raise MemoryError(
+                "permutable destination buffer overflow; the CPU must retry "
+                "the histogram with two-round partitioning (paper section 5.4)"
+            )
+        addr = self.next_tail_addr
+        self._objects.append(payload)
+        return addr
+
+    def drain(self) -> List[object]:
+        """Objects in the order the hardware materialized them."""
+        return list(self._objects)
 
 
 def reference_shuffle(
@@ -245,9 +373,7 @@ def reference_sort(
         else:
             data, _ = mergesort(part.data, bitonic_initial=variant.simd)
         sorted_parts.append(Relation(data, part.name))
-    output = sorted_parts[0]
-    for part in sorted_parts[1:]:
-        output = output.concat(part, "sorted")
+    output = Relation(np.concatenate([part.data for part in sorted_parts]), "sorted")
     return sort_operator_run(workload, variant, model_scale, partitioned, output)
 
 

@@ -1,13 +1,18 @@
-"""Sorting kernels: multi-pass mergesort with an optional SIMD-style
-bitonic first pass, and quicksort (the CPU's probe-phase sort).
+"""One partition's sorting kernels, a test oracle: multi-pass mergesort
+with an optional SIMD-style bitonic first pass, and quicksort (the CPU's
+probe-phase sort).
 
 The Mondrian probe phase runs mergesort because it "spends most of the
 time merging ordered streams of tuples, thus maximizing sequential
 memory accesses" (paper section 5.2), seeded by a bitonic network that
 sorts 16-tuple runs in-register, eliminating the first four merge
 passes.  Both kernels here are real algorithms executed on the data
-(vectorized across runs), and both report the pass counts the cost model
-converts into sequential DRAM traffic.
+(vectorized across runs) and report their pass counts.  Production
+sorts every partition at once with :mod:`repro.columnar.kernels` and
+prices the passes with :func:`repro.operators.costs.merge_passes_needed`;
+:mod:`repro.operators.reference` sorts partition by partition with these
+kernels, and the tests pin production to them.  No production module
+imports this one.
 """
 
 from __future__ import annotations
@@ -181,27 +186,3 @@ def quicksort(data: np.ndarray) -> Tuple[np.ndarray, SortStats]:
     order = np.argsort(data["key"], kind="stable")
     passes = max(1, math.ceil(math.log2(n))) if n > 1 else 0
     return data[order], SortStats(n=n, merge_passes=passes, bitonic_steps=0, initial_run=1)
-
-
-def merge_passes_needed(n: int, initial_run: int = 1, way: int = 2) -> int:
-    """Number of dataset passes a ``way``-way mergesort performs on ``n``
-    elements starting from sorted runs of ``initial_run``.
-
-    Each pass multiplies the run length by the merge fan-in: scalar
-    machines merge pairwise (way=2, ``costs.MERGE_WAY_SCALAR``); the
-    Mondrian unit's eight stream buffers feed an 8-to-1 SIMD merge tree
-    (way=8, ``costs.MERGE_WAY_SIMD``), which is how the wide unit
-    "absorbs the log n complexity bump" (paper section 7.1).
-    """
-    if n <= 1:
-        return 0
-    if initial_run < 1:
-        raise ValueError("initial run must be >= 1")
-    if way < 2:
-        raise ValueError("merge fan-in must be >= 2")
-    passes = 0
-    run = initial_run
-    while run < n:
-        run *= way
-        passes += 1
-    return passes

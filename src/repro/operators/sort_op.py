@@ -23,7 +23,6 @@ from repro.operators.partition import (
     PartitionOutcome,
     run_partitioning,
 )
-from repro.operators.sort_algos import merge_passes_needed
 from repro.shuffle.engine import destination_name
 
 
@@ -55,7 +54,7 @@ def mergesort_probe_cost(
     initial_run = costs.BITONIC_RUN_TUPLES if variant.simd else 1
     way = costs.MERGE_WAY_SIMD if variant.simd else costs.MERGE_WAY_SCALAR
     per_part = max(1, n // num_partitions)
-    passes = merge_passes_needed(per_part, initial_run, way)
+    passes = costs.merge_passes_needed(per_part, initial_run, way)
     instructions = n * costs.MERGE_STEP * passes
     if variant.simd:
         k = costs.BITONIC_RUN_TUPLES.bit_length() - 1

@@ -151,7 +151,10 @@ class PhaseEvaluator:
         llc_accesses = 0.0
         serdes_bytes = 0.0
         noc_bit_mm = 0.0
-        mean_hops = self._topology.mesh.mean_hops()
+        # Mean distance a bit travels on a stack's mesh.
+        mean_mm = (
+            self._topology.mesh.mean_hops() * cfg.interconnect.noc_hop_distance_mm
+        )
 
         # Sequential streams: one activation per row.
         seq_bytes = phase.seq_read_b + phase.seq_write_b
@@ -199,7 +202,7 @@ class PhaseEvaluator:
                 serdes_bytes += remote
             else:
                 serdes_bytes += phase.shuffle_b * 2  # up to the hub, back down
-            noc_bit_mm += phase.shuffle_b * 8 * mean_hops
+            noc_bit_mm += phase.shuffle_b * 8 * mean_mm
 
         # Fault-injection retries: re-sent and duplicated deliveries burn
         # SerDes and NoC energy like shuffle traffic, but never commit to
@@ -213,17 +216,17 @@ class PhaseEvaluator:
                 )
             else:
                 serdes_bytes += phase.retry_shuffle_b * 2
-            noc_bit_mm += phase.retry_shuffle_b * 8 * mean_hops
+            noc_bit_mm += phase.retry_shuffle_b * 8 * mean_mm
 
         # CPU-centric: *all* DRAM traffic crosses a SerDes link and the
         # mesh, and every cache-block demand touches the LLC.
         if not cfg.is_near_memory:
             serdes_bytes += seq_bytes
-            noc_bit_mm += seq_bytes * 8 * mean_hops
+            noc_bit_mm += seq_bytes * 8 * mean_mm
             llc_accesses += seq_bytes / cfg.core.cache_block_b
             if rand_count and level == "memory":
                 serdes_bytes += rand_count * cfg.core.cache_block_b
-                noc_bit_mm += rand_count * cfg.core.cache_block_b * 8 * mean_hops
+                noc_bit_mm += rand_count * cfg.core.cache_block_b * 8 * mean_mm
 
         return EnergyEvents(
             dram_activations=activations,

@@ -28,17 +28,15 @@ Quickstart::
     print(perf.summary())
 """
 
-from repro.pipeline.plan import PipelineRun, QueryPlan, linear_plan
+from repro.pipeline.plan import PipelineRun, QueryPlan
 from repro.pipeline.perf import (
     PipelinePerf,
     StagePerf,
     evaluate_pipeline,
-    pipeline_efficiency_improvement,
     pipeline_speedup,
 )
 from repro.pipeline.queries import (
     CANONICAL_QUERIES,
-    build_query,
     fk_join_aggregate,
     make_fk_tables,
     skewed_partition_join,
@@ -77,13 +75,10 @@ __all__ = [
     "StagePerf",
     "StagePlan",
     "bottleneck_report",
-    "build_query",
     "comparison_table",
     "evaluate_pipeline",
     "fk_join_aggregate",
-    "linear_plan",
     "make_fk_tables",
-    "pipeline_efficiency_improvement",
     "pipeline_speedup",
     "skewed_partition_join",
     "sort_then_scan",

@@ -128,13 +128,3 @@ def pipeline_speedup(baseline: PipelinePerf, candidate: PipelinePerf) -> float:
     if candidate.runtime_s <= 0:
         raise ValueError("candidate runtime must be positive")
     return baseline.runtime_s / candidate.runtime_s
-
-
-def pipeline_efficiency_improvement(
-    baseline: PipelinePerf, candidate: PipelinePerf
-) -> float:
-    """Performance-per-watt improvement, figure 9's metric lifted to
-    whole pipelines (perf/W reduces to 1/energy for identical work)."""
-    if baseline.energy_j <= 0 or candidate.energy_j <= 0:
-        raise ValueError("energies must be positive")
-    return baseline.energy_j / candidate.energy_j

@@ -17,7 +17,7 @@ which is what makes cross-machine pipeline comparisons one-liners.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.analytics.tuples import Relation
 from repro.operators.base import OperatorVariant, PhaseCost
@@ -129,26 +129,3 @@ class PipelineRun:
         raise KeyError(
             f"no stage named {name!r}; stages: {[s.name for s in self.stages]}"
         )
-
-    @property
-    def total_instructions(self) -> float:
-        return sum(s.total_instructions for s in self.stages)
-
-
-def linear_plan(
-    name: str,
-    tables: Dict[str, Relation],
-    stages: Sequence[PipelineStage],
-    num_partitions: int = 64,
-    key_space_bits: int = 48,
-    description: str = "",
-) -> QueryPlan:
-    """Convenience constructor mirroring the QueryPlan dataclass."""
-    return QueryPlan(
-        name=name,
-        tables=dict(tables),
-        stages=list(stages),
-        num_partitions=num_partitions,
-        key_space_bits=key_space_bits,
-        description=description,
-    )

@@ -31,7 +31,6 @@ import numpy as np
 from repro.analytics.tuples import Relation
 from repro.pipeline.plan import QueryPlan
 from repro.pipeline.stage import (
-    FilterStage,
     GroupByStage,
     JoinStage,
     PartitionStage,
@@ -189,14 +188,3 @@ CANONICAL_QUERY_SIZES: Dict[str, Dict[str, int]] = {
     "sort-then-scan": {"n": 16_000},
     "skewed-partition-join": {"n_r": 4_000, "n_s": 16_000},
 }
-
-
-def build_query(name: str, **kwargs) -> QueryPlan:
-    """Build a canonical query by name (see :data:`CANONICAL_QUERIES`)."""
-    try:
-        builder = CANONICAL_QUERIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown query {name!r}; choose from {sorted(CANONICAL_QUERIES)}"
-        ) from None
-    return builder(**kwargs)

@@ -76,10 +76,6 @@ class StagePlan:
     phases: List[PhaseCost]
     metadata: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def total_instructions(self) -> float:
-        return sum(p.instructions for p in self.phases)
-
     def as_operator_run(self) -> OperatorRun:
         """View this stage as an OperatorRun so the systems layer can
         evaluate it with the exact machinery used for standalone

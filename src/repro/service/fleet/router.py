@@ -36,8 +36,7 @@ error envelope and background handle are the daemon's own.
 ``serve_fleet`` is the ``python -m repro.service serve --fleet`` entry
 point; ``start_fleet_background`` is the test/doctest form.  Hedge,
 failover, respawn and degrade events are counted in the telemetry
-registry (``service.fleet.*``) and surface through ``stats`` /
-``runtime_snapshot()``.
+registry (``service.fleet.*``) and surface through ``stats``.
 """
 
 from __future__ import annotations
@@ -114,8 +113,8 @@ class Member:
         }
 
 
-def spawn_member(store_root: str, host: str = "127.0.0.1") -> Tuple[str, int, subprocess.Popen]:
-    """Start one member daemon on an ephemeral port; returns its address.
+def _start_member(store_root: str, host: str) -> subprocess.Popen:
+    """Start one member daemon process on an ephemeral port.
 
     Members are plain ``python -m repro.service serve`` processes: the
     fleet manifest in ``store_root`` is what makes their scheduler open
@@ -127,7 +126,7 @@ def spawn_member(store_root: str, host: str = "127.0.0.1") -> Tuple[str, int, su
     src = str(Path(repro.__file__).resolve().parents[1])
     current = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src if not current else src + os.pathsep + current
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [
             sys.executable, "-m", "repro.service", "serve",
             "--host", host, "--port", "0", "--store", str(store_root),
@@ -136,12 +135,52 @@ def spawn_member(store_root: str, host: str = "127.0.0.1") -> Tuple[str, int, su
         stdout=subprocess.PIPE,
         text=True,
     )
+
+
+def _announced_address(proc: subprocess.Popen) -> Tuple[str, int]:
+    """Read a started member's banner: the address it serves on."""
     banner = proc.stdout.readline()
     match = re.search(r"serving on ([\w.]+):(\d+)", banner or "")
     if not match:
-        proc.kill()
         raise RuntimeError(f"member daemon failed to announce: {banner!r}")
-    return match.group(1), int(match.group(2)), proc
+    return match.group(1), int(match.group(2))
+
+
+def _reap(procs: Sequence[subprocess.Popen]) -> None:
+    """Kill and wait out every process, closing its pipe."""
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            proc.wait(timeout=10)
+        with contextlib.suppress(OSError):
+            proc.stdout.close()
+
+
+def spawn_members(
+    store_root: str, count: int, host: str = "127.0.0.1"
+) -> List[Tuple[str, int, subprocess.Popen]]:
+    """Start ``count`` member daemons, then read their banners.
+
+    Every process starts before the first banner is read, so the
+    members boot concurrently.  If any of them fails to start or to
+    announce, every member started so far is killed and reaped before
+    the error propagates: a failed set-up leaves no process behind.
+    """
+    procs: List[subprocess.Popen] = []
+    try:
+        for _ in range(count):
+            procs.append(_start_member(store_root, host))
+        return [(*_announced_address(proc), proc) for proc in procs]
+    except BaseException:
+        _reap(procs)
+        raise
+
+
+def spawn_member(store_root: str, host: str = "127.0.0.1") -> Tuple[str, int, subprocess.Popen]:
+    """Start one member daemon on an ephemeral port; returns its address
+    and process (:func:`spawn_members` of one)."""
+    return spawn_members(store_root, 1, host)[0]
 
 
 class FleetRouter:
@@ -576,10 +615,12 @@ def build_fleet(
 ) -> FleetRouter:
     """Create the sharded store, spawn the members, wire the router."""
     sharded = ShardedResultStore(store, shards=shards, replicas=replicas)
-    members = []
-    for index in range(shards):
-        member_host, member_port, proc = spawn_member(str(sharded.root), host)
-        members.append(Member(index, member_host, member_port, proc))
+    members = [
+        Member(index, member_host, member_port, proc)
+        for index, (member_host, member_port, proc) in enumerate(
+            spawn_members(str(sharded.root), shards, host)
+        )
+    ]
     return FleetRouter(
         members,
         ring=sharded.ring,

@@ -47,15 +47,6 @@ from pathlib import Path
 from typing import Callable, Dict, Optional
 
 
-def fsync_path(path: Path) -> None:
-    """fsync an existing file by path (used on completed temp files)."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def fsync_dir(path: Path) -> None:
     """fsync a directory so a rename inside it survives power loss.
 

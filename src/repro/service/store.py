@@ -97,17 +97,6 @@ def digest_payload(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str, fsync: bool = True) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp + rename.
-
-    With ``fsync`` (the default) the write is also *durable*: the temp
-    file is fsynced before the rename and the directory after it.  Kept
-    as the store's historical entry point; the implementation lives in
-    :func:`repro.service.resilience.journal.atomic_write_text`.
-    """
-    atomic_write_text(path, text, fsync=fsync)
-
-
 def _default_fsync() -> bool:
     return os.environ.get(FSYNC_ENV, "1") != "0"
 
@@ -222,7 +211,7 @@ class ResultStore:
         # The index is advisory (rebuilt from the objects tree), so it
         # rides the fast path even on durable stores: an index lost to a
         # crash costs recency ordering, nothing else.
-        _atomic_write_text(
+        atomic_write_text(
             self._index_path,
             json.dumps({"tick": self._tick, "entries": self._entries}),
             fsync=False,
@@ -409,10 +398,6 @@ class ResultStore:
     @property
     def fsync(self) -> bool:
         return self._fsync
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self._quarantine_dir
 
     def quarantined(self) -> Iterator[str]:
         """Names of quarantined entries (digest filenames), sorted."""

@@ -31,7 +31,6 @@ from repro.suites.families import (
     WindowedFamily,
     pack_columns,
     product_vocabulary,
-    unpack_columns,
 )
 from repro.suites.registry import FAMILIES, SUITES, Suite, get_suite
 from repro.suites.runner import (
@@ -74,5 +73,4 @@ __all__ = [
     "report_json",
     "run_suite_point",
     "score_records",
-    "unpack_columns",
 ]

@@ -126,21 +126,6 @@ def pack_columns(
     return packed
 
 
-def unpack_columns(
-    packed: np.ndarray, specs: Sequence[ColumnSpec]
-) -> List[np.ndarray]:
-    """Inverse of :func:`pack_columns` (column order preserved)."""
-    total = packed_bits(specs)
-    packed = np.asarray(packed, dtype=np.uint64)
-    shift = total
-    out = []
-    for spec in specs:
-        shift -= spec.bits
-        mask = np.uint64((1 << spec.bits) - 1)
-        out.append((packed >> np.uint64(shift)) & mask)
-    return out
-
-
 def leading_column_range(specs: Sequence[ColumnSpec], below: int) -> int:
     """The packed-key bound equivalent to ``leading column < below``.
 
@@ -226,7 +211,7 @@ class DictEncoder:
     The vocabulary is sorted and deduplicated once; a word's code is its
     rank, so encoded relations run on the integer columnar kernels
     unchanged and *prefix* predicates over the strings become contiguous
-    code ranges (:meth:`prefix_range`).
+    code ranges.
     """
 
     def __init__(self, vocabulary: Sequence[str]) -> None:
@@ -269,13 +254,6 @@ class DictEncoder:
         """Number of vocabulary words lexicographically below ``word``
         -- the code bound equivalent to the predicate ``name < word``."""
         return int(np.searchsorted(self._arr, word))
-
-    def prefix_range(self, prefix: str) -> Tuple[int, int]:
-        """``(lo, hi)`` codes such that ``vocab[lo:hi]`` all start with
-        ``prefix`` -- string prefix scans as integer range scans."""
-        lo = int(np.searchsorted(self._arr, prefix))
-        hi = int(np.searchsorted(self._arr, prefix + "￿"))
-        return lo, hi
 
 
 #: Deterministic product-name vocabulary components.

@@ -8,6 +8,6 @@ executes an operator in the machine's algorithmic variant and returns a
 the Table 4 energy accounting.
 """
 
-from repro.systems.machine import Machine, build_system, run_all_systems
+from repro.systems.machine import Machine, build_system
 
-__all__ = ["Machine", "build_system", "run_all_systems"]
+__all__ = ["Machine", "build_system"]

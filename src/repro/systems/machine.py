@@ -25,9 +25,9 @@ memory and topology.  Machines of one kind share runs through the
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, Optional
+from typing import Any
 
-from repro.config.system import HEADLINE_PRESETS, SystemConfig, get_preset
+from repro.config.system import SystemConfig, get_preset
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.interconnect.topology import Topology, build_topology
 from repro.operators import OPERATOR_RUNNERS, OperatorRun, OperatorVariant
@@ -45,7 +45,7 @@ class Machine:
     def __init__(self, config: SystemConfig) -> None:
         self._config = config
         self._topology = build_topology(
-            config.topology, config.geometry, config.interconnect, config.energy
+            config.topology, config.geometry, config.interconnect
         )
         self._evaluator = PhaseEvaluator(config, self._topology)
         self._energy_model = EnergyModel(config, self._topology.num_serdes_links)
@@ -184,7 +184,7 @@ def _preset_machine(preset: str) -> Machine:
 
 
 def build_system(preset: str) -> Machine:
-    """Machine for a named preset (see ``preset_names()``).
+    """Machine for a named preset (see ``SYSTEM_PRESETS``).
 
     Machines are stateless across ``run_operator``/``run_pipeline``
     calls (the evaluator and energy model are pure functions of the
@@ -199,18 +199,3 @@ def clear_machine_cache() -> None:
     """Drop the per-preset machine singletons (``common.clear_caches``
     uses this so each cold timed run includes machine construction)."""
     _preset_machine.cache_clear()
-
-
-def run_all_systems(
-    operator: str,
-    workload: Any,
-    presets: Optional[list] = None,
-    scale_factor: float = 1.0,
-) -> Dict[str, SystemResult]:
-    """Run one operator on several systems (default: the paper's four
-    headline configurations, ``repro.config.system.HEADLINE_PRESETS``)."""
-    presets = list(presets) if presets else list(HEADLINE_PRESETS)
-    return {
-        name: build_system(name).run_operator(operator, workload, scale_factor)
-        for name in presets
-    }

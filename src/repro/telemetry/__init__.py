@@ -41,7 +41,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     registry,
-    runtime_snapshot,
 )
 from repro.telemetry.trace import (
     Span,
@@ -67,7 +66,6 @@ __all__ = [
     "encode_snapshot",
     "install_tracer",
     "registry",
-    "runtime_snapshot",
     "span",
     "tracing",
     "uninstall_tracer",

@@ -6,9 +6,9 @@ breaker's state, the fault protocol's retry totals, the in-memory cache
 tiers).  This module gives them one vocabulary and one export:
 instrumented code mirrors its totals into the process-wide
 :func:`registry` at cheap chokepoints (batch boundaries, session
-finalize, breaker flips -- never inner loops), and
-:func:`runtime_snapshot` folds the live cache/store stats in on demand
-so a single ``snapshot()`` answers "what has this process done".
+finalize, breaker flips -- never inner loops).  The live cache/store
+stats keep their own counters; the service's ``stats`` verb reports
+them next to the registry's ``metrics``, never double-counted.
 
 Everything is deterministic: snapshots are plain dicts with sorted
 iteration order downstream (the ``telemetry/v1`` codec sorts keys), and
@@ -27,7 +27,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "registry",
-    "runtime_snapshot",
 ]
 
 #: Default histogram bucket upper bounds (powers of ten; +inf implied).
@@ -161,11 +160,6 @@ class MetricsRegistry:
                 out["histograms"][name] = instrument.snapshot()
         return out
 
-    def reset(self) -> None:
-        """Drop every instrument (tests and fresh service runs)."""
-        with self._lock:
-            self._instruments.clear()
-
 
 #: The process-wide registry all instrumentation writes to.
 _REGISTRY = MetricsRegistry()
@@ -173,21 +167,3 @@ _REGISTRY = MetricsRegistry()
 
 def registry() -> MetricsRegistry:
     return _REGISTRY
-
-
-def runtime_snapshot() -> Dict[str, Any]:
-    """Registry snapshot plus the live cache/store stats, one document.
-
-    The in-memory cache tiers and the persistent result store keep
-    their own counters (they predate this registry and their tests pin
-    the shapes); rather than double-count, this folds their current
-    stats in at read time under ``cache`` / ``store`` keys next to the
-    registry's ``metrics``.
-    """
-    from repro.experiments import common
-
-    return {
-        "cache": common.cache_stats(),
-        "metrics": _REGISTRY.snapshot(),
-        "store": common.store_stats(),
-    }

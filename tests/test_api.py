@@ -23,13 +23,12 @@ from repro.config.system import (
     HEADLINE_PRESETS,
     SYSTEM_PRESETS,
     get_preset,
-    preset_names,
 )
 from repro.experiments import common, run_all
 from repro.experiments.common import ALL_SYSTEMS
 from repro.service import BatchScheduler
 from repro.suites import SuiteRun
-from repro.systems import build_system, run_all_systems
+from repro.systems import build_system
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,7 +63,7 @@ PARITY_RUNS = {
 class TestSystemSpecRoundTrips:
     def test_every_preset_round_trips(self):
         # preset -> spec -> config must reproduce get_preset exactly.
-        for name in preset_names():
+        for name in SYSTEM_PRESETS:
             assert SystemSpec.from_preset(name).to_config() == get_preset(name)
 
     def test_spec_dict_round_trip(self):
@@ -535,12 +534,6 @@ class TestSharedConstants:
 
     def test_headline_presets_exist(self):
         assert all(name in SYSTEM_PRESETS for name in HEADLINE_PRESETS)
-
-    def test_run_all_systems_default_derives_from_headline(self):
-        from repro.experiments.common import make_workload
-
-        results = run_all_systems("scan", make_workload("scan", 17, 8), scale_factor=10.0)
-        assert tuple(results) == HEADLINE_PRESETS
 
 
 class TestWorkloadPartitionProtocol:

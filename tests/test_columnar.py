@@ -110,14 +110,6 @@ class TestSegmentedColumns:
         assert columns.num_segments == 0
         assert columns.total == 0
 
-    def test_round_trip(self):
-        columns = random_columns(np.random.default_rng(2), 9, 40)
-        rels = columns.to_relations("seg")
-        back = SegmentedColumns.from_relations(rels)
-        assert np.array_equal(back.keys, columns.keys)
-        assert np.array_equal(back.payloads, columns.payloads)
-        assert np.array_equal(back.segments, columns.segments)
-
     def test_rejects_bad_segments(self):
         keys = np.zeros(4, dtype=np.uint64)
         with pytest.raises(ValueError):

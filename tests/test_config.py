@@ -14,7 +14,6 @@ from repro.config import (
     default_energy_config,
     get_preset,
     krait400_nmp,
-    preset_names,
 )
 from repro.config.system import (
     PARTITION_ADDRESSED,
@@ -53,19 +52,10 @@ class TestHmcGeometry:
     def test_paper_machine(self):
         g = HmcGeometry()
         assert g.total_vaults == 64
-        assert g.total_capacity_b == 32 * 1024**3
+        assert g.total_vaults * g.vault_capacity_b == 32 * 1024**3
         assert g.row_size_b == 256
         assert g.banks_per_vault == 8
         assert g.vault_peak_bw_gbps == 8.0
-
-    def test_row_counts(self):
-        g = HmcGeometry()
-        assert g.rows_per_vault == 512 * 1024 * 1024 // 256
-        assert g.rows_per_bank * g.banks_per_vault == g.rows_per_vault
-
-    def test_stack_capacity(self):
-        g = HmcGeometry()
-        assert g.stack_capacity_b == 8 * 1024**3
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
@@ -181,7 +171,7 @@ class TestInterconnectConfig:
 
 class TestSystemPresets:
     def test_all_presets_build(self):
-        for name in preset_names():
+        for name in SYSTEM_PRESETS:
             cfg = get_preset(name)
             assert cfg.name == name
 

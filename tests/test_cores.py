@@ -10,7 +10,6 @@ from repro.cores import (
     WorkProfile,
     build_core_model,
     mlp_limited_bandwidth_bps,
-    outstanding_accesses,
 )
 
 ENV = MemEnvironment(rand_latency_ns=37.6, seq_bw_bps=8e9, rand_bw_bps=4e9)
@@ -26,17 +25,12 @@ class TestMlpHelpers:
     def test_paper_a57_example(self):
         # Section 3.2: 128-entry ROB, 1 access / 6 instructions -> ~20 in
         # flight -> ~5.3 GB/s at 30 ns with 8 B accesses.
-        mlp = outstanding_accesses(128, 6.0, mshrs=32)
+        mlp = cortex_a57_cpu().max_outstanding_mem(6.0)
         assert 20 <= mlp <= 22
         bw = mlp_limited_bandwidth_bps(20, 30.0, 8)
         assert bw == pytest.approx(5.33e9, rel=0.01)
 
-    def test_mshr_cap(self):
-        assert outstanding_accesses(1024, 1.0, mshrs=16) == 16
-
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            outstanding_accesses(0, 6, 32)
         with pytest.raises(ValueError):
             mlp_limited_bandwidth_bps(1, 0, 8)
 

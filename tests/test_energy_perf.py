@@ -3,6 +3,7 @@ result metrics."""
 
 import pytest
 
+from repro.api import SystemSpec
 from repro.config.system import SYSTEM_PRESETS, get_preset
 from repro.energy import EnergyBreakdown, EnergyEvents, EnergyModel
 from repro.interconnect.topology import build_topology
@@ -26,7 +27,7 @@ STREAM_BUFFER_PRESETS = [
 
 def make_topology(preset):
     cfg = get_preset(preset)
-    return cfg, build_topology(cfg.topology, cfg.geometry, cfg.interconnect, cfg.energy)
+    return cfg, build_topology(cfg.topology, cfg.geometry, cfg.interconnect)
 
 
 def probe_phase(**kwargs):
@@ -193,6 +194,21 @@ class TestPhaseEvaluator:
             PhaseCost(permutable_writes=True, **shuffle)
         )
         assert perm.events.dram_activations * 3 < addr.events.dram_activations
+
+    def test_noc_energy_scales_with_hop_distance(self):
+        phase = PhaseCost(
+            name="d", category=PHASE_DISTRIBUTE, instructions=1e6,
+            seq_read_b=1e8, shuffle_b=1e8, permutable_writes=True,
+        )
+        bit_mm = {}
+        for hop_mm in (1.0, 2.0):
+            cfg = SystemSpec(
+                "mondrian", interconnect={"noc_hop_distance_mm": hop_mm}
+            ).to_config()
+            topo = build_topology(cfg.topology, cfg.geometry, cfg.interconnect)
+            bit_mm[hop_mm] = PhaseEvaluator(cfg, topo).evaluate(phase).events.noc_bit_mm
+        assert bit_mm[1.0] > 0
+        assert bit_mm[2.0] == pytest.approx(2 * bit_mm[1.0])
 
     def test_llc_resident_region_no_dram_randoms(self):
         cfg, topo = make_topology("cpu")

@@ -15,6 +15,8 @@ import asyncio
 import hashlib
 import json
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -30,7 +32,13 @@ from repro.service.fleet import (
     start_fleet_background,
 )
 from repro.service.fleet.ring import shard_name
-from repro.service.fleet.router import FleetRouter, Member, serve_fleet, spawn_member
+from repro.service.fleet.router import (
+    FleetRouter,
+    Member,
+    build_fleet,
+    serve_fleet,
+    spawn_member,
+)
 from repro.service.fleet.sharded import read_manifest
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import ResultStore, open_store
@@ -479,6 +487,38 @@ class TestLiveFleet:
         first = results[0].to_records()
         assert all(r.to_records() == first for r in results)
         assert pong["service"] == "repro.service.fleet"
+
+
+class TestFleetSetup:
+    def test_a_member_that_fails_to_announce_leaves_no_process(
+        self, tmp_path, monkeypatch
+    ):
+        """When one member never announces, set-up fails and every
+        member already started is killed and reaped, pipe closed."""
+        real_popen = subprocess.Popen
+        started = []
+
+        def popen(args, **kwargs):
+            if len(started) == 1:  # the second member exits bannerless
+                args = [sys.executable, "-c", "print('no banner here')"]
+            proc = real_popen(args, **kwargs)
+            started.append(proc)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        try:
+            with pytest.raises(RuntimeError, match="failed to announce"):
+                build_fleet(str(tmp_path), shards=2, replicas=2)
+            assert len(started) == 2
+            alive = [proc.pid for proc in started if proc.poll() is None]
+            assert alive == [], f"member processes outlived a failed set-up: {alive}"
+            assert all(proc.stdout.closed for proc in started)
+        finally:
+            for proc in started:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+                proc.stdout.close()
 
 
 class TestStopDuringRespawn:

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.config.dram import HmcGeometry
-from repro.config.energy import default_energy_config
-from repro.config.interconnect import default_interconnect_config
+from repro.config.interconnect import InterconnectConfig
 from repro.interconnect import (
     FullyConnectedTopology,
     MeshNoc,
@@ -14,8 +13,7 @@ from repro.interconnect import (
 )
 
 GEO = HmcGeometry()
-ICFG = default_interconnect_config()
-ECFG = default_energy_config()
+ICFG = InterconnectConfig()
 
 
 class TestMeshNoc:
@@ -52,13 +50,6 @@ class TestMeshNoc:
         two_flits = mesh.latency_ns(0, 1, 32)
         assert two_flits > one_flit
 
-    def test_transfer_energy(self):
-        mesh = MeshNoc(16, ICFG)
-        j = mesh.transfer_energy_j(0, 15, 64)
-        # 64 B x 8 bits x 6 hops x 1 mm x 0.04 pJ.
-        assert j == pytest.approx(64 * 8 * 6 * 0.04e-12)
-        assert mesh.transfer_energy_j(0, 0, 64) == 0.0
-
     def test_tile_bounds(self):
         with pytest.raises(ValueError):
             MeshNoc(16, ICFG).hops(0, 16)
@@ -66,36 +57,23 @@ class TestMeshNoc:
 
 class TestSerdesLink:
     def test_bandwidth(self):
-        link = SerdesLink(ICFG, ECFG)
+        link = SerdesLink(ICFG)
         assert link.bw_bps_per_dir == pytest.approx(20e9)
 
     def test_transfer_time(self):
-        link = SerdesLink(ICFG, ECFG)
+        link = SerdesLink(ICFG)
         assert link.transfer_ns(20) == pytest.approx(1.0)
         assert link.transfer_ns(0) == 0.0
 
-    def test_busy_energy(self):
-        link = SerdesLink(ICFG, ECFG)
-        assert link.busy_energy_j(1) == pytest.approx(8 * 3e-12)
-
-    def test_idle_energy_accrues_with_time(self):
-        link = SerdesLink(ICFG, ECFG)
-        one_s = link.idle_energy_j(1.0)
-        assert one_s > 0
-        assert link.idle_energy_j(2.0) == pytest.approx(2 * one_s)
-        assert link.idle_energy_j(0.0) == 0.0
-
     def test_rejects_negative(self):
-        link = SerdesLink(ICFG, ECFG)
+        link = SerdesLink(ICFG)
         with pytest.raises(ValueError):
             link.transfer_ns(-1)
-        with pytest.raises(ValueError):
-            link.idle_energy_j(-1)
 
 
 class TestStarTopology:
     def make(self):
-        return StarTopology(GEO, ICFG, ECFG)
+        return StarTopology(GEO, ICFG)
 
     def test_link_count(self):
         assert self.make().num_serdes_links == 4
@@ -116,7 +94,7 @@ class TestStarTopology:
 
 class TestFullyConnectedTopology:
     def make(self):
-        return FullyConnectedTopology(GEO, ICFG, ECFG)
+        return FullyConnectedTopology(GEO, ICFG)
 
     def test_link_count(self):
         assert self.make().num_serdes_links == 6  # C(4,2)
@@ -146,25 +124,19 @@ class TestFullyConnectedTopology:
         remote = topo.message_latency_ns(topo.route(0, 16), 64)
         assert remote > local
 
-    def test_message_energy_components(self):
-        topo = self.make()
-        local = topo.message_energy_j(topo.route(0, 1), 64)
-        remote = topo.message_energy_j(topo.route(0, 16), 64)
-        assert remote > local > 0
-
 
 class TestBuildTopology:
     def test_dispatch(self):
-        assert isinstance(build_topology("star", GEO, ICFG, ECFG), StarTopology)
+        assert isinstance(build_topology("star", GEO, ICFG), StarTopology)
         assert isinstance(
-            build_topology("fully-connected", GEO, ICFG, ECFG), FullyConnectedTopology
+            build_topology("fully-connected", GEO, ICFG), FullyConnectedTopology
         )
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
-            build_topology("ring", GEO, ICFG, ECFG)
+            build_topology("ring", GEO, ICFG)
 
     def test_vault_bounds(self):
-        topo = build_topology("fully-connected", GEO, ICFG, ECFG)
+        topo = build_topology("fully-connected", GEO, ICFG)
         with pytest.raises(ValueError):
             topo.route(0, 64)

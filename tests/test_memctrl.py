@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memctrl import (
-    PermutableRegionConfig,
-    PermutableWriteEngine,
-    ShuffleBarrier,
-)
+from repro.memctrl import ShuffleBarrier
+from repro.operators.reference import PermutableRegionConfig, PermutableWriteEngine
 
 
 class TestPermutableRegionConfig:
@@ -113,10 +110,9 @@ class TestShuffleBarrier:
     def test_protocol_happy_path(self):
         barrier = self.announced(2, [[0, 64], [0, 32]])
         assert barrier.expected_bytes(1) == 96
-        assert not barrier.vault_complete(1)
+        assert barrier.completion_vector() == (True, False)
         barrier.deliver(1, 64)
         barrier.deliver(1, 32)
-        assert barrier.vault_complete(1)
         assert barrier.all_complete()
         assert barrier.completion_vector() == (True, True)
 
@@ -162,7 +158,7 @@ class TestShuffleBarrier:
         with pytest.raises(ValueError):
             barrier.announce_all(np.zeros((1, 6), dtype=np.int64))
         with pytest.raises(ValueError):
-            barrier.vault_complete(9)
+            barrier.deliver(9, 0)
 
     def test_incomplete_until_all_vaults(self):
         barrier = self.announced(3, np.full((3, 3), 8))

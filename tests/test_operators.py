@@ -74,7 +74,6 @@ class TestScan:
         r = run_scan(w, VARIANTS["mondrian"])
         assert len(r.phases) == 1
         assert r.phases[0].category == PHASE_PROBE
-        assert not r.partitioning_phases
 
     def test_streaming_cost_shape(self):
         w = make_scan_workload(1000, P, seed=2)
@@ -249,7 +248,7 @@ class TestPhaseCostInvariants:
         w = make_join_workload(500, 2000, P, seed=18)
         for variant in VARIANTS.values():
             r = run_join(w, variant)
-            assert r.total_instructions > 0
+            assert sum(p.instructions for p in r.phases) > 0
             for phase in r.phases:
                 assert phase.instructions >= 0
                 assert phase.total_bytes >= 0

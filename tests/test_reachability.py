@@ -1,5 +1,6 @@
 """Every ``src/repro`` module is reachable from an entry point, or is a
-named test-only reference.
+named test-only reference; every public name in a reachable module is
+used outside the tests, or is a named test-only name.
 
 A static walk of ``import`` / ``from ... import`` statements at any
 depth (function-level lazy imports count) starts from every way the
@@ -9,9 +10,22 @@ and the report driver.  A module
 the walk never reaches is dead code unless a test compares production
 numbers against it; those are listed in :data:`TEST_ONLY_REFERENCES`,
 and production must never import them.
+
+Inside the reached modules, each public module-level function or class
+and each public method or property must have a caller: its identifier
+read in a reached module (outside its own body; an ``__init__``
+re-export or ``__all__`` entry is not a read), named in ``tools/``,
+``perfbench/`` or ``examples/``, or used by a doctested block of the
+docs.  Matching is by identifier alone, so a common name such as
+``get`` counts as used.  The check runs to a fixpoint: a name read only
+by the body of an uncalled name is uncalled too.  Names production never
+calls but a test uses to watch production behaviour are listed in
+:data:`TEST_ONLY_NAMES`.
 """
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 import repro
@@ -24,11 +38,36 @@ SRC = ROOT / "src"
 TEST_ONLY_REFERENCES = {
     "repro.dram.bank": "tests/test_dram.py",
     "repro.dram.vault": "tests/test_integration_event_replay.py",
+    "repro.operators.hashtable": "tests/test_hashtable.py",
     "repro.operators.reference": "tests/test_reference_equivalence.py",
+    "repro.operators.sort_algos": "tests/test_sort_algos.py",
+}
+
+#: Public names of reached modules that production never calls, each
+#: with a test that reads production behaviour through it.
+TEST_ONLY_NAMES = {
+    "repro.columnar.hashtable.SegmentedLinearProbingTable.capacities": (
+        "tests/test_columnar.py"
+    ),
+    "repro.memctrl.permutable.ShuffleBarrier.completion_vector": (
+        "tests/test_reference_equivalence.py"
+    ),
+    "repro.memctrl.permutable.ShuffleBarrier.expected_bytes": (
+        "tests/test_reference_equivalence.py"
+    ),
+    "repro.suites.runner.functional_digests": "tests/test_suites.py",
+    "repro.telemetry.codec.decode_snapshot": "tests/test_telemetry.py",
+    "repro.telemetry.trace.Tracer.find": "tests/test_telemetry.py",
 }
 
 #: Modules run directly rather than imported by the package.
 ENTRY_MODULES = ("repro.experiments.run_all",)
+
+#: Trees outside ``src/`` whose code counts as a production caller.
+CALLER_DIRS = ("tools", "perfbench", "examples")
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+_DOCTEST_FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
 
 def module_files():
@@ -89,6 +128,105 @@ def entry_points(modules):
     return roots
 
 
+def production_modules():
+    """Dotted name -> source file of every module production loads."""
+    modules = module_files()
+    reached = reachable(modules, entry_points(modules))
+    return {name: modules[name] for name in sorted(reached)}
+
+
+def public_definitions(module, path, tree):
+    """``(qualified name, identifier, path, first line, last line)`` of
+    each public module-level function or class and each public method
+    or property of a module-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name, path, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    not sub.name.startswith("_")
+                ):
+                    yield (
+                        f"{module}.{node.name}.{sub.name}",
+                        sub.name,
+                        path,
+                        sub.lineno,
+                        sub.end_lineno,
+                    )
+
+
+def identifier_reads(tree):
+    """``(identifier, line)`` of every name or attribute the code reads.
+
+    Import aliases and string constants are not reads, so neither an
+    ``__init__`` re-export nor an ``__all__`` entry counts.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def outside_callers():
+    """Identifiers named by the caller trees or by doctested doc blocks."""
+    names = set()
+    for directory in CALLER_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            names.update(_IDENTIFIER.findall(path.read_text()))
+    for path in [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md")):
+        for block in _DOCTEST_FENCE.findall(path.read_text()):
+            if ">>>" in block:
+                names.update(_IDENTIFIER.findall(block))
+    return names
+
+
+def uncalled_names(modules, kept):
+    """Qualified name -> ``file:line`` of every public name in
+    ``modules`` with no caller, found by iterating to a fixpoint.
+
+    Names in ``kept`` count as called, and so do the names they read.
+    """
+    definitions = []
+    reads = defaultdict(list)  # identifier -> [(path, line)]
+    for module, path in modules.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        definitions.extend(public_definitions(module, path, tree))
+        for identifier, line in identifier_reads(tree):
+            reads[identifier].append((path, line))
+    called_outside = outside_callers()
+
+    def inside(span, path, line):
+        return span[0] == path and span[1] <= line <= span[2]
+
+    dead = {}
+    while True:
+        dead_spans = list(dead.values())
+        newly = {}
+        for qualname, identifier, path, first, last in definitions:
+            if qualname in dead or qualname in kept:
+                continue
+            if identifier in called_outside:
+                continue
+            own = (path, first, last)
+            if any(
+                not inside(own, where, line)
+                and not any(inside(span, where, line) for span in dead_spans)
+                for where, line in reads[identifier]
+            ):
+                continue
+            newly[qualname] = own
+        if not newly:
+            return {
+                qualname: f"{path.relative_to(ROOT)}:{first}"
+                for qualname, (path, first, _) in sorted(dead.items())
+            }
+        dead.update(newly)
+
+
 def test_every_module_is_reachable_or_a_named_reference():
     modules = module_files()
     reached = reachable(modules, entry_points(modules))
@@ -98,4 +236,30 @@ def test_every_module_is_reachable_or_a_named_reference():
     for reference, test_file in TEST_ONLY_REFERENCES.items():
         assert reference in imported_names(ROOT / test_file, "tests"), (
             f"{test_file} no longer compares against {reference}"
+        )
+
+
+def test_every_public_name_is_called_or_a_named_test_only_name():
+    uncalled = uncalled_names(production_modules(), kept=TEST_ONLY_NAMES)
+    assert not uncalled, "public names nothing calls:\n" + "\n".join(
+        f"  {name} ({where})" for name, where in uncalled.items()
+    )
+
+
+def test_test_only_names_are_current():
+    """Each listed name still exists, still has no production caller,
+    and its test still uses it."""
+    modules = production_modules()
+    defined = {
+        qualname
+        for module, path in modules.items()
+        for qualname, *_ in public_definitions(module, path, ast.parse(path.read_text()))
+    }
+    uncalled = uncalled_names(modules, kept=())
+    for name, test_file in TEST_ONLY_NAMES.items():
+        assert name in defined, f"{name} is gone; drop it from TEST_ONLY_NAMES"
+        assert name in uncalled, f"production calls {name}; drop it from TEST_ONLY_NAMES"
+        identifier = name.rpartition(".")[2]
+        assert identifier in _IDENTIFIER.findall((ROOT / test_file).read_text()), (
+            f"{test_file} no longer uses {name}"
         )

@@ -27,11 +27,7 @@ from repro.service import (
 )
 from repro.service.client import IDEMPOTENT_VERBS, ServiceDegradedWarning
 from repro.service.resilience.retry import RetryBudget
-from repro.service.resilience.journal import (
-    atomic_write_text,
-    fsync_dir,
-    fsync_path,
-)
+from repro.service.resilience.journal import atomic_write_text, fsync_dir
 from repro.service.store import FSYNC_ENV
 
 #: Small, fast scenario parameters shared across the module.
@@ -201,11 +197,6 @@ class TestJournal:
     def test_fsync_dir_is_a_noop_on_unopenable_paths(self, tmp_path):
         fsync_dir(tmp_path / "missing")  # must not raise
 
-    def test_fsync_path_flushes_an_existing_file(self, tmp_path):
-        target = tmp_path / "doc.json"
-        target.write_text("{}")
-        fsync_path(target)  # durability barrier on a real fd
-
     def test_atomic_write_cleans_its_temp_on_failure(self, tmp_path):
         target = tmp_path / "collision"
         target.mkdir()  # os.replace onto a directory must fail
@@ -343,7 +334,7 @@ class TestStoreCrashSafety:
         assert not store.contains(digest)
         assert list(store.quarantined()) == [f"{digest}.json"]
         # The corrupt bytes are preserved for post-mortems.
-        assert (store.quarantine_dir / f"{digest}.json").read_text() == "{torn"
+        assert (tmp_path / "quarantine" / f"{digest}.json").read_text() == "{torn"
 
     def test_startup_recovery_rolls_forward_and_discards(self, tmp_path):
         self._warm(tmp_path)
@@ -583,15 +574,14 @@ class TestResilientClient:
 
     def test_degrade_local_falls_back_with_a_warning(self):
         scenario = Scenario("cpu", "scan", **FAST)
-        before = common.degraded_count()
+        before = common.cache_stats()["degraded"]
         client = ServiceClient(port=self._dead_port(), retries=0,
                                degrade="local", sleep=no_sleep)
         with pytest.warns(ServiceDegradedWarning, match="degrading evaluate"):
             results = client.evaluate(scenario)
         assert results.to_records() == scenario.run().to_records()
         assert client.resilience["degraded"] == 1
-        assert common.degraded_count() == before + 1
-        assert common.cache_stats()["degraded"] >= 1
+        assert common.cache_stats()["degraded"] == before + 1
 
     def test_degrade_local_covers_sweeps_too(self):
         grid = {"systems": ["cpu"], "workloads": ["scan"],

@@ -397,8 +397,6 @@ class TestStoreTier:
             "hits": 1, "misses": 1, "evictions": 0, "entries": 1,
         }
         assert stats["tiers"]["store"]["puts"] == 1
-        # Legacy aggregate keys survive for old callers.
-        assert stats["hits"] == stats["tiers"]["workload"]["hits"] + 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analytics.skew import (
     make_skewed_groupby_workload,
-    make_skewed_sort_workload,
     partition_imbalance,
     zipf_keys,
 )
@@ -44,18 +43,6 @@ class TestSkewedWorkloads:
         w = make_skewed_groupby_workload(5000, P, alpha=1.2, seed=3)
         assert w.total_tuples == 5000
         assert w.num_partitions == P
-
-    def test_skewed_sort_workload_clusters_values(self):
-        w = make_skewed_sort_workload(5000, P, seed=4)
-        keys = w.flat.keys
-        # Bin the key space into 64 equal ranges: the hot band should
-        # capture most of the mass in one bin.
-        bins = (keys >> np.uint64(w.key_space_bits - 6)).astype(np.int64)
-        counts = np.bincount(bins, minlength=64)
-        # The hot band may straddle a bin boundary; the top two bins
-        # together must hold most of the mass.
-        top2 = np.sort(counts)[-2:].sum()
-        assert top2 > 0.6 * len(keys)
 
     def test_imbalance_metric(self):
         assert partition_imbalance([10, 10, 10]) == pytest.approx(1.0)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analytics.tuples import TUPLE_DTYPE, Relation
+from repro.operators.costs import merge_passes_needed
 from repro.operators.sort_algos import (
     bitonic_sort_runs,
     merge_pass,
-    merge_passes_needed,
     mergesort,
     quicksort,
 )

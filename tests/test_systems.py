@@ -11,7 +11,7 @@ from repro.analytics.workload import (
 )
 from repro.operators.oracle import oracle_join, oracle_scan, oracle_sort
 from repro.perf.result import partition_speedup, probe_speedup
-from repro.systems import Machine, build_system, run_all_systems
+from repro.systems import Machine, build_system
 
 P = 16
 SCALE = 500.0
@@ -69,11 +69,6 @@ class TestMachineBasics:
             r = build_system(name).run_operator("sort", w)
             assert r.output.is_sorted()
             assert r.output.multiset_equal(oracle_sort(w))
-
-    def test_run_all_systems_helper(self):
-        w = make_scan_workload(500, P, seed=34)
-        results = run_all_systems("scan", w, presets=["cpu", "mondrian"])
-        assert set(results) == {"cpu", "mondrian"}
 
 
 class TestPaperOrderings:

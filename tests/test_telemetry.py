@@ -34,7 +34,6 @@ from repro.telemetry import (
     encode_snapshot,
     install_tracer,
     registry,
-    runtime_snapshot,
     span,
     tracing,
     uninstall_tracer,
@@ -176,11 +175,6 @@ class TestMetrics:
             reg.gauge("x")
         with pytest.raises(ValueError):
             reg.counter("x").inc(-1)
-
-    def test_runtime_snapshot_shape(self):
-        snap = runtime_snapshot()
-        assert set(snap) == {"cache", "metrics", "store"}
-        assert set(snap["metrics"]) == {"counters", "gauges", "histograms"}
 
     def test_codec_roundtrip_and_version_check(self):
         reg = MetricsRegistry()
