@@ -10,6 +10,7 @@ operators built on these kernels are pinned against their references in
 import numpy as np
 import pytest
 
+from repro.analytics.hashing import EMPTY_KEY
 from repro.analytics.tuples import TUPLE_DTYPE, Relation
 from repro.analytics.workload import make_join_workload, make_scan_workload
 from repro.columnar import (
@@ -358,6 +359,38 @@ class TestSegmentedHashTable:
             assert table.lookup_probe_steps[pos] == scalar.lookup_probe_steps, i
             assert table.capacities[pos] == scalar.capacity, i
             offset += len(probes[pos])
+
+
+    def test_segments_do_not_see_each_others_keys(self):
+        table = SegmentedLinearProbingTable(np.array([4, 4]))
+        table.insert_batch(
+            np.array([7], dtype=np.uint64),
+            np.array([70], dtype=np.uint64),
+            np.array([0]),
+        )
+        payloads, found = table.lookup_batch(
+            np.array([7, 8, 7], dtype=np.uint64), np.array([0, 0, 1])
+        )
+        assert list(found) == [True, False, False]
+        assert list(payloads) == [70, 0, 0]
+
+    def test_rejects_the_empty_sentinel_key(self):
+        table = SegmentedLinearProbingTable(np.array([4]))
+        with pytest.raises(ValueError, match="sentinel"):
+            table.insert_batch(
+                np.array([EMPTY_KEY], dtype=np.uint64),
+                np.array([1], dtype=np.uint64),
+                np.array([0]),
+            )
+
+    def test_rejects_overfilling_a_segment(self):
+        table = SegmentedLinearProbingTable(np.array([1, 8]), load_factor=1.0)
+        assert list(table.capacities) == [2, 8]
+        keys = np.arange(1, 4, dtype=np.uint64)
+        with pytest.raises(MemoryError):
+            table.insert_batch(keys, keys, np.zeros(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="load factor"):
+            SegmentedLinearProbingTable(np.array([4]), load_factor=0.0)
 
 
 class TestSegmentedSearchsorted:

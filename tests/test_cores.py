@@ -34,6 +34,13 @@ class TestMlpHelpers:
         with pytest.raises(ValueError):
             mlp_limited_bandwidth_bps(1, 0, 8)
 
+    def test_mshr_cap(self):
+        # One access per instruction fills the 128-entry ROB with memory
+        # instructions; the MSHRs, not the window, then bound MLP.
+        core = cortex_a57_cpu()
+        assert core.rob_entries > core.mshrs
+        assert core.max_outstanding_mem(1.0) == core.mshrs
+
 
 class TestBuildCoreModel:
     def test_dispatch(self):

@@ -106,6 +106,35 @@ class TestEnergyModel:
         e = model.phase_energy(EnergyEvents(), 1.0, 0.3)
         assert e.serdes_noc_j > 0
 
+    def test_noc_energy_charged_per_bit_mm(self):
+        model = EnergyModel(get_preset("mondrian"), 6)
+        # 64 B x 8 bits x 6 hops x 1 mm at 0.04 pJ/bit/mm (Table 4).
+        e = model.phase_energy(EnergyEvents(noc_bit_mm=64 * 8 * 6), 0.0, 0.3)
+        assert e.serdes_noc_j == pytest.approx(64 * 8 * 6 * 0.04e-12)
+
+    def test_serdes_busy_energy_charged_per_bit(self):
+        model = EnergyModel(get_preset("mondrian"), 6)
+        e = model.phase_energy(EnergyEvents(serdes_bytes=1), 0.0, 0.3)
+        assert e.serdes_noc_j == pytest.approx(8 * 3e-12)
+
+    def test_serdes_idle_energy_per_link_and_second(self):
+        cfg = get_preset("mondrian")
+        no_links = EnergyModel(cfg, 0).phase_energy(EnergyEvents(), 1.0, 0.3)
+        six_links = EnergyModel(cfg, 6).phase_energy(EnergyEvents(), 1.0, 0.3)
+        # NoC leakage alone without links; each link idles at 1 pJ/bit in
+        # both directions at its full bandwidth.
+        assert no_links.serdes_noc_j == pytest.approx(
+            cfg.energy.noc_leakage_w * cfg.geometry.num_stacks
+        )
+        idle_bits = 6 * cfg.interconnect.serdes_bw_bps_per_dir * 8 * 2
+        assert six_links.serdes_noc_j - no_links.serdes_noc_j == pytest.approx(
+            idle_bits * 1e-12
+        )
+
+    def test_rejects_negative_link_count(self):
+        with pytest.raises(ValueError, match="link count"):
+            EnergyModel(get_preset("mondrian"), -1)
+
     def test_input_validation(self):
         model = EnergyModel(get_preset("cpu"), 4)
         with pytest.raises(ValueError):
@@ -194,6 +223,24 @@ class TestPhaseEvaluator:
             PhaseCost(permutable_writes=True, **shuffle)
         )
         assert perm.events.dram_activations * 3 < addr.events.dram_activations
+
+    def test_shuffle_crosses_serdes_only_between_stacks(self):
+        """Near memory, only the share of a shuffle bound for another
+        stack crosses a SerDes link; a CPU-centric machine carries every
+        shuffled byte up to the host and back down."""
+        phase = PhaseCost(
+            name="d", category=PHASE_DISTRIBUTE, instructions=1e6,
+            shuffle_b=1e8, permutable_writes=True,
+        )
+        cfg, topo = make_topology("mondrian")
+        near = PhaseEvaluator(cfg, topo).evaluate(phase).events
+        stacks = cfg.geometry.num_stacks
+        assert near.serdes_bytes == pytest.approx(1e8 * (stacks - 1) / stacks)
+        cfg, topo = make_topology("cpu")
+        host = PhaseEvaluator(cfg, topo).evaluate(
+            PhaseCost(name="d", category=PHASE_DISTRIBUTE, instructions=1e6, shuffle_b=1e8)
+        ).events
+        assert host.serdes_bytes == pytest.approx(2e8)
 
     def test_noc_energy_scales_with_hop_distance(self):
         phase = PhaseCost(

@@ -38,6 +38,7 @@ from repro.service.fleet.router import (
     build_fleet,
     serve_fleet,
     spawn_member,
+    spawn_members,
 )
 from repro.service.fleet.sharded import read_manifest
 from repro.service.client import ServiceClient, ServiceError
@@ -513,6 +514,38 @@ class TestFleetSetup:
             alive = [proc.pid for proc in started if proc.poll() is None]
             assert alive == [], f"member processes outlived a failed set-up: {alive}"
             assert all(proc.stdout.closed for proc in started)
+        finally:
+            for proc in started:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+                proc.stdout.close()
+
+
+    def test_a_member_that_fails_to_start_leaves_no_process(
+        self, tmp_path, monkeypatch
+    ):
+        """When starting a later member raises, the members already
+        started are killed and reaped before the error propagates."""
+        real_popen = subprocess.Popen
+        started = []
+
+        def popen(args, **kwargs):
+            if started:
+                raise OSError("cannot start another member")
+            proc = real_popen(
+                [sys.executable, "-c", "import time; time.sleep(60)"], **kwargs
+            )
+            started.append(proc)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        try:
+            with pytest.raises(OSError, match="cannot start"):
+                spawn_members(str(tmp_path), 3)
+            assert len(started) == 1
+            assert started[0].poll() is not None, "the started member outlived set-up"
+            assert started[0].stdout.closed
         finally:
             for proc in started:
                 if proc.poll() is None:

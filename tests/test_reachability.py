@@ -25,8 +25,11 @@ calls but a test uses to watch production behaviour are listed in
 
 import ast
 import re
+import sys
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -263,3 +266,105 @@ def test_test_only_names_are_current():
         assert identifier in _IDENTIFIER.findall((ROOT / test_file).read_text()), (
             f"{test_file} no longer uses {name}"
         )
+
+
+def test_oracles_are_defined_only_in_test_only_modules():
+    oracles = {"LinearProbingHashTable", "PermutableRegionConfig", "PermutableWriteEngine"}
+    production = {
+        f"{module}.{node.name}"
+        for module, path in production_modules().items()
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name in oracles
+    }
+    assert not production, f"oracles defined in production modules: {sorted(production)}"
+
+
+# -- the checks themselves, on a small synthetic tree -------------------------
+
+
+@pytest.fixture
+def tree(tmp_path, monkeypatch):
+    """Write ``{relative path: source}`` under a fresh root and return
+    the dotted-name -> file map of its ``src/pkg`` modules."""
+    monkeypatch.setattr(sys.modules[__name__], "ROOT", tmp_path)
+    for directory in ("src/pkg", "docs", *CALLER_DIRS):
+        (tmp_path / directory).mkdir(parents=True)
+    (tmp_path / "README.md").write_text("# pkg\n")
+
+    def write(files):
+        for relative, source in files.items():
+            (tmp_path / relative).write_text(source)
+        modules = {}
+        for path in (tmp_path / "src" / "pkg").rglob("*.py"):
+            parts = path.relative_to(tmp_path / "src").with_suffix("").parts
+            modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+        return modules
+
+    return write
+
+
+def test_an_uncalled_helper_is_named_with_its_file_and_line(tree):
+    modules = tree({
+        "src/pkg/core.py": (
+            "def used():\n"
+            "    return 1\n"
+            "\n"
+            "def helper():\n"
+            "    return 2\n"
+            "\n"
+            "class Thing:\n"
+            "    def run(self):\n"
+            "        return used()\n"
+        ),
+        "src/pkg/main.py": "from pkg.core import Thing\nThing().run()\n",
+    })
+    assert uncalled_names(modules, kept=()) == {"pkg.core.helper": "src/pkg/core.py:4"}
+
+
+def test_a_name_read_only_by_an_uncalled_name_is_uncalled_too(tree):
+    modules = tree({
+        "src/pkg/core.py": (
+            "def outer():\n"
+            "    return inner()\n"
+            "\n"
+            "def inner():\n"
+            "    return 0\n"
+        ),
+    })
+    assert set(uncalled_names(modules, kept=())) == {"pkg.core.outer", "pkg.core.inner"}
+    assert uncalled_names(modules, kept={"pkg.core.outer"}) == {}
+
+
+def test_a_reexport_or_all_entry_is_not_a_read(tree):
+    modules = tree({
+        "src/pkg/__init__.py": 'from pkg.core import helper\n__all__ = ["helper"]\n',
+        "src/pkg/core.py": "def helper():\n    return 2\n",
+    })
+    assert set(uncalled_names(modules, kept=())) == {"pkg.core.helper"}
+
+
+def test_caller_trees_and_doctested_docs_count_as_callers(tree):
+    modules = tree({
+        "src/pkg/core.py": (
+            "def from_example():\n    return 1\n"
+            "def from_doctest():\n    return 2\n"
+            "def from_plain_block():\n    return 3\n"
+        ),
+        "examples/demo.py": "from pkg.core import from_example\nfrom_example()\n",
+        "docs/GUIDE.md": (
+            "```python\n>>> from pkg.core import from_doctest\n>>> from_doctest()\n2\n```\n"
+            "\n```python\nfrom_plain_block()\n```\n"
+        ),
+    })
+    assert set(uncalled_names(modules, kept=())) == {"pkg.core.from_plain_block"}
+
+
+def test_the_module_walk_follows_relative_and_lazy_imports(tree):
+    modules = tree({
+        "src/pkg/__init__.py": "",
+        "src/pkg/a.py": "def load():\n    from . import b\n    return b\n",
+        "src/pkg/b.py": "from .c import VALUE\n",
+        "src/pkg/c.py": "VALUE = 1\n",
+        "src/pkg/orphan.py": "VALUE = 2\n",
+    })
+    assert reachable(modules, {"pkg.a"}) == {"pkg", "pkg.a", "pkg.b", "pkg.c"}
