@@ -18,7 +18,6 @@ class InterconnectConfig:
     noc_link_b: int = 16
     noc_cycles_per_hop: int = 3
     noc_frequency_hz: float = 1.0e9
-    noc_hop_distance_mm: float = 1.0
     serdes_bw_gbps_per_dir: float = 160.0
     serdes_frequency_hz: float = 10.0e9
 

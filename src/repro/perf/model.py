@@ -151,10 +151,8 @@ class PhaseEvaluator:
         llc_accesses = 0.0
         serdes_bytes = 0.0
         noc_bit_mm = 0.0
-        # Mean distance a bit travels on a stack's mesh.
-        mean_mm = (
-            self._topology.mesh.mean_hops() * cfg.interconnect.noc_hop_distance_mm
-        )
+        # Mean distance a bit travels on a stack's mesh, at 1 mm per hop.
+        mean_mm = self._topology.mesh.mean_hops()
 
         # Sequential streams: one activation per row.
         seq_bytes = phase.seq_read_b + phase.seq_write_b

@@ -3,7 +3,6 @@ result metrics."""
 
 import pytest
 
-from repro.api import SystemSpec
 from repro.config.system import SYSTEM_PRESETS, get_preset
 from repro.energy import EnergyBreakdown, EnergyEvents, EnergyModel
 from repro.interconnect.topology import build_topology
@@ -241,21 +240,6 @@ class TestPhaseEvaluator:
             PhaseCost(name="d", category=PHASE_DISTRIBUTE, instructions=1e6, shuffle_b=1e8)
         ).events
         assert host.serdes_bytes == pytest.approx(2e8)
-
-    def test_noc_energy_scales_with_hop_distance(self):
-        phase = PhaseCost(
-            name="d", category=PHASE_DISTRIBUTE, instructions=1e6,
-            seq_read_b=1e8, shuffle_b=1e8, permutable_writes=True,
-        )
-        bit_mm = {}
-        for hop_mm in (1.0, 2.0):
-            cfg = SystemSpec(
-                "mondrian", interconnect={"noc_hop_distance_mm": hop_mm}
-            ).to_config()
-            topo = build_topology(cfg.topology, cfg.geometry, cfg.interconnect)
-            bit_mm[hop_mm] = PhaseEvaluator(cfg, topo).evaluate(phase).events.noc_bit_mm
-        assert bit_mm[1.0] > 0
-        assert bit_mm[2.0] == pytest.approx(2 * bit_mm[1.0])
 
     def test_llc_resident_region_no_dram_randoms(self):
         cfg, topo = make_topology("cpu")
