@@ -235,7 +235,7 @@ def main(argv=None) -> None:
     if store_stats is not None:
         print(
             "store: hits={hits} misses={misses} puts={puts} "
-            "evictions={evictions} entries={entries}".format(**store_stats),
+            "entries={entries}".format(**store_stats),
             file=sys.stderr,
         )
 

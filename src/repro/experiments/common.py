@@ -57,7 +57,7 @@ flag; :mod:`repro.service.store`): evaluated results are written as
 JSON documents keyed by a digest of the full content key, so fresh
 processes -- repeated CLI invocations, CI runs, the serving daemon's
 clients -- replay warm scenarios with zero simulation executions.
-:func:`cache_stats` reports every tier's hits/misses/evictions.
+:func:`cache_stats` reports every tier's hits/misses/entries.
 
 Two decisions every evaluation entry point shares live here, once:
 
@@ -124,19 +124,18 @@ _MISS = object()
 
 
 class CacheTier:
-    """One named get/put cache tier with hit/miss/eviction counters.
+    """One named get/put cache tier with hit/miss counters.
 
-    The memory tiers below wrap plain dicts (unbounded, so their
-    eviction count stays 0); the persistent disk tier
-    (:class:`repro.service.store.ResultStore`) exposes the same
-    ``stats()`` shape, which is what lets :func:`cache_stats` report
-    every tier uniformly.
+    The memory tiers below wrap plain (unbounded) dicts; the persistent
+    disk tier (:class:`repro.service.store.ResultStore`) exposes the
+    same ``stats()`` shape, which is what lets :func:`cache_stats`
+    report every tier uniformly.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._data: Dict[Tuple, Any] = {}
-        self._stats = {"hits": 0, "misses": 0, "evictions": 0}
+        self._stats = {"hits": 0, "misses": 0}
 
     def get(self, key: Tuple) -> Any:
         """The cached value, or the module sentinel ``_MISS``."""
@@ -156,7 +155,7 @@ class CacheTier:
 
     def clear(self) -> None:
         self._data.clear()
-        self._stats.update(hits=0, misses=0, evictions=0)
+        self._stats.update(hits=0, misses=0)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -239,7 +238,7 @@ def note_degraded() -> int:
 
 
 def cache_stats() -> Dict[str, Any]:
-    """Per-tier hit/miss/eviction counters.
+    """Per-tier hit/miss counters and occupancy.
 
     ``tiers`` breaks every memory tier down (``operator-run`` included)
     and adds the persistent store when one is active.  ``degraded``
@@ -263,16 +262,15 @@ def cache_stats() -> Dict[str, Any]:
 # The persistent store tier (REPRO_STORE / --store).
 # ---------------------------------------------------------------------------
 
-#: Environment variables configuring the default persistent tier.
+#: Environment variable naming the default persistent tier.
 STORE_ENV = "REPRO_STORE"
-STORE_MAX_BYTES_ENV = "REPRO_STORE_MAX_BYTES"
 
 _STORE: Optional[Any] = None  # ResultStore handle (lazy import)
 _STORE_PATH: Optional[str] = None
 _STORE_EXPLICIT = False
 
 
-def configure_store(path: Optional[Any], max_bytes: Optional[int] = None):
+def configure_store(path: Optional[Any]):
     """Select the persistent result-store for this process.
 
     ``path`` is a store directory, an already-open
@@ -291,7 +289,7 @@ def configure_store(path: Optional[Any], max_bytes: Optional[int] = None):
         # as a sharded, replicated store (see repro.service.fleet).
         from repro.service.store import open_store
 
-        _STORE = open_store(path, max_bytes=max_bytes or _env_max_bytes())
+        _STORE = open_store(path)
     else:
         _STORE = path  # an already-open store handle (any store protocol)
     _STORE_PATH = str(_STORE.root)
@@ -315,13 +313,6 @@ def restore_store_selection(selection: Tuple) -> None:
     _STORE_EXPLICIT, _STORE, _STORE_PATH = selection
 
 
-def _env_max_bytes() -> Optional[int]:
-    import os
-
-    raw = os.environ.get(STORE_MAX_BYTES_ENV)
-    return int(raw) if raw else None
-
-
 def active_store():
     """The persistent tier in effect: explicit ``--store`` beats env.
 
@@ -340,7 +331,7 @@ def active_store():
     if _STORE is None or _STORE_PATH != env:
         from repro.service.store import open_store
 
-        _STORE = open_store(env, max_bytes=_env_max_bytes())
+        _STORE = open_store(env)
         _STORE_PATH = env
     return _STORE
 
@@ -411,8 +402,9 @@ def tiered(
     overwritten by the rebuilt value.
 
     A memory hit still writes through to the store -- covering values
-    computed before the store was configured and healing evicted
-    entries -- once per (store root, key) per process (:data:`_PERSISTED`).
+    computed before the store was configured and healing deleted or
+    quarantined entries -- once per (store root, key) per process
+    (:data:`_PERSISTED`).
     """
     store = active_store()
     if _CACHE_ENABLED:

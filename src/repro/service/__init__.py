@@ -7,7 +7,7 @@ concurrent clients split one simulation bill:
 - :mod:`repro.service.store` -- a **content-addressed persistent result
   store**: evaluated results as JSON documents keyed by a digest of
   their full content key (system spec, workload, seed, scale, code
-  version), with atomic writes, LRU size-bounding and per-handle stats.
+  version), with atomic writes, crash recovery and per-handle stats.
   Wired under ``repro.experiments.common.run_cached_result`` as the
   second cache tier (``REPRO_STORE=dir`` / ``--store``).
 - :mod:`repro.service.codec` -- exact JSON round-trip for

@@ -20,11 +20,10 @@ member daemons over a sharded, ``--replicas R``-way replicated store at
 ``--store``, behind one router on HOST:PORT that health-checks, hedges
 slow requests after ``--hedge-after`` seconds, fails over, and respawns
 dead members -- same wire protocol, so every client below works
-unchanged.  ``--jobs`` and ``--max-bytes`` configure the single daemon
-only; ``--fleet`` refuses them.  ``submit`` sends a sweep grid to a
-running daemon and exports the returned ``ResultSet`` exactly like
-``python -m repro.api`` does; ``stats`` and ``ping`` are one-line JSON
-reports.  ``recover``
+unchanged.  ``--jobs`` configures the single daemon only; ``--fleet``
+refuses it.  ``submit`` sends a sweep grid to a running daemon and
+exports the returned ``ResultSet`` exactly like ``python -m repro.api``
+does; ``stats`` and ``ping`` are one-line JSON reports.  ``recover``
 runs the store's journal recovery + full verification scan offline and
 prints the accounting (rolled forward / discarded / quarantined) --
 fleet store roots are detected automatically and scrubbed shard by
@@ -103,10 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="process-pool width for store misses (default 1)",
-    )
-    serve_p.add_argument(
-        "--max-bytes", type=int, default=None, metavar="B",
-        help="LRU-evict store entries beyond this total payload size",
     )
     serve_p.add_argument(
         "--fleet", action="store_true",
@@ -212,12 +207,11 @@ def _cmd_serve(args) -> None:
             raise SystemExit("serve --fleet requires --store DIR")
         if args.shards < 1 or args.replicas < 1:
             raise SystemExit("--shards and --replicas must be >= 1")
-        if args.jobs != 1 or args.max_bytes is not None:
-            # Members are spawned with neither flag: refuse rather than
-            # silently serve without them.
+        if args.jobs != 1:
+            # Members are spawned without the flag: refuse rather than
+            # silently serve without it.
             raise SystemExit(
-                "serve --fleet takes neither --jobs nor --max-bytes "
-                "(members run with --jobs 1 and without --max-bytes)"
+                "serve --fleet takes no --jobs (members run with --jobs 1)"
             )
         serve_fleet(
             host=args.host,
@@ -228,13 +222,7 @@ def _cmd_serve(args) -> None:
             hedge_after=args.hedge_after if args.hedge_after > 0 else None,
         )
         return
-    serve(
-        host=args.host,
-        port=args.port,
-        store=args.store,
-        jobs=args.jobs,
-        max_bytes=args.max_bytes,
-    )
+    serve(host=args.host, port=args.port, store=args.store, jobs=args.jobs)
 
 
 def _cmd_submit(args) -> None:

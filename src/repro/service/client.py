@@ -68,9 +68,9 @@ class ServiceClient:
     """One connection to a running evaluation daemon.
 
     ``retries`` bounds resends of idempotent verbs after transport
-    failure (0 disables); ``retry_policy`` shapes the backoff between
-    attempts.  ``deadline`` is a per-request budget in seconds, both
-    enforced locally and propagated to the daemon as ``deadline_s``.
+    failure (0 disables), with exponential backoff between attempts.
+    ``deadline`` is a per-request budget in seconds, both enforced
+    locally and propagated to the daemon as ``deadline_s``.
     ``degrade`` picks the behaviour when every attempt at an
     ``evaluate``/``sweep`` fails in transport: ``"fail"`` re-raises,
     ``"local"`` falls back to in-process evaluation.  ``rng`` and
@@ -83,7 +83,6 @@ class ServiceClient:
         port: int = DEFAULT_PORT,
         timeout: Optional[float] = 300.0,
         retries: int = 2,
-        retry_policy: Optional[RetryPolicy] = None,
         deadline: Optional[float] = None,
         degrade: str = "fail",
         rng=None,
@@ -97,9 +96,7 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
         self.retries = retries
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy(retries=retries)
-        )
+        self.retry_policy = RetryPolicy(retries=retries)
         self.deadline = deadline
         self.degrade = degrade
         self._rng = rng

@@ -55,7 +55,7 @@ _MAX_LINE = 16 * 1024 * 1024  # one request line; sweep grids are small
 #: strictly O(1), so a health check succeeds mid-simulation.
 _INLINE_VERBS = frozenset({"ping", "shutdown"})
 
-#: Read-only verbs that may do bounded I/O (``stats`` reconciles the
+#: Read-only verbs that may do bounded I/O (``stats`` scans the
 #: store's objects tree): off the event loop, but not behind the batch
 #: lock either, so they answer while a sweep simulates.
 _UNLOCKED_VERBS = frozenset({"stats"})
@@ -295,13 +295,10 @@ def serve(
     port: int = DEFAULT_PORT,
     store: Optional[str] = None,
     jobs: int = 1,
-    max_bytes: Optional[int] = None,
     announce=print,
 ) -> None:
     """Run the daemon in the foreground until a ``shutdown`` request."""
-    daemon = EvaluationDaemon(
-        BatchScheduler(store=store, jobs=jobs, max_bytes=max_bytes)
-    )
+    daemon = EvaluationDaemon(BatchScheduler(store=store, jobs=jobs))
     detail = f"store={daemon.scheduler.store_path() or 'none'}"
     run_foreground(daemon, host, port, detail, announce)
 
@@ -397,7 +394,6 @@ def serve_background(
     port: int = 0,
     store: Optional[str] = None,
     jobs: int = 1,
-    max_bytes: Optional[int] = None,
 ) -> ServerHandle:
     """Start the daemon on a daemon thread; returns once it accepts.
 
@@ -405,7 +401,5 @@ def serve_background(
     address.  Used by tests, doctests and embedders that want a warm
     shared cache without a separate process.
     """
-    daemon = EvaluationDaemon(
-        BatchScheduler(store=store, jobs=jobs, max_bytes=max_bytes)
-    )
+    daemon = EvaluationDaemon(BatchScheduler(store=store, jobs=jobs))
     return start_background(daemon, host, port)

@@ -131,10 +131,10 @@ class AsyncServiceClient:
     """Pipelined asyncio client; point it at a daemon or a fleet router.
 
     ``max_connections`` caps the socket pool (in-flight requests are
-    unbounded -- they pipeline); ``retries``/``retry_policy`` shape the
-    idempotent-verb retry loop; ``deadline`` is the default per-request
-    budget in seconds, overridable per call.  Use as an async context
-    manager, or call :meth:`close` explicitly.
+    unbounded -- they pipeline); ``retries`` bounds the idempotent-verb
+    retry loop; ``deadline`` is the default per-request budget in
+    seconds, overridable per call.  Use as an async context manager, or
+    call :meth:`close` explicitly.
     """
 
     def __init__(
@@ -143,7 +143,6 @@ class AsyncServiceClient:
         port: int = DEFAULT_PORT,
         timeout: Optional[float] = 300.0,
         retries: int = 2,
-        retry_policy: Optional[RetryPolicy] = None,
         deadline: Optional[float] = None,
         max_connections: int = 8,
         rng=None,
@@ -156,9 +155,7 @@ class AsyncServiceClient:
         self.port = port
         self.timeout = timeout
         self.retries = retries
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy(retries=retries)
-        )
+        self.retry_policy = RetryPolicy(retries=retries)
         self.deadline = deadline
         self.max_connections = max_connections
         self._rng = rng

@@ -66,6 +66,18 @@ from repro.service.resilience.retry import CircuitBreaker, RetryPolicy
 from repro.version import __version__
 
 
+#: Budget for one routed member call (a cold sweep point simulates).
+MEMBER_TIMEOUT_S = 300.0
+#: Pause between health-check passes over the members.
+HEALTH_INTERVAL_S = 1.0
+#: Budget for one health ping or member ``stats`` call.
+HEALTH_TIMEOUT_S = 5.0
+#: Cap on concurrently routed per-scenario requests.
+MAX_INFLIGHT = 32
+#: Pacing of a member's consecutive respawns.
+RESPAWN_BACKOFF = RetryPolicy(base_delay=0.05, max_delay=2.0, jitter=0.0)
+
+
 def _count(name: str, amount: int = 1) -> None:
     from repro.telemetry import registry
 
@@ -192,12 +204,6 @@ class FleetRouter:
         ring: Optional[HashRing] = None,
         store: Optional[ShardedResultStore] = None,
         hedge_after: Optional[float] = 0.25,
-        member_timeout: float = 300.0,
-        health_interval: float = 1.0,
-        health_timeout: float = 5.0,
-        max_inflight: int = 32,
-        respawn: bool = True,
-        respawn_backoff: Optional[RetryPolicy] = None,
     ) -> None:
         if not members:
             raise ValueError("a fleet needs at least one member")
@@ -209,14 +215,6 @@ class FleetRouter:
         )
         self._by_shard = {m.shard: m for m in self.members}
         self.hedge_after = hedge_after
-        self.member_timeout = member_timeout
-        self.health_interval = health_interval
-        self.health_timeout = health_timeout
-        self.max_inflight = max_inflight
-        self.respawn = respawn
-        self.backoff = respawn_backoff if respawn_backoff is not None else RetryPolicy(
-            base_delay=0.05, max_delay=2.0, jitter=0.0
-        )
         self.stopping = False
         self.requests: Dict[str, int] = {}
         self.counters = {
@@ -343,7 +341,7 @@ class FleetRouter:
             primary = candidates[idx]
             tasks: Dict[asyncio.Task, Member] = {
                 asyncio.ensure_future(
-                    self._member_call(primary, request, self.member_timeout)
+                    self._member_call(primary, request, MEMBER_TIMEOUT_S)
                 ): primary
             }
             if self.hedge_after is not None and idx + 1 < len(candidates):
@@ -356,7 +354,7 @@ class FleetRouter:
                     _count("hedges")
                     tasks[
                         asyncio.ensure_future(
-                            self._member_call(hedge, request, self.member_timeout)
+                            self._member_call(hedge, request, MEMBER_TIMEOUT_S)
                         )
                     ] = hedge
             racing = set(tasks)
@@ -431,7 +429,7 @@ class FleetRouter:
 
     async def started(self) -> None:
         self._local_lock = asyncio.Lock()
-        self._inflight = asyncio.Semaphore(self.max_inflight)
+        self._inflight = asyncio.Semaphore(MAX_INFLIGHT)
         self._health = asyncio.ensure_future(self._health_loop())
 
     async def finished(self) -> None:
@@ -492,7 +490,7 @@ class FleetRouter:
         for member in self.members:
             try:
                 members[member.shard] = await self._member_call(
-                    member, {"verb": "stats"}, timeout=self.health_timeout
+                    member, {"verb": "stats"}, timeout=HEALTH_TIMEOUT_S
                 )
             except (MemberError, RuntimeError) as exc:
                 members[member.shard] = {"error": str(exc)}
@@ -520,7 +518,7 @@ class FleetRouter:
                 continue
             try:
                 await self._member_call(
-                    member, {"verb": "ping"}, timeout=self.health_timeout
+                    member, {"verb": "ping"}, timeout=HEALTH_TIMEOUT_S
                 )
                 member.breaker.record_success()
                 member.crashes = 0
@@ -531,9 +529,9 @@ class FleetRouter:
 
     async def _respawn(self, member: Member) -> None:
         """Replace a dead owned member, paced by per-member backoff."""
-        if not self.respawn or self.store is None:
+        if self.store is None:
             return
-        await asyncio.sleep(self.backoff.delay(member.crashes))
+        await asyncio.sleep(RESPAWN_BACKOFF.delay(member.crashes))
         member.crashes += 1
         loop = asyncio.get_running_loop()
         spawn = loop.run_in_executor(
@@ -559,7 +557,7 @@ class FleetRouter:
 
     async def _health_loop(self) -> None:
         while not self.stopping:
-            await asyncio.sleep(self.health_interval)
+            await asyncio.sleep(HEALTH_INTERVAL_S)
             with contextlib.suppress(Exception):
                 await self._health_check()
 
@@ -611,7 +609,6 @@ def build_fleet(
     replicas: int = 2,
     host: str = "127.0.0.1",
     hedge_after: Optional[float] = 0.25,
-    respawn: bool = True,
 ) -> FleetRouter:
     """Create the sharded store, spawn the members, wire the router."""
     sharded = ShardedResultStore(store, shards=shards, replicas=replicas)
@@ -626,7 +623,6 @@ def build_fleet(
         ring=sharded.ring,
         store=sharded,
         hedge_after=hedge_after,
-        respawn=respawn,
     )
 
 

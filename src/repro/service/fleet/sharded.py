@@ -109,7 +109,6 @@ class ShardedResultStore:
         shards: Optional[int] = None,
         replicas: Optional[int] = None,
         vnodes: Optional[int] = None,
-        max_bytes: Optional[int] = None,
         fsync: Optional[bool] = None,
     ) -> None:
         """Open (or create) the fleet store at ``root``.
@@ -118,8 +117,7 @@ class ShardedResultStore:
         a previous open is authoritative; passing them creates the
         manifest on first open and must agree with it afterwards (use
         :func:`rebalance` to change topology -- a silent re-ring would
-        strand every existing object).  ``max_bytes`` bounds each shard
-        individually.
+        strand every existing object).
         """
         self._root = Path(root)
         manifest = read_manifest(self._root)
@@ -154,9 +152,7 @@ class ShardedResultStore:
             vnodes=manifest["vnodes"],
         )
         self._shards: Dict[str, ResultStore] = {
-            name: ResultStore(
-                self._root / name, max_bytes=max_bytes, fsync=fsync
-            )
+            name: ResultStore(self._root / name, fsync=fsync)
             for name in self.ring.shards
         }
         self._pending_repairs: Dict[str, Set[str]] = {}
@@ -271,15 +267,13 @@ class ShardedResultStore:
         return healed
 
     def flush(self) -> None:
-        """Flush every shard's index and retry queued repairs."""
+        """Retry queued replica repairs (shard puts are already on disk)."""
         self.heal()
-        for store in self._shards.values():
-            store.flush()
 
     # -- introspection -------------------------------------------------------
 
     def digests(self) -> Iterator[str]:
-        """Union of every shard's known digests, sorted."""
+        """Union of every shard's digests, sorted."""
         union: Set[str] = set()
         for store in self._shards.values():
             union.update(store.digests())
@@ -312,7 +306,6 @@ class ShardedResultStore:
             shards=per_shard,
             entries=len(self),
             bytes=sum(s["bytes"] for s in per_shard.values()),
-            evictions=sum(s["evictions"] for s in per_shard.values()),
             quarantined=sum(s["quarantined"] for s in per_shard.values()),
         )
 
@@ -436,6 +429,4 @@ def rebalance(
                 if name not in owners and name in copies:
                     handle.discard(digest)
                     report["pruned"] += 1
-    for handle in holders.values():
-        handle.flush()
     return report

@@ -1,6 +1,6 @@
 """Write-ahead intent journal for crash-safe multi-file store puts.
 
-A store put touches two files (the object and, later, the index), and a
+A store put writes a temp file and renames it into place, and a
 process can die between any two syscalls -- ``kill -9``, OOM, power
 loss.  The journal makes the object write *recoverable*: before
 touching anything, the writer persists a tiny **intent record** naming

@@ -38,12 +38,7 @@ from repro.telemetry import span as _span
 class BatchScheduler:
     """Batches scenario evaluations over a shared persistent store."""
 
-    def __init__(
-        self,
-        store: Optional[Any] = None,
-        jobs: int = 1,
-        max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, store: Optional[Any] = None, jobs: int = 1) -> None:
         """``store`` is a directory path (or ``None`` to use the
         process-wide selection: ``--store`` flag / ``REPRO_STORE``);
         ``jobs`` caps the process-pool width used for store misses.
@@ -64,7 +59,7 @@ class BatchScheduler:
                 from repro.service.store import open_store
 
                 # Fleet-aware: a fleet.json-carrying root opens sharded.
-                self._store = open_store(store, max_bytes=max_bytes)
+                self._store = open_store(store)
             else:
                 self._store = store  # an already-open store handle
         self.jobs = jobs

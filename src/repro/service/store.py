@@ -11,21 +11,21 @@ serving stale numbers.
 Layout under the store root::
 
     <root>/
-      index.json               # LRU bookkeeping: {digest: {size, tick}}
       objects/<dd>/<digest>.json   # one JSON document per entry
-
-Layout under the store root (continued)::
-
       journal/<digest>.<pid>.json  # write-ahead intents (in-flight puts)
       quarantine/<digest>.json     # corrupt entries, preserved not served
 
+The objects tree is the whole state: there is no index, so every
+handle on a directory sees the same entries, and an ``index.json`` left
+by an older store is ignored.
+
 Design points:
 
-- **Atomic, durable writes.**  Every object and every index snapshot is
-  written to a same-directory temporary file and ``os.replace``d into
-  place, so a reader never observes a half-written entry and two
-  concurrent writers of the same digest leave one intact winner (last
-  writer wins; the content is identical by construction anyway).  With
+- **Atomic, durable writes.**  Every object is written to a
+  same-directory temporary file and ``os.replace``d into place, so a
+  reader never observes a half-written entry and two concurrent
+  writers of the same digest leave one intact winner (last writer
+  wins; the content is identical by construction anyway).  With
   ``fsync`` enabled (the default), the temp file is fsynced *before*
   the rename and the directory after it, so a committed entry survives
   power loss; ``fsync=False`` (or ``REPRO_STORE_FSYNC=0``) is the fast
@@ -40,16 +40,11 @@ Design points:
   overwritten, hand-edited) is treated as a *miss* and **quarantined**
   -- moved to ``quarantine/``, never served, never silently destroyed
   (the bytes stay available for post-mortems); the ``quarantined``
-  counter surfaces in ``stats``.  The index is advisory and is
-  reconciled against the ``objects/`` tree whenever it disagrees, so
-  deleting ``index.json`` loses nothing but recency ordering.
-- **LRU size-bounding.**  With ``max_bytes`` set, least-recently-used
-  entries are evicted after each put until the payload bytes fit.
-  Recency is a monotonic logical tick bumped on every hit and put (not
-  wall-clock time, so tests and replays are deterministic).
-- **Stats.**  ``hits`` / ``misses`` / ``evictions`` / ``puts`` counters
-  per store handle, surfaced by ``cache_stats()`` in the experiments
-  layer, the ``stats`` verb of the serving daemon, and the CLIs.
+  counter surfaces in ``stats``.
+- **Stats.**  ``hits`` / ``misses`` / ``puts`` counters per store
+  handle, surfaced by ``cache_stats()`` in the experiments layer, the
+  ``stats`` verb of the serving daemon, and the CLIs; ``entries`` and
+  ``bytes`` are counted from the objects tree.
 
 The store knows nothing about what it holds: callers bring their own
 codec (see :mod:`repro.service.codec` for ``SystemResult`` documents).
@@ -65,11 +60,7 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional
 
-from repro.service.resilience.journal import (
-    IntentJournal,
-    atomic_write_text,
-    fsync_dir,
-)
+from repro.service.resilience.journal import IntentJournal, fsync_dir
 
 #: Environment switch for the durability fast path: ``0`` disables the
 #: fsync-before-rename discipline process-wide (tests, scratch stores).
@@ -110,11 +101,7 @@ def _parses_as_json(path: Path) -> bool:
         return False
 
 
-def open_store(
-    root: os.PathLike,
-    max_bytes: Optional[int] = None,
-    fsync: Optional[bool] = None,
-):
+def open_store(root: os.PathLike, fsync: Optional[bool] = None):
     """Open the store at ``root``, fleet-aware.
 
     A directory carrying a ``fleet.json`` manifest opens as a
@@ -127,31 +114,21 @@ def open_store(
     if os.path.isfile(os.path.join(os.fspath(root), "fleet.json")):
         from repro.service.fleet.sharded import ShardedResultStore
 
-        return ShardedResultStore(root, max_bytes=max_bytes, fsync=fsync)
-    return ResultStore(root, max_bytes=max_bytes, fsync=fsync)
+        return ShardedResultStore(root, fsync=fsync)
+    return ResultStore(root, fsync=fsync)
 
 
 class ResultStore:
-    """A content-addressed, size-bounded, on-disk JSON document store."""
+    """A content-addressed, on-disk JSON document store."""
 
-    def __init__(
-        self,
-        root: os.PathLike,
-        max_bytes: Optional[int] = None,
-        fsync: Optional[bool] = None,
-    ) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None for unbounded)")
+    def __init__(self, root: os.PathLike, fsync: Optional[bool] = None) -> None:
         self._root = Path(root)
         self._objects = self._root / "objects"
         self._quarantine_dir = self._root / "quarantine"
-        self._index_path = self._root / "index.json"
-        self._max_bytes = max_bytes
         self._fsync = _default_fsync() if fsync is None else bool(fsync)
         self._stats = {
             "hits": 0,
             "misses": 0,
-            "evictions": 0,
             "puts": 0,
             "quarantined": 0,
             "recovered_forward": 0,
@@ -159,14 +136,11 @@ class ResultStore:
         }
         self._objects.mkdir(parents=True, exist_ok=True)
         # One handle may be shared across threads (the daemon answers
-        # read verbs while a batch writes); every public operation takes
-        # this lock, so the in-memory index never tears.
+        # read verbs while a batch writes); every counter update takes
+        # this lock, so the counters never tear.
         self._lock = threading.RLock()
         self._journal = IntentJournal(self._root, fsync=self._fsync)
         self._recover()
-        self._tick, self._entries = self._load_index()
-        self._index_dirty = False
-        self._reconcile()
 
     def _recover(self) -> None:
         """Startup recovery scan: settle every surviving write intent."""
@@ -182,98 +156,41 @@ class ResultStore:
     def root(self) -> Path:
         return self._root
 
-    @property
-    def max_bytes(self) -> Optional[int]:
-        return self._max_bytes
-
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._sizes())
 
     def __repr__(self) -> str:
-        bound = f", max_bytes={self._max_bytes}" if self._max_bytes else ""
-        return f"ResultStore({str(self._root)!r}, {len(self)} entries{bound})"
-
-    # -- index bookkeeping ---------------------------------------------------
-
-    def _load_index(self):
-        try:
-            data = json.loads(self._index_path.read_text())
-            entries = {
-                str(d): {"size": int(e["size"]), "tick": int(e["tick"])}
-                for d, e in data["entries"].items()
-            }
-            return int(data["tick"]), entries
-        except (OSError, ValueError, KeyError, TypeError):
-            # Missing or corrupt index: rebuilt from the objects tree.
-            return 0, {}
-
-    def _save_index(self) -> None:
-        # The index is advisory (rebuilt from the objects tree), so it
-        # rides the fast path even on durable stores: an index lost to a
-        # crash costs recency ordering, nothing else.
-        atomic_write_text(
-            self._index_path,
-            json.dumps({"tick": self._tick, "entries": self._entries}),
-            fsync=False,
-        )
-        self._index_dirty = False
+        return f"ResultStore({str(self._root)!r}, {len(self)} entries)"
 
     def _object_path(self, digest: str) -> Path:
         return self._objects / digest[:2] / f"{digest}.json"
 
-    def _reconcile(self) -> None:
-        """Make the index agree with the objects actually on disk.
-
-        Entries another process wrote are adopted (oldest-first by file
-        mtime, below every known tick, so they evict before anything this
-        handle has touched); entries whose file vanished are dropped, and
-        known entries' sizes are refreshed from disk.
-        """
-        on_disk = {}
+    def _sizes(self) -> Dict[str, int]:
+        """Digest -> size in bytes of every object on disk (one scan)."""
+        sizes = {}
         for path in self._objects.glob("*/*.json"):
             try:
-                on_disk[path.stem] = path.stat()
+                sizes[path.stem] = path.stat().st_size
             except OSError:
-                continue
-        for digest in list(self._entries):
-            if digest not in on_disk:
-                del self._entries[digest]
-            else:
-                self._entries[digest]["size"] = on_disk[digest].st_size
-        unknown = sorted(
-            (d for d in on_disk if d not in self._entries),
-            key=lambda d: (on_disk[d].st_mtime, d),
-        )
-        for order, digest in enumerate(unknown):
-            self._entries[digest] = {
-                "size": on_disk[digest].st_size,
-                "tick": -len(unknown) + order,
-            }
-
-    def _touch(self, digest: str, size: Optional[int] = None) -> None:
-        self._tick += 1
-        entry = self._entries.setdefault(digest, {"size": 0, "tick": self._tick})
-        entry["tick"] = self._tick
-        if size is not None:
-            entry["size"] = size
+                continue  # removed mid-scan (discard, quarantine)
+        return sizes
 
     # -- the store protocol --------------------------------------------------
 
     def contains(self, digest: str) -> bool:
-        """Probe for an entry without touching stats or recency."""
+        """Probe for an entry without touching stats."""
         return self._object_path(digest).is_file()
 
     def get(self, digest: str) -> Optional[Dict[str, Any]]:
         """The stored document, or ``None`` on a miss.
 
         A present-but-unparseable entry (truncated write from a killed
-        process, manual corruption) counts as a miss and is removed so
-        the next put can heal it.
+        process, manual corruption) counts as a miss and is quarantined
+        so the next put can heal it.
         """
         path = self._object_path(digest)
         try:
-            raw = path.read_bytes()
-            document = json.loads(raw)
+            document = json.loads(path.read_bytes())
         except FileNotFoundError:
             with self._lock:
                 self._stats["misses"] += 1
@@ -285,19 +202,9 @@ class ResultStore:
             with self._lock:
                 self._stats["misses"] += 1
                 self._quarantine(path)
-                self._entries.pop(digest, None)
-                self._save_index()
             return None
         with self._lock:
             self._stats["hits"] += 1
-            # Recency is bumped in memory only: the index is advisory,
-            # and rewriting it per hit would make warm replays
-            # disk-bound.  The next put (or an explicit flush) persists
-            # the accumulated ticks.  The size rides along so entries
-            # first seen via get() (a pool worker's write) count toward
-            # the eviction budget at their real size, not zero.
-            self._touch(digest, size=len(raw))
-            self._index_dirty = True
         return document
 
     def put(self, digest: str, document: Mapping[str, Any]) -> Path:
@@ -330,9 +237,6 @@ class ResultStore:
                 raise
         with self._lock:
             self._stats["puts"] += 1
-            self._touch(digest, size=len(text))
-            self._evict_to_budget(keep=digest)
-            self._save_index()
         return path
 
     def _quarantine(self, path: Path) -> None:
@@ -345,55 +249,19 @@ class ResultStore:
                 path.unlink()
         self._stats["quarantined"] += 1
 
-    def _drop(self, digest: str) -> None:
-        try:
-            self._object_path(digest).unlink()
-        except OSError:
-            pass
-        self._entries.pop(digest, None)
-
     def discard(self, digest: str) -> None:
         """Remove one entry outright (fleet rebalance pruning).
 
         Unlike quarantine this *is* destruction -- only callers that
         hold (or just wrote) another replica of the digest use it.
         """
-        with self._lock:
-            self._drop(digest)
-            self._save_index()
-
-    def _evict_to_budget(self, keep: Optional[str] = None) -> None:
-        """Evict least-recently-used entries until under ``max_bytes``.
-
-        The just-written entry (``keep``) survives even when it alone
-        exceeds the budget: evicting the result a caller is about to
-        rely on would turn every oversized put into a permanent miss.
-
-        The budget is enforced against this handle's view of the store
-        (sizes are tracked incrementally by put/get and refreshed by the
-        reconciles at init and :meth:`stats`); scanning the objects tree
-        on every put would make cold runs quadratic in entry count.
-        """
-        if self._max_bytes is None:
-            return
-        while self.total_bytes() > self._max_bytes and len(self._entries) > 1:
-            victim = min(
-                (d for d in self._entries if d != keep),
-                key=lambda d: self._entries[d]["tick"],
-                default=None,
-            )
-            if victim is None:
-                return
-            self._drop(victim)
-            self._stats["evictions"] += 1
-
-    # -- introspection -------------------------------------------------------
+        with contextlib.suppress(OSError):
+            self._object_path(digest).unlink()
 
     def flush(self) -> None:
-        """Persist any recency ticks accumulated by pure reads."""
-        with self._lock:
-            if self._index_dirty:
-                self._save_index()
+        """Nothing to do: every put is on disk when it returns."""
+
+    # -- introspection -------------------------------------------------------
 
     @property
     def fsync(self) -> bool:
@@ -426,17 +294,14 @@ class ResultStore:
                 checked += 1
                 if not _parses_as_json(path):
                     self._quarantine(path)
-                    self._entries.pop(path.stem, None)
                     corrupt += 1
             debris = 0
             for tmp in self._objects.glob("*/.*.tmp"):
-                # Unjournaled leftovers (pre-journal stores, interrupted
-                # index writes): plain debris, safe to delete.
+                # Unjournaled leftovers (pre-journal stores): plain
+                # debris, safe to delete.
                 with contextlib.suppress(OSError):
                     tmp.unlink()
                     debris += 1
-            self._reconcile()
-            self._save_index()
             return {
                 "checked": checked,
                 "quarantined_now": corrupt,
@@ -444,19 +309,12 @@ class ResultStore:
                 "rolled_forward": self._stats["recovered_forward"],
                 "discarded": self._stats["recovered_discarded"],
                 "debris_removed": debris,
-                "entries": len(self._entries),
+                "entries": len(self._sizes()),
             }
 
     def digests(self) -> Iterator[str]:
-        """Known digests, least-recently-used first."""
-        with self._lock:
-            return iter(
-                sorted(self._entries, key=lambda d: self._entries[d]["tick"])
-            )
-
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(e["size"] for e in self._entries.values())
+        """Digests of every object on disk, sorted."""
+        return iter(sorted(self._sizes()))
 
     def merge_stats(self, counters: Mapping[str, int]) -> None:
         """Fold another handle's counters into this one.
@@ -470,24 +328,21 @@ class ResultStore:
                 self._stats[name] += int(counters.get(name, 0))
 
     def counters(self) -> Dict[str, int]:
-        """Just the hit/miss/eviction/put counters -- O(1), no I/O.
+        """Just the hit/miss/put counters -- O(1), no I/O.
 
         For hot paths (per-task worker deltas, health checks) that must
-        not pay :meth:`stats`'s objects-tree reconcile.
+        not pay :meth:`stats`'s objects-tree scan.
         """
         with self._lock:
             return dict(self._stats)
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction/put counters plus current occupancy.
+        """Hit/miss/put counters plus current occupancy.
 
-        Occupancy is reconciled against the objects tree first (an
-        O(entries) directory scan), so entries other processes (pool
-        workers, concurrent CLIs) wrote are counted; use
+        Occupancy is counted from the objects tree (an O(entries)
+        directory scan, outside the lock), so entries other processes
+        (pool workers, concurrent CLIs) wrote are counted; use
         :meth:`counters` where occupancy is not needed.
         """
-        with self._lock:
-            self._reconcile()
-            return dict(
-                self._stats, entries=len(self._entries), bytes=self.total_bytes()
-            )
+        sizes = self._sizes()
+        return dict(self.counters(), entries=len(sizes), bytes=sum(sizes.values()))

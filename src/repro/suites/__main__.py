@@ -203,7 +203,7 @@ def _run_grid(args) -> "tuple":
     if store_stats is not None:
         print(
             "store: hits={hits} misses={misses} puts={puts} "
-            "evictions={evictions} entries={entries}".format(**store_stats),
+            "entries={entries}".format(**store_stats),
             file=sys.stderr,
         )
     return grid, results

@@ -13,7 +13,7 @@ Three small modules, stdlib only:
 ``metrics``
     Typed counters / gauges / histograms in one process-wide registry,
     unifying the ad-hoc stats the subsystems already keep (store
-    hit/miss/evict, scheduler dedup, circuit-breaker flips, fault
+    hit/miss/put, scheduler dedup, circuit-breaker flips, fault
     retry/backoff totals, cache tiers) behind one ``snapshot()``.
 
 ``codec``

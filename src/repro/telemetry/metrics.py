@@ -1,7 +1,7 @@
 """Typed metrics -- counters, gauges, histograms -- in one registry.
 
 The subsystems already keep ad-hoc stats dicts (the result store's
-hit/miss/evict counters, the scheduler's dedup tallies, the circuit
+hit/miss/put counters, the scheduler's dedup tallies, the circuit
 breaker's state, the fault protocol's retry totals, the in-memory cache
 tiers).  This module gives them one vocabulary and one export:
 instrumented code mirrors its totals into the process-wide

@@ -22,6 +22,5 @@ def _no_ambient_result_store():
     # (a function-scoped monkeypatch would be applied after those).
     mp = pytest.MonkeyPatch()
     mp.delenv(common.STORE_ENV, raising=False)
-    mp.delenv(common.STORE_MAX_BYTES_ENV, raising=False)
     yield
     mp.undo()

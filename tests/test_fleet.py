@@ -677,7 +677,7 @@ class TestFailover:
         members = [None, None]
         members[primary_index] = Member(primary_index, "127.0.0.1", bad.port)
         members[replica_index] = Member(replica_index, host, port, proc=proc)
-        router = FleetRouter(members, hedge_after=None, respawn=False)
+        router = FleetRouter(members, hedge_after=None)
         fleet = start_fleet_background(str(tmp_path), router=router)
         try:
             with ServiceClient(*fleet.address, retries=0) as client:
@@ -706,7 +706,7 @@ class TestHedging:
         members = [None, None]
         members[primary_index] = Member(primary_index, "127.0.0.1", tarpit.port)
         members[replica_index] = Member(replica_index, host, port, proc=proc)
-        router = FleetRouter(members, hedge_after=0.1, respawn=False)
+        router = FleetRouter(members, hedge_after=0.1)
         fleet = start_fleet_background(str(tmp_path), router=router)
         try:
             with ServiceClient(*fleet.address, retries=0) as client:
@@ -726,8 +726,7 @@ class TestDegradation:
             probe.bind(("127.0.0.1", 0))
             dead = probe.getsockname()[1]
         members = [Member(0, "127.0.0.1", dead), Member(1, "127.0.0.1", dead)]
-        router = FleetRouter(members, store=store, hedge_after=0.05,
-                             respawn=False)
+        router = FleetRouter(members, store=store, hedge_after=0.05)
         fleet = start_fleet_background(str(tmp_path), router=router)
         try:
             with ServiceClient(*fleet.address, retries=0) as client:

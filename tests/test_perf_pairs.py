@@ -119,3 +119,46 @@ def test_failed_or_missing_runs_are_counted():
     # Only the complete pair is compared.
     assert summary["metrics"]["throughput_per_s"]["pairs"] == 1
     assert "failed runs: 2 of 4" in perf_pairs.format_table(summary)
+
+
+def bytecode_tree(root):
+    """A checkout with caches inside and outside the cleared trees."""
+    for rel in ("src/pkg/__pycache__/a.pyc", "src/pkg/sub/__pycache__/b.pyc",
+                "perfbench/__pycache__/c.pyc", "tools/__pycache__/d.pyc",
+                "src/pkg/mod.py"):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text("")
+    return root
+
+
+def caches(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("__pycache__"))
+
+
+def test_clear_bytecode_removes_src_and_perfbench_caches(tmp_path):
+    root = bytecode_tree(tmp_path)
+    assert perf_pairs.clear_bytecode(root) == 3
+    assert caches(root) == ["tools/__pycache__"]
+    assert (root / "src/pkg/mod.py").is_file()
+    assert perf_pairs.clear_bytecode(root) == 0
+
+
+def test_main_clears_both_checkouts_before_the_first_pair(tmp_path, monkeypatch):
+    parent = bytecode_tree(tmp_path / "parent")
+    change = bytecode_tree(tmp_path / "change")
+    (change / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text()
+    )
+    seen = []
+
+    def run_once(checkout, workload, seed, seconds):
+        seen.append((checkout.name, caches(parent), caches(change)))
+        return None
+
+    monkeypatch.setattr(perf_pairs, "ROOT", change)
+    monkeypatch.setattr(perf_pairs, "PAIRS", 1)
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    assert perf_pairs.main(["--parent", str(parent),
+                            "--workload", "design-sweep"]) == 1
+    left = ["tools/__pycache__"]
+    assert seen == [("parent", left, left), ("change", left, left)]

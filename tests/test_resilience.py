@@ -38,7 +38,6 @@ FAST = dict(model_scale=50.0, num_partitions=8)
 def isolated_store_state(monkeypatch):
     """Every test starts without a persistent tier and with cold caches."""
     monkeypatch.delenv(common.STORE_ENV, raising=False)
-    monkeypatch.delenv(common.STORE_MAX_BYTES_ENV, raising=False)
     common.configure_store(None)
     common.clear_caches()
     yield

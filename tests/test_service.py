@@ -38,7 +38,6 @@ FAST = dict(model_scale=50.0, num_partitions=8)
 def isolated_store_state(monkeypatch):
     """Every test starts without a persistent tier and with cold caches."""
     monkeypatch.delenv(common.STORE_ENV, raising=False)
-    monkeypatch.delenv(common.STORE_MAX_BYTES_ENV, raising=False)
     common.configure_store(None)
     common.clear_caches()
     yield
@@ -129,46 +128,50 @@ class TestResultStore:
         store.put(digest, {"v": 2})  # healed by the next put
         assert store.get(digest) == {"v": 2}
 
-    def test_corrupt_index_is_rebuilt(self, tmp_path):
+    @pytest.mark.parametrize("index", [
+        "not json at all",
+        json.dumps({"tick": 9, "entries": {"f" * 64: {"size": 5, "tick": 1}}}),
+    ], ids=["corrupt", "stale"])
+    def test_old_index_json_is_ignored(self, tmp_path, index):
+        # An index.json left by an older store is neither read nor
+        # rewritten: the objects tree alone says what the store holds.
         store = ResultStore(tmp_path)
         digest = digest_payload({"k": 1})
-        store.put(digest, {"v": 1})
-        (tmp_path / "index.json").write_text("not json at all")
+        path = store.put(digest, {"v": 1})
+        (tmp_path / "index.json").write_text(index)
         reopened = ResultStore(tmp_path)
-        assert len(reopened) == 1
+        stats = reopened.stats()
+        assert (stats["entries"], stats["bytes"]) == (1, path.stat().st_size)
+        assert list(reopened.digests()) == [digest]
         assert reopened.get(digest) == {"v": 1}
+        assert (tmp_path / "index.json").read_text() == index
 
-    def test_lru_eviction_order(self, tmp_path):
-        digests = [digest_payload({"k": i}) for i in range(4)]
-        payload = {"pad": "x" * 64}
-        size = len(json.dumps(payload, sort_keys=True))
-        store = ResultStore(tmp_path, max_bytes=3 * size)
-        for d in digests[:3]:
-            store.put(d, payload)
-        store.get(digests[0])  # touch the oldest: now most recent
-        store.put(digests[3], payload)  # over budget -> evict LRU
-        assert store.get(digests[1]) is None  # the least recently used
-        assert store.get(digests[0]) == payload  # survived via the touch
-        assert store.get(digests[3]) == payload
-        assert store.stats()["evictions"] == 1
+    def test_store_keeps_no_index(self, tmp_path):
+        store = ResultStore(tmp_path)
+        digests = [digest_payload({"k": i}) for i in range(3)]
+        for d in digests:
+            store.put(d, {"v": d})
+        store.get(digests[0])
+        store.get("0" * 64)
+        store.discard(digests[1])
+        store.flush()
+        assert store.verify()["entries"] == 2
+        assert not (tmp_path / "index.json").exists()
+        assert list(store.digests()) == sorted([digests[0], digests[2]])
 
-    def test_oversized_entry_survives_alone(self, tmp_path):
-        store = ResultStore(tmp_path, max_bytes=8)
-        digest = digest_payload({"k": 1})
-        store.put(digest, {"pad": "y" * 100})
-        assert store.get(digest) is not None
-
-    def test_entry_adopted_via_get_counts_its_real_size(self, tmp_path):
-        # A second handle (stand-in for a pool worker) writes an entry;
-        # the first handle reads it -- the budget must see its real
-        # size, not zero, or max_bytes stores silently overgrow.
+    def test_stats_count_objects_another_handle_wrote(self, tmp_path):
+        # A second handle (stand-in for a pool worker) writes entries;
+        # the first handle's occupancy counts them at their real size.
         a = ResultStore(tmp_path)
         b = ResultStore(tmp_path)
-        digest = digest_payload({"k": 1})
-        b.put(digest, {"pad": "x" * 128})
-        before = a.total_bytes()
-        assert a.get(digest) is not None
-        assert a.total_bytes() >= before + 128
+        paths = [
+            b.put(digest_payload({"k": i}), {"pad": "x" * (128 + i)})
+            for i in range(2)
+        ]
+        stats = a.stats()
+        assert stats["entries"] == 2
+        assert stats["bytes"] == sum(p.stat().st_size for p in paths)
+        assert (stats["puts"], stats["hits"]) == (0, 0)
 
     def test_concurrent_stats_and_puts_one_handle(self, tmp_path):
         # The daemon answers `stats` on one thread while a batch writes
@@ -176,7 +179,7 @@ class TestResultStore:
         import threading
         import time
 
-        store = ResultStore(tmp_path, max_bytes=4096)
+        store = ResultStore(tmp_path)
         errors = []
         done = threading.Event()
         polls = 0
@@ -394,7 +397,7 @@ class TestStoreTier:
         # (e.g. the suite runner's "suite-result" tier on import).
         assert {"workload", "result", "store"} <= set(stats["tiers"])
         assert stats["tiers"]["result"] == {
-            "hits": 1, "misses": 1, "evictions": 0, "entries": 1,
+            "hits": 1, "misses": 1, "entries": 1,
         }
         assert stats["tiers"]["store"]["puts"] == 1
 

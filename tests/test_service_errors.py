@@ -26,7 +26,6 @@ FAST = dict(model_scale=50.0, num_partitions=8)
 @pytest.fixture(autouse=True)
 def isolated_store_state(monkeypatch):
     monkeypatch.delenv(common.STORE_ENV, raising=False)
-    monkeypatch.delenv(common.STORE_MAX_BYTES_ENV, raising=False)
     common.configure_store(None)
     common.clear_caches()
     yield
@@ -102,8 +101,7 @@ class TestBindFailure:
         from repro.service.fleet import FleetRouter, start_fleet_background
         from repro.service.fleet.router import Member
 
-        router = FleetRouter([Member(0, "127.0.0.1", dead_port())],
-                             respawn=False)
+        router = FleetRouter([Member(0, "127.0.0.1", dead_port())])
         self.assert_fails_fast(lambda: start_fleet_background(
             str(tmp_path), port=taken_port, router=router,
         ))
@@ -181,8 +179,7 @@ class TestRouterProtocolErrors(TestDaemonProtocolErrors):
         from repro.service.fleet import FleetRouter, start_fleet_background
         from repro.service.fleet.router import Member
 
-        router = FleetRouter([Member(0, "127.0.0.1", dead_port())],
-                             respawn=False)
+        router = FleetRouter([Member(0, "127.0.0.1", dead_port())])
         handle = start_fleet_background(str(tmp_path), router=router)
         yield handle
         handle.stop()
@@ -208,14 +205,11 @@ class TestServiceCli:
         with pytest.raises(SystemExit, match="--shards"):
             service_cli.main(["serve", "--fleet", "--store", "x",
                               "--shards", "0"])
-        # Members are spawned without --jobs / --max-bytes: rejected,
-        # not silently dropped.
+        # Members are spawned without --jobs: rejected, not silently
+        # dropped.
         with pytest.raises(SystemExit, match="--jobs"):
             service_cli.main(["serve", "--fleet", "--store", "x",
                               "--jobs", "2"])
-        with pytest.raises(SystemExit, match="--max-bytes"):
-            service_cli.main(["serve", "--fleet", "--store", "x",
-                              "--max-bytes", "1000"])
 
     def test_serve_fleet_forwards_its_flags(self, monkeypatch, tmp_path):
         from repro.service import fleet as fleet_mod
@@ -246,9 +240,9 @@ class TestServiceCli:
                             lambda **kw: seen.update(kw))
         service_cli.main([
             "serve", "--port", "0", "--store", str(tmp_path),
-            "--jobs", "2", "--max-bytes", "1000",
+            "--jobs", "2",
         ])
-        assert seen["jobs"] == 2 and seen["max_bytes"] == 1000
+        assert seen["jobs"] == 2
         assert seen["store"] == str(tmp_path)
 
     def test_ping_stats_submit_round_trip(self, tmp_path, capsys):

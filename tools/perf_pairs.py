@@ -9,7 +9,10 @@ or ``make perf-pairs PARENT=../parent``.  ``--parent`` is a second
 checkout of the parent commit (``git clone`` or ``git archive``, not a
 worktree).  Each of the ten pairs runs ``perfbench/run.py`` once in each
 checkout, for ``run_seconds`` of ``BENCHMARK.json`` and with seed
-``i + 1`` for pair ``i``, alternating which side runs first.
+``i + 1`` for pair ``i``, alternating which side runs first.  Before
+the first pair it deletes every ``__pycache__`` directory under
+``src/`` and ``perfbench/`` of both checkouts, so neither side starts
+with bytecode the other has to compile.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles and the change's wins (ties count for neither
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,6 +44,9 @@ from typing import Dict, List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
+
+#: Trees whose bytecode caches are cleared in both checkouts.
+BYTECODE_TREES = ("src", "perfbench")
 
 
 def parse_result(stdout: str) -> Optional[Dict]:
@@ -140,6 +147,24 @@ def format_table(summary: Dict) -> str:
     return "\n".join(rows)
 
 
+def clear_bytecode(checkout: Path) -> int:
+    """Delete every ``__pycache__`` under the checkout's
+    :data:`BYTECODE_TREES`; returns how many directories went.
+
+    ``setup_s`` times fresh interpreters importing the package, and one
+    that finds cached bytecode skips compiling: a cache on one side
+    only reads as a set-up gain or loss the change never made.
+    """
+    caches = [
+        cache
+        for tree in BYTECODE_TREES
+        for cache in (checkout / tree).rglob("__pycache__")
+    ]
+    for cache in caches:
+        shutil.rmtree(cache)
+    return len(caches)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Optional[Dict]:
     """One ``perfbench/run.py`` run in ``checkout``; its parsed result."""
     done = subprocess.run(
@@ -164,6 +189,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     results: Dict[str, List[Optional[Dict]]] = {"parent": [], "change": []}
+    for checkout in sides.values():
+        clear_bytecode(checkout)
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
