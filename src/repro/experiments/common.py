@@ -32,16 +32,22 @@ and ``run_all --jobs N`` runs experiment sections in a process pool
 (each worker holds its own cache).
 
 Between the two sits a third, memory-only tier, ``operator-run``.
-Running an operator is two calls: ``Machine.execute`` (the functional
-run) and ``Machine.evaluate_run`` (costing it on one machine).  A run
-depends only on the workload, the machine's
-:class:`~repro.operators.base.OperatorVariant` and the model scale, so
-:func:`operator_run_key` keys it by operator, functional size, seed,
-partition count, variant and scale -- not by system.  Systems that
-differ only in how a run is costed (core count, SIMD width, topology)
-execute it once and cost it each on their own; interleave and fault
-overlays are part of the variant, so they never share.  Sharing is
-sound because variants and fault specs are frozen, and ``evaluate_run``
+Running an operator is three calls: ``Machine.execute`` (the functional
+run, fault-free), :func:`~repro.operators.partition.price_faults`
+(pricing the machine's fault schedule onto it) and
+``Machine.evaluate_run`` (costing it on one machine).  A run depends
+only on the workload, the machine's
+:class:`~repro.operators.base.OperatorVariant` without its fault
+schedule and the model scale, so :func:`operator_run_key` keys it by
+operator, functional size, seed, partition count, fault-free variant
+and scale -- not by system.  Systems that differ only in how a run is
+priced and costed (fault schedule, core count, SIMD width, topology)
+execute it once and price and cost it each on their own: a fault
+schedule prices a shared run and never splits it, because it changes
+only what the shuffle's retry protocol pays, never the output.  An
+interleave model is part of the variant, so it never shares.  Sharing
+is sound because variants and fault specs are frozen, ``price_faults``
+returns a new run when it changes anything, and ``evaluate_run``
 builds a fresh result with its own metadata copy.  Runs are never
 persisted: the store holds evaluated results only.
 
@@ -86,6 +92,7 @@ from repro.analytics.workload import (
     make_sort_workload,
 )
 from repro.config.system import EVALUATED_PRESETS
+from repro.operators.partition import price_faults
 from repro.perf.result import SystemResult
 from repro.systems import build_system
 from repro.telemetry import trace as _trace
@@ -642,11 +649,13 @@ def operator_run_key(
 ) -> Tuple:
     """The content key of the functional run behind one operator point.
 
-    A runner sees only the workload, the machine's
-    :class:`~repro.operators.base.OperatorVariant` and the scale, so
-    machines that differ only in how a run is costed (core count, SIMD
-    width, topology) share one key.  The ``operator-run`` memory tier
-    and the sweep's process-pool grouping both use it.
+    ``Machine.execute`` runs the workload under the machine's
+    :class:`~repro.operators.base.OperatorVariant` without its fault
+    schedule, at the given scale, so machines that differ only in how a
+    run is priced and costed (fault schedule, core count, SIMD width,
+    topology) share one key: a fault schedule prices the shared run
+    (:func:`~repro.operators.partition.price_faults`) and never splits
+    it.  The ``operator-run`` memory tier uses it.
     """
     return (
         "operator-run",
@@ -654,7 +663,7 @@ def operator_run_key(
         FUNCTIONAL_N[operator],
         seed,
         num_partitions,
-        machine.variant(num_partitions),
+        machine.variant(num_partitions).fault_free,
         float(scale),
     )
 
@@ -684,7 +693,8 @@ def _run_cached_result(
 def _build_result(
     system: Any, operator: str, scale: float, seed: int, num_partitions: int
 ) -> SystemResult:
-    """Execute (or reuse) the functional run, then cost it on ``system``.
+    """Execute (or reuse) the fault-free functional run, price
+    ``system``'s fault schedule onto it, then cost it on ``system``.
 
     ``machine_for``, the operator runners and ``evaluate_run`` are all
     looked up per call, so tooling that wraps them sees every call.
@@ -702,7 +712,9 @@ def _build_result(
         )
     else:
         run = execute()
-    return machine.evaluate_run(run)
+    return machine.evaluate_run(
+        price_faults(run, machine.variant(num_partitions), scale)
+    )
 
 
 # The codec is looked up per call (not bound at import) so tooling that

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List
 
+import numpy as np
+
 from repro.analytics.tuples import TUPLE_B
 from repro.config.system import INTERLEAVE_MODELS, INTERLEAVE_ROUND_ROBIN
 from repro.faults.plan import NULL_FAULTS, FaultSpec
@@ -110,6 +112,25 @@ class PhaseCost:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class PartitionPass:
+    """What a fault schedule needs to price one partitioning pass.
+
+    The retry protocol's work is a function of the per-stream tuple
+    counts alone, never of tuple contents, so a pass keeps its
+    ``(source, destination)`` histogram and no tuples.
+    """
+
+    #: Phase-name prefix (``""``, ``"R-"``, ``"S-"``); it also salts the
+    #: pass's fault schedule.
+    label: str
+    #: ``(source, destination)`` tuple counts, in the narrowest unsigned
+    #: dtype that holds them.
+    histogram: np.ndarray
+    #: Tuples the cost model describes (functional count x model scale).
+    n_model: int
+
+
 @dataclass
 class OperatorRun:
     """The outcome of functionally executing one operator variant."""
@@ -119,6 +140,10 @@ class OperatorRun:
     phases: List[PhaseCost]
     output: Any
     metadata: Dict[str, Any] = field(default_factory=dict)
+    #: The run's partitioning passes, in phase order, for pricing a
+    #: fault schedule onto the run
+    #: (:func:`repro.operators.partition.price_faults`).
+    passes: List[PartitionPass] = field(default_factory=list)
 
     @property
     def probe_phases(self) -> List[PhaseCost]:
@@ -171,6 +196,13 @@ class OperatorVariant:
             raise ValueError("radix_bits must be >= 1")
         if self.num_partitions < 1:
             raise ValueError("need at least one partition")
+
+    @property
+    def fault_free(self) -> "OperatorVariant":
+        """This variant without its fault schedule: the one whose run
+        every fault schedule prices (the functional output never
+        depends on the schedule)."""
+        return replace(self, faults=NULL_FAULTS)
 
     @property
     def label(self) -> str:

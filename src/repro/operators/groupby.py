@@ -29,12 +29,12 @@ from repro.columnar import (
     segmented_stable_argsort,
     sorted_group_aggregates,
 )
-from repro.faults.protocol import combine_stats
 from repro.operators import costs
 from repro.operators.base import PHASE_PROBE, OperatorRun, OperatorVariant, PhaseCost
 from repro.operators.partition import (
     SCHEME_LOW_BITS,
     PartitionOutcome,
+    price_faults,
     run_partitioning,
 )
 
@@ -223,11 +223,13 @@ def run_groupby(
     """Execute Group by functionally under the given variant and cost it.
 
     Every partition's groups fold with the whole-relation kernels of
-    :mod:`repro.columnar`.
+    :mod:`repro.columnar`.  The run executes fault-free and
+    :func:`~repro.operators.partition.price_faults` prices
+    ``variant.faults`` onto it.
     """
     partitioned = run_partitioning(
         workload.flat,
-        variant,
+        variant.fault_free,
         SCHEME_LOW_BITS,
         workload.key_space_bits,
         model_scale=model_scale,
@@ -237,7 +239,8 @@ def run_groupby(
         output = _hash_groupby_segmented(columns)
     else:
         output = _sort_groupby_segmented(columns, variant.simd)
-    return groupby_operator_run(workload, variant, model_scale, partitioned, output)
+    run = groupby_operator_run(workload, variant, model_scale, partitioned, output)
+    return price_faults(run, variant, model_scale)
 
 
 def groupby_operator_run(
@@ -259,15 +262,11 @@ def groupby_operator_run(
             model_n, model_groups, variant, variant.num_partitions
         )
 
-    metadata = {"tuples": n, "groups": num_groups}
-    resilience = combine_stats(partitioned.resilience)
-    if resilience is not None:
-        metadata["resilience"] = resilience.to_metadata()
-
     return OperatorRun(
         operator="groupby",
         variant=variant.label,
         phases=partitioned.phases + probe_phases,
         output=output,
-        metadata=metadata,
+        metadata={"tuples": n, "groups": num_groups},
+        passes=[partitioned.record],
     )

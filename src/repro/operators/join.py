@@ -29,12 +29,12 @@ from repro.columnar import (
     segmented_searchsorted,
 )
 from repro.columnar.hashtable import SegmentedLinearProbingTable
-from repro.faults.protocol import combine_stats
 from repro.operators import costs
 from repro.operators.base import PHASE_PROBE, OperatorRun, OperatorVariant, PhaseCost
 from repro.operators.partition import (
     SCHEME_LOW_BITS,
     PartitionOutcome,
+    price_faults,
     run_partitioning,
 )
 
@@ -246,9 +246,13 @@ def run_join(
     functionally executed ones (see :func:`run_partitioning`); sort pass
     counts and hash-table regions are computed at model size.  All
     partitions join at once with the whole-relation kernels of
-    :mod:`repro.columnar`.
+    :mod:`repro.columnar`.  The run executes fault-free and
+    :func:`~repro.operators.partition.price_faults` prices
+    ``variant.faults`` onto it.
     """
-    r_part, s_part = partition_join_inputs(workload, variant, model_scale)
+    r_part, s_part = partition_join_inputs(
+        workload, variant.fault_free, model_scale
+    )
     probe_steps = []
     r_cols, s_cols = r_part.shuffle.columns, s_part.shuffle.columns
     if variant.probe_algorithm == "hash":
@@ -257,7 +261,7 @@ def run_join(
         matches, checksum = _merge_join_segmented(
             r_cols, s_cols, variant.simd, workload.key_space_bits
         )
-    return join_operator_run(
+    run = join_operator_run(
         workload,
         variant,
         model_scale,
@@ -265,6 +269,7 @@ def run_join(
         JoinOutput(matches=matches, checksum=checksum),
         probe_steps,
     )
+    return price_faults(run, variant, model_scale)
 
 
 def partition_join_inputs(
@@ -311,15 +316,11 @@ def join_operator_run(
             model_n_r, model_n_s, variant, variant.num_partitions
         )
 
-    metadata = {"n_r": workload.n_r, "n_s": workload.n_s}
-    resilience = combine_stats(r_part.resilience, s_part.resilience)
-    if resilience is not None:
-        metadata["resilience"] = resilience.to_metadata()
-
     return OperatorRun(
         operator="join",
         variant=variant.label,
         phases=r_part.phases + s_part.phases + probe_phases,
         output=output,
-        metadata=metadata,
+        metadata={"n_r": workload.n_r, "n_s": workload.n_s},
+        passes=[r_part.record, s_part.record],
     )

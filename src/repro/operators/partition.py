@@ -18,6 +18,11 @@ Two steps:
 
 Join and Group by bucket by **low-order** key bits; Sort buckets by
 **high-order** bits so partitions hold disjoint key ranges (section 6).
+
+A fault schedule changes only what the distribution step's retry
+protocol pays, so the operators partition fault-free, record each pass
+(:class:`~repro.operators.base.PartitionPass`) and
+:func:`price_faults` prices the schedule onto the finished run.
 """
 
 from __future__ import annotations
@@ -31,15 +36,17 @@ from repro.analytics.hashing import bucket_of_low_bits
 from repro.analytics.tuples import TUPLE_B, Relation
 from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import stream_salt
-from repro.faults.protocol import ResilienceStats
+from repro.faults.protocol import ResilienceStats, combine_stats
 from repro.operators import costs
 from repro.operators.base import (
     PHASE_DISTRIBUTE,
     PHASE_HISTOGRAM,
+    OperatorRun,
     OperatorVariant,
+    PartitionPass,
     PhaseCost,
 )
-from repro.shuffle.engine import ShuffleEngine, ShuffleResult
+from repro.shuffle.engine import ShuffleEngine, ShuffleResult, replay_faults
 from repro.shuffle.interleave import get_interleave
 
 #: Partitioning key-bit schemes.
@@ -56,6 +63,10 @@ class PartitionOutcome:
     #: Retry/backoff accounting when a fault schedule was active
     #: (``None`` on fault-free runs, keeping their records unchanged).
     resilience: Optional[ResilienceStats] = None
+    #: The pass as :func:`price_faults` re-prices it (set by
+    #: :func:`run_partitioning`; the skew-aware protocol's outcome
+    #: feeds no operator run and leaves it ``None``).
+    record: Optional[PartitionPass] = None
 
     @property
     def partitions(self) -> List[Relation]:
@@ -251,8 +262,52 @@ def run_partitioning(
             model_scale,
         ),
     ]
+    # A memoized run keeps its record for the life of the process, so
+    # the counts are stored in the narrowest dtype that holds them.
+    counts = shuffle.histogram
+    counts = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
     return PartitionOutcome(
         phases=phases,
         shuffle=shuffle,
         resilience=shuffle.resilience,
+        record=PartitionPass(label_prefix, counts, n_model),
+    )
+
+
+def price_faults(
+    run: OperatorRun, variant: OperatorVariant, model_scale: float
+) -> OperatorRun:
+    """``run`` with ``variant``'s fault schedule priced in.
+
+    The schedule never changes a run's functional output, only what the
+    retry protocol pays, and that is a function of each partitioning
+    pass's histogram alone.  So every faulted operator run is its
+    fault-free run plus this step: each recorded pass replays the
+    schedule (:func:`~repro.shuffle.engine.replay_faults`, salted by the
+    pass label exactly as the inline shuffle is), its distribute phase
+    is re-priced, and the combined stats land in
+    ``metadata["resilience"]``, last.  Returns ``run`` itself when the
+    schedule is inactive or the run has no partitioning pass.
+    """
+    if not variant.faults.active or not run.passes:
+        return run
+    priced = {}
+    stats = []
+    for record in run.passes:
+        _, resilience = replay_faults(
+            record.histogram.astype(np.int64),
+            variant.faults,
+            stream_salt(record.label),
+        )
+        name = f"{record.label}distribute"
+        priced[name] = priced_distribute_cost(
+            record.n_model, variant, name, resilience, model_scale
+        )
+        stats.append(resilience)
+    metadata = dict(run.metadata)
+    metadata["resilience"] = combine_stats(*stats).to_metadata()
+    return replace(
+        run,
+        phases=[priced.get(phase.name, phase) for phase in run.phases],
+        metadata=metadata,
     )

@@ -18,7 +18,12 @@ partition.  Each operator reference shuffles with the production
 partitioning phase (the shuffle has its own reference here) and returns
 its output through the production ``<op>_operator_run`` function,
 so its phases come from the production cost functions and a machine
-evaluates it exactly like a production run.  No production module
+evaluates it exactly like a production run.  Under a fault schedule the
+references replay it inline, inside their shuffles, and attach the
+resulting stats themselves (:func:`_with_inline_resilience`): the
+oracle for production's
+:func:`~repro.operators.partition.price_faults`, which prices the
+schedule onto a fault-free run afterwards.  No production module
 imports this one.
 """
 
@@ -38,7 +43,7 @@ from repro.analytics.workload import (
     SortWorkload,
 )
 from repro.faults.plan import FaultSpec
-from repro.faults.protocol import DeliverySession
+from repro.faults.protocol import DeliverySession, combine_stats
 from repro.operators import costs
 from repro.operators.base import OperatorRun, OperatorVariant
 from repro.operators.groupby import (
@@ -53,7 +58,12 @@ from repro.operators.join import (
     join_operator_run,
     partition_join_inputs,
 )
-from repro.operators.partition import SCHEME_HIGH_BITS, SCHEME_LOW_BITS, run_partitioning
+from repro.operators.partition import (
+    SCHEME_HIGH_BITS,
+    SCHEME_LOW_BITS,
+    PartitionOutcome,
+    run_partitioning,
+)
 from repro.operators.scan import ScanOutput, scan_probe_cost
 from repro.operators.sort_algos import mergesort, quicksort
 from repro.operators.sort_op import sort_operator_run
@@ -349,6 +359,21 @@ def reference_scan(
     )
 
 
+# -- operator runs under a fault schedule ----------------------------------
+
+
+def _with_inline_resilience(
+    run: OperatorRun, *outcomes: PartitionOutcome
+) -> OperatorRun:
+    """``run`` plus the stats its shuffles collected replaying the
+    schedule inline (nothing when no schedule was active); the
+    distribute phases already carry the inline prices."""
+    resilience = combine_stats(*(outcome.resilience for outcome in outcomes))
+    if resilience is not None:
+        run.metadata["resilience"] = resilience.to_metadata()
+    return run
+
+
 # -- sort ------------------------------------------------------------------
 
 
@@ -374,7 +399,10 @@ def reference_sort(
             data, _ = mergesort(part.data, bitonic_initial=variant.simd)
         sorted_parts.append(Relation(data, part.name))
     output = Relation(np.concatenate([part.data for part in sorted_parts]), "sorted")
-    return sort_operator_run(workload, variant, model_scale, partitioned, output)
+    return _with_inline_resilience(
+        sort_operator_run(workload, variant, model_scale, partitioned, output),
+        partitioned,
+    )
 
 
 # -- group by --------------------------------------------------------------
@@ -479,7 +507,10 @@ def reference_groupby(
             for name in AGGREGATE_NAMES
         ),
     )
-    return groupby_operator_run(workload, variant, model_scale, partitioned, output)
+    return _with_inline_resilience(
+        groupby_operator_run(workload, variant, model_scale, partitioned, output),
+        partitioned,
+    )
 
 
 # -- join ------------------------------------------------------------------
@@ -532,7 +563,7 @@ def reference_join(
             m, c = _merge_join_partition(r, s, variant.simd)
         matches += m
         checksum = (checksum + c) % (1 << 64)
-    return join_operator_run(
+    run = join_operator_run(
         workload,
         variant,
         model_scale,
@@ -540,6 +571,7 @@ def reference_join(
         JoinOutput(matches=matches, checksum=checksum),
         probe_steps,
     )
+    return _with_inline_resilience(run, r_part, s_part)
 
 
 #: Reference runner per operator, keyed like ``OPERATOR_RUNNERS``.

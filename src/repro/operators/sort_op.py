@@ -15,12 +15,12 @@ import math
 from repro.analytics.tuples import TUPLE_B, Relation
 from repro.analytics.workload import SortWorkload
 from repro.columnar import SegmentedColumns, segmented_mergesort, segmented_stable_argsort
-from repro.faults.protocol import combine_stats
 from repro.operators import costs
 from repro.operators.base import PHASE_PROBE, OperatorRun, OperatorVariant, PhaseCost
 from repro.operators.partition import (
     SCHEME_HIGH_BITS,
     PartitionOutcome,
+    price_faults,
     run_partitioning,
 )
 from repro.shuffle.engine import destination_name
@@ -113,11 +113,13 @@ def run_sort(
     Range partitioning makes the concatenation of the locally sorted
     partitions globally sorted -- each partition holds one contiguous
     key range -- so the local sorts run as one whole-relation kernel of
-    :mod:`repro.columnar`.
+    :mod:`repro.columnar`.  The run executes fault-free and
+    :func:`~repro.operators.partition.price_faults` prices
+    ``variant.faults`` onto it.
     """
     partitioned = run_partitioning(
         workload.flat,
-        variant,
+        variant.fault_free,
         SCHEME_HIGH_BITS,
         workload.key_space_bits,
         model_scale=model_scale,
@@ -127,7 +129,8 @@ def run_sort(
     # several are named "sorted".
     name = "sorted" if columns.num_segments > 1 else destination_name(0)
     output = _local_sort_segmented(columns, variant, name)
-    return sort_operator_run(workload, variant, model_scale, partitioned, output)
+    run = sort_operator_run(workload, variant, model_scale, partitioned, output)
+    return price_faults(run, variant, model_scale)
 
 
 def sort_operator_run(
@@ -145,15 +148,11 @@ def sort_operator_run(
     else:
         probe = mergesort_probe_cost(model_n, variant.num_partitions, variant)
 
-    metadata = {"tuples": n}
-    resilience = combine_stats(partitioned.resilience)
-    if resilience is not None:
-        metadata["resilience"] = resilience.to_metadata()
-
     return OperatorRun(
         operator="sort",
         variant=variant.label,
         phases=partitioned.phases + [probe],
         output=output,
-        metadata=metadata,
+        metadata={"tuples": n},
+        passes=[partitioned.record],
     )

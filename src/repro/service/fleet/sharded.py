@@ -178,7 +178,7 @@ class ShardedResultStore:
         return self.ring.owners(digest)
 
     def __len__(self) -> int:
-        return len(set(self.digests()))
+        return len(self._digest_union())
 
     def __repr__(self) -> str:
         return (
@@ -274,10 +274,13 @@ class ShardedResultStore:
 
     def digests(self) -> Iterator[str]:
         """Union of every shard's digests, sorted."""
+        return iter(sorted(self._digest_union()))
+
+    def _digest_union(self) -> Set[str]:
         union: Set[str] = set()
         for store in self._shards.values():
-            union.update(store.digests())
-        return iter(sorted(union))
+            union.update(store._sizes())
+        return union
 
     def counters(self) -> Dict[str, int]:
         """Flat fleet-level counters (O(shards), no directory scans).
@@ -299,12 +302,21 @@ class ShardedResultStore:
             self._stats[name] += int(counters.get(name, 0))
 
     def stats(self) -> Dict[str, Any]:
-        """Fleet counters + occupancy + a per-shard breakdown."""
-        per_shard = {name: s.stats() for name, s in self._shards.items()}
+        """Fleet counters + occupancy + a per-shard breakdown.
+
+        One objects-tree scan per shard feeds both that shard's numbers
+        and the fleet's digest union.
+        """
+        per_shard = {}
+        union: Set[str] = set()
+        for name, store in self._shards.items():
+            sizes = store._sizes()
+            per_shard[name] = store._stats_of(sizes)
+            union.update(sizes)
         return dict(
             self.counters(),
             shards=per_shard,
-            entries=len(self),
+            entries=len(union),
             bytes=sum(s["bytes"] for s in per_shard.values()),
             quarantined=sum(s["quarantined"] for s in per_shard.values()),
         )

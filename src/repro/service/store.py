@@ -344,5 +344,9 @@ class ResultStore:
         (pool workers, concurrent CLIs) wrote are counted; use
         :meth:`counters` where occupancy is not needed.
         """
-        sizes = self._sizes()
+        return self._stats_of(self._sizes())
+
+    def _stats_of(self, sizes: Mapping[str, int]) -> Dict[str, int]:
+        """The :meth:`stats` dict for one :meth:`_sizes` scan (a fleet
+        store reuses its shards' scans for its own totals)."""
         return dict(self.counters(), entries=len(sizes), bytes=sum(sizes.values()))

@@ -13,8 +13,10 @@ destination buffer either
 
 Both produce the same *multiset* per destination -- the permutability
 guarantee -- but different orders and radically different DRAM write
-patterns.  The engine drives the :class:`ShuffleBarrier` handshake and
-keeps the (source, destination) histogram.  :func:`arrival_slots` maps
+patterns.  The engine keeps the (source, destination) histogram and
+drives the :class:`ShuffleBarrier` handshake from it through
+:func:`replay_faults`, the one fault replay, which can also price a
+schedule onto a finished fault-free run.  :func:`arrival_slots` maps
 every arrival to its addressed slot from those counts and the interleave
 model; the permutable path reorders by it, and :func:`write_traces`
 derives each destination's arrival trace (vault-relative addresses)
@@ -104,6 +106,23 @@ def shuffle_end(
     if not barrier.all_complete():
         raise RuntimeError("shuffle barrier incomplete after all deliveries")
     return session.stats if session is not None else None
+
+
+def replay_faults(
+    histogram: np.ndarray, faults: Optional[FaultSpec], fault_salt: int
+) -> Tuple[ShuffleBarrier, Optional[ResilienceStats]]:
+    """Run one shuffle's barrier protocol from its ``(source,
+    destination)`` tuple counts: :func:`shuffle_begin`, then
+    :func:`shuffle_end`.
+
+    Returns the completed barrier and the fault schedule's stats
+    (``None`` when no schedule is active).  The schedule and every byte
+    the protocol pays depend on the counts alone, never on tuple
+    contents, so this prices a schedule onto a fault-free run after the
+    fact exactly as the shuffle would have paid it inline.
+    """
+    barrier, session = shuffle_begin(histogram, faults, fault_salt)
+    return barrier, shuffle_end(barrier, session, histogram.sum(axis=0))
 
 
 def arrival_slots(
@@ -267,8 +286,10 @@ class ShuffleEngine:
             hist = np.bincount(
                 src_ids * num_dest + dest, minlength=num_src * num_dest
             ).reshape(num_src, num_dest)
-            barrier, session = shuffle_begin(hist, self._faults, self._fault_salt)
-            sp.set(faulted=session is not None)
+            barrier, resilience = replay_faults(
+                hist, self._faults, self._fault_salt
+            )
+            sp.set(faulted=resilience is not None)
 
             # Group all (dest, src) streams at once, preserving source
             # order: a stable sort of the composite (dest, src) code
@@ -285,7 +306,6 @@ class ShuffleEngine:
             out = np.empty(total, dtype=TUPLE_DTYPE)
             out["key"] = columns.keys[take]
             out["payload"] = columns.payloads[take]
-            resilience = shuffle_end(barrier, session, hist.sum(axis=0))
             return ShuffleResult(
                 buffer=out,
                 histogram=hist,

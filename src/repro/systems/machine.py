@@ -14,11 +14,15 @@ operator variant it runs (paper section 6):
 datasets: per-tuple-linear quantities scale exactly, and sorting's log
 factor is captured by computing merge pass counts at model size.
 
-Running an operator is two steps: :meth:`Machine.execute` runs the
-operator functionally under the machine's variant (a function of the
-variant, the workload and the scale only), and
-:meth:`Machine.evaluate_run` costs that run on this machine's cores,
-memory and topology.  Machines of one kind share runs through the
+Running an operator is three steps: :meth:`Machine.execute` runs the
+operator functionally under the machine's variant without its fault
+schedule (a function of that fault-free variant, the workload and the
+scale only), :func:`~repro.operators.partition.price_faults` prices the
+machine's fault schedule onto the run, and :meth:`Machine.evaluate_run`
+costs it on this machine's cores, memory and topology.  A fault
+schedule never changes a run's functional output, so it prices a
+shared run and never splits it: machines that differ only in their
+schedule or in how a run is costed share runs through the
 ``operator-run`` memo in :mod:`repro.experiments.common`.
 """
 
@@ -31,6 +35,7 @@ from repro.config.system import SystemConfig, get_preset
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.interconnect.topology import Topology, build_topology
 from repro.operators import OPERATOR_RUNNERS, OperatorRun, OperatorVariant
+from repro.operators.partition import price_faults
 from repro.perf.model import PhaseEvaluator
 from repro.perf.result import SystemResult
 
@@ -82,10 +87,13 @@ class Machine:
         workload: Any,
         scale_factor: float = 1.0,
     ) -> OperatorRun:
-        """Functionally execute ``operator`` under this machine's variant.
+        """Functionally execute ``operator`` under this machine's
+        variant, fault-free.
 
-        The run depends only on the workload, ``self.variant(...)`` and
-        the scale, so machines that share a variant can share it.
+        The run depends only on the workload, ``self.variant(...)``
+        without its fault schedule, and the scale, so machines that
+        share that variant can share it; ``price_faults(run,
+        self.variant(...), scale_factor)`` adds the schedule.
         """
         try:
             runner = OPERATOR_RUNNERS[operator]
@@ -105,7 +113,7 @@ class Machine:
             ) from None
         return runner(
             workload,
-            self.variant(num_partitions),
+            self.variant(num_partitions).fault_free,
             model_scale=scale_factor,
         )
 
@@ -115,8 +123,11 @@ class Machine:
         workload: Any,
         scale_factor: float = 1.0,
     ) -> SystemResult:
-        """Functionally execute ``operator`` and evaluate it on this machine."""
-        return self.evaluate_run(self.execute(operator, workload, scale_factor))
+        """Functionally execute ``operator``, price this machine's fault
+        schedule onto the run and evaluate it on this machine."""
+        run = self.execute(operator, workload, scale_factor)
+        variant = self.variant(workload.num_partitions)
+        return self.evaluate_run(price_faults(run, variant, scale_factor))
 
     def run_pipeline(self, plan: Any, scale_factor: float = 1.0) -> Any:
         """Execute a :class:`~repro.pipeline.plan.QueryPlan` end-to-end.

@@ -329,8 +329,8 @@ class TestSweep:
 
 
 #: Mondrian plus derived specs: three that only re-cost Mondrian's run
-#: (cores, SIMD width, topology) and two that change the variant
-#: (interleave, faults).
+#: (cores, SIMD width, topology), one that prices a fault schedule onto
+#: it and one that changes the variant (interleave).
 MEMO_SYSTEMS = (
     "mondrian",
     SystemSpec("mondrian").with_cores(16),
@@ -360,13 +360,40 @@ class TestOperatorRunMemo:
             common.set_cache_enabled(previous)
         assert cached == uncached
         assert common.cache_stats()["tiers"]["operator-run"]["entries"] == 0
-        variants = {common.machine_for(s).variant(8) for s in MEMO_SYSTEMS}
-        assert len(variants) == 3
+        variants = {
+            common.machine_for(s).variant(8).fault_free for s in MEMO_SYSTEMS
+        }
+        assert len(variants) == 2
         distinct = len(variants) * len(common.OPERATORS)
         assert runs == {
             "hits": sweep.size - distinct, "misses": distinct,
             "entries": distinct,
         }
+
+    def test_faulted_baselines_export_the_uncached_bytes(self):
+        """Faulted CPU and NMP-perm points price the fault-free points'
+        runs and export the bytes they export run on their own."""
+        faults = dict(seed=3, drop_prob=0.2, duplicate_prob=0.1,
+                      timeout_prob=0.2)
+        sweep = Sweep(
+            systems=("cpu", "nmp-perm",
+                     SystemSpec("cpu").with_faults(**faults),
+                     SystemSpec("nmp-perm").with_faults(**faults)),
+            workloads=common.OPERATORS, scales=(50.0,), num_partitions=(8,),
+        )
+        common.clear_caches()
+        cached = sweep.run().to_json()
+        runs = common.cache_stats()["tiers"]["operator-run"]
+        common.clear_caches()
+        previous = common.set_cache_enabled(False)
+        try:
+            uncached = sweep.run().to_json()
+        finally:
+            common.set_cache_enabled(previous)
+        assert cached == uncached
+        distinct = 2 * len(common.OPERATORS)
+        assert runs == {"hits": distinct, "misses": distinct, "entries": distinct}
+        assert '"retries"' in cached
 
     def test_results_sharing_a_run_are_distinct_objects(self):
         common.clear_caches()
@@ -385,7 +412,7 @@ class TestOperatorRunMemo:
             common.operator_run_key(common.machine_for(s), "sort", 50.0, 17, 8)
             for s in MEMO_SYSTEMS
         }
-        assert len(keys) == 3
+        assert len(keys) == 2
 
     def test_tier_is_reported_and_cleared(self):
         common.clear_caches()

@@ -119,6 +119,27 @@ def test_usage_flags_match_cli_parsers():
     assert {"suites", "sweep"} <= profiled <= set(experiment.choices)
 
 
+def test_profiler_sort_takes_every_pstats_key():
+    """``--sort`` takes pstats' own names (every ``SortKey`` value and
+    the abbreviations such as ``cumtime``) besides the three it always
+    took."""
+    import cProfile
+    import pstats
+
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from profile_experiment import build_parser
+    finally:
+        sys.path.pop(0)
+    profiler = cProfile.Profile()
+    profiler.runcall(sum, [1, 2])
+    keys = {key.value for key in pstats.SortKey}
+    keys |= {"cumulative", "tottime", "ncalls", "cumtime", "time"}
+    for key in sorted(keys):
+        assert build_parser().parse_args(["sweep", "--sort", key]).sort == key
+        pstats.Stats(profiler).sort_stats(key)  # pstats takes it too
+
+
 def test_documented_modules_are_importable():
     """Every `python -m repro...` target mentioned in the docs exists."""
     for path in DOC_FILES:

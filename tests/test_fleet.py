@@ -189,6 +189,32 @@ class TestShardedStore:
         assert stats["entries"] == 1
         assert set(stats["shards"]) == set(store.ring.shards)
 
+    def test_stats_scan_each_shard_once(self, tmp_path, monkeypatch):
+        store = ShardedResultStore(tmp_path, shards=3, replicas=2)
+        for d in digests(12, salt="scan"):
+            store.put(d, {"d": d, "pad": "x" * len(d)})
+        store.get(digests(1, salt="absent")[0])
+        # The formula stats() used before it shared one scan per shard.
+        per_shard = {name: s.stats() for name, s in store._shards.items()}
+        expected = dict(
+            store.counters(),
+            shards=per_shard,
+            entries=len(set(store.digests())),
+            bytes=sum(s["bytes"] for s in per_shard.values()),
+            quarantined=sum(s["quarantined"] for s in per_shard.values()),
+        )
+        scans = []
+        original = ResultStore._sizes
+
+        def counting(handle):
+            scans.append(handle.root)
+            return original(handle)
+
+        monkeypatch.setattr(ResultStore, "_sizes", counting)
+        assert store.stats() == expected
+        assert sorted(scans) == sorted(s.root for s in store._shards.values())
+        assert expected["entries"] == 12
+
     def test_read_repair_restores_missing_replica(self, tmp_path):
         store = ShardedResultStore(tmp_path, shards=3, replicas=2)
         d = digests(1, salt="heal")[0]

@@ -132,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sort",
         default="cumulative",
-        choices=["cumulative", "tottime", "ncalls"],
+        # Every key Stats.sort_stats takes: the SortKey values plus
+        # their abbreviations (cumtime, tottime, ncalls, module).
+        choices=sorted(pstats.Stats.sort_arg_dict_default),
         help="pstats sort key (default: cumulative)",
     )
     parser.add_argument(
