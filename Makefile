@@ -90,8 +90,9 @@ coverage-fleet:
 
 ## Fleet load test: replay thousands of concurrent requests through a
 ## real sharded/replicated fleet -- steady, then with a member daemon
-## SIGKILLed mid-run -- asserting zero failed requests and printing
-## p50/p95/p99 latency + throughput per phase.
+## SIGKILLed mid-run -- asserting zero failed requests and member
+## connection reuse (steady opens at most shards x MAX_INFLIGHT), and
+## printing p50/p95/p99 latency + throughput per phase.
 load-test:
 	$(PY) tools/load_test.py
 

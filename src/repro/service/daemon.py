@@ -40,7 +40,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.experiments import common
 from repro.service.scheduler import BatchScheduler
@@ -212,12 +212,17 @@ async def serve_lines(
     ``{"ok": false}`` envelope (a :class:`RelayedError` verbatim, others
     as ``"Type: message"``).  ``server.started()`` and
     ``server.finished()`` bracket the serving window, and the first
-    response sent with ``server.stopping`` set ends it.
+    response sent with ``server.stopping`` set ends it.  Connections
+    still open then are closed and their handlers return: a client (or
+    a fleet router's pooled member connection) left connected never
+    leaves a handler for ``asyncio.run`` to cancel.
     """
     loop = asyncio.get_running_loop()
     stopped = asyncio.Event()
+    live: Set[asyncio.Task] = set()  # one handler task per open connection
 
     async def handle(reader, writer):
+        live.add(asyncio.current_task())
         try:
             while True:
                 try:
@@ -252,7 +257,10 @@ async def serve_lines(
                 if server.stopping:
                     stopped.set()
                     break
+        except asyncio.CancelledError:
+            pass  # ended at shutdown (see below): the connection just closes
         finally:
+            live.discard(asyncio.current_task())
             writer.close()
 
     await server.started()
@@ -267,6 +275,12 @@ async def serve_lines(
             ready.put((host, actual_port, loop, stopped))
         async with listener:
             await stopped.wait()
+            # End every other connection here, where its handler can
+            # return: asyncio.run would cancel what is left and log a
+            # traceback per connection.
+            for task in live:
+                task.cancel()
+            await asyncio.gather(*live, return_exceptions=True)
     finally:
         await server.finished()
 

@@ -16,6 +16,15 @@ store shard, all sharing the sharded store) do the evaluating:
   owner and the first success wins (safe: ``evaluate``/``sweep`` are
   idempotent by content address).  Tail latency becomes the minimum of
   two samples instead of a lost cause.
+- **Pooled member connections.**  Each member keeps the router's idle
+  connections to it.  A call checks one out for its exclusive use (or
+  opens one) and returns it only after reading a complete reply line;
+  a timeout, a transport error, EOF, garbage or a cancellation closes
+  it instead.  The losing side of a hedge is cancelled mid-read, so its
+  socket -- whose stream may still carry a reply nobody will read -- is
+  closed, never reused.  A member's pool holds at most as many
+  connections as calls to it ever ran at once, which ``MAX_INFLIGHT``
+  caps (health pings and ``stats`` aside).
 - **Failover & health.**  Member failures trip a per-member
   :class:`~repro.service.resilience.retry.CircuitBreaker`; a health
   loop pings members, notices dead processes, and **respawns** members
@@ -89,7 +98,8 @@ class MemberError(RuntimeError):
 
 
 class Member:
-    """One member daemon: address, optional owned process, health state."""
+    """One member daemon: address, optional owned process, health state
+    and the router's idle connections to it."""
 
     def __init__(
         self,
@@ -104,6 +114,9 @@ class Member:
         self.proc = proc
         self.breaker = CircuitBreaker(failure_threshold=3, reset_after=1.0)
         self.crashes = 0  # consecutive; paces respawn backoff
+        # Idle (reader, writer) connections to this member, used only on
+        # the router's event loop (see FleetRouter._member_call).
+        self.idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
 
     @property
     def shard(self) -> str:
@@ -112,6 +125,13 @@ class Member:
     @property
     def alive(self) -> bool:
         return self.proc is None or self.proc.poll() is None
+
+    def close_idle(self) -> List[asyncio.StreamWriter]:
+        """Close every pooled connection; returns their writers."""
+        idle, self.idle = self.idle, []
+        for _, writer in idle:
+            writer.close()
+        return [writer for _, writer in idle]
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -225,6 +245,7 @@ class FleetRouter:
             "degraded": 0,
             "respawns": 0,
             "member_failures": 0,
+            "member_connects": 0,
         }
         self._rr = 0  # round-robin cursor for digestless requests
         # Built on the serving loop by started().
@@ -234,40 +255,69 @@ class FleetRouter:
 
     # -- the member wire -----------------------------------------------------
 
-    async def _member_call(
-        self, member: Member, request: Dict[str, Any], timeout: float
-    ) -> Any:
-        """One request/response round trip to one member.
+    async def _checkout(
+        self, member: Member, timeout: float
+    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        """An idle connection to ``member`` that is still open, or a new one.
 
-        A fresh connection per call: hedges and failovers must never
-        share transport state with the attempt they are racing, and a
-        SIGKILLed member then fails fast with a refused connect instead
-        of a wedged reused socket.
+        Pooled connections the member has closed since (it stopped, or
+        was SIGKILLed) read EOF and are dropped here, so a dead member
+        fails with a refused connect, exactly as without a pool.
         """
+        while member.idle:
+            reader, writer = member.idle.pop()
+            if not writer.is_closing() and not reader.at_eof():
+                return reader, writer
+            writer.close()
         try:
-            reader, writer = await asyncio.wait_for(
+            connection = await asyncio.wait_for(
                 asyncio.open_connection(member.host, member.port, limit=_MAX_LINE),
                 timeout=min(timeout, 10.0),
             )
         except (OSError, asyncio.TimeoutError) as exc:
             raise MemberError(f"member {member.index} unreachable: {exc}") from exc
+        self.counters["member_connects"] += 1
+        return connection
+
+    async def _member_call(
+        self, member: Member, request: Dict[str, Any], timeout: float
+    ) -> Any:
+        """One request/response round trip to one member.
+
+        The call has its connection to itself: it checks one out of the
+        member's pool (or opens one) and puts it back only once it has
+        read and decoded a complete reply line.  A timeout, a transport
+        error, EOF, garbage, a cancellation or any other exception
+        closes the connection instead, because its stream may still
+        carry (part of) a reply no one will read.  So a hedge never
+        shares transport state with the attempt it races: the loser is
+        cancelled mid-read and its socket closed.
+        """
+        reader, writer = await self._checkout(member, timeout)
+        reusable = False
         try:
-            writer.write((json.dumps(request) + "\n").encode("utf-8"))
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), timeout=timeout)
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise MemberError(f"member {member.index} lost mid-call: {exc}") from exc
+            try:
+                writer.write((json.dumps(request) + "\n").encode("utf-8"))
+                await writer.drain()
+                line = await asyncio.wait_for(reader.readline(), timeout=timeout)
+            except (OSError, asyncio.TimeoutError) as exc:
+                raise MemberError(f"member {member.index} lost mid-call: {exc}") from exc
+            if not line:
+                raise MemberError(f"member {member.index} closed the connection")
+            try:
+                response = json.loads(line)
+            except ValueError as exc:
+                raise MemberError(f"member {member.index} spoke garbage") from exc
+            ok = response.get("ok")
+            reusable = line.endswith(b"\n")
         finally:
-            writer.close()
-            with contextlib.suppress(OSError):
-                await writer.wait_closed()
-        if not line:
-            raise MemberError(f"member {member.index} closed the connection")
-        try:
-            response = json.loads(line)
-        except ValueError as exc:
-            raise MemberError(f"member {member.index} spoke garbage") from exc
-        if not response.get("ok"):
+            if reusable:
+                member.idle.append((reader, writer))
+            else:
+                writer.close()
+                with contextlib.suppress(OSError):
+                    await writer.wait_closed()
+        if not ok:
             # The member *answered*: a deterministic request error that
             # must surface to the client, not fail over.
             raise RelayedError(response.get("error", "unknown error"))
@@ -436,6 +486,10 @@ class FleetRouter:
         self._health.cancel()
         with contextlib.suppress(asyncio.CancelledError):
             await self._health
+        for member in self.members:
+            for writer in member.close_idle():
+                with contextlib.suppress(OSError):
+                    await writer.wait_closed()
         await asyncio.get_running_loop().run_in_executor(None, self.stop_members)
         if self.store is not None:
             self.store.flush()
@@ -551,6 +605,7 @@ class FleetRouter:
             member.breaker.record_failure()
             return
         member.host, member.port, member.proc = host, port, proc
+        member.close_idle()  # connections to the dead process
         member.breaker.record_success()
         self.counters["respawns"] += 1
         _count("respawns")

@@ -439,6 +439,11 @@ class TestRouterUnits:
 # ---------------------------------------------------------------------------
 
 
+def pooled_peer_ports(member):
+    """The ports the member's pooled connections lead to."""
+    return {writer.get_extra_info("peername")[1] for _, writer in list(member.idle)}
+
+
 @pytest.fixture(scope="module")
 def live_fleet(tmp_path_factory):
     store = tmp_path_factory.mktemp("fleet-store")
@@ -470,10 +475,15 @@ class TestLiveFleet:
             while time.monotonic() < deadline:
                 if live_fleet.server.counters["respawns"] >= 1:
                     break
-                time.sleep(0.2)
+                time.sleep(0.05)
+            member = live_fleet.server.members[1]
+            # No pooled connection leads to the dead process, neither
+            # right after the respawn nor once calls reach the new one.
+            assert pooled_peer_ports(member) <= {member.port}
             stats = client.stats()
+            assert pooled_peer_ports(member) == {member.port}
         assert stats["router"]["respawns"] >= 1
-        assert live_fleet.server.members[1].alive
+        assert member.alive
         assert stats["router"]["degraded"] == 0
         assert stats["store"]["entries"] == 4
         assert "metrics" in stats
@@ -640,16 +650,30 @@ class Tarpit(threading.Thread):
         self._listener.listen(8)
         self.port = self._listener.getsockname()[1]
 
+        self.conns = []
+
     def run(self):
-        conns = []
         while True:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
-                for c in conns:
+                for c in self.conns:
                     c.close()
                 return
-            conns.append(conn)
+            self.conns.append(conn)
+
+    def closed_by_peer(self, timeout=10.0):
+        """Whether the router closed every connection it opened here."""
+        deadline = time.monotonic() + timeout
+        for conn in list(self.conns):
+            while True:
+                conn.settimeout(max(0.01, deadline - time.monotonic()))
+                try:
+                    if not conn.recv(65536):
+                        break
+                except socket.timeout:
+                    return False
+        return True
 
     def stop(self):
         self._listener.close()
@@ -686,17 +710,50 @@ class Misbehaver(threading.Thread):
         self._listener.close()
 
 
+class AnswersOnce(Misbehaver):
+    """Answers the first request with ``reply`` and closes that
+    connection; every later connection gets EOF after its request."""
+
+    def run(self):
+        reply = self.reply
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            try:
+                conn.recv(65536)
+                if reply:
+                    conn.sendall(reply)
+                    reply = b""
+            except OSError:
+                pass
+            finally:
+                conn.close()
+
+
+def split_owners(tmp_path):
+    """A 2-shard store at ``tmp_path``; SCENARIO's (primary, replica) index."""
+    ShardedResultStore(tmp_path, shards=2, replicas=2)
+    scratch = FleetRouter([Member(0, "127.0.0.1", 1),
+                           Member(1, "127.0.0.1", 2)], hedge_after=None)
+    primary_index = int(scratch.ring.primary(scratch._scenario_digest(SCENARIO))[-2:])
+    return primary_index, 1 - primary_index
+
+
+@pytest.fixture()
+def no_health_pings(monkeypatch):
+    """Keep the health loop asleep: the test decides every member call."""
+    from repro.service.fleet import router as router_mod
+
+    monkeypatch.setattr(router_mod, "HEALTH_INTERVAL_S", 3600.0)
+
+
 class TestFailover:
     @pytest.mark.parametrize("reply", [b"this is not json\n", b""],
                              ids=["garbage", "eof"])
     def test_misbehaving_primary_fails_over(self, tmp_path, reply):
-        ShardedResultStore(tmp_path, shards=2, replicas=2)
-        scratch = FleetRouter([Member(0, "127.0.0.1", 1),
-                               Member(1, "127.0.0.1", 2)], hedge_after=None)
-        digest = scratch._scenario_digest(SCENARIO)
-        primary_index = int(scratch.ring.primary(digest)[-2:])
-        replica_index = 1 - primary_index
-
+        primary_index, replica_index = split_owners(tmp_path)
         bad = Misbehaver(reply)
         bad.start()
         host, port, proc = spawn_member(str(tmp_path))
@@ -717,15 +774,109 @@ class TestFailover:
             bad.stop()
 
 
-class TestHedging:
-    def test_slow_primary_is_hedged_to_the_replica(self, tmp_path):
-        ShardedResultStore(tmp_path, shards=2, replicas=2)
-        scratch = FleetRouter([Member(0, "127.0.0.1", 1),
-                               Member(1, "127.0.0.1", 2)], hedge_after=None)
-        digest = scratch._scenario_digest(SCENARIO)
-        primary_index = int(scratch.ring.primary(digest)[-2:])
-        replica_index = 1 - primary_index
+class TestConnectionPool:
+    def test_sequential_warm_reads_reuse_one_connection_per_member(
+        self, tmp_path, no_health_pings
+    ):
+        fleet = start_fleet_background(str(tmp_path), shards=2, replicas=2,
+                                       hedge_after=None)
+        router = fleet.server
+        loop = router._health.get_loop()
+        points = [dict(SCENARIO, seed=seed) for seed in (17, 18, 19, 20)]
+        try:
+            with ServiceClient(*fleet.address) as client:
+                expected = [client.evaluate(p).to_records() for p in points]
+                for i in range(40):
+                    if i % 10 == 0:  # health pings share the pool
+                        asyncio.run_coroutine_threadsafe(
+                            router._health_check(), loop).result(timeout=30)
+                    point = i % len(points)
+                    assert client.evaluate(points[point]).to_records() == expected[point]
+                stats = client.stats()
+            assert stats["router"]["member_connects"] == 2
+            assert [len(m.idle) for m in router.members] == [1, 1]
+            assert stats["router"]["failovers"] == 0
 
+            # A member that dies idle leaves its pooled connection
+            # behind; the respawn closes it.
+            dead = router.members[0]
+            assert pooled_peer_ports(dead) == {dead.port}
+            router.kill_member(0)
+            dead.proc.wait(timeout=10)
+            asyncio.run_coroutine_threadsafe(
+                router._health_check(), loop).result(timeout=60)
+            assert router.counters["respawns"] == 1
+            assert dead.idle == []
+        finally:
+            fleet.stop()
+        assert all(m.idle == [] for m in router.members)  # closed on stop
+
+    def test_member_closing_after_an_answer_fails_over_like_eof(
+        self, tmp_path, no_health_pings
+    ):
+        """A pooled connection the member closed is dropped; the request
+        then fails over exactly as one whose member answered EOF."""
+        primary_index, replica_index = split_owners(tmp_path)
+        host, port, proc = spawn_member(str(tmp_path))
+        canned = {"ok": True, "result": {"records": []}}
+
+        def fleet_with(primary):
+            members = [None, None]
+            members[primary_index] = Member(primary_index, "127.0.0.1", primary.port)
+            # No process: the real member outlives both routers.
+            members[replica_index] = Member(replica_index, host, port)
+            router = FleetRouter(members, hedge_after=None)
+            return router, start_fleet_background(str(tmp_path), router=router)
+
+        def routed(router, fleet):
+            before = dict(router.counters)
+            with ServiceClient(*fleet.address, retries=0) as client:
+                records = client.evaluate(SCENARIO).to_records()
+            delta = {k: router.counters[k] - before[k] for k in before}
+            return records, delta
+
+        eof, once = Misbehaver(b""), AnswersOnce(json.dumps(canned).encode() + b"\n")
+        eof.start()
+        once.start()
+        try:
+            router, fleet = fleet_with(eof)
+            try:
+                eof_records, eof_delta = routed(router, fleet)
+            finally:
+                fleet.stop()
+
+            router, fleet = fleet_with(once)
+            try:
+                assert routed(router, fleet)[0] == []  # the canned answer
+                pooled = router.members[primary_index].idle
+                assert len(pooled) == 1
+                deadline = time.monotonic() + 10
+                while not pooled[0][0].at_eof() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert pooled[0][0].at_eof(), "the router never read the close"
+                records, delta = routed(router, fleet)
+                assert router.members[primary_index].idle == []
+            finally:
+                fleet.stop()
+            assert records == eof_records and len(records) == 1
+            assert delta == eof_delta
+            assert (delta["failovers"], delta["member_failures"]) == (1, 1)
+            assert delta["member_connects"] == 2  # a new one to each member
+        finally:
+            eof.stop()
+            once.stop()
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+
+class TestHedging:
+    def test_slow_primary_is_hedged_to_the_replica(
+        self, tmp_path, no_health_pings
+    ):
+        """The hedge's loser -- the tarpit's connection -- is closed, not
+        pooled, so the next request is hedged again."""
+        primary_index, replica_index = split_owners(tmp_path)
         tarpit = Tarpit()
         tarpit.start()
         host, port, proc = spawn_member(str(tmp_path))
@@ -736,10 +887,18 @@ class TestHedging:
         fleet = start_fleet_background(str(tmp_path), router=router)
         try:
             with ServiceClient(*fleet.address, retries=0) as client:
-                results = client.evaluate(SCENARIO)
-            assert len(results.to_records()) == 1
-            assert router.counters["hedges"] >= 1
-            assert router.counters["hedge_wins"] >= 1
+                first = client.evaluate(SCENARIO).to_records()
+                assert (router.counters["hedges"], router.counters["hedge_wins"]) == (1, 1)
+                assert tarpit.closed_by_peer()
+                assert router.members[primary_index].idle == []
+                # The next request opens a new connection to the tarpit,
+                # is hedged again and reuses the replica's connection.
+                assert client.evaluate(SCENARIO).to_records() == first
+            assert (router.counters["hedges"], router.counters["hedge_wins"]) == (2, 2)
+            assert router.counters["member_connects"] == 3
+            assert len(tarpit.conns) == 2 and tarpit.closed_by_peer()
+            assert router.members[primary_index].idle == []
+            assert len(first) == 1
         finally:
             fleet.stop()
             tarpit.stop()

@@ -573,6 +573,37 @@ class TestDaemon:
         with ServiceClient(*server.address) as client:
             assert client.ping()["service"] == "repro.service"
 
+    def test_shutdown_with_an_open_connection_is_quiet(self, tmp_path):
+        """A client still connected at shutdown has its connection
+        closed; the server exits 0 without a traceback on stderr."""
+        import re
+        import socket
+
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve", "--port", "0",
+             "--store", str(tmp_path / "store")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            host, port = re.search(r"serving on ([\w.]+):(\d+)", banner).groups()
+            with socket.create_connection((host, int(port)), timeout=30) as idle, \
+                    idle.makefile("rb") as reader:
+                idle.sendall(b'{"verb": "ping"}\n')
+                assert json.loads(reader.readline())["ok"] is True
+                with ServiceClient(host, int(port)) as other:
+                    other.shutdown()
+                _, stderr = proc.communicate(timeout=60)
+                # The server closed the connection left open.
+                assert reader.readline() == b""
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+        assert proc.returncode == 0, stderr
+        assert "Traceback" not in stderr, stderr
+
     def test_serve_background_does_not_leak_store_selection(self, tmp_path):
         handle = serve_background(store=tmp_path / "other-store")
         try:

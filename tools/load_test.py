@@ -13,7 +13,12 @@ through the pipelined :class:`~repro.service.fleet.AsyncServiceClient`
   failover plus the client's idempotent-verb retry matrix must absorb
   the murder: **any failed request fails the harness** (exit 1).
 
-Each phase prints its p50/p95/p99 latency and throughput.
+Each phase prints its p50/p95/p99 latency and throughput, and the
+member connections the router opened during it.  The router keeps its
+member connections open, about as many as calls ran at once (which
+``MAX_INFLIGHT`` caps), so a steady phase that opens more than
+``shards x MAX_INFLIGHT`` fails the harness too: it is opening one per
+call.
 
 Usage::
 
@@ -156,6 +161,7 @@ def summarize(phase: dict) -> str:
         f"p95 {latency['p95'] * 1e3:7.2f} ms  "
         f"p99 {latency['p99'] * 1e3:7.2f} ms  "
         f"{phase['throughput_rps']:8.1f} req/s  "
+        f"member connects {phase['member_connects']}  "
         f"failures {phase['failures']}"
         + (f"  (killed pid {phase['killed_pid']})"
            if phase["killed_pid"] else "")
@@ -169,6 +175,7 @@ def main(argv=None) -> int:
         args.concurrency = min(args.concurrency, 16)
 
     from repro.service.fleet import AsyncServiceClient, start_fleet_background
+    from repro.service.fleet.router import MAX_INFLIGHT
 
     store = args.store or tempfile.mkdtemp(prefix="repro-load-test-")
     scenarios = scenarios_from_smoke_grid()
@@ -193,19 +200,26 @@ def main(argv=None) -> int:
 
         asyncio.run(warm())
 
-        phases = []
-        phases.append(asyncio.run(run_phase(
-            "steady", fleet.address, scenarios, args.requests,
-            args.concurrency, args.retries, args.deadline,
-        )))
-        print(summarize(phases[-1]), flush=True)
-        phases.append(asyncio.run(run_phase(
-            "kill_shard", fleet.address, scenarios, args.requests,
-            args.concurrency, args.retries, args.deadline,
-            kill=lambda: fleet.server.kill_member(args.kill_member),
-            kill_at=args.kill_at,
-        )))
-        print(summarize(phases[-1]), flush=True)
+        def phase(name, **kill):
+            before = fleet.server.counters["member_connects"]
+            result = asyncio.run(run_phase(
+                name, fleet.address, scenarios, args.requests,
+                args.concurrency, args.retries, args.deadline, **kill,
+            ))
+            result["member_connects"] = (
+                fleet.server.counters["member_connects"] - before
+            )
+            print(summarize(result), flush=True)
+            return result
+
+        phases = [
+            phase("steady"),
+            phase(
+                "kill_shard",
+                kill=lambda: fleet.server.kill_member(args.kill_member),
+                kill_at=args.kill_at,
+            ),
+        ]
     finally:
         fleet.stop()
 
@@ -218,6 +232,12 @@ def main(argv=None) -> int:
         print(f"load-test: FAIL -- {failed} failed request(s); the fleet "
               "must absorb a member SIGKILL with zero failures",
               file=sys.stderr)
+        return 1
+    connects, bound = phases[0]["member_connects"], args.shards * MAX_INFLIGHT
+    if connects > bound:
+        print(f"load-test: FAIL -- the steady phase opened {connects} member "
+              f"connections, more than shards x MAX_INFLIGHT = {bound}; the "
+              "router must reuse its member connections", file=sys.stderr)
         return 1
     print("load-test: OK -- zero failed requests across "
           f"{sum(p['requests'] for p in phases)} "
