@@ -34,15 +34,16 @@ WORKLOAD ?= design-sweep
 #: Deterministic wire-fault schedule seeds replayed by `make chaos-test`.
 CHAOS_SEEDS ?= --seed 7 --seed 17
 
-.PHONY: test test-faults perfbench-smoke coverage coverage-service coverage-suites coverage-telemetry coverage-fleet chaos-test docs-check load-test load-test-smoke report report-html report-smoke pipelines sweep-smoke service-smoke suites-smoke profile perf-pairs
+.PHONY: test test-faults test-leaks perfbench-smoke coverage coverage-service coverage-suites coverage-telemetry coverage-fleet chaos-test docs-check load-test load-test-smoke report report-html report-smoke pipelines sweep-smoke service-smoke suites-smoke profile perf-pairs
 
 ## Tier-1 verification: full unit/integration/experiment suite, then
-## the fault-injection suite, the benchmark, sweep-smoke, service-smoke,
-## suites-smoke, report-smoke and load-test-smoke checks, and the chaos
-## harness.
+## the fault-injection suite, the leak check, the benchmark, sweep-smoke,
+## service-smoke, suites-smoke, report-smoke and load-test-smoke checks,
+## and the chaos harness.
 test:
 	$(PY) -m pytest -x -q
 	$(MAKE) test-faults
+	$(MAKE) test-leaks
 	$(MAKE) perfbench-smoke
 	$(MAKE) sweep-smoke
 	$(MAKE) service-smoke
@@ -59,6 +60,14 @@ test-faults:
 	$(PY) -m pytest -x -q tests/test_faults_properties.py \
 	  tests/test_faults_determinism.py tests/test_faults_edgecases.py \
 	  tests/test_fault_sweep.py tests/test_reference_equivalence.py
+
+## Leak check: the service, fleet and resilience suites with every
+## unclosed socket, pipe, transport or file turned into a test failure.
+test-leaks:
+	$(PY) -m pytest -x -q -W error::ResourceWarning \
+	  -W error::pytest.PytestUnraisableExceptionWarning \
+	  tests/test_fleet.py tests/test_service.py \
+	  tests/test_service_errors.py tests/test_resilience.py
 
 ## Coverage gate: run the fault suite under a stdlib line tracer and
 ## fail if any src/repro/faults/ file is below FAULTS_MIN_COVERAGE%.

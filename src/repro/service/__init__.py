@@ -19,9 +19,12 @@ concurrent clients split one simulation bill:
   asyncio JSON-lines TCP daemon (``ping`` / ``evaluate`` / ``sweep`` /
   ``stats`` / ``shutdown``) and its blocking client, returning the same
   tidy :class:`~repro.api.results.ResultSet` records as in-process
-  ``Sweep.run``.  The daemon module holds the one wire loop, handle and
-  error envelope; the fleet router (:mod:`repro.service.fleet`) is that
-  loop's second server.
+  ``Sweep.run``.  The daemon module holds the one wire loop and handle;
+  the fleet router (:mod:`repro.service.fleet`) is that loop's second
+  server.
+- :mod:`repro.service.wire` -- the line framing, the reply envelope,
+  :class:`ServiceError` and the asyncio connection pool that the fleet
+  router and the async client share.
 - :mod:`repro.service.resilience` -- the crash-safety layer: write-ahead
   store journaling with startup recovery, the retry policy and circuit
   breaker, and the one retry decision both clients share (with

@@ -54,10 +54,18 @@ from repro.service.resilience.retry import (  # noqa: F401 - re-exported
     RetryBudget,
     RetryPolicy,
 )
+from repro.service.wire import ServiceError, encode_line, unwrap  # noqa: F401
 
 
-class ServiceError(RuntimeError):
-    """The daemon processed the request and reported a failure."""
+def spec_dict(spec: Union[Scenario, Sweep, Mapping[str, Any]]) -> Dict[str, Any]:
+    """A scenario or sweep grid as the plain dict a request carries."""
+    return spec.to_dict() if isinstance(spec, (Scenario, Sweep)) else dict(spec)
+
+
+def records(result: Mapping[str, Any]) -> ResultSet:
+    """An ``evaluate``/``sweep`` result as the :class:`ResultSet` that an
+    in-process run returns."""
+    return ResultSet(result["records"])
 
 
 class ServiceDegradedWarning(UserWarning):
@@ -143,20 +151,17 @@ class ServiceClient:
         the buffer and be read as the answer to the *next* request.
         """
         try:
-            self._sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
+            self._sock.sendall(encode_line(request))
             line = self._reader.readline()
-            response = json.loads(line) if line else None
+            if not line:
+                raise ConnectionResetError(
+                    f"daemon at {self.host}:{self.port} closed the connection"
+                )
+            response = json.loads(line)
         except (OSError, ValueError):
             self.close()
             raise
-        if response is None:
-            self.close()
-            raise ConnectionResetError(
-                f"daemon at {self.host}:{self.port} closed the connection"
-            )
-        if not response.get("ok"):
-            raise ServiceError(response.get("error", "unknown daemon error"))
-        return response["result"]
+        return unwrap(response)
 
     def call(self, verb: str, **payload: Any) -> Any:
         """One request/response round trip; returns the ``result``.
@@ -210,9 +215,7 @@ class ServiceClient:
 
     def evaluate(self, scenario: Union[Scenario, Mapping[str, Any]]) -> ResultSet:
         """Evaluate one scenario remotely (or locally, when degrading)."""
-        if isinstance(scenario, Scenario):
-            scenario = scenario.to_dict()
-        scenario = dict(scenario)
+        scenario = spec_dict(scenario)
         try:
             result = self.call("evaluate", scenario=scenario)
         except (OSError, ValueError) as exc:
@@ -223,13 +226,11 @@ class ServiceClient:
                 lambda: ResultSet(Scenario.from_dict(scenario).records()),
                 exc,
             )
-        return ResultSet(result["records"])
+        return records(result)
 
     def sweep(self, sweep: Union[Sweep, Mapping[str, Any]]) -> ResultSet:
         """Evaluate a whole sweep grid remotely (or locally, degrading)."""
-        if isinstance(sweep, Sweep):
-            sweep = sweep.to_dict()
-        sweep = dict(sweep)
+        sweep = spec_dict(sweep)
         try:
             result = self.call("sweep", sweep=sweep)
         except (OSError, ValueError) as exc:
@@ -238,7 +239,7 @@ class ServiceClient:
             return self._degrade_local(
                 "sweep", lambda: Sweep.from_dict(sweep).run(), exc
             )
-        return ResultSet(result["records"])
+        return records(result)
 
     def shutdown(self) -> Dict[str, Any]:
         """Ask the daemon to stop serving (acknowledged before exit).

@@ -13,9 +13,9 @@ Verbs:
 =========  ==========================================================
 
 Responses are ``{"ok": true, "result": ...}`` or ``{"ok": false,
-"error": "..."}``; a malformed line gets an error response instead of a
-dropped connection, and one client's failure never takes the server
-down.
+"error": "..."}``, framed by :mod:`repro.service.wire`; a malformed line
+gets an error response instead of a dropped connection, and one
+client's failure never takes the server down.
 
 Evaluations run in a worker thread (the event loop stays responsive to
 ``ping``/``stats`` while a batch simulates) but are serialized through
@@ -44,12 +44,11 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.experiments import common
 from repro.service.scheduler import BatchScheduler
+from repro.service.wire import MAX_LINE, ServiceError, encode_line
 from repro.version import __version__
 
 #: Default TCP port (overridden by ``--port``; 0 picks an ephemeral one).
 DEFAULT_PORT = 7917
-
-_MAX_LINE = 16 * 1024 * 1024  # one request line; sweep grids are small
 
 #: Verbs answered inline on the event loop, outside the batch lock --
 #: strictly O(1), so a health check succeeds mid-simulation.
@@ -67,15 +66,6 @@ class ServiceProtocolError(ValueError):
 
 class DeadlineExceeded(ServiceProtocolError):
     """A request whose client-supplied deadline lapsed before execution."""
-
-
-class RelayedError(RuntimeError):
-    """An error another server already answered, relayed verbatim.
-
-    The fleet router raises it for a member's ``{"ok": false}`` reply:
-    the member understood the request and rejected it, so the router
-    neither fails over nor re-prefixes the message.
-    """
 
 
 def lookup_verb(server: Any, request: Any) -> Tuple[str, Callable[[Any], Any]]:
@@ -194,7 +184,7 @@ class EvaluationDaemon:
 
 
 async def _reply(writer, response: Dict[str, Any]) -> None:
-    writer.write((json.dumps(response) + "\n").encode("utf-8"))
+    writer.write(encode_line(response))
     await writer.drain()
 
 
@@ -209,13 +199,14 @@ async def serve_lines(
 
     Each request line is decoded and answered by ``await
     server.answer(request, received)``; any exception becomes an
-    ``{"ok": false}`` envelope (a :class:`RelayedError` verbatim, others
-    as ``"Type: message"``).  ``server.started()`` and
-    ``server.finished()`` bracket the serving window, and the first
-    response sent with ``server.stopping`` set ends it.  Connections
-    still open then are closed and their handlers return: a client (or
-    a fleet router's pooled member connection) left connected never
-    leaves a handler for ``asyncio.run`` to cancel.
+    ``{"ok": false}`` envelope (a
+    :class:`~repro.service.wire.ServiceError` -- a fleet member's own
+    error reply -- verbatim, others as ``"Type: message"``).
+    ``server.started()`` and ``server.finished()`` bracket the serving
+    window, and the first response sent with ``server.stopping`` set
+    ends it.  Connections still open then are closed and their handlers
+    return: a client (or a fleet router's pooled member connection) left
+    connected never leaves a handler for ``asyncio.run`` to cancel.
     """
     loop = asyncio.get_running_loop()
     stopped = asyncio.Event()
@@ -236,7 +227,7 @@ async def serve_lines(
                     # and drop only this connection.
                     await _reply(writer, {
                         "ok": False,
-                        "error": f"request line exceeds {_MAX_LINE} bytes",
+                        "error": f"request line exceeds {MAX_LINE} bytes",
                     })
                     break
                 if not line:
@@ -249,7 +240,7 @@ async def serve_lines(
                     response = {"ok": True, "result": result}
                 except Exception as exc:  # noqa: BLE001 - protocol boundary
                     message = (
-                        str(exc) if isinstance(exc, RelayedError)
+                        str(exc) if isinstance(exc, ServiceError)
                         else f"{type(exc).__name__}: {exc}"
                     )
                     response = {"ok": False, "error": message}
@@ -265,7 +256,7 @@ async def serve_lines(
 
     await server.started()
     try:
-        listener = await asyncio.start_server(handle, host, port, limit=_MAX_LINE)
+        listener = await asyncio.start_server(handle, host, port, limit=MAX_LINE)
         actual_port = listener.sockets[0].getsockname()[1]
         if announce is not None:
             announce(host, actual_port)
@@ -349,7 +340,7 @@ class ServerHandle:
         ``finished()`` hook runs as the loop exits.  Calling ``stop`` on
         an already-stopped server is a no-op that returns ``True``.
         """
-        from repro.service.client import ServiceClient, ServiceError
+        from repro.service.client import ServiceClient
 
         if self._thread.is_alive():
             try:

@@ -27,9 +27,11 @@ service down:
   respawns members it spawned, and degrades to in-process evaluation
   when every member is gone -- a request never fails outright.
 - :mod:`repro.service.fleet.async_client` -- :class:`AsyncServiceClient`:
-  an asyncio pipelined client keeping many submissions in flight with
-  per-request deadlines and the existing idempotent-verb retry matrix
-  (the engine of ``tools/load_test.py`` / ``make load-test``).
+  an asyncio client keeping many submissions in flight, one pooled
+  connection each (the router's own
+  :class:`~repro.service.wire.ConnectionPool`), with per-request
+  deadlines and the existing idempotent-verb retry matrix (the engine
+  of ``tools/load_test.py`` / ``make load-test``).
 
 See docs/ARCHITECTURE.md, "The evaluation fleet".
 """

@@ -16,15 +16,15 @@ store shard, all sharing the sharded store) do the evaluating:
   owner and the first success wins (safe: ``evaluate``/``sweep`` are
   idempotent by content address).  Tail latency becomes the minimum of
   two samples instead of a lost cause.
-- **Pooled member connections.**  Each member keeps the router's idle
-  connections to it.  A call checks one out for its exclusive use (or
-  opens one) and returns it only after reading a complete reply line;
-  a timeout, a transport error, EOF, garbage or a cancellation closes
-  it instead.  The losing side of a hedge is cancelled mid-read, so its
-  socket -- whose stream may still carry a reply nobody will read -- is
-  closed, never reused.  A member's pool holds at most as many
-  connections as calls to it ever ran at once, which ``MAX_INFLIGHT``
-  caps (health pings and ``stats`` aside).
+- **Pooled member connections.**  Each member keeps a
+  :class:`~repro.service.wire.ConnectionPool` of the router's
+  connections to it; a call has its connection to itself.  The losing
+  side of a hedge is cancelled mid-read, so its socket -- whose stream
+  may still carry a reply nobody will read -- is closed, never reused.
+  A member's pool holds at most as many connections as calls to it
+  ever ran at once, which ``MAX_INFLIGHT`` caps (health pings and
+  ``stats`` aside).  A member's own error reply is relayed to the
+  client verbatim and never failed over.
 - **Failover & health.**  Member failures trip a per-member
   :class:`~repro.service.resilience.retry.CircuitBreaker`; a health
   loop pings members, notices dead processes, and **respawns** members
@@ -40,8 +40,9 @@ store shard, all sharing the sharded store) do the evaluating:
   a single-daemon or in-process run.
 
 The router is the second server of the daemon's JSON-lines skeleton
-(:func:`repro.service.daemon.serve_lines`): the wire loop, line limit,
-error envelope and background handle are the daemon's own.
+(:func:`repro.service.daemon.serve_lines`): the wire loop and background
+handle are the daemon's own, and the line format is
+:mod:`repro.service.wire`'s.
 ``serve_fleet`` is the ``python -m repro.service serve --fleet`` entry
 point; ``start_fleet_background`` is the test/doctest form.  Hedge,
 failover, respawn and degrade events are counted in the telemetry
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import os
 import re
 import subprocess
@@ -61,8 +61,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.service.daemon import (
-    _MAX_LINE,
-    RelayedError,
     ServerHandle,
     ServiceProtocolError,
     lookup_verb,
@@ -72,6 +70,7 @@ from repro.service.daemon import (
 from repro.service.fleet.ring import HashRing, shard_name
 from repro.service.fleet.sharded import ShardedResultStore
 from repro.service.resilience.retry import CircuitBreaker, RetryPolicy
+from repro.service.wire import ConnectionPool, unwrap
 from repro.version import __version__
 
 
@@ -87,19 +86,14 @@ MAX_INFLIGHT = 32
 RESPAWN_BACKOFF = RetryPolicy(base_delay=0.05, max_delay=2.0, jitter=0.0)
 
 
-def _count(name: str, amount: int = 1) -> None:
-    from repro.telemetry import registry
-
-    registry().counter(f"service.fleet.{name}").inc(amount)
-
-
 class MemberError(RuntimeError):
     """Transport-level loss of a member (connect/read/decode failure)."""
 
 
 class Member:
-    """One member daemon: address, optional owned process, health state
-    and the router's idle connections to it."""
+    """One member daemon: optional owned process, health state and the
+    router's pool of connections to its address (used only on the
+    router's event loop)."""
 
     def __init__(
         self,
@@ -109,14 +103,18 @@ class Member:
         proc: Optional[subprocess.Popen] = None,
     ) -> None:
         self.index = index
-        self.host = host
-        self.port = port
+        self.pool = ConnectionPool(host, port)
         self.proc = proc
         self.breaker = CircuitBreaker(failure_threshold=3, reset_after=1.0)
         self.crashes = 0  # consecutive; paces respawn backoff
-        # Idle (reader, writer) connections to this member, used only on
-        # the router's event loop (see FleetRouter._member_call).
-        self.idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+
+    @property
+    def host(self) -> str:
+        return self.pool.host
+
+    @property
+    def port(self) -> int:
+        return self.pool.port
 
     @property
     def shard(self) -> str:
@@ -126,12 +124,15 @@ class Member:
     def alive(self) -> bool:
         return self.proc is None or self.proc.poll() is None
 
-    def close_idle(self) -> List[asyncio.StreamWriter]:
-        """Close every pooled connection; returns their writers."""
-        idle, self.idle = self.idle, []
-        for _, writer in idle:
-            writer.close()
-        return [writer for _, writer in idle]
+    async def replace(self, host: str, port: int, proc: subprocess.Popen) -> None:
+        """Point the member at a new process, then close the old
+        process's pipe and the pooled connections to it."""
+        old, self.proc = self.proc, proc
+        self.pool.host, self.pool.port = host, port
+        if old is not None and old.stdout is not None:
+            with contextlib.suppress(OSError):
+                old.stdout.close()
+        await self.pool.close()
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -237,7 +238,7 @@ class FleetRouter:
         self.hedge_after = hedge_after
         self.stopping = False
         self.requests: Dict[str, int] = {}
-        self.counters = {
+        self._counts = {
             "routed": 0,
             "hedges": 0,
             "hedge_wins": 0,
@@ -245,7 +246,6 @@ class FleetRouter:
             "degraded": 0,
             "respawns": 0,
             "member_failures": 0,
-            "member_connects": 0,
         }
         self._rr = 0  # round-robin cursor for digestless requests
         # Built on the serving loop by started().
@@ -253,75 +253,41 @@ class FleetRouter:
         self._inflight: Optional[asyncio.Semaphore] = None
         self._health: Optional[asyncio.Future] = None
 
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Routing events, plus the connections opened to members."""
+        return dict(
+            self._counts,
+            member_connects=sum(m.pool.connects for m in self.members),
+        )
+
+    def _bump(self, name: str) -> None:
+        """Count one routing event, here and in the telemetry registry."""
+        from repro.telemetry import registry
+
+        self._counts[name] += 1
+        registry().counter(f"service.fleet.{name}").inc()
+
     # -- the member wire -----------------------------------------------------
-
-    async def _checkout(
-        self, member: Member, timeout: float
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        """An idle connection to ``member`` that is still open, or a new one.
-
-        Pooled connections the member has closed since (it stopped, or
-        was SIGKILLed) read EOF and are dropped here, so a dead member
-        fails with a refused connect, exactly as without a pool.
-        """
-        while member.idle:
-            reader, writer = member.idle.pop()
-            if not writer.is_closing() and not reader.at_eof():
-                return reader, writer
-            writer.close()
-        try:
-            connection = await asyncio.wait_for(
-                asyncio.open_connection(member.host, member.port, limit=_MAX_LINE),
-                timeout=min(timeout, 10.0),
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise MemberError(f"member {member.index} unreachable: {exc}") from exc
-        self.counters["member_connects"] += 1
-        return connection
 
     async def _member_call(
         self, member: Member, request: Dict[str, Any], timeout: float
     ) -> Any:
-        """One request/response round trip to one member.
+        """One request/response round trip to one member, on a connection
+        checked out of the member's pool for this call alone.
 
-        The call has its connection to itself: it checks one out of the
-        member's pool (or opens one) and puts it back only once it has
-        read and decoded a complete reply line.  A timeout, a transport
-        error, EOF, garbage, a cancellation or any other exception
-        closes the connection instead, because its stream may still
-        carry (part of) a reply no one will read.  So a hedge never
-        shares transport state with the attempt it races: the loser is
-        cancelled mid-read and its socket closed.
+        A hedge therefore never shares transport state with the attempt
+        it races: the loser is cancelled mid-read and its socket closed.
+        A member's own ``{"ok": false}`` reply raises
+        :class:`~repro.service.wire.ServiceError`, which the router
+        relays verbatim rather than failing over.
         """
-        reader, writer = await self._checkout(member, timeout)
-        reusable = False
         try:
-            try:
-                writer.write((json.dumps(request) + "\n").encode("utf-8"))
-                await writer.drain()
-                line = await asyncio.wait_for(reader.readline(), timeout=timeout)
-            except (OSError, asyncio.TimeoutError) as exc:
-                raise MemberError(f"member {member.index} lost mid-call: {exc}") from exc
-            if not line:
-                raise MemberError(f"member {member.index} closed the connection")
-            try:
-                response = json.loads(line)
-            except ValueError as exc:
-                raise MemberError(f"member {member.index} spoke garbage") from exc
-            ok = response.get("ok")
-            reusable = line.endswith(b"\n")
-        finally:
-            if reusable:
-                member.idle.append((reader, writer))
-            else:
-                writer.close()
-                with contextlib.suppress(OSError):
-                    await writer.wait_closed()
-        if not ok:
-            # The member *answered*: a deterministic request error that
-            # must surface to the client, not fail over.
-            raise RelayedError(response.get("error", "unknown error"))
-        return response["result"]
+            async with member.pool.checkout(min(timeout, 10.0)) as conn:
+                response = await conn.exchange(request, timeout)
+        except (OSError, ValueError, asyncio.TimeoutError) as exc:
+            raise MemberError(f"member {member.index} lost: {exc!r}") from exc
+        return unwrap(response)
 
     # -- placement -----------------------------------------------------------
 
@@ -384,7 +350,7 @@ class FleetRouter:
         Exhausting every member degrades to local evaluation.
         """
         candidates = self._candidates(digest)
-        self.counters["routed"] += 1
+        self._counts["routed"] += 1
         errors: List[BaseException] = []
         idx = 0
         while idx < len(candidates):
@@ -400,8 +366,7 @@ class FleetRouter:
                 )
                 if not done:
                     hedge = candidates[idx + 1]
-                    self.counters["hedges"] += 1
-                    _count("hedges")
+                    self._bump("hedges")
                     tasks[
                         asyncio.ensure_future(
                             self._member_call(hedge, request, MEMBER_TIMEOUT_S)
@@ -420,15 +385,13 @@ class FleetRouter:
                         member.breaker.record_success()
                         member.crashes = 0
                         if member is not first:
-                            self.counters["hedge_wins"] += 1
-                            _count("hedge_wins")
+                            self._bump("hedge_wins")
                         for loser in racing:
                             loser.cancel()
                         return task.result()
                     if isinstance(exc, MemberError):
                         member.breaker.record_failure()
-                        self.counters["member_failures"] += 1
-                        _count("member_failures")
+                        self._bump("member_failures")
                         errors.append(exc)
                     else:
                         # Daemon-reported: deterministic, do not retry.
@@ -437,8 +400,7 @@ class FleetRouter:
                         raise exc
             idx += len(tasks)
             if idx < len(candidates):
-                self.counters["failovers"] += 1
-                _count("failovers")
+                self._bump("failovers")
         return await self._degrade(request, errors)
 
     async def _degrade(
@@ -448,8 +410,7 @@ class FleetRouter:
         scenario = request.get("scenario")
         if not isinstance(scenario, dict):
             raise errors[-1] if errors else MemberError("no members available")
-        self.counters["degraded"] += 1
-        _count("degraded")
+        self._bump("degraded")
         loop = asyncio.get_running_loop()
         async with self._local_lock:
             return await loop.run_in_executor(None, self._evaluate_local, scenario)
@@ -487,9 +448,7 @@ class FleetRouter:
         with contextlib.suppress(asyncio.CancelledError):
             await self._health
         for member in self.members:
-            for writer in member.close_idle():
-                with contextlib.suppress(OSError):
-                    await writer.wait_closed()
+            await member.pool.close()
         await asyncio.get_running_loop().run_in_executor(None, self.stop_members)
         if self.store is not None:
             self.store.flush()
@@ -578,8 +537,7 @@ class FleetRouter:
                 member.crashes = 0
             except (MemberError, RuntimeError):
                 member.breaker.record_failure()
-                self.counters["member_failures"] += 1
-                _count("member_failures")
+                self._bump("member_failures")
 
     async def _respawn(self, member: Member) -> None:
         """Replace a dead owned member, paced by per-member backoff."""
@@ -599,16 +557,14 @@ class FleetRouter:
             # to the member: stop_members must find it, or it outlives
             # the fleet.
             with contextlib.suppress(RuntimeError):
-                member.host, member.port, member.proc = await spawn
+                await member.replace(*await spawn)
             raise
         except RuntimeError:
             member.breaker.record_failure()
             return
-        member.host, member.port, member.proc = host, port, proc
-        member.close_idle()  # connections to the dead process
+        await member.replace(host, port, proc)
         member.breaker.record_success()
-        self.counters["respawns"] += 1
-        _count("respawns")
+        self._bump("respawns")
 
     async def _health_loop(self) -> None:
         while not self.stopping:

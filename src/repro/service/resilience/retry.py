@@ -14,9 +14,11 @@ All three are deliberately tiny and deterministic-by-injection:
   request: which verbs may resend, how many attempts, the free resend
   on a reused connection, the shrinking ``deadline_s`` and the backoff
   between attempts.  The blocking
-  :class:`~repro.service.client.ServiceClient` and the pipelined
-  :class:`~repro.service.fleet.async_client.AsyncServiceClient` each
-  wrap it in their own transport and sleep.
+  :class:`~repro.service.client.ServiceClient` wraps it around its
+  socket and ``time.sleep``; the
+  :class:`~repro.service.fleet.async_client.AsyncServiceClient` wraps it
+  around a :class:`~repro.service.wire.ConnectionPool` checkout, whose
+  connection reports whether it was reused, and ``asyncio.sleep``.
 
 The fleet router reuses the policy (member respawn pacing) and the
 breaker (one per member daemon).

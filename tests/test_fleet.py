@@ -8,7 +8,8 @@ Property tests (satellite of the fleet PR):
 
 Plus live-fleet integration: member SIGKILL failover + respawn, request
 hedging past a tarpit member, degradation to in-process evaluation with
-every member dead, and the async pipelined client's retry matrix.
+every member dead, and the async client's connection pool and retry
+matrix.
 """
 
 import asyncio
@@ -441,7 +442,7 @@ class TestRouterUnits:
 
 def pooled_peer_ports(member):
     """The ports the member's pooled connections lead to."""
-    return {writer.get_extra_info("peername")[1] for _, writer in list(member.idle)}
+    return {conn.writer.get_extra_info("peername")[1] for conn in list(member.pool.idle)}
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +503,22 @@ class TestLiveFleet:
                                  "seed": 17, "num_partitions": 8})
         assert live_fleet.server.counters["failovers"] == before
 
+    def test_member_errors_reach_the_client_verbatim(self, live_fleet):
+        """A member's error reply reaches a router client byte for byte
+        as a client talking to that member directly gets it."""
+        bad = dict(SCENARIO, system="no-such-system")
+
+        def error_of(address):
+            with ServiceClient(*address, retries=0) as client:
+                with pytest.raises(ServiceError) as caught:
+                    client.evaluate(bad)
+            return str(caught.value)
+
+        routed = error_of(live_fleet.address)
+        member = live_fleet.server.members[0]
+        assert routed == error_of((member.host, member.port))
+        assert routed.startswith("KeyError: ")  # not re-prefixed
+
     def test_unknown_verbs_and_garbage_are_reported(self, live_fleet):
         with ServiceClient(*live_fleet.address) as client:
             with pytest.raises(ServiceError, match="unknown verb"):
@@ -509,7 +526,7 @@ class TestLiveFleet:
             with pytest.raises(ServiceError):
                 client.call("sweep")  # missing the grid
 
-    def test_async_client_pipelines_against_the_fleet(self, live_fleet):
+    def test_async_client_runs_concurrent_calls_against_the_fleet(self, live_fleet):
         async def drive():
             async with AsyncServiceClient(*live_fleet.address, retries=3,
                                           max_connections=4) as client:
@@ -794,7 +811,7 @@ class TestConnectionPool:
                     assert client.evaluate(points[point]).to_records() == expected[point]
                 stats = client.stats()
             assert stats["router"]["member_connects"] == 2
-            assert [len(m.idle) for m in router.members] == [1, 1]
+            assert [len(m.pool.idle) for m in router.members] == [1, 1]
             assert stats["router"]["failovers"] == 0
 
             # A member that dies idle leaves its pooled connection
@@ -806,10 +823,10 @@ class TestConnectionPool:
             asyncio.run_coroutine_threadsafe(
                 router._health_check(), loop).result(timeout=60)
             assert router.counters["respawns"] == 1
-            assert dead.idle == []
+            assert dead.pool.idle == []
         finally:
             fleet.stop()
-        assert all(m.idle == [] for m in router.members)  # closed on stop
+        assert all(m.pool.idle == [] for m in router.members)  # closed on stop
 
     def test_member_closing_after_an_answer_fails_over_like_eof(
         self, tmp_path, no_health_pings
@@ -848,14 +865,14 @@ class TestConnectionPool:
             router, fleet = fleet_with(once)
             try:
                 assert routed(router, fleet)[0] == []  # the canned answer
-                pooled = router.members[primary_index].idle
+                pooled = router.members[primary_index].pool.idle
                 assert len(pooled) == 1
                 deadline = time.monotonic() + 10
-                while not pooled[0][0].at_eof() and time.monotonic() < deadline:
+                while not pooled[0].reader.at_eof() and time.monotonic() < deadline:
                     time.sleep(0.01)
-                assert pooled[0][0].at_eof(), "the router never read the close"
+                assert pooled[0].reader.at_eof(), "the router never read the close"
                 records, delta = routed(router, fleet)
-                assert router.members[primary_index].idle == []
+                assert router.members[primary_index].pool.idle == []
             finally:
                 fleet.stop()
             assert records == eof_records and len(records) == 1
@@ -890,14 +907,14 @@ class TestHedging:
                 first = client.evaluate(SCENARIO).to_records()
                 assert (router.counters["hedges"], router.counters["hedge_wins"]) == (1, 1)
                 assert tarpit.closed_by_peer()
-                assert router.members[primary_index].idle == []
+                assert router.members[primary_index].pool.idle == []
                 # The next request opens a new connection to the tarpit,
                 # is hedged again and reuses the replica's connection.
                 assert client.evaluate(SCENARIO).to_records() == first
             assert (router.counters["hedges"], router.counters["hedge_wins"]) == (2, 2)
             assert router.counters["member_connects"] == 3
             assert len(tarpit.conns) == 2 and tarpit.closed_by_peer()
-            assert router.members[primary_index].idle == []
+            assert router.members[primary_index].pool.idle == []
             assert len(first) == 1
         finally:
             fleet.stop()
@@ -1016,6 +1033,24 @@ class TestAsyncClient:
                 asyncio.run(drive())
         finally:
             tarpit.stop()
+
+    def test_sequential_calls_share_one_connection(self, tmp_path):
+        """A call hands its connection back after the reply, so calls
+        made one after another never open a second one."""
+        from repro.service.daemon import serve_background
+
+        handle = serve_background(store=str(tmp_path / "store"))
+        try:
+            async def drive():
+                async with AsyncServiceClient("127.0.0.1", handle.port,
+                                              max_connections=4) as client:
+                    for _ in range(20):
+                        assert (await client.ping())["service"] == "repro.service"
+                    return client._pool.connects, len(client._pool.idle)
+
+            assert asyncio.run(drive()) == (1, 1)
+        finally:
+            handle.stop()
 
     def test_daemon_restart_between_calls_is_invisible(self, tmp_path):
         from repro.service.daemon import serve_background

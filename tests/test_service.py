@@ -1,9 +1,11 @@
 """Tests for the evaluation service: the content-addressed store
 (digest stability, atomicity, corruption tolerance, LRU eviction,
 concurrent writers), the SystemResult codec, the store tier under
-``run_cached_result``, the batching scheduler, the serving daemon, and
-the fresh-process warm-store acceptance path."""
+``run_cached_result``, the batching scheduler, the serving daemon, the
+wire's framing, envelope and connection pool, and the fresh-process
+warm-store acceptance path."""
 
+import asyncio
 import json
 import os
 import subprocess
@@ -25,6 +27,7 @@ from repro.service import (
 )
 from repro.service.codec import result_from_document, result_to_document
 from repro.service.store import canonical_json
+from repro.service.wire import ConnectionPool, encode_line, unwrap
 
 ROOT = Path(__file__).resolve().parents[1]
 SMOKE_SPEC = ROOT / "tests" / "data" / "sweep_smoke.json"
@@ -262,20 +265,20 @@ class TestResultStore:
             "ResultStore(sys.argv[1]).put(digest, {'k': 1})\n"
         )
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        child = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", script, str(tmp_path)],
             env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        )
-        try:
-            assert child.stdout.readline() == "held\n"
-            opened = ResultStore(tmp_path)  # runs the recovery scan
-            assert opened.stats()["recovered_forward"] == 0
-            child.stdin.write("go\n")
-            child.stdin.close()
-            assert child.wait(timeout=60) == 0
-        finally:
-            child.kill()
-            child.wait()
+        ) as child:
+            try:
+                assert child.stdout.readline() == "held\n"
+                opened = ResultStore(tmp_path)  # runs the recovery scan
+                assert opened.stats()["recovered_forward"] == 0
+                child.stdin.write("go\n")
+                child.stdin.close()
+                assert child.wait(timeout=60) == 0
+            finally:
+                child.kill()
+                child.wait()
         assert ResultStore(tmp_path).get(digest_payload({"k": 1})) == {"k": 1}
 
 
@@ -561,11 +564,11 @@ class TestDaemon:
     def test_oversized_request_line_gets_an_error_response(self, server):
         import socket
 
-        from repro.service.daemon import _MAX_LINE
+        from repro.service.wire import MAX_LINE
 
         with socket.create_connection(server.address, timeout=30) as sock:
             reader = sock.makefile("rb")
-            sock.sendall(b'{"pad": "' + b"x" * (_MAX_LINE + 1024) + b'"}\n')
+            sock.sendall(b'{"pad": "' + b"x" * (MAX_LINE + 1024) + b'"}\n')
             response = json.loads(reader.readline())
         assert response["ok"] is False
         assert "exceeds" in response["error"]
@@ -613,6 +616,100 @@ class TestDaemon:
             assert common.store_path() is None  # still the host's choice
         finally:
             handle.stop()
+
+
+# ---------------------------------------------------------------------------
+# The wire: framing, envelope, connection pool
+# ---------------------------------------------------------------------------
+
+OK_LINE = b'{"ok": true, "result": 1}\n'
+
+
+def against_server(reply, body, close=False):
+    """Run ``body(pool)`` against a local server answering each request
+    line with ``reply`` (``None``: never answer), then closing the
+    connection if ``close``."""
+
+    async def main():
+        async def handle(reader, writer):
+            try:
+                while await reader.readline():
+                    if reply is None:
+                        await reader.read()  # silent until the client leaves
+                        break
+                    writer.write(reply)
+                    await writer.drain()
+                    if close:
+                        break
+            finally:
+                writer.close()
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        pool = ConnectionPool("127.0.0.1", server.sockets[0].getsockname()[1])
+        try:
+            return await body(pool)
+        finally:
+            await pool.close()
+            server.close()
+            await server.wait_closed()
+
+    return asyncio.run(main())
+
+
+async def ping(pool, timeout=5.0):
+    async with pool.checkout(5.0) as conn:
+        return conn.reused, await conn.exchange({"verb": "ping"}, timeout)
+
+
+class TestWire:
+    def test_framing_and_envelope(self):
+        assert encode_line({"verb": "ping"}) == b'{"verb": "ping"}\n'
+        assert unwrap(json.loads(OK_LINE)) == 1
+        with pytest.raises(ServiceError, match="^boom$"):
+            unwrap({"ok": False, "error": "boom"})
+        with pytest.raises(ServiceError, match="unknown daemon error"):
+            unwrap({"ok": False})
+
+    def test_a_complete_reply_hands_the_connection_back(self):
+        async def body(pool):
+            calls = [await ping(pool) for _ in range(3)]
+            return calls, pool.connects, len(pool.idle)
+
+        calls, connects, idle = against_server(OK_LINE, body)
+        assert [reused for reused, _ in calls] == [False, True, True]
+        assert all(reply == {"ok": True, "result": 1} for _, reply in calls)
+        assert (connects, idle) == (1, 1)
+
+    def test_an_idle_connection_the_server_closed_is_dropped(self):
+        async def body(pool):
+            await ping(pool)
+            pooled = pool.idle[0]
+            while not pooled.reader.at_eof():
+                await asyncio.sleep(0.01)
+            return await ping(pool), pool.connects
+
+        (reused, _), connects = against_server(OK_LINE, body, close=True)
+        assert (reused, connects) == (False, 2)
+
+    @pytest.mark.parametrize("reply, close, error", [
+        (b"garbage\n", False, ValueError),
+        (b"", True, ConnectionResetError),
+        (None, False, asyncio.TimeoutError),
+    ])
+    def test_a_failed_call_closes_its_connection(self, reply, close, error):
+        async def body(pool):
+            with pytest.raises(error):
+                await ping(pool, timeout=0.2)
+            return pool.connects, pool.idle
+
+        assert against_server(reply, body, close=close) == (1, [])
+
+    def test_a_reply_cut_before_its_newline_is_not_pooled(self):
+        async def body(pool):
+            return await ping(pool), pool.idle
+
+        (_, reply), idle = against_server(OK_LINE.rstrip(), body, close=True)
+        assert reply == {"ok": True, "result": 1} and idle == []
 
 
 # ---------------------------------------------------------------------------

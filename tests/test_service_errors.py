@@ -14,7 +14,8 @@ import pytest
 from repro.api import Scenario
 from repro.experiments import common
 from repro.service import ResultStore, ServiceClient, serve_background
-from repro.service.daemon import _MAX_LINE, ServerHandle
+from repro.service.daemon import ServerHandle
+from repro.service.wire import MAX_LINE
 from repro.service import __main__ as service_cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -159,7 +160,7 @@ class TestDaemonProtocolErrors:
     def test_oversized_line_answered_then_connection_dropped(self, server):
         with socket.create_connection(server.address, timeout=30) as sock:
             reader = sock.makefile("rb")
-            sock.sendall(b'{"pad": "' + b"x" * (_MAX_LINE + 1024) + b'"}\n')
+            sock.sendall(b'{"pad": "' + b"x" * (MAX_LINE + 1024) + b'"}\n')
             response = json.loads(reader.readline())
             assert response["ok"] is False
             assert "exceeds" in response["error"]

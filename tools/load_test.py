@@ -4,8 +4,8 @@
 Stands up a real fleet (``--shards`` member daemons over a sharded,
 ``--replicas``-way replicated store, behind the hedging/failing-over
 router) and replays ``--requests`` concurrent ``evaluate`` requests
-through the pipelined :class:`~repro.service.fleet.AsyncServiceClient`
--- twice:
+through the :class:`~repro.service.fleet.AsyncServiceClient` (at most
+32 calls in flight, one pooled connection each) -- twice:
 
 - **steady**: the fleet left alone, measuring the happy-path tail;
 - **kill-shard**: the same load, except one member daemon is SIGKILLed
@@ -22,7 +22,8 @@ call.
 
 Usage::
 
-    python tools/load_test.py              # make load-test (temp store)
+    python tools/load_test.py              # make load-test (temp store,
+                                           # removed afterwards)
     python tools/load_test.py --smoke      # make load-test-smoke
 
 Requests cycle over the committed sweep-smoke grid, pre-warmed with one
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import shutil
 import sys
 import tempfile
 import time
@@ -222,6 +224,8 @@ def main(argv=None) -> int:
         ]
     finally:
         fleet.stop()
+        if args.store is None:
+            shutil.rmtree(store, ignore_errors=True)
 
     failed = sum(p["failures"] for p in phases)
     if failed:
