@@ -107,17 +107,47 @@ class Relation:
         """Order-insensitive equality -- the permutability correctness
         criterion (same tuples, any arrangement).
 
-        Both sides are brought to (key, payload) order by sorting the
-        columns (a structured-dtype ``np.sort(order=...)`` would
-        re-promote the tuple dtype on every call) and compared
-        column-wise.
+        When the widest key and the widest payload of both sides fit one
+        word together (``key_bits + payload_bits <= 64``), each tuple is
+        coded as ``(key << payload_bits) | payload`` -- an injective
+        code, so equal sorted codes mean equal multisets -- and the two
+        sides' codes are compared after one SIMD value sort each
+        (``uint32`` when 32 bits hold them).  Wider tuples are brought
+        to (key, payload) order by sorting the columns (a
+        structured-dtype ``np.sort(order=...)`` would re-promote the
+        tuple dtype on every call) and compared column-wise.
         """
         if len(self) != len(other):
             return False
+        if len(self) == 0:
+            return True
+        key_bits = max(int(self.keys.max()), int(other.keys.max())).bit_length()
+        payload_bits = max(
+            int(self.payloads.max()), int(other.payloads.max())
+        ).bit_length()
+        if key_bits + payload_bits <= 64:
+            # Imported here: the columnar package imports this module.
+            from repro.columnar.kernels import word_dtype
+
+            dtype = word_dtype(key_bits + payload_bits)
+            return np.array_equal(
+                _sorted_codes(self, payload_bits, dtype),
+                _sorted_codes(other, payload_bits, dtype),
+            )
         mine, theirs = _key_payload_order(self), _key_payload_order(other)
         return np.array_equal(self.keys[mine], other.keys[theirs]) and np.array_equal(
             self.payloads[mine], other.payloads[theirs]
         )
+
+
+def _sorted_codes(rel: Relation, payload_bits: int, dtype: type) -> np.ndarray:
+    """``rel``'s ``(key << payload_bits) | payload`` codes as sorted
+    ``dtype`` words; every key and payload must fit its field."""
+    codes = rel.payloads.astype(dtype)
+    if payload_bits < 8 * codes.itemsize:  # else every key is zero
+        codes |= rel.keys.astype(dtype) << dtype(payload_bits)
+    codes.sort()
+    return codes
 
 
 def _key_payload_order(rel: Relation) -> np.ndarray:

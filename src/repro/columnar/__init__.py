@@ -7,9 +7,10 @@ partition (:class:`SegmentedColumns`).  The kernels here perform
 the per-partition work of the hot operators as single whole-relation
 numpy operations: a segmented stable sort is one composite
 ``(segment, key)`` sort instead of hundreds of partition-sized
-argsorts (:func:`stable_argsort` gets numpy's stable order from its
-faster SIMD sort, and the bitonic run pass runs only on blocks whose
-equal keys it can reorder), segmented aggregation is a handful of
+argsorts (integer sorts pack the sort code and a row tie-breaker into
+one machine word and run numpy's SIMD *value* sort, reading the stable
+order off the low bits, and the bitonic run pass runs only on blocks
+whose equal keys it can reorder), segmented aggregation is a handful of
 ``bincount`` / ``reduceat`` / row-sum calls, and the batched shuffle
 materialization builds every destination partition with one
 gather/scatter pass.

@@ -4,15 +4,19 @@ Each kernel is the batched twin of a per-partition loop in the operator
 layer and is **byte-identical** to it:
 
 - :func:`stable_argsort` -- ``np.argsort(kind="stable")`` computed
-  from numpy's SIMD default sort: its order as is when no codes tie,
-  else one more sort of the distinct ``(dense rank << 32) | row``
-  composite, whose sorted order is unique.
+  from numpy's SIMD *value* sort: integer codes whose span and row
+  index fit one word are packed as ``((code - min) << row_bits) | row``
+  (``uint32`` or ``uint64``), and the sorted words' low field is the
+  stable order, because distinct words have one sorted order.  Wider
+  codes take the default argsort, then one more sort of the distinct
+  ``(dense rank << 32) | row`` composite when codes tie.
 - :func:`segmented_stable_argsort` -- one stable sort of the composite
-  ``(segment, key)`` order (a packed ``uint64`` code within the bit
-  budget, else a lexsort) equals a stable per-segment argsort, which in
-  turn equals the multi-pass stable mergesort of
+  ``(segment, key)`` order equals a stable per-segment argsort, which
+  in turn equals the multi-pass stable mergesort of
   ``repro.operators.sort_algos`` (a stable merge of stable runs is a
-  stable sort).
+  stable sort).  It value-sorts packed ``(segment, key - min, offset
+  in segment)`` words when they fit 64 bits; wider keys pack
+  ``(segment, key)`` within the bit budget, else run a lexsort.
 - :func:`segmented_mergesort` with the 16-tuple bitonic run pass -- after
   the stable merge the network's only observable effect is the order of
   equal keys inside one block.  Blocks with no such tie skip it; the
@@ -44,7 +48,7 @@ the budget when they control the layout.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,22 +61,74 @@ def segment_ids(segments: np.ndarray) -> np.ndarray:
     )
 
 
-def stable_argsort(code: np.ndarray) -> np.ndarray:
-    """``np.argsort(code, kind="stable")``, from numpy's fast default sort.
+def word_dtype(bits: int) -> type:
+    """The narrower unsigned word, ``uint32`` or ``uint64``, that holds
+    ``bits <= 64`` packed bits; numpy's SIMD sort moves twice as many
+    ``uint32`` words per instruction."""
+    return np.uint32 if bits <= 32 else np.uint64
 
-    The default sort kind dispatches to a SIMD sort where the host has
-    one, which is several times faster than the stable kind on 64-bit
-    codes but free to order equal codes any way.  Its order is returned
-    as is when no two codes are equal.  Otherwise a second sort of the
-    distinct composite ``(dense rank << 32) | row`` restores the stable
-    order: distinct values have one sorted order, whatever algorithm
-    produced it.  Codes of at most 16 bits take numpy's O(n) radix path
-    directly, as do inputs of ``2**31`` rows or more: the composite is
-    an ``int64``, so every dense rank must stay below ``2**31`` to keep
-    its sign bit clear.
+
+def _packed_argsort(code: np.ndarray, segments: np.ndarray) -> Optional[np.ndarray]:
+    """The stable within-segment argsort of integer ``code`` from one
+    SIMD value sort, or ``None`` when its words would not fit 64 bits.
+
+    Row ``i`` of segment ``s`` becomes the word ``(s, code[i] - min,
+    offset of i in s)``.  The words are distinct, so they have one
+    sorted order, which is the stable ``(segment, code)`` order; each
+    row is its segment's start plus the low field.
     """
     n = len(code)
-    if code.dtype.itemsize <= 2 or n >= 1 << 31:
+    if n == 0 or code.dtype.kind not in "biu":
+        return None
+    lens = np.diff(segments)
+    seg_bits = (len(lens) - 1).bit_length()
+    lo = int(code.min())
+    offset_bits = (int(lens.max()) - 1).bit_length()
+    low_bits = (int(code.max()) - lo).bit_length() + offset_bits
+    if seg_bits + low_bits > 64:
+        return None
+    dtype = word_dtype(seg_bits + low_bits)
+    # Casts and sums wrap modulo the word width, which is exact here:
+    # every field's true value fits it.
+    words = code.astype(dtype)
+    words -= dtype(lo % (1 << (8 * np.dtype(dtype).itemsize)))
+    words <<= dtype(offset_bits)
+    words += np.arange(n, dtype=dtype)
+    if seg_bits:
+        # Per segment, add its id field and subtract its start from
+        # the row index, leaving the offset.
+        bases = np.arange(len(lens), dtype=np.uint64) << np.uint64(low_bits)
+        bases -= segments[:-1].astype(np.uint64)
+        words += np.repeat(bases.astype(dtype), lens)
+    words.sort()
+    words &= dtype((1 << offset_bits) - 1)
+    order = words.astype(np.intp)
+    if seg_bits:
+        order += np.repeat(segments[:-1], lens)  # rows keep their segment
+    return order
+
+
+def stable_argsort(code: np.ndarray) -> np.ndarray:
+    """``np.argsort(code, kind="stable")``, from numpy's SIMD value sort.
+
+    Integer codes whose span and row index fit one machine word --
+    ``bits(max - min) + bits(n - 1) <= 64`` -- are packed as
+    ``((code - min) << row_bits) | row`` (``uint32`` when that fits 32
+    bits, else ``uint64``) and sorted by value: the words are distinct,
+    so they have one sorted order, and its low field is the stable
+    order.  Wider codes take numpy's default sort, which is free to
+    order equal codes any way: its order is returned as is when no two
+    codes are equal, else a second sort of the distinct composite
+    ``(dense rank << 32) | row`` restores the stable order.  Inputs of
+    ``2**31`` rows or more take numpy's stable sort there: the
+    composite is an ``int64``, so every dense rank must stay below
+    ``2**31`` to keep its sign bit clear.
+    """
+    n = len(code)
+    order = _packed_argsort(code, np.array([0, n]))
+    if order is not None:
+        return order
+    if n >= 1 << 31:
         return np.argsort(code, kind="stable")
     order = np.argsort(code)
     sorted_code = code[order]
@@ -92,12 +148,22 @@ def segmented_stable_argsort(keys: np.ndarray, segments: np.ndarray) -> np.ndarr
     """Stable within-segment argsort by key, as one global permutation.
 
     Equivalent to running ``np.argsort(kind="stable")`` on every segment
-    independently (rows stay inside their segment).  When the bit-budget
-    rule holds -- ``uint64`` keys below ``2**(64 - segment_bits)`` --
-    ``(segment, key)`` packs into one ``uint64`` code sorted by a single
-    :func:`stable_argsort`; otherwise it runs as one composite lexsort.
-    Both orders are the same stable ``(segment, key)`` order.
+    independently (rows stay inside their segment).  When the segment
+    id, the key's span and the row's offset in its segment fit one
+    word -- ``seg_bits + bits(max - min) + bits(longest - 1) <= 64`` --
+    the packed words ``(segment, key - min, offset)`` are sorted by
+    value, as in :func:`stable_argsort`: the offset needs fewer bits
+    than a global row index, so 48-bit keys over 64 segments still fit.
+    Wider keys fall back to the bit-budget rule -- ``uint64`` keys below
+    ``2**(64 - segment_bits)`` pack ``(segment, key)`` into one code
+    sorted by :func:`stable_argsort` -- and past it to one composite
+    lexsort.  All three orders are the same stable ``(segment, key)``
+    order.
     """
+    segments = np.asarray(segments, dtype=np.int64)
+    order = _packed_argsort(keys, segments)
+    if order is not None:
+        return order
     seg_bits = (len(segments) - 2).bit_length() if len(segments) > 2 else 0
     if keys.dtype == np.uint64 and (
         len(keys) == 0 or int(keys.max()) >> (64 - seg_bits) == 0

@@ -415,7 +415,11 @@ def _fk_join_relation(r: Relation, s: Relation, name: str) -> Relation:
     order = stable_argsort(r.keys)
     r_keys = r.keys[order]
     r_payloads = r.payloads[order]
-    idx = np.searchsorted(r_keys, s.keys)
+    # Probing in key order keeps the binary searches cache-friendly;
+    # the insertion points are scattered back to S's row order.
+    s_order = stable_argsort(s.keys)
+    idx = np.empty(len(s), dtype=np.intp)
+    idx[s_order] = np.searchsorted(r_keys, s.keys[s_order])
     idx = np.minimum(idx, len(r_keys) - 1)
     found = r_keys[idx] == s.keys
     with np.errstate(over="ignore"):

@@ -23,9 +23,11 @@ derives each destination's arrival trace (vault-relative addresses)
 from it, so the event-accurate DRAM model can replay the traffic.
 
 The whole relation is routed in one pass: one histogram ``bincount``
-over the per-row ``(source, destination)`` codes, one grouping sort and
-one gather into a single output buffer.  Per-destination relations are
-sliced from that buffer only when a caller asks for them.
+over the per-row ``(source, destination)`` codes, one grouping sort
+(:func:`~repro.columnar.kernels.stable_argsort`, a value sort of the
+codes packed with their row index) and one gather into a single output
+buffer.  Per-destination relations are sliced from that buffer only
+when a caller asks for them.
 :func:`repro.operators.reference.reference_shuffle` keeps the seed's
 per-source, per-tuple loop, which the equivalence matrix pins this
 against.
@@ -51,19 +53,6 @@ from repro.shuffle.interleave import (
     stream_starts,
 )
 from repro.telemetry import span as _span
-
-
-def _grouping_sort(code: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort of non-negative integer grouping codes below ``bound``.
-
-    Codes bounded by 16 bits (``bound <= 2**16``) are cast to ``uint16``
-    and take numpy's radix path (O(n), ~5x faster than the comparison
-    sort `np.lexsort` would run); larger bounds go through
-    :func:`~repro.columnar.kernels.stable_argsort`.
-    """
-    if bound <= 1 << 16:
-        code = code.astype(np.uint16)
-    return stable_argsort(code)
 
 
 def shuffle_begin(
@@ -155,10 +144,10 @@ def arrival_slots(
         ).reshape(-1) - stream_starts(stream_lens) * num_src
         code = np.repeat(stream_code, stream_lens)
         code += np.arange(len(code), dtype=np.int64) * num_src
-        return _grouping_sort(code, num_dest * max_stream * num_src)
+        return stable_argsort(code)
     dest_ids = np.repeat(np.arange(num_dest, dtype=np.int64), hist.sum(axis=0))
     arrival_src = interleave(hist)
-    by_stream = _grouping_sort(dest_ids * num_src + arrival_src, num_dest * num_src)
+    by_stream = stable_argsort(dest_ids * num_src + arrival_src)
     slots = np.empty(len(by_stream), dtype=np.int64)
     slots[by_stream] = np.arange(len(by_stream), dtype=np.int64)
     return slots
@@ -293,11 +282,11 @@ class ShuffleEngine:
 
             # Group all (dest, src) streams at once, preserving source
             # order: a stable sort of the composite (dest, src) code
-            # equals np.lexsort((src_ids, dest)) and takes the radix
-            # path for realistic partition counts.  Each tuple's rank in
-            # this order is its addressed slot (destination base +
-            # source's histogram offset + index in its stream).
-            take = _grouping_sort(dest * num_src + src_ids, num_dest * num_src)
+            # equals np.lexsort((src_ids, dest)) and, packed with the row
+            # index, is one SIMD value sort.  Each tuple's rank in this
+            # order is its addressed slot (destination base + source's
+            # histogram offset + index in its stream).
+            take = stable_argsort(dest * num_src + src_ids)
             if self._permutable:
                 take = take[arrival_slots(hist, self._interleave)]
 

@@ -35,6 +35,13 @@ def pairs(*tuples):
     return Relation.from_pairs(tuples)
 
 
+#: Tuple fields for the property tests: small values that tie often,
+#: values at the top of the 64-bit range, and any value in between.
+_field_values = st.one_of(
+    st.integers(0, 3), st.integers(2**64 - 4, 2**64 - 1), st.integers(0, 2**64 - 1)
+)
+
+
 class TestRelation:
     def test_tuple_layout(self):
         assert KEY_B == 8 and PAYLOAD_B == 8 and TUPLE_B == 16
@@ -93,6 +100,8 @@ class TestRelation:
         (pairs((1, 1), (2, 2)), pairs((1, 1)), False),
         (Relation.empty(), Relation.empty(), True),
         (Relation.empty(), pairs((0, 0)), False),
+        # A key must not spill into the payload's field of the code.
+        (pairs((1, 0), (3, 7)), pairs((0, 4), (3, 7)), False),
     ])
     def test_multiset_equality_matches_lexsort(self, a, b, equal):
         assert a.multiset_equal(b) is equal
@@ -100,7 +109,7 @@ class TestRelation:
         assert lexsort_multiset_equal(a, b) is equal
 
     @given(
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=24),
+        st.lists(st.tuples(_field_values, _field_values), max_size=24),
         st.integers(0, 2**32 - 1),
         st.booleans(),
     )
@@ -115,6 +124,67 @@ class TestRelation:
             b = Relation.from_arrays(b.keys, b.payloads[rng.permutation(len(b))])
         assert a.multiset_equal(b) == lexsort_multiset_equal(a, b)
         assert a.multiset_equal(b) or swap
+
+    @pytest.mark.parametrize(
+        "key_top, payload_top, route",
+        [
+            (2**20 - 1, 2**12 - 1, "uint32"),
+            (2**40 - 1, 2**20 - 1, "uint64"),
+            (0, 2**64 - 1, "uint64"),  # all-zero keys, full-width payloads
+            (2**64 - 1, 0, "uint64"),  # full-width keys, all-zero payloads
+            (2**33, 2**33, None),  # 34 + 34 bits: the lexicographic order
+            (2**64 - 1, 2**64 - 1, None),
+        ],
+    )
+    def test_multiset_equality_routes(self, monkeypatch, key_top, payload_top, route):
+        from repro.analytics import tuples
+
+        rng = np.random.default_rng(key_top % 1000 + payload_top % 7)
+        n = 500
+        keys = rng.integers(0, key_top, n, dtype=np.uint64, endpoint=True)
+        payloads = rng.integers(0, payload_top, n, dtype=np.uint64, endpoint=True)
+        keys[0], payloads[0] = key_top, payload_top  # pin each field's width
+        keys[1:40:2] = keys[2:41:2]  # equal keys with different payloads
+        a = Relation.from_arrays(keys, payloads)
+        b = a.take(rng.permutation(n))
+        # One tuple changed in the nonzero field: a different multiset.
+        changed_payloads = payloads.copy()
+        changed_keys = keys.copy()
+        if payload_top:
+            changed_payloads[3] ^= np.uint64(1)
+        else:
+            changed_keys[3] ^= np.uint64(1)
+        changed = Relation.from_arrays(changed_keys, changed_payloads)
+
+        routes = []
+        real_sorted_codes = tuples._sorted_codes
+        real_order = tuples._key_payload_order
+
+        def sorted_codes(rel, payload_bits, dtype):
+            routes.append(np.dtype(dtype).name)
+            return real_sorted_codes(rel, payload_bits, dtype)
+
+        def key_payload_order(rel):
+            routes.append(None)
+            return real_order(rel)
+
+        monkeypatch.setattr(tuples, "_sorted_codes", sorted_codes)
+        monkeypatch.setattr(tuples, "_key_payload_order", key_payload_order)
+        assert a.multiset_equal(b) is True
+        assert a.multiset_equal(changed) is False
+        assert routes == [route] * 4
+        if key_top and payload_top:
+            # Two tuples trade payloads: the key multiset and the payload
+            # multiset stay equal, the tuple multiset does not.
+            j = np.flatnonzero((keys != keys[0]) & (payloads != payloads[0]))[0]
+            payloads[[0, j]] = payloads[[j, 0]]
+            swapped = Relation.from_arrays(keys, payloads)
+            assert np.array_equal(np.sort(swapped.keys), np.sort(a.keys))
+            assert np.array_equal(np.sort(swapped.payloads), np.sort(a.payloads))
+            assert a.multiset_equal(swapped) is False
+            assert swapped.multiset_equal(a) is False
+            assert lexsort_multiset_equal(a, swapped) is False
+            assert routes == [route] * 8
 
     def test_dtype_enforced(self):
         with pytest.raises(TypeError):

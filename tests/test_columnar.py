@@ -256,22 +256,76 @@ class TestSegmentedSort:
         assert lexsorts == ([] if packed else [1])
 
 
+    def test_wide_keys_over_many_segments_pack(self, monkeypatch):
+        # 64 segments of up to 1,024 rows with 48-bit keys: 6 segment
+        # bits + 48 key bits + 10 offset bits fill one uint64 word.
+        rng = np.random.default_rng(48)
+        columns = random_columns(rng, 64, 1024, key_space=1 << 48)
+        keys = columns.keys.copy()
+        keys[:2] = [0, (1 << 48) - 1]  # span the full 48 bits
+        keys[::9] = keys[1::9]  # ties inside segments
+        bounds = columns.segments
+        assert int(np.diff(bounds).max()) > 512
+        expected = np.concatenate(
+            [
+                lo + np.argsort(keys[lo:hi], kind="stable")
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+        )
+        calls = []
+        real_argsort, real_lexsort = np.argsort, np.lexsort
+
+        def counting_argsort(*args, **kwargs):
+            calls.append("argsort")
+            return real_argsort(*args, **kwargs)
+
+        def counting_lexsort(*args, **kwargs):
+            calls.append("lexsort")
+            return real_lexsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        order = segmented_stable_argsort(keys, bounds)
+        assert calls == []
+        assert np.array_equal(order, expected)
+
+
 class TestStableArgsort:
     @pytest.mark.parametrize(
-        "codes",
+        "codes,route",
         [
-            np.empty(0, dtype=np.uint64),
-            np.array([5], dtype=np.uint64),
-            np.full(300, 9, dtype=np.uint64),
-            np.arange(300, dtype=np.uint64)[::-1].copy(),
-            np.array([_PAD_KEY, 0, _PAD_KEY, 1 << 63, 0, _PAD_KEY], dtype=np.uint64),
-            np.array([3, -2, 3, -32768, 32767, -2], dtype=np.int16),
-            np.array([-(1 << 62), 5, -1, 5, 1 << 62, -1], dtype=np.int64),
+            (np.empty(0, dtype=np.uint64), None),
+            (np.array([5], dtype=np.uint64), "uint32"),
+            (np.full(300, 9, dtype=np.uint64), "uint32"),
+            (np.arange(300, dtype=np.uint64)[::-1].copy(), "uint32"),
+            (np.arange(1000, dtype=np.uint64)[::-1] % 7 + (1 << 40), "uint32"),
+            (np.array([3, -2, 3, -32768, 32767, -2] * 50, dtype=np.int16), "uint32"),
+            (np.array([-(1 << 40), 5, -1, 5, 1 << 40] * 60, dtype=np.int64), "uint64"),
+            (np.array([0, 1 << 50, 7, 0, 7] * 60, dtype=np.uint64), "uint64"),
+            (np.array([_PAD_KEY, 0, _PAD_KEY, 1 << 63, 0, _PAD_KEY], np.uint64), None),
+            (np.array([-(1 << 62), 5, -1, 5, 1 << 62, -1], dtype=np.int64), None),
         ],
-        ids=["empty", "one", "all-equal", "all-distinct", "top", "int16", "int64"],
+        ids=[
+            "empty", "one", "all-equal", "all-distinct", "offset", "int16",
+            "packed-int64", "packed-uint64", "top", "int64",
+        ],
     )
-    def test_matches_numpy_stable(self, codes):
-        assert np.array_equal(stable_argsort(codes), np.argsort(codes, kind="stable"))
+    def test_matches_numpy_stable(self, monkeypatch, codes, route):
+        # ``route`` names the packed word the value sort ran on; None is
+        # the wide-code argsort fallback (or the empty input).
+        expected = np.argsort(codes, kind="stable")
+        routes = []
+        real_word_dtype = kernels.word_dtype
+
+        def recording_word_dtype(bits):
+            routes.append(np.dtype(real_word_dtype(bits)).name)
+            return real_word_dtype(bits)
+
+        monkeypatch.setattr(kernels, "word_dtype", recording_word_dtype)
+        order = stable_argsort(codes)
+        assert np.array_equal(order, expected)
+        assert order.dtype == expected.dtype
+        assert routes == ([route] if route else [])
 
     @pytest.mark.parametrize("key_space", [2, 50, 1 << 20, 1 << 64])
     def test_random_codes(self, key_space):

@@ -34,6 +34,7 @@ from repro.pipeline import (
     sort_then_scan,
     stage_breakdown_table,
 )
+from repro.pipeline.stage import _fk_join_relation
 from repro.systems import build_system
 
 PARTITIONS = 8
@@ -144,6 +145,45 @@ class TestFunctionalFidelity:
         run = plan.execute(machines["cpu"].variant(PARTITIONS))
         assert np.all(run.output.keys % 2 == 0)
         assert len(run.output) == int(np.count_nonzero(rel.keys % 2 == 0))
+
+
+def _unsorted_probe_fk_join(r, s, name):
+    """The FK join materialized by probing R with S in S's row order."""
+    if len(r) == 0 or len(s) == 0:
+        return Relation.empty(name)
+    order = np.argsort(r.keys, kind="stable")
+    r_keys, r_payloads = r.keys[order], r.payloads[order]
+    idx = np.minimum(np.searchsorted(r_keys, s.keys), len(r_keys) - 1)
+    found = r_keys[idx] == s.keys
+    with np.errstate(over="ignore"):
+        payloads = r_payloads[idx[found]] + s.payloads[found]
+    return Relation.from_arrays(s.keys[found], payloads, name)
+
+
+class TestFkJoinRelation:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_r,n_s", [(0, 50), (40, 0), (0, 0), (1, 30), (300, 2000)])
+    def test_sorted_probe_matches_unsorted_probe(self, seed, n_r, n_s):
+        rng = np.random.default_rng(seed)
+        r_keys = rng.choice(1 << 12, n_r, replace=False).astype(np.uint64)
+        # S draws from R's keys (duplicates included), keys R lacks and
+        # keys above R's maximum.
+        s_keys = rng.integers(0, 1 << 13, n_s, dtype=np.uint64)
+        if n_r:
+            s_keys[::3] = rng.choice(r_keys, len(s_keys[::3]))
+        top = np.uint64(np.iinfo(np.uint64).max)
+        r = Relation.from_arrays(
+            r_keys, rng.integers(0, top, n_r, dtype=np.uint64, endpoint=True), "r"
+        )
+        s = Relation.from_arrays(
+            s_keys, rng.integers(0, top, n_s, dtype=np.uint64, endpoint=True), "s"
+        )
+        out = _fk_join_relation(r, s, "joined")
+        expected = _unsorted_probe_fk_join(r, s, "joined")
+        assert out.name == expected.name
+        assert out.data.tobytes() == expected.data.tobytes()
+        if n_r and n_s:
+            assert 0 < len(out) < n_s  # some S keys match, some do not
 
 
 class TestCostFidelity:
