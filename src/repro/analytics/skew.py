@@ -60,7 +60,6 @@ def make_skewed_groupby_workload(
     alpha: float = 1.2,
     num_distinct: int = None,
     seed: int = 0,
-    key_space_bits: int = DEFAULT_KEY_SPACE_BITS,
 ) -> GroupByWorkload:
     """Group-by workload with Zipf(alpha) key popularity.
 
@@ -70,10 +69,10 @@ def make_skewed_groupby_workload(
     rng = np.random.default_rng(seed)
     if num_distinct is None:
         num_distinct = max(1, n // 4)
-    keys = zipf_keys(rng, n, num_distinct, alpha, key_space_bits)
+    keys = zipf_keys(rng, n, num_distinct, alpha, DEFAULT_KEY_SPACE_BITS)
     relation = Relation.from_arrays(keys, _payloads(rng, n), "skewed_groupby_input")
     return GroupByWorkload(
-        flat=_placed(relation, num_partitions), key_space_bits=key_space_bits
+        flat=_placed(relation, num_partitions), key_space_bits=DEFAULT_KEY_SPACE_BITS
     )
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -69,10 +69,6 @@ class Relation:
     def data(self) -> np.ndarray:
         return self._data
 
-    @property
-    def size_b(self) -> int:
-        return len(self._data) * TUPLE_B
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -86,18 +82,15 @@ class Relation:
 
     # -- transformations --------------------------------------------------
 
-    def take(self, indices: np.ndarray, name: Optional[str] = None) -> "Relation":
-        return Relation(self._data[indices], name or self.name)
+    def take(self, indices: np.ndarray) -> "Relation":
+        return Relation(self._data[indices], self.name)
 
-    def slice(self, start: int, stop: int, name: Optional[str] = None) -> "Relation":
-        return Relation(self._data[start:stop], name or self.name)
-
-    def sorted_by_key(self, name: Optional[str] = None) -> "Relation":
+    def sorted_by_key(self) -> "Relation":
         # Imported here: the columnar package imports this module.
         from repro.columnar.kernels import stable_argsort
 
         order = stable_argsort(self.keys)
-        return self.take(order, name or self.name)
+        return self.take(order)
 
     def is_sorted(self) -> bool:
         keys = self.keys

@@ -159,19 +159,18 @@ def make_groupby_workload(
     num_partitions: int = 64,
     avg_group_size: float = 4.0,
     seed: int = 0,
-    key_space_bits: int = DEFAULT_KEY_SPACE_BITS,
 ) -> GroupByWorkload:
     """Uniform keys drawn from ``n / avg_group_size`` distinct values."""
     if avg_group_size < 1:
         raise ValueError("average group size must be >= 1")
     rng = np.random.default_rng(seed)
     num_groups = max(1, int(round(n / avg_group_size)))
-    group_keys = np.unique(_uniform_keys(rng, num_groups, key_space_bits))
+    group_keys = np.unique(_uniform_keys(rng, num_groups, DEFAULT_KEY_SPACE_BITS))
     keys = rng.choice(group_keys, size=n).astype(np.uint64)
     relation = Relation.from_arrays(keys, _payloads(rng, n), "groupby_input")
     return GroupByWorkload(
         flat=_placed(relation, num_partitions),
-        key_space_bits=key_space_bits,
+        key_space_bits=DEFAULT_KEY_SPACE_BITS,
     )
 
 
@@ -180,14 +179,13 @@ def make_join_workload(
     n_s: int,
     num_partitions: int = 64,
     seed: int = 0,
-    key_space_bits: int = DEFAULT_KEY_SPACE_BITS,
 ) -> JoinWorkload:
     """Foreign-key join inputs: R has unique keys, S draws from R's keys."""
     if n_r < 1 or n_s < 1:
         raise ValueError("both relations need at least one tuple")
     rng = np.random.default_rng(seed)
     # Draw extra candidates to survive deduplication, then trim.
-    candidates = np.unique(_uniform_keys(rng, n_r * 2 + 16, key_space_bits))
+    candidates = np.unique(_uniform_keys(rng, n_r * 2 + 16, DEFAULT_KEY_SPACE_BITS))
     if len(candidates) < n_r:
         raise ValueError("key space too small for the requested unique keys")
     r_keys = rng.permutation(candidates)[:n_r].astype(np.uint64)
@@ -197,5 +195,5 @@ def make_join_workload(
     return JoinWorkload(
         r_flat=_placed(r_rel, num_partitions),
         s_flat=_placed(s_rel, num_partitions),
-        key_space_bits=key_space_bits,
+        key_space_bits=DEFAULT_KEY_SPACE_BITS,
     )

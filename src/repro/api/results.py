@@ -164,9 +164,9 @@ class ResultSet:
         rows = [[record.get(c, "") for c in cols] for record in self._records]
         return format_table(list(cols), rows)
 
-    def to_json(self, path: Optional[str] = None, indent: int = 2) -> str:
+    def to_json(self, path: Optional[str] = None) -> str:
         """Serialize to a JSON array of records; optionally write ``path``."""
-        text = json.dumps(self._records, indent=indent, sort_keys=True)
+        text = json.dumps(self._records, indent=2, sort_keys=True)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text + "\n")

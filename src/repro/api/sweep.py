@@ -140,8 +140,8 @@ class Sweep:
             "num_partitions": list(self.num_partitions),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Sweep":

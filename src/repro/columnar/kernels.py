@@ -8,15 +8,14 @@ layer and is **byte-identical** to it:
   index fit one word are packed as ``((code - min) << row_bits) | row``
   (``uint32`` or ``uint64``), and the sorted words' low field is the
   stable order, because distinct words have one sorted order.  Wider
-  codes take the default argsort, then one more sort of the distinct
-  ``(dense rank << 32) | row`` composite when codes tie.
+  codes take ``np.argsort(kind="stable")`` itself.
 - :func:`segmented_stable_argsort` -- one stable sort of the composite
   ``(segment, key)`` order equals a stable per-segment argsort, which
   in turn equals the multi-pass stable mergesort of
   ``repro.operators.sort_algos`` (a stable merge of stable runs is a
   stable sort).  It value-sorts packed ``(segment, key - min, offset
-  in segment)`` words when they fit 64 bits; wider keys pack
-  ``(segment, key)`` within the bit budget, else run a lexsort.
+  in segment)`` words when they fit 64 bits; wider keys take one
+  ``np.lexsort`` by segment, then key.
 - :func:`segmented_mergesort` with the 16-tuple bitonic run pass -- after
   the stable merge the network's only observable effect is the order of
   equal keys inside one block.  Blocks with no such tie skip it; the
@@ -116,32 +115,14 @@ def stable_argsort(code: np.ndarray) -> np.ndarray:
     ``((code - min) << row_bits) | row`` (``uint32`` when that fits 32
     bits, else ``uint64``) and sorted by value: the words are distinct,
     so they have one sorted order, and its low field is the stable
-    order.  Wider codes take numpy's default sort, which is free to
-    order equal codes any way: its order is returned as is when no two
-    codes are equal, else a second sort of the distinct composite
-    ``(dense rank << 32) | row`` restores the stable order.  Inputs of
-    ``2**31`` rows or more take numpy's stable sort there: the
-    composite is an ``int64``, so every dense rank must stay below
-    ``2**31`` to keep its sign bit clear.
+    order.  Wider codes, and empty or non-integer ones, take numpy's
+    stable argsort; the stable order is unique, so both routes return
+    the same array.
     """
-    n = len(code)
-    order = _packed_argsort(code, np.array([0, n]))
+    order = _packed_argsort(code, np.array([0, len(code)]))
     if order is not None:
         return order
-    if n >= 1 << 31:
-        return np.argsort(code, kind="stable")
-    order = np.argsort(code)
-    sorted_code = code[order]
-    new_rank = sorted_code[1:] != sorted_code[:-1]
-    if new_rank.all():
-        return order
-    composite = np.zeros(n, dtype=np.int64)
-    np.cumsum(new_rank, out=composite[1:])
-    composite <<= 32
-    composite |= order
-    composite.sort()
-    composite &= 0xFFFFFFFF
-    return composite
+    return np.argsort(code, kind="stable")
 
 
 def segmented_stable_argsort(keys: np.ndarray, segments: np.ndarray) -> np.ndarray:
@@ -154,24 +135,13 @@ def segmented_stable_argsort(keys: np.ndarray, segments: np.ndarray) -> np.ndarr
     the packed words ``(segment, key - min, offset)`` are sorted by
     value, as in :func:`stable_argsort`: the offset needs fewer bits
     than a global row index, so 48-bit keys over 64 segments still fit.
-    Wider keys fall back to the bit-budget rule -- ``uint64`` keys below
-    ``2**(64 - segment_bits)`` pack ``(segment, key)`` into one code
-    sorted by :func:`stable_argsort` -- and past it to one composite
-    lexsort.  All three orders are the same stable ``(segment, key)``
-    order.
+    Wider keys take one ``np.lexsort`` by segment, then key.  Both
+    orders are the same stable ``(segment, key)`` order.
     """
     segments = np.asarray(segments, dtype=np.int64)
     order = _packed_argsort(keys, segments)
     if order is not None:
         return order
-    seg_bits = (len(segments) - 2).bit_length() if len(segments) > 2 else 0
-    if keys.dtype == np.uint64 and (
-        len(keys) == 0 or int(keys.max()) >> (64 - seg_bits) == 0
-    ):
-        if seg_bits:
-            sids = segment_ids(segments).astype(np.uint64)
-            keys = (sids << np.uint64(64 - seg_bits)) | keys
-        return stable_argsort(keys)
     return np.lexsort((keys, segment_ids(segments)))
 
 

@@ -17,7 +17,6 @@ from repro.config.energy import EnergyConfig, default_energy_config
 from repro.config.interconnect import InterconnectConfig
 from repro.config.system import (
     EVALUATED_PRESETS,
-    HEADLINE_PRESETS,
     SYSTEM_PRESETS,
     SystemConfig,
     get_preset,
@@ -28,7 +27,6 @@ __all__ = [
     "DramTiming",
     "EVALUATED_PRESETS",
     "EnergyConfig",
-    "HEADLINE_PRESETS",
     "HmcGeometry",
     "InterconnectConfig",
     "SYSTEM_PRESETS",

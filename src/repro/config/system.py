@@ -49,10 +49,6 @@ INTERLEAVE_ROUND_ROBIN = "round-robin"
 INTERLEAVE_RANDOM = "random"
 INTERLEAVE_MODELS = (INTERLEAVE_ROUND_ROBIN, INTERLEAVE_RANDOM)
 
-#: The paper's headline comparison (figure 7's series plus the CPU):
-#: the ``nmp`` alias composes NMP partitioning with the NMP-rand probe.
-HEADLINE_PRESETS = ("cpu", "nmp", "nmp-perm", "mondrian")
-
 #: Every configuration the evaluation section measures, in evaluation
 #: order (``experiments.common.ALL_SYSTEMS`` re-exports this).
 EVALUATED_PRESETS = (

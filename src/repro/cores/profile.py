@@ -23,7 +23,7 @@ Field conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -64,20 +64,6 @@ class WorkProfile:
     def total_bytes(self) -> float:
         return (
             self.rand_accesses * self.rand_access_b + self.seq_read_b + self.seq_write_b
-        )
-
-    def scaled(self, factor: float) -> "WorkProfile":
-        """Scale all work linearly (dataset-size extrapolation)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return replace(
-            self,
-            instructions=self.instructions * factor,
-            simd_ops=self.simd_ops * factor,
-            rand_reads=self.rand_reads * factor,
-            rand_writes=self.rand_writes * factor,
-            seq_read_b=self.seq_read_b * factor,
-            seq_write_b=self.seq_write_b * factor,
         )
 
 

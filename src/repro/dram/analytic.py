@@ -94,19 +94,6 @@ class PatternEstimate:
     avg_latency_ns: float
     sustainable_bw_bps: float
 
-    def scaled(self, factor: float) -> "PatternEstimate":
-        """Linearly scale event counts (for dataset-size extrapolation)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return PatternEstimate(
-            accesses=int(round(self.accesses * factor)),
-            activations=int(round(self.activations * factor)),
-            bytes=int(round(self.bytes * factor)),
-            row_hit_rate=self.row_hit_rate,
-            avg_latency_ns=self.avg_latency_ns,
-            sustainable_bw_bps=self.sustainable_bw_bps,
-        )
-
 
 def _bank_random_bw_bps(geo: HmcGeometry, timing: DramTiming, access_b: int) -> float:
     """Device-side throughput of row-missing accesses.

@@ -45,15 +45,6 @@ class EnergyEvents:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def merged(self, other: "EnergyEvents") -> "EnergyEvents":
-        return EnergyEvents(
-            dram_activations=self.dram_activations + other.dram_activations,
-            dram_bytes=self.dram_bytes + other.dram_bytes,
-            llc_accesses=self.llc_accesses + other.llc_accesses,
-            noc_bit_mm=self.noc_bit_mm + other.noc_bit_mm,
-            serdes_bytes=self.serdes_bytes + other.serdes_bytes,
-        )
-
 
 @dataclass
 class EnergyBreakdown:

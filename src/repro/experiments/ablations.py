@@ -25,9 +25,9 @@ from repro.experiments.common import MODEL_SCALE
 
 
 def simd_width_sweep(
-    widths=(128, 256, 512, 1024), operator: str = "join", scale: float = MODEL_SCALE
+    widths=(128, 256, 512, 1024), scale: float = MODEL_SCALE
 ) -> Dict[int, float]:
-    """Mondrian runtime vs SIMD width (seconds).
+    """Mondrian join runtime vs SIMD width (seconds).
 
     Each width is a one-line :class:`SystemSpec` derivation -- the
     scenario API's core use case (hardware points the paper never
@@ -37,24 +37,24 @@ def simd_width_sweep(
     for width in widths:
         spec = SystemSpec("mondrian").with_simd(width).named(f"mondrian-simd{width}")
         runtimes[width] = (
-            Scenario(spec, operator, model_scale=scale, seed=23).result().runtime_s
+            Scenario(spec, "join", model_scale=scale, seed=23).result().runtime_s
         )
     return runtimes
 
 
-def row_buffer_sweep(row_sizes=(256, 2048, 4096), objects: int = 1 << 20) -> Dict[int, Dict[str, float]]:
+def row_buffer_sweep() -> Dict[int, Dict[str, float]]:
     """Shuffle-write activation energy: addressed vs permutable, per
     row-buffer size (joules per 2^20 shuffled 16 B tuples)."""
     energy = default_energy_config()
     timing = DramTiming()
     results = {}
-    for row_b in row_sizes:
+    for row_b in (256, 2048, 4096):
         geo = HmcGeometry(row_size_b=row_b)
         # Activation energy scales with the row (HBM/WideIO2 copy more
         # cells per activation), which is exactly why the paper calls the
         # small-rowed HMC "a conservative example" (section 3.1).
         activation_j = energy.activation_j_for_row(row_b)
-        total_b = objects * TUPLE_B
+        total_b = (1 << 20) * TUPLE_B
         out = {}
         for label, permutable in (("addressed", False), ("permutable", True)):
             est = estimate_pattern(
@@ -73,24 +73,23 @@ def row_buffer_sweep(row_sizes=(256, 2048, 4096), objects: int = 1 << 20) -> Dic
     return results
 
 
-def scheduler_window_sweep(
-    windows=(4, 8, 16, 32, 64, 128), num_sources: int = 63, objects: int = 1 << 16
-) -> Dict[int, float]:
-    """Row-hit rate of addressed shuffle writes vs FR-FCFS window size.
+def scheduler_window_sweep() -> Dict[int, float]:
+    """Row-hit rate of addressed shuffle writes vs FR-FCFS window size
+    (2^16 tuples from 63 sources).
 
     Shows that reordering alone only recovers locality once the window
-    covers the source-interleave distance (~num_sources messages) --
-    far larger than practical scheduling windows.
+    covers the source-interleave distance (~63 messages) -- far larger
+    than practical scheduling windows.
     """
     geo = HmcGeometry()
     timing = DramTiming()
     hit_rates = {}
-    for window in windows:
+    for window in (4, 8, 16, 32, 64, 128):
         est = estimate_pattern(
             InterleavedWrites(
-                total_b=objects * TUPLE_B,
+                total_b=(1 << 16) * TUPLE_B,
                 object_b=TUPLE_B,
-                num_sources=num_sources,
+                num_sources=63,
                 permutable=False,
             ),
             geo,

@@ -49,10 +49,6 @@ class MeshNoc:
         self._config = config
 
     @property
-    def side(self) -> int:
-        return self._side
-
-    @property
     def num_tiles(self) -> int:
         return self._side * self._side
 
@@ -73,8 +69,3 @@ class MeshNoc:
         recompute the same all-pairs sum dozens of times per figure run.
         """
         return _mean_hops(self._side)
-
-    def latency_ns(self, src: int, dst: int, message_b: int) -> float:
-        """Head latency plus serialization for one message."""
-        hop_ns = self._config.noc_hop_latency_ns()
-        return self.hops(src, dst) * hop_ns + self._config.noc_serialization_ns(message_b)

@@ -44,10 +44,6 @@ class ShuffleBarrier:
         self._announced = False
         self._sealed = False
 
-    @property
-    def num_vaults(self) -> int:
-        return self._num_vaults
-
     def announce_all(self, sizes_b: np.ndarray) -> None:
         """shuffle_begin step 1: every source posts its per-destination
         totals, as one ``(sources, destinations)`` byte matrix."""

@@ -16,7 +16,7 @@ Exported names, by role:
 
 - Runners -- ``run_scan`` / ``run_sort`` / ``run_groupby`` / ``run_join``
   execute one operator functionally and cost it; ``OPERATOR_RUNNERS``
-  / ``OPERATOR_NAMES`` is the dispatch table the systems layer uses;
+  is the dispatch table the systems layer uses;
   ``run_partitioning`` is the shared shuffle phase and
   ``run_partitioning_skew_aware`` its two-round variant for skewed keys
   (with ``plan_rebalance``, ``apply_plan``, ``RebalancePlan`` and
@@ -83,12 +83,9 @@ OPERATOR_RUNNERS = {
     "join": run_join,
 }
 
-OPERATOR_NAMES = tuple(OPERATOR_RUNNERS)
-
 __all__ = [
     "GroupByOutput",
     "JoinOutput",
-    "OPERATOR_NAMES",
     "OPERATOR_RUNNERS",
     "OperatorRun",
     "OperatorVariant",

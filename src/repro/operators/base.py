@@ -94,23 +94,6 @@ class PhaseCost:
             + (self.rand_reads + self.rand_writes) * self.rand_access_b
         )
 
-    def scaled(self, factor: float) -> "PhaseCost":
-        """Scale all totals linearly (dataset-size extrapolation)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return replace(
-            self,
-            instructions=self.instructions * factor,
-            simd_ops=self.simd_ops * factor,
-            rand_reads=self.rand_reads * factor,
-            rand_writes=self.rand_writes * factor,
-            seq_read_b=self.seq_read_b * factor,
-            seq_write_b=self.seq_write_b * factor,
-            shuffle_b=self.shuffle_b * factor,
-            retry_shuffle_b=self.retry_shuffle_b * factor,
-            backoff_stall_b=self.backoff_stall_b * factor,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PartitionPass:
@@ -144,10 +127,6 @@ class OperatorRun:
     #: fault schedule onto the run
     #: (:func:`repro.operators.partition.price_faults`).
     passes: List[PartitionPass] = field(default_factory=list)
-
-    @property
-    def probe_phases(self) -> List[PhaseCost]:
-        return [p for p in self.phases if not p.is_partitioning]
 
     def phase(self, name: str) -> PhaseCost:
         for p in self.phases:

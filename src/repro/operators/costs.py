@@ -40,8 +40,6 @@ PERM_STORE = 1
 #: serial dependences through cursors; matches the ~0.98 IPC the paper
 #: reports for the NMP partition loop on a 3-wide core).
 PARTITION_DEP_ILP = 1.05
-#: ILP of the permutable distribution loop (no cursor chains left).
-PERM_DEP_ILP = 2.2
 
 # -- scan ------------------------------------------------------------------
 
@@ -65,8 +63,6 @@ PROBE_ACCESSES_PER_LOOKUP = 3.0
 #: Aggregate-update one tuple into its group slot (six aggregate
 #: functions: avg, count, min, max, sum, sum squared).
 AGG_UPDATE = 14
-#: Random accesses per Group-by aggregate update (read slot, write slot).
-AGG_ACCESSES_PER_TUPLE = 2.0
 #: Effective memory-level parallelism of hash-probe loops.  Bucket walks
 #: are dependent chains, so the exploitable MLP is far below the OoO
 #: window; 2.25 reproduces the paper's NMP-rand IPC of 0.24

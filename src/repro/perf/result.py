@@ -34,11 +34,6 @@ class SystemResult:
         return sum(p.time_s for p in self.phase_perfs if not p.phase.is_partitioning)
 
     @property
-    def avg_power_w(self) -> float:
-        runtime = self.runtime_s
-        return self.energy.total_j / runtime if runtime > 0 else 0.0
-
-    @property
     def perf_per_watt(self) -> float:
         """Performance per watt (figure 9's metric).
 
@@ -55,15 +50,6 @@ class SystemResult:
             if p.phase.name == name:
                 return p
         raise KeyError(f"no phase named {name!r}")
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "runtime_s": self.runtime_s,
-            "partition_s": self.partition_time_s,
-            "probe_s": self.probe_time_s,
-            "energy_j": self.energy.total_j,
-            "avg_power_w": self.avg_power_w,
-        }
 
 
 def speedup(baseline: SystemResult, candidate: SystemResult) -> float:

@@ -25,7 +25,7 @@ Quickstart::
 
     plan = fk_join_aggregate(n_r=400, n_s=1600, num_partitions=8)
     perf = build_system("mondrian").run_pipeline(plan, scale_factor=100.0)
-    print(perf.summary())
+    print(perf.runtime_s, perf.bottleneck().stage)
 """
 
 from repro.pipeline.plan import PipelineRun, QueryPlan

@@ -95,14 +95,6 @@ class PipelinePerf:
         """The stage that dominates end-to-end runtime."""
         return max(self.stages, key=lambda s: s.runtime_s)
 
-    def summary(self) -> Dict[str, float]:
-        return {
-            "runtime_s": self.runtime_s,
-            "energy_j": self.energy_j,
-            "stages": len(self.stages),
-            "bottleneck": self.bottleneck().stage,
-        }
-
 
 def evaluate_pipeline(machine: "Machine", run: PipelineRun) -> PipelinePerf:
     """Cost an executed pipeline on ``machine``, stage by stage."""

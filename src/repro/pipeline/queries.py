@@ -144,11 +144,10 @@ def skewed_partition_join(
     n_s: int = DEFAULT_N_S,
     num_partitions: int = 64,
     seed: int = 17,
-    alpha: float = 1.2,
 ) -> QueryPlan:
     """Skew-aware repartition of a Zipf fact table, then FK join.
 
-    Event keys follow Zipf(``alpha``) popularity over the user keys, the
+    Event keys follow Zipf(1.2) popularity over the user keys, the
     regime where low-order-bit bucketing overflows hot vaults.  The
     partition stage charges the two-round rebalance (section 5.4) --
     histogram, rebalance retry, distribution -- as an explicit shuffle
@@ -157,7 +156,7 @@ def skewed_partition_join(
     :class:`~repro.pipeline.stage.PartitionStage`), so the pipeline
     totals show the *added* cost of managing skew end-to-end.
     """
-    users, events = make_fk_tables(n_r, n_s, seed=seed, zipf_alpha=alpha)
+    users, events = make_fk_tables(n_r, n_s, seed=seed, zipf_alpha=1.2)
     return QueryPlan(
         name="skewed-partition-join",
         tables={"users": users, "events": events},

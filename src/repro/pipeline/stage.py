@@ -155,8 +155,8 @@ class ScanStage(PipelineStage):
 
     operator = "scan"
 
-    def __init__(self, input: str, output: str, key: int, name: Optional[str] = None):
-        super().__init__([input], output, name)
+    def __init__(self, input: str, output: str, key: int):
+        super().__init__([input], output)
         self.key = int(key)
 
     def plan(self, tables: Dict[str, Relation], ctx: PlanContext) -> StagePlan:
@@ -226,8 +226,8 @@ class JoinStage(PipelineStage):
 
     operator = "join"
 
-    def __init__(self, left: str, right: str, output: str, name: Optional[str] = None):
-        super().__init__([left, right], output, name)
+    def __init__(self, left: str, right: str, output: str):
+        super().__init__([left, right], output)
 
     def plan(self, tables: Dict[str, Relation], ctx: PlanContext) -> StagePlan:
         r = self._table(tables, self.inputs[0])
@@ -267,10 +267,8 @@ class GroupByStage(PipelineStage):
 
     operator = "groupby"
 
-    def __init__(
-        self, input: str, output: str, aggregate: str = "sum", name: Optional[str] = None
-    ):
-        super().__init__([input], output, name)
+    def __init__(self, input: str, output: str, aggregate: str = "sum"):
+        super().__init__([input], output)
         if aggregate not in AGGREGATE_NAMES:
             raise ValueError(
                 f"unknown aggregate {aggregate!r}; choose from {AGGREGATE_NAMES}"
@@ -312,8 +310,8 @@ class SortStage(PipelineStage):
 
     operator = "sort"
 
-    def __init__(self, input: str, output: str, name: Optional[str] = None):
-        super().__init__([input], output, name)
+    def __init__(self, input: str, output: str):
+        super().__init__([input], output)
 
     def plan(self, tables: Dict[str, Relation], ctx: PlanContext) -> StagePlan:
         rel = self._table(tables, self.inputs[0])
@@ -357,10 +355,8 @@ class PartitionStage(PipelineStage):
         output: str,
         scheme: str = SCHEME_LOW_BITS,
         skew_aware: bool = False,
-        capacity_factor: float = 1.5,
-        name: Optional[str] = None,
     ):
-        super().__init__([input], output, name)
+        super().__init__([input], output)
         if scheme not in (SCHEME_LOW_BITS, SCHEME_HIGH_BITS):
             raise ValueError(f"unknown partitioning scheme {scheme!r}")
         if skew_aware and scheme != SCHEME_LOW_BITS:
@@ -370,7 +366,6 @@ class PartitionStage(PipelineStage):
             )
         self.scheme = scheme
         self.skew_aware = skew_aware
-        self.capacity_factor = capacity_factor
 
     def plan(self, tables: Dict[str, Relation], ctx: PlanContext) -> StagePlan:
         rel = self._table(tables, self.inputs[0])
@@ -381,7 +376,6 @@ class PartitionStage(PipelineStage):
                 sources,
                 ctx.variant,
                 ctx.key_space_bits,
-                capacity_factor=self.capacity_factor,
                 model_scale=ctx.model_scale,
             )
             metadata.update(

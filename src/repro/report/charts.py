@@ -51,22 +51,15 @@ def _nice_ticks(vmax: float) -> List[float]:
     return [step * i for i in range(n + 1)]
 
 
-def _bar_path(x: float, y: float, w: float, h: float, up: bool = True) -> str:
-    """A bar with a rounded data-end and a square baseline end."""
+def _bar_path(x: float, y: float, w: float, h: float) -> str:
+    """A vertical bar: rounded top, flat bottom at ``y + h``."""
     r = min(END_RADIUS, w / 2, h)
     if h <= 0 or w <= 0:
         return ""
-    if up:  # vertical bar: rounded top, flat bottom at y+h
-        return (
-            f"M{x:.1f},{y + h:.1f} V{y + r:.1f} Q{x:.1f},{y:.1f} "
-            f"{x + r:.1f},{y:.1f} H{x + w - r:.1f} Q{x + w:.1f},{y:.1f} "
-            f"{x + w:.1f},{y + r:.1f} V{y + h:.1f} Z"
-        )
-    # horizontal bar: rounded right end, flat left at x
     return (
-        f"M{x:.1f},{y:.1f} H{x + w - r:.1f} Q{x + w:.1f},{y:.1f} "
-        f"{x + w:.1f},{y + r:.1f} V{y + h - r:.1f} Q{x + w:.1f},{y + h:.1f} "
-        f"{x + w - r:.1f},{y + h:.1f} H{x:.1f} Z"
+        f"M{x:.1f},{y + h:.1f} V{y + r:.1f} Q{x:.1f},{y:.1f} "
+        f"{x + r:.1f},{y:.1f} H{x + w - r:.1f} Q{x + w:.1f},{y:.1f} "
+        f"{x + w:.1f},{y + r:.1f} V{y + h:.1f} Z"
     )
 
 

@@ -276,21 +276,15 @@ async def serve_lines(
         await server.finished()
 
 
-def run_foreground(
-    server: Any, host: str, port: int, detail: str, announce=print
-) -> None:
+def run_foreground(server: Any, host: str, port: int, detail: str) -> None:
     """Serve ``server`` in the foreground until a ``shutdown`` request.
 
-    ``announce(host, port)`` fires once the socket is bound; the default
-    prints the ``serving on host:port (detail)`` line scripts parse to
-    find an ephemeral port.
+    Once the socket is bound it prints the ``serving on host:port
+    (detail)`` line scripts parse to find an ephemeral port.
     """
 
     def _announce(h, p):
-        if announce is print:
-            print(f"repro.service: serving on {h}:{p} ({detail})", flush=True)
-        elif announce is not None:
-            announce(h, p)
+        print(f"repro.service: serving on {h}:{p} ({detail})", flush=True)
 
     asyncio.run(serve_lines(server, host, port, announce=_announce))
 
@@ -300,12 +294,11 @@ def serve(
     port: int = DEFAULT_PORT,
     store: Optional[str] = None,
     jobs: int = 1,
-    announce=print,
 ) -> None:
     """Run the daemon in the foreground until a ``shutdown`` request."""
     daemon = EvaluationDaemon(BatchScheduler(store=store, jobs=jobs))
     detail = f"store={daemon.scheduler.store_path() or 'none'}"
-    run_foreground(daemon, host, port, detail, announce)
+    run_foreground(daemon, host, port, detail)
 
 
 class ServerHandle:
@@ -398,7 +391,6 @@ def serve_background(
     host: str = "127.0.0.1",
     port: int = 0,
     store: Optional[str] = None,
-    jobs: int = 1,
 ) -> ServerHandle:
     """Start the daemon on a daemon thread; returns once it accepts.
 
@@ -406,5 +398,5 @@ def serve_background(
     address.  Used by tests, doctests and embedders that want a warm
     shared cache without a separate process.
     """
-    daemon = EvaluationDaemon(BatchScheduler(store=store, jobs=jobs))
+    daemon = EvaluationDaemon(BatchScheduler(store=store))
     return start_background(daemon, host, port)

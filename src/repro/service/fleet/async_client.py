@@ -143,25 +143,13 @@ class AsyncServiceClient:
         """Request counters plus scheduler/store/fleet statistics."""
         return await self.call("stats")
 
-    async def evaluate(
-        self,
-        scenario: Union[Scenario, Mapping[str, Any]],
-        deadline: Optional[float] = None,
-    ) -> ResultSet:
+    async def evaluate(self, scenario: Union[Scenario, Mapping[str, Any]]) -> ResultSet:
         """Evaluate one scenario remotely."""
-        return records(await self.call(
-            "evaluate", deadline=deadline, scenario=spec_dict(scenario)
-        ))
+        return records(await self.call("evaluate", scenario=spec_dict(scenario)))
 
-    async def sweep(
-        self,
-        sweep: Union[Sweep, Mapping[str, Any]],
-        deadline: Optional[float] = None,
-    ) -> ResultSet:
+    async def sweep(self, sweep: Union[Sweep, Mapping[str, Any]]) -> ResultSet:
         """Evaluate a whole sweep grid remotely."""
-        return records(await self.call(
-            "sweep", deadline=deadline, sweep=spec_dict(sweep)
-        ))
+        return records(await self.call("sweep", sweep=spec_dict(sweep)))
 
     async def shutdown(self) -> Dict[str, Any]:
         """Ask the daemon/router to stop serving.  Never retried."""

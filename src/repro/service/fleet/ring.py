@@ -97,9 +97,6 @@ class HashRing:
                     break
         return owners
 
-    def primary(self, digest: str) -> str:
-        return self.owners(digest)[0]
-
     def __repr__(self) -> str:
         return (
             f"HashRing({len(self.shards)} shards, replicas={self.replicas}, "

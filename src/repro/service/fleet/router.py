@@ -644,7 +644,6 @@ def serve_fleet(
     shards: int = 3,
     replicas: int = 2,
     hedge_after: Optional[float] = 0.25,
-    announce=print,
 ) -> None:
     """Run a whole fleet in the foreground until a ``shutdown`` request.
 
@@ -663,7 +662,7 @@ def serve_fleet(
         f"fleet store={router.store.root}, shards={shards}, "
         f"replicas={router.ring.replicas}"
     )
-    run_foreground(router, host, port, detail, announce)
+    run_foreground(router, host, port, detail)
 
 
 def start_fleet_background(

@@ -59,11 +59,11 @@ FLEET_MANIFEST = "fleet.json"
 _FLEET_SCHEMA = "fleet/v1"
 
 
-def _count(name: str, amount: int = 1) -> None:
+def _count(name: str) -> None:
     """Mirror a fleet store event into the telemetry registry."""
     from repro.telemetry import registry
 
-    registry().counter(f"service.fleet.{name}").inc(amount)
+    registry().counter(f"service.fleet.{name}").inc()
 
 
 def read_manifest(root: Path) -> Optional[Dict[str, int]]:
@@ -108,7 +108,6 @@ class ShardedResultStore:
         root: os.PathLike,
         shards: Optional[int] = None,
         replicas: Optional[int] = None,
-        vnodes: Optional[int] = None,
         fsync: Optional[bool] = None,
     ) -> None:
         """Open (or create) the fleet store at ``root``.
@@ -130,7 +129,7 @@ class ShardedResultStore:
             manifest = {
                 "shards": int(shards),
                 "replicas": int(replicas if replicas is not None else 2),
-                "vnodes": int(vnodes if vnodes is not None else DEFAULT_VNODES),
+                "vnodes": DEFAULT_VNODES,
             }
             if manifest["shards"] < 1:
                 raise ValueError("shards must be >= 1")
@@ -352,7 +351,6 @@ def rebalance(
     root: os.PathLike,
     shards: Optional[int] = None,
     replicas: Optional[int] = None,
-    prune: bool = True,
     store: Optional[ShardedResultStore] = None,
 ) -> Dict[str, int]:
     """Re-replicate every object to its owners (optionally re-ringing).
@@ -365,9 +363,9 @@ def rebalance(
        the highest-ranked owner wins; disagreeing copies are overwritten
        (``divergent_healed`` counts digests, not copies);
     2. copies the winner to every owner lacking it (``replicated``);
-    3. with ``prune`` (the default), drops copies from shards that do
-       not own the digest (``pruned``) -- what actually *moves* data
-       after a topology change.
+    3. drops copies from shards that do not own the digest
+       (``pruned``) -- what actually *moves* data after a topology
+       change.
 
     Passing ``shards``/``replicas`` rewrites the manifest first: this is
     the one sanctioned way to change fleet topology.  ``store`` reuses
@@ -436,9 +434,8 @@ def rebalance(
                 store._shards[name].put(digest, winner)
                 if copies.get(name) is None:
                     report["replicated"] += 1
-        if prune:
-            for name, handle in holders.items():
-                if name not in owners and name in copies:
-                    handle.discard(digest)
-                    report["pruned"] += 1
+        for name, handle in holders.items():
+            if name not in owners and name in copies:
+                handle.discard(digest)
+                report["pruned"] += 1
     return report

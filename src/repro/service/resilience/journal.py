@@ -103,10 +103,6 @@ class IntentJournal:
         self._dir = self._root / "journal"
         self._fsync = fsync
 
-    @property
-    def directory(self) -> Path:
-        return self._dir
-
     def pending(self):
         """The intent files currently on disk (crashed or in-flight puts)."""
         if not self._dir.is_dir():

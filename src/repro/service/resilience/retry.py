@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 #: Verbs that are safe to resend: either read-only or content-addressed
 #: (a duplicate ``evaluate``/``sweep`` dedups against the store).
@@ -62,11 +62,6 @@ class RetryPolicy:
         if rng is not None and self.jitter:
             delay *= 1.0 + self.jitter * rng.random()
         return delay
-
-    def delays(self, rng=None) -> Iterator[float]:
-        """One delay per allowed retry, in order."""
-        for attempt in range(self.retries):
-            yield self.delay(attempt, rng)
 
 
 class RetryBudget:

@@ -101,7 +101,7 @@ def _parses_as_json(path: Path) -> bool:
         return False
 
 
-def open_store(root: os.PathLike, fsync: Optional[bool] = None):
+def open_store(root: os.PathLike):
     """Open the store at ``root``, fleet-aware.
 
     A directory carrying a ``fleet.json`` manifest opens as a
@@ -114,8 +114,8 @@ def open_store(root: os.PathLike, fsync: Optional[bool] = None):
     if os.path.isfile(os.path.join(os.fspath(root), "fleet.json")):
         from repro.service.fleet.sharded import ShardedResultStore
 
-        return ShardedResultStore(root, fsync=fsync)
-    return ResultStore(root, fsync=fsync)
+        return ShardedResultStore(root)
+    return ResultStore(root)
 
 
 class ResultStore:
@@ -266,12 +266,6 @@ class ResultStore:
     @property
     def fsync(self) -> bool:
         return self._fsync
-
-    def quarantined(self) -> Iterator[str]:
-        """Names of quarantined entries (digest filenames), sorted."""
-        if not self._quarantine_dir.is_dir():
-            return iter(())
-        return iter(sorted(p.name for p in self._quarantine_dir.glob("*.json")))
 
     def verify(self) -> Dict[str, int]:
         """Full integrity scan: settle intents, validate every object.

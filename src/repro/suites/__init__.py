@@ -24,7 +24,6 @@ from repro.suites.families import (
     ColumnSpec,
     CompositeKeyFamily,
     DictEncoder,
-    FAMILY_TYPES,
     SKEW_PRESETS,
     SkewFamily,
     StringKeyFamily,
@@ -55,7 +54,6 @@ __all__ = [
     "DEFAULT_WEIGHTS",
     "DictEncoder",
     "FAMILIES",
-    "FAMILY_TYPES",
     "SKEW_PRESETS",
     "SUITES",
     "SkewFamily",

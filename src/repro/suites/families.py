@@ -423,7 +423,3 @@ class SkewFamily:
 
     def cache_params(self) -> Dict[str, Any]:
         return dict(asdict(self), family=self.family)
-
-
-#: Family type registry (the taxonomy docs and tests iterate).
-FAMILY_TYPES = (CompositeKeyFamily, StringKeyFamily, WindowedFamily, SkewFamily)

@@ -284,20 +284,18 @@ def _pool_span(point: SuitePoint) -> Tuple[str, str, Dict[str, Any]]:
     return "pool_worker", "suites", {"suite": point.suite, "system": point.system}
 
 
-def functional_digests(
-    suites: Tuple[str, ...] = tuple(SUITES),
-    seed: int = 17,
-    num_partitions: int = common.NUM_PARTITIONS,
-) -> Dict[str, str]:
+def functional_digests() -> Dict[str, str]:
     """Per-suite digest of the final answer relation (system-agnostic).
 
     Executes each suite's plan functionally once (CPU preset, unit
-    scale) -- every preset computes the same answer bytes, which the
-    cross-preset digest test asserts directly.
+    scale, seed 17, the default partition count) -- every preset
+    computes the same answer bytes, which the cross-preset digest test
+    asserts directly.
     """
+    num_partitions = common.NUM_PARTITIONS
     digests = {}
-    for name in suites:
-        plan = get_suite(name).build_plan(seed=seed, num_partitions=num_partitions)
+    for name in SUITES:
+        plan = get_suite(name).build_plan(seed=17, num_partitions=num_partitions)
         machine = common.machine_for("cpu")
         run = plan.execute(machine.variant(num_partitions))
         digests[name] = relation_digest(run.output)

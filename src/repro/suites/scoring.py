@@ -195,9 +195,9 @@ def score_records(
     }
 
 
-def report_json(report: Mapping[str, Any], indent: int = 2) -> str:
+def report_json(report: Mapping[str, Any]) -> str:
     """Deterministic JSON text of a report (sorted keys; the golden)."""
-    return json.dumps(report, indent=indent, sort_keys=True)
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def render_report(report: Mapping[str, Any]) -> str:

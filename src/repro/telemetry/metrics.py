@@ -74,11 +74,9 @@ class Histogram:
 
     __slots__ = ("name", "bounds", "buckets", "count", "total", "min", "max")
 
-    def __init__(
-        self, name: str, bounds: Tuple[float, ...] = DEFAULT_BOUNDS
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds = tuple(bounds)
+        self.bounds = DEFAULT_BOUNDS
         self.buckets = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
@@ -139,10 +137,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def histogram(
-        self, name: str, bounds: Tuple[float, ...] = DEFAULT_BOUNDS
-    ) -> Histogram:
-        return self._get(name, Histogram, bounds)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(name, Histogram)
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """All instruments, grouped by type, names sorted."""

@@ -286,10 +286,10 @@ class Tracer:
 _TRACER: Optional[Tracer] = None
 
 
-def install_tracer(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install (and return) the process-wide tracer; tracing is now on."""
+def install_tracer() -> Tracer:
+    """Install (and return) a fresh process-wide tracer; tracing is now on."""
     global _TRACER
-    _TRACER = tracer if tracer is not None else Tracer()
+    _TRACER = Tracer()
     return _TRACER
 
 
@@ -317,16 +317,16 @@ def span(name: str, category: str = "repro", **attrs: Any):
 
 
 class tracing:
-    """``with tracing() as tracer:`` -- scoped install/uninstall."""
+    """``with tracing() as tracer:`` -- scoped install/uninstall of a
+    fresh tracer."""
 
-    def __init__(self, tracer: Optional[Tracer] = None) -> None:
-        self._tracer = tracer
+    def __init__(self) -> None:
         self._previous: Optional[Tracer] = None
 
     def __enter__(self) -> Tracer:
         global _TRACER
         self._previous = _TRACER
-        _TRACER = self._tracer if self._tracer is not None else Tracer()
+        _TRACER = Tracer()
         return _TRACER
 
     def __exit__(self, exc_type, exc, tb) -> bool:

@@ -73,5 +73,5 @@ def assert_shuffles_identical(
         assert np.array_equal(traces[d], ref_traces[d])
         assert traces[d].dtype == ref_traces[d].dtype
     assert vec.barrier.completion_vector() == ref.barrier.completion_vector()
-    for d in range(vec.barrier.num_vaults):
+    for d in range(len(vec.destinations)):
         assert vec.barrier.expected_bytes(d) == ref.barrier.expected_bytes(d)

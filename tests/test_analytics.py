@@ -49,7 +49,6 @@ class TestRelation:
     def test_from_arrays_and_views(self):
         rel = Relation.from_arrays([1, 2, 3], [10, 20, 30], "r")
         assert len(rel) == 3
-        assert rel.size_b == 48
         assert list(rel.keys) == [1, 2, 3]
         assert list(rel.payloads) == [10, 20, 30]
 
@@ -74,9 +73,8 @@ class TestRelation:
         assert s.is_sorted()
         assert not rel.is_sorted()
 
-    def test_slice_take(self):
+    def test_take(self):
         rel = Relation.from_arrays([1, 2, 3, 4], [1, 2, 3, 4])
-        assert list(rel.slice(1, 3).keys) == [2, 3]
         assert list(rel.take(np.array([0, 3])).keys) == [1, 4]
 
     def test_multiset_equality(self):

@@ -20,7 +20,6 @@ from repro.api import (
 from repro.api.__main__ import main as api_main
 from repro.config.system import (
     EVALUATED_PRESETS,
-    HEADLINE_PRESETS,
     SYSTEM_PRESETS,
     get_preset,
 )
@@ -558,10 +557,6 @@ class TestSharedConstants:
     def test_all_systems_is_the_shared_constant(self):
         assert ALL_SYSTEMS is EVALUATED_PRESETS
         assert all(name in SYSTEM_PRESETS for name in EVALUATED_PRESETS)
-
-    def test_headline_presets_exist(self):
-        assert all(name in SYSTEM_PRESETS for name in HEADLINE_PRESETS)
-
 
 class TestWorkloadPartitionProtocol:
     def test_every_workload_declares_num_partitions(self):

@@ -219,9 +219,9 @@ class TestSegmentedSort:
     @pytest.mark.parametrize(
         "num_segments,top_key,packed",
         [
-            (1, int(_PAD_KEY), True),  # one segment: no segment bits needed
+            (1, int(_PAD_KEY), False),  # a 64-bit span leaves no offset bits
             (12, 0, True),
-            (12, (1 << 60) - 1, True),  # largest key 4 segment bits allow
+            (12, (1 << 60) - 1, False),  # 4 segment + 60 key bits: no offset bits
             (12, 1 << 60, False),
             (12, int(_PAD_KEY), False),
             (64, 0, True),

@@ -36,14 +36,6 @@ def probe_phase(**kwargs):
 
 
 class TestEnergyEvents:
-    def test_merge(self):
-        a = EnergyEvents(dram_activations=1, dram_bytes=10)
-        b = EnergyEvents(dram_activations=2, serdes_bytes=5)
-        c = a.merged(b)
-        assert c.dram_activations == 3
-        assert c.dram_bytes == 10
-        assert c.serdes_bytes == 5
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             EnergyEvents(dram_bytes=-1)
@@ -281,10 +273,6 @@ class TestResultMetrics:
         hungry = self._result(energy_scale=4.0)
         frugal = self._result(energy_scale=1.0)
         assert efficiency_improvement(hungry, frugal) == pytest.approx(4.0)
-
-    def test_summary_fields(self):
-        s = self._result().summary()
-        assert set(s) == {"runtime_s", "partition_s", "probe_s", "energy_j", "avg_power_w"}
 
     def test_phase_lookup(self):
         r = self._result()

@@ -15,6 +15,7 @@ matrix.
 import asyncio
 import hashlib
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -93,7 +94,7 @@ class TestHashRing:
         before, after = (small, large) if grow else (large, small)
         keys = digests(3000, salt="move")
         moved = sum(
-            1 for d in keys if before.primary(d) != after.primary(d)
+            1 for d in keys if before.owners(d)[0] != after.owners(d)[0]
         )
         fraction = moved / len(keys)
         expected = 1.0 / (n + 1)
@@ -101,11 +102,6 @@ class TestHashRing:
         # would move ~(n/(n+1)) of the keys, an order of magnitude more.
         assert fraction < 2.0 * expected, (fraction, expected)
         assert fraction > 0.0
-
-    def test_primary_is_first_owner(self):
-        ring = HashRing([shard_name(i) for i in range(4)], replicas=3)
-        for d in digests(50):
-            assert ring.primary(d) == ring.owners(d)[0]
 
     def test_key_point_uses_digest_prefix(self):
         d = "f" * 64
@@ -754,7 +750,7 @@ def split_owners(tmp_path):
     ShardedResultStore(tmp_path, shards=2, replicas=2)
     scratch = FleetRouter([Member(0, "127.0.0.1", 1),
                            Member(1, "127.0.0.1", 2)], hedge_after=None)
-    primary_index = int(scratch.ring.primary(scratch._scenario_digest(SCENARIO))[-2:])
+    primary_index = int(scratch.ring.owners(scratch._scenario_digest(SCENARIO))[0][-2:])
     return primary_index, 1 - primary_index
 
 
@@ -951,24 +947,22 @@ class TestServeFleet:
         with pytest.raises(ValueError, match="--store"):
             serve_fleet(store=None)
 
-    def test_foreground_serves_until_shutdown(self, tmp_path):
-        announced = {}
-
-        def announce(host, port):
-            announced["address"] = (host, port)
-
+    def test_foreground_serves_until_shutdown(self, tmp_path, capsys):
         thread = threading.Thread(
             target=serve_fleet,
-            kwargs=dict(store=str(tmp_path), shards=2, replicas=2,
-                        port=0, announce=announce),
+            kwargs=dict(store=str(tmp_path), shards=2, replicas=2, port=0),
             daemon=True,
         )
         thread.start()
+        banner = ""
         deadline = time.monotonic() + 60
-        while "address" not in announced and time.monotonic() < deadline:
+        while "serving on" not in banner and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert "address" in announced, "serve_fleet never announced"
-        host, port = announced["address"]
+            banner += capsys.readouterr().out
+        # The banner scripts parse to find the ephemeral port.
+        match = re.search(r"serving on (\S+):(\d+) \(fleet store=", banner)
+        assert match, f"serve_fleet never announced: {banner!r}"
+        host, port = match.group(1), int(match.group(2))
         with ServiceClient(host, port) as client:
             assert client.ping()["shards"] == 2
             client.shutdown()

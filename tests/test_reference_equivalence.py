@@ -197,7 +197,7 @@ class TestOnePassShuffle:
         num_dest = 7
         dest = rng.integers(0, num_dest, n).astype(np.int64)
         sources = [
-            table.slice(int(lo), int(hi), f"table/p{i}")
+            Relation(table.data[int(lo):int(hi)], f"table/p{i}")
             for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
         ]
         columns = SegmentedColumns.from_relations(sources)

@@ -56,9 +56,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(retries=5, base_delay=0.1, max_delay=0.5,
                              multiplier=2.0, jitter=0.0)
         assert [policy.delay(a) for a in range(4)] == [0.1, 0.2, 0.4, 0.5]
-        assert list(policy.delays()) == [
-            policy.delay(a) for a in range(policy.retries)
-        ]
 
     def test_jitter_needs_an_rng(self):
         policy = RetryPolicy(base_delay=1.0, max_delay=1.0, jitter=0.5)
@@ -203,9 +200,6 @@ class TestJournal:
             atomic_write_text(target, "{}")
         assert list(tmp_path.glob(".*.tmp")) == []
 
-    def test_journal_directory_property(self, tmp_path):
-        assert IntentJournal(tmp_path).directory == tmp_path / "journal"
-
     def test_intent_is_retired_on_success(self, tmp_path):
         journal = IntentJournal(tmp_path)
         final = tmp_path / "objects" / "aa" / "aabb.json"
@@ -331,7 +325,7 @@ class TestStoreCrashSafety:
         assert store.get(digest) is None
         assert store.stats()["quarantined"] == 1
         assert not store.contains(digest)
-        assert list(store.quarantined()) == [f"{digest}.json"]
+        assert [p.name for p in (tmp_path / "quarantine").iterdir()] == [f"{digest}.json"]
         # The corrupt bytes are preserved for post-mortems.
         assert (tmp_path / "quarantine" / f"{digest}.json").read_text() == "{torn"
 

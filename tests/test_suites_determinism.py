@@ -17,21 +17,35 @@ import sys
 from pathlib import Path
 
 from repro.service.store import digest_payload
-from repro.suites import FAMILY_TYPES, SUITES, SuitePoint
+from repro.suites import (
+    SUITES,
+    CompositeKeyFamily,
+    SkewFamily,
+    StringKeyFamily,
+    SuitePoint,
+    WindowedFamily,
+)
 from repro.suites.runner import suite_store_payload
 
 ROOT = Path(__file__).resolve().parents[1]
+
+FAMILY_TYPES = (CompositeKeyFamily, StringKeyFamily, WindowedFamily, SkewFamily)
 
 #: One subprocess probe: relation digests per family + store key digests
 #: per suite + a small grid's record export digest.
 _PROBE = r"""
 import hashlib, json
-from repro.suites import FAMILY_TYPES, SUITES, SuiteRun, SuitePoint
+from repro.suites import (
+    SUITES, CompositeKeyFamily, SkewFamily, StringKeyFamily, SuiteRun,
+    SuitePoint, WindowedFamily,
+)
 from repro.suites.runner import suite_store_payload
 from repro.service.store import digest_payload
 
 relations = {}
-for family_type in FAMILY_TYPES:
+for family_type in (
+    CompositeKeyFamily, StringKeyFamily, WindowedFamily, SkewFamily
+):
     family = family_type()
     relations[family.family] = {
         name: hashlib.sha256(rel.data.tobytes()).hexdigest()
