@@ -52,10 +52,13 @@ test:
 	$(MAKE) load-test-smoke
 	$(MAKE) chaos-test
 
-## Fault-injection suite: property harness (output byte-identity under
-## randomized schedules), cross-process determinism audit, barrier edge
-## cases, the fault_sweep golden and the production-against-reference
-## matrix (shuffle and operators under fault schedules).
+## Fault-injection suite: property harness (under randomized schedules
+## the reference shuffle, which replays a schedule inline, matches the
+## fault-free engine's bytes and the schedule replayed over its
+## histogram), cross-process determinism audit, barrier edge cases, the
+## fault_sweep golden and the production-against-reference matrix
+## (price_faults on the fault-free runs against the references' inline
+## replay).
 test-faults:
 	$(PY) -m pytest -x -q tests/test_faults_properties.py \
 	  tests/test_faults_determinism.py tests/test_faults_edgecases.py \
@@ -133,14 +136,21 @@ perf-pairs:
 	$(PY) tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD)
 
 ## Scenario-API smoke test: run the committed 2x2 sweep grid (CPU +
-## a 32-core star-topology Mondrian the paper never measured) and diff
-## its ResultSet JSON against the committed golden file.
+## a 32-core star-topology Mondrian the paper never measured) and a
+## faulted Mondrian/NMP grid (operators plus the skew and fk pipelines,
+## whose stages replay their own salted schedules), and diff each
+## ResultSet JSON against its committed golden file.
 ## (REPRO_STORE is cleared so an ambient warm store can never replay
 ## stale results into the golden diff.)
 sweep-smoke:
 	REPRO_STORE= $(PY) -m repro.api --sweep tests/data/sweep_smoke.json --json - \
 	  | diff - tests/data/sweep_smoke_golden.json
-	@echo "sweep-smoke OK: ResultSet matches the committed golden file."
+	REPRO_STORE= $(PY) -m repro.api --system mondrian --system nmp-perm \
+	  --workload join --workload groupby --workload skewed-partition-join \
+	  --workload fk-join-aggregate --scale 50 --partitions 8 \
+	  --faults '{"seed": 7, "drop_prob": 0.3, "straggler_prob": 0.2, "duplicate_prob": 0.1, "timeout_prob": 0.2}' \
+	  --json - | diff - tests/data/sweep_faults_golden.json
+	@echo "sweep-smoke OK: ResultSets match the committed golden files."
 
 ## Benchmark-suite smoke test: run a 2x2 suite grid (string-key +
 ## skew-family suites on CPU and Mondrian) plus the full-grid ranked

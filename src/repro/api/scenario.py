@@ -25,7 +25,7 @@ scenarios execute their plan end-to-end through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.api.results import ResultSet
 from repro.api.spec import SystemSpec, as_spec
@@ -79,6 +79,18 @@ class Scenario:
     def is_query(self) -> bool:
         """True when the workload is a canonical multi-operator query."""
         return self.operator in CANONICAL_QUERIES
+
+    def store_digest(self) -> Optional[str]:
+        """This operator scenario's result-store address (``None`` for a
+        query scenario)."""
+        if self.is_query:
+            return None
+        from repro.service.store import digest_payload
+
+        payload = common.result_store_payload(
+            self.system, self.operator, self.model_scale, self.seed, self.num_partitions
+        )
+        return digest_payload(payload)
 
     # -- execution ----------------------------------------------------------
 

@@ -19,7 +19,7 @@ share in figure 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config.system import SystemConfig
 

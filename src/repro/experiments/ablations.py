@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.analytics.tuples import TUPLE_B
 from repro.api import Scenario, SystemSpec, format_table

@@ -3,9 +3,10 @@
 Sweeps the fault intensity (scaling straggler/drop/duplicate/timeout
 probabilities together) over a skewed workload and compares the naive
 one-round partitioner against the skew-aware two-round protocol.  For
-every point the retry/backoff protocol must leave the functional
-partitions byte-identical to the fault-free run -- the sweep checks the
-digests and reports the price paid: retries, duplicates discarded,
+every point the partitioner runs under the faulted variant, its
+partitions must stay byte-identical to the fault-free run's (the sweep
+checks the digests), and the schedule replayed over the outcome's
+recorded pass reports the price paid: retries, duplicates discarded,
 destinations degraded off the batched fast path, and the straggler
 critical-path share.
 """
@@ -20,8 +21,13 @@ from repro.analytics.skew import make_skewed_groupby_workload
 from repro.analytics.tuples import Relation
 from repro.api import format_table
 from repro.faults.plan import NULL_FAULTS, FaultSpec
-from repro.operators.base import OperatorVariant
-from repro.operators.partition import PartitionOutcome, run_partitioning
+from repro.faults.protocol import ResilienceStats
+from repro.operators.base import OperatorRun, OperatorVariant
+from repro.operators.partition import (
+    PartitionOutcome,
+    price_faults,
+    run_partitioning,
+)
 from repro.operators.skew import run_partitioning_skew_aware
 
 #: Fault intensity levels; each scales every fault probability together
@@ -35,6 +41,11 @@ FULL_MIX = {
     "duplicate_prob": 0.2,
     "timeout_prob": 0.25,
 }
+
+
+#: The protocol counters each sweep point reports.
+POINT_STATS = ("retries", "duplicates_discarded", "degraded_destinations",
+               "timeout_rounds", "overhead_b", "straggler_share")
 
 
 def fault_spec(intensity: float, seed: int) -> FaultSpec:
@@ -56,18 +67,17 @@ def partitions_digest(partitions: List[Relation]) -> str:
     return h.hexdigest()
 
 
-def _point(outcome: PartitionOutcome, baseline_digest: str) -> Dict[str, object]:
+def _point(
+    outcome: PartitionOutcome, variant: OperatorVariant, baseline_digest: str
+) -> Dict[str, object]:
+    run = OperatorRun(
+        "partition", variant.label, outcome.phases, None, passes=[outcome.record]
+    )
+    stats = price_faults(run, variant, 1.0).metadata.get(
+        "resilience", ResilienceStats().to_metadata()
+    )
     digest = partitions_digest(outcome.partitions)
-    res = outcome.resilience
-    return {
-        "identical": digest == baseline_digest,
-        "retries": res.retries if res else 0,
-        "duplicates_discarded": res.duplicates_discarded if res else 0,
-        "degraded_destinations": res.degraded_destinations if res else 0,
-        "timeout_rounds": res.timeout_rounds if res else 0,
-        "overhead_b": float(res.overhead_b) if res else 0.0,
-        "straggler_share": float(res.straggler_share) if res else 0.0,
-    }
+    return {"identical": digest == baseline_digest, **{k: stats[k] for k in POINT_STATS}}
 
 
 def run(
@@ -107,8 +117,8 @@ def run(
     for intensity in INTENSITIES:
         spec = fault_spec(intensity, fault_seed)
         for name, runner in partitioners:
-            outcome = runner(replace(variant, faults=spec))
-            point = _point(outcome, baselines[name])
+            faulted = replace(variant, faults=spec)
+            point = _point(runner(faulted), faulted, baselines[name])
             points[f"{intensity:g}:{name}"] = point
             rows.append(
                 [

@@ -19,7 +19,9 @@ shuffles of one operator (a join's R- and S-pass see different faults).
 The schedules are pure *control-plane* adversity.  The retry/backoff
 protocol in :mod:`repro.faults.protocol` guarantees the functional
 output of a faulted shuffle is byte-identical to the fault-free run --
-the property suite pins it across randomized schedules.
+the property suite pins it across randomized schedules -- so a
+schedule is replayed after the run, over each recorded pass's histogram
+and salt (:func:`repro.operators.partition.price_faults`).
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def stream_salt(label: str) -> int:
 
     CRC32 of the label, so a join's two partitioning passes (and any
     future pass vocabulary) draw independent-but-reproducible schedules
-    from one seed.
+    from one seed.  The skew-aware protocol's pass is salted by
+    ``"skew"``, so a pass records its salt rather than its label's.
     """
     return zlib.crc32(label.encode("utf-8")) & 0x7FFFFFFF
 

@@ -154,10 +154,6 @@ class DeliverySession:
         self._disrupted = plan.disrupted_destinations(self._sizes)
         self.stats = ResilienceStats(shuffle_b=float(self._sizes.sum()))
 
-    @property
-    def plan(self) -> FaultPlan:
-        return self._plan
-
     def deliver(self, barrier: ShuffleBarrier) -> None:
         """Retire every destination's inbound traffic through the barrier.
 

@@ -24,11 +24,11 @@ Exported names, by role:
   columnar -- a vault per bucket, plus share arrays for the buckets
   split across vaults -- and the same on every host).  Both take a
   relation's flat ``SegmentedColumns``, one segment per source
-  partition, and hash, histogram and route it in one pass.  Sort,
-  join and group-by execute fault-free and price the variant's fault
-  schedule onto the run with
-  :func:`repro.operators.partition.price_faults`, the step the systems
-  layer also applies to a memoized run.
+  partition, and hash, histogram and route it in one pass.  All of
+  them execute fault-free, whatever the variant's fault schedule, and
+  record each partitioning pass; the systems layer and the pipeline
+  price a schedule onto the finished run with
+  :func:`repro.operators.partition.price_faults`.
 - Contracts -- ``PhaseCost`` (one phase's machine-independent work),
   ``OperatorRun`` (phases + functional output), ``OperatorVariant`` (how
   a machine runs an operator), and the phase categories

@@ -104,14 +104,15 @@ class PartitionPass:
     ``(source, destination)`` histogram and no tuples.
     """
 
-    #: Phase-name prefix (``""``, ``"R-"``, ``"S-"``); it also salts the
-    #: pass's fault schedule.
+    #: Phase-name prefix (``""``, ``"R-"``, ``"S-"``): the pass's
+    #: distribute phase is ``f"{label}distribute"``.
     label: str
+    #: Fault-schedule salt: ``stream_salt`` of the label, or of
+    #: ``"skew"`` for the two-round skew protocol's pass.
+    salt: int
     #: ``(source, destination)`` tuple counts, in the narrowest unsigned
     #: dtype that holds them.
     histogram: np.ndarray
-    #: Tuples the cost model describes (functional count x model scale).
-    n_model: int
 
 
 @dataclass

@@ -34,7 +34,6 @@ from repro.operators.base import PHASE_PROBE, OperatorRun, OperatorVariant, Phas
 from repro.operators.partition import (
     SCHEME_LOW_BITS,
     PartitionOutcome,
-    price_faults,
     run_partitioning,
 )
 
@@ -223,13 +222,13 @@ def run_groupby(
     """Execute Group by functionally under the given variant and cost it.
 
     Every partition's groups fold with the whole-relation kernels of
-    :mod:`repro.columnar`.  The run executes fault-free and
-    :func:`~repro.operators.partition.price_faults` prices
-    ``variant.faults`` onto it.
+    :mod:`repro.columnar`.  The run ignores ``variant.faults``: it
+    executes fault-free, and :func:`~repro.operators.partition.price_faults`
+    prices a schedule onto it.
     """
     partitioned = run_partitioning(
         workload.flat,
-        variant.fault_free,
+        variant,
         SCHEME_LOW_BITS,
         workload.key_space_bits,
         model_scale=model_scale,
@@ -239,8 +238,7 @@ def run_groupby(
         output = _hash_groupby_segmented(columns)
     else:
         output = _sort_groupby_segmented(columns, variant.simd)
-    run = groupby_operator_run(workload, variant, model_scale, partitioned, output)
-    return price_faults(run, variant, model_scale)
+    return groupby_operator_run(workload, variant, model_scale, partitioned, output)
 
 
 def groupby_operator_run(

@@ -34,7 +34,6 @@ from repro.operators.base import PHASE_PROBE, OperatorRun, OperatorVariant, Phas
 from repro.operators.partition import (
     SCHEME_LOW_BITS,
     PartitionOutcome,
-    price_faults,
     run_partitioning,
 )
 
@@ -246,13 +245,11 @@ def run_join(
     functionally executed ones (see :func:`run_partitioning`); sort pass
     counts and hash-table regions are computed at model size.  All
     partitions join at once with the whole-relation kernels of
-    :mod:`repro.columnar`.  The run executes fault-free and
-    :func:`~repro.operators.partition.price_faults` prices
-    ``variant.faults`` onto it.
+    :mod:`repro.columnar`.  The run ignores ``variant.faults``: it
+    executes fault-free, and :func:`~repro.operators.partition.price_faults`
+    prices a schedule onto it.
     """
-    r_part, s_part = partition_join_inputs(
-        workload, variant.fault_free, model_scale
-    )
+    r_part, s_part = partition_join_inputs(workload, variant, model_scale)
     probe_steps = []
     r_cols, s_cols = r_part.shuffle.columns, s_part.shuffle.columns
     if variant.probe_algorithm == "hash":
@@ -261,7 +258,7 @@ def run_join(
         matches, checksum = _merge_join_segmented(
             r_cols, s_cols, variant.simd, workload.key_space_bits
         )
-    run = join_operator_run(
+    return join_operator_run(
         workload,
         variant,
         model_scale,
@@ -269,7 +266,6 @@ def run_join(
         JoinOutput(matches=matches, checksum=checksum),
         probe_steps,
     )
-    return price_faults(run, variant, model_scale)
 
 
 def partition_join_inputs(

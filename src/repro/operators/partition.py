@@ -20,15 +20,17 @@ Join and Group by bucket by **low-order** key bits; Sort buckets by
 **high-order** bits so partitions hold disjoint key ranges (section 6).
 
 A fault schedule changes only what the distribution step's retry
-protocol pays, so the operators partition fault-free, record each pass
-(:class:`~repro.operators.base.PartitionPass`) and
-:func:`price_faults` prices the schedule onto the finished run.
+protocol pays, so partitioning always runs fault-free, whatever
+``variant.faults`` holds, and records each pass
+(:class:`~repro.operators.base.PartitionPass`).  :func:`price_faults`,
+the only place production replays a schedule, prices it onto the
+finished run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from repro.analytics.hashing import bucket_of_low_bits
 from repro.analytics.tuples import TUPLE_B, Relation
 from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import stream_salt
-from repro.faults.protocol import ResilienceStats, combine_stats
+from repro.faults.protocol import combine_stats
 from repro.operators import costs
 from repro.operators.base import (
     PHASE_DISTRIBUTE,
@@ -56,17 +58,13 @@ SCHEME_HIGH_BITS = "high"
 
 @dataclass
 class PartitionOutcome:
-    """Functional result + cost records of one partitioning phase."""
+    """Functional result + cost records of one fault-free partitioning
+    phase."""
 
     phases: List[PhaseCost]
     shuffle: ShuffleResult
-    #: Retry/backoff accounting when a fault schedule was active
-    #: (``None`` on fault-free runs, keeping their records unchanged).
-    resilience: Optional[ResilienceStats] = None
-    #: The pass as :func:`price_faults` re-prices it (set by
-    #: :func:`run_partitioning`; the skew-aware protocol's outcome
-    #: feeds no operator run and leaves it ``None``).
-    record: Optional[PartitionPass] = None
+    #: The pass as :func:`price_faults` prices a fault schedule onto it.
+    record: PartitionPass
 
     @property
     def partitions(self) -> List[Relation]:
@@ -75,35 +73,15 @@ class PartitionOutcome:
         return self.shuffle.destinations
 
 
-def priced_distribute_cost(
-    n_model: int,
-    variant: OperatorVariant,
-    label: str,
-    resilience: Optional[ResilienceStats],
-    model_scale: float,
-) -> PhaseCost:
-    """The distribute phase's cost, with fault overhead priced in.
+def partition_pass(label: str, salt: int, shuffle: ShuffleResult) -> PartitionPass:
+    """The record of one finished shuffle.
 
-    The functional shuffle moves the small test-sized relations; the
-    cost model describes a dataset ``model_scale`` times larger.  The
-    protocol's byte quantities are strictly per-delivery linear, so they
-    extrapolate with the same factor: re-sent + duplicated bytes become
-    ``retry_shuffle_b`` (wire + SerDes, no DRAM commit) and the
-    backoff + straggler critical-path stall becomes ``backoff_stall_b``
-    (idle wire time the interconnect cap prices).
+    A memoized run keeps its record for the life of the process, so the
+    counts are stored in the narrowest dtype that holds them.
     """
-    cost = distribute_cost(n_model, variant, label=label)
-    if resilience is None:
-        return cost
-    return replace(
-        cost,
-        retry_shuffle_b=(resilience.retried_b + resilience.duplicate_b)
-        * model_scale,
-        backoff_stall_b=(
-            resilience.backoff_stall_b + resilience.straggler_stall_b
-        )
-        * model_scale,
-    )
+    counts = shuffle.histogram
+    counts = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
+    return PartitionPass(label, salt, counts)
 
 
 def destination_map(
@@ -245,33 +223,17 @@ def run_partitioning(
         num_destinations=variant.num_partitions,
         permutable=variant.permutable,
         interleave=get_interleave(variant.interleave),
-        faults=variant.faults,
-        # Salted by the pass label so e.g. a join's R- and S-shuffles
-        # draw independent-but-reproducible schedules from one seed.
-        fault_salt=stream_salt(label_prefix),
     )
     shuffle = engine.run(columns, dest)
     n_model = int(round(columns.total * model_scale))
     phases = [
         histogram_cost(n_model, variant, label=f"{label_prefix}histogram"),
-        priced_distribute_cost(
-            n_model,
-            variant,
-            f"{label_prefix}distribute",
-            shuffle.resilience,
-            model_scale,
-        ),
+        distribute_cost(n_model, variant, label=f"{label_prefix}distribute"),
     ]
-    # A memoized run keeps its record for the life of the process, so
-    # the counts are stored in the narrowest dtype that holds them.
-    counts = shuffle.histogram
-    counts = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
-    return PartitionOutcome(
-        phases=phases,
-        shuffle=shuffle,
-        resilience=shuffle.resilience,
-        record=PartitionPass(label_prefix, counts, n_model),
-    )
+    # Salted by the pass label so e.g. a join's R- and S-shuffles draw
+    # independent-but-reproducible schedules from one seed.
+    record = partition_pass(label_prefix, stream_salt(label_prefix), shuffle)
+    return PartitionOutcome(phases=phases, shuffle=shuffle, record=record)
 
 
 def price_faults(
@@ -280,34 +242,40 @@ def price_faults(
     """``run`` with ``variant``'s fault schedule priced in.
 
     The schedule never changes a run's functional output, only what the
-    retry protocol pays, and that is a function of each partitioning
-    pass's histogram alone.  So every faulted operator run is its
-    fault-free run plus this step: each recorded pass replays the
-    schedule (:func:`~repro.shuffle.engine.replay_faults`, salted by the
-    pass label exactly as the inline shuffle is), its distribute phase
-    is re-priced, and the combined stats land in
+    retry protocol pays, a function of each pass's histogram alone.  So
+    every faulted run is its fault-free run plus this step: each
+    recorded pass replays the schedule under its own salt
+    (:func:`~repro.shuffle.engine.replay_faults`), and its
+    ``{label}distribute`` phase gains the overhead, scaled by
+    ``model_scale`` like every per-delivery byte: re-sent + duplicated
+    bytes as ``retry_shuffle_b`` (wire + SerDes, no DRAM commit), the
+    backoff + straggler stall as ``backoff_stall_b`` (idle wire time
+    the interconnect cap prices).  The combined stats land in
     ``metadata["resilience"]``, last.  Returns ``run`` itself when the
     schedule is inactive or the run has no partitioning pass.
     """
     if not variant.faults.active or not run.passes:
         return run
-    priced = {}
-    stats = []
-    for record in run.passes:
-        _, resilience = replay_faults(
-            record.histogram.astype(np.int64),
-            variant.faults,
-            stream_salt(record.label),
+    stats = {
+        f"{record.label}distribute": replay_faults(
+            record.histogram.astype(np.int64), variant.faults, record.salt
         )
-        name = f"{record.label}distribute"
-        priced[name] = priced_distribute_cost(
-            record.n_model, variant, name, resilience, model_scale
-        )
-        stats.append(resilience)
+        for record in run.passes
+    }
+    phases = []
+    for phase in run.phases:
+        resilience = stats.get(phase.name)
+        if resilience is not None:
+            phase = replace(
+                phase,
+                retry_shuffle_b=(resilience.retried_b + resilience.duplicate_b)
+                * model_scale,
+                backoff_stall_b=(
+                    resilience.backoff_stall_b + resilience.straggler_stall_b
+                )
+                * model_scale,
+            )
+        phases.append(phase)
     metadata = dict(run.metadata)
-    metadata["resilience"] = combine_stats(*stats).to_metadata()
-    return replace(
-        run,
-        phases=[priced.get(phase.name, phase) for phase in run.phases],
-        metadata=metadata,
-    )
+    metadata["resilience"] = combine_stats(*stats.values()).to_metadata()
+    return replace(run, phases=phases, metadata=metadata)

@@ -18,18 +18,20 @@ partition.  Each operator reference shuffles with the production
 partitioning phase (the shuffle has its own reference here) and returns
 its output through the production ``<op>_operator_run`` function,
 so its phases come from the production cost functions and a machine
-evaluates it exactly like a production run.  Under a fault schedule the
-references replay it inline, inside their shuffles, and attach the
-resulting stats themselves (:func:`_with_inline_resilience`): the
-oracle for production's
-:func:`~repro.operators.partition.price_faults`, which prices the
-schedule onto a fault-free run afterwards.  No production module
-imports this one.
+evaluates it exactly like a production run.  Production shuffles
+fault-free and replays a fault schedule in one place,
+:func:`~repro.operators.partition.price_faults`, after the run.  The
+references keep the seed's inline replay as its oracle: each pass
+replays the schedule itself (:func:`partition_inline`, through
+:func:`scalar_replay`'s :class:`ScalarDeliverySession`, salted by the
+pass label), prices its own distribute phase, and the operator
+attaches the resulting stats (:func:`_with_inline_resilience`).  No
+production module imports this one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,10 +44,12 @@ from repro.analytics.workload import (
     ScanWorkload,
     SortWorkload,
 )
-from repro.faults.plan import FaultSpec
-from repro.faults.protocol import DeliverySession, combine_stats
+from repro.columnar.soa import SegmentedColumns
+from repro.faults.plan import FaultPlan, FaultSpec, stream_salt
+from repro.faults.protocol import DeliverySession, ResilienceStats, combine_stats
+from repro.memctrl.permutable import ShuffleBarrier
 from repro.operators import costs
-from repro.operators.base import OperatorRun, OperatorVariant
+from repro.operators.base import PHASE_DISTRIBUTE, OperatorRun, OperatorVariant
 from repro.operators.groupby import (
     AGGREGATE_NAMES,
     GroupByOutput,
@@ -56,7 +60,6 @@ from repro.operators.join import (
     JoinOutput,
     _payload_checksum,
     join_operator_run,
-    partition_join_inputs,
 )
 from repro.operators.partition import (
     SCHEME_HIGH_BITS,
@@ -119,6 +122,22 @@ class ScalarDeliverySession(DeliverySession):
                 self.stats.backoff_stall_b += (
                     spec.backoff_base * (2.0 ** attempt) * float(dest_totals[dest])
                 )
+
+
+def scalar_replay(
+    histogram: np.ndarray, faults: Optional[FaultSpec], fault_salt: int
+) -> Tuple[ShuffleBarrier, Optional[ResilienceStats]]:
+    """The seed's inline barrier protocol over one shuffle's ``(source,
+    destination)`` counts: one bulk delivery, or under an active
+    schedule a :class:`ScalarDeliverySession`.  Returns the completed
+    barrier and the schedule's stats (``None`` without a schedule)."""
+    barrier = shuffle_begin(histogram)
+    session = None
+    if faults is not None and faults.active:
+        num_src, num_dest = histogram.shape
+        plan = FaultPlan.build(faults, num_src, num_dest, salt=fault_salt)
+        session = ScalarDeliverySession(plan, histogram * TUPLE_B)
+    return barrier, shuffle_end(barrier, session, histogram.sum(axis=0))
 
 
 def source_write_offsets(per_source: List[np.ndarray]) -> List[np.ndarray]:
@@ -254,21 +273,19 @@ def reference_shuffle(
     interleave: Callable[[np.ndarray], ArrivalOrder] = round_robin_interleave,
     faults: Optional[FaultSpec] = None,
     fault_salt: int = 0,
-) -> Tuple[ShuffleResult, List[np.ndarray]]:
+) -> Tuple[ShuffleResult, List[np.ndarray], Optional[ResilienceStats]]:
     """The seed's shuffle: per-(source, destination) streams, then one
-    Python iteration per arriving tuple.
+    Python iteration per arriving tuple, with a fault schedule replayed
+    inline.
 
     Takes the :class:`~repro.shuffle.engine.ShuffleEngine` constructor
-    arguments and returns the result plus each destination's write
-    trace, recorded as the tuples arrive (permutable writes go through
-    a :class:`PermutableWriteEngine` tail) -- the oracle for
-    :func:`~repro.shuffle.engine.write_traces`.  The interleave model
-    is asked one destination at a time, through a one-column
-    histogram.  Destinations retire
-    through the same barrier protocol as production (one bulk delivery
-    of every destination's total, or a :class:`ScalarDeliverySession`
-    replaying each disrupted destination's streams one delivery at a
-    time).
+    arguments plus a fault schedule and its salt, and returns the
+    result, each destination's write trace, recorded as the tuples
+    arrive (permutable writes go through a :class:`PermutableWriteEngine`
+    tail) -- the oracle for :func:`~repro.shuffle.engine.write_traces`
+    -- and the schedule's stats (:func:`scalar_replay`), the oracle for
+    :func:`~repro.shuffle.engine.replay_faults`.  The interleave model
+    is asked one destination at a time, through a one-column histogram.
     """
     if len(sources) != len(dest_of):
         raise ValueError("sources and destination maps must align")
@@ -285,9 +302,6 @@ def reference_shuffle(
         if histograms
         else np.zeros((0, num_destinations), dtype=np.int64)
     )
-    barrier, session = shuffle_begin(hist, faults, fault_salt)
-    if session is not None:
-        session = ScalarDeliverySession(session.plan, hist * TUPLE_B)
     offsets = source_write_offsets(histograms) if histograms else []
 
     buffers: List[np.ndarray] = []
@@ -323,15 +337,14 @@ def reference_shuffle(
                 buffer[slot] = inbound[src][idx]
         buffers.append(buffer)
         traces.append(trace)
-    resilience = shuffle_end(barrier, session, hist.sum(axis=0))
+    barrier, resilience = scalar_replay(hist, faults, fault_salt)
     result = ShuffleResult(
         buffer=np.concatenate(buffers),
         histogram=hist,
         barrier=barrier,
         permutable=permutable,
-        resilience=resilience,
     )
-    return result, traces
+    return result, traces, resilience
 
 
 # -- scan ------------------------------------------------------------------
@@ -362,13 +375,46 @@ def reference_scan(
 # -- operator runs under a fault schedule ----------------------------------
 
 
+def partition_inline(
+    columns: SegmentedColumns,
+    variant: OperatorVariant,
+    scheme: str,
+    key_space_bits: int,
+    model_scale: float,
+    label_prefix: str = "",
+) -> Tuple[PartitionOutcome, Optional[ResilienceStats]]:
+    """The production partitioning phase with ``variant``'s schedule
+    replayed inline, the seed's way (:func:`scalar_replay`, salted by
+    the pass label), pricing its own distribute phase.  Returns the
+    outcome and the stats (``None`` without a schedule)."""
+    outcome = run_partitioning(
+        columns, variant, scheme, key_space_bits, label_prefix, model_scale
+    )
+    _, stats = scalar_replay(
+        outcome.shuffle.histogram, variant.faults, stream_salt(label_prefix)
+    )
+    if stats is not None:
+        outcome.phases = [
+            replace(
+                phase,
+                retry_shuffle_b=(stats.retried_b + stats.duplicate_b) * model_scale,
+                backoff_stall_b=(stats.backoff_stall_b + stats.straggler_stall_b)
+                * model_scale,
+            )
+            if phase.category == PHASE_DISTRIBUTE
+            else phase
+            for phase in outcome.phases
+        ]
+    return outcome, stats
+
+
 def _with_inline_resilience(
-    run: OperatorRun, *outcomes: PartitionOutcome
+    run: OperatorRun, *stats: Optional[ResilienceStats]
 ) -> OperatorRun:
-    """``run`` plus the stats its shuffles collected replaying the
+    """``run`` plus the stats its passes collected replaying the
     schedule inline (nothing when no schedule was active); the
     distribute phases already carry the inline prices."""
-    resilience = combine_stats(*(outcome.resilience for outcome in outcomes))
+    resilience = combine_stats(*stats)
     if resilience is not None:
         run.metadata["resilience"] = resilience.to_metadata()
     return run
@@ -381,7 +427,7 @@ def reference_sort(
     workload: SortWorkload, variant: OperatorVariant, model_scale: float = 1.0
 ) -> OperatorRun:
     """Sort each range partition locally, then concatenate them."""
-    partitioned = run_partitioning(
+    partitioned, resilience = partition_inline(
         workload.flat,
         variant,
         SCHEME_HIGH_BITS,
@@ -401,7 +447,7 @@ def reference_sort(
     output = Relation(np.concatenate([part.data for part in sorted_parts]), "sorted")
     return _with_inline_resilience(
         sort_operator_run(workload, variant, model_scale, partitioned, output),
-        partitioned,
+        resilience,
     )
 
 
@@ -481,7 +527,7 @@ def reference_groupby(
     workload: GroupByWorkload, variant: OperatorVariant, model_scale: float = 1.0
 ) -> OperatorRun:
     """Group each partition on its own and merge the disjoint results."""
-    partitioned = run_partitioning(
+    partitioned, resilience = partition_inline(
         workload.flat,
         variant,
         SCHEME_LOW_BITS,
@@ -509,7 +555,7 @@ def reference_groupby(
     )
     return _with_inline_resilience(
         groupby_operator_run(workload, variant, model_scale, partitioned, output),
-        partitioned,
+        resilience,
     )
 
 
@@ -551,7 +597,11 @@ def reference_join(
     workload: JoinWorkload, variant: OperatorVariant, model_scale: float = 1.0
 ) -> OperatorRun:
     """Join each co-located (R, S) partition pair on its own."""
-    r_part, s_part = partition_join_inputs(workload, variant, model_scale)
+    bits = workload.key_space_bits
+    (r_part, r_stats), (s_part, s_stats) = (
+        partition_inline(columns, variant, SCHEME_LOW_BITS, bits, model_scale, prefix)
+        for columns, prefix in ((workload.r_flat, "R-"), (workload.s_flat, "S-"))
+    )
     matches = 0
     checksum = 0
     probe_steps = []
@@ -571,7 +621,7 @@ def reference_join(
         JoinOutput(matches=matches, checksum=checksum),
         probe_steps,
     )
-    return _with_inline_resilience(run, r_part, s_part)
+    return _with_inline_resilience(run, r_stats, s_stats)
 
 
 #: Reference runner per operator, keyed like ``OPERATOR_RUNNERS``.

@@ -25,7 +25,12 @@ once, each round's histogram is one ``bincount``, and
 :func:`apply_plan` routes every tuple in one stateless call.
 
 The cost model charges the second histogram/prefix pass; the data
-distribution itself is unchanged.
+distribution itself is unchanged.  Like
+:func:`~repro.operators.partition.run_partitioning`, the protocol
+shuffles fault-free and records its pass: the schedule salt is
+``stream_salt("skew")`` and the priced phase is ``distribute``, so
+:func:`~repro.operators.partition.price_faults` prices a schedule onto
+it afterwards.
 """
 
 from __future__ import annotations
@@ -50,8 +55,9 @@ from repro.operators.base import (
 )
 from repro.operators.partition import (
     PartitionOutcome,
+    distribute_cost,
     histogram_cost,
-    priced_distribute_cost,
+    partition_pass,
 )
 from repro.shuffle.engine import ShuffleEngine
 from repro.shuffle.interleave import get_interleave
@@ -320,22 +326,12 @@ def run_partitioning_skew_aware(
         num_destinations=num_vaults,
         permutable=variant.permutable,
         interleave=get_interleave(variant.interleave),
-        faults=variant.faults,
-        fault_salt=stream_salt("skew"),
     )
     shuffle = engine.run(columns, dest)
-    phases.append(
-        priced_distribute_cost(
-            int(n * model_scale),
-            variant,
-            "distribute",
-            shuffle.resilience,
-            model_scale,
-        )
-    )
+    phases.append(distribute_cost(int(n * model_scale), variant, "distribute"))
     outcome = PartitionOutcome(
         phases=phases,
         shuffle=shuffle,
-        resilience=shuffle.resilience,
+        record=partition_pass("", stream_salt("skew"), shuffle),
     )
     return outcome, plan

@@ -20,7 +20,6 @@ from repro.operators.base import PHASE_PROBE, OperatorRun, OperatorVariant, Phas
 from repro.operators.partition import (
     SCHEME_HIGH_BITS,
     PartitionOutcome,
-    price_faults,
     run_partitioning,
 )
 from repro.shuffle.engine import destination_name
@@ -113,13 +112,13 @@ def run_sort(
     Range partitioning makes the concatenation of the locally sorted
     partitions globally sorted -- each partition holds one contiguous
     key range -- so the local sorts run as one whole-relation kernel of
-    :mod:`repro.columnar`.  The run executes fault-free and
-    :func:`~repro.operators.partition.price_faults` prices
-    ``variant.faults`` onto it.
+    :mod:`repro.columnar`.  The run ignores ``variant.faults``: it
+    executes fault-free, and :func:`~repro.operators.partition.price_faults`
+    prices a schedule onto it.
     """
     partitioned = run_partitioning(
         workload.flat,
-        variant.fault_free,
+        variant,
         SCHEME_HIGH_BITS,
         workload.key_space_bits,
         model_scale=model_scale,
@@ -129,8 +128,7 @@ def run_sort(
     # several are named "sorted".
     name = "sorted" if columns.num_segments > 1 else destination_name(0)
     output = _local_sort_segmented(columns, variant, name)
-    run = sort_operator_run(workload, variant, model_scale, partitioned, output)
-    return price_faults(run, variant, model_scale)
+    return sort_operator_run(workload, variant, model_scale, partitioned, output)
 
 
 def sort_operator_run(

@@ -27,7 +27,6 @@ from repro.cores.profile import WorkProfile
 from repro.dram.analytic import (
     InterleavedWrites,
     RandomAccesses,
-    SequentialStream,
     estimate_pattern,
 )
 from repro.energy.model import EnergyEvents

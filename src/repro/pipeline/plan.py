@@ -21,6 +21,7 @@ from typing import Dict, List
 
 from repro.analytics.tuples import Relation
 from repro.operators.base import OperatorVariant, PhaseCost
+from repro.operators.partition import price_faults
 from repro.pipeline.stage import PipelineStage, PlanContext, StagePlan
 from repro.telemetry import span as _span
 
@@ -72,7 +73,9 @@ class QueryPlan:
 
         ``model_scale`` plays the same role as for standalone operators:
         tuples that really move stay small, while each stage's PhaseCost
-        records describe a dataset ``model_scale`` times larger.
+        records describe a dataset ``model_scale`` times larger.  Stages
+        run fault-free; ``variant``'s fault schedule is priced onto each
+        finished stage's phases (:func:`~repro.operators.partition.price_faults`).
         """
         ctx = PlanContext(
             variant=variant,
@@ -89,6 +92,9 @@ class QueryPlan:
                     "stage", category="pipeline", stage=stage.name
                 ) as sp:
                     plan = stage.plan(env, ctx)
+                    plan.phases = price_faults(
+                        plan.as_operator_run(), variant, model_scale
+                    ).phases
                     sp.set(output_rows=len(plan.relation))
                 env[plan.output_table] = plan.relation
                 stage_plans.append(plan)

@@ -9,7 +9,9 @@ a single interface:
   current table environment (real tuples move) and returns a
   :class:`StagePlan` -- the output :class:`Relation` the next stage
   consumes plus the stage's :class:`PhaseCost` list, ready for any
-  machine's :class:`~repro.perf.model.PhaseEvaluator`.
+  machine's :class:`~repro.perf.model.PhaseEvaluator`, and its
+  partitioning passes.  Stages run fault-free; the plan prices a fault
+  schedule onto each finished stage from those passes.
 
 Stages are machine-agnostic: the same :class:`QueryPlan
 <repro.pipeline.plan.QueryPlan>` runs unchanged on the CPU baseline and
@@ -39,7 +41,7 @@ from repro.analytics.workload import (
 )
 from repro.columnar.kernels import stable_argsort
 from repro.columnar.soa import SegmentedColumns
-from repro.operators.base import OperatorRun, OperatorVariant, PhaseCost
+from repro.operators.base import OperatorRun, OperatorVariant, PartitionPass, PhaseCost
 from repro.operators.groupby import AGGREGATE_NAMES, run_groupby
 from repro.operators.join import run_join
 from repro.operators.partition import (
@@ -75,6 +77,8 @@ class StagePlan:
     relation: Relation
     phases: List[PhaseCost]
     metadata: Dict[str, Any] = field(default_factory=dict)
+    #: Partitioning passes, which ``QueryPlan.execute`` prices faults onto.
+    passes: List[PartitionPass] = field(default_factory=list)
 
     def as_operator_run(self) -> OperatorRun:
         """View this stage as an OperatorRun so the systems layer can
@@ -86,6 +90,7 @@ class StagePlan:
             phases=self.phases,
             output=self.relation,
             metadata=dict(self.metadata),
+            passes=self.passes,
         )
 
 
@@ -127,6 +132,7 @@ class PipelineStage(ABC):
         relation: Relation,
         phases: List[PhaseCost],
         ctx: PlanContext,
+        passes: Sequence[PartitionPass] = (),
         **metadata: Any,
     ) -> StagePlan:
         metadata.setdefault("variant", ctx.variant.label)
@@ -137,6 +143,7 @@ class PipelineStage(ABC):
             relation=relation,
             phases=phases,
             metadata=metadata,
+            passes=list(passes),
         )
 
     def __repr__(self) -> str:
@@ -252,7 +259,7 @@ class JoinStage(PipelineStage):
                 f"!= operator checksum {run.output.checksum}"
             )
         return self._plan(
-            out, run.phases, ctx, n_r=len(r), n_s=len(s), matches=len(out)
+            out, run.phases, ctx, run.passes, n_r=len(r), n_s=len(s), matches=len(out)
         )
 
 
@@ -295,6 +302,7 @@ class GroupByStage(PipelineStage):
             out,
             run.phases,
             ctx,
+            run.passes,
             aggregate=self.aggregate,
             groups=run.output.num_groups,
         )
@@ -325,7 +333,7 @@ class SortStage(PipelineStage):
             raise AssertionError(f"stage {self.name!r}: output is not key-sorted")
         if not out.multiset_equal(rel):
             raise AssertionError(f"stage {self.name!r}: sort lost or invented tuples")
-        return self._plan(out, run.phases, ctx, tuples=len(out))
+        return self._plan(out, run.phases, ctx, run.passes, tuples=len(out))
 
 
 class PartitionStage(PipelineStage):
@@ -399,7 +407,7 @@ class PartitionStage(PipelineStage):
             raise AssertionError(
                 f"stage {self.name!r}: repartitioning lost or invented tuples"
             )
-        return self._plan(out, outcome.phases, ctx, **metadata)
+        return self._plan(out, outcome.phases, ctx, [outcome.record], **metadata)
 
 
 def _fk_join_relation(r: Relation, s: Relation, name: str) -> Relation:

@@ -294,24 +294,12 @@ class FleetRouter:
     def _scenario_digest(self, scenario: Dict[str, Any]) -> Optional[str]:
         """The scenario's store content address (None for query plans)."""
         from repro.api.scenario import Scenario
-        from repro.experiments import common
-        from repro.service.store import digest_payload
 
         try:
             point = Scenario.from_dict(scenario)
         except (KeyError, TypeError, ValueError):
             return None  # the member daemon will report the real error
-        if point.is_query:
-            return None
-        return digest_payload(
-            common.result_store_payload(
-                point.system,
-                point.operator,
-                point.model_scale,
-                point.seed,
-                point.num_partitions,
-            )
-        )
+        return point.store_digest()
 
     def _candidates(self, digest: Optional[str]) -> List[Member]:
         """Members in routing preference order for one digest.

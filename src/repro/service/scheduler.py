@@ -99,21 +99,10 @@ class BatchScheduler:
     @staticmethod
     def _in_store(store, scenario: Scenario) -> bool:
         """Non-counting probe: is this point already evaluated on disk?"""
-        if store is None or scenario.is_query:
+        if store is None:
             return False
-        from repro.service.store import digest_payload
-
-        return store.contains(
-            digest_payload(
-                common.result_store_payload(
-                    scenario.system,
-                    scenario.operator,
-                    scenario.model_scale,
-                    scenario.seed,
-                    scenario.num_partitions,
-                )
-            )
-        )
+        digest = scenario.store_digest()
+        return digest is not None and store.contains(digest)
 
     def submit(
         self, points: Iterable[Union[Scenario, Mapping[str, Any]]]

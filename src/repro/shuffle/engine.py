@@ -14,13 +14,17 @@ destination buffer either
 Both produce the same *multiset* per destination -- the permutability
 guarantee -- but different orders and radically different DRAM write
 patterns.  The engine keeps the (source, destination) histogram and
-drives the :class:`ShuffleBarrier` handshake from it through
-:func:`replay_faults`, the one fault replay, which can also price a
-schedule onto a finished fault-free run.  :func:`arrival_slots` maps
-every arrival to its addressed slot from those counts and the interleave
-model; the permutable path reorders by it, and :func:`write_traces`
-derives each destination's arrival trace (vault-relative addresses)
-from it, so the event-accurate DRAM model can replay the traffic.
+drives the :class:`ShuffleBarrier` handshake from it
+(:func:`shuffle_begin`, :func:`shuffle_end`), always fault-free: a
+fault schedule changes only what the barrier's retry protocol pays, a
+function of the histogram alone, so :func:`replay_faults` replays it
+from a finished shuffle's counts
+(:func:`repro.operators.partition.price_faults` is its caller).
+:func:`arrival_slots` maps every arrival to its addressed slot from
+those counts and the interleave model; the permutable path reorders by
+it, and :func:`write_traces` derives each destination's arrival trace
+(vault-relative addresses) from it, so the event-accurate DRAM model
+can replay the traffic.
 
 The whole relation is routed in one pass: one histogram ``bincount``
 over the per-row ``(source, destination)`` codes, one grouping sort
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -55,24 +59,14 @@ from repro.shuffle.interleave import (
 from repro.telemetry import span as _span
 
 
-def shuffle_begin(
-    hist: np.ndarray, faults: Optional[FaultSpec], fault_salt: int
-) -> Tuple[ShuffleBarrier, Optional[DeliverySession]]:
-    """Exchange the (source, destination) tuple counts and seal the barrier.
-
-    Returns the sealed barrier plus a delivery session replaying the
-    fault schedule, or ``None`` when no schedule is active.
-    """
+def shuffle_begin(hist: np.ndarray) -> ShuffleBarrier:
+    """Exchange the (source, destination) tuple counts and seal the
+    barrier."""
     num_src, num_dest = hist.shape
-    sizes_b = hist * TUPLE_B
-    session = None
-    if faults is not None and faults.active:
-        plan = FaultPlan.build(faults, num_src, num_dest, salt=fault_salt)
-        session = DeliverySession(plan, sizes_b)
     barrier = ShuffleBarrier(max(num_dest, num_src))
-    barrier.announce_all(sizes_b)
+    barrier.announce_all(hist * TUPLE_B)
     barrier.seal()
-    return barrier, session
+    return barrier
 
 
 def shuffle_end(
@@ -80,13 +74,10 @@ def shuffle_end(
     session: Optional[DeliverySession],
     dest_totals: np.ndarray,
 ) -> Optional[ResilienceStats]:
-    """Retire every destination's inbound traffic and close the barrier.
-
-    A fault-free shuffle retires all destinations in one bulk delivery;
-    under a fault schedule the session does, replaying the disrupted
-    destinations' streams with bounded retries.  Returns the session's
-    stats.
-    """
+    """Retire every destination's inbound traffic and close the barrier:
+    one bulk delivery, or under a fault schedule the session's replay
+    of the disrupted destinations' streams.  Returns the session's
+    stats."""
     if session is None:
         barrier.deliver_all(dest_totals * TUPLE_B)
     else:
@@ -98,20 +89,17 @@ def shuffle_end(
 
 
 def replay_faults(
-    histogram: np.ndarray, faults: Optional[FaultSpec], fault_salt: int
-) -> Tuple[ShuffleBarrier, Optional[ResilienceStats]]:
-    """Run one shuffle's barrier protocol from its ``(source,
-    destination)`` tuple counts: :func:`shuffle_begin`, then
-    :func:`shuffle_end`.
-
-    Returns the completed barrier and the fault schedule's stats
-    (``None`` when no schedule is active).  The schedule and every byte
-    the protocol pays depend on the counts alone, never on tuple
-    contents, so this prices a schedule onto a fault-free run after the
-    fact exactly as the shuffle would have paid it inline.
-    """
-    barrier, session = shuffle_begin(histogram, faults, fault_salt)
-    return barrier, shuffle_end(barrier, session, histogram.sum(axis=0))
+    histogram: np.ndarray, faults: FaultSpec, fault_salt: int
+) -> ResilienceStats:
+    """The stats of an active fault schedule replayed through one
+    finished shuffle's barrier protocol, from its ``(source,
+    destination)`` tuple counts alone (the schedule never reads a tuple):
+    :func:`shuffle_begin`, then :func:`shuffle_end` with a
+    :class:`~repro.faults.protocol.DeliverySession`."""
+    num_src, num_dest = histogram.shape
+    plan = FaultPlan.build(faults, num_src, num_dest, salt=fault_salt)
+    session = DeliverySession(plan, histogram * TUPLE_B)
+    return shuffle_end(shuffle_begin(histogram), session, histogram.sum(axis=0))
 
 
 def arrival_slots(
@@ -192,9 +180,6 @@ class ShuffleResult:
     histogram: np.ndarray
     barrier: ShuffleBarrier
     permutable: bool
-    #: Retry/backoff accounting of the fault-injection protocol
-    #: (:mod:`repro.faults`); ``None`` when no faults were active.
-    resilience: Optional[ResilienceStats] = None
 
     @cached_property
     def columns(self) -> SegmentedColumns:
@@ -230,19 +215,12 @@ class ShuffleEngine:
         num_destinations: int,
         permutable: bool = False,
         interleave: Callable[[np.ndarray], ArrivalOrder] = round_robin_interleave,
-        faults: Optional[FaultSpec] = None,
-        fault_salt: int = 0,
     ) -> None:
         if num_destinations < 1:
             raise ValueError("need at least one destination")
         self._num_dest = num_destinations
         self._permutable = permutable
         self._interleave = interleave
-        # Optional deterministic fault schedule (repro.faults): replayed
-        # through the barrier's retry/backoff protocol.  The functional
-        # output stays byte-identical under any schedule.
-        self._faults = faults
-        self._fault_salt = fault_salt
 
     def run(self, columns: SegmentedColumns, dest: np.ndarray) -> ShuffleResult:
         """Shuffle every row of ``columns`` to partition ``dest[row]``.
@@ -262,7 +240,7 @@ class ShuffleEngine:
             category="shuffle",
             sources=num_src,
             destinations=num_dest,
-        ) as sp:
+        ):
             total = columns.total
             if len(dest) != total:
                 raise ValueError("destination map length must match relation")
@@ -275,10 +253,8 @@ class ShuffleEngine:
             hist = np.bincount(
                 src_ids * num_dest + dest, minlength=num_src * num_dest
             ).reshape(num_src, num_dest)
-            barrier, resilience = replay_faults(
-                hist, self._faults, self._fault_salt
-            )
-            sp.set(faulted=resilience is not None)
+            barrier = shuffle_begin(hist)
+            shuffle_end(barrier, None, hist.sum(axis=0))
 
             # Group all (dest, src) streams at once, preserving source
             # order: a stable sort of the composite (dest, src) code
@@ -300,5 +276,4 @@ class ShuffleEngine:
                 histogram=hist,
                 barrier=barrier,
                 permutable=self._permutable,
-                resilience=resilience,
             )

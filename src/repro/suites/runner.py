@@ -36,7 +36,7 @@ from repro.api.results import ResultSet
 from repro.api.scenario import records_from_result
 from repro.experiments import common
 from repro.perf.result import SystemResult
-from repro.suites.registry import SUITES, Suite, get_suite
+from repro.suites.registry import SUITES, get_suite
 from repro.telemetry import span as _span
 from repro.telemetry import trace as _trace
 

@@ -133,8 +133,9 @@ class Machine:
         """Execute a :class:`~repro.pipeline.plan.QueryPlan` end-to-end.
 
         Every stage runs functionally under this machine's operator
-        variant; the resulting per-stage phases are costed with the same
-        evaluator/energy path as standalone operators.  Returns a
+        variant, and the plan prices the variant's fault schedule onto
+        each finished stage; the resulting per-stage phases are costed
+        with the same evaluator/energy path as standalone operators.  Returns a
         :class:`~repro.pipeline.perf.PipelinePerf`.
         """
         # Imported here: repro.pipeline pulls in the experiments layer

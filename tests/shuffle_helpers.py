@@ -1,7 +1,8 @@
 """Shared shuffle-test helpers: random shuffle inputs, their flat
-columnar form, a hypothesis strategy for fault schedules, and a
-byte-level comparison of two :class:`~repro.shuffle.engine.ShuffleResult`
-objects, write traces included."""
+columnar form, a hypothesis strategy for fault schedules, a fault
+schedule replayed over a finished shuffle, and a byte-level comparison
+of two :class:`~repro.shuffle.engine.ShuffleResult` objects, write
+traces included."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from repro.analytics.tuples import Relation
 from repro.columnar.soa import SegmentedColumns
 from repro.faults.plan import FaultSpec
-from repro.shuffle.engine import write_traces
+from repro.shuffle.engine import replay_faults, write_traces
 from repro.shuffle.interleave import round_robin_interleave
 
 #: Arbitrary fault schedules, from harmless to fully adversarial.
@@ -54,11 +55,18 @@ def flatten(sources, dest_maps):
     return SegmentedColumns.from_relations(sources), dest
 
 
+def replayed_stats(result, faults, salt=0):
+    """What ``faults`` costs ``result``'s finished fault-free shuffle,
+    replayed over its histogram (``None`` when no schedule is active,
+    as :func:`~repro.operators.reference.reference_shuffle` reports)."""
+    return replay_faults(result.histogram, faults, salt) if faults.active else None
+
+
 def assert_shuffles_identical(
     vec, ref, interleave=round_robin_interleave, ref_traces=None
 ):
     """Destinations, histogram, write traces and barrier state all
-    byte-identical (resilience stats are compared by the caller).
+    byte-identical (fault-schedule stats are compared by the caller).
 
     ``vec``'s traces are derived by :func:`write_traces` from its
     histogram; ``ref_traces`` (default: derived the same way from

@@ -44,6 +44,15 @@ print(json.dumps(golden, indent=2, sort_keys=True))
 from repro.api import Sweep
 print(Sweep.from_json((DATA / "sweep_smoke.json").read_text()).run().to_json())
 """,
+    "sweep_faults_golden.json": """
+from repro.api.__main__ import main
+main(["--system", "mondrian", "--system", "nmp-perm", "--workload", "join",
+      "--workload", "groupby", "--workload", "skewed-partition-join",
+      "--workload", "fk-join-aggregate", "--scale", "50", "--partitions", "8",
+      "--faults", json.dumps({"seed": 7, "drop_prob": 0.3, "straggler_prob": 0.2,
+                              "duplicate_prob": 0.1, "timeout_prob": 0.2}),
+      "--json", "-"])
+""",
     "suites_smoke_golden.json": """
 from repro.suites import SuiteRun
 grid = SuiteRun(suites=("dict-products", "skew-hotspot"), systems=("cpu", "mondrian"))

@@ -5,7 +5,10 @@ relations, single-machine topologies, empty segments inside otherwise
 populated shuffles, and the fully adversarial ``drop_prob=1.0``
 schedule where *every* delivery is dropped ``max_retries`` times before
 the forced final success -- the bounded protocol's convergence
-guarantee, exercised end to end through ``announce_all``.
+guarantee, exercised end to end through ``announce_all``.  Each
+schedule replays over a finished fault-free shuffle's histogram
+(:func:`~repro.shuffle.engine.replay_faults`) and must match the
+reference shuffle that replays it inline.
 """
 
 import numpy as np
@@ -15,31 +18,41 @@ from repro.analytics.tuples import TUPLE_B, Relation
 from repro.faults.plan import NULL_FAULTS, FaultPlan, FaultSpec
 from repro.faults.protocol import DeliverySession, ResilienceStats, combine_stats
 from repro.memctrl.permutable import ShuffleBarrier
-from repro.shuffle.engine import ShuffleEngine
+from repro.operators.reference import reference_shuffle
+from repro.shuffle.engine import ShuffleEngine, replay_faults
 from tests.shuffle_helpers import assert_shuffles_identical, flatten, make_sources
 
 HOSTILE = FaultSpec(seed=2, straggler_prob=1.0, drop_prob=1.0,
                     duplicate_prob=1.0, timeout_prob=1.0)
 
 
-def run_pair(sources, dest_maps, num_dest, spec, **kwargs):
-    columns, dest = flatten(sources, dest_maps)
-    faulted = ShuffleEngine(num_dest, faults=spec, **kwargs).run(columns, dest)
-    clean = ShuffleEngine(num_dest, **kwargs).run(columns, dest)
-    return faulted, clean
+def run_pair(sources, dest_maps, num_dest, spec):
+    """The fault-free permutable shuffle and the stats of ``spec``
+    replayed over its histogram.  The reference, which replays the
+    schedule inline, must produce the same bytes, barrier state and
+    stats."""
+    clean = ShuffleEngine(num_dest, permutable=True).run(
+        *flatten(sources, dest_maps)
+    )
+    stats = replay_faults(clean.histogram, spec, 0)
+    faulted, traces, ref_stats = reference_shuffle(
+        sources, dest_maps, num_dest, permutable=True, faults=spec
+    )
+    assert_shuffles_identical(clean, faulted, ref_traces=traces)
+    assert faulted.barrier.all_complete()
+    assert stats == ref_stats
+    return stats
 
 
 class TestDegenerateShapes:
     def test_zero_row_relations(self):
         empty = [Relation.empty("a"), Relation.empty("b")]
         maps = [np.empty(0, dtype=np.int64)] * 2
-        faulted, clean = run_pair(empty, maps, 4, HOSTILE, permutable=True)
-        assert_shuffles_identical(faulted, clean)
-        assert faulted.barrier.all_complete()
+        stats = run_pair(empty, maps, 4, HOSTILE)
         # Nothing moved, so nothing could be disrupted.
-        assert faulted.resilience.retries == 0
-        assert faulted.resilience.degraded_destinations == 0
-        assert faulted.resilience.shuffle_b == 0.0
+        assert stats.retries == 0
+        assert stats.degraded_destinations == 0
+        assert stats.shuffle_b == 0.0
 
     def test_single_machine_topology(self):
         """One source, one destination: the minimal barrier."""
@@ -47,11 +60,9 @@ class TestDegenerateShapes:
         keys = rng.integers(0, 1 << 30, 50, dtype=np.uint64)
         sources = [Relation.from_arrays(keys, keys, "only")]
         maps = [np.zeros(50, dtype=np.int64)]
-        faulted, clean = run_pair(sources, maps, 1, HOSTILE, permutable=True)
-        assert_shuffles_identical(faulted, clean)
-        assert faulted.barrier.all_complete()
+        stats = run_pair(sources, maps, 1, HOSTILE)
         # The single stream is dropped max_retries times, then lands.
-        assert faulted.resilience.retries == HOSTILE.max_retries
+        assert stats.retries == HOSTILE.max_retries
 
     def test_empty_segments_between_populated_ones(self):
         """Some sources empty, some destinations receive nothing."""
@@ -68,9 +79,8 @@ class TestDegenerateShapes:
             np.empty(0, dtype=np.int64),
             np.full(50, 3, dtype=np.int64),
         ]
-        faulted, clean = run_pair(sources, maps, 5, HOSTILE, permutable=True)
-        assert_shuffles_identical(faulted, clean)
-        assert faulted.barrier.all_complete()
+        stats = run_pair(sources, maps, 5, HOSTILE)
+        assert stats.degraded_destinations == 2
 
     def test_all_dropped_then_retried_accounting(self):
         """drop_prob=1.0: every non-empty stream retries exactly
@@ -78,22 +88,22 @@ class TestDegenerateShapes:
         spec = FaultSpec(seed=1, drop_prob=1.0, max_retries=4)
         rng = np.random.default_rng(8)
         sources, maps = make_sources(rng, 3, 4, 120, skew=False)
-        faulted, clean = run_pair(sources, maps, 4, spec, permutable=True)
-        assert_shuffles_identical(faulted, clean)
+        stats = run_pair(sources, maps, 4, spec)
         sizes = np.zeros((3, 4), dtype=np.int64)
         for s, dests in enumerate(maps):
             sizes[s] = np.bincount(dests, minlength=4)
         nonzero_streams = int(np.count_nonzero(sizes))
-        assert faulted.resilience.retries == nonzero_streams * spec.max_retries
-        assert faulted.resilience.degraded_destinations == int(
+        assert stats.retries == nonzero_streams * spec.max_retries
+        assert stats.degraded_destinations == int(
             np.count_nonzero(sizes.sum(axis=0))
         )
 
 
 class TestDeliveryCalls:
     """How many barrier updates one shuffle makes: one bulk delivery of
-    the healthy destinations, plus one of the destinations a fault
-    disrupted (if any); never a scalar delivery."""
+    every destination when fault-free; replaying a schedule, one bulk
+    delivery of the healthy destinations plus one of the destinations a
+    fault disrupted (if any); never a scalar delivery."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -123,17 +133,16 @@ class TestDeliveryCalls:
     def test_disrupted_destinations_retire_in_a_second_bulk_call(self, monkeypatch):
         spec = FaultSpec(seed=3, drop_prob=0.3)
         sources, maps = make_sources(np.random.default_rng(5), 4, 8, 200, skew=False)
-        columns, dest = flatten(sources, maps)
+        result = ShuffleEngine(8).run(*flatten(sources, maps))
         calls = self.spy(monkeypatch)
-        result = ShuffleEngine(8, faults=spec).run(columns, dest)
+        stats = replay_faults(result.histogram, spec, 0)
         plan = FaultPlan.build(spec, 4, 8)
         disrupted = np.flatnonzero(
             plan.disrupted_destinations(result.histogram * TUPLE_B)
         ).tolist()
         assert 0 < len(disrupted) < 8  # some destinations healthy, some not
         assert calls == {"deliver": [], "deliver_all": 2}
-        assert result.resilience.degraded_destinations == len(disrupted)
-        assert result.barrier.all_complete()
+        assert stats.degraded_destinations == len(disrupted)
 
 
 class TestDeliverySession:
@@ -153,10 +162,8 @@ class TestDeliverySession:
         with pytest.raises(ValueError):
             FaultPlan.build(spec, 2, 3, salt=-1)
 
-    def test_session_exposes_its_plan(self):
+    def test_plan_is_active_when_a_fault_can_fire(self):
         plan = FaultPlan.build(FaultSpec(seed=1, drop_prob=0.5), 2, 3)
-        session = DeliverySession(plan, np.zeros((2, 3), dtype=np.int64))
-        assert session.plan is plan
         assert plan.active
         assert not FaultPlan.build(NULL_FAULTS, 2, 3).active
 

@@ -6,13 +6,16 @@ operator's output) are byte-identical to the fault-free run -- faults
 only change what the protocol paid.  Pinned two ways:
 
 - randomized fault schedules x shapes x write disciplines at the
-  shuffle-engine level (hypothesis plus a 200+ schedule bulk sweep;
-  every assertion message carries the seeds to reproduce a failure);
+  shuffle level: the reference shuffle replaying a schedule inline
+  produces the fault-free engine's bytes, and its stats equal the
+  schedule replayed over the engine's histogram (hypothesis plus a
+  200+ schedule bulk sweep; every assertion message carries the seeds
+  to reproduce a failure);
 - machine-level operator runs across presets, and the service codec
   round-trip of the resilience metadata;
 - the pricing step (:func:`~repro.operators.partition.price_faults`):
-  a schedule priced onto the fault-free run equals the run under the
-  faulted variant and the inline replay of its shuffles.
+  a schedule priced onto the fault-free run equals the reference run,
+  whose passes replay it inline.
 
 ``tests/test_reference_equivalence.py`` pins the shuffle and the
 operators under fault schedules against their slow references.
@@ -34,14 +37,9 @@ from repro.analytics.workload import (
 )
 from repro.config.system import get_preset
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.faults.protocol import combine_stats
 from repro.operators import OPERATOR_RUNNERS
-from repro.operators.partition import (
-    SCHEME_HIGH_BITS,
-    SCHEME_LOW_BITS,
-    price_faults,
-    run_partitioning,
-)
+from repro.operators.partition import price_faults
+from repro.operators.reference import REFERENCE_RUNNERS, reference_shuffle
 from repro.service.codec import result_from_document, result_to_document
 from repro.shuffle.engine import ShuffleEngine
 from repro.systems.machine import Machine
@@ -50,27 +48,24 @@ from tests.shuffle_helpers import (
     fault_specs,
     flatten,
     make_sources,
+    replayed_stats,
 )
 
 
-def engine(num_dest, faults=None, salt=0, **kwargs):
-    return ShuffleEngine(num_dest, faults=faults, fault_salt=salt, **kwargs)
-
-
 def run_pair(rng_seed, fault_spec, num_src=4, num_dest=6, n_per_src=200,
-             skew=True, permutable=True, **engine_kwargs):
-    """One shuffle under ``fault_spec`` and its fault-free twin."""
+             skew=True, permutable=True):
+    """The fault-free shuffle, the stats of ``fault_spec`` replayed over
+    its histogram, and the reference shuffle replaying the schedule
+    inline (result, traces, stats)."""
     rng = np.random.default_rng(rng_seed)
-    columns, dest = flatten(
-        *make_sources(rng, num_src, num_dest, n_per_src, skew)
+    sources, dest_maps = make_sources(rng, num_src, num_dest, n_per_src, skew)
+    clean = ShuffleEngine(num_dest, permutable=permutable).run(
+        *flatten(sources, dest_maps)
     )
-    faulted = engine(
-        num_dest, faults=fault_spec, permutable=permutable, **engine_kwargs
-    ).run(columns, dest)
-    clean = engine(
-        num_dest, permutable=permutable, **engine_kwargs
-    ).run(columns, dest)
-    return faulted, clean
+    inline = reference_shuffle(
+        sources, dest_maps, num_dest, permutable=permutable, faults=fault_spec
+    )
+    return clean, replayed_stats(clean, fault_spec), inline
 
 
 class TestShuffleInvariance:
@@ -79,8 +74,11 @@ class TestShuffleInvariance:
            permutable=st.booleans())
     def test_output_identical_under_any_schedule(self, spec, rng_seed,
                                                  permutable):
-        faulted, clean = run_pair(rng_seed, spec, permutable=permutable)
-        assert_shuffles_identical(faulted, clean)
+        clean, stats, (faulted, traces, inline_stats) = run_pair(
+            rng_seed, spec, permutable=permutable
+        )
+        assert_shuffles_identical(clean, faulted, ref_traces=traces)
+        assert stats == inline_stats
 
     def test_bulk_schedule_sweep(self):
         """200+ generated schedules, seeds printed on any failure."""
@@ -103,23 +101,25 @@ class TestShuffleInvariance:
             ctx = (f"trial={trial} rng_seed={rng_seed} spec={spec} "
                    f"permutable={permutable} n_per_src={n_per_src}")
             try:
-                faulted, clean = run_pair(
+                clean, stats, (faulted, traces, inline_stats) = run_pair(
                     rng_seed, spec, num_src=3 + trial % 4,
                     num_dest=2 + trial % 7, n_per_src=n_per_src,
                     permutable=permutable,
                 )
-                assert_shuffles_identical(faulted, clean)
+                assert_shuffles_identical(clean, faulted, ref_traces=traces)
+                assert stats == inline_stats
             except AssertionError as exc:  # pragma: no cover
                 raise AssertionError(f"{ctx}: {exc}") from exc
-            if faulted.resilience is not None:
-                assert faulted.resilience.overhead_b >= 0.0, ctx
+            if stats is not None:
+                assert stats.overhead_b >= 0.0, ctx
             checked += 1
         assert checked == 200
 
     def test_null_spec_collects_no_stats(self):
-        faulted, clean = run_pair(5, FaultSpec())
-        assert faulted.resilience is None
-        assert clean.resilience is None
+        clean, stats, (faulted, _, inline_stats) = run_pair(5, FaultSpec())
+        assert_shuffles_identical(clean, faulted)
+        assert stats is None
+        assert inline_stats is None
 
 
 OPERATORS = (
@@ -178,22 +178,6 @@ def pricing_workload(operator, partitions):
     return make_groupby_workload(1800, num_partitions=partitions, seed=21)
 
 
-def inline_passes(operator, workload, variant):
-    """The run's partitioning passes, each replaying the schedule inside
-    its shuffle."""
-    if operator == "join":
-        inputs = ((workload.r_flat, SCHEME_LOW_BITS, "R-"),
-                  (workload.s_flat, SCHEME_LOW_BITS, "S-"))
-    else:
-        scheme = SCHEME_HIGH_BITS if operator == "sort" else SCHEME_LOW_BITS
-        inputs = ((workload.flat, scheme, ""),)
-    return [
-        run_partitioning(columns, variant, scheme, workload.key_space_bits,
-                         label_prefix=prefix, model_scale=PRICING_SCALE)
-        for columns, scheme, prefix in inputs
-    ]
-
-
 def assert_same_output(a, b):
     if isinstance(a, Relation):
         assert a.name == b.name
@@ -204,38 +188,37 @@ def assert_same_output(a, b):
 
 
 class TestFaultPricing:
-    """A fault schedule priced onto the fault-free run equals the run
-    under the faulted variant, and the inline replay of its shuffles."""
+    """A fault schedule priced onto the fault-free run equals the
+    reference run, whose passes replay the schedule inline."""
 
     @pytest.mark.parametrize("partitions", [8, 64])
     @pytest.mark.parametrize("spec", sorted(PRICING_SPECS))
     @pytest.mark.parametrize("preset", ["cpu", "nmp-rand", "nmp-perm", "mondrian"])
     @pytest.mark.parametrize("operator", ["sort", "groupby", "join"])
-    def test_priced_run_equals_faulted_runner(self, operator, preset, spec,
-                                              partitions):
+    def test_priced_run_equals_inline_replay(self, operator, preset, spec,
+                                             partitions):
         workload = pricing_workload(operator, partitions)
         config = replace(get_preset(preset), faults=PRICING_SPECS[spec])
         variant = Machine(config).variant(partitions)
         runner = OPERATOR_RUNNERS[operator]
         clean = runner(workload, variant.fault_free, model_scale=PRICING_SCALE)
         priced = price_faults(clean, variant, PRICING_SCALE)
-        faulted = runner(workload, variant, model_scale=PRICING_SCALE)
+        inline = REFERENCE_RUNNERS[operator](
+            workload, variant, model_scale=PRICING_SCALE
+        )
 
-        assert priced.phases == faulted.phases
-        assert list(priced.metadata.items()) == list(faulted.metadata.items())
+        assert priced.phases == inline.phases
+        assert list(priced.metadata.items()) == list(inline.metadata.items())
         assert list(priced.metadata)[-1] == "resilience"
-        assert_same_output(priced.output, faulted.output)
+        assert_same_output(priced.output, inline.output)
         assert_same_output(priced.output, clean.output)
         assert "resilience" not in clean.metadata  # the shared run is untouched
         assert priced.metadata["resilience"]["retries"] > 0
         assert priced.phases != clean.phases
-
-        inline = inline_passes(operator, workload, variant)
-        assert priced.phases[: 2 * len(inline)] == [
-            phase for outcome in inline for phase in outcome.phases
-        ]
-        resilience = combine_stats(*(outcome.resilience for outcome in inline))
-        assert priced.metadata["resilience"] == resilience.to_metadata()
+        # A runner ignores the schedule: it always executes fault-free.
+        unpriced = runner(workload, variant, model_scale=PRICING_SCALE)
+        assert unpriced.phases == clean.phases
+        assert unpriced.metadata == clean.metadata
 
     def test_inactive_schedule_or_no_pass_returns_the_run(self):
         machine = Machine(replace(get_preset("mondrian"),

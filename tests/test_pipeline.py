@@ -9,7 +9,12 @@ Covers the three properties the pipeline must guarantee:
    the wrapped operator's phases.
 3. **Cross-machine behaviour** -- NMP/Mondrian keep a positive
    end-to-end speedup over the CPU on the FK-join pipeline.
+
+A fault schedule is priced onto each finished stage, equal to the
+reference's inline replay.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +22,9 @@ import pytest
 from repro.analytics.tuples import Relation
 from repro.analytics.workload import JoinWorkload
 from repro.columnar import SegmentedColumns
+from repro.faults.plan import FaultSpec, stream_salt
 from repro.operators.join import run_join
+from repro.operators.reference import REFERENCE_RUNNERS, scalar_replay
 from repro.pipeline import (
     FilterStage,
     GroupByStage,
@@ -228,6 +235,50 @@ class TestCrossMachine:
         assert "bottleneck" in line and "mondrian" in line
         comp = comparison_table(fk_perfs, baseline="cpu")
         assert "1.0x" in comp
+
+
+class TestFaultPricing:
+    """The stages run fault-free; ``QueryPlan.execute`` prices the
+    variant's schedule onto each stage from its recorded passes."""
+
+    def test_stages_priced_like_the_inline_replay(self, machines):
+        spec = FaultSpec(seed=13, straggler_prob=0.4, drop_prob=0.35,
+                         duplicate_prob=0.25, timeout_prob=0.3)
+        variant = replace(machines["mondrian"].variant(PARTITIONS), faults=spec)
+        plan = skewed_partition_join(
+            n_r=500, n_s=2_000, num_partitions=PARTITIONS, seed=3
+        )
+        clean = plan.execute(variant.fault_free, model_scale=SCALE)
+        faulted = plan.execute(variant, model_scale=SCALE)
+        assert np.array_equal(faulted.output.data, clean.output.data)
+        assert [s.metadata for s in faulted.stages] == [
+            s.metadata for s in clean.stages
+        ]
+
+        # The skew protocol's pass keeps its own "skew"-salted schedule.
+        skew, join = faulted.stages
+        (record,) = skew.passes
+        assert (record.label, record.salt) == ("", stream_salt("skew"))
+        _, stats = scalar_replay(
+            record.histogram.astype(np.int64), spec, stream_salt("skew")
+        )
+        distribute = skew.phases[-1]
+        assert distribute == replace(
+            clean.stages[0].phases[-1],
+            retry_shuffle_b=(stats.retried_b + stats.duplicate_b) * SCALE,
+            backoff_stall_b=(stats.backoff_stall_b + stats.straggler_stall_b)
+            * SCALE,
+        )
+        assert skew.phases[:-1] == clean.stages[0].phases[:-1]
+
+        workload = JoinWorkload(
+            r_flat=SegmentedColumns.split(plan.tables["users"], PARTITIONS),
+            s_flat=SegmentedColumns.split(skew.relation, PARTITIONS),
+            key_space_bits=plan.key_space_bits,
+        )
+        inline = REFERENCE_RUNNERS["join"](workload, variant, model_scale=SCALE)
+        assert join.phases == inline.phases
+        assert join.phases != clean.stages[1].phases
 
 
 class TestPlanValidation:

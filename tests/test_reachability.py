@@ -2,7 +2,8 @@
 named test-only reference; every public name in a reachable module has
 a caller outside the tests, or is a named test-only name; every
 parameter default in a reachable module is set by some call, or is a
-named kept setting.
+named kept setting; every import in any module is loaded or
+re-exported.
 
 A static walk of ``import`` / ``from ... import`` statements at any
 depth (function-level lazy imports count) starts from every way the
@@ -13,8 +14,9 @@ the walk never reaches is dead code unless a test compares production
 numbers against it; those are listed in :data:`TEST_ONLY_REFERENCES`,
 and production must never import them.
 
-Inside the reached modules, three rules hold.  All three read code as
-parsed Python (``ast``), never as text.
+Inside the reached modules, rules 1-3 hold; rule 4 holds in every
+module, test-only references included.  All four read code as parsed
+Python (``ast``), never as text.
 
 1. **Methods and properties.**  A public method or property of a
    module-level class is called only by an attribute read (``.name``,
@@ -47,6 +49,13 @@ For rule 3 the setting calls are those in the reached modules, the
 caller trees, the doctested doc blocks and ``tests/``, so a test seam
 such as a ``clock`` or an ``rng`` stays.  A default no call sets but a
 file still needs is listed in :data:`KEPT_SETTINGS`.
+
+4. **Imports.**  Every name an import statement binds in a module of
+   ``src/repro`` (at any depth; ``__future__`` imports aside) is loaded
+   in that module -- as a bare name, or inside a quoted annotation --
+   or is a re-export: listed in the module's ``__all__``, or imported
+   from that module by a module of ``src/repro``, the caller trees,
+   the doctested doc blocks or ``tests/``.
 """
 
 import ast
@@ -439,6 +448,83 @@ def unset_defaults(modules, kept):
     return dict(sorted(unset.items()))
 
 
+def bound_imports(path, module):
+    """``(bound name, imported name, line)`` of every name an import
+    statement in ``path`` binds, at any depth (``__future__`` aside).
+
+    ``import a.b`` binds ``a``; ``from a import b as c`` binds ``c`` to
+    ``a.b``.
+    """
+    package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                yield bound, alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            target = ".".join(p for p in (base, node.module) if p)
+            for alias in node.names:
+                yield alias.asname or alias.name, f"{target}.{alias.name}", node.lineno
+
+
+def loaded_names(tree):
+    """Bare names ``tree`` loads, quoted annotations included, plus the
+    string entries of its ``__all__``."""
+    names = {identifier for identifier, _, attribute in identifier_reads(tree)
+             if not attribute}
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            annotations = [
+                arg.annotation
+                for arg in arguments.posonlyargs + arguments.args
+                + arguments.kwonlyargs + [arguments.vararg, arguments.kwarg]
+                if arg is not None
+            ] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in annotations:
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                quoted = ast.parse(annotation.value, mode="eval")
+                names.update(identifier for identifier, _, attribute
+                             in identifier_reads(quoted) if not attribute)
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            names.update(
+                entry.value for entry in ast.walk(node.value)
+                if isinstance(entry, ast.Constant) and isinstance(entry.value, str)
+            )
+    return names
+
+
+def unused_imports(modules):
+    """``module.bound name`` -> ``file:line`` of every import in
+    ``modules`` that its module never loads and nothing re-imports
+    from it."""
+    imported_from = set()
+    for module, path in modules.items():
+        imported_from.update(full for _, full, _ in bound_imports(path, module))
+    for directory in (*CALLER_DIRS, "tests"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            imported_from.update(full for _, full, _ in bound_imports(path, directory))
+    for tree in doctest_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported_from.update(f"{node.module}.{a.name}" for a in node.names)
+    unused = {}
+    for module, path in modules.items():
+        loaded = loaded_names(parse(path))
+        for bound, _, line in bound_imports(path, module):
+            name = f"{module}.{bound}"
+            if bound not in loaded and name not in imported_from:
+                unused[name] = f"{path.relative_to(ROOT)}:{line}"
+    return dict(sorted(unused.items()))
+
+
 def test_every_module_is_reachable_or_a_named_reference():
     modules = module_files()
     reached = reachable(modules, entry_points(modules))
@@ -462,6 +548,13 @@ def test_every_parameter_default_is_set_or_a_named_kept_setting():
     unset = unset_defaults(production_modules(), kept=KEPT_SETTINGS)
     assert not unset, "parameter defaults no call sets:\n" + "\n".join(
         f"  {name} ({where})" for name, where in unset.items()
+    )
+
+
+def test_every_import_is_loaded_or_reexported():
+    unused = unused_imports(module_files())
+    assert not unused, "imports nothing loads:\n" + "\n".join(
+        f"  {name} ({where})" for name, where in unused.items()
     )
 
 
@@ -751,3 +844,38 @@ def test_a_doctested_block_sets_a_default(tree):
         ),
     })
     assert unset_defaults(modules, kept=()) == {}
+
+
+def test_an_unloaded_import_is_named_with_its_file_and_line(tree):
+    modules = tree({
+        "src/pkg/__init__.py": (
+            "from pkg.core import Box, helper\n"
+            '__all__ = ["Box"]\n'
+        ),
+        "src/pkg/core.py": (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "from typing import TYPE_CHECKING, List, Optional\n"
+            "from dataclasses import dataclass, field\n"
+            "if TYPE_CHECKING:\n"
+            "    from pkg.main import Runner\n"
+            "\n"
+            "@dataclass\n"
+            "class Box:\n"
+            "    items: List[int]\n"
+            "\n"
+            "def helper(runner: 'Runner') -> Optional[str]:\n"
+            "    import json as codec\n"
+            "    field = 1\n"
+            "    return os.path.sep\n"
+        ),
+        "src/pkg/main.py": "class Runner:\n    pass\n",
+        "src/pkg/client.py": "from pkg.retry import Policy  # re-exported\n",
+        "src/pkg/retry.py": "class Policy:\n    pass\n",
+        "tests/test_client.py": "from pkg.client import Policy\n",
+    })
+    assert unused_imports(modules) == {
+        "pkg.core.codec": "src/pkg/core.py:13",
+        "pkg.core.field": "src/pkg/core.py:4",
+        "pkg.helper": "src/pkg/__init__.py:1",
+    }

@@ -5,14 +5,18 @@ Each production execution path has exactly one slow reference in
 
 - **Shuffle**: write discipline x interleave model x fault schedule x
   input shape, comparing destinations, the (source, destination)
-  histogram, barrier state, the ``ResilienceStats`` and the write
-  traces :func:`~repro.shuffle.engine.write_traces` derives from the
-  histogram against the ones the reference records per arriving tuple.
+  histogram, barrier state and the write traces
+  :func:`~repro.shuffle.engine.write_traces` derives from the histogram
+  against the ones the reference records per arriving tuple.  The
+  reference replays the schedule inline; its ``ResilienceStats`` must
+  equal :func:`~repro.shuffle.engine.replay_faults` over the fault-free
+  production shuffle's histogram.
   The engine routes one relation's flat columns in one pass; the
   reference walks the same relation cut into per-source pieces at
   random, empty pieces included.
 - **Operators**: operator x preset x fault schedule x workload, each
-  production run and its reference costed by the same
+  production run (priced by ``Machine.run_operator``) and its reference
+  (which replays the schedule inline) costed by the same
   ``Machine.evaluate_run`` and compared phase by phase.
 - **Skew planning**: histogram shape x capacity, comparing the columnar
   rebalance plan field by field against the dict-building loop (or the
@@ -71,6 +75,7 @@ from tests.shuffle_helpers import (
     fault_specs,
     flatten,
     make_sources,
+    replayed_stats,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -133,17 +138,17 @@ def shuffle_shape(name):
 @pytest.mark.parametrize("permutable", [False, True])
 def test_shuffle_matches_reference(permutable, interleave, faults, shape):
     sources, dest_maps, num_dest = shuffle_shape(shape)
-    config = dict(
-        permutable=permutable,
-        interleave=INTERLEAVES[interleave],
-        faults=FAULTS[faults],
-        fault_salt=3,
-    )
+    config = dict(permutable=permutable, interleave=INTERLEAVES[interleave])
     prod = ShuffleEngine(num_dest, **config).run(*flatten(sources, dest_maps))
-    ref, ref_traces = reference_shuffle(sources, dest_maps, num_dest, **config)
+    ref, ref_traces, ref_stats = reference_shuffle(
+        sources, dest_maps, num_dest, faults=FAULTS[faults], fault_salt=3,
+        **config,
+    )
+    # The reference replays the schedule inline; production shuffles
+    # fault-free and the schedule replays over its histogram.
     assert_shuffles_identical(prod, ref, config["interleave"], ref_traces)
-    assert prod.resilience == ref.resilience
-    assert (prod.resilience is None) == (faults == "none")
+    assert replayed_stats(prod, FAULTS[faults], 3) == ref_stats
+    assert (ref_stats is None) == (faults == "none")
     assert prod.barrier.all_complete()
     # The SoA view mirrors the destinations without copying.
     flat = np.concatenate([d.data for d in prod.destinations])
@@ -159,11 +164,14 @@ def test_shuffle_matches_reference(permutable, interleave, faults, shape):
 def test_shuffle_matches_reference_under_any_schedule(spec, rng_seed, permutable):
     rng = np.random.default_rng(rng_seed)
     sources, dest_maps = make_sources(rng, 4, 6, 150, skew=True)
-    config = dict(permutable=permutable, faults=spec, fault_salt=1)
-    prod = ShuffleEngine(6, **config).run(*flatten(sources, dest_maps))
-    ref, ref_traces = reference_shuffle(sources, dest_maps, 6, **config)
+    prod = ShuffleEngine(6, permutable=permutable).run(
+        *flatten(sources, dest_maps)
+    )
+    ref, ref_traces, ref_stats = reference_shuffle(
+        sources, dest_maps, 6, permutable=permutable, faults=spec, fault_salt=1
+    )
     assert_shuffles_identical(prod, ref, ref_traces=ref_traces)
-    assert prod.resilience == ref.resilience
+    assert replayed_stats(prod, spec, 1) == ref_stats
 
 
 def random_split(rng, n, pieces):
@@ -202,22 +210,19 @@ class TestOnePassShuffle:
         ]
         columns = SegmentedColumns.from_relations(sources)
         assert np.array_equal(columns.segments, bounds)
-        config = dict(
-            permutable=permutable,
-            interleave=INTERLEAVES[interleave],
-            faults=FAULTS[faults],
-            fault_salt=5,
-        )
+        config = dict(permutable=permutable, interleave=INTERLEAVES[interleave])
         prod = ShuffleEngine(num_dest, **config).run(columns, dest)
-        ref, ref_traces = reference_shuffle(
+        ref, ref_traces, ref_stats = reference_shuffle(
             sources,
             [dest[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
             num_dest,
+            faults=FAULTS[faults],
+            fault_salt=5,
             **config,
         )
         assert_shuffles_identical(prod, ref, config["interleave"], ref_traces)
-        assert prod.resilience == ref.resilience
-        assert (prod.resilience is None) == (faults == "none")
+        assert replayed_stats(prod, FAULTS[faults], 5) == ref_stats
+        assert (ref_stats is None) == (faults == "none")
         assert prod.histogram.shape == (pieces, num_dest)
         assert np.array_equal(prod.buffer, ref.buffer)
         assert [d.name for d in prod.destinations] == [

@@ -408,8 +408,9 @@ class ScriptedServer(threading.Thread):
 
     - ``"reset"``: accept, then close immediately.
     - ``"garbage"``: answer the first request with a non-JSON line.
-    - ``"serve:N"``: answer N requests with ``{"ok": true, ...}``, then
-      close the connection.
+    - ``"hangup:N"``: answer N requests with ``{"ok": true, ...}``,
+      then read the next request and close the connection without
+      answering it.
     - ``"serve"``: answer every request until the client hangs up.
     - ``"error"``: answer every request with ``{"ok": false, ...}``.
     """
@@ -426,18 +427,22 @@ class ScriptedServer(threading.Thread):
         self.requests_served = 0
         self.start()
 
-    def _serve_conn(self, conn, budget) -> None:
+    def _serve_conn(self, conn, hangup_after=None) -> None:
         reader = conn.makefile("rb")
         served = 0
-        for line in reader:
+        while served != hangup_after and reader.readline():
             self.requests_served += 1
             served += 1
             conn.sendall(
                 (json.dumps({"ok": True, "result": self._result}) + "\n")
                 .encode()
             )
-            if budget is not None and served >= budget:
-                break
+        if hangup_after is not None:
+            # Consume the whole request first, so the close is a plain
+            # FIN (no unread data, no reset) and the client's read of the
+            # reply is what sees the connection end.
+            reader.readline()
+        reader.close()
         conn.close()
 
     def run(self) -> None:
@@ -462,7 +467,7 @@ class ScriptedServer(threading.Thread):
                         .encode()
                     )
                 conn.close()
-            elif behavior.startswith("serve:"):
+            elif behavior.startswith("hangup:"):
                 self._serve_conn(conn, int(behavior.split(":")[1]))
             else:  # "serve"
                 self._serve_conn(conn, None)
@@ -511,7 +516,10 @@ class TestResilientClient:
             server.stop()
 
     def test_stale_connection_gets_one_free_resend(self):
-        server = ScriptedServer(["serve:1", "serve"])
+        # The reused connection accepts the second request and closes
+        # unanswered: the client's send succeeds and its read of the
+        # reply finds the connection closed, on every run.
+        server = ScriptedServer(["hangup:1", "serve"])
         try:
             # retries=0: the transparent resend must not need the budget.
             client = ServiceClient(port=server.port, retries=0,
