@@ -37,7 +37,6 @@ from repro.api.spec import as_spec
 from repro.api.sweep import Sweep
 from repro.experiments import common
 from repro.faults.plan import FaultSpec
-from repro.telemetry import trace as _trace
 
 #: Columns of the human-readable summary table (full records keep more).
 SUMMARY_COLUMNS = (
@@ -97,10 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate scenarios in a pool of N worker processes "
              "(records stay in grid order; exports are byte-identical "
              "to --jobs 1)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the shared workload/result memoization",
     )
     parser.add_argument(
         "--store", metavar="DIR",
@@ -213,31 +208,11 @@ def _with_faults(sweep: Sweep, faults_json: str) -> Sweep:
 
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    if args.no_cache:
-        common.set_cache_enabled(False)
-    if args.store:
-        common.configure_store(args.store)
-
-    sweep = _build_sweep(args)
-    if args.faults:
-        sweep = _with_faults(sweep, args.faults)
-    tracer = _trace.install_tracer() if args.trace else None
-    try:
+    with common.cli_run(args):
+        sweep = _build_sweep(args)
+        if args.faults:
+            sweep = _with_faults(sweep, args.faults)
         results = sweep.run(jobs=args.jobs)
-    finally:
-        if tracer is not None:
-            _trace.uninstall_tracer()
-            events = tracer.export_chrome(args.trace)
-            print(f"trace: {events} events -> {args.trace}", file=sys.stderr)
-    store_stats = common.store_stats()
-    if store_stats is not None:
-        print(
-            "store: hits={hits} misses={misses} puts={puts} "
-            "entries={entries}".format(**store_stats),
-            file=sys.stderr,
-        )
 
     if not export_result_set(results, args.json, args.csv):
         print(f"Sweep: {sweep.size} scenarios -> {len(results)} records\n")

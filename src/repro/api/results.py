@@ -112,44 +112,29 @@ class ResultSet:
             sum(r[column] for r in self.filter(**equals)._records if column in r)
         )
 
-    def pivot(
-        self, index: str, columns: str, values: str, agg: str = "sum"
-    ) -> Dict[Any, Dict[Any, Any]]:
-        """Aggregate ``values`` into a dict-of-dicts spreadsheet.
+    def pivot(self, index: str, columns: str, values: str) -> Dict[Any, Dict[Any, Any]]:
+        """Sum ``values`` into a dict-of-dicts spreadsheet.
 
-        ``agg`` is ``"sum"``, ``"mean"``, ``"min"`` or ``"max"``.  Row and
-        column orders follow first appearance, so reports built from a
-        pivot are deterministic.
+        Row and column orders follow first appearance, so reports built
+        from a pivot are deterministic.
 
-        Numeric cells reduce as floats.  Non-numeric values (the suite
+        Numeric cells sum as floats.  Non-numeric values (the suite
         records' string-typed ``suite``/``family``/label columns) pass
-        through instead of raising: ``min``/``max`` use plain Python
-        ordering and ``sum``/``mean`` keep the cell's first value -- a
+        through instead of raising: a cell keeps its first value, so a
         label column pivots to the label, not to an error.
         """
-        if agg not in ("sum", "mean", "min", "max"):
-            raise ValueError(f"unknown aggregation {agg!r}")
         cells: Dict[Any, Dict[Any, List[Any]]] = {}
         for record in self._records:
             if index not in record or columns not in record or values not in record:
                 continue
             row = cells.setdefault(record[index], {})
             row.setdefault(record[columns], []).append(record[values])
-        reduce = {
-            "sum": sum,
-            "mean": lambda vs: sum(vs) / len(vs),
-            "min": min,
-            "max": max,
-        }[agg]
 
         def cell(vs: List[Any]) -> Any:
             try:
-                nums = [float(v) for v in vs]
+                return sum(float(v) for v in vs)
             except (TypeError, ValueError):
-                if agg in ("min", "max"):
-                    return reduce(vs)
                 return vs[0]
-            return float(reduce(nums))
 
         return {
             row: {col: cell(vs) for col, vs in row_cells.items()}

@@ -257,12 +257,15 @@ def _bitonic_tie_order(
     return result
 
 
+#: Tuples per bitonic run: the cost model's ``costs.BITONIC_RUN_TUPLES``.
+_BITONIC_RUN = 16
+
+
 def segmented_mergesort(
     keys: np.ndarray,
     payloads: np.ndarray,
     segments: np.ndarray,
     bitonic_initial: bool = False,
-    bitonic_run: int = 16,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sort every segment by key, matching the multi-pass mergesort.
 
@@ -277,7 +280,7 @@ def segmented_mergesort(
     order = segmented_stable_argsort(keys, segments)
     sorted_keys = keys[order]
     if bitonic_initial:
-        order = _bitonic_tie_order(sorted_keys, order, segments, bitonic_run)
+        order = _bitonic_tie_order(sorted_keys, order, segments, _BITONIC_RUN)
     return sorted_keys, payloads[order]
 
 

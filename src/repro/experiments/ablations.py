@@ -24,17 +24,15 @@ from repro.dram.analytic import InterleavedWrites, estimate_pattern
 from repro.experiments.common import MODEL_SCALE
 
 
-def simd_width_sweep(
-    widths=(128, 256, 512, 1024), scale: float = MODEL_SCALE
-) -> Dict[int, float]:
-    """Mondrian join runtime vs SIMD width (seconds).
+def simd_width_sweep(scale: float = MODEL_SCALE) -> Dict[int, float]:
+    """Mondrian join runtime vs SIMD width, 128 to 1024 bits (seconds).
 
     Each width is a one-line :class:`SystemSpec` derivation -- the
     scenario API's core use case (hardware points the paper never
     measured).
     """
     runtimes = {}
-    for width in widths:
+    for width in (128, 256, 512, 1024):
         spec = SystemSpec("mondrian").with_simd(width).named(f"mondrian-simd{width}")
         runtimes[width] = (
             Scenario(spec, "join", model_scale=scale, seed=23).result().runtime_s

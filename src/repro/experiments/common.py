@@ -26,10 +26,10 @@ key spells out everything that determines the result bytes (operator,
 functional tuple count, seed, partition count; plus system preset and
 model scale for results), so fig6/fig7/fig8/fig9/table5 -- which all
 evaluate overlapping (system, operator) pairs -- compute each pair once
-per process instead of once per figure.  ``run_all --no-cache`` (or
-:func:`set_cache_enabled`) restores the recompute-everything behaviour,
-and ``run_all --jobs N`` runs experiment sections in a process pool
-(each worker holds its own cache).
+per process instead of once per figure.  The memory tiers are always
+on: a cold run is :func:`clear_caches`, and ``run_all --jobs N`` runs
+experiment sections in a process pool (each worker holds its own
+cache).
 
 Between the two sits a third, memory-only tier, ``operator-run``.
 Running an operator is three calls: ``Machine.execute`` (the functional
@@ -73,15 +73,21 @@ Two decisions every evaluation entry point shares live here, once:
 - :func:`fan_out` is the only process pool: ``Sweep.run``,
   ``SuiteRun.run``, the batch scheduler and ``run_all --jobs`` hand it a
   picklable ``fn`` and their items.  Workers run :func:`run_in_worker`,
-  which installs the parent's cache/store/trace selection and reports
+  which installs the parent's store/trace selection and reports
   each task's store-counter delta and spans; ``fan_out`` merges them
   into the parent.
+- :func:`cli_run` is the run scaffold of the three grid CLIs
+  (``python -m repro.api``, ``python -m repro.suites run|score`` and
+  ``run_all``): the ``--jobs`` check, ``--store``, ``--trace`` and the
+  closing store-counter line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
+import sys
 from concurrent import futures
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -174,7 +180,6 @@ class CacheTier:
 _WORKLOADS = CacheTier("workload")
 _RUNS = CacheTier("operator-run")  # memory only: runs are never persisted
 _RESULTS = CacheTier("result")
-_CACHE_ENABLED = True
 
 #: Tiers registered by higher layers (the suite subsystem's result
 #: memo), so ``clear_caches``/``cache_stats`` stay the one switchboard
@@ -193,24 +198,6 @@ def register_cache_tier(tier: CacheTier) -> CacheTier:
 #: per key per process instead of per hit.  Tier keys differ in their
 #: first element ("result", "suite-result"), so one set serves all tiers.
 _PERSISTED: set = set()
-
-
-def set_cache_enabled(enabled: bool) -> bool:
-    """Toggle the shared in-memory caches; returns the previous setting.
-
-    Only the memory tiers are affected: the persistent store (see
-    :func:`configure_store`) is an independent tier, so ``--no-cache``
-    still measures cold in-process runs while a warm store keeps
-    serving across processes.
-    """
-    global _CACHE_ENABLED
-    previous = _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-def cache_enabled() -> bool:
-    return _CACHE_ENABLED
 
 
 def clear_caches() -> None:
@@ -330,8 +317,6 @@ def active_store():
     global _STORE, _STORE_PATH
     if _STORE_EXPLICIT:
         return _STORE
-    import os
-
     env = os.environ.get(STORE_ENV)
     if not env:
         return None
@@ -401,12 +386,11 @@ def tiered(
 ) -> Any:
     """One memoized value: memory tier -> store probe -> build-and-put.
 
-    ``key`` addresses ``tier`` (skipped while the memory caches are
-    disabled); ``payload()`` names the value in the persistent store and
-    is only computed when a store is active.  ``encode``/``decode`` map
-    values to and from store documents; a document that fails to decode
-    (schema drift, a hand-edited entry) counts as a miss and is
-    overwritten by the rebuilt value.
+    ``key`` addresses ``tier``; ``payload()`` names the value in the
+    persistent store and is only computed when a store is active.
+    ``encode``/``decode`` map values to and from store documents; a
+    document that fails to decode (schema drift, a hand-edited entry)
+    counts as a miss and is overwritten by the rebuilt value.
 
     A memory hit still writes through to the store -- covering values
     computed before the store was configured and healing deleted or
@@ -414,19 +398,18 @@ def tiered(
     (:data:`_PERSISTED`).
     """
     store = active_store()
-    if _CACHE_ENABLED:
-        cached = tier.get(key)
-        if cached is not _MISS:
-            if store is not None:
-                marker = (str(store.root), key)
-                if marker not in _PERSISTED:
-                    from repro.service.store import digest_payload
+    cached = tier.get(key)
+    if cached is not _MISS:
+        if store is not None:
+            marker = (str(store.root), key)
+            if marker not in _PERSISTED:
+                from repro.service.store import digest_payload
 
-                    digest = digest_payload(payload())
-                    if not store.contains(digest):
-                        store.put(digest, encode(cached))
-                    _PERSISTED.add(marker)
-            return cached
+                digest = digest_payload(payload())
+                if not store.contains(digest):
+                    store.put(digest, encode(cached))
+                _PERSISTED.add(marker)
+        return cached
 
     if store is None:
         value = build()
@@ -445,10 +428,7 @@ def tiered(
             value = build()
             store.put(digest, encode(value))
         _PERSISTED.add((str(store.root), key))
-
-    if _CACHE_ENABLED:
-        tier.put(key, value)
-    return value
+    return tier.put(key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +440,20 @@ def tiered(
 SpanFn = Callable[[Any], Tuple[str, str, Dict[str, Any]]]
 
 
-def worker_selection() -> Tuple[bool, Optional[str], bool]:
-    """(cache flag, store path, trace flag) a worker must reproduce.
+def worker_selection() -> Tuple[Optional[str], bool]:
+    """(store path, trace flag) a worker must reproduce.
 
     Workers inherit the parent's store selection explicitly: an env-var
     default would survive ``fork`` anyway, but a ``--store`` flag set only
     in the parent would not.
     """
-    return cache_enabled(), store_path(), _trace.active_tracer() is not None
+    return store_path(), _trace.active_tracer() is not None
 
 
 def run_in_worker(
     fn: Callable[[Any], Any],
     item: Any,
-    selection: Tuple[bool, Optional[str], bool],
+    selection: Tuple[Optional[str], bool],
     span: SpanFn,
 ) -> Tuple[Any, Optional[Dict[str, int]], Optional[List[Dict[str, Any]]]]:
     """Worker side of a fan-out: ``fn(item)`` under the parent's selection.
@@ -484,8 +464,7 @@ def run_in_worker(
     worker-local tracer inside ``span(item)`` and the finished spans ship
     back as plain dicts (otherwise ``None``).
     """
-    use_cache, store, trace_on = selection
-    set_cache_enabled(use_cache)
+    store, trace_on = selection
     if store != store_path():
         configure_store(store)
     handle = active_store()
@@ -542,6 +521,36 @@ def fan_out(
     return values
 
 
+@contextlib.contextmanager
+def cli_run(args):
+    """The run scaffold of the grid CLIs, around one run.
+
+    Rejects ``--jobs`` below 1, selects the ``--store`` directory and
+    records spans to the ``--trace`` file while the block runs; then
+    prints the ``trace:`` line and the active store's counters to
+    stderr.
+    """
+    if args.jobs < 1:
+        raise SystemExit("--jobs must be >= 1")
+    if args.store:
+        configure_store(args.store)
+    tracer = _trace.install_tracer() if args.trace else None
+    try:
+        yield
+    finally:
+        if tracer is not None:
+            _trace.uninstall_tracer()
+            events = tracer.export_chrome(args.trace)
+            print(f"trace: {events} events -> {args.trace}", file=sys.stderr)
+    stats = store_stats()
+    if stats is not None:
+        print(
+            "store: hits={hits} misses={misses} puts={puts} "
+            "entries={entries}".format(**stats),
+            file=sys.stderr,
+        )
+
+
 def _build_workload(operator: str, seed: int, num_partitions: int):
     if operator == "scan":
         return make_scan_workload(FUNCTIONAL_N["scan"], num_partitions, seed)
@@ -566,8 +575,6 @@ def make_workload(operator: str, seed: int = 17, num_partitions: int = NUM_PARTI
     """
     if operator not in FUNCTIONAL_N:
         raise ValueError(f"unknown operator {operator!r}")
-    if not _CACHE_ENABLED:
-        return _build_workload(operator, seed, num_partitions)
     key = ("workload", operator, FUNCTIONAL_N[operator], seed, num_partitions)
     return _WORKLOADS.get_or_build(
         key, lambda: _build_workload(operator, seed, num_partitions)
@@ -701,17 +708,10 @@ def _build_result(
     """
     machine = machine_for(system)
     workload = make_workload(operator, seed, num_partitions)
-
-    def execute():
-        return machine.execute(operator, workload, scale_factor=scale)
-
-    if _CACHE_ENABLED:
-        run = _RUNS.get_or_build(
-            operator_run_key(machine, operator, scale, seed, num_partitions),
-            execute,
-        )
-    else:
-        run = execute()
+    run = _RUNS.get_or_build(
+        operator_run_key(machine, operator, scale, seed, num_partitions),
+        lambda: machine.execute(operator, workload, scale_factor=scale),
+    )
     return machine.evaluate_run(
         price_faults(run, machine.variant(num_partitions), scale)
     )

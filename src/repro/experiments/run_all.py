@@ -5,30 +5,25 @@ Usage::
     python -m repro.experiments.run_all               # full paper report
     python -m repro.experiments.run_all --fast        # reduced model scale
     python -m repro.experiments.run_all --jobs 4      # sections in parallel
-    python -m repro.experiments.run_all --no-cache    # recompute everything
     python -m repro.experiments.run_all --pipelines   # query pipelines only
     python -m repro.experiments.run_all --fast --pipelines
-    python -m repro.experiments.run_all --sweep SPEC.json  # scenario sweep
 
 Without flags, prints each paper artifact's table in paper order, with
 the paper's values alongside where the experiment reports them.
 ``--jobs N`` renders independent experiment sections in a process pool;
 the output is byte-identical to a sequential run (sections are collected
-and printed in paper order).  ``--no-cache`` disables the shared
-workload/result memoization (see ``repro.experiments.common``).
-``--pipelines`` runs the multi-operator query-pipeline suite instead
-(per-stage time/energy breakdowns on CPU, NMP-perm and Mondrian).
-``--sweep SPEC.json`` runs an arbitrary scenario grid through the
-scenario API (``repro.api``) and prints its ResultSet as JSON records;
-``python -m repro.api`` is the richer front end (CSV export, inline
-grids).  See ``docs/USAGE.md`` for the full flag reference.
+and printed in paper order).  ``--pipelines`` runs the multi-operator
+query-pipeline suite instead (per-stage time/energy breakdowns on CPU,
+NMP-perm and Mondrian).  Scenario grids and the benchmark suites have
+their own front ends, ``python -m repro.api`` and
+``python -m repro.suites``.  See ``docs/USAGE.md`` for the full flag
+reference.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import sys
 import time
 
 from repro.experiments import (
@@ -49,7 +44,6 @@ from repro.experiments import (
 from repro.experiments import common
 from repro.experiments.common import MODEL_SCALE
 from repro.telemetry import span as _span
-from repro.telemetry import trace as _trace
 
 #: Model scale used by ``--fast`` (full runs use ``MODEL_SCALE``).
 FAST_SCALE = 500.0
@@ -112,30 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
              "--pipelines, which is a single section)",
     )
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the shared workload/result memoization and "
-             "recompute every (system, operator) pair per section",
-    )
-    parser.add_argument(
         "--pipelines", action="store_true",
         help="run the multi-operator query-pipeline suite (per-stage "
              "time/energy breakdowns on CPU, NMP-perm and Mondrian) "
              "instead of the paper-artifact report",
-    )
-    parser.add_argument(
-        "--suites", action="store_true",
-        help="run the benchmark-suite grid (every registered suite of "
-             "repro.suites across all evaluated presets) and print the "
-             "ranked cross-suite report instead of the paper-artifact "
-             "report (honours --jobs/--no-cache/--store; "
-             "python -m repro.suites adds exports and subset grids)",
-    )
-    parser.add_argument(
-        "--sweep", metavar="SPEC.json",
-        help="run the scenario-API sweep grid described by SPEC.json "
-             "instead of the paper report, printing its ResultSet as "
-             "JSON records (honours --jobs and --no-cache; "
-             "python -m repro.api adds CSV export and inline grids)",
     )
     parser.add_argument(
         "--store", metavar="DIR",
@@ -205,71 +179,17 @@ def run_pipeline_report(scale: float) -> None:
     print(pipeline_queries.run(scale=scale)["table"])
 
 
-def run_suites_report(jobs: int = 1) -> None:
-    """The benchmark-suite grid + ranked report (``--suites``)."""
-    from repro.suites import SuiteRun, render_report, score_records
-
-    grid = SuiteRun()
-    results = grid.run(jobs=jobs)
-    print(_banner(
-        f"Benchmark suites: {len(grid.suites)} suites x "
-        f"{len(grid.systems)} presets"
-    ))
-    print(render_report(score_records(results)))
-
-
-def run_sweep_report(spec_path: str, jobs: int = 1) -> None:
-    """An arbitrary scenario grid (``--sweep SPEC.json``)."""
-    from pathlib import Path
-
-    from repro.api import Sweep
-
-    sweep = Sweep.from_json(Path(spec_path).read_text())
-    results = sweep.run(jobs=jobs)
-    print(_banner(f"Scenario sweep: {sweep.size} scenarios from {spec_path}"))
-    print(results.to_json())
-
-
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    if args.no_cache:
-        common.set_cache_enabled(False)
-    if args.store:
-        common.configure_store(args.store)
     scale = FAST_SCALE if args.fast else MODEL_SCALE
-
     start = time.time()
-    if args.sweep:
-        # A sweep's scales come from SPEC.json, not --fast: don't print
-        # a scale the grid may not use.
-        mode, scale_note = "scenario sweep", ""
-    elif args.suites:
-        # Suite grids carry their own default scale (repro.suites).
-        mode, scale_note = "benchmark-suite grid", ""
-    elif args.pipelines:
-        mode, scale_note = "query-pipeline suite", f" (scale {scale:.0f}x)"
-    else:
-        mode, scale_note = "full report", f" (scale {scale:.0f}x)"
-    print(f"Mondrian Data Engine reproduction -- {mode}{scale_note}")
-
-    tracer = _trace.install_tracer() if args.trace else None
-    try:
-        if args.sweep:
-            run_sweep_report(args.sweep, jobs=args.jobs)
-        elif args.suites:
-            run_suites_report(jobs=args.jobs)
-        elif args.pipelines:
+    with common.cli_run(args):
+        mode = "query-pipeline suite" if args.pipelines else "full report"
+        print(f"Mondrian Data Engine reproduction -- {mode} (scale {scale:.0f}x)")
+        if args.pipelines:
             run_pipeline_report(scale)
         else:
             run_paper_report(scale, jobs=args.jobs)
-    finally:
-        if tracer is not None:
-            _trace.uninstall_tracer()
-            events = tracer.export_chrome(args.trace)
-            print(f"trace: {events} events -> {args.trace}", file=sys.stderr)
-
     print(f"\nDone in {time.time() - start:.1f}s.")
 
 

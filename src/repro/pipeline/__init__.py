@@ -23,7 +23,7 @@ Quickstart::
     from repro.pipeline import fk_join_aggregate
     from repro.systems import build_system
 
-    plan = fk_join_aggregate(n_r=400, n_s=1600, num_partitions=8)
+    plan = fk_join_aggregate(n_r=400, n_s=1600, num_partitions=8, seed=1)
     perf = build_system("mondrian").run_pipeline(plan, scale_factor=100.0)
     print(perf.runtime_s, perf.bottleneck().stage)
 """

@@ -43,11 +43,6 @@ KEY_SPACE_BITS = 48
 #: Payloads < 2**32 keep chained sums exact (see module docstring).
 PAYLOAD_BITS = 32
 
-#: Default functional sizes: small enough for pure-Python execution,
-#: extrapolated by ``model_scale`` exactly like the standalone operators.
-DEFAULT_N_R = 4_000
-DEFAULT_N_S = 16_000
-
 
 def _unique_keys(rng: np.random.Generator, n: int, bits: int) -> np.ndarray:
     candidates = np.unique(rng.integers(0, 1 << bits, size=n * 2 + 16, dtype=np.uint64))
@@ -89,12 +84,7 @@ def make_fk_tables(
     return users, events
 
 
-def fk_join_aggregate(
-    n_r: int = DEFAULT_N_R,
-    n_s: int = DEFAULT_N_S,
-    num_partitions: int = 64,
-    seed: int = 17,
-) -> QueryPlan:
+def fk_join_aggregate(n_r: int, n_s: int, num_partitions: int, seed: int) -> QueryPlan:
     """Join(users, events) -> GroupBy(sum) -> Sort: the headline pipeline.
 
     ``users`` holds unique keys (the FK target); every ``events`` tuple
@@ -116,11 +106,7 @@ def fk_join_aggregate(
     )
 
 
-def sort_then_scan(
-    n: int = DEFAULT_N_S,
-    num_partitions: int = 64,
-    seed: int = 17,
-) -> QueryPlan:
+def sort_then_scan(n: int, num_partitions: int, seed: int) -> QueryPlan:
     """Sort(events) -> Scan(sorted, key): index build then point lookup."""
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 1 << KEY_SPACE_BITS, size=n, dtype=np.uint64)
@@ -140,10 +126,7 @@ def sort_then_scan(
 
 
 def skewed_partition_join(
-    n_r: int = DEFAULT_N_R,
-    n_s: int = DEFAULT_N_S,
-    num_partitions: int = 64,
-    seed: int = 17,
+    n_r: int, n_s: int, num_partitions: int, seed: int
 ) -> QueryPlan:
     """Skew-aware repartition of a Zipf fact table, then FK join.
 
@@ -177,9 +160,11 @@ CANONICAL_QUERIES: Dict[str, Callable[..., QueryPlan]] = {
     "skewed-partition-join": skewed_partition_join,
 }
 
-#: Default functional sizes per canonical query, kept below the
-#: single-operator defaults because a pipeline executes several
-#: operators per machine.  Shared by the ``pipeline_queries`` experiment
+#: Functional sizes per canonical query (the one source of them): small
+#: enough for pure-Python execution, extrapolated by ``model_scale``
+#: exactly like the standalone operators, and kept below the
+#: single-operator sizes because a pipeline executes several operators
+#: per machine.  Shared by the ``pipeline_queries`` experiment
 #: and the scenario API's query scenarios, so both evaluate the same
 #: points.
 CANONICAL_QUERY_SIZES: Dict[str, Dict[str, int]] = {

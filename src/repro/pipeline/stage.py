@@ -44,11 +44,7 @@ from repro.columnar.soa import SegmentedColumns
 from repro.operators.base import OperatorRun, OperatorVariant, PartitionPass, PhaseCost
 from repro.operators.groupby import AGGREGATE_NAMES, run_groupby
 from repro.operators.join import run_join
-from repro.operators.partition import (
-    SCHEME_HIGH_BITS,
-    SCHEME_LOW_BITS,
-    run_partitioning,
-)
+from repro.operators.partition import SCHEME_LOW_BITS, run_partitioning
 from repro.operators.scan import run_scan, scan_probe_cost
 from repro.operators.skew import run_partitioning_skew_aware
 from repro.operators.sort_op import run_sort
@@ -339,14 +335,12 @@ class SortStage(PipelineStage):
 class PartitionStage(PipelineStage):
     """Explicit repartition (a Spark-style shuffle stage).
 
-    Wraps :func:`~repro.operators.partition.run_partitioning`, or the
-    two-round skew-aware protocol
-    (:func:`~repro.operators.skew.run_partitioning_skew_aware`) when
-    ``skew_aware=True`` (always low-order-bit bucketing -- passing a
-    different ``scheme`` with ``skew_aware`` is rejected).  The output
-    relation carries the same tuples, redistributed; metadata records
-    the load imbalance before/after and whether the rebalancing round
-    fired.
+    Wraps :func:`~repro.operators.partition.run_partitioning` with
+    low-order-bit bucketing, or the two-round skew-aware protocol
+    (:func:`~repro.operators.skew.run_partitioning_skew_aware`, also
+    low-order bits) when ``skew_aware=True``.  The output relation
+    carries the same tuples, redistributed; metadata records the load
+    imbalance before/after and whether the rebalancing round fired.
 
     The stage charges the shuffle it performs; a downstream operator
     still runs its own partitioning phase over the redistributed table
@@ -357,28 +351,14 @@ class PartitionStage(PipelineStage):
 
     operator = "partition"
 
-    def __init__(
-        self,
-        input: str,
-        output: str,
-        scheme: str = SCHEME_LOW_BITS,
-        skew_aware: bool = False,
-    ):
+    def __init__(self, input: str, output: str, skew_aware: bool = False):
         super().__init__([input], output)
-        if scheme not in (SCHEME_LOW_BITS, SCHEME_HIGH_BITS):
-            raise ValueError(f"unknown partitioning scheme {scheme!r}")
-        if skew_aware and scheme != SCHEME_LOW_BITS:
-            raise ValueError(
-                "the two-round skew protocol is defined for low-order-bit "
-                f"bucketing; got scheme {scheme!r} with skew_aware=True"
-            )
-        self.scheme = scheme
         self.skew_aware = skew_aware
 
     def plan(self, tables: Dict[str, Relation], ctx: PlanContext) -> StagePlan:
         rel = self._table(tables, self.inputs[0])
         sources = SegmentedColumns.split(rel, ctx.variant.num_partitions)
-        metadata: Dict[str, Any] = {"tuples": len(rel), "scheme": self.scheme}
+        metadata: Dict[str, Any] = {"tuples": len(rel), "scheme": SCHEME_LOW_BITS}
         if self.skew_aware:
             outcome, plan = run_partitioning_skew_aware(
                 sources,
@@ -396,7 +376,7 @@ class PartitionStage(PipelineStage):
             outcome = run_partitioning(
                 sources,
                 ctx.variant,
-                self.scheme,
+                SCHEME_LOW_BITS,
                 ctx.key_space_bits,
                 model_scale=ctx.model_scale,
             )

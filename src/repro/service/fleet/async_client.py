@@ -91,22 +91,18 @@ class AsyncServiceClient:
 
     # -- the retry matrix ----------------------------------------------------
 
-    async def call(
-        self, verb: str, deadline: Optional[float] = None, **payload: Any
-    ) -> Any:
+    async def call(self, verb: str, **payload: Any) -> Any:
         """One request/response; idempotent verbs survive transport loss.
 
         The blocking client's rules (one shared
         :class:`~repro.service.resilience.retry.RetryBudget`):
         daemon-reported errors (:class:`ServiceError`) are terminal;
         idempotent verbs are resent after transport failures; the
-        remaining deadline rides as ``deadline_s`` and is also enforced
-        locally.
+        remaining ``self.deadline`` rides as ``deadline_s`` and is also
+        enforced locally.
         """
-        if deadline is None:
-            deadline = self.deadline
         budget = RetryBudget(
-            verb, payload, self.retries, self.retry_policy, deadline,
+            verb, payload, self.retries, self.retry_policy, self.deadline,
             self.resilience, rng=self._rng,
         )
         if self._slots is None:
@@ -118,7 +114,7 @@ class AsyncServiceClient:
                     remaining = budget.remaining()
                     if remaining is not None and remaining <= 0:
                         raise asyncio.TimeoutError(
-                            f"deadline of {deadline}s exhausted before send"
+                            f"deadline of {self.deadline}s exhausted before send"
                         )
                     async with self._pool.checkout(self.timeout) as conn:
                         reused = conn.reused

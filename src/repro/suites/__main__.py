@@ -35,7 +35,6 @@ from repro.suites.scoring import (
     report_json,
     score_records,
 )
-from repro.telemetry import trace as _trace
 
 #: Columns of ``run``'s human-readable summary (exports keep all).
 SUMMARY_COLUMNS = ("suite", "family", "system", "stage", "phase", "time_s",
@@ -76,10 +75,6 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         help="evaluate grid points in a pool of N worker processes "
              "(records stay in grid order; exports are byte-identical to "
              "--jobs 1)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the shared in-memory suite/result memoization",
     )
     parser.add_argument(
         "--store", metavar="DIR",
@@ -184,28 +179,9 @@ def _cmd_list() -> None:
 
 
 def _run_grid(args) -> "tuple":
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    if args.no_cache:
-        common.set_cache_enabled(False)
-    if args.store:
-        common.configure_store(args.store)
-    grid = _build_grid(args)
-    tracer = _trace.install_tracer() if getattr(args, "trace", None) else None
-    try:
+    with common.cli_run(args):
+        grid = _build_grid(args)
         results = grid.run(jobs=args.jobs)
-    finally:
-        if tracer is not None:
-            _trace.uninstall_tracer()
-            events = tracer.export_chrome(args.trace)
-            print(f"trace: {events} events -> {args.trace}", file=sys.stderr)
-    store_stats = common.store_stats()
-    if store_stats is not None:
-        print(
-            "store: hits={hits} misses={misses} puts={puts} "
-            "entries={entries}".format(**store_stats),
-            file=sys.stderr,
-        )
     return grid, results
 
 

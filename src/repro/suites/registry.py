@@ -16,8 +16,7 @@ stale stored run.
 A family's tables depend only on the family and the seed, so every
 preset of one suite run shares one materialization: ``build_plan``
 memoizes them in the memory-only ``suite-tables`` cache tier (dropped by
-``clear_caches``, bypassed while the memory caches are disabled) and
-marks the shared arrays read-only.
+``clear_caches``) and marks the shared arrays read-only.
 """
 
 from __future__ import annotations
@@ -58,14 +57,13 @@ def _read_only(tables: Dict[str, Relation]) -> Dict[str, Relation]:
 
 def _family_tables(family: Any, seed: int) -> Dict[str, Relation]:
     """``family.tables(seed)`` with read-only arrays, built once per
-    (family, seed) while the memory caches are enabled."""
-
-    def build() -> Dict[str, Relation]:
-        return _read_only(family.tables(seed))
-
-    if not common.cache_enabled():
-        return build()
-    return dict(_TABLES.get_or_build(("suite-tables", family, int(seed)), build))
+    (family, seed)."""
+    return dict(
+        _TABLES.get_or_build(
+            ("suite-tables", family, int(seed)),
+            lambda: _read_only(family.tables(seed)),
+        )
+    )
 
 
 @dataclass(frozen=True)

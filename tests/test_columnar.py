@@ -164,7 +164,10 @@ class TestSegmentedSort:
     @pytest.mark.parametrize(
         "shape", ["tie-free", "all-equal", "short-segments", "empty-segments"]
     )
-    def test_bitonic_matches_reference(self, shape, run):
+    def test_bitonic_matches_reference(self, shape, run, monkeypatch):
+        # Production's block is 16 tuples; the network is generic, so the
+        # other widths are checked by swapping the module constant.
+        monkeypatch.setattr(kernels, "_BITONIC_RUN", run)
         rng = np.random.default_rng(run)
         if shape == "short-segments":
             # Every segment shorter than one block: only final blocks.
@@ -185,7 +188,7 @@ class TestSegmentedSort:
             keys = rng.integers(0, 4, n, dtype=np.uint64)
         payloads = np.arange(n, dtype=np.uint64)
         out_keys, out_payloads = segmented_mergesort(
-            keys, payloads, segments, bitonic_initial=True, bitonic_run=run
+            keys, payloads, segments, bitonic_initial=True
         )
         columns = SegmentedColumns(keys=keys, payloads=payloads, segments=segments)
         for lo, hi in zip(segments[:-1], segments[1:]):

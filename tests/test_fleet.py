@@ -1019,9 +1019,8 @@ class TestAsyncClient:
         try:
             async def drive():
                 async with AsyncServiceClient("127.0.0.1", tarpit.port,
-                                              retries=0) as client:
-                    await client.ping(
-                    ) if False else await client.call("ping", deadline=0.3)
+                                              retries=0, deadline=0.3) as client:
+                    await client.ping()
 
             with pytest.raises(asyncio.TimeoutError):
                 asyncio.run(drive())

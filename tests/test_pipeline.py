@@ -29,7 +29,6 @@ from repro.pipeline import (
     FilterStage,
     GroupByStage,
     JoinStage,
-    PartitionStage,
     QueryPlan,
     ScanStage,
     SortStage,
@@ -308,14 +307,6 @@ class TestPlanValidation:
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(ValueError, match="unknown aggregate"):
             GroupByStage("a", "b", aggregate="median")
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="partitioning scheme"):
-            PartitionStage("a", "b", scheme="diagonal")
-
-    def test_skew_aware_requires_low_bits(self):
-        with pytest.raises(ValueError, match="low-order-bit"):
-            PartitionStage("a", "b", scheme="high", skew_aware=True)
 
     def test_scan_stage_requires_valid_scale(self, machines):
         plan = sort_then_scan(n=200, num_partitions=2, seed=1)

@@ -1,8 +1,8 @@
 """Every ``src/repro`` module is reachable from an entry point, or is a
 named test-only reference; every public name in a reachable module has
 a caller outside the tests, or is a named test-only name; every
-parameter default in a reachable module is set by some call, or is a
-named kept setting; every import in any module is loaded or
+parameter default in a reachable module is set by some call outside the
+tests, or is a named test seam; every import in any module is loaded or
 re-exported.
 
 A static walk of ``import`` / ``from ... import`` statements at any
@@ -28,12 +28,12 @@ Python (``ast``), never as text.
    is an import alias, so neither an ``__init__`` re-export nor an
    ``__all__`` entry counts.
 3. **Parameter defaults.**  Every parameter with a default, of every
-   module-level function and every method, is set by some call, by
-   keyword or by position.  Calls match by callee identifier: an
-   ``__init__``'s callee is its class, and ``super().__init__(...)``
-   calls the class's bases.  A callee ever called with ``*args`` or
-   ``**kwargs`` has every parameter set.  Deployment settings
-   (:data:`DEPLOYMENT_SETTINGS`) are exempt.
+   module-level function and every method, is set by some call outside
+   the tests, by keyword or by position.  Calls match by callee
+   identifier: an ``__init__``'s callee is its class, and
+   ``super().__init__(...)`` calls the class's bases.  A callee ever
+   called with ``*args`` or ``**kwargs`` has every parameter set.
+   Deployment settings (:data:`DEPLOYMENT_SETTINGS`) are exempt.
 
 For rules 1 and 2 a read counts when it is in a reached module
 (outside the name's own body) or in the caller trees (``tools/``,
@@ -46,9 +46,11 @@ test uses to watch production behaviour are listed in
 :data:`TEST_ONLY_NAMES`.
 
 For rule 3 the setting calls are those in the reached modules, the
-caller trees, the doctested doc blocks and ``tests/``, so a test seam
-such as a ``clock`` or an ``rng`` stays.  A default no call sets but a
-file still needs is listed in :data:`KEPT_SETTINGS`.
+caller trees and the doctested doc blocks; a call in ``tests/`` does not
+count, so a default only a test sets is a knob production never turns.
+A default that exists so a test can inject something (a clock, a
+timeout, a seed) is listed in :data:`TEST_SEAMS` with the test file
+that sets it.
 
 4. **Imports.**  Every name an import statement binds in a module of
    ``src/repro`` (at any depth; ``__future__`` imports aside) is loaded
@@ -60,6 +62,7 @@ file still needs is listed in :data:`KEPT_SETTINGS`.
 
 import ast
 import doctest
+import functools
 import re
 import sys
 from collections import defaultdict
@@ -99,9 +102,36 @@ TEST_ONLY_NAMES = {
     "repro.telemetry.trace.Tracer.find": "tests/test_telemetry.py",
 }
 
-#: Parameter defaults no call sets, as ``"qualified name(parameter)"``,
-#: each with the file that needs the parameter.
-KEPT_SETTINGS = {}
+#: Parameter defaults only a test sets, as ``"qualified name(parameter)"``,
+#: each with the test file that sets it.
+TEST_SEAMS = {
+    # Input shapes production never draws: duplicate-heavy keys and
+    # few, large groups.
+    "repro.analytics.workload.make_groupby_workload(avg_group_size)": (
+        "tests/test_reference_equivalence.py"
+    ),
+    "repro.analytics.workload.make_scan_workload(key_space_bits)": (
+        "tests/test_reference_equivalence.py"
+    ),
+    "repro.analytics.workload.make_sort_workload(key_space_bits)": (
+        "tests/test_reference_equivalence.py"
+    ),
+    # Production stops a daemon whenever it is done; the test bounds
+    # the wait on a daemon it cut off from its port.
+    "repro.service.daemon.ServerHandle.stop(timeout)": "tests/test_service_errors.py",
+    # An injected router with tight hedge deadlines or dead ports.
+    "repro.service.fleet.router.start_fleet_background(router)": "tests/test_fleet.py",
+    # Fake clocks that step time past deadlines and reset windows.
+    "repro.service.resilience.retry.CircuitBreaker.__init__(clock)": (
+        "tests/test_resilience.py"
+    ),
+    "repro.service.resilience.retry.RetryBudget.__init__(clock)": (
+        "tests/test_resilience.py"
+    ),
+    # Production's one seed is the model; tests draw others to check
+    # the seeded per-destination permutation.
+    "repro.shuffle.interleave.random_interleave(seed)": "tests/test_shuffle.py",
+}
 
 #: Modules run directly rather than imported by the package.
 ENTRY_MODULES = ("repro.experiments.run_all",)
@@ -136,7 +166,7 @@ def imported_names(path, module):
     """
     package = module if path.name == "__init__.py" else module.rpartition(".")[0]
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -182,8 +212,17 @@ def production_modules():
     return {name: modules[name] for name in sorted(reached)}
 
 
+@functools.lru_cache(maxsize=None)
 def parse(path):
+    """The parsed file, read and parsed once per path (the trees are
+    only read, never changed)."""
     return ast.parse(path.read_text(), filename=str(path))
+
+
+@functools.lru_cache(maxsize=None)
+def parse_example(source):
+    """A doctest example's parsed source, parsed once per text."""
+    return ast.parse(source)
 
 
 def public_definitions(module, path, tree):
@@ -259,7 +298,7 @@ def doctest_trees():
     for path in [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md")):
         for block in _DOCTEST_FENCE.findall(path.read_text()):
             for example in parser.get_examples(block):
-                yield ast.parse(example.source)
+                yield parse_example(example.source)
 
 
 def caller_trees():
@@ -401,28 +440,24 @@ def defaulted_parameters(module, path, tree):
 
 
 def setting_trees(modules):
-    """Every tree whose calls can set a parameter: the reached modules,
-    the caller trees, the doctested doc blocks and the tests."""
+    """Every tree whose calls can set a parameter in production: the
+    reached modules, the caller trees and the doctested doc blocks."""
     for path in modules.values():
         yield parse(path)
     yield from caller_trees()
-    for path in sorted((ROOT / "tests").rglob("*.py")):
-        yield parse(path)
 
 
-def unset_defaults(modules, kept):
-    """``qualified name(parameter)`` -> ``file:line`` of every parameter
-    default in ``modules`` that no call sets, by keyword or by position.
+def setter(trees):
+    """``is_set(callee, parameter, position)``: whether a call in
+    ``trees`` sets the parameter, by keyword or by position.
 
     Calls match by callee identifier; a callee ever called with
-    ``*args`` or ``**kwargs`` has every parameter set.  Deployment
-    settings (:data:`DEPLOYMENT_SETTINGS`) and names in ``kept`` are
-    exempt.
+    ``*args`` or ``**kwargs`` has every parameter set.
     """
     positional = defaultdict(int)  # callee -> most positional arguments passed
     keywords = defaultdict(set)  # callee -> keywords passed
     starred = set()  # callees called with *args or **kwargs
-    for tree in setting_trees(modules):
+    for tree in trees:
         for callee, call in call_sites(tree):
             if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
                 keyword.arg is None for keyword in call.keywords
@@ -430,22 +465,44 @@ def unset_defaults(modules, kept):
                 starred.add(callee)
             positional[callee] = max(positional[callee], len(call.args))
             keywords[callee].update(keyword.arg for keyword in call.keywords)
-    unset = {}
-    for module, path in modules.items():
+
+    def is_set(callee, name, position):
+        return (
+            callee in starred
+            or name in keywords[callee]
+            or (position is not None and positional[callee] > position)
+        )
+
+    return is_set
+
+
+def defaults(modules):
+    """``qualified name(parameter)`` -> ``(callee, parameter, position,
+    file:line)`` of every parameter default in ``modules``."""
+    return {
+        f"{function}({name})": (callee, name, position, f"{path.relative_to(ROOT)}:{line}")
+        for module, path in modules.items()
         for function, callee, name, position, line in defaulted_parameters(
             module, path, parse(path)
-        ):
-            key = f"{function}({name})"
-            if (
-                key in kept
-                or name in DEPLOYMENT_SETTINGS
-                or callee in starred
-                or name in keywords[callee]
-                or (position is not None and positional[callee] > position)
-            ):
-                continue
-            unset[key] = f"{path.relative_to(ROOT)}:{line}"
-    return dict(sorted(unset.items()))
+        )
+    }
+
+
+def unset_defaults(modules, kept):
+    """``qualified name(parameter)`` -> ``file:line`` of every parameter
+    default in ``modules`` that no call in :func:`setting_trees` sets.
+
+    Deployment settings (:data:`DEPLOYMENT_SETTINGS`) and names in
+    ``kept`` are exempt.
+    """
+    is_set = setter(setting_trees(modules))
+    return {
+        key: where
+        for key, (callee, name, position, where) in sorted(defaults(modules).items())
+        if key not in kept
+        and name not in DEPLOYMENT_SETTINGS
+        and not is_set(callee, name, position)
+    }
 
 
 def bound_imports(path, module):
@@ -544,8 +601,8 @@ def test_every_public_name_is_called_or_a_named_test_only_name():
     )
 
 
-def test_every_parameter_default_is_set_or_a_named_kept_setting():
-    unset = unset_defaults(production_modules(), kept=KEPT_SETTINGS)
+def test_every_parameter_default_is_set_or_a_named_test_seam():
+    unset = unset_defaults(production_modules(), kept=TEST_SEAMS)
     assert not unset, "parameter defaults no call sets:\n" + "\n".join(
         f"  {name} ({where})" for name, where in unset.items()
     )
@@ -560,8 +617,9 @@ def test_every_import_is_loaded_or_reexported():
 
 def test_test_only_names_are_current():
     """Each listed name or constant still exists, still has no
-    production caller, and its test still uses it; each kept setting
-    still exists, no call sets it, and its file still names it."""
+    production caller, and its test still uses it; each test seam still
+    exists, production still leaves it unset, and its test file still
+    sets it."""
     modules = production_modules()
     defined = {
         qualname
@@ -577,13 +635,14 @@ def test_test_only_names_are_current():
             f"{test_file} no longer uses {name}"
         )
     unset = unset_defaults(modules, kept=())
-    for setting, needed_by in KEPT_SETTINGS.items():
-        assert setting in unset, (
-            f"{setting} is gone or a call sets it; drop it from KEPT_SETTINGS"
+    parameters = defaults(modules)
+    for seam, test_file in TEST_SEAMS.items():
+        assert seam in unset, (
+            f"{seam} is gone or production sets it; drop it from TEST_SEAMS"
         )
-        parameter = setting[setting.index("(") + 1:-1]
-        assert parameter in _IDENTIFIER.findall((ROOT / needed_by).read_text()), (
-            f"{needed_by} no longer names {setting}"
+        callee, name, position, _ = parameters[seam]
+        assert setter([parse(ROOT / test_file)])(callee, name, position), (
+            f"{test_file} no longer sets {seam}"
         )
 
 
@@ -592,7 +651,7 @@ def test_oracles_are_defined_only_in_test_only_modules():
     production = {
         f"{module}.{node.name}"
         for module, path in production_modules().items()
-        for node in ast.parse(path.read_text()).body
+        for node in parse(path).body
         if isinstance(node, ast.ClassDef) and node.name in oracles
     }
     assert not production, f"oracles defined in production modules: {sorted(production)}"
@@ -772,9 +831,8 @@ def test_a_default_no_call_sets_is_named_with_its_file_and_line(tree):
         "src/pkg/main.py": (
             "from pkg.core import Model, fit\n"
             "fit([], 2, seed=3)\n"
-            "Model().train()\n"
+            "Model(4).train()\n"
         ),
-        "tests/test_core.py": "from pkg.core import Model\nModel(4)\n",
     })
     assert unset_defaults(modules, kept=()) == {
         "pkg.core.Model.train(epochs)": "src/pkg/core.py:7",
@@ -784,6 +842,25 @@ def test_a_default_no_call_sets_is_named_with_its_file_and_line(tree):
     assert unset_defaults(modules, kept={"pkg.core.fit(rate)", "pkg.core.fit(verbose)"}) == {
         "pkg.core.Model.train(epochs)": "src/pkg/core.py:7",
     }
+
+
+def test_a_default_only_a_test_sets_is_flagged_unless_a_named_seam(tree):
+    modules = tree({
+        "src/pkg/core.py": (
+            "def fit(data, rate=0.5, clock=None):\n"
+            "    return data\n"
+        ),
+        "src/pkg/main.py": "from pkg.core import fit\nfit([])\n",
+        "tests/test_core.py": (
+            "from pkg.core import fit\n"
+            "fit([], rate=0.1)\n"
+            "fit([], 0.2, clock=lambda: 0.0)\n"
+        ),
+    })
+    seams = {"pkg.core.fit(clock)": "tests/test_core.py"}
+    assert unset_defaults(modules, kept=seams) == {"pkg.core.fit(rate)": "src/pkg/core.py:1"}
+    callee, name, position, _ = defaults(modules)["pkg.core.fit(clock)"]
+    assert setter([parse(ROOT / "tests/test_core.py")])(callee, name, position)
 
 
 def test_a_default_set_positionally_through_super_init_is_set(tree):

@@ -25,8 +25,9 @@ Each production execution path has exactly one slow reference in
 
 The file also carries the pieces the production shuffle and sort are
 built from (frozen barrier totals, the vectorized merge pass) and the
-check that the parallel experiment runtime (``run_all --jobs N``)
-reproduces the sequential report.
+checks that the parallel experiment runtime (``run_all --jobs N``)
+reproduces the sequential report, and that sections sharing the memory
+caches render as they do cold.
 """
 
 import os
@@ -51,6 +52,7 @@ from repro.analytics.workload import (
 from repro.columnar.soa import SegmentedColumns
 from repro.config.system import get_preset
 from repro.experiments import common
+from repro.experiments.run_all import FAST_SCALE, SECTIONS, render_section
 from repro.faults.plan import NULL_FAULTS, FaultPlan, FaultSpec
 from repro.faults.protocol import DeliverySession
 from repro.memctrl.permutable import ShuffleBarrier
@@ -639,5 +641,14 @@ class TestParallelRunAll:
     def test_jobs4_matches_jobs1(self):
         assert self.run_report("--jobs", "1") == self.run_report("--jobs", "4")
 
-    def test_no_cache_matches_cached(self):
-        assert self.run_report() == self.run_report("--no-cache")
+    def test_shared_caches_match_cold_sections(self):
+        """Sections rendered in sequence share every memory tier; each
+        must match the same section rendered after ``clear_caches()``."""
+        keys = [key for key, *_ in SECTIONS]
+        common.clear_caches()
+        shared = [render_section(key, FAST_SCALE) for key in keys]
+        cold = []
+        for key in keys:
+            common.clear_caches()
+            cold.append(render_section(key, FAST_SCALE))
+        assert shared == cold

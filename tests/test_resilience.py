@@ -43,7 +43,6 @@ def isolated_store_state(monkeypatch):
     yield
     common.configure_store(None)
     common.clear_caches()
-    common.set_cache_enabled(True)
 
 
 # ---------------------------------------------------------------------------

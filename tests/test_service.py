@@ -46,7 +46,6 @@ def isolated_store_state(monkeypatch):
     yield
     common.configure_store(None)
     common.clear_caches()
-    common.set_cache_enabled(True)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +375,6 @@ class TestStoreTier:
         warm = common.run_cached_result("cpu", "scan", 50.0, num_partitions=8)
         assert warm.runtime_s == cold.runtime_s
         assert warm.energy == cold.energy
-        assert common.store_stats()["hits"] == 1
-
-    def test_no_cache_still_uses_the_store(self, tmp_path):
-        common.configure_store(tmp_path)
-        common.run_cached_result("cpu", "scan", 50.0, num_partitions=8)
-        common.set_cache_enabled(False)
-        common.run_cached_result("cpu", "scan", 50.0, num_partitions=8)
         assert common.store_stats()["hits"] == 1
 
     def test_env_var_selects_the_store(self, tmp_path, monkeypatch):

@@ -32,7 +32,6 @@ def isolated_store_state(monkeypatch):
     yield
     common.configure_store(None)
     common.clear_caches()
-    common.set_cache_enabled(True)
 
 
 def dead_port() -> int:

@@ -299,19 +299,6 @@ class TestSuiteTables:
         with pytest.raises(ValueError, match="read-only"):
             relation.keys[:] = 0
 
-    def test_disabled_memory_caches_build_fresh_tables(self):
-        previous = common.set_cache_enabled(False)
-        try:
-            suite = get_suite("skew-hotspot")
-            first = suite.build_plan(seed=3).tables
-            second = suite.build_plan(seed=3).tables
-        finally:
-            common.set_cache_enabled(previous)
-        assert common.cache_stats()["tiers"]["suite-tables"]["entries"] == 0
-        for name, relation in first.items():
-            assert relation.data is not second[name].data
-            assert relation == second[name]
-
 
 # ---------------------------------------------------------------------------
 # Runner: caching, store round-trip, grid driver.
@@ -606,16 +593,6 @@ class TestCli:
             suites_cli.main(["score", "--weight", "time=abc"])
         with pytest.raises(KeyError, match="unknown suite"):
             suites_cli.main(["run", "--suite", "nope"])
-
-    def test_run_no_cache_and_store(self, capsys, tmp_path):
-        suites_cli.main(
-            ["run", "--suite", "windowed-clicks", "--system", "cpu",
-             "--no-cache", "--store", str(tmp_path / "store"), "--json", "-"]
-        )
-        captured = capsys.readouterr()
-        assert "store:" in captured.err
-        assert json.loads(captured.out)
-        common.set_cache_enabled(True)
 
     def test_module_entrypoint(self):
         proc = subprocess.run(
