@@ -1,10 +1,15 @@
 """Tests for the experiment drivers: every table/figure driver runs and
-reproduces the paper's qualitative claims at reduced scale."""
+reproduces the paper's qualitative claims at reduced scale, and the run
+scaffold the grid CLIs share works the same under each of them."""
+
+import argparse
+import json
 
 import pytest
 
 from repro.experiments import (
     ablations,
+    common,
     fig6_probe,
     fig7_overall,
     fig8_energy,
@@ -17,7 +22,11 @@ from repro.experiments import (
     table5_partition,
 )
 from repro.api import format_table
+from repro.api.__main__ import main as api_main
+from repro.experiments import run_all
 from repro.experiments.common import make_workload
+from repro.suites import __main__ as suites_cli
+from repro.telemetry import trace as _trace
 
 #: Reduced scale so the whole experiment suite runs quickly in CI.
 SCALE = 500.0
@@ -40,6 +49,111 @@ class TestCommon:
         lines = out.splitlines()
         assert len(lines) == 4
         assert "a" in lines[0] and "333" in lines[3]
+
+
+@pytest.fixture
+def no_store(monkeypatch):
+    """No persistent tier before or after; cold memory caches after."""
+    monkeypatch.delenv(common.STORE_ENV, raising=False)
+    common.configure_store(None)
+    yield
+    common.configure_store(None)
+    common.clear_caches()
+
+
+def _cli_args(**overrides):
+    """The flags ``common.cli_run`` reads, with their parser defaults."""
+    return argparse.Namespace(**{"jobs": 1, "store": None, "trace": None, **overrides})
+
+
+#: One small run per grid CLI, each going through ``common.cli_run``.
+GRID_CLIS = {
+    "api": lambda extra: api_main(
+        ["--system", "cpu", "--workload", "scan", "--scale", "50",
+         "--partitions", "8", "--json", "-", *extra]
+    ),
+    "suites": lambda extra: suites_cli.main(
+        ["run", "--suite", "windowed-clicks", "--system", "cpu",
+         "--json", "-", *extra]
+    ),
+    "run_all": lambda extra: run_all.main(["--fast", *extra]),
+}
+
+
+class TestCliRun:
+    def test_jobs_below_one_is_rejected_before_the_block(self, no_store):
+        ran = []
+        with pytest.raises(SystemExit, match="--jobs must be >= 1"):
+            with common.cli_run(_cli_args(jobs=0)):
+                ran.append(True)
+        assert ran == []
+
+    def test_store_counters_follow_the_block_on_stderr(
+        self, no_store, tmp_path, capsys
+    ):
+        with common.cli_run(_cli_args(store=str(tmp_path))):
+            common.run_cached_result("cpu", "scan", 50.0, num_partitions=8)
+            print("result")
+        captured = capsys.readouterr()
+        assert captured.out == "result\n"
+        assert captured.err == "store: hits=0 misses=1 puts=1 entries=1\n"
+
+    def test_without_store_or_trace_stderr_stays_empty(self, no_store, capsys):
+        with common.cli_run(_cli_args()):
+            print("result")
+        assert capsys.readouterr() == ("result\n", "")
+
+    def test_trace_is_exported_when_the_block_raises(
+        self, no_store, tmp_path, capsys
+    ):
+        trace_file = tmp_path / "trace.json"
+        with pytest.raises(RuntimeError, match="mid-run"):
+            with common.cli_run(_cli_args(trace=str(trace_file))):
+                with _trace.span("work", category="test"):
+                    pass
+                raise RuntimeError("mid-run")
+        assert _trace.active_tracer() is None
+        assert capsys.readouterr().err == f"trace: 1 events -> {trace_file}\n"
+        events = json.loads(trace_file.read_text())["traceEvents"]
+        assert [e["name"] for e in events if e.get("ph") == "X"] == ["work"]
+
+    @pytest.mark.parametrize("cli", sorted(GRID_CLIS))
+    def test_every_grid_cli_rejects_jobs_below_one(self, no_store, cli):
+        with pytest.raises(SystemExit, match="--jobs must be >= 1"):
+            GRID_CLIS[cli](["--jobs", "0"])
+
+    @pytest.mark.parametrize("cli", ["api", "suites"])
+    def test_grid_cli_prints_the_store_line_last(
+        self, no_store, tmp_path, capsys, cli
+    ):
+        GRID_CLIS[cli](["--store", str(tmp_path)])
+        cold = capsys.readouterr()
+        common.clear_caches()
+        GRID_CLIS[cli](["--store", str(tmp_path)])
+        warm = capsys.readouterr()
+        assert json.loads(cold.out) == json.loads(warm.out)
+        # Each --store opens a fresh handle, so the counters are per run.
+        assert cold.err.splitlines()[-1] == "store: hits=0 misses=1 puts=1 entries=1"
+        assert warm.err.splitlines()[-1] == "store: hits=1 misses=0 puts=0 entries=1"
+
+    def test_run_all_prints_the_store_line_after_the_report(
+        self, no_store, tmp_path, capsys, monkeypatch
+    ):
+        def one_result(scale, jobs):
+            common.run_cached_result("cpu", "scan", scale, num_partitions=8)
+            print("report")
+
+        monkeypatch.setattr(run_all, "run_paper_report", one_result)
+        run_all.main(["--fast", "--store", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert "report\n" in captured.out
+        assert captured.err == "store: hits=0 misses=1 puts=1 entries=1\n"
+
+    def test_run_all_has_only_its_own_modes(self):
+        help_text = run_all.build_parser().format_help()
+        assert "--pipelines" in help_text
+        for borrowed in ("--suites", "--sweep", "--no-cache"):
+            assert borrowed not in help_text
 
 
 class TestTable1:

@@ -14,6 +14,7 @@ A fault schedule is priced onto each finished stage, equal to the
 reference's inline replay.
 """
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.pipeline import (
     FilterStage,
     GroupByStage,
     JoinStage,
+    PartitionStage,
     QueryPlan,
     ScanStage,
     SortStage,
@@ -40,6 +42,7 @@ from repro.pipeline import (
     sort_then_scan,
     stage_breakdown_table,
 )
+from repro.pipeline.queries import CANONICAL_QUERIES, CANONICAL_QUERY_SIZES
 from repro.pipeline.stage import _fk_join_relation
 from repro.systems import build_system
 
@@ -63,6 +66,16 @@ def fk_perfs(fk_plan, machines):
         name: m.run_pipeline(fk_plan, scale_factor=SCALE)
         for name, m in machines.items()
     }
+
+
+def _random_table():
+    """A small table of random keys and payloads."""
+    rng = np.random.default_rng(11)
+    return Relation.from_arrays(
+        rng.integers(0, 1 << 32, 1000, dtype=np.uint64),
+        rng.integers(0, 1 << 32, 1000, dtype=np.uint64),
+        "t",
+    )
 
 
 def _reference_spend(plan):
@@ -134,6 +147,26 @@ class TestFunctionalFidelity:
         assert meta["rebalanced"]
         assert meta["imbalance_after"] <= meta["imbalance_before"]
         assert len(run.output) == 2_000  # FK: every event joins
+
+    @pytest.mark.parametrize("skew_aware", [False, True])
+    def test_partition_stage_records_low_bits(self, machines, skew_aware):
+        plan = QueryPlan(
+            name="partition-only",
+            tables={"t": _random_table()},
+            stages=[PartitionStage("t", "spread", skew_aware=skew_aware)],
+            num_partitions=PARTITIONS,
+        )
+        run = plan.execute(machines["cpu"].variant(PARTITIONS), model_scale=SCALE)
+        assert run.stages[0].metadata["scheme"] == "low"
+        assert run.output.multiset_equal(plan.tables["t"])
+
+    def test_canonical_sizes_are_the_builders_only_sizes(self):
+        assert CANONICAL_QUERY_SIZES.keys() == CANONICAL_QUERIES.keys()
+        for name, builder in CANONICAL_QUERIES.items():
+            params = inspect.signature(builder).parameters.values()
+            assert all(p.default is p.empty for p in params), name
+            sizes = {p.name for p in params} - {"num_partitions", "seed"}
+            assert sizes == CANONICAL_QUERY_SIZES[name].keys(), name
 
     def test_filter_stage_selectivity(self, machines):
         rng = np.random.default_rng(0)

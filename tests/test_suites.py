@@ -291,6 +291,18 @@ class TestSuiteTables:
         common.clear_caches()
         assert common.cache_stats()["tiers"]["suite-tables"]["entries"] == 0
 
+    def test_cleared_tier_rebuilds_equal_tables(self):
+        suite = get_suite("skew-hotspot")
+        cached = suite.build_plan(seed=3).tables
+        shared = suite.build_plan(seed=3).tables
+        common.clear_caches()
+        cold = suite.build_plan(seed=3).tables
+        assert cached.keys() == shared.keys() == cold.keys()
+        for name, relation in cached.items():
+            assert shared[name].data is relation.data
+            assert cold[name].data is not relation.data
+            assert cold[name] == relation
+
     def test_cached_tables_are_read_only(self):
         plan = get_suite("dict-products").build_plan(seed=3)
         relation = next(iter(plan.tables.values()))
